@@ -12,6 +12,10 @@ profiles (see :mod:`repro.serve.loadgen`), then records:
   the HTTP bodies must equal the ledger's nominal accounting *exactly*;
   the in-test assertion is the acceptance criterion, the summary fields
   are informational.
+* ``empty_task_replies`` — ``/v1/task`` replies that carried no task.
+  Workers long-poll, so the count is bounded by the worker count (each
+  one's final ``done``); the in-test assertion fails if idle polling or a
+  per-reply stall comes back, whatever the machine's speed.
 
 The committed baseline (``benchmarks/baselines/BENCH_serve_load.json``)
 carries deliberately conservative latency/throughput bounds so the gate
@@ -58,5 +62,9 @@ def test_bench_serve_load():
         == report.expected_real_upload_bytes
     )
     assert report.duplicate_submissions == 0
+    # The waiting is gone by construction, not by a latency ceiling: task
+    # requests block server-side, so only each worker's final "done" reply
+    # is empty.  Idle polling would add one empty reply per poll.
+    assert report.empty_task_replies <= NUM_WORKERS
 
     emit_summary("serve_load", payload)

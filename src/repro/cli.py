@@ -319,7 +319,10 @@ def _add_serve_parsers(subparsers) -> None:
     )
     worker.add_argument("url", help="server URL, e.g. http://127.0.0.1:8765")
     worker.add_argument("--max-tasks", type=int, default=None)
-    worker.add_argument("--poll-interval", type=float, default=0.05)
+    worker.add_argument("--poll-interval", type=float, default=0.05,
+                        help="seconds to back off after a connection error "
+                             "(task requests block server-side; there is no "
+                             "idle polling)")
     worker.add_argument("--worker-id", default=None)
 
     loadtest = subparsers.add_parser(

@@ -13,6 +13,8 @@ On disk a store is one directory::
 
     <root>/runs.jsonl        append-only JSON-lines status transitions
     <root>/results/<key>.json  one atomically-written result payload per run
+    <root>/results/<key>.npz   optional binary sidecar of named arrays (the
+                               serve layer's per-round checkpoint)
 
 The index is an append-only log: each line records one
 :class:`RunStatus` transition (``pending`` → ``running`` → ``done`` /
@@ -36,7 +38,7 @@ import time
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -197,8 +199,8 @@ def _canonical(obj: object) -> object:
     return str(obj)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+def _atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Let ``write(handle)`` fill ``path`` atomically (temp file + ``os.replace``).
 
     A reader can never observe a partial file: either the old content (or
     absence) or the complete new content.
@@ -208,8 +210,8 @@ def _atomic_write_text(path: Path, text: str) -> None:
         dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -219,6 +221,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 class ExperimentStore:
@@ -263,6 +269,9 @@ class ExperimentStore:
 
     def _result_path(self, key: str) -> Path:
         return self.root / self.RESULTS_DIR / f"{key}.json"
+
+    def _arrays_path(self, key: str) -> Path:
+        return self._result_path(key).with_suffix(".npz")
 
     def _append(self, record: RunRecord) -> None:
         # One write() of one newline-terminated line: a crash mid-append
@@ -334,10 +343,23 @@ class ExperimentStore:
     # Results
     # ------------------------------------------------------------------ #
     def save_result(
-        self, spec: "RunSpec", result: "SimulationResult", duration_s: float | None = None
+        self,
+        spec: "RunSpec",
+        result: "SimulationResult",
+        duration_s: float | None = None,
+        arrays: dict[str, np.ndarray] | None = None,
     ) -> RunRecord:
-        """Persist one finished run: payload first (atomic), then the ``done`` line."""
+        """Persist one finished run: payload first (atomic), then the ``done`` line.
+
+        ``arrays`` go, bit for bit, into an ``.npz`` sidecar replaced just
+        before the payload (see :meth:`load_arrays`) — state too bulky for
+        JSON number lists.
+        """
         key = self.key_for(spec)
+        if arrays is not None:
+            _atomic_write(
+                self._arrays_path(key), lambda handle: np.savez(handle, **arrays)
+            )
         payload = result_to_payload(result)
         _atomic_write_text(
             self._result_path(key), dumps_strict(payload, sort_keys=True)
@@ -364,6 +386,14 @@ class ExperimentStore:
             raise ConfigurationError(f"no stored result for run {key!r}")
         return payload_to_result(json.loads(path.read_text(encoding="utf-8")))
 
+    def load_arrays(self, key: str) -> dict[str, np.ndarray] | None:
+        """The arrays saved beside one result, or ``None`` if it has none."""
+        path = self._arrays_path(key)
+        if not path.exists():
+            return None
+        with np.load(path) as archive:
+            return {name: archive[name] for name in archive.files}
+
     # ------------------------------------------------------------------ #
     # Maintenance (the `repro runs` subcommand)
     # ------------------------------------------------------------------ #
@@ -371,7 +401,8 @@ class ExperimentStore:
         """Drop runs in ``statuses`` (default: every non-``done`` status).
 
         The index is compacted (rewritten atomically with one line per
-        surviving run) and the dropped runs' payload files are removed.
+        surviving run) and the dropped runs' payload files — result and
+        array sidecar — are removed.
         Returns the dropped keys.
         """
         drop = set(statuses) if statuses is not None else set(RERUN_STATUSES)
@@ -382,10 +413,8 @@ class ExperimentStore:
             self.index_path, "".join(rec.to_line() for rec in survivors)
         )
         for key in dropped:
-            try:
-                self._result_path(key).unlink()
-            except FileNotFoundError:
-                pass
+            self._result_path(key).unlink(missing_ok=True)
+            self._arrays_path(key).unlink(missing_ok=True)
         return dropped
 
     def summary(self) -> dict[str, int]:

@@ -48,6 +48,9 @@ class LoadReport:
     expected_real_upload_bytes: int
     reclaimed_tasks: int
     duplicate_submissions: int
+    #: ``/v1/task`` replies that carried no task: one final "done" per
+    #: worker, plus one per lease wait that elapsed on an idle board.
+    empty_task_replies: int
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -65,6 +68,7 @@ class LoadReport:
             "expected_real_upload_bytes": self.expected_real_upload_bytes,
             "reclaimed_tasks": self.reclaimed_tasks,
             "duplicate_submissions": self.duplicate_submissions,
+            "empty_task_replies": self.empty_task_replies,
         }
 
 
@@ -178,4 +182,5 @@ def run_load_test(
         expected_real_upload_bytes=expected_real_bytes(server),
         reclaimed_tasks=server.board.reclaimed,
         duplicate_submissions=server.board.duplicates,
+        empty_task_replies=int(counters.get("serve.empty_task_replies", 0)),
     )

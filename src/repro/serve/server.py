@@ -20,8 +20,10 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 
 - ``POST /v1/handshake`` — JSON in/out; refuses version mismatches (426)
   and returns the experiment config workers must rebuild.
-- ``POST /v1/task`` — empty body in; one task frame out, or JSON
-  ``{"task": null, "done": ...}`` when nothing is pending.
+- ``POST /v1/task`` — empty body in; one task frame out.  On an empty
+  board the request is *parked* (a long poll, at most
+  :data:`LEASE_WAIT_S`) until a task is published; JSON
+  ``{"task": null, "done": ...}`` means the wait elapsed or the run ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
   Duplicate submissions of a finished task are idempotent
   (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426.
@@ -57,6 +59,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
 from repro.systems.executor import ClientExecutor, LocalUpdateOutcome, LocalUpdateTask
 from repro.systems.transport import Transport
+
+
+#: Longest a ``/v1/task`` request is parked on an empty board before it is
+#: answered with an empty reply.  Far below ``ServerClient.timeout`` (60 s),
+#: so a parked request can never look like a dead connection to its worker.
+LEASE_WAIT_S = 1.0
+#: Bucket bounds of ``serve.lease_wait_seconds``: sub-second, up to the bound.
+LEASE_WAIT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, LEASE_WAIT_S)
 
 
 class _Aborted(Exception):
@@ -107,14 +117,15 @@ class TaskBoard:
     """Thread-safe exchange between the round driver and HTTP handlers.
 
     The driver publishes a round's tasks and blocks in :meth:`wait`;
-    handler threads lease tasks with :meth:`pull` and deliver results with
-    :meth:`resolve`.  A leased task whose worker goes silent past its
-    lease is reclaimed — put back on the queue for another worker — which
-    is how a worker killed mid-round is absorbed without stalling the
-    round (the serve-layer analogue of the semisync deadline).  Because
-    tasks are seeded, a reclaimed task recomputed elsewhere yields the
-    identical update; :meth:`resolve` keeps the first result and reports
-    ``"duplicate"`` for any re-submission.
+    handler threads lease tasks with :meth:`pull` — parking on an empty
+    board until :meth:`publish`, :meth:`close` or :meth:`abort` wakes them —
+    and deliver results with :meth:`resolve`.  A leased task whose worker
+    goes silent past its lease is reclaimed — put back on the queue for
+    another worker — which is how a worker killed mid-round is absorbed
+    without stalling the round (the serve-layer analogue of the semisync
+    deadline).  Because tasks are seeded, a reclaimed task recomputed
+    elsewhere yields the identical update; :meth:`resolve` keeps the first
+    result and reports ``"duplicate"`` for any re-submission.
     """
 
     def __init__(self, lease_s: float = 30.0):
@@ -126,6 +137,7 @@ class TaskBoard:
         self._queue: deque[str] = deque()
         self._seq = 0
         self._aborted = False
+        self._closed = False
         self.reclaimed = 0
         self.duplicates = 0
 
@@ -141,18 +153,29 @@ class TaskBoard:
                 self._queue.append(ticket.task_id)
             self._cond.notify_all()
 
-    def pull(self) -> _Ticket | None:
-        """Lease the next pending task, reclaiming expired leases first."""
+    def pull(self, wait: float = 0.0) -> _Ticket | None:
+        """Lease the next pending task, reclaiming expired leases first.
+
+        On an empty board the caller is parked for up to ``wait`` seconds;
+        ``None`` means the wait elapsed or the board was closed.
+        """
+        deadline = time.monotonic() + wait
         with self._cond:
-            self._reclaim_locked()
-            while self._queue:
-                ticket = self._tickets.get(self._queue.popleft())
-                if ticket is None or ticket.state != "pending":
-                    continue
-                ticket.state = "leased"
-                ticket.lease_expires = time.monotonic() + self.lease_s
-                return ticket
-            return None
+            while True:
+                self._reclaim_locked()
+                while self._queue:
+                    ticket = self._tickets.get(self._queue.popleft())
+                    if ticket is None or ticket.state != "pending":
+                        continue
+                    ticket.state = "leased"
+                    ticket.lease_expires = time.monotonic() + self.lease_s
+                    return ticket
+                remaining = deadline - time.monotonic()
+                if self._closed or remaining <= 0:
+                    return None
+                # Wake periodically so a lease that expires while we are
+                # parked is reclaimed and handed to us.
+                self._cond.wait(timeout=min(remaining, self.lease_s / 4))
 
     def client_of(self, task_id: str) -> _Ticket:
         with self._cond:
@@ -197,9 +220,16 @@ class TaskBoard:
                 # when no submit arrives to notify us.
                 self._cond.wait(timeout=min(1.0, self.lease_s / 4))
 
-    def abort(self) -> None:
+    def close(self) -> None:
+        """No more tasks will be published: release every parked puller."""
         with self._cond:
-            self._aborted = True
+            self._closed = True
+            self._cond.notify_all()
+
+    def abort(self) -> None:
+        """Tear down: :meth:`close`, and fail the driver's :meth:`wait`."""
+        with self._cond:
+            self._aborted = self._closed = True
             self._cond.notify_all()
 
     @property
@@ -260,6 +290,10 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY on every accepted connection: a reply must never sit in
+    # the kernel waiting for the ACK of an earlier small write (Nagle's
+    # algorithm against the client's delayed ACK costs ~40 ms per reply).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # request logging goes through the metrics registry instead
@@ -269,20 +303,34 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.app  # type: ignore[attr-defined]
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Header block and body leave in ONE write, so the reply is a single
+        # segment even behind something that strips TCP_NODELAY;
+        # send_response/end_headers would flush the headers on their own.
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        # Refusals below happen without reading the body; the stream is then
+        # unsynchronised, so the connection must close after the error reply.
+        if not (declared.isascii() and declared.isdigit()):
+            # Signs, words, "1_000": int() would raise out of the handler
+            # thread, and rfile.read(-n) would block until the peer closes.
+            self.close_connection = True
+            raise ProtocolError(
+                f"Content-Length {declared!r} is not a non-negative integer"
+            )
+        length = int(declared)
         if length > self.app.max_frame_bytes:
-            # Refuse without reading; the stream is now unsynchronised, so
-            # the connection must close after the error response.
             self.close_connection = True
             raise ProtocolError(
                 f"request of {length} bytes exceeds the "
@@ -310,6 +358,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.app.count_request("task")
                 frame = self.app.handle_task()
                 if frame is None:
+                    # The bounded wait elapsed (ask again) or the run ended.
                     self._send_json(200, {"task": None, "done": self.app.done})
                 else:
                     self._send(200, frame, "application/octet-stream")
@@ -456,6 +505,11 @@ class FederationServer:
             self._httpd.server_close()
         if self._http_thread is not None:
             self._http_thread.join(timeout=10)
+        # server -> _httpd -> app -> server is a reference cycle: holding it
+        # would keep the simulation, every client's dataset and the tickets
+        # alive until a gen-2 collection.  Dropped, a stopped server is freed
+        # by reference counting alone.
+        self._httpd = self._http_thread = self._driver = None
 
     # ------------------------------------------------------------------ #
     # The round driver
@@ -471,7 +525,11 @@ class FederationServer:
                     self.round_latencies[-1]
                 )
                 if self.store is not None:
-                    self.store.save_result(self.run_spec, self._snapshot_result())
+                    self.store.save_result(
+                        self.run_spec,
+                        self._snapshot_result(),
+                        arrays=self._checkpoint_arrays(),
+                    )
             self.result = self._snapshot_result()
         except _Aborted:
             # stop() tore down the board mid-round; report what completed.
@@ -485,13 +543,14 @@ class FederationServer:
         finally:
             sim.pipeline.close()
             self._done.set()
+            # After _done, so a worker parked in /v1/task wakes to
+            # ``done: true`` at once instead of after the wait bound.
+            self.board.close()
 
     def _snapshot_result(self) -> SimulationResult:
         """A :class:`SimulationResult` for the rounds completed so far.
 
-        Mirrors the tail of :meth:`FederatedSimulation.run`, with a
-        ``serve_checkpoint`` metadata block carrying the state a restarted
-        server needs (algorithm state, per-client variables, counters).
+        Mirrors the tail of :meth:`FederatedSimulation.run`.
         """
         sim = self.simulation
         final_evaluation = None
@@ -513,26 +572,6 @@ class FederationServer:
             "executor": type(sim.executor).__name__,
             "codec": None if sim.transport is None else sim.transport.codec.name,
             **sim.plan.extra_metadata(sim),
-            "serve_checkpoint": {
-                "model_version": int(sim.state.model_version),
-                "last_aggregation_time": float(sim.state.last_aggregation_time),
-                "algorithm_state": {
-                    key: np.asarray(value).tolist()
-                    for key, value in sim.state.algorithm_state.items()
-                },
-                "clients": [
-                    {
-                        "client_id": int(client.client_id),
-                        "variables": {
-                            key: np.asarray(value).tolist()
-                            for key, value in client.variables.items()
-                        },
-                        "rounds_participated": int(client.rounds_participated),
-                        "local_work_done": int(client.local_work_done),
-                    }
-                    for client in sim.clients
-                ],
-            },
         }
         return SimulationResult(
             algorithm=sim.algorithm.name,
@@ -545,6 +584,37 @@ class FederationServer:
             rounds_to_target=None,
             metadata=metadata,
         )
+
+    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """What a restarted server needs beyond the stored result.
+
+        Algorithm state, per-client variables and counters, as arrays: the
+        store writes them to a binary sidecar, exact and without boxing
+        every scalar.  ``rounds_run`` ties the sidecar to its result.
+        """
+        sim = self.simulation
+        arrays = {
+            "rounds_run": np.asarray(int(sim.state.rounds_run)),
+            "model_version": np.asarray(int(sim.state.model_version)),
+            "last_aggregation_time": np.asarray(
+                float(sim.state.last_aggregation_time)
+            ),
+            "client_counters": np.array(
+                [
+                    (c.client_id, c.rounds_participated, c.local_work_done)
+                    for c in sim.clients
+                ],
+                dtype=np.int64,
+            ),
+        }
+        for key, value in sim.state.algorithm_state.items():
+            arrays[f"state.{key}"] = np.asarray(value, dtype=np.float64)
+        for client in sim.clients:
+            for key, value in client.variables.items():
+                arrays[f"client.{int(client.client_id)}.{key}"] = np.asarray(
+                    value, dtype=np.float64
+                )
+        return arrays
 
     # ------------------------------------------------------------------ #
     # Checkpoint restore
@@ -570,32 +640,42 @@ class FederationServer:
         if not self.store.has_result(key):
             return False
         saved = self.store.load_result(key)
-        checkpoint = saved.metadata.get("serve_checkpoint")
+        checkpoint = self.store.load_arrays(key)
         if checkpoint is None:
+            raise ConfigurationError("stored result carries no serve checkpoint")
+        if int(checkpoint["rounds_run"]) != saved.rounds_run:
+            # The sidecar is replaced just before the result; a crash in
+            # between leaves a pair from two different rounds.
             raise ConfigurationError(
-                "stored result carries no serve_checkpoint metadata"
+                f"serve checkpoint is from round {int(checkpoint['rounds_run'])} "
+                f"but the stored result from round {saved.rounds_run}; "
+                "drop the run from the store and start over"
             )
         sim = self.simulation
         sim.state.params = np.asarray(saved.final_params, dtype=np.float64)
-        sim.state.algorithm_state = {
-            key_: np.asarray(value, dtype=np.float64)
-            for key_, value in checkpoint["algorithm_state"].items()
-        }
         sim.state.model_version = int(checkpoint["model_version"])
         sim.state.rounds_run = int(saved.rounds_run)
         sim.state.last_aggregation_time = float(checkpoint["last_aggregation_time"])
         sim.history.records[:] = list(saved.history.records)
         for field_ in dataclasses.fields(sim.ledger):
             setattr(sim.ledger, field_.name, getattr(saved.ledger, field_.name))
-        by_id = {entry["client_id"]: entry for entry in checkpoint["clients"]}
+        sim.state.algorithm_state = {}
+        variables: dict[int, dict[str, np.ndarray]] = {
+            int(client.client_id): {} for client in sim.clients
+        }
+        for name, value in checkpoint.items():
+            kind, _, rest = name.partition(".")
+            if kind == "state":
+                sim.state.algorithm_state[rest] = value
+            elif kind == "client":
+                client_id, _, variable = rest.partition(".")
+                variables[int(client_id)][variable] = value
+        counters = {int(row[0]): row for row in checkpoint["client_counters"]}
         for client in sim.clients:
-            entry = by_id[int(client.client_id)]
-            client.variables = {
-                key_: np.asarray(value, dtype=np.float64)
-                for key_, value in entry["variables"].items()
-            }
-            client.rounds_participated = int(entry["rounds_participated"])
-            client.local_work_done = int(entry["local_work_done"])
+            client_id = int(client.client_id)
+            client.variables = variables[client_id]
+            client.rounds_participated = int(counters[client_id][1])
+            client.local_work_done = int(counters[client_id][2])
 
         for round_index in range(sim.state.rounds_run):
             selected = sim.sampler.sample(
@@ -640,9 +720,14 @@ class FederationServer:
         }
 
     def handle_task(self) -> bytes | None:
-        ticket = self.board.pull()
+        asked = time.perf_counter()
+        ticket = self.board.pull(wait=LEASE_WAIT_S)
+        self.metrics.histogram(
+            "serve.lease_wait_seconds", LEASE_WAIT_BUCKETS
+        ).observe(time.perf_counter() - asked)
         self.metrics.gauge("serve.pending_tasks").set(self.board.pending)
         if ticket is None:
+            self.metrics.counter("serve.empty_task_replies").inc()
             return None
         self.metrics.counter("serve.download_payload_bytes").inc(len(ticket.frame))
         return ticket.frame
@@ -696,7 +781,11 @@ class FederationServer:
 
     def status_snapshot(self) -> dict:
         sim = self.simulation
-        counters = self.metrics.snapshot().get("counters", {})
+        snapshot = self.metrics.snapshot()
+        counters = dict(snapshot["counters"])
+        for name, histogram in snapshot["histograms"].items():
+            counters[f"{name}.count"] = histogram["count"]
+            counters[f"{name}.sum"] = histogram["sum"]
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
             "algorithm": self.spec.label(),

@@ -4,7 +4,8 @@ A worker is stateless from the server's point of view.  It handshakes
 (refusing protocol-version mismatches), rebuilds the *identical* client
 environment from the experiment config — datasets, partition, and model
 are all deterministic functions of ``config.seed`` — then loops: pull a
-task frame, run the local update through the existing
+task frame (a long poll: the server parks the request until a task is
+published), run the local update through the existing
 :func:`~repro.systems.executor.execute_task` seam, codec-encode the result,
 and push the submit frame.  Tasks carry integer seeds, so any worker (or a
 re-pull after this worker dies mid-task) computes the identical update the
@@ -192,7 +193,11 @@ def run_worker(
     ``delay_fn`` (decoded task dict → seconds) injects per-task latency —
     the load generator uses it to replay heterogeneous client compute/
     network profiles; fault tests use it to hold a task past its lease.
-    ``stop_check`` lets an embedding thread ask the loop to exit early.
+    ``stop_check`` lets an embedding thread ask the loop to exit early; it
+    is read once per request, so it takes effect within the server's
+    lease-wait bound.  ``poll_interval`` is only the back-off after a
+    connection error: ``/v1/task`` blocks server-side until a task is
+    pending, so an empty reply means "the wait elapsed, ask again".
     """
     client = ServerClient(url)
     try:
@@ -218,7 +223,6 @@ def run_worker(
                 payload = json.loads(data.decode("utf-8"))
                 if status != 200 or payload.get("done"):
                     break
-                time.sleep(poll_interval)
                 continue
             header, blobs = protocol.unpack_frame(data)
             task = protocol.decode_task(header, blobs)

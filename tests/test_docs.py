@@ -160,6 +160,14 @@ class TestLinkChecker:
         finally:
             rogue.unlink()
 
+    def test_only_declared_generated_pages_may_be_absent(self, checker):
+        # docs/studies.md is git-ignored and written by gen_catalogue.py, so
+        # the gate must hold on a clean checkout; the allowance is that one
+        # declared page, not "any missing page".
+        assert checker["GENERATED_PAGES"] == {
+            DOCS_DIR / page for page in GENERATED_PAGES
+        }
+
     def test_fenced_code_is_not_scanned(self, checker):
         errors = checker["check_file"](DOCS_DIR / "tutorials" / "robustness.md", {})
         assert errors == []

@@ -380,6 +380,31 @@ def test_server_refuses_oversized_body_with_413():
         server.stop()
 
 
+@pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0", "12 34"])
+def test_server_refuses_bad_content_length_with_400(live_server, declared):
+    """A Content-Length that is not a plain non-negative integer is coded
+    ``malformed`` → 400 and the connection closes: it must neither raise out
+    of the handler thread (``int("abc")``) nor reach ``rfile.read(-5)``,
+    which would block until the peer hangs up."""
+    import http.client
+
+    errors = live_server.metrics.counter("serve.errors.malformed")
+    before = errors.value
+    conn = http.client.HTTPConnection("127.0.0.1", live_server.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/submit", headers={"Content-Length": declared})
+        response = conn.getresponse()
+        reply = json.loads(response.read())
+        assert response.status == 400
+        assert reply["code"] == "malformed"
+        assert errors.value == before + 1
+        # The request stream is unsynchronised: the server hung up on it.
+        conn.sock.settimeout(10)
+        assert conn.sock.recv(1) == b""
+    finally:
+        conn.close()
+
+
 def test_duplicate_delta_submission_is_idempotent():
     """The same submit frame twice: first 'ok', second 'duplicate', one count."""
     from repro.serve.server import FederationServer

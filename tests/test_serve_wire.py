@@ -1,0 +1,320 @@
+"""The served round waits for nothing but compute — pinned without a clock.
+
+Each wait that was taken out of the served round gets a regression test
+that fails if it comes back, and none of them measures a latency:
+
+* **one-segment replies** — every accepted connection has ``TCP_NODELAY``
+  and a reply is exactly one write (two small writes on a Nagle-enabled
+  socket stall ~40 ms on the client's delayed ACK);
+* **the blocking lease** — a puller parked on an empty board is released
+  by ``publish``, ``close`` and ``abort`` and picks up a lease that expires
+  while it waits; over a whole served run only the final ``done`` replies
+  are empty (the count that fails if sleep-polling returns);
+* **a stopped server is freed by reference counting** — no ``gc.collect()``;
+* **the checkpoint is binary** — the result JSON of a served run carries no
+  per-client number list, and a sidecar from another round is refused.
+
+Timeouts below are generous upper bounds that only turn a hang into a
+failure; nothing asserts that something took *at least* some time.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import socket
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.exceptions import ConfigurationError
+from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.serve import server as serve_server
+from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
+from repro.serve.worker import ServerClient
+
+from test_serve_e2e import serve_run
+
+ROUNDS = 3
+WORKERS = 2
+#: Upper bound for anything that should happen "at once".
+SOON = 10.0
+#: A wait no test could sit out: a puller that is not woken fails the test.
+FOREVER = 3600.0
+
+
+def served_run(rounds=ROUNDS, num_workers=WORKERS, **server_kwargs):
+    """One served fedadmm run on worker processes; returns the stopped server."""
+    server, _ = serve_run(
+        serve_config(),
+        AlgorithmSpec("fedadmm"),
+        rounds=rounds,
+        num_workers=num_workers,
+        **server_kwargs,
+    )
+    return server
+
+
+# --------------------------------------------------------------------------- #
+# (a) Replies leave in one segment
+# --------------------------------------------------------------------------- #
+class _CountingWriter:
+    """``wfile`` stand-in that records the size of every write."""
+
+    def __init__(self, raw, writes):
+        self._raw, self._writes = raw, writes
+
+    def write(self, data):
+        self._writes.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+def test_replies_are_one_write_on_a_nodelay_connection(monkeypatch):
+    nodelay: list[int] = []
+    writes: list[int] = []
+    original_setup = serve_server._Handler.setup
+
+    def observed_setup(handler):
+        original_setup(handler)
+        nodelay.append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        handler.wfile = _CountingWriter(handler.wfile, writes)
+
+    monkeypatch.setattr(serve_server._Handler, "setup", observed_setup)
+    server = FederationServer(serve_config(), AlgorithmSpec("fedavg"), num_rounds=1)
+    server.start()
+    client = ServerClient(server.url)
+    try:
+        handshake = json.dumps({"protocol_version": 1}).encode()
+        replies = [
+            client.post("/v1/handshake", handshake),  # JSON body
+            client.post("/v1/task", b""),  # binary task frame
+            client.post("/v1/submit", b"garbage bytes"),  # coded error reply
+            client.post("/v1/nowhere", b""),  # 404
+        ]
+    finally:
+        client.close()
+        server.stop()
+
+    assert [status for status, _, _ in replies] == [200, 200, 400, 404]
+    assert nodelay and all(nodelay)  # one keep-alive connection, NODELAY set
+    # One write per reply, and it carried the whole body (headers included).
+    assert len(writes) == len(replies)
+    for written, (_, _, body) in zip(writes, replies):
+        assert written > len(body)
+
+
+# --------------------------------------------------------------------------- #
+# (b) The blocking lease
+# --------------------------------------------------------------------------- #
+class _ParkingCondition(threading.Condition):
+    """A condition that says when a thread is about to park on it.
+
+    ``parked`` is set with the lock held, just before ``wait`` releases it,
+    so whoever then takes the lock finds the waiter already registered.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.parked = threading.Event()
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait(timeout)
+
+
+def _ticket(task_id="r0-c0-1"):
+    return _Ticket(task_id=task_id, frame=b"frame", client_index=0, client_id=0)
+
+
+def _parked_puller(board, wait=FOREVER):
+    """Start ``board.pull(wait)`` on a thread; return once it is parked."""
+    board._cond = condition = _ParkingCondition()
+    pulled: list = []
+    thread = threading.Thread(
+        target=lambda: pulled.append(board.pull(wait=wait)), daemon=True
+    )
+    thread.start()
+    assert condition.parked.wait(SOON), "puller never reached the wait"
+    return thread, pulled
+
+
+def _released(thread, pulled):
+    thread.join(timeout=SOON)
+    assert not thread.is_alive(), "puller is still parked"
+    return pulled[0]
+
+
+def test_pull_returns_at_once_when_a_ticket_is_pending():
+    board = TaskBoard(lease_s=FOREVER)
+    board.publish([_ticket()])
+    pulled: list = []
+    thread = threading.Thread(
+        target=lambda: pulled.append(board.pull(wait=FOREVER)), daemon=True
+    )
+    thread.start()
+    assert _released(thread, pulled).task_id == "r0-c0-1"
+
+
+def test_pull_without_wait_does_not_park():
+    assert TaskBoard().pull() is None
+
+
+def test_parked_puller_is_released_by_publish():
+    board = TaskBoard(lease_s=FOREVER)
+    thread, pulled = _parked_puller(board)
+    board.publish([_ticket()])
+    ticket = _released(thread, pulled)
+    assert ticket.task_id == "r0-c0-1" and ticket.state == "leased"
+
+
+def test_parked_puller_is_released_by_close():
+    board = TaskBoard(lease_s=FOREVER)
+    thread, pulled = _parked_puller(board)
+    board.close()
+    assert _released(thread, pulled) is None
+    # A closed board never parks again: late askers learn "done" at once.
+    assert board.pull(wait=FOREVER) is None
+
+
+def test_parked_puller_is_released_by_abort():
+    board = TaskBoard(lease_s=FOREVER)
+    thread, pulled = _parked_puller(board)
+    board.abort()
+    assert _released(thread, pulled) is None
+    with pytest.raises(_Aborted):
+        board.wait([])
+
+
+def test_lease_expiring_under_a_parked_puller_is_handed_to_it():
+    board = TaskBoard(lease_s=0.2)
+    board.publish([_ticket()])
+    assert board.pull().state == "leased"  # a worker that then goes silent
+    thread, pulled = _parked_puller(board)
+    ticket = _released(thread, pulled)
+    assert ticket.task_id == "r0-c0-1"
+    assert board.reclaimed == 1
+
+
+# --------------------------------------------------------------------------- #
+# (c) A whole served run: no idle polling, waits visible, checkpoint binary
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    store_dir = tmp_path_factory.mktemp("serve-wire-store")
+    return served_run(store_dir=str(store_dir)), store_dir
+
+
+def test_only_the_final_done_replies_are_empty(finished_run):
+    server, _ = finished_run
+    counters = server.metrics.snapshot()["counters"]
+    # No duplicate was submitted, so every executed task is one submit.
+    assert server.board.reclaimed == 0 and server.board.duplicates == 0
+    executed = counters["serve.requests.submit"]
+    assert executed > 0
+    # Every task request is answered with a task except each worker's last
+    # one ("done").  Sleep-polling an empty board would add one per poll.
+    assert counters["serve.requests.task"] - executed <= WORKERS
+    assert counters["serve.empty_task_replies"] <= WORKERS
+
+
+def test_status_reports_the_waits(finished_run):
+    server, _ = finished_run
+    counters = server.status_snapshot()["counters"]
+    metrics = server.metrics.snapshot()
+    assert counters["serve.empty_task_replies"] <= WORKERS
+    assert (
+        counters["serve.lease_wait_seconds.count"]
+        == metrics["counters"]["serve.requests.task"]
+    )
+    assert (
+        counters["serve.lease_wait_seconds.sum"]
+        == metrics["histograms"]["serve.lease_wait_seconds"]["sum"]
+    )
+    json.dumps(counters)  # /v1/status must stay JSON-serialisable
+
+
+def test_stopped_server_keeps_its_results_readable(finished_run):
+    server, _ = finished_run
+    assert server.result.rounds_run == ROUNDS == len(server.round_latencies)
+    assert server.simulation.state.rounds_run == ROUNDS
+    assert server.board.pending == 0
+    server.stop()  # idempotent
+
+
+def test_result_json_holds_no_per_client_number_lists(finished_run):
+    server, store_dir = finished_run
+    key = server.store.key_for(server.run_spec)
+    payload = json.loads((store_dir / "results" / f"{key}.json").read_text())
+    assert "serve_checkpoint" not in payload["metadata"]
+    assert "serve_checkpoint" not in server.result.metadata
+    model_dim = server.model_dim
+
+    def number_lists(node):
+        if isinstance(node, dict):
+            for value in node.values():
+                yield from number_lists(value)
+        elif isinstance(node, list):
+            if len(node) >= model_dim and all(
+                isinstance(item, (int, float)) for item in node
+            ):
+                yield node
+            for item in node:
+                yield from number_lists(item)
+
+    # The only model-sized list in the file is final_params itself.
+    assert list(number_lists(payload)) == [payload["final_params"]]
+
+    arrays = server.store.load_arrays(key)
+    assert int(arrays["rounds_run"]) == ROUNDS
+    for client in server.simulation.clients:
+        for name, value in client.variables.items():
+            stored = arrays[f"client.{client.client_id}.{name}"]
+            assert stored.dtype == np.float64
+            assert stored.tobytes() == np.asarray(value).tobytes()
+
+
+def test_checkpoint_from_another_round_is_refused(finished_run, tmp_path):
+    import shutil
+
+    server, store_dir = finished_run
+    copy = tmp_path / "store"
+    shutil.copytree(store_dir, copy)
+    key = server.store.key_for(server.run_spec)
+    sidecar = copy / "results" / f"{key}.npz"
+    with np.load(sidecar) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays["rounds_run"] = np.asarray(ROUNDS - 1)  # a crash between the renames
+    np.savez(sidecar, **arrays)
+    with pytest.raises(ConfigurationError, match="from round 2"):
+        FederationServer(
+            serve_config(),
+            AlgorithmSpec("fedadmm"),
+            num_rounds=ROUNDS + 1,
+            store_dir=str(copy),
+            resume=True,
+        )
+
+
+# --------------------------------------------------------------------------- #
+# (d) A stopped server is freed by reference counting
+# --------------------------------------------------------------------------- #
+def test_stopped_server_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        server = served_run(rounds=1, num_workers=1)
+        freed = threading.Event()
+        weakref.finalize(server.simulation, freed.set)
+        del server
+        # Handler threads of the workers' closed connections may take a
+        # moment to unwind; nothing here runs the cycle collector.
+        assert freed.wait(SOON), "a reference cycle keeps the simulation alive"
+    finally:
+        gc.enable()

@@ -133,6 +133,29 @@ class TestLifecycle:
         assert loaded.history.records[0].train_loss is None
         assert loaded.history.records[1:] == result.history.records[1:]
 
+    def test_array_sidecar_round_trips_bit_for_bit(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        spec = make_spec()
+        rng = np.random.default_rng(0)
+        arrays = {
+            "client.3.w": rng.standard_normal(257) * 1e-9,
+            "state.scalar": np.asarray(np.nextafter(1.0, 2.0)),
+            "counters": np.arange(6, dtype=np.int64).reshape(2, 3),
+        }
+        store.save_result(spec, execute_spec(spec), arrays=arrays)
+        loaded = store.load_arrays(store.key_for(spec))
+        assert set(loaded) == set(arrays)
+        for name, value in arrays.items():
+            assert loaded[name].dtype == value.dtype
+            assert loaded[name].tobytes() == value.tobytes()
+        assert list((tmp_path / "results").glob("*.tmp")) == []
+
+    def test_result_without_arrays_has_no_sidecar(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        spec = make_spec()
+        store.save_result(spec, execute_spec(spec))
+        assert store.load_arrays(store.key_for(spec)) is None
+
     def test_load_unknown_key_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no stored result"):
             ExperimentStore(tmp_path).load_result("deadbeef")
@@ -236,6 +259,15 @@ class TestClean:
         assert dropped == [key]
         assert store.records() == {}
         assert not (tmp_path / "results" / f"{key}.json").exists()
+
+    def test_clean_removes_the_array_sidecar_with_the_payload(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        spec = make_spec()
+        store.save_result(spec, execute_spec(spec), arrays={"w": np.ones(3)})
+        key = store.key_for(spec)
+        assert (tmp_path / "results" / f"{key}.npz").exists()
+        store.clean([RunStatus.DONE])
+        assert list((tmp_path / "results").iterdir()) == []
 
     def test_clean_compacts_index_to_one_line_per_run(self, tmp_path):
         store = ExperimentStore(tmp_path)

@@ -17,6 +17,9 @@ Checks, in order:
   the hierarchical plan nests inside each round), ``local_sgd`` off
   ``client_task``, ``compress``/``aggregate`` off ``round``/``shard``,
   and ``round`` off the top-level ``run`` span;
+* every ``local_sgd`` span says how much work it timed: ``args.steps`` and
+  ``args.epochs`` are positive integers (duration / steps = time per SGD
+  step in that deployment shape);
 * (optional second argument) the JSON-lines span log names the same span
   ids as the Chrome trace and is sorted by ``(virtual time, seq)``, the
   tracer's total order.
@@ -116,6 +119,17 @@ def check_chrome_trace(path: Path) -> tuple[list[str], dict[str, dict]]:
                 f"{parent['name']!r}, expected "
                 f"{' or '.join(repr(e) for e in expected)}"
             )
+
+    for span_id, event in spans.items():
+        if event["name"] != "local_sgd":
+            continue
+        for key in ("steps", "epochs"):
+            value = event["args"].get(key)
+            if type(value) is not int or value <= 0:
+                failures.append(
+                    f"{path}: local_sgd span {span_id} has {key}={value!r}, "
+                    f"expected a positive integer"
+                )
 
     names = [event["name"] for event in spans.values()]
     for required in ("run", "round", "client_task"):

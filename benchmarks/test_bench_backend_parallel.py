@@ -1,7 +1,7 @@
 """Backend-seam + parallel-cohort executor: speedup over serial at 256 clients.
 
-The PR-5 benchmark (``test_bench_vectorized_clients.py``) pinned a >=3x
-floor at 64 clients for the stacked kernels alone.  This benchmark pins
+The PR-5 benchmark (``test_bench_vectorized_clients.py``) pins the
+stacked kernels alone at 64 clients.  This benchmark pins
 the next stage of the speed stack at 256 clients, where the per-client
 Python dispatch the serial executor pays scales linearly while the
 stacked path amortises it across the whole population:
@@ -9,13 +9,17 @@ stacked path amortises it across the whole population:
 * **speedup** — the same 256-client federated run under ``vectorized``
   (pluggable backend + pooled per-cohort workspaces + parallel cohort
   dispatch) vs ``serial``, best of 3.  The fixed-epoch FedAvg cohort is
-  the headline (~12x on a quiet box); FedADMM's variable epochs fragment
-  rounds into ragged cohorts, exercising the parallel dispatch path, and
-  its recorded ratio shows what survives fragmentation.  The in-test
-  floors sit at about half the committed baselines: wall-clock ratios
-  sag on a loaded 2-core box (9.0x measured inside the full suite), and
-  the 20% gate of ``check_regressions.py`` against the baselines is what
-  guards the ratio itself.
+  the headline (~7x); FedADMM's variable epochs fragment rounds into
+  ragged cohorts, exercising the parallel dispatch path, and its
+  recorded ratio shows what survives fragmentation.  **The ratio's
+  numerator is the per-client path** (``serial_seconds /
+  vectorized_seconds``): a faster serial step lowers it with the stacked
+  path unchanged — the flat-buffer model took the four ratios from
+  12 / 6 / 8.5 / 6.5 to about 7 / 4.7 / 5.4 / 4.4.  Read a drop against
+  ``serial_seconds`` before calling it a regression.  The in-test floors
+  sit at half the committed baselines or lower: wall-clock ratios sag on
+  a loaded 2-core box, and the 20% gate of ``check_regressions.py``
+  against the baselines is what guards the ratio itself.
 * **full coverage** — every algorithm measured, the timed pair and the
   newly batched SCAFFOLD and FedPD (stacked control variates / stacked
   duals), runs under ``vectorized`` with **zero** fallback counter
@@ -178,13 +182,14 @@ def test_backend_parallel_speedup_parity_and_coverage(benchmark):
     emit_summary("backend_parallel", summary, benchmark=benchmark)
 
     # Parity and zero fallbacks above are unconditional.  The floors below
-    # only catch the batched path losing its point; they sit at about half
-    # the committed baselines (12 / 6 / 8.5 / 6.5), whose 20% gate in
-    # check_regressions.py is what guards the ratios.
-    assert summary["fedavg"]["speedup"] >= 5.0, summary["fedavg"]
-    # Variable local work fragments rounds into ragged cohorts; batching
-    # must still win clearly.
+    # only catch the batched path losing its point; they sit at half the
+    # committed baselines (6.5 / 4.2 / 5.0 / 4.0) or lower, whose 20% gate
+    # in check_regressions.py is what guards the ratios.
+    assert summary["fedavg"]["speedup"] >= 3.0, summary["fedavg"]
+    # Variable local work fragments rounds into ragged cohorts on the
+    # thread pool (FedADMM, FedPD); they have read 2.0x while another
+    # tenant held the second core.  Batching must still win clearly.
     assert summary["fedadmm"]["speedup"] >= 1.5, summary["fedadmm"]
     # The newly batched algorithms must win too, not merely not fall back.
-    assert summary["scaffold"]["speedup"] >= 3.0, summary["scaffold"]
-    assert summary["fedpd"]["speedup"] >= 3.0, summary["fedpd"]
+    assert summary["scaffold"]["speedup"] >= 2.5, summary["scaffold"]
+    assert summary["fedpd"]["speedup"] >= 1.5, summary["fedpd"]

@@ -397,7 +397,9 @@ def run_local_sgd(
     extra_grad:
         Optional callable ``extra_grad(params) -> np.ndarray`` added to every
         stochastic gradient.  FedProx passes ``rho * (w - theta)``; FedADMM
-        passes ``y + rho * (w - theta)``; SCAFFOLD passes ``c - c_i``.
+        passes ``y + rho * (w - theta)``; SCAFFOLD passes ``c - c_i``.  The
+        returned array is only read, and only before the next call, so the
+        callee may return the same scratch buffer every time.
 
     Returns
     -------
@@ -412,8 +414,14 @@ def run_local_sgd(
         for features, labels in problem.minibatches(config.batch_size, rng=rng):
             loss_value, grad = problem.loss_and_grad(params, features, labels)
             losses.append(loss_value)
+            # ``grad`` is ours (loss_and_grad returns a copy), so the step
+            # params -= lr * (grad + extra) runs without a temporary.
             if extra_grad is not None:
-                grad = grad + extra_grad(params)
-            params -= config.learning_rate * grad
+                grad += extra_grad(params)
+            grad *= config.learning_rate
+            params -= grad
+            # Released before the next step allocates its gradient, so the
+            # allocator hands the same (cache-warm) block straight back.
+            del grad
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     return params, mean_loss

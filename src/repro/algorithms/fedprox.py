@@ -53,9 +53,12 @@ class FedProx(FederatedAlgorithm):
     ) -> ClientMessage:
         lagrangian = AugmentedLagrangian(self.rho)
         zero_dual = np.zeros_like(global_params)
+        scratch = np.empty(global_params.shape, dtype=np.float64)
 
         def extra_grad(params: np.ndarray) -> np.ndarray:
-            return lagrangian.penalty_gradient(params, zero_dual, global_params)
+            return lagrangian.penalty_gradient(
+                params, zero_dual, global_params, out=scratch
+            )
 
         params, train_loss = run_local_sgd(
             problem, global_params, config, rng=rng, extra_grad=extra_grad

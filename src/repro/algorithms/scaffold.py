@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm, LocalTrainingConfig
+from repro.algorithms.base import (
+    FederatedAlgorithm,
+    LocalTrainingConfig,
+    run_local_sgd,
+)
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
@@ -70,25 +74,23 @@ class Scaffold(FederatedAlgorithm):
         round_index: int = 0,
         rng: SeedLike = None,
     ) -> ClientMessage:
+        from repro.nn.batched import local_steps_per_round
+
         self.init_client_state(client, global_params)
-        rng = as_rng(rng)
         server_control = server_state["control"]
         client_control = client.get("control")
 
-        params = np.array(global_params, dtype=np.float64, copy=True)
         correction = server_control - client_control
-        losses: list[float] = []
-        num_steps = 0
-        for _ in range(config.epochs):
-            for features, labels in problem.minibatches(config.batch_size, rng=rng):
-                loss_value, grad = problem.loss_and_grad(params, features, labels)
-                losses.append(loss_value)
-                params -= config.learning_rate * (grad + correction)
-                num_steps += 1
+        params, train_loss = run_local_sgd(
+            problem,
+            global_params,
+            config,
+            rng=as_rng(rng),
+            extra_grad=lambda _: correction,
+        )
 
         # Option II refresh: c_i+ = c_i - c + (theta - w) / (K * lr).
-        if num_steps == 0:
-            raise ConfigurationError("SCAFFOLD client performed zero local steps")
+        num_steps = local_steps_per_round(problem.num_samples, config)
         new_control = client_control - server_control + (
             global_params - params
         ) / (num_steps * config.learning_rate)
@@ -102,7 +104,7 @@ class Scaffold(FederatedAlgorithm):
             payload={"delta_params": delta_params, "delta_control": delta_control},
             num_samples=problem.num_samples,
             local_epochs=config.epochs,
-            train_loss=float(np.mean(losses)),
+            train_loss=train_loss,
         )
 
     def batched_local_update(

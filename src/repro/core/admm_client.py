@@ -58,8 +58,10 @@ def admm_client_update(
     lagrangian = AugmentedLagrangian(rho)
     start = w_old if warm_start else theta
 
+    scratch = np.empty(theta.shape, dtype=np.float64)
+
     def extra_grad(params: np.ndarray) -> np.ndarray:
-        return lagrangian.penalty_gradient(params, y_old, theta)
+        return lagrangian.penalty_gradient(params, y_old, theta, out=scratch)
 
     w_new, train_loss = run_local_sgd(
         problem, start, config, rng=rng, extra_grad=extra_grad

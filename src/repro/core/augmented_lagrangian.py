@@ -35,10 +35,20 @@ class AugmentedLagrangian:
         return float(y @ diff + 0.5 * self.rho * diff @ diff)
 
     def penalty_gradient(
-        self, w: np.ndarray, y: np.ndarray, theta: np.ndarray
+        self,
+        w: np.ndarray,
+        y: np.ndarray,
+        theta: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Gradient of the penalty terms with respect to ``w``: ``y + ρ(w − θ)``."""
-        return y + self.rho * (w - theta)
+        """Gradient of the penalty terms with respect to ``w``: ``y + ρ(w − θ)``.
+
+        Written into ``out`` when given (it must not alias ``y``), so a local
+        SGD loop can evaluate it every step without allocating.
+        """
+        out = np.subtract(w, theta, out=out, dtype=np.float64)
+        out *= self.rho
+        return np.add(y, out, out=out)
 
     # ------------------------------------------------------------------ #
     # Full objective against a LocalProblem

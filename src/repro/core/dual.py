@@ -23,14 +23,17 @@ def dual_update(y: np.ndarray, w: np.ndarray, theta: np.ndarray, rho: float) -> 
     """Algorithm 1 line 20: ``y_new = y + ρ (w − θ)``."""
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive for a dual update, got {rho}")
-    return y + rho * (w - theta)
+    y_new = np.subtract(w, theta, dtype=np.float64)
+    y_new *= rho
+    return np.add(y, y_new, out=y_new)
 
 
 def augmented_model(w: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """The augmented model ``u = w + y / ρ`` combined into a single vector."""
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
-    return w + y / rho
+    u = y / rho
+    return np.add(w, u, out=u)
 
 
 def update_message(
@@ -41,7 +44,9 @@ def update_message(
     rho: float,
 ) -> np.ndarray:
     """Eq. (4): difference of successive augmented models, ``Δ_i``."""
-    return augmented_model(w_new, y_new, rho) - augmented_model(w_old, y_old, rho)
+    delta = augmented_model(w_new, y_new, rho)
+    delta -= augmented_model(w_old, y_old, rho)
+    return delta
 
 
 @dataclass

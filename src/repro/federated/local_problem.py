@@ -60,12 +60,13 @@ class LocalProblem:
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Mean loss and flat gradient of ``f_i`` on one batch at ``params``."""
-        self.model.set_flat_params(params)
-        self.model.zero_grad()
-        predictions = self.model.forward(features)
+        model = self.model
+        model.set_flat_params(params)
+        model.zero_grad()
+        predictions = model.forward(features)
         value, grad_predictions = self.loss.value_and_grad(predictions, labels)
-        self.model.backward(grad_predictions)
-        return value, self.model.get_flat_grad()
+        model.backward_params(grad_predictions)
+        return value, model.get_flat_grad()
 
     def batch_gradient(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray

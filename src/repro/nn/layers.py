@@ -68,11 +68,14 @@ class Linear(Module):
         self._input = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad_output: np.ndarray) -> None:
         if self._input is None:
             raise ShapeError("backward called before forward on Linear")
         self.weight.grad += self._input.T @ grad_output
         self.bias.grad += grad_output.sum(axis=0)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_output)
         return grad_output @ self.weight.value.T
 
 
@@ -129,16 +132,21 @@ class Conv2D(Module):
         self._input_shape = x.shape
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add the parameter gradients; return ``grad_output`` as a matrix."""
         if self._cols is None or self._input_shape is None:
             raise ShapeError("backward called before forward on Conv2D")
-        n, _, out_h, out_w = grad_output.shape
         grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-
-        weight_mat = self.weight.value.reshape(self.out_channels, -1)
         self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.shape)
         self.bias.grad += grad_mat.sum(axis=0)
+        return grad_mat
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_mat = self._accumulate(grad_output)
+        weight_mat = self.weight.value.reshape(self.out_channels, -1)
         grad_cols = grad_mat @ weight_mat
         return col2im(
             grad_cols,
@@ -282,6 +290,7 @@ class Sequential(Module):
     def append(self, layer: Module) -> "Sequential":
         """Add a layer at the end and return ``self`` for chaining."""
         self.layers.append(layer)
+        self._structure_changed()
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -293,6 +302,19 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
         return grad_output
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        # Nothing upstream of the first layer that has parameters reads a
+        # gradient, so the chain stops there: that layer skips its input
+        # gradient and the parameter-free layers before it do not run.
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.num_params),
+            len(self.layers),
+        )
+        for layer in reversed(self.layers[first + 1 :]):
+            grad_output = layer.backward(grad_output)
+        if first < len(self.layers):
+            self.layers[first].backward_params(grad_output)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.functional import log_softmax
 
 
 class Loss:
@@ -35,24 +35,49 @@ class CrossEntropyLoss(Loss):
     ``targets`` are integer labels of shape ``(n,)``.
     """
 
-    def value_and_grad(
-        self, predictions: np.ndarray, targets: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    @staticmethod
+    def _checked_targets(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Validate shapes and the label range before anything indexes with them."""
         if predictions.ndim != 2:
             raise ShapeError(
                 f"CrossEntropyLoss expects 2-D logits, got {predictions.shape}"
             )
         targets = np.asarray(targets, dtype=np.int64)
-        if targets.shape[0] != predictions.shape[0]:
-            raise ShapeError(
-                f"batch mismatch: logits {predictions.shape[0]}, "
-                f"targets {targets.shape[0]}"
-            )
+        if targets.ndim != 1:
+            raise ShapeError(f"labels must be 1-D, got shape {targets.shape}")
         n, num_classes = predictions.shape
+        if targets.shape[0] != n:
+            raise ShapeError(
+                f"batch mismatch: logits {n}, targets {targets.shape[0]}"
+            )
+        if n and (targets.min() < 0 or targets.max() >= num_classes):
+            raise ShapeError(
+                f"labels must lie in [0, {num_classes}), got range "
+                f"[{targets.min()}, {targets.max()}]"
+            )
+        return targets
+
+    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
+        targets = self._checked_targets(predictions, targets)
         log_probs = log_softmax(predictions)
-        loss = -float(log_probs[np.arange(n), targets].mean())
-        grad = (softmax(predictions) - one_hot(targets, num_classes)) / n
-        return loss, grad
+        return -float(log_probs[np.arange(targets.size), targets].mean())
+
+    def value_and_grad(
+        self, predictions: np.ndarray, targets: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        # One shifted/exp/sum feeds both results; every element goes through
+        # the same operations as ``log_softmax`` and ``softmax - one_hot``.
+        targets = self._checked_targets(predictions, targets)
+        n = targets.size
+        rows = np.arange(n)
+        shifted = predictions - predictions.max(axis=-1, keepdims=True)
+        probs = np.exp(shifted)
+        total = probs.sum(axis=-1, keepdims=True)
+        loss = -float((shifted[rows, targets] - np.log(total)[:, 0]).mean())
+        probs /= total
+        probs[rows, targets] -= 1.0
+        probs /= n
+        return loss, probs
 
 
 class MSELoss(Loss):

@@ -1,9 +1,15 @@
 """Trainable parameter container.
 
-A :class:`Parameter` owns a value array and an accumulated gradient array of
+A :class:`Parameter` holds a value array and an accumulated gradient array of
 identical shape.  Modules expose their parameters through
 :meth:`repro.nn.module.Module.parameters`, and the federated algorithms view
 them as one flat vector via the packing helpers on ``Module``.
+
+Once a model has been asked for its flat vector, every parameter's ``value``
+and ``grad`` are reshaped *views* into the model's :class:`FlatStorage`, so
+they must only ever be mutated in place (``param.value -= ...``,
+``param.assign(...)``, ``np.copyto``) — rebinding ``param.value = array``
+would detach the parameter from the vector the algorithms read and write.
 """
 
 from __future__ import annotations
@@ -13,8 +19,29 @@ import numpy as np
 from repro.exceptions import ShapeError
 
 
+class FlatStorage:
+    """One contiguous value vector and one gradient vector for a model.
+
+    ``stale`` is raised when a parameter that lived here is moved to another
+    storage or the owning model's structure changes; modules holding views
+    of a stale storage rebuild them on their next flat access.
+    """
+
+    __slots__ = ("value", "grad", "stale")
+
+    def __init__(self, size: int):
+        self.value = np.empty(size, dtype=np.float64)
+        self.grad = np.empty(size, dtype=np.float64)
+        self.stale = False
+
+
 class Parameter:
     """A named trainable tensor with an attached gradient buffer."""
+
+    #: ``(storage, offset)`` once the parameter lives in a model's flat
+    #: storage.  Dropped by copies and pickles: the copied arrays are
+    #: detached, so the copy's model re-homes them on its first flat access.
+    _home: tuple[FlatStorage, int] | None = None
 
     def __init__(self, value: np.ndarray, name: str = "param"):
         self.name = name
@@ -44,6 +71,23 @@ class Parameter:
                 f"{self.name!r} of shape {self.value.shape}"
             )
         np.copyto(self.value, new_value)
+
+    def rehome(self, storage: FlatStorage, offset: int) -> None:
+        """Move value and gradient into ``storage`` at ``offset``, contents kept."""
+        if self._home is not None:
+            self._home[0].stale = True
+        stop = offset + self.size
+        value = storage.value[offset:stop].reshape(self.shape)
+        grad = storage.grad[offset:stop].reshape(self.shape)
+        np.copyto(value, self.value)
+        np.copyto(grad, self.grad)
+        self.value, self.grad = value, grad
+        self._home = (storage, offset)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_home", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.shape})"

@@ -108,7 +108,13 @@ def _task_spans(
     sgd_duration_s: float,
     **extra_attrs: Any,
 ) -> tuple[SpanRecord, SpanRecord]:
-    """A ``client_task`` root span plus its ``local_sgd`` child."""
+    """A ``client_task`` root span plus its ``local_sgd`` child.
+
+    ``local_sgd`` carries the task's ``epochs`` and mini-batch ``steps``,
+    so a trace yields time per SGD step whatever executor ran the task.
+    """
+    from repro.nn.batched import local_steps_per_round
+
     pid, tid = os.getpid(), threading.get_ident() & 0xFFFF
     task_id = new_span_id()
     attrs = {"client": task.client_index, "round": task.round_index, **extra_attrs}
@@ -130,7 +136,13 @@ def _task_spans(
             duration_s=sgd_duration_s,
             pid=pid,
             tid=tid,
-            attrs={"client": task.client_index},
+            attrs={
+                "client": task.client_index,
+                "epochs": task.config.epochs,
+                "steps": local_steps_per_round(
+                    task.client.num_samples, task.config
+                ),
+            },
         ),
     )
 

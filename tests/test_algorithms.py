@@ -1,5 +1,7 @@
 """Tests for the federated algorithms' local updates and aggregation rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,19 @@ from repro.algorithms import (
     build_algorithm,
 )
 from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
+from repro.core import admm_client
+from repro.core.admm_client import admm_client_update
 from repro.core.rho import PiecewiseRho
 from repro.core.stepsize import ParticipationScaledStepSize
+from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
+from repro.nn.layers import Linear
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import MLP
+from repro.nn.module import Module
 from tests.conftest import make_model
 
 
@@ -99,6 +107,95 @@ class TestRunLocalSgd:
         assert not np.allclose(plain, pulled)
         # The strong pull keeps the iterate closer to the start.
         assert np.linalg.norm(pulled - start) < np.linalg.norm(plain - start)
+
+
+class TestLocalStepCost:
+    """Timing-free pins on what one local SGD step is allowed to do."""
+
+    @pytest.fixture()
+    def wide_problem(self):
+        # 784 -> 32 -> 10 (d = 25,450): wide enough that model-sized arrays
+        # dwarf the 4-sample batches in the memory test.
+        rng = np.random.default_rng(0)
+        dataset = Dataset(
+            features=rng.normal(size=(8, 784)),
+            labels=rng.integers(0, 10, size=8),
+            name="wide",
+        )
+        model = MLP(784, (32,), num_classes=10, rng=0)
+        return LocalProblem(model=model, loss=CrossEntropyLoss(), dataset=dataset)
+
+    def test_no_parameter_tree_walk_per_step(self, wide_problem, monkeypatch):
+        problem = wide_problem
+        params = problem.model.get_flat_params()
+        features, labels = problem.dataset.features, problem.dataset.labels
+        problem.loss_and_grad(params, features, labels)  # warm-up
+        walks = []
+        for name in ("parameters", "_collect_parameters"):
+            original = getattr(Module, name)
+            monkeypatch.setattr(
+                Module,
+                name,
+                lambda self, _original=original: walks.append(self) or _original(self),
+            )
+        for _ in range(3):
+            problem.loss_and_grad(params, features, labels)
+        assert walks == []
+
+    def test_first_layer_input_gradient_is_not_computed(
+        self, wide_problem, monkeypatch
+    ):
+        problem = wide_problem
+        returned = []
+        original = Linear.backward
+        monkeypatch.setattr(
+            Linear,
+            "backward",
+            lambda self, grad: returned.append(original(self, grad)) or returned[-1],
+        )
+        problem.loss_and_grad(
+            problem.model.get_flat_params(),
+            problem.dataset.features,
+            problem.dataset.labels,
+        )
+        # Only the output layer hands a gradient upstream: (n, hidden), never
+        # the (n, 784) product that nothing reads.
+        assert [grad.shape for grad in returned] == [(8, 32)]
+
+    def test_fedadmm_steps_allocate_no_model_sized_temporaries(
+        self, wide_problem, monkeypatch
+    ):
+        problem = wide_problem
+        theta = problem.model.get_flat_params()
+        config = LocalTrainingConfig(epochs=25, batch_size=4, learning_rate=0.01)
+        growth = []
+
+        def measured(problem, start, config, rng, extra_grad):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                result = run_local_sgd(
+                    problem, start, config, rng=rng, extra_grad=extra_grad
+                )
+                growth.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            return result
+
+        def update():
+            return admm_client_update(
+                problem, theta, np.zeros_like(theta), theta, 0.3, config, rng=0
+            )
+
+        expected = update()  # warm-up: the model moves into flat storage once
+        monkeypatch.setattr(admm_client, "run_local_sgd", measured)
+        result = update()
+        assert np.array_equal(result.w_new, expected.w_new)
+        # 50 steps live in the iterate plus one gradient or matmul product
+        # at a time: measured 2.1 model-sized arrays, where the allocating
+        # step `params -= lr * (grad + y + rho * (w - theta))` peaked at 4.1.
+        assert growth[0] / theta.nbytes < 3.0
 
 
 class TestFedSGD:

@@ -50,6 +50,34 @@ class TestCrossEntropyLoss:
         with pytest.raises(ShapeError):
             CrossEntropyLoss().value_and_grad(np.zeros(3), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[0, 3], [0, -1]])
+    @pytest.mark.parametrize("method", ["value", "value_and_grad"])
+    def test_out_of_range_label_rejected(self, method, labels):
+        # A label >= num_classes used to escape as a raw IndexError because
+        # it indexed the log-probabilities before the range was checked.
+        with pytest.raises(ShapeError):
+            getattr(CrossEntropyLoss(), method)(np.zeros((2, 3)), np.array(labels))
+
+    def test_non_1d_labels_rejected(self):
+        with pytest.raises(ShapeError):
+            CrossEntropyLoss().value_and_grad(
+                np.zeros((2, 3)), np.zeros((2, 1), dtype=int)
+            )
+
+    def test_value_equals_value_and_grad_bitwise(self):
+        loss = CrossEntropyLoss()
+        rng = np.random.default_rng(2)
+        logits = rng.normal(scale=5.0, size=(33, 7))
+        labels = rng.integers(0, 7, size=33)
+        assert loss.value(logits, labels) == loss.value_and_grad(logits, labels)[0]
+
+    def test_value_does_not_build_the_gradient(self, monkeypatch):
+        loss = CrossEntropyLoss()
+        monkeypatch.setattr(
+            loss, "value_and_grad", lambda *a: pytest.fail("gradient computed")
+        )
+        assert np.isclose(loss.value(np.zeros((2, 4)), np.array([1, 2])), np.log(4))
+
 
 class TestMSELoss:
     def test_zero_for_equal_inputs(self):

@@ -71,6 +71,9 @@ def reconcile(tracer, result, expected_tasks=None):
             assert spans[record.parent_id].name == "round"
     for record in by_name["local_sgd"]:
         assert spans[record.parent_id].name == "client_task"
+        # How much work the span timed: duration / steps = time per SGD step.
+        epochs, steps = record.attrs["epochs"], record.attrs["steps"]
+        assert type(steps) is int and steps >= epochs >= 1
 
     keys = [record.sort_key() for record in records]
     assert keys == sorted(keys)

@@ -4,9 +4,9 @@ Implements "FedAvgM" (FedAvg with server momentum) as a third-party algorithm
 by subclassing :class:`repro.algorithms.base.FederatedAlgorithm`, then runs it
 head-to-head against FedADMM and FedAvg on the same partitioned data.  The
 point of the example is the integration surface: a new algorithm only has to
-define its local update, its aggregation rule, and (optionally) persistent
-state — the simulation engine, samplers, heterogeneity policies, metrics, and
-communication accounting all come for free.
+define its local update, its server step on the summed uploads, and
+(optionally) persistent state — the simulation engine, samplers, heterogeneity
+policies, metrics, and communication accounting all come for free.
 
 Run with:  python examples/custom_algorithm.py
 """
@@ -19,6 +19,7 @@ from repro.algorithms import FedADMM, FedAvg
 from repro.algorithms.base import (
     FederatedAlgorithm,
     LocalTrainingConfig,
+    UpdateAccumulator,
     run_local_sgd,
 )
 from repro.datasets.registry import load_dataset
@@ -71,12 +72,12 @@ class FedAvgM(FederatedAlgorithm):
             train_loss=train_loss,
         )
 
-    def aggregate(self, global_params, server_state, messages, num_clients, round_index):
-        mean_delta = np.mean([msg.payload["delta"] for msg in messages], axis=0)
-        server_state["velocity"] = (
-            self.momentum * server_state["velocity"] + mean_delta
-        )
-        return global_params + server_state["velocity"]
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        # The runtime has already summed the round's uploads; the algorithm
+        # only states the closed-form update on those sums.
+        state = sums.server_state
+        state["velocity"] = self.momentum * state["velocity"] + sums.mean("delta")
+        return sums.global_params + state["velocity"]
 
 
 def run(algorithm, clients, split) -> float:

@@ -5,8 +5,9 @@ the paper:
 
 1. how a selected client trains locally and what it uploads
    (:meth:`FederatedAlgorithm.local_update`),
-2. how the server combines the uploads into a new global model
-   (:meth:`FederatedAlgorithm.aggregate`),
+2. the closed-form server update on the round's summed uploads
+   (:meth:`FederatedAlgorithm.server_step`; the sums themselves are kept by
+   the one :class:`UpdateAccumulator`),
 3. what persistent state (if any) clients and server carry across rounds
    (:meth:`init_client_state` / :meth:`init_server_state`).
 
@@ -59,47 +60,25 @@ class LocalTrainingConfig:
 
 
 class UpdateAccumulator:
-    """Streaming alternative to :meth:`FederatedAlgorithm.aggregate`.
+    """The one synchronous server-side reduction.
 
-    An accumulator folds client messages into a running partial one at a
-    time (``accumulate``), combines partials produced by different shards
-    (``merge``), and produces the next global model (``finalise``).  The
-    hierarchical execution plan feeds each edge aggregator's survivors
-    through its own accumulator and merges the per-shard partials at the
-    root, so no tier ever holds a full cohort's message list.
+    Every algorithm's aggregation rule is "a running sum per payload vector
+    (plus a message count and, under ``weighting="samples"``, the total
+    sample weight), then a closed-form server step on those sums".  The
+    sums live here; the closed form is the owning algorithm's
+    :meth:`FederatedAlgorithm.server_step`, applied once by ``finalise``.
+
+    ``accumulate`` folds one client message in, ``merge`` folds in another
+    accumulator's partial (one per shard in the sharded plan, so no tier
+    ever holds a cohort's message list), and ``finalise`` produces the next
+    global model.  NumPy's axis-0 reductions add rows sequentially, so the
+    running ``+=`` reproduces ``np.stack(vectors).sum(axis=0)`` bit for bit
+    for any vector longer than one element; ``merge`` re-associates the sum
+    and agrees with a single accumulator to ~1e-12.
 
     ``count`` is the number of messages folded in so far (merges
     included); callers skip ``finalise`` when it is zero (an abandoned
     round leaves the global model unchanged).
-    """
-
-    def __init__(self, num_clients: int, round_index: int):
-        self.num_clients = num_clients
-        self.round_index = round_index
-        self.count = 0
-
-    def accumulate(self, message: ClientMessage) -> None:
-        """Fold one client message into the running partial."""
-        raise NotImplementedError
-
-    def merge(self, other: "UpdateAccumulator") -> None:
-        """Fold another accumulator's partial into this one."""
-        raise NotImplementedError
-
-    def finalise(self) -> np.ndarray:
-        """Produce the next global parameter vector from the partial."""
-        raise NotImplementedError
-
-
-class BufferedAccumulator(UpdateAccumulator):
-    """Fallback accumulator: collect messages, delegate to ``aggregate``.
-
-    Implemented once here so *every* algorithm gains the streaming call
-    surface, but this fallback is **not** constant-memory — it holds every
-    accumulated message until ``finalise``.  Algorithms with genuinely
-    associative aggregation rules (FedAvg's running average, FedADMM's
-    delta sum) override :meth:`FederatedAlgorithm.make_accumulator` with a
-    true constant-memory reduction.
     """
 
     def __init__(
@@ -110,30 +89,54 @@ class BufferedAccumulator(UpdateAccumulator):
         num_clients: int,
         round_index: int,
     ):
-        super().__init__(num_clients, round_index)
         self.algorithm = algorithm
         self.global_params = global_params
         self.server_state = server_state
-        self.messages: list[ClientMessage] = []
+        self.num_clients = num_clients
+        self.round_index = round_index
+        self.weighted = algorithm.weighting == "samples"
+        self.count = 0
+        self.weight_total = 0.0
+        self.sums: dict[str, np.ndarray] = {}
 
     def accumulate(self, message: ClientMessage) -> None:
-        self.messages.append(message)
+        """Fold one client message into the running sums."""
+        for key, vector in message.payload.items():
+            if self.weighted:
+                vector = vector * float(message.num_samples)
+            if key in self.sums:
+                self.sums[key] += vector
+            else:
+                self.sums[key] = np.array(vector, dtype=np.float64, copy=True)
+        if self.weighted:
+            self.weight_total += float(message.num_samples)
         self.count += 1
 
-    def merge(self, other: "BufferedAccumulator") -> None:
-        self.messages.extend(other.messages)
+    def merge(self, other: "UpdateAccumulator") -> None:
+        """Fold another accumulator's partial sums into this one."""
+        for key, total in other.sums.items():
+            if key in self.sums:
+                self.sums[key] += total
+            else:
+                # Adopt the first partial's arrays: no copy, and partials
+                # are discarded once merged.
+                self.sums[key] = total
+        self.weight_total += other.weight_total
         self.count += other.count
 
+    def mean(self, key: str) -> np.ndarray:
+        """The (sample-weighted, if so configured) mean of one payload vector."""
+        if not self.weighted:
+            return self.sums[key] / self.count
+        if self.weight_total <= 0:
+            raise ConfigurationError("total sample weight must be positive")
+        return self.sums[key] / self.weight_total
+
     def finalise(self) -> np.ndarray:
-        if not self.messages:
+        """Produce the next global parameter vector from the sums."""
+        if self.count == 0:
             raise ConfigurationError("finalise requires at least one message")
-        return self.algorithm.aggregate(
-            self.global_params,
-            self.server_state,
-            self.messages,
-            self.num_clients,
-            self.round_index,
-        )
+        return self.algorithm.server_step(self)
 
 
 class FederatedAlgorithm:
@@ -163,6 +166,11 @@ class FederatedAlgorithm:
     #: executor's; full-gradient methods (FedSGD) never shuffle and must
     #: not trigger those draws.
     shuffles_minibatches = True
+
+    #: ``"uniform"`` or ``"samples"``: whether the server-side sums weight
+    #: each upload by its client's sample count (FedAvg/FedProx expose this
+    #: as a constructor argument; every other method is uniform).
+    weighting = "uniform"
 
     @classmethod
     def supports_plan(cls, plan_name: str) -> bool:
@@ -209,15 +217,16 @@ class FederatedAlgorithm:
         """Run local training for one selected client and build its upload."""
         raise NotImplementedError
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        """Combine client messages into the next global model."""
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """The closed-form server update on one round's accumulated sums.
+
+        ``sums`` carries the per-payload-key running sums, the message
+        ``count``, and the round's ``global_params`` / ``server_state`` /
+        ``num_clients`` / ``round_index``.  Called exactly once per
+        aggregated round, at the root — so server-side state writes
+        (SCAFFOLD's control variate) and RNG draws (FedPD's communication
+        coin) belong here.
+        """
         raise NotImplementedError
 
     def make_accumulator(
@@ -227,18 +236,30 @@ class FederatedAlgorithm:
         num_clients: int,
         round_index: int,
     ) -> UpdateAccumulator:
-        """Create a fresh per-round streaming accumulator.
-
-        The default buffers messages and delegates to :meth:`aggregate`,
-        which is correct for every algorithm but not constant-memory;
-        algorithms whose aggregation rule is an associative reduction
-        (FedAvg, FedADMM) override this with one that keeps only a running
-        sum.  The hierarchical plan creates one accumulator per shard plus
-        one at the root and merges shard partials upward.
-        """
-        return BufferedAccumulator(
+        """Create a fresh per-round accumulator (one per shard plus a root)."""
+        return UpdateAccumulator(
             self, global_params, server_state, num_clients, round_index
         )
+
+    def aggregate(
+        self,
+        global_params: np.ndarray,
+        server_state: dict[str, np.ndarray],
+        messages: list[ClientMessage],
+        num_clients: int,
+        round_index: int,
+    ) -> np.ndarray:
+        """Combine a message list into the next global model.
+
+        Accumulate-all then ``finalise``: the list form of the one
+        reduction, for callers that already hold a whole cohort.
+        """
+        accumulator = self.make_accumulator(
+            global_params, server_state, num_clients, round_index
+        )
+        for message in messages:
+            accumulator.accumulate(message)
+        return accumulator.finalise()
 
     # ------------------------------------------------------------------ #
     # Vectorized cohort execution (see repro.systems.executor)

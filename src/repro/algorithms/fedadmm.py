@@ -68,58 +68,6 @@ def _coerce_step_size(step) -> ServerStepSize:
     )
 
 
-class DeltaSumAccumulator(UpdateAccumulator):
-    """Constant-memory FedADMM reduction: a running Σ Δ_i.
-
-    The tracking update θ + (η/|S_t|) Σ Δ_i of eq. (5) is an associative
-    reduction over the deltas, so the accumulator keeps one running sum and
-    a count; NumPy's axis-0 reductions accumulate rows sequentially, making
-    ``finalise`` bit-identical to
-    :func:`repro.core.admm_server.admm_server_update` on the full list.
-    η is resolved at ``finalise`` from the *total* count, so shard merging
-    cannot perturb participation-scaled step sizes.
-    """
-
-    def __init__(
-        self,
-        algorithm: "FedADMM",
-        global_params: np.ndarray,
-        num_clients: int,
-        round_index: int,
-    ):
-        super().__init__(num_clients, round_index)
-        self.algorithm = algorithm
-        self.global_params = global_params
-        self.total: np.ndarray | None = None
-
-    def accumulate(self, message: ClientMessage) -> None:
-        delta = message.payload["delta"]
-        if self.total is None:
-            self.total = np.array(delta, dtype=np.float64, copy=True)
-        else:
-            self.total += delta
-        self.count += 1
-
-    def merge(self, other: "DeltaSumAccumulator") -> None:
-        if other.count == 0:
-            return
-        if self.total is None:
-            self.total = other.total
-        else:
-            self.total += other.total
-        self.count += other.count
-
-    def finalise(self) -> np.ndarray:
-        if self.count == 0 or self.total is None:
-            raise ConfigurationError("FedADMM accumulator has no messages")
-        eta = self.algorithm.step_size_policy.value(
-            self.round_index, self.count, self.num_clients
-        )
-        if eta <= 0:
-            raise ConfigurationError(f"server step size must be positive, got {eta}")
-        return self.global_params + (eta / self.count) * self.total
-
-
 class FedADMM(FederatedAlgorithm):
     """The paper's primal-dual federated learning algorithm."""
 
@@ -243,28 +191,18 @@ class FedADMM(FederatedAlgorithm):
             metadata={"rho": rho},
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("FedADMM.aggregate needs at least one message")
-        eta = self.step_size_policy.value(round_index, len(messages), num_clients)
-        deltas = [msg.payload["delta"] for msg in messages]
-        return admm_server_update(global_params, deltas, eta)
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """The tracking update of eq. (5): θ + (η/|S_t|) Σ Δ_i.
 
-    def make_accumulator(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        num_clients: int,
-        round_index: int,
-    ) -> DeltaSumAccumulator:
-        return DeltaSumAccumulator(self, global_params, num_clients, round_index)
+        η is resolved from the *total* count, so shard merging cannot
+        perturb participation-scaled step sizes.
+        """
+        eta = self.step_size_policy.value(
+            sums.round_index, sums.count, sums.num_clients
+        )
+        if eta <= 0:
+            raise ConfigurationError(f"server step size must be positive, got {eta}")
+        return sums.global_params + (eta / sums.count) * sums.sums["delta"]
 
     def aggregate_async(
         self,

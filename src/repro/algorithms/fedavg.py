@@ -17,65 +17,11 @@ from repro.algorithms.base import (
     UpdateAccumulator,
     run_local_sgd,
 )
-from repro.core.admm_server import average_aggregate
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
 from repro.utils.rng import SeedLike
-
-
-class RunningAverageAccumulator(UpdateAccumulator):
-    """Constant-memory FedAvg reduction: one running (weighted) model sum.
-
-    NumPy's axis-0 reductions accumulate rows sequentially, so the running
-    sum here reproduces ``np.stack(models).mean(axis=0)`` bit for bit under
-    uniform weighting.  Under ``weighting="samples"`` the *scalar* weight
-    total is the one quantity the batch path reduces pairwise
-    (``weights.sum()``), so weighted results can differ from the batch
-    aggregate by ≤1 ulp once a cohort exceeds eight messages.
-    """
-
-    def __init__(self, weighting: str, num_clients: int, round_index: int):
-        super().__init__(num_clients, round_index)
-        self.weighting = weighting
-        self.total: np.ndarray | None = None
-        self.weight_total = 0.0
-
-    def accumulate(self, message: ClientMessage) -> None:
-        params = message.payload["params"]
-        if self.weighting == "samples":
-            weight = float(message.num_samples)
-            contribution = params * weight
-            self.weight_total += weight
-        else:
-            contribution = params
-        if self.total is None:
-            self.total = np.array(contribution, dtype=np.float64, copy=True)
-        else:
-            self.total += contribution
-        self.count += 1
-
-    def merge(self, other: "RunningAverageAccumulator") -> None:
-        if other.count == 0:
-            return
-        if self.total is None:
-            # Adopt the first shard's partial unchanged: a single-shard
-            # hierarchy must finalise the exact array its edge tier built.
-            self.total = other.total
-        else:
-            self.total += other.total
-        self.weight_total += other.weight_total
-        self.count += other.count
-
-    def finalise(self) -> np.ndarray:
-        if self.count == 0 or self.total is None:
-            raise ConfigurationError("FedAvg accumulator has no messages")
-        if self.weighting == "samples":
-            if self.weight_total <= 0:
-                raise ConfigurationError("total sample weight must be positive")
-            return self.total / self.weight_total
-        return self.total / self.count
 
 
 class FedAvg(FederatedAlgorithm):
@@ -129,27 +75,6 @@ class FedAvg(FederatedAlgorithm):
             lambda index: {"params": params[index].copy()},
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("FedAvg.aggregate needs at least one message")
-        models = [msg.payload["params"] for msg in messages]
-        if self.weighting == "samples":
-            weights = [msg.num_samples for msg in messages]
-            return average_aggregate(models, weights=weights)
-        return average_aggregate(models)
-
-    def make_accumulator(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        num_clients: int,
-        round_index: int,
-    ) -> RunningAverageAccumulator:
-        return RunningAverageAccumulator(self.weighting, num_clients, round_index)
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """The (optionally volume-weighted) average of the uploaded models."""
+        return sums.mean("params")

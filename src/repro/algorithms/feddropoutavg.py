@@ -29,54 +29,6 @@ from repro.federated.messages import ClientMessage
 from repro.utils.rng import SeedLike, as_rng
 
 
-class MaskedAverageAccumulator(UpdateAccumulator):
-    """Constant-memory mask-aware reduction: masked sum + per-coordinate count.
-
-    NumPy's sequential row accumulation makes the running sums reproduce
-    the batch ``aggregate`` bit for bit; ``merge`` adopts the first shard's
-    arrays unchanged so a single-shard hierarchy finalises the exact arrays
-    its edge tier built.
-    """
-
-    def __init__(
-        self, global_params: np.ndarray, num_clients: int, round_index: int
-    ):
-        super().__init__(num_clients, round_index)
-        self.global_params = global_params
-        self.masked_total: np.ndarray | None = None
-        self.mask_total: np.ndarray | None = None
-
-    def accumulate(self, message: ClientMessage) -> None:
-        params = message.payload["params"]
-        mask = message.payload["mask"]
-        if self.masked_total is None:
-            self.masked_total = np.array(params, dtype=np.float64, copy=True)
-            self.mask_total = np.array(mask, dtype=np.float64, copy=True)
-        else:
-            self.masked_total += params
-            self.mask_total += mask
-        self.count += 1
-
-    def merge(self, other: "MaskedAverageAccumulator") -> None:
-        if other.count == 0:
-            return
-        if self.masked_total is None:
-            self.masked_total = other.masked_total
-            self.mask_total = other.mask_total
-        else:
-            self.masked_total += other.masked_total
-            self.mask_total += other.mask_total
-        self.count += other.count
-
-    def finalise(self) -> np.ndarray:
-        if self.count == 0 or self.masked_total is None:
-            raise ConfigurationError("FedDropoutAvg accumulator has no messages")
-        reported = self.mask_total > 0
-        out = np.array(self.global_params, dtype=np.float64, copy=True)
-        out[reported] = self.masked_total[reported] / self.mask_total[reported]
-        return out
-
-
 class FedDropoutAvg(FederatedAlgorithm):
     """FedAvg with per-client random model dropout before upload."""
 
@@ -121,33 +73,13 @@ class FedDropoutAvg(FederatedAlgorithm):
             metadata={"dropout_rate": self.dropout_rate},
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError(
-                "FedDropoutAvg.aggregate needs at least one message"
-            )
-        accumulator = self.make_accumulator(
-            global_params, server_state, num_clients, round_index
-        )
-        for message in messages:
-            accumulator.accumulate(message)
-        return accumulator.finalise()
-
-    def make_accumulator(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        num_clients: int,
-        round_index: int,
-    ) -> MaskedAverageAccumulator:
-        return MaskedAverageAccumulator(global_params, num_clients, round_index)
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """Average each coordinate over the clients that reported it."""
+        masked_total, mask_total = sums.sums["params"], sums.sums["mask"]
+        reported = mask_total > 0
+        out = np.array(sums.global_params, dtype=np.float64, copy=True)
+        out[reported] = masked_total[reported] / mask_total[reported]
+        return out
 
     def upload_vector_dims(self, dim: int) -> tuple[int, ...]:
         # The masked model plus its binary mask both travel on the wire.

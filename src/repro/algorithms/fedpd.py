@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm, LocalTrainingConfig
+from repro.algorithms.base import (
+    FederatedAlgorithm,
+    LocalTrainingConfig,
+    UpdateAccumulator,
+)
 from repro.core.admm_client import admm_client_update
 from repro.core.dual import augmented_model
 from repro.exceptions import ConfigurationError
@@ -36,7 +40,7 @@ class FedPD(FederatedAlgorithm):
     #: protocol has no analogue in the buffered asynchronous engine.
     supports_async = False
 
-    #: The communication coin lives in :meth:`aggregate` (server side), so
+    #: The communication coin lives in :meth:`server_step` (server side), so
     #: local updates are pure primal-dual SGD and a cohort's duals stack
     #: along the client axis exactly like FedADMM's.
     supports_batched = True
@@ -140,20 +144,10 @@ class FedPD(FederatedAlgorithm):
             lambda index: {"augmented_model": augmented[index].copy()},
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("FedPD.aggregate needs at least one message")
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
         # With probability (1 - p) the round carries no communication and the
         # global model is unchanged; otherwise it is replaced by the average
         # of the clients' augmented models.
         if self._comm_rng.random() >= self.communication_probability:
-            return np.array(global_params, copy=True)
-        stacked = np.stack([msg.payload["augmented_model"] for msg in messages])
-        return stacked.mean(axis=0)
+            return np.array(sums.global_params, copy=True)
+        return sums.mean("augmented_model")

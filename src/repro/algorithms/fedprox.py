@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    FederatedAlgorithm,
-    LocalTrainingConfig,
-    run_local_sgd,
-)
-from repro.core.admm_server import average_aggregate
+from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
+from repro.algorithms.fedavg import FedAvg
 from repro.core.augmented_lagrangian import AugmentedLagrangian
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
@@ -25,21 +21,21 @@ from repro.federated.messages import ClientMessage
 from repro.utils.rng import SeedLike
 
 
-class FedProx(FederatedAlgorithm):
-    """FedAvg plus a quadratic proximal term in the local objective."""
+class FedProx(FedAvg):
+    """FedAvg plus a quadratic proximal term in the local objective.
+
+    Only local training differs; the server step (and its ``weighting``
+    option) is FedAvg's.
+    """
 
     name = "fedprox"
     supports_batched = True
 
     def __init__(self, rho: float = 0.1, weighting: str = "uniform"):
+        super().__init__(weighting)
         if rho < 0:
             raise ConfigurationError(f"rho must be non-negative, got {rho}")
-        if weighting not in ("uniform", "samples"):
-            raise ConfigurationError(
-                f"weighting must be 'uniform' or 'samples', got {weighting!r}"
-            )
         self.rho = rho
-        self.weighting = weighting
 
     def local_update(
         self,
@@ -97,19 +93,3 @@ class FedProx(FederatedAlgorithm):
             clients, cohort, config.epochs, losses,
             lambda index: {"params": params[index].copy()},
         )
-
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("FedProx.aggregate needs at least one message")
-        models = [msg.payload["params"] for msg in messages]
-        if self.weighting == "samples":
-            weights = [msg.num_samples for msg in messages]
-            return average_aggregate(models, weights=weights)
-        return average_aggregate(models)

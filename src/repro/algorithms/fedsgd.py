@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm, LocalTrainingConfig
+from repro.algorithms.base import (
+    FederatedAlgorithm,
+    LocalTrainingConfig,
+    UpdateAccumulator,
+)
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
@@ -71,18 +75,9 @@ class FedSGD(FederatedAlgorithm):
             lambda index: {"gradient": grads[index].copy()},
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("FedSGD.aggregate needs at least one message")
-        gradients = np.stack([msg.payload["gradient"] for msg in messages])
-        return global_params - self.server_learning_rate * gradients.mean(axis=0)
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """One server SGD step along the averaged client gradient."""
+        return sums.global_params - self.server_learning_rate * sums.mean("gradient")
 
     def message_delta(self, message, base_params: np.ndarray) -> np.ndarray:
         """One server SGD step along the (possibly stale) client gradient."""

@@ -16,6 +16,7 @@ import numpy as np
 from repro.algorithms.base import (
     FederatedAlgorithm,
     LocalTrainingConfig,
+    UpdateAccumulator,
     run_local_sgd,
 )
 from repro.exceptions import ConfigurationError
@@ -162,23 +163,12 @@ class Scaffold(FederatedAlgorithm):
             },
         )
 
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list[ClientMessage],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("Scaffold.aggregate needs at least one message")
-        delta_params = np.stack([msg.payload["delta_params"] for msg in messages])
-        delta_control = np.stack([msg.payload["delta_control"] for msg in messages])
-        new_params = global_params + self.server_step_size * delta_params.mean(axis=0)
-        server_state["control"] = server_state["control"] + (
-            len(messages) / num_clients
-        ) * delta_control.mean(axis=0)
-        return new_params
+    def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
+        """Step along the mean model delta and refresh the server control."""
+        sums.server_state["control"] = sums.server_state["control"] + (
+            sums.count / sums.num_clients
+        ) * sums.mean("delta_control")
+        return sums.global_params + self.server_step_size * sums.mean("delta_params")
 
     # ------------------------------------------------------------------ #
     # Communication accounting (double upload and download)

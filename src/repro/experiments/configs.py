@@ -88,10 +88,10 @@ class ExperimentConfig:
     # predicted client duration).
     round_deadline_s: float | None = None
     # Topology of the synchronous round: "flat" is the single-server
-    # SyncPlan, "hierarchical" shards the population across num_shards
-    # edge aggregators with streaming constant-memory aggregation
+    # round, "hierarchical" shards the population across num_shards edge
+    # aggregators that each pre-reduce their cohort
     # (repro.federated.plans.HierarchicalPlan).  Only meaningful with
-    # mode="sync"; a 1-shard hierarchy is bit-identical to flat.
+    # mode="sync"; flat is the one-shard case of the same round loop.
     plan: str = "flat"
     num_shards: int = 1
     # Adversarial federation (see repro.systems.adversaries): a behaviour
@@ -147,6 +147,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"num_shards {self.num_shards} exceeds num_clients "
                 f"{self.num_clients}"
+            )
+        if self.plan == "flat" and self.num_shards > 1:
+            raise ConfigurationError(
+                f"num_shards={self.num_shards} needs plan=\"hierarchical\"; "
+                "the flat plan has a single server"
             )
         if self.plan == "hierarchical" and self.mode != "sync":
             raise ConfigurationError(

@@ -113,8 +113,8 @@ def build_simulation(
         algorithm = build_algorithm(algorithm.name, **algorithm.kwargs)
     if config.defense is not None:
         # The wrapper screens every cohort with the robust transform before
-        # delegating to the inner algorithm's own aggregation; local
-        # training is untouched.
+        # the inner algorithm's own reduction sums it; local training is
+        # untouched.
         algorithm = DefendedAlgorithm(algorithm, build_defense(config.defense))
     if clients is None or split is None:
         split, clients, _ = prepare_environment(config)
@@ -188,11 +188,10 @@ def build_simulation(
             ),
             **common,
         )
-    if config.plan == "hierarchical":
-        return FederatedSimulation(
-            plan=HierarchicalPlan(num_shards=config.num_shards), **common
-        )
-    return FederatedSimulation(**common)
+    # plan="flat" is the one-shard case (the config refuses flat + shards).
+    return FederatedSimulation(
+        plan=HierarchicalPlan(num_shards=config.num_shards), **common
+    )
 
 
 def run_single(

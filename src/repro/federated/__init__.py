@@ -35,7 +35,7 @@ from repro.federated.state import ServerState, RoundContext
 from repro.federated.rounds import ClientWork, ClientWorkPipeline, finalise_round
 from repro.federated.plans import (
     ExecutionPlan,
-    SyncPlan,
+    HierarchicalPlan,
     SemiSyncPlan,
     AsyncPlan,
     PLAN_REGISTRY,
@@ -81,7 +81,7 @@ __all__ = [
     "ClientWorkPipeline",
     "finalise_round",
     "ExecutionPlan",
-    "SyncPlan",
+    "HierarchicalPlan",
     "SemiSyncPlan",
     "AsyncPlan",
     "PLAN_REGISTRY",

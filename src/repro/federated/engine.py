@@ -36,7 +36,7 @@ from repro.federated.evaluation import Evaluation, evaluate_model
 from repro.federated.heterogeneity import FixedEpochs, LocalWorkPolicy
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.messages import CommunicationLedger
-from repro.federated.plans import ExecutionPlan, SyncPlan
+from repro.federated.plans import ExecutionPlan, HierarchicalPlan
 from repro.federated.rounds import ClientWorkPipeline
 from repro.federated.sampler import ClientSampler, UniformFractionSampler
 from repro.federated.state import ServerState
@@ -177,7 +177,7 @@ class FederatedSimulation:
             # that own a scheduler repoint this at scheduler.now in bind().
             self.tracer.virtual_clock = self.history.total_simulated_seconds
 
-        self.plan = plan if plan is not None else SyncPlan()
+        self.plan = plan if plan is not None else HierarchicalPlan()
         if self.plan.bound:
             raise ConfigurationError(
                 "ExecutionPlan instances are single-use (they carry per-run "

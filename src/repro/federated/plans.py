@@ -5,17 +5,17 @@ the client-side mechanics (seeding, local updates, codec/network/fault
 application, ledger accounting) are delegated to the shared
 :class:`~repro.federated.rounds.ClientWorkPipeline`, and all mutable
 server state lives in an explicit
-:class:`~repro.federated.state.ServerState`.  Four strategies ship:
+:class:`~repro.federated.state.ServerState`.  Three strategies ship:
 
-* :class:`SyncPlan` — the paper's lock-step round (Fig. 1 / Algorithm 1):
-  every selected client must report back (or be dropped) before the
-  server aggregates, so one straggler stalls the whole round.
-* :class:`HierarchicalPlan` — the same lock-step semantics run over a
-  sharded population (clients → edge aggregators → root): each shard
-  streams its survivors through a constant-memory
-  :class:`~repro.algorithms.base.UpdateAccumulator` and the root merges
-  one pre-reduced partial per shard, so peak memory scales with the shard
-  count, not the population.
+* :class:`HierarchicalPlan` — the paper's lock-step round (Fig. 1 /
+  Algorithm 1): every selected client must report back (or be dropped)
+  before the server aggregates, so one straggler stalls the whole round.
+  With one shard (the default, plan name ``"sync"``) that is the flat
+  single-server round; with more, the same loop runs per shard (clients →
+  edge aggregators → root), each shard reducing its cohort into an
+  :class:`~repro.algorithms.base.UpdateAccumulator` and the root merging
+  one partial per shard, so peak memory scales with the shard cohort and
+  the shard count, not the population.
 * :class:`SemiSyncPlan` — deadline-bounded rounds: the server dispatches
   a cohort, aggregates whatever has arrived by the round deadline, and
   lets stragglers deliver into *later* rounds as stale updates weighted
@@ -32,6 +32,7 @@ no copied pipeline code.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -119,99 +120,11 @@ class ExecutionPlan:
 
 
 # --------------------------------------------------------------------------- #
-# Synchronous lock-step
-# --------------------------------------------------------------------------- #
-class SyncPlan(ExecutionPlan):
-    """Lock-step rounds: sample, train the cohort, aggregate, evaluate."""
-
-    name = "sync"
-
-    def run_round(self, engine: FederatedSimulation) -> RoundRecord:
-        state, pipeline = engine.state, engine.pipeline
-        round_index = state.rounds_run
-        num_clients = len(engine.clients)
-        selected = engine.sampler.sample(
-            round_index, num_clients, engine._sampling_rng
-        )
-        if selected.size == 0:
-            raise SimulationError(
-                f"round {round_index}: sampler selected no clients"
-            )
-
-        dim = state.params.size
-        epochs_by_client = {
-            int(client_id): engine.local_work.epochs(
-                int(client_id), round_index, engine._work_rng
-            )
-            for client_id in selected
-        }
-        ctx = pipeline.simulate_systems(round_index, selected, epochs_by_client)
-
-        work: list[ClientWork] = []
-        for client_index in ctx.survivors:
-            rng = (
-                pipeline.seed_from_label(
-                    f"local-training/round-{round_index}/client-{client_index}"
-                )
-                if pipeline.executor.isolated
-                else pipeline.training_rng
-            )
-            work.append(
-                ClientWork(
-                    client_index=client_index,
-                    epochs=epochs_by_client[client_index],
-                    round_index=round_index,
-                    rng=rng,
-                )
-            )
-        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
-        messages = [outcome.message for outcome in outcomes]
-        epochs_used = [message.local_epochs for message in messages]
-
-        uploads = sum(message.upload_floats for message in messages)
-        # Every selected client downloaded the model, including those that
-        # later crashed or straggled; only survivors upload.
-        downloads = ctx.num_selected * engine.algorithm.download_floats(dim)
-        messages, upload_wire_bytes = pipeline.compress(messages)
-
-        if messages:
-            with engine.tracer.span("aggregate", updates=len(messages)):
-                state.params = engine.algorithm.aggregate(
-                    state.params,
-                    state.algorithm_state,
-                    messages,
-                    num_clients,
-                    round_index,
-                )
-        # With no survivor the round is abandoned: the global model is
-        # unchanged, but the communication and time costs were still paid.
-
-        state.rounds_run += 1
-        # Synchronous lock-step: the model version is the round count and
-        # every aggregated update is fresh (staleness zero).
-        state.model_version = state.rounds_run
-        evaluation = engine._maybe_evaluate()
-        return finalise_round(
-            engine,
-            evaluation=evaluation,
-            train_losses=[message.train_loss for message in messages],
-            num_selected=ctx.num_selected,
-            uploads=uploads,
-            downloads=downloads,
-            upload_wire_bytes=upload_wire_bytes,
-            download_wire_bytes=downloads * BYTES_PER_FLOAT,
-            epochs_used=epochs_used,
-            simulated_seconds=ctx.round_seconds,
-            dropped=ctx.dropped,
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Hierarchical lock-step: clients → edge aggregators → root server
+# Lock-step rounds: clients → (edge aggregators →) root server
 # --------------------------------------------------------------------------- #
 @dataclass
-class _ShardStats:
-    """Per-shard round accounting folded into the root's RoundRecord."""
+class _RoundTotals:
+    """One round's accounting, summed over its shards."""
 
     num_selected: int = 0
     uploads: int = 0
@@ -219,27 +132,32 @@ class _ShardStats:
     train_losses: list[float] = field(default_factory=list)
     epochs_used: list[int] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
+    #: Edge aggregators work concurrently; the round closes when the
+    #: slowest shard reports its partial.
     round_seconds: float = 0.0
 
 
 class HierarchicalPlan(ExecutionPlan):
-    """Lock-step rounds over a sharded population with streaming aggregation.
+    """The lock-step round (Fig. 1 / Algorithm 1), over one or many shards.
 
     The population is split into ``num_shards`` contiguous shards, each
     owned by a simulated edge aggregator.  Every round, each shard samples
-    its own cohort (its own RNG streams, labelled via
-    :func:`~repro.federated.sharding.shard_label`), runs the survivors one
-    at a time through the shared pipeline, and folds each upload straight
-    into a per-shard :class:`~repro.algorithms.base.UpdateAccumulator` —
-    so a shard holds at most one in-flight :class:`ClientMessage`, and the
-    root only ever merges one pre-reduced partial per shard before
-    finalising the new global model.
+    its own cohort, trains the survivors as one executor dispatch, and
+    folds their uploads into a per-shard
+    :class:`~repro.algorithms.base.UpdateAccumulator`; the root merges one
+    pre-reduced partial per shard and applies the algorithm's server step.
+    Peak memory is therefore one shard's cohort plus one partial per shard,
+    whatever the population size.  Edge aggregators are simulated as
+    running in parallel: the round's simulated duration is the slowest
+    shard's.
 
-    With ``num_shards=1`` the plan reuses the engine's flat RNG streams
-    and visits clients in exactly the order :class:`SyncPlan` would, so a
-    single-shard hierarchy is bit-identical to the flat plan (pinned by
-    the parity tests).  Edge aggregators are simulated as running in
-    parallel: the round's simulated duration is the slowest shard's.
+    One shard *is* the paper's flat round — every selected client reports
+    to the single server (or is dropped) before it aggregates — and runs
+    under the name ``"sync"`` on the engine's own RNG streams, with no
+    shard spans or shard metadata.  With more shards each draws from its
+    own streams (labelled via
+    :func:`~repro.federated.sharding.shard_label`) and the plan reports as
+    ``"hierarchical"``.
     """
 
     name = "hierarchical"
@@ -255,6 +173,8 @@ class HierarchicalPlan(ExecutionPlan):
                 f"{num_shards} shards"
             )
         self.num_shards = int(num_shards)
+        if self.num_shards == 1:
+            self.name = "sync"
         self._explicit_samplers = (
             list(shard_samplers) if shard_samplers is not None else None
         )
@@ -276,8 +196,8 @@ class HierarchicalPlan(ExecutionPlan):
             ShardSampler(base, shard) for base, shard in zip(bases, self.shards)
         ]
         if self.num_shards == 1:
-            # Reuse the flat streams so the single shard consumes exactly
-            # the draws SyncPlan would — the 1-shard bit-identity contract.
+            # The engine's own generators, not equal-seeded copies: the
+            # serve layer's resume fast-forwards exactly these objects.
             self._sampling_rngs = [engine._sampling_rng]
             self._work_rngs = [engine._work_rng]
         else:
@@ -303,8 +223,9 @@ class HierarchicalPlan(ExecutionPlan):
         sampling_rng,
         work_rng,
         round_index: int,
+        totals: _RoundTotals,
     ):
-        """One edge aggregator's round: sample, stream survivors, reduce."""
+        """One edge aggregator's round: sample, train the cohort, reduce."""
         state, pipeline = engine.state, engine.pipeline
         selected = sampler.sample(round_index, sampling_rng)
         if selected.size == 0:
@@ -318,15 +239,11 @@ class HierarchicalPlan(ExecutionPlan):
             for client_id in selected
         }
         ctx = pipeline.simulate_systems(round_index, selected, epochs_by_client)
+        totals.num_selected += ctx.num_selected
+        totals.dropped.extend(ctx.dropped)
+        totals.round_seconds = max(totals.round_seconds, ctx.round_seconds)
 
-        partial = engine.algorithm.make_accumulator(
-            state.params, state.algorithm_state, len(engine.clients), round_index
-        )
-        stats = _ShardStats(
-            num_selected=ctx.num_selected,
-            dropped=list(ctx.dropped),
-            round_seconds=ctx.round_seconds,
-        )
+        work: list[ClientWork] = []
         for client_index in ctx.survivors:
             rng = (
                 pipeline.seed_from_label(
@@ -335,57 +252,57 @@ class HierarchicalPlan(ExecutionPlan):
                 if pipeline.executor.isolated
                 else pipeline.training_rng
             )
-            work = ClientWork(
-                client_index=client_index,
-                epochs=epochs_by_client[client_index],
-                round_index=round_index,
-                rng=rng,
+            work.append(
+                ClientWork(
+                    client_index=client_index,
+                    epochs=epochs_by_client[client_index],
+                    round_index=round_index,
+                    rng=rng,
+                )
             )
-            # One client at a time: the raw message is folded into the
-            # shard accumulator and released before the next client runs.
-            outcome = pipeline.local_updates(
-                state.params, state.algorithm_state, [work]
-            )[0]
-            message = outcome.message
-            stats.uploads += message.upload_floats
-            stats.epochs_used.append(message.local_epochs)
-            compressed, wire_bytes = pipeline.compress([message])
-            stats.upload_wire_bytes += wire_bytes
-            message = compressed[0]
-            stats.train_losses.append(message.train_loss)
+        # The whole shard cohort is one dispatch, so pooled, vectorized and
+        # remote executors see every task of the shard at once.
+        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
+        messages = [outcome.message for outcome in outcomes]
+        totals.uploads += sum(message.upload_floats for message in messages)
+        totals.epochs_used.extend(message.local_epochs for message in messages)
+        messages, upload_wire_bytes = pipeline.compress(messages)
+        totals.upload_wire_bytes += upload_wire_bytes
+        totals.train_losses.extend(message.train_loss for message in messages)
+
+        partial = engine.algorithm.make_accumulator(
+            state.params, state.algorithm_state, len(engine.clients), round_index
+        )
+        for message in messages:
             partial.accumulate(message)
-        return partial, stats
+        return partial
 
     def run_round(self, engine: FederatedSimulation) -> RoundRecord:
         state, pipeline = engine.state, engine.pipeline
         round_index = state.rounds_run
         num_clients = len(engine.clients)
         dim = state.params.size
+        sharded = self.num_shards > 1
 
         root = engine.algorithm.make_accumulator(
             state.params, state.algorithm_state, num_clients, round_index
         )
-        totals = _ShardStats()
+        totals = _RoundTotals()
         for shard, sampler, sampling_rng, work_rng in zip(
             self.shards, self._shard_samplers, self._sampling_rngs,
             self._work_rngs,
         ):
-            with engine.tracer.span(
-                "shard", shard=shard.index, clients=shard.size
-            ):
-                partial, stats = self._run_shard(
-                    engine, shard, sampler, sampling_rng, work_rng, round_index
+            span = (
+                engine.tracer.span("shard", shard=shard.index, clients=shard.size)
+                if sharded
+                else nullcontext()
+            )
+            with span:
+                partial = self._run_shard(
+                    engine, shard, sampler, sampling_rng, work_rng, round_index,
+                    totals,
                 )
             root.merge(partial)
-            totals.num_selected += stats.num_selected
-            totals.uploads += stats.uploads
-            totals.upload_wire_bytes += stats.upload_wire_bytes
-            totals.train_losses.extend(stats.train_losses)
-            totals.epochs_used.extend(stats.epochs_used)
-            totals.dropped.extend(stats.dropped)
-            # Edge aggregators work concurrently; the round closes when
-            # the slowest shard reports its partial.
-            totals.round_seconds = max(totals.round_seconds, stats.round_seconds)
 
         # Every selected client downloaded the model, including those that
         # later crashed or straggled; only survivors upload.
@@ -398,9 +315,11 @@ class HierarchicalPlan(ExecutionPlan):
         # model is unchanged, but the costs were still paid.
 
         state.rounds_run += 1
+        # Lock-step: the model version is the round count and every
+        # aggregated update is fresh (staleness zero).
         state.model_version = state.rounds_run
         metrics = pipeline.metrics
-        if metrics is not None and resource is not None:
+        if sharded and metrics is not None and resource is not None:
             # ru_maxrss is KiB on Linux; the gauge tracks its own max, so
             # repeated sets record the run's high-water mark.
             metrics.gauge("scale.peak_rss_bytes").set(
@@ -423,6 +342,8 @@ class HierarchicalPlan(ExecutionPlan):
         )
 
     def extra_metadata(self, engine: FederatedSimulation) -> dict:
+        if self.num_shards == 1:
+            return {}
         return {
             "plan": "hierarchical",
             "num_shards": self.num_shards,
@@ -926,8 +847,9 @@ class AsyncPlan(ExecutionPlan):
 
 
 PLAN_REGISTRY: dict[str, type[ExecutionPlan]] = {
-    SyncPlan.name: SyncPlan,
-    HierarchicalPlan.name: HierarchicalPlan,
+    # One class, two names: "sync" is the one-shard case.
+    "sync": HierarchicalPlan,
+    "hierarchical": HierarchicalPlan,
     SemiSyncPlan.name: SemiSyncPlan,
     AsyncPlan.name: AsyncPlan,
 }

@@ -3,15 +3,13 @@
 A shard is one contiguous slice of the client population, owned by one
 simulated edge aggregator.  Shards are deliberately contiguous so that
 processing them in shard order visits clients in globally sorted order —
-the same order the flat :class:`~repro.federated.plans.SyncPlan` uses —
-which is what makes flat-vs-sharded parity testable (and, for one shard,
-bit-identical).
+the order a single-shard (flat) round uses — which is what makes
+flat-vs-sharded parity testable.
 
 Determinism follows the existing :class:`~repro.utils.rng.RngFactory`
 label scheme: each shard's sampling and local-work streams come from
-labels derived by :func:`shard_label`, and a single shard reuses the flat
-labels (``"client-sampling"``, ``"local-work"``) so its streams coincide
-with the flat plan's exactly.
+labels derived by :func:`shard_label`; a single shard *is* the flat round
+and uses the engine's own ``"client-sampling"`` / ``"local-work"`` streams.
 """
 
 from __future__ import annotations
@@ -76,9 +74,8 @@ def shard_population(num_clients: int, num_shards: int) -> list[Shard]:
 def shard_label(base_label: str, shard_index: int, num_shards: int) -> str:
     """RNG-stream label for one shard's copy of a flat stream.
 
-    With one shard the flat label is returned unchanged, so the single
-    shard's streams are *identical* to the flat plan's — the property the
-    1-shard bit-identity tests pin.
+    With one shard the flat label is returned unchanged: the single shard
+    of a flat round draws from the flat streams.
     """
     if num_shards == 1:
         return base_label

@@ -25,19 +25,19 @@ derived from the simulation's :class:`~repro.utils.rng.RngFactory`
 across the serial, thread, process, and vectorized executors and across
 ``max_workers`` settings.
 
-Defenses wrap the algorithm (:class:`DefendedAlgorithm`): both the flat
-``aggregate`` call and the hierarchical plan's streaming accumulators route
-through one message-list transform, so a flat ``SyncPlan`` round and a
-1-shard ``HierarchicalPlan`` round stay bitwise identical under defense.
+Defenses decorate the algorithm's accumulator (:class:`DefendedAlgorithm`,
+:class:`ScreenedAccumulator`): the round's cohort is buffered, screened once
+at the root, and then summed by the algorithm's own reduction.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.algorithms.base import BufferedAccumulator, FederatedAlgorithm
+from repro.algorithms.base import FederatedAlgorithm, UpdateAccumulator
 from repro.exceptions import ConfigurationError
 from repro.obs.runtime import get_obs
 
@@ -373,27 +373,97 @@ def build_defense(name: str, **kwargs) -> Defense:
 # --------------------------------------------------------------------------- #
 # Defended aggregation
 # --------------------------------------------------------------------------- #
-class _DefendedAccumulator(BufferedAccumulator):
-    """Buffer a shard's messages; the root's finalise runs the defense.
+def screen_cohort(
+    defense: Defense, global_params: np.ndarray, messages: Sequence["ClientMessage"]
+) -> tuple[list["ClientMessage"], int]:
+    """Robustly transform one cohort's messages (pure; inputs untouched).
 
-    A defense needs the whole cohort to rank updates, so per-shard partials
-    cannot pre-reduce — they buffer.  ``finalise`` delegates to the wrapped
-    :meth:`DefendedAlgorithm.aggregate`, the exact code path the flat
-    ``SyncPlan`` takes, which is what keeps a 1-shard hierarchy bitwise
-    identical to the flat round under defense.
+    Returns the defended messages and how many contributions the defense
+    rejected (the maximum over payload vectors).
     """
+    rejected = 0
+    defended_payloads: list[dict[str, np.ndarray]] = [
+        dict(message.payload) for message in messages
+    ]
+    for key in sorted(messages[0].payload):
+        if key in _PROTECTED_KEYS:
+            continue
+        stacked = np.stack(
+            [np.asarray(message.payload[key], dtype=np.float64)
+             for message in messages]
+        )
+        if key in _MODEL_KEYS:
+            defended, dropped = defense.apply(stacked - global_params)
+            defended = defended + global_params
+        else:
+            defended, dropped = defense.apply(stacked)
+        rejected = max(rejected, dropped)
+        for payload, row in zip(defended_payloads, defended):
+            payload[key] = row
+    out = [
+        replace(message, payload=payload, metadata=dict(message.metadata))
+        for message, payload in zip(messages, defended_payloads)
+    ]
+    return out, rejected
+
+
+class ScreenedAccumulator:
+    """Accumulator decorator: buffer the round's cohort, screen it, then sum.
+
+    A ranking defense needs the whole cohort, so shard partials cannot
+    pre-reduce — ``accumulate`` and ``merge`` only collect messages.
+    ``finalise`` (once, at the root) runs the defense and feeds the
+    defended messages to the inner algorithm's own accumulator.
+    """
+
+    def __init__(self, defense: Defense, inner: UpdateAccumulator):
+        self.defense = defense
+        self.inner = inner
+        self.messages: list["ClientMessage"] = []
+
+    @property
+    def count(self) -> int:
+        return len(self.messages)
+
+    def accumulate(self, message: "ClientMessage") -> None:
+        self.messages.append(message)
+
+    def merge(self, other: "ScreenedAccumulator") -> None:
+        self.messages.extend(other.messages)
+
+    def finalise(self) -> np.ndarray:
+        if not self.messages:
+            raise ConfigurationError("finalise requires at least one message")
+        obs = get_obs()
+        with obs.tracer.span(
+            "defense", defense=self.defense.name, updates=len(self.messages)
+        ):
+            defended, rejected = screen_cohort(
+                self.defense, self.inner.global_params, self.messages
+            )
+        if obs.metrics is not None and rejected:
+            obs.metrics.counter("defense.rejected_updates").inc(rejected)
+        for message in defended:
+            self.inner.accumulate(message)
+        return self.inner.finalise()
+
+
+#: The part of the algorithm contract a defended run changes; every other
+#: attribute of a :class:`DefendedAlgorithm` is the inner algorithm's.
+_DEFENDED_SURFACE = frozenset(
+    {"supports_async", "supports_plan", "make_accumulator", "aggregate"}
+)
 
 
 class DefendedAlgorithm(FederatedAlgorithm):
     """Wrap an algorithm so a :class:`Defense` screens every cohort.
 
-    Local behaviour (training, uploads, client/server state) delegates to
-    the inner algorithm untouched; only the server-side combination step
-    changes: the cohort's update vectors are robustly transformed under a
-    ``defense`` trace span, then handed to the inner algorithm's own
-    ``aggregate``.  Buffered plans mix stale cross-version updates that a
-    cohort-ranking defense cannot screen, so defended runs are sync-only
-    (``supports_async`` is False).
+    The wrapper changes one thing in the contract: ``make_accumulator``
+    returns the inner algorithm's accumulator behind a
+    :class:`ScreenedAccumulator` (``aggregate``, inherited, follows).
+    Buffered plans mix stale cross-version updates that a cohort-ranking
+    defense cannot screen, so defended runs are also sync-only.  Local
+    training, uploads, state and accounting are the inner algorithm's.
     """
 
     supports_async = False
@@ -401,100 +471,19 @@ class DefendedAlgorithm(FederatedAlgorithm):
     def __init__(self, inner: FederatedAlgorithm, defense: Defense):
         self.inner = inner
         self.defense = defense
-        self.name = inner.name
-        self.supports_batched = inner.supports_batched
-        self.shuffles_minibatches = inner.shuffles_minibatches
 
-    # -- delegated local/state surface ---------------------------------- #
-    def init_server_state(self, initial_params, num_clients):
-        return self.inner.init_server_state(initial_params, num_clients)
-
-    def init_client_state(self, client, initial_params):
-        return self.inner.init_client_state(client, initial_params)
-
-    def local_update(self, *args, **kwargs):
-        return self.inner.local_update(*args, **kwargs)
-
-    def batched_local_update(self, *args, **kwargs):
-        return self.inner.batched_local_update(*args, **kwargs)
-
-    def message_delta(self, message, base_params):
-        return self.inner.message_delta(message, base_params)
-
-    def download_floats(self, dim: int) -> int:
-        return self.inner.download_floats(dim)
-
-    def upload_vector_dims(self, dim: int) -> tuple[int, ...]:
-        return self.inner.upload_vector_dims(dim)
-
-    def supports_plan(self, plan_name: str) -> bool:  # type: ignore[override]
-        # Instance-level override of the base classmethod: defended
-        # instances never sit in ALGORITHM_REGISTRY, so class-level calls
-        # cannot reach here.
-        if plan_name in ("async", "semisync"):
-            return False
-        return self.inner.supports_plan(plan_name)
-
-    # -- defended combination -------------------------------------------- #
-    def _defend(
-        self, global_params: np.ndarray, messages: Sequence["ClientMessage"]
-    ) -> tuple[list["ClientMessage"], int]:
-        """Robustly transform one cohort's messages (pure; inputs untouched)."""
-        from repro.federated.messages import ClientMessage
-
-        rejected = 0
-        defended_payloads: list[dict[str, np.ndarray]] = [
-            dict(message.payload) for message in messages
-        ]
-        keys = sorted(messages[0].payload)
-        for key in keys:
-            if key in _PROTECTED_KEYS:
-                continue
-            stacked = np.stack(
-                [np.asarray(message.payload[key], dtype=np.float64)
-                 for message in messages]
-            )
-            if key in _MODEL_KEYS:
-                defended, dropped = self.defense.apply(stacked - global_params)
-                defended = defended + global_params
-            else:
-                defended, dropped = self.defense.apply(stacked)
-            rejected = max(rejected, dropped)
-            for payload, row in zip(defended_payloads, defended):
-                payload[key] = row
-        out = [
-            ClientMessage(
-                client_id=message.client_id,
-                payload=payload,
-                num_samples=message.num_samples,
-                local_epochs=message.local_epochs,
-                train_loss=message.train_loss,
-                metadata=dict(message.metadata),
-            )
-            for message, payload in zip(messages, defended_payloads)
-        ]
-        return out, rejected
-
-    def aggregate(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        messages: list["ClientMessage"],
-        num_clients: int,
-        round_index: int,
-    ) -> np.ndarray:
-        if not messages:
-            raise ConfigurationError("defended aggregate needs at least one message")
-        obs = get_obs()
-        with obs.tracer.span(
-            "defense", defense=self.defense.name, updates=len(messages)
+    def __getattribute__(self, name: str):
+        # FederatedAlgorithm supplies a default for the whole contract, so
+        # __getattr__ would never fire: route every name the wrapper does
+        # not own to the inner algorithm here.
+        own = object.__getattribute__
+        if (
+            name in _DEFENDED_SURFACE
+            or name.startswith("__")
+            or name in own(self, "__dict__")
         ):
-            defended, rejected = self._defend(global_params, messages)
-        if obs.metrics is not None and rejected:
-            obs.metrics.counter("defense.rejected_updates").inc(rejected)
-        return self.inner.aggregate(
-            global_params, server_state, defended, num_clients, round_index
-        )
+            return own(self, name)
+        return getattr(own(self, "inner"), name)
 
     def make_accumulator(
         self,
@@ -502,9 +491,12 @@ class DefendedAlgorithm(FederatedAlgorithm):
         server_state: dict[str, np.ndarray],
         num_clients: int,
         round_index: int,
-    ) -> _DefendedAccumulator:
-        return _DefendedAccumulator(
-            self, global_params, server_state, num_clients, round_index
+    ) -> ScreenedAccumulator:
+        return ScreenedAccumulator(
+            self.defense,
+            self.inner.make_accumulator(
+                global_params, server_state, num_clients, round_index
+            ),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

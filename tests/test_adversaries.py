@@ -7,19 +7,21 @@ The contracts under test:
   corrupted run is bit-identical across isolated executors (thread vs
   process, any ``max_workers``) and close to serial under vectorization,
 * defenses are pure cohort transforms with known closed forms,
-* a defended flat ``SyncPlan`` round equals a defended 1-shard
-  ``HierarchicalPlan`` round bit for bit (the accumulator buffers and
-  finalises through the same ``DefendedAlgorithm.aggregate``),
+* a defended flat run — spelled ``plan="flat"`` or as a one-shard
+  hierarchy — reproduces the values pinned before the flat and sharded
+  round loops became one,
 * configs fail fast on unknown/invalid adversary and defense settings.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHM_REGISTRY, build_algorithm
-from repro.algorithms.feddropoutavg import FedDropoutAvg, MaskedAverageAccumulator
+from repro.algorithms.feddropoutavg import FedDropoutAvg
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, async_config, robustness_config
@@ -43,6 +45,7 @@ from repro.systems.adversaries import (
     TrimmedMeanDefense,
     build_adversary,
     build_defense,
+    screen_cohort,
 )
 
 
@@ -224,6 +227,20 @@ def tiny_robustness_cfg(**overrides):
     )
 
 
+#: Recorded on commit ``f091116`` (dedicated flat ``SyncPlan``, batch
+#: ``DefendedAlgorithm.aggregate``) from the flat run of each config below.
+DEFENDED_FLAT_PINS = {
+    ("fedadmm", "median"): (
+        "453a3d00c3169954b1cbd7460e300d2a984efd56ebc7663cd56b20c420eb05ec",
+        [0.45, 0.225, 0.38333333333333336],
+    ),
+    ("fedavg", "trimmed_mean"): (
+        "878175482ae9c71783761e7b79eda1534c897c9b55b5621914fda96f52f37ee5",
+        [0.375, 0.3333333333333333, 0.425],
+    ),
+}
+
+
 class TestDefendedAlgorithm:
     def test_wrapper_surfaces(self):
         defended = DefendedAlgorithm(
@@ -244,23 +261,21 @@ class TestDefendedAlgorithm:
         spec = AlgorithmSpec(
             algorithm, {"rho": 0.3} if algorithm == "fedadmm" else {}
         )
-        flat = run_single(
-            tiny_robustness_cfg(defense=defense), spec, stop_at_target=False
-        )
-        sharded = run_single(
-            tiny_robustness_cfg(defense=defense, plan="hierarchical", num_shards=1),
-            spec,
-            stop_at_target=False,
-        )
-        assert (flat.final_params == sharded.final_params).all()
-        assert [r.test_accuracy for r in flat.history.records] == [
-            r.test_accuracy for r in sharded.history.records
-        ]
+        for spelling in ({}, {"plan": "hierarchical", "num_shards": 1}):
+            result = run_single(
+                tiny_robustness_cfg(defense=defense, **spelling),
+                spec,
+                stop_at_target=False,
+            )
+            digest = hashlib.sha256(result.final_params.tobytes()).hexdigest()
+            accuracies = [r.test_accuracy for r in result.history.records]
+            assert (digest, accuracies) == DEFENDED_FLAT_PINS[algorithm, defense]
+            # One shard is the flat plan: no shard keys either way.
+            assert "num_shards" not in result.metadata
 
     def test_median_neutralises_a_huge_outlier(self):
         # One boosted update must not move the defended aggregate: the
         # coordinate median of {d, d, 1000d} is d for every coordinate.
-        defended = DefendedAlgorithm(_StubAlgorithm(), build_defense("median"))
         theta = np.zeros(2)
         honest = np.array([1.0, -1.0])
         messages = [
@@ -272,7 +287,7 @@ class TestDefendedAlgorithm:
             ClientMessage(client_id=2, payload={"delta": honest * 1000.0},
                           num_samples=5, local_epochs=1, train_loss=0.1)
         )
-        out, rejected = defended._defend(theta, messages)
+        out, rejected = screen_cohort(build_defense("median"), theta, messages)
         for message in out:
             np.testing.assert_array_equal(message.payload["delta"], honest)
         assert rejected == 2
@@ -289,17 +304,6 @@ class TestDefendedAlgorithm:
         assert counters["adversary.corrupted_updates"] > 0
         assert counters["defense.rejected_updates"] > 0
         assert any(r.name == "defense" for r in tracer.sorted_records())
-
-
-class _StubAlgorithm:
-    """Minimal algorithm stand-in for unit-level _defend tests."""
-
-    name = "stub"
-    supports_batched = False
-    shuffles_minibatches = False
-
-    def supports_plan(self, plan_name):  # pragma: no cover - not exercised
-        return plan_name == "sync"
 
 
 # --------------------------------------------------------------------------- #
@@ -463,16 +467,19 @@ class TestFedDropoutAvg:
             self._message(1, [0.0, 2.0], [0.0, 1.0]),
             self._message(2, [3.0, 4.0], [1.0, 1.0]),
         ]
-        batch = algorithm.aggregate(theta, {}, messages, 3, 0)
-        left = MaskedAverageAccumulator(theta, 3, 0)
-        right = MaskedAverageAccumulator(theta, 3, 0)
+        left = algorithm.make_accumulator(theta, {}, 3, 0)
+        right = algorithm.make_accumulator(theta, {}, 3, 0)
         left.accumulate(messages[0])
         right.accumulate(messages[1])
         right.accumulate(messages[2])
         left.merge(right)
-        np.testing.assert_array_equal(left.finalise(), batch)
+        # coord 0: (1+3)/2 reporters; coord 1: (2+4)/2 reporters
+        np.testing.assert_array_equal(left.finalise(), [2.0, 3.0])
+        np.testing.assert_array_equal(
+            algorithm.aggregate(theta, {}, messages, 3, 0), [2.0, 3.0]
+        )
         with pytest.raises(ConfigurationError):
-            MaskedAverageAccumulator(theta, 3, 0).finalise()
+            algorithm.make_accumulator(theta, {}, 3, 0).finalise()
 
     def test_end_to_end_training_learns(self):
         cfg = tiny_robustness_cfg(adversary=None, adversary_fraction=0.0)

@@ -106,6 +106,16 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             TINY.with_overrides(client_fraction=0.0)
 
+    def test_flat_plan_with_shards_is_refused(self):
+        # Used to be accepted and silently run unsharded.
+        with pytest.raises(ConfigurationError, match='plan="hierarchical"'):
+            TINY.with_overrides(num_shards=2)
+        with pytest.raises(ConfigurationError, match='plan="hierarchical"'):
+            TINY.with_overrides(plan="flat", num_shards=TINY.num_clients)
+        sharded = TINY.with_overrides(plan="hierarchical", num_shards=2)
+        assert (sharded.plan, sharded.num_shards) == ("hierarchical", 2)
+        assert TINY.with_overrides(plan="hierarchical").num_shards == 1
+
     def test_default_algorithms_labels(self):
         labels = [spec.label() for spec in default_algorithms()]
         assert any(label.startswith("fedadmm") for label in labels)

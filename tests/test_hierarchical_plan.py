@@ -1,19 +1,19 @@
-"""Flat-vs-hierarchical parity and the streaming accumulator contracts.
+"""Flat-vs-sharded parity and the accumulator contracts.
 
-The hierarchical plan's correctness claim has two tiers:
+The lock-step plan's correctness claim has two tiers:
 
-* a **1-shard** hierarchy reuses the flat RNG streams and visits clients
-  in :class:`SyncPlan` order, so its history must be **bit-identical** to
-  the flat plan — across serial, thread, and process executors;
-* an **N-shard** hierarchy with shard-preserving sampling selects the
-  same global cohorts but associates the aggregation sum differently
+* **one shard** is the flat round: it must reproduce, bit for bit, the
+  values pinned from the dedicated flat plan before the two round loops
+  became one (``FLAT_GOLDENS`` in ``test_regression_sync_golden.py``) —
+  across serial, thread, and process executors;
+* an **N-shard** run with shard-preserving sampling selects the same
+  global cohorts but associates the aggregation sum differently
   (per-shard partials merged at the root), so it must match flat within
   ``atol=1e-8``.
 
-The streaming accumulators themselves are pinned against the batch
-``aggregate`` they replace: FedAvg's running average and FedADMM's delta
-sum are bitwise-equal reductions, and the buffered fallback delegates to
-``aggregate`` for every other algorithm.
+The accumulator itself is pinned against the paper-equation references in
+``repro.core.admm_server`` (the property tests in
+``test_reduction_contract.py`` extend this to every registered algorithm).
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms import build_algorithm
-from repro.algorithms.base import BufferedAccumulator
-from repro.algorithms.fedadmm import DeltaSumAccumulator, FedADMM
-from repro.algorithms.fedavg import FedAvg, RunningAverageAccumulator
+from repro.algorithms.base import UpdateAccumulator
+from repro.algorithms.fedadmm import FedADMM
+from repro.algorithms.fedavg import FedAvg
+from repro.core.admm_server import admm_server_update, average_aggregate
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.federated.engine import FederatedSimulation
-from repro.federated.heterogeneity import FixedEpochs, UniformRandomEpochs
+from repro.federated.heterogeneity import FixedEpochs
 from repro.federated.messages import ClientMessage
 from repro.federated.plans import HierarchicalPlan
 from repro.federated.population import ClientPopulation
@@ -38,6 +39,12 @@ from repro.obs.trace import Tracer
 from repro.systems import build_executor
 
 from conftest import make_model
+from test_regression_sync_golden import (
+    FLAT_CASES,
+    FLAT_GOLDENS,
+    flat_fingerprint,
+    run_flat_recipe,
+)
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -75,40 +82,15 @@ def histories_equal(a, b) -> bool:
 # --------------------------------------------------------------------------- #
 class TestSingleShardBitIdentity:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("algorithm", ["fedadmm", "fedavg"])
-    def test_matches_flat_sync_plan(
-        self, blobs_split, iid_partition, executor, algorithm
-    ):
-        def run(plan):
-            # Fresh clients per run: FedADMM stores dual variables on the
-            # ClientState objects, so runs must not share them.
-            sim = make_sim(
-                build_clients(blobs_split.train, iid_partition),
-                blobs_split.test,
-                algorithm=algorithm, plan=plan, executor=executor,
-                local_work=UniformRandomEpochs(max_epochs=3),
-            )
-            return sim.run(num_rounds=3)
-
-        flat = run(None)
-        sharded = run(HierarchicalPlan(num_shards=1))
-        assert (flat.final_params == sharded.final_params).all()
-        assert histories_equal(flat.history, sharded.history)
-
-    def test_buffered_fallback_algorithm_is_also_identical(
-        self, iid_clients, blobs_split
-    ):
-        # FedSGD has no constant-memory accumulator: the buffered default
-        # must still reproduce the flat rounds exactly.
-        flat = make_sim(
-            iid_clients, blobs_split.test, algorithm="fedsgd"
-        ).run(num_rounds=3)
-        sharded = make_sim(
-            iid_clients, blobs_split.test, algorithm="fedsgd",
-            plan=HierarchicalPlan(num_shards=1),
-        ).run(num_rounds=3)
-        assert (flat.final_params == sharded.final_params).all()
-        assert histories_equal(flat.history, sharded.history)
+    @pytest.mark.parametrize("algorithm", sorted(FLAT_CASES))
+    def test_matches_flat_sync_plan(self, executor, algorithm):
+        # Isolated executors (thread, process) seed every task on its own
+        # and share one pinned history; serial has the other.
+        pinned = "serial" if executor == "serial" else "thread"
+        sharded = run_flat_recipe(
+            algorithm, executor, plan=HierarchicalPlan(num_shards=1)
+        )
+        assert flat_fingerprint(sharded) == FLAT_GOLDENS[algorithm, pinned]
 
 
 # --------------------------------------------------------------------------- #
@@ -290,10 +272,10 @@ class TestAccumulators:
         algorithm = FedAvg(weighting="uniform")
         messages = make_messages("params", count)
         acc = algorithm.make_accumulator(None, {}, 100, 0)
-        assert isinstance(acc, RunningAverageAccumulator)
+        assert type(acc) is UpdateAccumulator
         for message in messages:
             acc.accumulate(message)
-        batch = algorithm.aggregate(None, {}, messages, 100, 0)
+        batch = average_aggregate([m.payload["params"] for m in messages])
         assert (acc.finalise() == batch).all()
 
     @pytest.mark.parametrize("count", [1, 3, 8, 17, 64])
@@ -302,21 +284,24 @@ class TestAccumulators:
         algorithm = FedADMM(rho=0.3, server_step_size="participation")
         messages = make_messages("delta", count)
         acc = algorithm.make_accumulator(theta, {}, 100, 5)
-        assert isinstance(acc, DeltaSumAccumulator)
+        assert type(acc) is UpdateAccumulator
         for message in messages:
             acc.accumulate(message)
-        batch = algorithm.aggregate(theta, {}, messages, 100, 5)
+        batch = admm_server_update(
+            theta, [m.payload["delta"] for m in messages], eta=count / 100
+        )
         assert (acc.finalise() == batch).all()
 
     def test_fedavg_weighted_streaming_is_close(self):
-        # The scalar weight total is the one pairwise-summed quantity in
-        # the batch path, so weighted streaming agrees to ~1 ulp, not bit.
         algorithm = FedAvg(weighting="samples")
         messages = make_messages("params", 20)
         acc = algorithm.make_accumulator(None, {}, 100, 0)
         for message in messages:
             acc.accumulate(message)
-        batch = algorithm.aggregate(None, {}, messages, 100, 0)
+        batch = average_aggregate(
+            [m.payload["params"] for m in messages],
+            weights=[m.num_samples for m in messages],
+        )
         np.testing.assert_allclose(acc.finalise(), batch, rtol=1e-14)
 
     def test_shard_merge_equals_single_accumulator(self):
@@ -349,18 +334,10 @@ class TestAccumulators:
             for message in half:
                 partial.accumulate(message)
             root.merge(partial)
-        expected = algorithm.aggregate(theta, {}, messages, 12, 0)
+        expected = admm_server_update(
+            theta, [m.payload["delta"] for m in messages], eta=6 / 12
+        )
         np.testing.assert_allclose(root.finalise(), expected, atol=1e-12)
-
-    def test_buffered_fallback_delegates_to_aggregate(self):
-        algorithm = build_algorithm("fedsgd")
-        messages = make_messages("gradient", 5)
-        acc = algorithm.make_accumulator(np.zeros(64), {}, 10, 0)
-        assert isinstance(acc, BufferedAccumulator)
-        for message in messages:
-            acc.accumulate(message)
-        batch = algorithm.aggregate(np.zeros(64), {}, messages, 10, 0)
-        assert (acc.finalise() == batch).all()
 
     def test_empty_finalise_raises(self):
         algorithm = FedAvg()

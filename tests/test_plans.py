@@ -21,7 +21,7 @@ from repro.federated import (
     RoundContext,
     SemiSyncPlan,
     ServerState,
-    SyncPlan,
+    HierarchicalPlan,
 )
 from repro.federated.staleness import ConstantStaleness, PolynomialStaleness
 from repro.systems.network import (
@@ -103,7 +103,9 @@ class TestPlanRegistry:
             test_dataset=blobs_split.test,
             seed=0,
         )
-        assert isinstance(sim.plan, SyncPlan)
+        # The default is the one-shard lock-step plan, reported as "sync".
+        assert isinstance(sim.plan, HierarchicalPlan)
+        assert (sim.plan.name, sim.plan.num_shards) == ("sync", 1)
 
     def test_async_engine_binds_async_plan(self, iid_clients, blobs_split):
         from repro.federated.async_engine import AsyncFederatedSimulation
@@ -163,7 +165,7 @@ class TestSemiSyncValidation:
         with pytest.raises(ConfigurationError):
             build(plan)
         with pytest.raises(ConfigurationError):
-            used_sync = build(SyncPlan()).plan
+            used_sync = build(HierarchicalPlan()).plan
             build(used_sync)
 
     def test_default_deadline_derived_from_median_duration(

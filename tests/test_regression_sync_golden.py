@@ -25,8 +25,17 @@ from repro.algorithms import build_algorithm
 from repro.datasets.synthetic import make_blobs
 from repro.federated.client import build_clients
 from repro.federated.engine import FederatedSimulation
+from repro.federated.heterogeneity import UniformRandomEpochs
+from repro.federated.sampler import UniformFractionSampler
 from repro.nn.models import MLP
+from repro.partition.imbalanced import ImbalancedPartitioner
 from repro.partition.shard import ShardPartitioner
+from repro.systems import (
+    DefendedAlgorithm,
+    build_adversary,
+    build_defense,
+    build_executor,
+)
 
 GOLDEN_PARAMS_SHA256 = (
     "39c66b4c135cc30eee756747f6254ce1770ad87ec98bc71f14dbdf5a8ca4b28e"
@@ -374,3 +383,170 @@ class TestScaffoldFedPDGoldens:
         _, _, _, _, upload = ALGORITHM_GOLDENS[name]
         assert vectorized.ledger.upload_floats == upload
         assert vectorized.ledger.download_floats == serial.ledger.download_floats
+
+
+# --------------------------------------------------------------------------- #
+# Flat lock-step pins for every remaining aggregation rule
+# --------------------------------------------------------------------------- #
+# Recorded on commit ``f091116`` — the last one with a dedicated ``SyncPlan``
+# and a hand-written batch ``aggregate`` per algorithm — just before both were
+# folded into the sharded plan's one round loop and the one streaming
+# reduction.  Until then the only flat-path reference for these rules was
+# "a 1-shard hierarchy equals SyncPlan"; with one code path left, that
+# comparison is a tautology, so the values themselves are pinned.  Volumes are
+# imbalanced so ``weighting="samples"`` is a different average than uniform;
+# isolated executors (thread, process) share one history, serial has its own.
+FLAT_CASES = {
+    # case: (algorithm, kwargs, defense, adversary)
+    "fedadmm": ("fedadmm", {"rho": 0.3}, None, None),
+    "fedavg": ("fedavg", {}, None, None),
+    "fedavg-samples": ("fedavg", {"weighting": "samples"}, None, None),
+    "fedprox": ("fedprox", {"rho": 0.3}, None, None),
+    "fedsgd": ("fedsgd", {}, None, None),
+    "feddropoutavg": ("feddropoutavg", {}, None, None),
+    "fedadmm-median": ("fedadmm", {"rho": 0.3}, "median", "sign_flip"),
+}
+
+
+def run_flat_recipe(case, executor="serial", plan=None):
+    """Three lock-step rounds of one ``FLAT_CASES`` entry (``plan=None``: flat)."""
+    name, kwargs, defense, adversary = FLAT_CASES[case]
+    split = make_blobs(
+        n_train=480, n_test=160, num_classes=4, feature_dim=12,
+        separation=2.5, noise_std=0.8, rng=0,
+    )
+    partition = ImbalancedPartitioner(num_groups=4).partition(
+        split.train, num_clients=8, rng=0
+    )
+    algorithm = build_algorithm(name, **kwargs)
+    if defense is not None:
+        algorithm = DefendedAlgorithm(algorithm, build_defense(defense))
+    simulation = FederatedSimulation(
+        algorithm=algorithm,
+        model=MLP(
+            input_dim=12, hidden_dims=(16,), num_classes=4,
+            rng=np.random.default_rng(7),
+        ),
+        clients=build_clients(split.train, partition),
+        test_dataset=split.test,
+        sampler=UniformFractionSampler(0.5),
+        local_work=UniformRandomEpochs(max_epochs=3),
+        batch_size=16,
+        learning_rate=0.1,
+        seed=11,
+        adversary=(
+            build_adversary(adversary, fraction=0.25) if adversary else None
+        ),
+        executor=build_executor(executor),
+        plan=plan,
+    )
+    return simulation.run(3)
+
+
+def flat_fingerprint(result):
+    """What a flat pin records: params hash, accuracies, losses, float totals."""
+    return (
+        hashlib.sha256(result.final_params.tobytes()).hexdigest(),
+        [record.test_accuracy for record in result.history.records],
+        [record.train_loss for record in result.history.records],
+        result.ledger.upload_floats,
+        result.ledger.download_floats,
+    )
+
+
+FLAT_GOLDENS = {
+    ("fedadmm", "serial"): (
+        "c3fdf9a6ff661c5a4d64c4ab54e4614c7d8dc4d94f0d347088fa99bf73370b40",
+        [0.96875, 0.94375, 0.96875],
+        [0.5092572231834789, 0.11500729488544516, 0.25141302770052604],
+        3312, 3312,
+    ),
+    ("fedadmm", "thread"): (
+        "812d9f76108cbcc5369c112682b83a1775b714c11432e519363565cf6215e81d",
+        [0.975, 0.94375, 0.96875],
+        [0.4815111359165921, 0.1162658952261206, 0.25078013516641134],
+        3312, 3312,
+    ),
+    ("fedavg", "serial"): (
+        "808be8b6c5e14867e61357a0eb5c32d8d9f7a3b019ba833e3090cb95c116d1ea",
+        [0.81875, 0.9625, 1.0],
+        [0.49974890627471374, 0.08272019732589161, 0.10167609304028699],
+        3312, 3312,
+    ),
+    ("fedavg", "thread"): (
+        "45df9839a9b6c507ce8cf78ea7b1253cfc70707952dfbb4b83ead38502caa8d7",
+        [0.825, 0.96875, 1.0],
+        [0.47193002298174236, 0.08216820413446965, 0.10159126668094375],
+        3312, 3312,
+    ),
+    ("fedavg-samples", "serial"): (
+        "46ce6252e637859afa7a8d99b8b66993f70014ba3fd4bd0cd06771cbdef01717",
+        [0.875, 0.99375, 1.0],
+        [0.49974890627471374, 0.07275520790246237, 0.05982858250935457],
+        3312, 3312,
+    ),
+    ("fedavg-samples", "thread"): (
+        "0bbf991d90401c7753dacaecb19c99aa945ff13b4e0afa08955263ab839efcf8",
+        [0.89375, 0.99375, 1.0],
+        [0.47193002298174236, 0.07247110625316837, 0.05956897349723829],
+        3312, 3312,
+    ),
+    ("fedprox", "serial"): (
+        "2850c44b3057e73fe4a1a489608b5bcf12c79c4c0e468b77114677e9f5368f20",
+        [0.80625, 0.93125, 1.0],
+        [0.5092572231834789, 0.09647400227996172, 0.12404509120045036],
+        3312, 3312,
+    ),
+    ("fedprox", "thread"): (
+        "c106f13fa64478ce1312aee2da0df94ddc8ec9ff5b0834c8872747b45bce3317",
+        [0.79375, 0.94375, 1.0],
+        [0.4815111359165921, 0.09566993646190002, 0.1234044209103345],
+        3312, 3312,
+    ),
+    ("fedsgd", "serial"): (
+        "e389e5de358fe35b0288d1437b25ded1857e49e9b8a27176c3e72d223fe14c58",
+        [0.71875, 0.7375, 0.83125],
+        [1.525800589408235, 0.4575468396678144, 0.9693635227821499],
+        3312, 3312,
+    ),
+    ("fedsgd", "thread"): (
+        "e389e5de358fe35b0288d1437b25ded1857e49e9b8a27176c3e72d223fe14c58",
+        [0.71875, 0.7375, 0.83125],
+        [1.525800589408235, 0.4575468396678144, 0.9693635227821499],
+        3312, 3312,
+    ),
+    ("feddropoutavg", "serial"): (
+        "7ec87b8292f18b594022466d6723870641424d8790b11443e4a42aa521740ed4",
+        [0.8375, 0.9625, 1.0],
+        [0.47397049561356874, 0.07516396274201834, 0.10668153054785764],
+        6624, 3312,
+    ),
+    ("feddropoutavg", "thread"): (
+        "cfe49f1346d49bb7cb7656ed7c418bf28f6c39bc4b1e0b6c0d942420c21778fc",
+        [0.84375, 0.9625, 1.0],
+        [0.47193002298174236, 0.08569864414268911, 0.10196588798772906],
+        6624, 3312,
+    ),
+    ("fedadmm-median", "serial"): (
+        "56d97026c73ff40376305d3b239e82e436dd44f8fdfb5459f0445cb5cde48918",
+        [0.4375, 0.425, 0.73125],
+        [0.5092572231834789, 0.16437252483095827, 0.29875464069536745],
+        3312, 3312,
+    ),
+    ("fedadmm-median", "thread"): (
+        "46ee0e1d5a0c3aee2c7ab113ea09d5e1d1df3dc6e8fcf5d7d2886bdba76aa69f",
+        [0.39375, 0.41875, 0.7125],
+        [0.4815111359165921, 0.16494956474620137, 0.2963759020449524],
+        3312, 3312,
+    ),
+}
+
+
+class TestFlatPathPins:
+    """Every flat aggregation rule reproduces its pre-collapse values exactly."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("case", sorted(FLAT_CASES))
+    def test_flat_run_matches_pin(self, case, executor):
+        result = run_flat_recipe(case, executor)
+        assert flat_fingerprint(result) == FLAT_GOLDENS[case, executor]

@@ -9,15 +9,13 @@
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, fig6_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_comparison
 from repro.experiments.tables import format_table
 
 
 def _run():
-    config = fig6_config(dataset="mnist", non_iid=True).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
+    config = preset_config("fig6", "mnist", non_iid=True, num_rounds=BENCH_ROUNDS)
     algorithms = [
         AlgorithmSpec("fedadmm", {"rho": 0.3}),
         AlgorithmSpec("fedadmm", {"rho": 0.3, "use_duals": False}),

@@ -19,9 +19,9 @@ Two claims, both under a heavy-tailed log-normal straggler profile
 import numpy as np
 from bench_utils import emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, async_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_comparison
-from repro.experiments.studies import run_async_study
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 SEEDS = (0, 1, 2)
@@ -45,17 +45,18 @@ def _auc(result):
 def _run():
     time_to_target = {}
     for seed in SEEDS:
-        config = async_config("blobs", non_iid=True, seed=seed).with_overrides(
-            num_rounds=TTT_ROUNDS
+        config = preset_config(
+            "async", "blobs", non_iid=True, seed=seed, num_rounds=TTT_ROUNDS
         )
-        time_to_target[seed] = run_async_study(
-            config, _algorithms(), stop_at_target=True
+        time_to_target[seed] = STUDIES.sweep(
+            "async", config, algorithms=_algorithms()
         )
 
     degradation_runs = {}
     for concurrency, tag in ((LOW_CONCURRENCY, "low"), (HIGH_CONCURRENCY, "high")):
         for seed in SEEDS:
-            config = async_config("blobs", non_iid=True, seed=seed).with_overrides(
+            config = preset_config(
+                "async", "blobs", non_iid=True, seed=seed,
                 num_rounds=DEG_ROUNDS,
                 buffer_size=BUFFER,
                 max_concurrency=concurrency,

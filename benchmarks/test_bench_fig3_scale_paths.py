@@ -8,23 +8,23 @@ the accuracy-versus-round series per algorithm and population.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, fig3_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_scale_sweep
+from repro.experiments.studies import STUDIES
 
 POPULATIONS = [20, 40]
 
 
 def _run():
-    base = fig3_config(dataset="fmnist", non_iid=True, scale="bench").with_overrides(
-        num_rounds=BENCH_ROUNDS
+    base = preset_config(
+        "fig3", "fmnist", non_iid=True, scale="bench", num_rounds=BENCH_ROUNDS
     )
     algorithms = [
         AlgorithmSpec("fedadmm", {"rho": 0.3}),
         AlgorithmSpec("fedavg", {}),
         AlgorithmSpec("fedprox", {"rho": 0.1}),
     ]
-    return run_scale_sweep(base, POPULATIONS, algorithms)
+    return STUDIES.sweep("fig3", base, populations=POPULATIONS, algorithms=algorithms)
 
 
 def test_fig3_convergence_paths_vs_population(benchmark):

@@ -4,23 +4,23 @@ plus the reduction of FedADMM over the best baseline at each population.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, fig3_config
-from repro.experiments.studies import run_scale_sweep
+from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 POPULATIONS = [20, 40]
 
 
 def _run():
-    base = fig3_config(dataset="fmnist", non_iid=False, scale="bench").with_overrides(
-        num_rounds=BENCH_ROUNDS
+    base = preset_config(
+        "fig3", "fmnist", non_iid=False, scale="bench", num_rounds=BENCH_ROUNDS
     )
     algorithms = [
         AlgorithmSpec("fedadmm", {"rho": 0.3}),
         AlgorithmSpec("fedavg", {}),
         AlgorithmSpec("scaffold", {}),
     ]
-    return run_scale_sweep(base, POPULATIONS, algorithms)
+    return STUDIES.sweep("fig3", base, populations=POPULATIONS, algorithms=algorithms)
 
 
 def test_fig4_rounds_to_target_vs_population(benchmark):

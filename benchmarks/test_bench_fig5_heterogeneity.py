@@ -7,9 +7,9 @@ protocol runs with 40 clients on the synthetic FMNIST stand-in.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, fig5_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_heterogeneity_comparison
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 
@@ -20,13 +20,9 @@ def _run():
         AlgorithmSpec("fedprox", {"rho": 0.1}),
         AlgorithmSpec("scaffold", {}),
     ]
-    config_iid = fig5_config(dataset="fmnist", non_iid=False).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
-    config_non_iid = fig5_config(dataset="fmnist", non_iid=True).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
-    return run_heterogeneity_comparison(config_iid, config_non_iid, algorithms)
+    # The study's axis swaps in the IID / non-IID preset pair.
+    config = preset_config("fig5", "fmnist", num_rounds=BENCH_ROUNDS)
+    return STUDIES.sweep("fig5", config, algorithms=algorithms)
 
 
 def test_fig5_data_heterogeneity_adaptability(benchmark):

@@ -5,20 +5,17 @@ preset adjusts at the midpoint of its shorter budget).
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import fig6_config
+from repro.experiments.configs import preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_server_stepsize_study
+from repro.experiments.studies import STUDIES
 
 ETAS = (0.5, 1.0, 1.5)
 
 
 def _run():
-    config = fig6_config(dataset="mnist", non_iid=True).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
-    return run_server_stepsize_study(
-        config, etas=ETAS, switch_round=BENCH_ROUNDS // 2, switch_value=0.5, rho=0.3
-    )
+    config = preset_config("fig6", "mnist", non_iid=True, num_rounds=BENCH_ROUNDS)
+    # The study appends the 1.0 -> 0.5 switch at the midpoint of the budget.
+    return STUDIES.sweep("fig6", config, etas=ETAS)
 
 
 def test_fig6_server_step_size_study(benchmark):

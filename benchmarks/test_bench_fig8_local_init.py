@@ -8,18 +8,16 @@ series per eta for comparison.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import fig8_config
+from repro.experiments.configs import preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_local_init_study
+from repro.experiments.studies import STUDIES
 
 ETAS = (1.0, 0.5)
 
 
 def _run():
-    config = fig8_config(dataset="mnist", non_iid=True).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
-    return run_local_init_study(config, etas=ETAS, rho=0.3)
+    config = preset_config("fig6", "mnist", non_iid=True, num_rounds=BENCH_ROUNDS)
+    return STUDIES.sweep("fig8", config, etas=ETAS)
 
 
 def test_fig8_local_initialisation_study(benchmark):

@@ -8,24 +8,19 @@ switches at the midpoint of the budget.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import fig9_config
+from repro.core.rho import PiecewiseRho
+from repro.experiments.configs import preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_rho_schedule_study
+from repro.experiments.studies import STUDIES
 
 CONSTANT_RHOS = (0.1, 0.3)
 SWITCH = (0.1, 0.3)
 
 
 def _run():
-    config = fig9_config(dataset="mnist", non_iid=True).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
-    return run_rho_schedule_study(
-        config,
-        constant_rhos=CONSTANT_RHOS,
-        switch_round=BENCH_ROUNDS // 2,
-        switch_values=SWITCH,
-    )
+    config = preset_config("fig6", "mnist", non_iid=True, num_rounds=BENCH_ROUNDS)
+    schedule = PiecewiseRho(values=list(SWITCH), boundaries=[BENCH_ROUNDS // 2])
+    return STUDIES.sweep("fig9", config, rhos=[*CONSTANT_RHOS, schedule])
 
 
 def test_fig9_dynamic_rho_schedule(benchmark):

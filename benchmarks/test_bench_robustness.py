@@ -19,7 +19,7 @@ Three effects are measured over seeds, at final accuracy:
 import numpy as np
 from bench_utils import emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, robustness_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_comparison
 from repro.experiments.tables import format_table
 
@@ -41,13 +41,15 @@ def _run():
     ]
     outcome = {}
     for seed in SEEDS:
-        base = robustness_config(
+        base = preset_config(
+            "robustness",
             "blobs",
             non_iid=True,
             seed=seed,
             adversary=ADVERSARY,
             adversary_fraction=FRACTION,
-        ).with_overrides(num_rounds=ROUNDS)
+            num_rounds=ROUNDS,
+        )
         cells = {
             "clean": base.with_overrides(
                 adversary=None, adversary_fraction=0.0, name=f"robust-clean-s{seed}"

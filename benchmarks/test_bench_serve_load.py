@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bench_utils import emit_summary, print_header
 
-from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.serve.loadgen import run_load_test
 
 #: Cap rounds as well as simulated time: the bench scenario simulates a
@@ -42,7 +42,7 @@ TIME_SCALE = 0.002
 def test_bench_serve_load():
     print_header("serve load: paced workers vs ledger accounting")
     report = run_load_test(
-        serve_config(),
+        preset_config("serve"),
         AlgorithmSpec("fedavg"),
         num_workers=NUM_WORKERS,
         simulated_budget_s=SIMULATED_BUDGET_S,

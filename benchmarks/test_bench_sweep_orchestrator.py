@@ -22,9 +22,8 @@ import numpy as np
 from bench_utils import BENCH_SEED, emit_summary, print_header, run_once, speedup_summary
 
 from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
-from repro.experiments.orchestrator import SweepOrchestrator
+from repro.experiments.orchestrator import RunSpec, SweepOrchestrator
 from repro.experiments.store import ExperimentStore
-from repro.experiments.studies import comparison_specs
 from repro.experiments.tables import format_table
 
 JOBS = 4
@@ -54,9 +53,11 @@ ALGORITHMS = [
 
 
 def _specs():
-    return comparison_specs(
-        "bench-orchestrator", CONFIG, ALGORITHMS, stop_at_target=False
-    )
+    return [
+        RunSpec("bench-orchestrator", (algorithm.label(),), CONFIG, algorithm,
+                stop_at_target=False)
+        for algorithm in ALGORITHMS
+    ]
 
 
 def _run(tmp_path):

@@ -17,7 +17,7 @@ Two effects are measured, averaged over seeds:
 import numpy as np
 from bench_utils import emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, systems_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_comparison
 from repro.experiments.tables import format_table
 
@@ -36,8 +36,9 @@ def _run():
     algorithms = [AlgorithmSpec("fedadmm", {"rho": 0.3}), AlgorithmSpec("fedavg", {})]
     outcome = {}
     for seed in SEEDS:
-        base = systems_config(dataset="blobs", non_iid=True, seed=seed).with_overrides(
-            num_rounds=ROUNDS, client_fraction=0.4
+        base = preset_config(
+            "systems", "blobs", non_iid=True, seed=seed,
+            num_rounds=ROUNDS, client_fraction=0.4,
         )
         clean = run_comparison(
             base.with_overrides(dropout=0.0, name=f"systems-clean-s{seed}"),

@@ -10,16 +10,16 @@ EXPERIMENTS.md.
 import pytest
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import default_algorithms, table3_config
-from repro.experiments.runner import run_comparison
+from repro.experiments.configs import preset_config
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import table3_text
 
 
 def _run(dataset: str, non_iid: bool):
-    config = table3_config(dataset=dataset, non_iid=non_iid, scale="bench")
-    config = config.with_overrides(num_rounds=BENCH_ROUNDS)
-    algorithms = default_algorithms(admm_rho=0.3, prox_rho=0.1)
-    return run_comparison(config, algorithms)
+    config = preset_config(
+        "table3", dataset, non_iid, scale="bench", num_rounds=BENCH_ROUNDS
+    )
+    return STUDIES.sweep("table3", config)  # the paper's five at rho=0.3
 
 
 @pytest.mark.parametrize(

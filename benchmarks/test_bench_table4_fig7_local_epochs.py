@@ -8,8 +8,8 @@ strong convexity of the local subproblems (smaller epsilon_i for more work).
 import pytest
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import table4_config
-from repro.experiments.studies import run_local_epochs_study
+from repro.experiments.configs import preset_config
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 EPOCH_COUNTS = (1, 5, 10)
@@ -17,11 +17,9 @@ EPOCH_COUNTS = (1, 5, 10)
 
 @pytest.mark.parametrize("non_iid", [False, True], ids=["iid", "noniid"])
 def test_table4_fig7_local_epochs(benchmark, non_iid):
-    config = table4_config(dataset="mnist", non_iid=non_iid).with_overrides(
-        num_rounds=BENCH_ROUNDS
-    )
+    config = preset_config("table4", "mnist", non_iid, num_rounds=BENCH_ROUNDS)
     results = run_once(
-        benchmark, lambda: run_local_epochs_study(config, EPOCH_COUNTS, rho=0.3)
+        benchmark, lambda: STUDIES.sweep("table4", config, epochs=EPOCH_COUNTS)
     )
     rows = [
         {

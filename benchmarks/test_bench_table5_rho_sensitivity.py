@@ -8,8 +8,8 @@ FedProx at rho in {0.01, 0.1, 1.0} against FedADMM at a single fixed rho.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import table5_config
-from repro.experiments.studies import run_rho_sensitivity_table
+from repro.experiments.configs import preset_config
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 PROX_RHOS = (0.01, 0.1, 1.0)
@@ -17,13 +17,14 @@ POPULATIONS = (20, 40)
 
 
 def _run():
-    configs = {
-        f"fmnist-{population}clients": table5_config(
-            dataset="fmnist", num_clients=population, non_iid=True
-        ).with_overrides(num_rounds=BENCH_ROUNDS)
-        for population in POPULATIONS
-    }
-    return run_rho_sensitivity_table(configs, prox_rhos=PROX_RHOS, admm_rho=0.3)
+    table = {}
+    for population in POPULATIONS:
+        config = preset_config(
+            "table5", "fmnist", num_clients=population, num_rounds=BENCH_ROUNDS
+        )
+        column = STUDIES.sweep("table5", config, prox_rhos=PROX_RHOS)
+        table[f"fmnist-{population}clients"] = column[config.name]
+    return table
 
 
 def test_table5_rho_sensitivity(benchmark):

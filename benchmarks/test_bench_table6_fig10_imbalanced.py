@@ -7,26 +7,22 @@ partition.  Both are regenerated here from the imbalanced preset.
 
 from bench_utils import BENCH_ROUNDS, emit_summary, print_header, run_once
 
-from repro.experiments.configs import AlgorithmSpec, table6_config
+from repro.experiments.configs import preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.studies import run_imbalanced_study
+from repro.experiments.runner import prepare_environment
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 
 def _run():
-    config = table6_config(dataset="fmnist").with_overrides(num_rounds=BENCH_ROUNDS)
-    algorithms = [
-        AlgorithmSpec("fedadmm", {"rho": 0.3}),
-        AlgorithmSpec("fedavg", {}),
-        AlgorithmSpec("fedprox", {"rho": 0.1}),
-        AlgorithmSpec("scaffold", {}),
-    ]
-    return run_imbalanced_study(config, algorithms)
+    config = preset_config("table6", "fmnist", num_rounds=BENCH_ROUNDS)
+    # The study's own set: FedADMM (rho=0.3), FedAvg, FedProx, SCAFFOLD.
+    return STUDIES.sweep("table6", config)
 
 
 def test_table6_fig10_imbalanced_volumes(benchmark):
     comparison = run_once(benchmark, _run)
-    stats = comparison.partition_stats
+    stats = prepare_environment(comparison.config)[2]
 
     print_header("Table VI — imbalanced dataset statistics (bench scale)")
     print(format_table([stats.as_table_row()]))

@@ -3,8 +3,9 @@
 
 The catalogue page is *derived*, never hand-edited: CI regenerates it
 before every ``mkdocs build --strict``, so the documentation cannot drift
-from the registry — a study added via ``STUDIES.add(...)`` appears here
-on the next build, with its flags, sweep size, and the paper artefact it
+from the registry — a study added as one ``PRESETS`` row plus one
+``STUDIES.add(Study(...))`` record appears here on the next build, with
+its preset, swept axes, flags, sweep size, and the paper artefact it
 reproduces.
 
 Usage::
@@ -22,7 +23,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.registry import StudyRequest  # noqa: E402
+from repro.experiments.configs import PRESETS  # noqa: E402
+from repro.experiments.registry import StudyRequest, expand  # noqa: E402
 from repro.experiments.studies import STUDIES  # noqa: E402
 
 HEADER = """\
@@ -31,18 +33,22 @@ HEADER = """\
 *This page is generated from the live study registry by
 `docs/gen_catalogue.py` — do not edit it by hand.*
 
-Every entry below is one `Study` in `repro.experiments.studies.STUDIES`:
-runnable as `python -m repro.cli <name>`, from the library via
-`run_study("<name>", StudyRequest(...))`, and — when it expands into
-independent sweep points — in parallel/resumably via `--jobs`,
-`--resume`, and `--store-dir` (see the
+Every entry below is one `Study` record in
+`repro.experiments.studies.STUDIES`: runnable as `python -m repro.cli
+<name>`, from the library via `run_study("<name>", StudyRequest(...))`,
+and — when it expands into independent sweep points — in
+parallel/resumably via `--jobs`, `--resume`, and `--store-dir` (see the
 [large-sweeps tutorial](tutorials/large-sweeps.md)).
 
 Shared flags (`--dataset`, `--scale`, `--clients`, `--rounds`, `--rho`,
 `--seed`, the systems layer, the execution plan, and orchestration) are
 available on every study; the *extra flags* column lists each study's own
-knobs.  The *sweep points* column is the number of independent training
-runs the study's default request expands into.
+knobs.  The *preset* column is the study's row of
+`repro.experiments.configs.PRESETS` (the paper's dataset for that
+artefact, used when `--dataset` is not given, and the bench/paper client
+populations); the *swept axis* column lists each axis with the values the
+default request sweeps; the *sweep points* column is the number of
+independent training runs those expand into (axes × algorithms).
 """
 
 
@@ -53,13 +59,32 @@ def _artefact(description: str) -> str:
 
 
 def _sweep_points(study) -> str:
-    if not study.orchestrable:
-        return "closed form"
     request = StudyRequest()
-    config = study.build_config(request)
-    if config is not None:
-        config = request.apply_overrides(config)
-    return str(len(study.specs(config, request)))
+    specs = expand(study, study.config(request), request)
+    return str(len(specs)) if specs else "closed form"
+
+
+def _preset(study) -> str:
+    if study.preset is None:
+        return "—"
+    row = PRESETS[study.preset]
+    bench, paper = row.clients
+    return f"`{study.preset}` ({row.dataset} · {bench}/{paper} clients)"
+
+
+def _axes(study) -> str:
+    """Each swept axis with its default values, from the study record."""
+    if not study.axes:
+        return "—"
+    request = StudyRequest()
+    config = study.config(request)
+    cells = []
+    for axis in study.axes:
+        keys = ", ".join(
+            str(axis.point(config, value)[0]) for value in axis.defaults(config, request)
+        )
+        cells.append(f"`{axis.name}`: {keys}")
+    return "<br>".join(cells)
 
 
 def _flags(study) -> str:
@@ -90,15 +115,19 @@ def _support(study) -> str:
 def generate() -> str:
     lines = [HEADER]
     lines.append(
-        "| Study | Reproduces | Description | Sweep points | Supports | Extra flags |"
+        "| Study | Reproduces | Description "
+        "| Preset (dataset · bench/paper clients) | Swept axis (default values) "
+        "| Sweep points | Supports | Extra flags |"
     )
-    lines.append("|---|---|---|---|---|---|")
+    lines.append("|---|---|---|---|---|---|---|---|")
     for study in STUDIES:
         summary = study.description.split("—", 1)[-1].strip()
         lines.append(
             f"| `{study.name}` "
             f"| {_artefact(study.description)} "
             f"| {summary} "
+            f"| {_preset(study)} "
+            f"| {_axes(study)} "
             f"| {_sweep_points(study)} "
             f"| {_support(study)} "
             f"| {_flags(study)} |"
@@ -106,8 +135,8 @@ def generate() -> str:
     lines.append("")
     lines.append(
         f"{len(STUDIES)} studies registered; "
-        f"{sum(1 for s in STUDIES if s.orchestrable)} orchestrable "
-        "(parallel + resumable), the rest closed-form.\n"
+        f"{sum(1 for s in STUDIES if s.preset is not None)} train "
+        "(parallel + resumable sweeps), the rest closed-form.\n"
     )
     return "\n".join(lines)
 

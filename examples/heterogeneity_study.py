@@ -14,10 +14,10 @@ Run with:  python examples/heterogeneity_study.py
 
 from __future__ import annotations
 
-from repro.experiments.configs import AlgorithmSpec, fig5_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.figures import accuracy_series, series_to_text
 from repro.experiments.runner import rounds_summary
-from repro.experiments.studies import run_heterogeneity_comparison
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 
 NUM_ROUNDS = 20
@@ -31,13 +31,10 @@ ALGORITHMS = [
 
 
 def main() -> None:
-    config_iid = fig5_config(dataset="mnist", non_iid=False).with_overrides(
-        num_rounds=NUM_ROUNDS
-    )
-    config_non_iid = fig5_config(dataset="mnist", non_iid=True).with_overrides(
-        num_rounds=NUM_ROUNDS
-    )
-    outcome = run_heterogeneity_comparison(config_iid, config_non_iid, ALGORITHMS)
+    # The fig5 study's one axis swaps in the IID / non-IID preset pair; the
+    # same expansion the CLI runs, here with an explicit algorithm set.
+    config = preset_config("fig5", "mnist", num_rounds=NUM_ROUNDS)
+    outcome = STUDIES.sweep("fig5", config, algorithms=ALGORITHMS)
 
     rows = []
     for setting, comparison in outcome.items():
@@ -62,7 +59,7 @@ def main() -> None:
             )
 
     print("\n=== Summary (target accuracy "
-          f"{config_iid.target_accuracy:.0%}) ===")
+          f"{config.target_accuracy:.0%}) ===")
     print(format_table(rows))
     print(
         "\nNote: FedADMM and FedProx run with randomly reduced local epochs "

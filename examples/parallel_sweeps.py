@@ -22,8 +22,8 @@ from pathlib import Path
 from repro.experiments import (
     AlgorithmSpec,
     ExperimentStore,
+    RunSpec,
     SweepOrchestrator,
-    comparison_specs,
 )
 from repro.experiments.configs import ExperimentConfig
 
@@ -42,12 +42,16 @@ CONFIG = ExperimentConfig(
     target_accuracy=0.95,
 )
 
-SPECS = comparison_specs(
-    "example-rho-sweep",
-    CONFIG,
-    [AlgorithmSpec("fedadmm", {"rho": rho}) for rho in (0.01, 0.1, 0.3, 1.0)],
-    stop_at_target=False,
-)
+SPECS = [
+    RunSpec(
+        study="example-rho-sweep",
+        key=(f"rho={rho}",),
+        config=CONFIG,
+        algorithm=AlgorithmSpec("fedadmm", {"rho": rho}),
+        stop_at_target=False,
+    )
+    for rho in (0.01, 0.1, 0.3, 1.0)
+]
 
 
 def progress(event) -> None:

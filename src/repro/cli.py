@@ -36,7 +36,7 @@ import sys
 import time
 from typing import Any
 
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError, ReproError
 from repro.experiments.orchestrator import SpecEvent, SweepOrchestrator
 from repro.experiments.registry import StudyRequest
 from repro.experiments.store import ExperimentStore, RunStatus
@@ -58,8 +58,10 @@ DEFAULT_STORE_DIR = ".repro_runs"
 def _shared_flags() -> argparse.ArgumentParser:
     """The flag groups every study subcommand inherits."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dataset", default="mnist",
-                        choices=["mnist", "fmnist", "cifar10", "blobs"])
+    common.add_argument("--dataset", default=None,
+                        choices=["mnist", "fmnist", "cifar10", "blobs"],
+                        help="default: the study's own preset dataset "
+                             "(the paper's for that table/figure)")
     common.add_argument("--non-iid", action="store_true",
                         help="use the two-shards-per-client non-IID partition")
     common.add_argument("--scale", default="bench", choices=["bench", "paper"],
@@ -499,17 +501,17 @@ def handle_runs(args: Any) -> int:
 # --------------------------------------------------------------------------- #
 def _serve_scenario(args):
     """(config, spec) for the serve/loadtest flags."""
-    from repro.experiments.configs import AlgorithmSpec, serve_config
+    from repro.experiments.configs import AlgorithmSpec, preset_config
 
-    config = serve_config(
+    config = preset_config(
+        "serve",
         dataset=args.dataset,
         non_iid=not args.iid,
         seed=args.seed,
         codec=None if args.codec == "none" else args.codec,
         mode=args.mode,
+        **({} if args.rounds is None else {"num_rounds": args.rounds}),
     )
-    if args.rounds is not None:
-        config = config.with_overrides(num_rounds=args.rounds)
     kwargs = {"rho": args.rho} if args.algorithm == "fedadmm" else {}
     return config, AlgorithmSpec(args.algorithm, kwargs)
 
@@ -609,18 +611,17 @@ def handle_contributions(args: Any) -> int:
     """Implement ``repro contributions``: leave-one-out / Shapley valuation."""
     from pathlib import Path
 
-    from repro.experiments.configs import AlgorithmSpec, robustness_config
+    from repro.experiments.configs import AlgorithmSpec, preset_config
     from repro.experiments.contributions import UtilityCache, compute_contributions
 
-    config = robustness_config(
+    config = preset_config(
+        "robustness",
         dataset=args.dataset,
         non_iid=not args.iid,
         seed=args.seed,
         adversary=args.adversary,
         adversary_fraction=args.adversary_fraction if args.adversary else 0.0,
         defense=args.defense,
-    )
-    config = config.with_overrides(
         name=f"contributions-{args.dataset}-{'iid' if args.iid else 'noniid'}",
         num_clients=args.clients,
         num_rounds=args.rounds,
@@ -685,15 +686,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.list or args.experiment is None:
         _print_listing()
         return 0
-    if args.experiment == "runs":
-        return handle_runs(args)
-    if args.experiment in ("serve", "worker", "loadtest", "contributions"):
-        handler = {
-            "serve": handle_serve,
-            "worker": handle_worker,
-            "loadtest": handle_loadtest,
-            "contributions": handle_contributions,
-        }[args.experiment]
+    handler = {
+        "runs": handle_runs,
+        "serve": handle_serve,
+        "worker": handle_worker,
+        "loadtest": handle_loadtest,
+        "contributions": handle_contributions,
+    }.get(args.experiment)
+    if handler is not None:
         try:
             return handler(args)
         except (ConfigurationError, ProtocolError) as exc:
@@ -718,11 +718,12 @@ def main(argv: list[str] | None = None) -> int:
             build_backend(args.backend)
         with observe(tracer=tracer, metrics=metrics, profiler=profiler):
             result = run_experiment(study_name, args)
-    except ConfigurationError as exc:
-        # Fail fast with one clear line on unsupported flag combinations
-        # (e.g. `--mode sync` on the async study) instead of a traceback.
+    except ReproError as exc:
+        # One clear line instead of a traceback: exit 2 for unsupported
+        # flag combinations (e.g. `--mode sync` on the async study), 1 for
+        # a sweep whose points failed (the orchestrator's summary).
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigurationError) else 1
     if tracer is not None:
         trace_path = tracer.write_chrome_trace(args.trace_path)
         span_log = tracer.write_span_log(f"{args.trace_path}.spans.jsonl")

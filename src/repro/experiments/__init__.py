@@ -2,11 +2,12 @@
 
 Each table and figure of the paper's Section V maps to
 
-* a configuration preset in :mod:`repro.experiments.configs`,
-* a sweep function plus a registered :class:`Study` in
-  :mod:`repro.experiments.studies` (the :data:`STUDIES` registry), and
-* a benchmark under ``benchmarks/`` that calls the sweep and prints the
-  regenerated rows/series.
+* a row of the preset table in :mod:`repro.experiments.configs`
+  (:data:`PRESETS`, read by :func:`preset_config`),
+* a registered :class:`Study` record in :mod:`repro.experiments.studies`
+  (the :data:`STUDIES` registry), and
+* a benchmark under ``benchmarks/`` that runs the study's sweep
+  (``STUDIES.sweep``) and prints the regenerated rows/series.
 
 :mod:`repro.experiments.runner` holds the reusable core
 (``build_simulation``, ``run_single``, ``run_comparison``); the CLI
@@ -23,21 +24,11 @@ counts, for users with more time/hardware).
 """
 
 from repro.experiments.configs import (
+    PRESETS,
     ExperimentConfig,
     AlgorithmSpec,
     default_algorithms,
-    table3_config,
-    table4_config,
-    table5_config,
-    table6_config,
-    fig3_config,
-    fig5_config,
-    fig6_config,
-    fig8_config,
-    fig9_config,
-    async_config,
-    semisync_config,
-    systems_config,
+    preset_config,
 )
 from repro.experiments.runner import (
     ComparisonResult,
@@ -54,35 +45,21 @@ from repro.experiments.orchestrator import (
     execute_spec,
 )
 from repro.experiments.registry import (
+    Axis,
     Study,
     StudyFlag,
     StudyRegistry,
     StudyRequest,
+    expand,
+    filter_plan_compatible,
+    gather,
 )
 from repro.experiments.store import (
     ExperimentStore,
     RunRecord,
     RunStatus,
 )
-from repro.experiments.studies import (
-    STUDIES,
-    collect_comparison,
-    comparison_specs,
-    filter_plan_compatible,
-    run_async_study,
-    run_heterogeneity_comparison,
-    run_imbalanced_study,
-    run_local_epochs_study,
-    run_local_init_study,
-    run_rho_schedule_study,
-    run_rho_sensitivity_table,
-    run_rounds_to_target_table,
-    run_scale_sweep,
-    run_semisync_study,
-    run_server_stepsize_study,
-    run_study,
-    run_systems_study,
-)
+from repro.experiments.studies import STUDIES, run_study
 from repro.experiments.tables import format_table, comparison_to_rows
 from repro.experiments.figures import accuracy_series, series_to_text
 
@@ -91,18 +68,8 @@ __all__ = [
     "ExperimentConfig",
     "AlgorithmSpec",
     "default_algorithms",
-    "table3_config",
-    "table4_config",
-    "table5_config",
-    "table6_config",
-    "fig3_config",
-    "fig5_config",
-    "fig6_config",
-    "fig8_config",
-    "fig9_config",
-    "async_config",
-    "semisync_config",
-    "systems_config",
+    "PRESETS",
+    "preset_config",
     # Core runner
     "ComparisonResult",
     "build_simulation",
@@ -111,12 +78,15 @@ __all__ = [
     "run_comparison",
     "run_single",
     # Registry
+    "Axis",
     "Study",
     "StudyFlag",
     "StudyRegistry",
     "StudyRequest",
     "STUDIES",
     "run_study",
+    "expand",
+    "gather",
     "filter_plan_compatible",
     # Orchestration + persistent store
     "RunSpec",
@@ -126,21 +96,6 @@ __all__ = [
     "ExperimentStore",
     "RunRecord",
     "RunStatus",
-    "comparison_specs",
-    "collect_comparison",
-    # Sweeps
-    "run_rounds_to_target_table",
-    "run_scale_sweep",
-    "run_heterogeneity_comparison",
-    "run_server_stepsize_study",
-    "run_local_epochs_study",
-    "run_local_init_study",
-    "run_rho_sensitivity_table",
-    "run_rho_schedule_study",
-    "run_systems_study",
-    "run_async_study",
-    "run_semisync_study",
-    "run_imbalanced_study",
     # Formatting
     "format_table",
     "comparison_to_rows",

@@ -1,12 +1,12 @@
-"""Experiment configurations and per-table/figure presets.
+"""Experiment configurations and the per-table/figure preset table.
 
-The ``scale`` argument of every preset selects between
-
-* ``"bench"`` — small synthetic datasets, tens of clients, MLP models; the
-  whole suite regenerates on a laptop CPU in minutes.  This is what the
-  ``benchmarks/`` directory runs.
-* ``"paper"`` — the paper's client populations (100–1000), sample counts, and
-  CNN architectures; provided for completeness, expect long runtimes.
+The paper's Section V is one protocol — hyperparameters fixed once — so
+the presets are data: :data:`SCALES` (``"bench"`` — small synthetic
+datasets, tens of clients, MLP models, the whole suite regenerates on a
+laptop CPU in minutes; ``"paper"`` — the paper's client populations
+(100–1000), sample counts and CNN architectures, expect long runtimes),
+:data:`DATASETS` (model and target per dataset) and :data:`PRESETS` (one
+row per table/figure), all read by :func:`preset_config`.
 
 Absolute round counts at ``"bench"`` scale differ from the paper (smaller
 models, synthetic data); the *orderings and ratios* between algorithms are
@@ -231,426 +231,187 @@ def default_algorithms(
 
 
 # --------------------------------------------------------------------------- #
-# Scale handling
+# Scales and presets: the paper's one protocol as data
 # --------------------------------------------------------------------------- #
-_SCALES = ("bench", "paper")
+#: The two scales as :class:`ExperimentConfig` field values.  Everything the
+#: table does not name (10% cohorts, E=5, B=20, lr 0.1, ...) is the
+#: dataclass default: the paper fixes its hyperparameters once.
+SCALES: dict[str, dict[str, Any]] = {
+    "bench": {"n_train": 2000, "n_test": 600, "num_rounds": 40},
+    "paper": {"n_train": 60000, "n_test": 10000, "num_rounds": 100},
+}
 
-# Target accuracies on the synthetic stand-ins at bench scale.  They play the
-# role of the paper's 97% / 80% / 45% targets: reachable by every algorithm
-# within the round budget, but only after meaningful training.
-_BENCH_TARGETS = {"mnist": 0.85, "fmnist": 0.75, "cifar10": 0.65, "blobs": 0.80}
-_PAPER_TARGETS = {"mnist": 0.97, "fmnist": 0.80, "cifar10": 0.45, "blobs": 0.90}
-
-
-def _check_scale(scale: str) -> None:
-    if scale not in _SCALES:
-        raise ConfigurationError(f"scale must be one of {_SCALES}, got {scale!r}")
-
-
-def _model_for(dataset: str, scale: str) -> tuple[str, dict[str, Any]]:
-    if scale == "paper":
-        if dataset in ("mnist", "fmnist"):
-            return "cnn1", {}
-        if dataset == "cifar10":
-            return "cnn2", {}
-        return "mlp", {"input_dim": 32, "hidden_dims": (64,)}
-    # Bench scale: small MLPs on flattened synthetic images.
-    dims = {"mnist": 784, "fmnist": 784, "cifar10": 3072, "blobs": 32}
-    return "mlp", {"input_dim": dims[dataset], "hidden_dims": (32,)}
-
-
-def _base_config(
-    name: str,
-    dataset: str,
-    num_clients: int,
-    non_iid: bool,
-    scale: str,
-    seed: int,
-) -> ExperimentConfig:
-    _check_scale(scale)
-    model, model_kwargs = _model_for(dataset, scale)
-    if scale == "paper":
-        n_train = 60000 if dataset in ("mnist", "fmnist") else 50000
-        n_test = 10000
-        num_rounds = 100
-        target = _PAPER_TARGETS[dataset]
-    else:
-        n_train = 2000
-        n_test = 600
-        num_rounds = 40
-        target = _BENCH_TARGETS[dataset]
-    return ExperimentConfig(
-        name=name,
-        dataset=dataset,
-        n_train=n_train,
-        n_test=n_test,
-        model=model,
-        model_kwargs=model_kwargs,
-        num_clients=num_clients,
-        partition="shard" if non_iid else "iid",
-        partition_kwargs={"shards_per_client": 2} if non_iid else {},
-        client_fraction=0.1,
-        local_epochs=5,
-        system_heterogeneity=True,
-        batch_size=20,
-        learning_rate=0.1,
-        num_rounds=num_rounds,
-        target_accuracy=target,
-        eval_every=1,
-        seed=seed,
-    )
+#: Per-dataset fields at each scale.  Bench: small MLPs on flattened
+#: synthetic images, with targets that play the role of the paper's
+#: 97% / 80% / 45% — reachable by every algorithm within the round budget,
+#: but only after meaningful training.  Paper: the paper's CNNs and targets.
+DATASETS: dict[str, dict[str, dict[str, Any]]] = {
+    "bench": {
+        "mnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
+                  "target_accuracy": 0.85},
+        "fmnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
+                   "target_accuracy": 0.75},
+        "cifar10": {"model_kwargs": {"input_dim": 3072, "hidden_dims": (32,)},
+                    "target_accuracy": 0.65},
+        "blobs": {"model_kwargs": {"input_dim": 32, "hidden_dims": (32,)},
+                  "target_accuracy": 0.80},
+    },
+    "paper": {
+        "mnist": {"model": "cnn1", "target_accuracy": 0.97},
+        "fmnist": {"model": "cnn1", "target_accuracy": 0.80},
+        "cifar10": {"model": "cnn2", "n_train": 50000, "target_accuracy": 0.45},
+        "blobs": {"model_kwargs": {"input_dim": 32, "hidden_dims": (64,)},
+                  "n_train": 50000, "target_accuracy": 0.90},
+    },
+}
 
 
-# --------------------------------------------------------------------------- #
-# Per-table / per-figure presets
-# --------------------------------------------------------------------------- #
-def table3_config(
-    dataset: str = "mnist",
-    num_clients: int | None = None,
-    non_iid: bool = False,
-    scale: str = "bench",
-    seed: int = 0,
-) -> ExperimentConfig:
-    """Table III: rounds to target accuracy per dataset / population / distribution.
+@dataclass(frozen=True)
+class Preset:
+    """One row of :data:`PRESETS`: how an artefact instantiates the protocol.
 
-    At paper scale the populations are 100 (MNIST) and 1,000 (all datasets)
-    with E=5, B=200 (100 clients) or E=20, B=10 / full-batch (1,000 clients);
-    at bench scale the populations default to 30 (stand-in for 100) and the
-    local work is E=5, B=20.
+    Field values may be callables of ``(num_clients, non_iid)`` for the
+    few settings the paper derives from the population.
     """
-    _check_scale(scale)
-    if num_clients is None:
-        num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"table3-{dataset}-{num_clients}clients-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    if scale == "paper" and num_clients >= 1000:
-        config = config.with_overrides(
-            local_epochs=20, batch_size=10 if non_iid else None
+
+    #: Config-name template over ``{dataset}``, ``{dist}`` and ``{clients}``.
+    name: str
+    #: The paper's dataset for this table/figure.
+    dataset: str
+    #: Client population at (bench, paper) scale.
+    clients: tuple[int, int]
+    #: The artefact's data distribution when the caller does not choose.
+    non_iid: bool = True
+    #: :class:`ExperimentConfig` overrides at both scales ...
+    fields: dict[str, Any] = field(default_factory=dict)
+    #: ... and at one scale only, keyed by scale name.
+    per_scale: dict[str, dict[str, Any]] = field(default_factory=dict)
+
+
+def _imbalanced_groups(num_clients: int, non_iid: bool) -> dict[str, int]:
+    # Two clients per volume group at both of the paper's scales (20 / 100).
+    if num_clients % 2:
+        raise ConfigurationError(
+            "the imbalanced-volume preset pairs clients into num_clients // 2 "
+            f"groups; num_clients must be even, got {num_clients}"
         )
-    return config
+    return {"num_groups": num_clients // 2}
 
 
-def fig3_config(
-    dataset: str = "fmnist",
-    num_clients: int = 30,
-    non_iid: bool = True,
+_STRAGGLERS = {"client_fraction": 0.2, "network": "lognormal"}
+_LONG_LOCAL_WORK = {"paper": {"local_epochs": 10, "batch_size": 50}}
+
+#: Table/figure → preset.  ``fig8``/``fig9`` reuse the ``fig6`` row.
+PRESETS: dict[str, Preset] = {
+    # Table III: 100 clients (MNIST) and 1,000 (all datasets) in the paper;
+    # the 1,000-client columns run E=20 with B=10 (non-IID) or full batch.
+    "table3": Preset(
+        "table3-{dataset}-{clients}clients-{dist}", "mnist", (30, 100), non_iid=False,
+        per_scale={"paper": {
+            "local_epochs": lambda m, non_iid: 20 if m >= 1000 else 5,
+            "batch_size": lambda m, non_iid: (
+                20 if m < 1000 else 10 if non_iid else None
+            ),
+        }},
+    ),
+    # Table IV / Fig. 7: the uniform 1..E draw is disabled so the realised
+    # local epochs equal E exactly.
+    "table4": Preset(
+        "table4-{dataset}-{dist}", "mnist", (30, 100), non_iid=False,
+        fields={"system_heterogeneity": False},
+    ),
+    "table5": Preset("table5-{dataset}-{clients}clients", "fmnist", (40, 200)),
+    # Table VI / Fig. 10: group-indexed shard counts; E=10, B=50 in the paper.
+    "table6": Preset(
+        "table6-{dataset}-imbalanced", "fmnist", (40, 200),
+        fields={"partition": "imbalanced", "partition_kwargs": _imbalanced_groups},
+        per_scale=_LONG_LOCAL_WORK,
+    ),
+    "fig3": Preset("fig3-{dataset}-30clients", "fmnist", (30, 30)),
+    # Fig. 5: m=200, E=10, B=50 in the paper.
+    "fig5": Preset("fig5-{dataset}-{dist}", "fmnist", (40, 200),
+                   per_scale=_LONG_LOCAL_WORK),
+    "fig6": Preset("fig6-{dataset}-{dist}", "mnist", (30, 100)),
+    # Not tables from the paper but the regimes its robustness claims
+    # target: a heavy-tailed log-normal network makes lock-step rounds
+    # straggler-dominated (async/semisync), uploads are compressed and
+    # clients drop mid-round (systems), a fifth of the population misbehaves
+    # in a cohort large enough for an honest majority (robustness).
+    "async": Preset("async-{dataset}-{dist}", "blobs", (30, 100),
+                    fields={**_STRAGGLERS, "mode": "async"}),
+    "semisync": Preset("semisync-{dataset}-{dist}", "blobs", (30, 100),
+                       fields={**_STRAGGLERS, "mode": "semisync"}),
+    "systems": Preset("systems-{dataset}-{dist}", "blobs", (30, 100),
+                      fields={**_STRAGGLERS, "codec": "topk", "dropout": 0.2}),
+    "robustness": Preset(
+        "robustness-{dataset}-{dist}", "blobs", (30, 100),
+        fields={"client_fraction": 0.4, "adversary": "sign_flip",
+                "adversary_fraction": 0.2},
+    ),
+    # The repro.serve scenario: a population a couple of worker processes
+    # serve at interactive speed; float16 because its packed bytes equal
+    # the ledger's nominal wire bytes exactly.
+    "serve": Preset(
+        "serve-{dataset}-{dist}", "blobs", (12, 100),
+        fields={"client_fraction": 0.25, "local_epochs": 2, "num_rounds": 10,
+                "codec": "float16", "network": "lognormal"},
+        per_scale={"bench": {"n_train": 600, "n_test": 200}},
+    ),
+}
+
+
+def _choice(kind: str, value: str, options) -> None:
+    if value not in options:
+        raise ConfigurationError(
+            f"{kind} must be one of {tuple(options)}, got {value!r}"
+        )
+
+
+def preset_config(
+    study: str,
+    dataset: str | None = None,
+    non_iid: bool | None = None,
     scale: str = "bench",
     seed: int = 0,
-) -> ExperimentConfig:
-    """Fig. 3 / Fig. 4: convergence paths and rounds-to-target vs population."""
-    config = _base_config(
-        name=f"fig3-{dataset}-{num_clients}clients",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config
-
-
-def fig5_config(
-    dataset: str = "fmnist",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-) -> ExperimentConfig:
-    """Fig. 5: adaptability to heterogeneous data (m=200, E=10, B=50 in the paper)."""
-    _check_scale(scale)
-    num_clients = 200 if scale == "paper" else 40
-    config = _base_config(
-        name=f"fig5-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        local_epochs=10 if scale == "paper" else 5,
-        batch_size=50 if scale == "paper" else 20,
-    )
-
-
-def fig6_config(
-    dataset: str = "mnist", non_iid: bool = True, scale: str = "bench", seed: int = 0
-) -> ExperimentConfig:
-    """Fig. 6: server step-size study in a 100-client system (30 at bench scale)."""
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    return _base_config(
-        name=f"fig6-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-
-
-def table4_config(
-    dataset: str = "mnist", non_iid: bool = False, scale: str = "bench", seed: int = 0
-) -> ExperimentConfig:
-    """Table IV / Fig. 7: effect of the local epoch number E on FedADMM."""
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"table4-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    # The local-work study disables the uniform 1..E draw so the realised
-    # epochs equal E exactly.
-    return config.with_overrides(system_heterogeneity=False)
-
-
-def fig8_config(
-    dataset: str = "mnist", non_iid: bool = True, scale: str = "bench", seed: int = 0
-) -> ExperimentConfig:
-    """Fig. 8: local-training initialisation (warm start vs restart from θ)."""
-    return fig6_config(dataset=dataset, non_iid=non_iid, scale=scale, seed=seed)
-
-
-def table5_config(
-    dataset: str = "fmnist",
     num_clients: int | None = None,
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
+    **overrides: Any,
 ) -> ExperimentConfig:
-    """Table V: ρ sensitivity of FedProx vs fixed-ρ FedADMM (200/500 clients)."""
-    _check_scale(scale)
+    """The configuration of one :data:`PRESETS` row at one scale.
+
+    ``scale`` selects between ``"bench"`` (small synthetic datasets, tens
+    of clients, MLPs; what ``benchmarks/`` runs) and ``"paper"`` (the
+    paper's populations, sample counts and CNNs; expect long runtimes).
+    ``dataset`` / ``non_iid`` / ``num_clients`` default to the row's own
+    (the paper's setting for that artefact); ``overrides`` are
+    :class:`ExperimentConfig` fields applied last.
+    """
+    _choice("preset", study, PRESETS)
+    _choice("scale", scale, SCALES)
+    row = PRESETS[study]
+    dataset = row.dataset if dataset is None else dataset
+    _choice("dataset", dataset, DATASETS[scale])
+    non_iid = row.non_iid if non_iid is None else non_iid
     if num_clients is None:
-        num_clients = 200 if scale == "paper" else 40
-    return _base_config(
-        name=f"table5-{dataset}-{num_clients}clients",
+        num_clients = row.clients[list(SCALES).index(scale)]
+    fields = {
+        **SCALES[scale],
+        **DATASETS[scale][dataset],
+        "partition": "shard" if non_iid else "iid",
+        "partition_kwargs": {"shards_per_client": 2} if non_iid else {},
+        **row.fields,
+        **row.per_scale.get(scale, {}),
+    }
+    config = ExperimentConfig(
+        name=row.name.format(
+            dataset=dataset, clients=num_clients, dist="noniid" if non_iid else "iid"
+        ),
         dataset=dataset,
         num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
         seed=seed,
+        **{
+            key: value(num_clients, non_iid) if callable(value)
+            else dict(value) if isinstance(value, dict) else value
+            for key, value in fields.items()
+        },
     )
-
-
-def fig9_config(
-    dataset: str = "mnist", non_iid: bool = True, scale: str = "bench", seed: int = 0
-) -> ExperimentConfig:
-    """Fig. 9: dynamic ρ adaptation for FedADMM."""
-    return fig6_config(dataset=dataset, non_iid=non_iid, scale=scale, seed=seed)
-
-
-def table6_config(
-    dataset: str = "fmnist", scale: str = "bench", seed: int = 0
-) -> ExperimentConfig:
-    """Table VI / Fig. 10: imbalanced data volumes across 200 clients (40 at bench).
-
-    The imbalanced partitioner assigns group-indexed shard counts; E=10, B=50
-    in the paper.
-    """
-    _check_scale(scale)
-    num_clients = 200 if scale == "paper" else 40
-    num_groups = 100 if scale == "paper" else 20
-    config = _base_config(
-        name=f"table6-{dataset}-imbalanced",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=False,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        partition="imbalanced",
-        partition_kwargs={"num_groups": num_groups},
-        local_epochs=10 if scale == "paper" else 5,
-        batch_size=50 if scale == "paper" else 20,
-    )
-
-
-def async_config(
-    dataset: str = "blobs",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-    buffer_size: int | None = None,
-    max_concurrency: int | None = None,
-    staleness: str = "polynomial",
-) -> ExperimentConfig:
-    """Asynchronous-federation scenario: sync vs async under stragglers.
-
-    A heavy-tailed log-normal network makes synchronous rounds
-    straggler-dominated; the async engine's buffered aggregation should
-    reach the same accuracy in less simulated wall-clock.  ``buffer_size``
-    defaults to the synchronous per-round cohort (fraction x population) so
-    each aggregation consumes the same number of uploads in both modes.
-    """
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"async-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        client_fraction=0.2,
-        network="lognormal",
-        async_mode=True,
-        buffer_size=buffer_size,
-        max_concurrency=max_concurrency,
-        staleness=staleness,
-    )
-
-
-def semisync_config(
-    dataset: str = "blobs",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-    round_deadline_s: float | None = None,
-    staleness: str = "polynomial",
-) -> ExperimentConfig:
-    """Semi-synchronous scenario: deadline-bounded rounds under stragglers.
-
-    The same heavy-tailed log-normal network as :func:`async_config`, but
-    driven by the deadline-bounded semi-synchronous plan: each round closes
-    at its deadline (derived from the median predicted client duration when
-    ``round_deadline_s`` is None) and stragglers deliver into later rounds
-    as staleness-weighted late arrivals.
-    """
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"semisync-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        client_fraction=0.2,
-        network="lognormal",
-        mode="semisync",
-        round_deadline_s=round_deadline_s,
-        staleness=staleness,
-    )
-
-
-def serve_config(
-    dataset: str = "blobs",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-    codec: str | None = "float16",
-    network: str | None = "lognormal",
-    mode: str = "sync",
-) -> ExperimentConfig:
-    """Networked-serving scenario for the :mod:`repro.serve` runtime.
-
-    A small population that a couple of worker processes can serve at
-    interactive speed, with a heavy-tailed log-normal network so the load
-    generator replays realistic straggler traffic.  ``codec="float16"``
-    by default because its real packed bytes equal the ledger's nominal
-    wire bytes exactly (see :func:`repro.serve.protocol.payload_wire_bytes`).
-    """
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 12
-    config = _base_config(
-        name=f"serve-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        n_train=600 if scale == "bench" else config.n_train,
-        n_test=200 if scale == "bench" else config.n_test,
-        client_fraction=0.25,
-        local_epochs=2,
-        num_rounds=10,
-        codec=codec,
-        network=network,
-        mode=mode,
-    )
-
-
-def robustness_config(
-    dataset: str = "blobs",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-    adversary: str | None = "sign_flip",
-    adversary_fraction: float = 0.2,
-    defense: str | None = None,
-) -> ExperimentConfig:
-    """Adversarial-federation scenario: byzantine/poisoning clients.
-
-    The regime behind the paper's hostile-participation robustness claims:
-    a fifth of the population misbehaves (sign-flipped updates by default)
-    and the server optionally screens each cohort with a robust
-    aggregation defense.  A larger cohort than the paper presets
-    (``client_fraction=0.4``) so the honest majority is statistically
-    meaningful per round.
-    """
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"robustness-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        client_fraction=0.4,
-        adversary=adversary,
-        adversary_fraction=adversary_fraction,
-        defense=defense,
-    )
-
-
-def systems_config(
-    dataset: str = "blobs",
-    non_iid: bool = True,
-    scale: str = "bench",
-    seed: int = 0,
-    codec: str | None = "topk",
-    dropout: float = 0.2,
-    executor: str = "serial",
-) -> ExperimentConfig:
-    """System-heterogeneity scenario: compression, faults, and a clock.
-
-    Not a table from the paper but the regime its robustness claims target:
-    clients drop mid-round, uploads are compressed on the wire, and a
-    heavy-tailed network model yields straggler-dominated round times.
-    """
-    _check_scale(scale)
-    num_clients = 100 if scale == "paper" else 30
-    config = _base_config(
-        name=f"systems-{dataset}-{'noniid' if non_iid else 'iid'}",
-        dataset=dataset,
-        num_clients=num_clients,
-        non_iid=non_iid,
-        scale=scale,
-        seed=seed,
-    )
-    return config.with_overrides(
-        client_fraction=0.2,
-        codec=codec,
-        dropout=dropout,
-        network="lognormal",
-        executor=executor,
-    )
+    return config.with_overrides(**overrides) if overrides else config

@@ -1,36 +1,32 @@
-"""Declarative study registry: name → config-builder → sweep → summariser.
+"""Declarative study registry: preset → sweep axes → runs → report.
 
-Each of the paper's tables and figures used to be a hand-written
-``run_*_study`` function in ``runner.py`` wired into a 200-line
-``if``-chain in ``cli.py``.  The registry replaces both: a
-:class:`Study` declares
+A :class:`Study` is a record: which :data:`~repro.experiments.configs.PRESETS`
+row configures it, which :class:`Axis` es it sweeps, which algorithms it
+compares, whether runs stop at the target accuracy, and which reporter
+prints its result.  Two generic functions execute every study the same
+way: :func:`expand` turns (study, config, request) into independent
+:class:`~repro.experiments.orchestrator.RunSpec` s — the product of the
+axes' values times the algorithm set — and :func:`gather` nests the
+per-spec results back by spec key.  The
+:class:`~repro.experiments.orchestrator.SweepOrchestrator` in between runs
+the specs serially, in parallel (``--jobs``) or resumably (``--resume``).
 
-* how to *build* its base configuration from a :class:`StudyRequest`
-  (the CLI-level knobs: dataset, scale, seed, overrides),
-* how its sweep *expands* into independent run specs (``specs`` +
-  ``collect``, executed through the
-  :class:`~repro.experiments.orchestrator.SweepOrchestrator`) — or, for
-  closed-form studies, a monolithic ``sweep`` callable — and
-* how to *summarise* the raw sweep output into a printed report plus a
-  JSON-serialisable payload,
-
-and :meth:`StudyRegistry.run` executes any of them generically.  The CLI
-walks the registry to expose one subcommand per study — including each
-study's extra flags — so adding a study is one :meth:`StudyRegistry.add`
-call, with no runner or CLI edits.
+The CLI walks the registry to expose one subcommand per study — including
+each study's extra flags — so adding a study is one ``PRESETS`` row plus
+one :meth:`StudyRegistry.add` call, with no runner or CLI edits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Sequence
 
+from repro.algorithms import ALGORITHM_REGISTRY
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import ExperimentConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.orchestrator import RunSpec, SweepOrchestrator
-    from repro.federated.engine import SimulationResult
+from repro.experiments.configs import AlgorithmSpec, ExperimentConfig, preset_config
+from repro.experiments.orchestrator import RunSpec, SweepOrchestrator
+from repro.experiments.runner import ComparisonResult
+from repro.federated.engine import SimulationResult
 
 #: Every execution-plan mode / client executor the runtime ships.  Studies
 #: default to supporting all of them; a test pins these against the live
@@ -47,8 +43,6 @@ ALL_ADVERSARIES = ("sign_flip", "gaussian_noise", "scale", "label_flip")
 #: Config fields the shared CLI flags override after the preset is built;
 #: ``None`` values mean "flag not given, keep the preset's value".
 OVERRIDE_FIELDS = (
-    "num_rounds",
-    "num_clients",
     "codec",
     "dropout",
     "deadline_s",
@@ -72,7 +66,8 @@ OVERRIDE_FIELDS = (
 class StudyRequest:
     """Everything a study needs from the caller (CLI or library user)."""
 
-    dataset: str = "blobs"
+    #: ``None`` selects the study's own preset dataset (the paper's).
+    dataset: str | None = None
     non_iid: bool = False
     scale: str = "bench"
     clients: int | None = None
@@ -81,7 +76,9 @@ class StudyRequest:
     seed: int = 0
     #: Generic :class:`ExperimentConfig` field overrides (systems/plan flags).
     overrides: dict[str, Any] = field(default_factory=dict)
-    #: Values of the study's own extra flags, keyed by argparse dest.
+    #: What feeds the sweep expansion besides the config: the study's own
+    #: extra flags keyed by argparse dest, explicit values per axis name,
+    #: and ``"algorithms"`` to replace the study's algorithm set.
     options: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -121,16 +118,6 @@ class StudyRequest:
         """One of the study's extra-flag values, or ``default``."""
         return self.options.get(name, default)
 
-    def apply_overrides(self, config: ExperimentConfig) -> ExperimentConfig:
-        """Apply the request's generic knobs on top of a preset config."""
-        overrides: dict[str, Any] = dict(self.overrides)
-        overrides["seed"] = self.seed
-        if self.rounds is not None:
-            overrides["num_rounds"] = self.rounds
-        if self.clients is not None:
-            overrides["num_clients"] = self.clients
-        return config.with_overrides(**overrides)
-
 
 @dataclass(frozen=True)
 class StudyFlag:
@@ -146,41 +133,76 @@ class StudyFlag:
 
 
 @dataclass(frozen=True)
+class Axis:
+    """One swept dimension of a study.
+
+    ``request.options[name]``, when present, replaces the default values
+    (that is how a CLI flag whose dest equals the axis name, or a library
+    caller's explicit values, reach the expansion).
+    """
+
+    name: str
+    #: Default values: a sequence, or a callable of ``(config, request)``
+    #: for defaults derived from the post-override config.
+    values: Sequence | Callable[[ExperimentConfig, StudyRequest], Sequence]
+    #: One value → ``(key part, config overrides, algorithm-kwarg
+    #: overrides)``, given the config as left by the axes before this one.
+    point: Callable[[ExperimentConfig, Any], tuple[Any, dict, dict]]
+
+    def defaults(self, config: ExperimentConfig, request: StudyRequest) -> Sequence:
+        """The values swept when the request names none for this axis."""
+        return self.values(config, request) if callable(self.values) else self.values
+
+
+def field_axis(name: str, config_field: str, tag: str, values) -> Axis:
+    """An axis that sets one config field and tags the config name."""
+    return Axis(
+        name,
+        values,
+        lambda config, value: (
+            value,
+            {config_field: value, "name": f"{config.name}-{tag}{value}"},
+            {},
+        ),
+    )
+
+
+@dataclass(frozen=True)
 class Study:
-    """One declaratively registered experiment.
+    """One declaratively registered experiment (a record, not code).
 
-    A study is executed one of two ways:
-
-    * **spec expansion** (preferred): ``specs`` expands the sweep into
-      independent :class:`~repro.experiments.orchestrator.RunSpec` s and
-      ``collect`` reassembles the per-spec results into the raw sweep
-      output ``summarise`` expects.  Spec-expanded studies run through the
-      :class:`~repro.experiments.orchestrator.SweepOrchestrator`, gaining
-      ``--jobs`` parallelism and ``--resume`` for free.
-    * **monolithic sweep** (fallback): ``sweep`` runs the whole experiment
-      in one call — for studies with no independent training points (e.g.
-      the closed-form ``table1``).
+    Every study executes the same way: its preset row gives the config,
+    :func:`expand` the run specs, the orchestrator the results,
+    :func:`gather` the nested raw output and ``report`` the payload.  A
+    study with no algorithms (the closed-form ``table1``) is simply one
+    with zero run specs.
     """
 
     name: str
     description: str
-    #: Build the base :class:`ExperimentConfig` from the request (None for
-    #: studies that need no training configuration, e.g. closed-form tables).
-    build_config: Callable[[StudyRequest], ExperimentConfig | None]
-    #: Execute the sweep monolithically (fallback when ``specs`` is None);
-    #: receives the post-override config and the request.
-    sweep: Callable[[ExperimentConfig | None, StudyRequest], Any] | None = None
-    #: Print the human-readable report and return the JSON payload.
-    summarise: Callable[[Any, StudyRequest], dict] | None = None
+    #: Print the human-readable report and return the JSON payload, given
+    #: :func:`gather`'s nested output and the request.
+    report: Callable[[Any, StudyRequest], dict]
+    #: The :data:`~repro.experiments.configs.PRESETS` row configuring the
+    #: study; ``None`` for studies that train nothing.
+    preset: str | None = None
+    #: Whether the study's comparison fixes the data distribution itself
+    #: (the preset row's, or an axis) instead of honouring ``--non-iid``.
+    fixed_distribution: bool = False
+    #: Config field values the sweep's comparison depends on; a config
+    #: that differs is refused.
+    requires: dict[str, Any] = field(default_factory=dict)
+    #: The swept dimensions, outermost first.
+    axes: tuple[Axis, ...] = ()
+    #: The algorithm set, from the request (``--rho`` and extra flags).
+    algorithms: Callable[[StudyRequest], Sequence[AlgorithmSpec]] = lambda request: ()
+    #: True: several algorithms per sweep point, gathered into one
+    #: :class:`ComparisonResult` keyed by algorithm label.  False: one
+    #: algorithm whose kwargs the axes vary; points hold the bare result.
+    compare: bool = True
+    stop_at_target: bool = True
     #: Extra CLI flags exposed on this study's subcommand.
     flags: tuple[StudyFlag, ...] = ()
-    #: Expand the sweep into independent run specs (orchestrated path).
-    specs: Callable[[ExperimentConfig | None, StudyRequest], "list[RunSpec]"] | None = None
-    #: Reassemble ``{spec.key: result}`` into the raw output ``summarise`` expects.
-    collect: (
-        Callable[["dict[tuple, SimulationResult]", ExperimentConfig | None, StudyRequest], Any]
-        | None
-    ) = None
     #: Execution-plan modes a request may select for this study via
     #: ``--mode``.  An empty tuple means the study runs no federated
     #: training at all (closed-form tables) and any plan/executor flag is
@@ -193,29 +215,22 @@ class Study:
     #: hostile population would invalidate.
     adversaries: tuple[str, ...] = ALL_ADVERSARIES
 
+    def _supported(self):
+        """(flag/field, plural, declared values, universe, text when empty)."""
+        closed = "none (closed form, no training)"
+        return (
+            ("mode", "modes", self.modes, ALL_MODES, closed),
+            ("adversary", "adversaries", self.adversaries, ALL_ADVERSARIES, "none"),
+            ("executor", "executors", self.executors, ALL_EXECUTORS, closed),
+        )
+
     def __post_init__(self) -> None:
-        if self.summarise is None:
-            raise ConfigurationError(f"study {self.name!r} needs a summarise callable")
-        if self.sweep is None and (self.specs is None or self.collect is None):
-            raise ConfigurationError(
-                f"study {self.name!r} needs either a sweep or a specs+collect pair"
-            )
-        for mode in self.modes:
-            if mode not in ALL_MODES:
-                raise ConfigurationError(
-                    f"study {self.name!r} declares unknown mode {mode!r}"
-                )
-        for executor in self.executors:
-            if executor not in ALL_EXECUTORS:
-                raise ConfigurationError(
-                    f"study {self.name!r} declares unknown executor {executor!r}"
-                )
-        for adversary in self.adversaries:
-            if adversary not in ALL_ADVERSARIES:
-                raise ConfigurationError(
-                    f"study {self.name!r} declares unknown adversary "
-                    f"{adversary!r}"
-                )
+        for kind, _, declared, universe, _ in self._supported():
+            for value in declared:
+                if value not in universe:
+                    raise ConfigurationError(
+                        f"study {self.name!r} declares unknown {kind} {value!r}"
+                    )
 
     def check_request(self, request: StudyRequest) -> None:
         """Fail fast on plan/executor flags this study cannot honour.
@@ -225,49 +240,138 @@ class Study:
         combination dies with one clear line instead of deep in the
         pipeline (or, worse, silently reconfiguring the sweep).
         """
-        requested_mode = request.overrides.get("mode")
-        if requested_mode is not None and requested_mode not in self.modes:
-            raise ConfigurationError(
-                f"study {self.name!r} does not support --mode {requested_mode}; "
-                f"supported modes: "
-                f"{', '.join(self.modes) or 'none (closed form, no training)'}"
-            )
-        requested_plan = request.overrides.get("plan")
-        if requested_plan == "hierarchical":
-            # The hierarchical plan is a sharded *synchronous* round: the
-            # study must run lock-step rounds, and must not also ask for a
-            # buffered mode.
-            if "sync" not in self.modes or requested_mode in (
-                "semisync",
-                "async",
-            ):
+        for kind, plural, declared, _, empty in self._supported():
+            requested = request.overrides.get(kind)
+            if requested is not None and requested not in declared:
                 raise ConfigurationError(
-                    f"study {self.name!r} cannot run --plan hierarchical: "
-                    "it requires synchronous lock-step rounds"
+                    f"study {self.name!r} does not support --{kind} {requested}; "
+                    f"supported {plural}: {', '.join(declared) or empty}"
                 )
-        requested_adversary = request.overrides.get("adversary")
-        if requested_adversary is not None and requested_adversary not in self.adversaries:
+        # The hierarchical plan is a sharded *synchronous* round: the study
+        # must run lock-step rounds, and must not also ask for a buffered
+        # mode.
+        if request.overrides.get("plan") == "hierarchical" and (
+            "sync" not in self.modes
+            or request.overrides.get("mode") in ("semisync", "async")
+        ):
             raise ConfigurationError(
-                f"study {self.name!r} does not support --adversary "
-                f"{requested_adversary}; supported adversaries: "
-                f"{', '.join(self.adversaries) or 'none'}"
+                f"study {self.name!r} cannot run --plan hierarchical: "
+                "it requires synchronous lock-step rounds"
             )
-        requested_executor = request.overrides.get("executor")
-        if requested_executor is not None and requested_executor not in self.executors:
-            raise ConfigurationError(
-                f"study {self.name!r} does not support --executor "
-                f"{requested_executor}; supported executors: "
-                f"{', '.join(self.executors) or 'none (closed form, no training)'}"
-            )
-
-    @property
-    def orchestrable(self) -> bool:
-        """Whether this study runs through the sweep orchestrator."""
-        return self.specs is not None and self.collect is not None
 
     def option_names(self) -> tuple[str, ...]:
         """The argparse dests of this study's extra flags."""
         return tuple(flag.dest for flag in self.flags)
+
+    def config(self, request: StudyRequest) -> ExperimentConfig | None:
+        """The study's preset config under the request's knobs, if it trains."""
+        if self.preset is None:
+            return None
+        overrides = dict(request.overrides)
+        if request.rounds is not None:
+            overrides["num_rounds"] = request.rounds
+        if request.clients is not None:
+            overrides["num_clients"] = request.clients
+        return preset_config(
+            self.preset,
+            request.dataset,
+            None if self.fixed_distribution else request.non_iid,
+            request.scale,
+            request.seed,
+            **overrides,
+        )
+
+
+def filter_plan_compatible(
+    specs: Sequence[AlgorithmSpec], mode: str
+) -> list[AlgorithmSpec]:
+    """Drop algorithms that opt out of buffered aggregation plans.
+
+    Lock-step methods (SCAFFOLD, FedPD) cannot run under the async or
+    semi-sync plans; a note is printed for any skipped entry.
+    """
+    kept = [s for s in specs if ALGORITHM_REGISTRY[s.name].supports_plan(mode)]
+    if len(kept) < len(specs):
+        skipped = ", ".join(s.name for s in specs if s not in kept)
+        print(f"note: mode={mode} skips {skipped} "
+              f"(no asynchronous aggregation support)")
+    return kept
+
+
+def expand(
+    study: Study, config: ExperimentConfig | None, request: StudyRequest
+) -> list[RunSpec]:
+    """The study's sweep as independent run specs.
+
+    The product of the axes' values (outermost first, duplicates dropped)
+    times the plan-compatible algorithm set.  Each spec re-derives its
+    dataset/partition/model deterministically from its config's seed, so
+    executing them independently (any order, any process) reproduces
+    ``run_comparison`` bit for bit.
+    """
+    algorithms = request.option("algorithms")
+    if algorithms is None:
+        algorithms = study.algorithms(request)
+    if config is not None:
+        for name, value in study.requires.items():
+            if getattr(config, name) != value:
+                raise ConfigurationError(
+                    f"study {study.name!r} expects a config with {name}={value!r}, "
+                    f"got {getattr(config, name)!r}"
+                )
+        algorithms = filter_plan_compatible(algorithms, config.mode)
+    points: list[tuple[tuple, ExperimentConfig | None, dict]] = [((), config, {})]
+    for axis in study.axes:
+        chosen = request.option(axis.name)
+        grown = []
+        for key, point_config, kwargs in points:
+            values = chosen if chosen is not None else axis.defaults(point_config, request)
+            for value in dict.fromkeys(values):
+                part, overrides, extra = axis.point(point_config, value)
+                grown.append((
+                    key + (part,),
+                    point_config.with_overrides(**overrides),
+                    {**kwargs, **extra},
+                ))
+        points = grown
+    return [
+        RunSpec(
+            study=study.name,
+            key=key + ((algorithm.label(),) if study.compare else ()),
+            config=point_config,
+            algorithm=AlgorithmSpec(algorithm.name, {**algorithm.kwargs, **kwargs}),
+            stop_at_target=study.stop_at_target,
+        )
+        for key, point_config, kwargs in points
+        for algorithm in algorithms
+    ]
+
+
+def gather(
+    specs: Sequence[RunSpec],
+    results: dict[tuple, SimulationResult],
+    compare: bool = True,
+) -> Any:
+    """Nest ``{spec.key: result}`` by key part, in spec order.
+
+    Axis key parts become nested dict levels.  With ``compare`` the last
+    part is an algorithm label: the runs sharing the parts before it form
+    one :class:`ComparisonResult` under their shared config.  Without, the
+    last part is itself an axis value holding the bare result.  A study
+    with no axes gathers to a single comparison; one with no specs to
+    ``{}``.
+    """
+    root: dict = {}
+    for spec in specs:
+        *path, parent, last = (None, *spec.key)
+        node = root
+        for part in path:
+            node = node.setdefault(part, {})
+        if parent not in node:
+            node[parent] = ComparisonResult(config=spec.config) if compare else {}
+        leaf = node[parent].results if compare else node[parent]
+        leaf[last] = results[spec.key]
+    return root.get(None, {})
 
 
 class StudyRegistry:
@@ -309,36 +413,41 @@ class StudyRegistry:
     def __len__(self) -> int:
         return len(self._studies)
 
+    def sweep(
+        self,
+        name: str,
+        config: ExperimentConfig | None,
+        request: StudyRequest | None = None,
+        orchestrator: SweepOrchestrator | None = None,
+        **options: Any,
+    ) -> Any:
+        """Expand, execute and gather one study's sweep over ``config``.
+
+        The single execution path — the CLI's, and a library caller's with
+        a config of their own: each keyword adds one ``request.options``
+        entry, so ``sweep("fig3", config, populations=[20, 40],
+        algorithms=[...])`` runs the same expansion with explicit axis
+        values and algorithms.  Runs through ``orchestrator``, or a fresh
+        serial, storeless :class:`SweepOrchestrator`; returns
+        :func:`gather`'s nested output, nothing is printed.
+        """
+        study = self.get(name)
+        request = request if request is not None else StudyRequest()
+        if options:
+            request = replace(request, options={**request.options, **options})
+        specs = expand(study, config, request)
+        runner = orchestrator if orchestrator is not None else SweepOrchestrator()
+        return gather(specs, runner.execute(specs), study.compare)
+
     def run(
         self,
         name: str,
         request: StudyRequest | None = None,
-        orchestrator: "SweepOrchestrator | None" = None,
+        orchestrator: SweepOrchestrator | None = None,
     ) -> dict:
-        """Execute one study end to end and return its JSON payload.
-
-        Spec-expanded studies route through ``orchestrator`` (a fresh
-        serial, storeless :class:`SweepOrchestrator` when none is given —
-        bit-identical to the historical monolithic sweeps); studies
-        without specs fall back to their monolithic ``sweep``.
-        """
+        """Execute one study end to end and return its JSON payload."""
         study = self.get(name)
         request = request if request is not None else StudyRequest()
         study.check_request(request)
-        config = study.build_config(request)
-        if config is not None:
-            config = request.apply_overrides(config)
-        if study.orchestrable:
-            from repro.experiments.orchestrator import SweepOrchestrator
-
-            runner = orchestrator if orchestrator is not None else SweepOrchestrator()
-            results = runner.execute(study.specs(config, request))
-            raw = study.collect(results, config, request)
-        else:
-            if orchestrator is not None:
-                print(
-                    f"note: study {name!r} has no spec expansion; "
-                    f"--jobs/--resume/--store-dir have no effect"
-                )
-            raw = study.sweep(config, request)
-        return study.summarise(raw, request)
+        raw = self.sweep(name, study.config(request), request, orchestrator)
+        return study.report(raw, request)

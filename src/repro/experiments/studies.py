@@ -1,376 +1,183 @@
-"""The paper's studies, declared against the :class:`StudyRegistry`.
+"""The paper's studies, declared as records against the :class:`StudyRegistry`.
 
 Three layers live here:
 
-* **Sweep functions** (``run_*_study`` and friends) — the monolithic
-  experiment logic behind each table/figure, importable on their own
-  (the benchmark suite calls them directly).  They used to live in
-  ``runner.py``.
-* **Spec expansions** — each training study declares how its sweep
-  decomposes into independent
-  :class:`~repro.experiments.orchestrator.RunSpec` s (``specs``) and how
-  the per-spec results reassemble into the sweep's raw output
-  (``collect``).  The :class:`~repro.experiments.orchestrator.SweepOrchestrator`
-  executes the specs — serially by default (bit-identical to the
-  monolithic sweeps), in parallel with ``--jobs``, resumably with
-  ``--resume`` — so no study carries bespoke loop code.
+* **Axes and algorithm sets** — the handful of swept dimensions (local
+  epochs, population, ρ, η, IID vs non-IID, dropout, adversary fraction,
+  defense, plan) as :class:`~repro.experiments.registry.Axis` records.
+* **Reporters** — print a study's human-readable report and return its
+  JSON payload from :func:`~repro.experiments.registry.gather`'s output.
 * **Registry entries** — one :class:`~repro.experiments.registry.Study`
-  per table/figure binding a config preset, the spec expansion, a
-  summariser, and any study-specific CLI flags.  ``cli.py`` walks
-  :data:`STUDIES` to expose one subcommand per entry; nothing is
-  hand-wired.
+  record per table/figure naming its preset row, axes, algorithm set and
+  reporter.  ``cli.py`` walks :data:`STUDIES` to expose one subcommand per
+  entry; nothing is hand-wired, and no study carries loop code: the one
+  :func:`~repro.experiments.registry.expand` turns every record into run
+  specs for the :class:`~repro.experiments.orchestrator.SweepOrchestrator`.
 
-Adding a new study is one ``STUDIES.add(Study(...))`` call.
+Adding a new study is one :data:`~repro.experiments.configs.PRESETS` row
+plus one ``STUDIES.add(Study(...))`` record.  :func:`run_study` runs a
+registered study from a request; ``STUDIES.sweep`` runs its expansion over
+a config of your own with explicit axis values and algorithms.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.algorithms import ALGORITHM_REGISTRY, build_algorithm
 from repro.core.rho import PiecewiseRho
 from repro.core.stepsize import PiecewiseStepSize
-from repro.exceptions import ConfigurationError
 from repro.experiments.configs import (
     AlgorithmSpec,
     ExperimentConfig,
-    async_config,
     default_algorithms,
-    fig3_config,
-    fig5_config,
-    fig6_config,
-    fig8_config,
-    fig9_config,
-    robustness_config,
-    semisync_config,
-    systems_config,
-    table3_config,
-    table4_config,
-    table5_config,
-    table6_config,
+    preset_config,
 )
 from repro.experiments.figures import accuracy_series, series_to_text
-from repro.experiments.orchestrator import RunSpec, SweepOrchestrator
+from repro.experiments.orchestrator import SweepOrchestrator
 from repro.experiments.registry import (
+    Axis,
     Study,
     StudyFlag,
     StudyRegistry,
     StudyRequest,
+    field_axis,
 )
 from repro.experiments.runner import (
     ComparisonResult,
     prepare_environment,
     rounds_summary,
-    run_comparison,
-    run_single,
 )
 from repro.experiments.tables import format_table, table3_text
 from repro.federated.engine import SimulationResult
 
 
-def filter_plan_compatible(
-    specs: Sequence[AlgorithmSpec], mode: str
-) -> list[AlgorithmSpec]:
-    """Drop algorithms that opt out of buffered aggregation plans.
-
-    Lock-step methods (SCAFFOLD, FedPD) cannot run under the async or
-    semi-sync plans; a note is printed for any skipped entry.
-    """
-    if mode == "sync":
-        return list(specs)
-    kept, skipped = [], []
-    for spec in specs:
-        if ALGORITHM_REGISTRY[spec.name].supports_plan(mode):
-            kept.append(spec)
-        else:
-            skipped.append(spec.name)
-    if skipped:
-        print(
-            f"note: mode={mode} skips {', '.join(skipped)} "
-            f"(no asynchronous aggregation support)"
-        )
-    return kept
-
-
 # --------------------------------------------------------------------------- #
-# Spec-expansion helpers (shared by the studies' specs/collect pairs)
+# Algorithm sets
 # --------------------------------------------------------------------------- #
-def comparison_specs(
-    study: str,
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-    stop_at_target: bool = True,
-    prefix: tuple = (),
-) -> list[RunSpec]:
-    """One :class:`RunSpec` per algorithm, all under the same config.
+def _paper_set(*names: str):
+    """The named members of the paper's comparison set, FedADMM at ``--rho``."""
 
-    Each spec re-derives the dataset/partition/model deterministically
-    from the config seed, so executing them independently (any order, any
-    process) reproduces ``run_comparison`` bit for bit.
-    """
-    return [
-        RunSpec(
-            study=study,
-            key=prefix + (spec.label(),),
-            config=config,
-            algorithm=spec,
-            stop_at_target=stop_at_target,
-        )
-        for spec in algorithms
+    def algorithms(request: StudyRequest) -> list[AlgorithmSpec]:
+        specs = {spec.name: spec for spec in default_algorithms(admm_rho=request.rho)}
+        return [specs[name] for name in names]
+
+    return algorithms
+
+
+def _table5_algorithms(request: StudyRequest) -> list[AlgorithmSpec]:
+    return _paper_set("fedadmm")(request) + [
+        AlgorithmSpec("fedprox", {"rho": rho})
+        for rho in request.option("prox_rhos", (0.01, 0.1, 1.0))
     ]
 
 
-def collect_comparison(
-    results: "dict[tuple, SimulationResult]",
-    config: ExperimentConfig,
-    prefix: tuple = (),
-    with_stats: bool = False,
-) -> ComparisonResult:
-    """Reassemble per-algorithm results into a :class:`ComparisonResult`.
+# --------------------------------------------------------------------------- #
+# Swept axes
+# --------------------------------------------------------------------------- #
+def _schedule_label(value: Any, fmt=str) -> str:
+    """``0.5``, or ``1.0->0.5@20`` for a piecewise schedule switching at round 20."""
+    if hasattr(value, "boundaries"):
+        return f"{'->'.join(map(fmt, value.values))}@{value.boundaries[0]}"
+    return fmt(value)
 
-    ``prefix`` selects the subtree of a nested sweep (e.g. one population
-    of a scale sweep); partition statistics are recomputed on demand (they
-    are a pure function of the config) for the summarisers that print them.
-    """
-    picked = {
-        key[-1]: result
-        for key, result in results.items()
-        if key[: len(prefix)] == prefix
+
+#: Fig. 6: constant server step sizes (``--etas``) plus a mid-run decrease
+#: (the paper adjusts at round 60 of 100; the presets at half their budget).
+STEP_SIZES = Axis(
+    "step_sizes",
+    lambda config, request: [
+        *request.option("etas", (0.5, 1.0, 1.5)),
+        PiecewiseStepSize(values=[1.0, 0.5], boundaries=[config.num_rounds // 2]),
+    ],
+    lambda config, eta: (f"eta={_schedule_label(eta)}", {}, {"server_step_size": eta}),
+)
+
+def _local_init_point(config: ExperimentConfig, init: tuple[str, bool, float]):
+    label, warm_start, eta = init
+    return (
+        f"{label}-eta={eta}", {}, {"server_step_size": eta, "warm_start": warm_start}
+    )
+
+
+#: Fig. 8: warm start (init I, from w_i) vs restart (init II, from θ), per η.
+LOCAL_INITS = Axis(
+    "local_inits",
+    lambda config, request: [
+        (label, warm_start, eta)
+        for eta in request.option("etas", (1.0, 0.5))
+        for warm_start, label in ((True, "I-warm"), (False, "II-restart"))
+    ],
+    _local_init_point,
+)
+
+#: Fig. 9: a small and the requested ρ, constant, then small → requested.
+RHO_SCHEDULES = Axis(
+    "rhos",
+    lambda config, request: [
+        request.rho / 3,
+        request.rho,
+        PiecewiseRho(
+            values=[request.rho / 3, request.rho], boundaries=[config.num_rounds // 2]
+        ),
+    ],
+    lambda config, rho: (f"rho={_schedule_label(rho, '{:g}'.format)}", {}, {"rho": rho}),
+)
+
+
+def _distribution_point(config: ExperimentConfig, setting: str):
+    # The IID / non-IID preset pair: partition, its kwargs and the config
+    # name all follow the distribution.
+    twin = preset_config("fig5", config.dataset, non_iid=setting == "non_iid")
+    return (
+        setting,
+        {"partition": twin.partition, "partition_kwargs": twin.partition_kwargs,
+         "name": twin.name},
+        {},
+    )
+
+
+def _adversary_fraction_point(config: ExperimentConfig, fraction: float):
+    fraction = float(fraction)
+    overrides: dict[str, Any] = {
+        "adversary_fraction": fraction,
+        "name": f"{config.name}-adv{fraction}",
     }
-    stats = prepare_environment(config)[2] if with_stats else None
-    return ComparisonResult(config=config, results=picked, partition_stats=stats)
+    if fraction == 0:
+        # The clean reference cell: no adversary at all.
+        overrides["adversary"] = None
+    return fraction, overrides, {}
 
 
 # --------------------------------------------------------------------------- #
-# Sweep functions (the logic behind each table/figure)
+# Reporters (print a report, return the JSON payload)
 # --------------------------------------------------------------------------- #
-def run_rounds_to_target_table(
-    configs: dict[str, ExperimentConfig],
-    algorithms: Sequence[AlgorithmSpec],
-) -> dict[str, ComparisonResult]:
-    """Table III: one comparison per column (dataset x population x distribution)."""
-    return {
-        column: run_comparison(config, algorithms) for column, config in configs.items()
-    }
+def _print_rows(rows: list[dict]) -> dict:
+    print(format_table(rows))
+    return {"rows": rows}
 
 
-def run_scale_sweep(
-    base_config: ExperimentConfig,
-    populations: Sequence[int],
-    algorithms: Sequence[AlgorithmSpec],
-) -> dict[int, ComparisonResult]:
-    """Figs. 3-4: repeat the comparison at several client populations.
+def _table1_report(raw: dict, request: StudyRequest) -> dict:
+    from repro.core.convergence import COMPLEXITY_TABLE, round_complexity
 
-    Hyperparameters stay fixed across populations, exactly as in the paper's
-    protocol (tuned once at the smallest population, then reused).  Large
-    populations can be swept under the sharded synchronous topology by
-    passing configs with ``plan="hierarchical"`` (CLI:
-    ``--plan hierarchical --shards N``); a 1-shard hierarchy is
-    bit-identical to the flat rounds used here.
-    """
-    sweeps: dict[int, ComparisonResult] = {}
-    for population in populations:
-        config = base_config.with_overrides(
-            num_clients=population,
-            name=f"{base_config.name}-m{population}",
-        )
-        sweeps[population] = run_comparison(config, algorithms)
-    return sweeps
+    return _print_rows([
+        {
+            "epsilon": epsilon,
+            "method": method,
+            "predicted_rounds": round_complexity(
+                method, epsilon, num_clients=1000, num_selected=100,
+                dissimilarity_b=3.0, gradient_bound_g=3.0,
+            ),
+        }
+        for epsilon in (1e-2, 1e-3, 1e-4)
+        for method in COMPLEXITY_TABLE
+    ])
 
 
-def run_heterogeneity_comparison(
-    config_iid: ExperimentConfig,
-    config_non_iid: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-) -> dict[str, ComparisonResult]:
-    """Fig. 5: the same comparison under IID and non-IID distributions."""
-    return {
-        "iid": run_comparison(config_iid, algorithms),
-        "non_iid": run_comparison(config_non_iid, algorithms),
-    }
-
-
-def run_server_stepsize_study(
-    config: ExperimentConfig,
-    etas: Sequence[float] = (0.5, 1.0, 1.5),
-    switch_round: int | None = None,
-    switch_value: float = 0.5,
-    rho: float = 0.01,
-) -> dict[str, SimulationResult]:
-    """Fig. 6: FedADMM under different server step sizes η.
-
-    If ``switch_round`` is given an additional run decreases η to
-    ``switch_value`` at that round (the paper's mid-run adjustment).
-    """
-    results: dict[str, SimulationResult] = {}
-    for eta in etas:
-        spec_label = f"eta={eta}"
-        algorithm = build_algorithm("fedadmm", rho=rho, server_step_size=eta)
-        results[spec_label] = run_single(config, algorithm, stop_at_target=False)
-    if switch_round is not None:
-        policy = PiecewiseStepSize(values=[1.0, switch_value], boundaries=[switch_round])
-        algorithm = build_algorithm("fedadmm", rho=rho, server_step_size=policy)
-        results[f"eta=1.0->{switch_value}@{switch_round}"] = run_single(
-            config, algorithm, stop_at_target=False
-        )
-    return results
-
-
-def run_local_epochs_study(
-    config: ExperimentConfig,
-    epoch_counts: Sequence[int] = (1, 5, 10),
-    rho: float = 0.01,
-) -> dict[int, SimulationResult]:
-    """Table IV / Fig. 7: rounds to target for FedADMM at several E values."""
-    results: dict[int, SimulationResult] = {}
-    for epochs in epoch_counts:
-        run_config = config.with_overrides(
-            local_epochs=epochs, name=f"{config.name}-E{epochs}"
-        )
-        algorithm = build_algorithm("fedadmm", rho=rho)
-        results[epochs] = run_single(run_config, algorithm, stop_at_target=True)
-    return results
-
-
-def run_local_init_study(
-    config: ExperimentConfig,
-    etas: Sequence[float] = (1.0, 0.5),
-    rho: float = 0.01,
-) -> dict[str, SimulationResult]:
-    """Fig. 8: warm start (init I, from w_i) vs restart (init II, from θ)."""
-    results: dict[str, SimulationResult] = {}
-    for eta in etas:
-        for warm_start, label in ((True, "I-warm"), (False, "II-restart")):
-            algorithm = build_algorithm(
-                "fedadmm", rho=rho, server_step_size=eta, warm_start=warm_start
-            )
-            results[f"{label}-eta={eta}"] = run_single(
-                config, algorithm, stop_at_target=False
-            )
-    return results
-
-
-def run_rho_sensitivity_table(
-    configs: dict[str, ExperimentConfig],
-    prox_rhos: Sequence[float] = (0.01, 0.1, 1.0),
-    admm_rho: float = 0.01,
-) -> dict[str, ComparisonResult]:
-    """Table V: FedProx across ρ values vs FedADMM at fixed ρ."""
-    algorithms = [AlgorithmSpec("fedadmm", {"rho": admm_rho})]
-    algorithms.extend(AlgorithmSpec("fedprox", {"rho": rho}) for rho in prox_rhos)
-    return {
-        column: run_comparison(config, algorithms) for column, config in configs.items()
-    }
-
-
-def run_rho_schedule_study(
-    config: ExperimentConfig,
-    constant_rhos: Sequence[float] = (0.01, 0.1),
-    switch_round: int | None = 10,
-    switch_values: tuple[float, float] = (0.01, 0.1),
-) -> dict[str, SimulationResult]:
-    """Fig. 9: constant vs dynamically increased ρ for FedADMM."""
-    results: dict[str, SimulationResult] = {}
-    for rho in constant_rhos:
-        algorithm = build_algorithm("fedadmm", rho=rho)
-        results[f"rho={rho}"] = run_single(config, algorithm, stop_at_target=False)
-    if switch_round is not None:
-        schedule = PiecewiseRho(values=list(switch_values), boundaries=[switch_round])
-        algorithm = build_algorithm("fedadmm", rho=schedule)
-        label = f"rho={switch_values[0]}->{switch_values[1]}@{switch_round}"
-        results[label] = run_single(config, algorithm, stop_at_target=False)
-    return results
-
-
-def run_systems_study(
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-    dropout_rates: Sequence[float] = (0.0, 0.2, 0.4),
-) -> dict[float, ComparisonResult]:
-    """System-heterogeneity study: the comparison across client dropout rates.
-
-    Every other systems knob (codec, network model, executor) is taken from
-    ``config``; runs do not stop at the target so that final accuracies are
-    comparable across rates.  This is the scenario behind the paper's
-    robustness claim: FedADMM should degrade more gracefully than
-    FedAvg/SCAFFOLD as participation gets less reliable.
-    """
-    results: dict[float, ComparisonResult] = {}
-    for rate in dropout_rates:
-        run_config = config.with_overrides(
-            dropout=rate, name=f"{config.name}-dropout{rate}"
-        )
-        results[rate] = run_comparison(run_config, algorithms, stop_at_target=False)
-    return results
-
-
-def _mode_vs_sync_study(
-    mode: str,
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-    stop_at_target: bool,
-) -> dict[str, ComparisonResult]:
-    """Run every algorithm under lock-step sync and under ``mode``.
-
-    Both runs use identical data, model initialisation, and network model,
-    so ``history.seconds_to_accuracy(target)`` isolates what the buffered
-    plan buys: under a heavy-tailed straggler profile it stops paying for
-    the slowest client of every round.
-    """
-    return {
-        setting: run_comparison(
-            setting_config, algorithms, stop_at_target=stop_at_target
-        )
-        for setting, setting_config in _mode_vs_sync_configs(mode, config).items()
-    }
-
-
-def run_async_study(
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-    stop_at_target: bool = True,
-) -> dict[str, ComparisonResult]:
-    """Sync vs async time-to-target under the same heterogeneity profile.
-
-    The async buffer defaults to the sync cohort size, so each
-    aggregation consumes the same number of uploads in both modes.
-    """
-    return _mode_vs_sync_study("async", config, algorithms, stop_at_target)
-
-
-def run_semisync_study(
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-    stop_at_target: bool = True,
-) -> dict[str, ComparisonResult]:
-    """Sync vs semi-sync time-to-target under the same straggler profile.
-
-    The semi-synchronous plan stops paying for the slowest client of a
-    round (it closes at the deadline) without giving up lock-step's
-    bounded staleness: late arrivals deliver into later rounds with
-    FedBuff-style weights.
-    """
-    return _mode_vs_sync_study("semisync", config, algorithms, stop_at_target)
-
-
-def run_imbalanced_study(
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-) -> ComparisonResult:
-    """Table VI / Fig. 10: the imbalanced-volume setting."""
-    if config.partition != "imbalanced":
-        raise ConfigurationError(
-            "run_imbalanced_study expects a config using the 'imbalanced' partition"
-        )
-    return run_comparison(config, algorithms, stop_at_target=False)
-
-
-# --------------------------------------------------------------------------- #
-# Summarisers (print a report, return the JSON payload)
-# --------------------------------------------------------------------------- #
-def _comparison_report(comparison: ComparisonResult) -> dict:
+def _comparison_report(
+    comparison: ComparisonResult, request: StudyRequest | None = None
+) -> dict:
     print(table3_text({comparison.config.name: comparison}))
     return {
         "config": comparison.config.name,
@@ -378,41 +185,121 @@ def _comparison_report(comparison: ComparisonResult) -> dict:
     }
 
 
-def _series_report(results: dict[str, SimulationResult]) -> dict:
+def _comparison_columns(
+    table: dict[Any, ComparisonResult], request: StudyRequest
+) -> dict:
+    return {
+        str(column): _comparison_report(comparison)
+        for column, comparison in table.items()
+    }
+
+
+def _series_report(results: dict[str, SimulationResult], request: StudyRequest) -> dict:
     series = {label: accuracy_series(result) for label, result in results.items()}
     print(series_to_text(series, max_points=15))
     return {"series": series}
 
 
-def _staleness_row(mode: str, label: str, result: SimulationResult, target: float) -> dict:
-    seconds = result.history.seconds_to_accuracy(target)
-    return {
-        "mode": mode,
-        "algorithm": label,
-        "rounds_to_target": result.rounds_to_target,
-        "seconds_to_target": None if seconds is None else round(seconds, 1),
-        "final_accuracy": round(result.history.final_accuracy(), 4),
-        "mean_staleness": round(
-            float(np.nanmean(result.history.stalenesses))
-            if len(result.history)
-            else 0.0,
-            2,
-        ),
-        "max_staleness": result.history.max_staleness(),
-    }
+def _table4_report(results: dict[int, SimulationResult], request: StudyRequest) -> dict:
+    return _print_rows([
+        {"E": epochs, "rounds_to_target": result.rounds_to_target,
+         "final_accuracy": result.history.final_accuracy()}
+        for epochs, result in results.items()
+    ])
 
 
-def _mode_comparison_rows(studies: dict[str, ComparisonResult]) -> dict:
+def _table6_report(comparison: ComparisonResult, request: StudyRequest) -> dict:
+    # The partition statistics are a pure function of the config.
+    stats = prepare_environment(comparison.config)[2]
+    print(format_table([stats.as_table_row()]))
+    return _comparison_report(comparison)
+
+
+def _systems_report(studies: dict[float, ComparisonResult], request: StudyRequest) -> dict:
+    return _print_rows([
+        {
+            "dropout": rate,
+            "algorithm": label,
+            "final_accuracy": result.history.final_accuracy(),
+            "raw_upload_MB": result.ledger.upload_bytes / 1e6,
+            "wire_upload_MB": result.ledger.upload_wire_bytes / 1e6,
+            "sim_minutes": result.simulated_seconds / 60.0,
+            "clients_dropped": result.history.total_dropped(),
+        }
+        for rate, comparison in studies.items()
+        for label, result in comparison.results.items()
+    ])
+
+
+def _robustness_report(
+    studies: "dict[float, dict[str, ComparisonResult]]", request: StudyRequest
+) -> dict:
+    rows = []
+    clean: dict[str, float | None] = {}
+    for fraction, by_defense in studies.items():
+        for defense, comparison in by_defense.items():
+            for label, result in comparison.results.items():
+                accuracy = result.history.final_accuracy()
+                if fraction == 0 and label not in clean:
+                    clean[label] = accuracy
+                reference = clean.get(label)
+                rows.append(
+                    {
+                        "adversary": (
+                            comparison.config.adversary if fraction else "none"
+                        ),
+                        "fraction": fraction,
+                        "defense": defense,
+                        "algorithm": label,
+                        "final_accuracy": accuracy,
+                        "degradation_vs_clean": (
+                            None
+                            if reference is None or accuracy is None
+                            else reference - accuracy
+                        ),
+                    }
+                )
+    return _print_rows(rows)
+
+
+def _plan_comparison_report(
+    studies: dict[str, ComparisonResult], request: StudyRequest
+) -> dict:
+    # Identical data, model initialisation and network under both plans, so
+    # seconds_to_accuracy isolates what the buffered plan buys: it stops
+    # paying for the slowest client of every round.
     rows = []
     for mode, comparison in studies.items():
         for label, result in comparison.results.items():
-            rows.append(
-                _staleness_row(
-                    mode, label, result, comparison.config.target_accuracy
-                )
-            )
-    print(format_table(rows))
-    return {"rows": rows}
+            history = result.history
+            seconds = history.seconds_to_accuracy(comparison.config.target_accuracy)
+            rows.append({
+                "mode": mode,
+                "algorithm": label,
+                "rounds_to_target": result.rounds_to_target,
+                "seconds_to_target": None if seconds is None else round(seconds, 1),
+                "final_accuracy": round(history.final_accuracy(), 4),
+                "mean_staleness": round(
+                    float(np.nanmean(history.stalenesses)) if len(history) else 0.0, 2
+                ),
+                "max_staleness": history.max_staleness(),
+            })
+    return _print_rows(rows)
+
+
+def _semisync_report(studies: dict[str, ComparisonResult], request: StudyRequest) -> dict:
+    payload = _plan_comparison_report(studies, request)
+    semi = studies.get("semisync")
+    if semi is not None:
+        payload["late_arrivals"] = {
+            label: result.metadata.get("late_arrivals", 0)
+            for label, result in semi.results.items()
+        }
+        payload["round_deadline_s"] = {
+            label: result.metadata.get("round_deadline_s")
+            for label, result in semi.results.items()
+        }
+    return payload
 
 
 # --------------------------------------------------------------------------- #
@@ -420,37 +307,13 @@ def _mode_comparison_rows(studies: dict[str, ComparisonResult]) -> dict:
 # --------------------------------------------------------------------------- #
 STUDIES = StudyRegistry()
 
-
-def _table1_sweep(config: ExperimentConfig | None, request: StudyRequest) -> list[dict]:
-    from repro.core.convergence import COMPLEXITY_TABLE, round_complexity
-
-    rows = []
-    for epsilon in (1e-2, 1e-3, 1e-4):
-        for method in COMPLEXITY_TABLE:
-            rows.append(
-                {
-                    "epsilon": epsilon,
-                    "method": method,
-                    "predicted_rounds": round_complexity(
-                        method, epsilon, num_clients=1000, num_selected=100,
-                        dissimilarity_b=3.0, gradient_bound_g=3.0,
-                    ),
-                }
-            )
-    return rows
-
-
-def _print_rows(rows: list[dict], request: StudyRequest) -> dict:
-    print(format_table(rows))
-    return {"rows": rows}
-
+_ETAS_FLAG = StudyFlag("--etas", {"nargs": "+", "type": float,
+                                  "help": "server step sizes to sweep"})
 
 STUDIES.add(Study(
     name="table1",
     description="Table I   — round-complexity predictors (closed form, no training)",
-    build_config=lambda request: None,
-    sweep=_table1_sweep,
-    summarise=_print_rows,
+    report=_table1_report,
     # Closed form: no federated training, so no plan, executor, or
     # adversary applies.
     modes=(),
@@ -458,528 +321,158 @@ STUDIES.add(Study(
     adversaries=(),
 ))
 
-
 STUDIES.add(Study(
     name="table3",
     description="Table III — rounds to target accuracy for all algorithms",
-    build_config=lambda request: table3_config(
-        request.dataset, num_clients=request.clients,
-        non_iid=request.non_iid, scale=request.scale, seed=request.seed,
-    ),
-    specs=lambda config, request: comparison_specs(
-        "table3", config,
-        filter_plan_compatible(default_algorithms(admm_rho=request.rho), config.mode),
-    ),
-    collect=lambda results, config, request: collect_comparison(results, config),
-    summarise=lambda comparison, request: _comparison_report(comparison),
+    preset="table3",
+    algorithms=_paper_set("fedsgd", "fedadmm", "fedavg", "fedprox", "scaffold"),
+    report=_comparison_report,
 ))
-
-
-def _single_run_collect(results, config, request) -> dict:
-    """Flatten ``{(point,): result}`` into the flat ``{point: result}``
-    mapping the per-point summarisers expect, preserving spec order."""
-    return {key[0]: result for key, result in results.items()}
-
-
-def _table4_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    return [
-        RunSpec(
-            study="table4",
-            key=(epochs,),
-            config=config.with_overrides(
-                local_epochs=epochs, name=f"{config.name}-E{epochs}"
-            ),
-            algorithm=AlgorithmSpec("fedadmm", {"rho": request.rho}),
-        )
-        for epochs in tuple(request.option("epochs", (1, 5, 10)))
-    ]
-
-
-def _table4_report(results: dict[int, SimulationResult], request: StudyRequest) -> dict:
-    rows = [
-        {"E": epochs, "rounds_to_target": result.rounds_to_target,
-         "final_accuracy": result.history.final_accuracy()}
-        for epochs, result in results.items()
-    ]
-    return _print_rows(rows, request)
-
 
 STUDIES.add(Study(
     name="table4",
     description="Table IV / Fig. 7 — FedADMM vs local epoch count E",
-    build_config=lambda request: table4_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=_table4_specs,
-    collect=_single_run_collect,
-    summarise=_table4_report,
+    preset="table4",
+    axes=(field_axis("epochs", "local_epochs", "E", (1, 5, 10)),),
+    algorithms=_paper_set("fedadmm"),
+    compare=False,
+    report=_table4_report,
     flags=(StudyFlag("--epochs", {"nargs": "+", "type": int,
                                   "help": "local epoch counts E to sweep"}),),
 ))
 
-
-def _table5_algorithms(request: StudyRequest) -> list[AlgorithmSpec]:
-    algorithms = [AlgorithmSpec("fedadmm", {"rho": request.rho})]
-    algorithms.extend(
-        AlgorithmSpec("fedprox", {"rho": rho})
-        for rho in tuple(request.option("prox_rhos", (0.01, 0.1, 1.0)))
-    )
-    return algorithms
-
-
 STUDIES.add(Study(
     name="table5",
     description="Table V   — rho sensitivity of FedProx vs fixed-rho FedADMM",
-    build_config=lambda request: table5_config(
-        request.dataset, num_clients=request.clients, non_iid=True,
-        scale=request.scale, seed=request.seed,
-    ),
-    specs=lambda config, request: comparison_specs(
-        "table5", config, _table5_algorithms(request), prefix=(config.name,)
-    ),
-    collect=lambda results, config, request: {
-        config.name: collect_comparison(results, config, prefix=(config.name,))
-    },
-    summarise=lambda table, request: {
-        column: _comparison_report(comparison) for column, comparison in table.items()
-    },
+    preset="table5",
+    fixed_distribution=True,
+    # One column per (dataset, population): the config's own name.
+    axes=(Axis("columns", lambda config, request: (config.name,),
+               lambda config, column: (column, {}, {})),),
+    algorithms=_table5_algorithms,
+    report=_comparison_columns,
     flags=(StudyFlag("--prox-rhos", {"nargs": "+", "type": float,
                                      "help": "FedProx rho values to sweep"}),),
 ))
 
-
-def _table6_report(comparison: ComparisonResult, request: StudyRequest) -> dict:
-    print(format_table([comparison.partition_stats.as_table_row()]))
-    return _comparison_report(comparison)
-
-
-def _table6_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    if config.partition != "imbalanced":
-        raise ConfigurationError(
-            "the table6 study expects a config using the 'imbalanced' partition"
-        )
-    return comparison_specs(
-        "table6", config,
-        filter_plan_compatible(
-            [AlgorithmSpec("fedadmm", {"rho": request.rho}),
-             AlgorithmSpec("fedavg", {}),
-             AlgorithmSpec("fedprox", {"rho": 0.1}),
-             AlgorithmSpec("scaffold", {})],
-            config.mode,
-        ),
-        stop_at_target=False,
-    )
-
-
 STUDIES.add(Study(
     name="table6",
     description="Table VI / Fig. 10 — imbalanced data volumes",
-    build_config=lambda request: table6_config(
-        request.dataset, scale=request.scale, seed=request.seed
-    ),
-    specs=_table6_specs,
-    collect=lambda results, config, request: collect_comparison(
-        results, config, with_stats=True
-    ),
-    summarise=_table6_report,
+    preset="table6",
+    fixed_distribution=True,
+    requires={"partition": "imbalanced"},
+    algorithms=_paper_set("fedadmm", "fedavg", "fedprox", "scaffold"),
+    stop_at_target=False,
+    report=_table6_report,
 ))
-
-
-def _fig3_populations(config: ExperimentConfig, request: StudyRequest) -> list[int]:
-    return list(
-        request.option("populations", [config.num_clients, config.num_clients * 2])
-    )
-
-
-def _fig3_pop_config(config: ExperimentConfig, population: int) -> ExperimentConfig:
-    return config.with_overrides(
-        num_clients=population, name=f"{config.name}-m{population}"
-    )
-
-
-def _fig3_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    algorithms = [
-        AlgorithmSpec("fedadmm", {"rho": request.rho}), AlgorithmSpec("fedavg", {}),
-    ]
-    return [
-        spec
-        for population in _fig3_populations(config, request)
-        for spec in comparison_specs(
-            "fig3", _fig3_pop_config(config, population), algorithms,
-            prefix=(population,),
-        )
-    ]
-
-
-def _fig3_collect(results, config: ExperimentConfig, request: StudyRequest):
-    return {
-        population: collect_comparison(
-            results, _fig3_pop_config(config, population), prefix=(population,)
-        )
-        for population in _fig3_populations(config, request)
-    }
-
 
 STUDIES.add(Study(
     name="fig3",
     description="Fig. 3/4  — scaling the client population",
-    build_config=lambda request: fig3_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=_fig3_specs,
-    collect=_fig3_collect,
-    summarise=lambda sweeps, request: {
-        str(population): _comparison_report(comparison)
-        for population, comparison in sweeps.items()
-    },
+    preset="fig3",
+    # Hyperparameters stay fixed across populations, exactly as in the
+    # paper's protocol (tuned once at the smallest population, then reused).
+    axes=(field_axis(
+        "populations", "num_clients", "m",
+        lambda config, request: (config.num_clients, config.num_clients * 2),
+    ),),
+    algorithms=_paper_set("fedadmm", "fedavg"),
+    report=_comparison_columns,
     flags=(StudyFlag("--populations", {"nargs": "+", "type": int,
                                        "help": "client populations to sweep"}),),
 ))
 
-
-def _fig5_configs(request: StudyRequest) -> dict[str, ExperimentConfig]:
-    # fig5 runs the *pair* of IID and non-IID configs, so it owns config
-    # construction itself (build_config returns None, like table1).
-    return {
-        "iid": request.apply_overrides(
-            fig5_config(request.dataset, non_iid=False, scale=request.scale,
-                        seed=request.seed)
-        ),
-        "non_iid": request.apply_overrides(
-            fig5_config(request.dataset, non_iid=True, scale=request.scale,
-                        seed=request.seed)
-        ),
-    }
-
-
-def _fig5_specs(config: None, request: StudyRequest) -> list[RunSpec]:
-    configs = _fig5_configs(request)
-    algorithms = filter_plan_compatible(
-        [AlgorithmSpec("fedadmm", {"rho": request.rho}),
-         AlgorithmSpec("fedavg", {}),
-         AlgorithmSpec("fedprox", {"rho": 0.1}),
-         AlgorithmSpec("scaffold", {})],
-        configs["iid"].mode,
-    )
-    return [
-        spec
-        for setting, setting_config in configs.items()
-        for spec in comparison_specs(
-            "fig5", setting_config, algorithms, prefix=(setting,)
-        )
-    ]
-
-
-def _fig5_collect(results, config: None, request: StudyRequest):
-    return {
-        setting: collect_comparison(results, setting_config, prefix=(setting,))
-        for setting, setting_config in _fig5_configs(request).items()
-    }
-
-
 STUDIES.add(Study(
     name="fig5",
     description="Fig. 5    — IID vs non-IID adaptability",
-    build_config=lambda request: None,
-    specs=_fig5_specs,
-    collect=_fig5_collect,
-    summarise=lambda outcome, request: {
-        setting: _comparison_report(comparison)
-        for setting, comparison in outcome.items()
-    },
+    preset="fig5",
+    fixed_distribution=True,
+    axes=(Axis("distributions", ("iid", "non_iid"), _distribution_point),),
+    algorithms=_paper_set("fedadmm", "fedavg", "fedprox", "scaffold"),
+    report=_comparison_columns,
 ))
-
-
-def _fig6_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    specs = [
-        RunSpec(
-            study="fig6",
-            key=(f"eta={eta}",),
-            config=config,
-            algorithm=AlgorithmSpec(
-                "fedadmm", {"rho": request.rho, "server_step_size": eta}
-            ),
-            stop_at_target=False,
-        )
-        for eta in tuple(request.option("etas", (0.5, 1.0, 1.5)))
-    ]
-    switch_round = config.num_rounds // 2
-    policy = PiecewiseStepSize(values=[1.0, 0.5], boundaries=[switch_round])
-    specs.append(RunSpec(
-        study="fig6",
-        key=(f"eta=1.0->0.5@{switch_round}",),
-        config=config,
-        algorithm=AlgorithmSpec(
-            "fedadmm", {"rho": request.rho, "server_step_size": policy}
-        ),
-        stop_at_target=False,
-    ))
-    return specs
-
 
 STUDIES.add(Study(
     name="fig6",
     description="Fig. 6    — server step size study",
-    build_config=lambda request: fig6_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=_fig6_specs,
-    collect=_single_run_collect,
-    summarise=lambda results, request: _series_report(results),
-    flags=(StudyFlag("--etas", {"nargs": "+", "type": float,
-                                "help": "server step sizes to sweep"}),),
+    preset="fig6",
+    axes=(STEP_SIZES,),
+    algorithms=_paper_set("fedadmm"),
+    compare=False,
+    stop_at_target=False,
+    report=_series_report,
+    flags=(_ETAS_FLAG,),
 ))
-
-
-def _fig8_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    return [
-        RunSpec(
-            study="fig8",
-            key=(f"{label}-eta={eta}",),
-            config=config,
-            algorithm=AlgorithmSpec(
-                "fedadmm",
-                {"rho": request.rho, "server_step_size": eta, "warm_start": warm_start},
-            ),
-            stop_at_target=False,
-        )
-        for eta in tuple(request.option("etas", (1.0, 0.5)))
-        for warm_start, label in ((True, "I-warm"), (False, "II-restart"))
-    ]
-
 
 STUDIES.add(Study(
     name="fig8",
     description="Fig. 8    — local initialisation (warm start vs restart)",
-    build_config=lambda request: fig8_config(
-        request.dataset, non_iid=True, scale=request.scale, seed=request.seed
-    ),
-    specs=_fig8_specs,
-    collect=_single_run_collect,
-    summarise=lambda results, request: _series_report(results),
-    flags=(StudyFlag("--etas", {"nargs": "+", "type": float,
-                                "help": "server step sizes to sweep"}),),
+    preset="fig6",
+    fixed_distribution=True,
+    axes=(LOCAL_INITS,),
+    algorithms=_paper_set("fedadmm"),
+    compare=False,
+    stop_at_target=False,
+    report=_series_report,
+    flags=(_ETAS_FLAG,),
 ))
-
-
-def _fig9_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    specs = [
-        RunSpec(
-            study="fig9",
-            key=(f"rho={rho}",),
-            config=config,
-            algorithm=AlgorithmSpec("fedadmm", {"rho": rho}),
-            stop_at_target=False,
-        )
-        for rho in (request.rho / 3, request.rho)
-    ]
-    switch_round = config.num_rounds // 2
-    schedule = PiecewiseRho(
-        values=[request.rho / 3, request.rho], boundaries=[switch_round]
-    )
-    specs.append(RunSpec(
-        study="fig9",
-        key=(f"rho={request.rho / 3}->{request.rho}@{switch_round}",),
-        config=config,
-        algorithm=AlgorithmSpec("fedadmm", {"rho": schedule}),
-        stop_at_target=False,
-    ))
-    return specs
-
 
 STUDIES.add(Study(
     name="fig9",
     description="Fig. 9    — dynamic rho schedule",
-    build_config=lambda request: fig9_config(
-        request.dataset, non_iid=True, scale=request.scale, seed=request.seed
-    ),
-    specs=_fig9_specs,
-    collect=_single_run_collect,
-    summarise=lambda results, request: _series_report(results),
+    preset="fig6",
+    fixed_distribution=True,
+    axes=(RHO_SCHEDULES,),
+    algorithms=_paper_set("fedadmm"),
+    compare=False,
+    stop_at_target=False,
+    report=_series_report,
 ))
-
-
-def _systems_rates(config: ExperimentConfig, request: StudyRequest) -> tuple[float, ...]:
-    return tuple(request.option(
-        "dropout_rates",
-        (0.0, config.dropout) if config.dropout > 0 else (0.0,),
-    ))
-
-
-def _systems_rate_config(config: ExperimentConfig, rate: float) -> ExperimentConfig:
-    return config.with_overrides(dropout=rate, name=f"{config.name}-dropout{rate}")
-
-
-def _systems_specs(config: ExperimentConfig, request: StudyRequest) -> list[RunSpec]:
-    algorithms = filter_plan_compatible(
-        [AlgorithmSpec("fedadmm", {"rho": request.rho}),
-         AlgorithmSpec("fedavg", {}),
-         AlgorithmSpec("scaffold", {})],
-        config.mode,
-    )
-    return [
-        spec
-        for rate in _systems_rates(config, request)
-        for spec in comparison_specs(
-            "systems", _systems_rate_config(config, rate), algorithms,
-            stop_at_target=False, prefix=(rate,),
-        )
-    ]
-
-
-def _systems_collect(results, config: ExperimentConfig, request: StudyRequest):
-    return {
-        rate: collect_comparison(
-            results, _systems_rate_config(config, rate), prefix=(rate,)
-        )
-        for rate in _systems_rates(config, request)
-    }
-
-
-def _systems_report(studies: dict[float, ComparisonResult], request: StudyRequest) -> dict:
-    rows = []
-    for rate, comparison in studies.items():
-        for label, result in comparison.results.items():
-            rows.append(
-                {
-                    "dropout": rate,
-                    "algorithm": label,
-                    "final_accuracy": result.history.final_accuracy(),
-                    "raw_upload_MB": result.ledger.upload_bytes / 1e6,
-                    "wire_upload_MB": result.ledger.upload_wire_bytes / 1e6,
-                    "sim_minutes": result.simulated_seconds / 60.0,
-                    "clients_dropped": result.history.total_dropped(),
-                }
-            )
-    return _print_rows(rows, request)
-
 
 STUDIES.add(Study(
     name="systems",
     description="Systems   — dropout/straggler robustness under the client-systems model",
-    build_config=lambda request: systems_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=_systems_specs,
-    collect=_systems_collect,
-    summarise=_systems_report,
+    preset="systems",
+    # Every other systems knob (codec, network model, executor) comes from
+    # the config; runs do not stop at the target so that final accuracies
+    # are comparable across rates.
+    axes=(field_axis(
+        "dropout_rates", "dropout", "dropout",
+        lambda config, request: (
+            (0.0, config.dropout) if config.dropout > 0 else (0.0,)
+        ),
+    ),),
+    algorithms=_paper_set("fedadmm", "fedavg", "scaffold"),
+    stop_at_target=False,
+    report=_systems_report,
     flags=(StudyFlag("--dropout-rates", {"nargs": "+", "type": float,
                                          "help": "dropout rates to sweep"}),),
 ))
 
-
-def _robustness_fractions(
-    config: ExperimentConfig, request: StudyRequest
-) -> tuple[float, ...]:
-    fractions = request.option("adversary_fractions")
-    if fractions is None:
-        fractions = (0.0, config.adversary_fraction or 0.2)
-    return tuple(dict.fromkeys(float(f) for f in fractions))
-
-
-def _robustness_defenses(
-    config: ExperimentConfig, request: StudyRequest
-) -> tuple[str, ...]:
-    defenses = request.option("defenses")
-    if defenses is None:
-        defenses = ("none", config.defense or "median")
-    return tuple(dict.fromkeys(defenses))
-
-
-def _robustness_cell_config(
-    config: ExperimentConfig, fraction: float, defense: str
-) -> ExperimentConfig:
-    overrides: dict = {
-        "adversary_fraction": fraction,
-        "defense": None if defense == "none" else defense,
-        "name": f"{config.name}-adv{fraction}-{defense}",
-    }
-    if fraction == 0:
-        # The clean reference cell: no adversary at all.
-        overrides["adversary"] = None
-    return config.with_overrides(**overrides)
-
-
-def _robustness_algorithms(request: StudyRequest) -> list[AlgorithmSpec]:
-    return [
-        AlgorithmSpec("fedadmm", {"rho": request.rho}),
-        AlgorithmSpec("fedavg", {}),
-    ]
-
-
-def _robustness_specs(
-    config: ExperimentConfig, request: StudyRequest
-) -> list[RunSpec]:
-    return [
-        spec
-        for fraction in _robustness_fractions(config, request)
-        for defense in _robustness_defenses(config, request)
-        for spec in comparison_specs(
-            "robustness",
-            _robustness_cell_config(config, fraction, defense),
-            _robustness_algorithms(request),
-            stop_at_target=False,
-            prefix=(fraction, defense),
-        )
-    ]
-
-
-def _robustness_collect(results, config: ExperimentConfig, request: StudyRequest):
-    return {
-        (fraction, defense): collect_comparison(
-            results,
-            _robustness_cell_config(config, fraction, defense),
-            prefix=(fraction, defense),
-        )
-        for fraction in _robustness_fractions(config, request)
-        for defense in _robustness_defenses(config, request)
-    }
-
-
-def _robustness_report(
-    studies: "dict[tuple[float, str], ComparisonResult]", request: StudyRequest
-) -> dict:
-    rows = []
-    clean: dict[str, float | None] = {}
-    for (fraction, defense), comparison in studies.items():
-        for label, result in comparison.results.items():
-            accuracy = result.history.final_accuracy()
-            if fraction == 0 and label not in clean:
-                clean[label] = accuracy
-            reference = clean.get(label)
-            rows.append(
-                {
-                    "adversary": (
-                        comparison.config.adversary if fraction else "none"
-                    ),
-                    "fraction": fraction,
-                    "defense": defense,
-                    "algorithm": label,
-                    "final_accuracy": accuracy,
-                    "degradation_vs_clean": (
-                        None
-                        if reference is None or accuracy is None
-                        else reference - accuracy
-                    ),
-                }
-            )
-    return _print_rows(rows, request)
-
-
 STUDIES.add(Study(
     name="robustness",
     description="Robust    — byzantine/poisoning adversaries vs robust aggregation defenses",
-    build_config=lambda request: robustness_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
+    preset="robustness",
+    axes=(
+        Axis(
+            "adversary_fractions",
+            lambda config, request: (0.0, config.adversary_fraction or 0.2),
+            _adversary_fraction_point,
+        ),
+        Axis(
+            "defenses",
+            lambda config, request: ("none", config.defense or "median"),
+            lambda config, defense: (
+                defense,
+                {"defense": None if defense == "none" else defense,
+                 "name": f"{config.name}-{defense}"},
+                {},
+            ),
+        ),
     ),
-    specs=_robustness_specs,
-    collect=_robustness_collect,
-    summarise=_robustness_report,
+    algorithms=_paper_set("fedadmm", "fedavg"),
+    stop_at_target=False,
+    report=_robustness_report,
     flags=(
         StudyFlag("--adversary-fractions", {
             "nargs": "+", "type": float,
@@ -995,104 +488,30 @@ STUDIES.add(Study(
     modes=("sync",),
 ))
 
-
-def _mode_vs_sync_configs(
-    mode: str, config: ExperimentConfig
-) -> dict[str, ExperimentConfig]:
-    """The (sync, buffered-mode) config pair behind the async/semisync studies."""
-    if config.mode != mode:
-        raise ConfigurationError(
-            f"this study expects a config with mode={mode!r} "
-            f"(see {mode}_config)"
-        )
-    return {
-        "sync": config.with_overrides(mode="sync", name=f"{config.name}-sync"),
-        mode: config.with_overrides(name=f"{config.name}-{mode}"),
-    }
-
-
-def _mode_vs_sync_specs(
-    study: str,
-    mode: str,
-    config: ExperimentConfig,
-    algorithms: Sequence[AlgorithmSpec],
-) -> list[RunSpec]:
-    return [
-        spec
-        for setting, setting_config in _mode_vs_sync_configs(mode, config).items()
-        for spec in comparison_specs(
-            study, setting_config, algorithms, prefix=(setting,)
-        )
-    ]
-
-
-def _mode_vs_sync_collect(mode: str, results, config: ExperimentConfig):
-    return {
-        setting: collect_comparison(results, setting_config, prefix=(setting,))
-        for setting, setting_config in _mode_vs_sync_configs(mode, config).items()
-    }
-
-
-def _async_algorithms(request: StudyRequest) -> list[AlgorithmSpec]:
-    return [
-        AlgorithmSpec("fedadmm", {"rho": request.rho}), AlgorithmSpec("fedavg", {}),
-        AlgorithmSpec("fedprox", {"rho": 0.1}),
-    ]
-
-
 STUDIES.add(Study(
     name="async",
     description="Async     — sync vs event-driven async time-to-target under stragglers",
-    build_config=lambda request: async_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=lambda config, request: _mode_vs_sync_specs(
-        "async", "async", config, _async_algorithms(request)
-    ),
-    collect=lambda results, config, request: _mode_vs_sync_collect(
-        "async", results, config
-    ),
-    summarise=lambda studies, request: _mode_comparison_rows(studies),
-    # The study *is* the sync-vs-async pair; overriding the mode would
-    # break the comparison, so only the preset's own mode is accepted.
+    preset="async",
+    # The study *is* the sync-vs-async pair on identical data, model and
+    # network; overriding the mode would break the comparison, so only the
+    # preset's own mode is accepted.
+    requires={"mode": "async"},
     modes=("async",),
+    axes=(field_axis("plans", "mode", "", ("sync", "async")),),
+    algorithms=_paper_set("fedadmm", "fedavg", "fedprox"),
+    report=_plan_comparison_report,
 ))
-
-
-def _semisync_report(studies: dict[str, ComparisonResult], request: StudyRequest) -> dict:
-    payload = _mode_comparison_rows(studies)
-    semi = studies.get("semisync")
-    if semi is not None:
-        payload["late_arrivals"] = {
-            label: result.metadata.get("late_arrivals", 0)
-            for label, result in semi.results.items()
-        }
-        payload["round_deadline_s"] = {
-            label: result.metadata.get("round_deadline_s")
-            for label, result in semi.results.items()
-        }
-    return payload
-
 
 STUDIES.add(Study(
     name="semisync",
     description="Semisync  — sync vs deadline-bounded semi-sync rounds with late arrivals",
-    build_config=lambda request: semisync_config(
-        request.dataset, non_iid=request.non_iid, scale=request.scale,
-        seed=request.seed,
-    ),
-    specs=lambda config, request: _mode_vs_sync_specs(
-        "semisync", "semisync", config,
-        [AlgorithmSpec("fedadmm", {"rho": request.rho}),
-         AlgorithmSpec("fedavg", {})],
-    ),
-    collect=lambda results, config, request: _mode_vs_sync_collect(
-        "semisync", results, config
-    ),
-    summarise=_semisync_report,
+    preset="semisync",
     # Like the async study: the sync-vs-semisync pair is the experiment.
+    requires={"mode": "semisync"},
     modes=("semisync",),
+    axes=(field_axis("plans", "mode", "", ("sync", "semisync")),),
+    algorithms=_paper_set("fedadmm", "fedavg"),
+    report=_semisync_report,
 ))
 
 
@@ -1106,7 +525,7 @@ def run_study(
     Pass a configured :class:`SweepOrchestrator` to run the study's sweep
     points in parallel (``jobs=N``) and/or resumably against a persistent
     :class:`~repro.experiments.store.ExperimentStore`; with ``None`` the
-    sweep runs serially in-process, bit-identical to the historical
-    hand-written loops.
+    sweep runs serially in-process.
     """
     return STUDIES.run(name, request, orchestrator=orchestrator)
+

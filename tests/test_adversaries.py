@@ -24,7 +24,7 @@ from repro.algorithms import ALGORITHM_REGISTRY, build_algorithm
 from repro.algorithms.feddropoutavg import FedDropoutAvg
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import AlgorithmSpec, async_config, robustness_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.registry import ALL_ADVERSARIES
 from repro.experiments.runner import run_single
 from repro.federated.messages import ClientMessage
@@ -216,7 +216,7 @@ class TestDefenses:
 # Defended aggregation
 # --------------------------------------------------------------------------- #
 def tiny_robustness_cfg(**overrides):
-    base = robustness_config("blobs", non_iid=True, seed=4)
+    base = preset_config("robustness", "blobs", non_iid=True, seed=4)
     return base.with_overrides(
         num_clients=8,
         n_train=320,
@@ -373,7 +373,7 @@ class TestCorruptedRunDeterminism:
     @pytest.mark.slow
     def test_async_corrupted_identical_across_executors(self):
         def run(executor):
-            cfg = async_config("blobs", non_iid=True, seed=4).with_overrides(
+            cfg = preset_config("async", "blobs", non_iid=True, seed=4).with_overrides(
                 num_clients=8,
                 n_train=320,
                 n_test=120,
@@ -420,7 +420,7 @@ class TestConfigValidation:
 
     def test_defense_is_sync_only(self):
         with pytest.raises(ConfigurationError, match="sync"):
-            async_config("blobs").with_overrides(defense="median")
+            preset_config("async", "blobs").with_overrides(defense="median")
 
 
 # --------------------------------------------------------------------------- #

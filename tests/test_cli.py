@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, main, run_experiment
+from repro.experiments.studies import STUDIES
 
 
 class TestCliListing:
@@ -175,6 +176,52 @@ class TestCliRuns:
 
         with pytest.raises(ValueError):
             run_experiment("not-an-experiment", Args())
+
+
+class TestEveryStudySmokes:
+    """Every registered study runs in seconds on the same three flags."""
+
+    TINY = ["--dataset", "blobs", "--clients", "8", "--rounds", "2"]
+
+    @pytest.mark.parametrize("name", STUDIES.names())
+    def test_study_runs_and_its_output_round_trips(self, name, tmp_path, capsys):
+        output = tmp_path / f"{name}.json"
+        assert main([name, *self.TINY, "--output", str(output)]) == 0
+        payload = json.loads(output.read_text())
+        assert payload and json.loads(json.dumps(payload)) == payload
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_table6_refuses_an_odd_population_with_one_line(self, capsys):
+        # An even --clients runs (the parametrised case above; it used to
+        # die on every point with num_groups fixed before --clients applied).
+        assert main(["table6", "--dataset", "blobs", "--clients", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be even" in captured.err
+
+    def test_failed_sweep_is_one_error_line_not_a_traceback(self, capsys):
+        # A fault deadline without a network model fails every sweep point
+        # inside the orchestrator; its summary used to escape as a raw
+        # SimulationError traceback.
+        code = main(["table4", *self.TINY, "--epochs", "1", "--deadline", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: 1 of 1 sweep points failed")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_dataset_defaults_to_the_studys_own_preset(self, capsys):
+        # `repro fig5` used to silently run MNIST; the paper (and the
+        # preset row) use FMNIST.
+        assert main(["fig5", "--clients", "8", "--rounds", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "fig5-fmnist-iid" in out and "fig5-fmnist-noniid" in out
+
+    def test_fig9_labels_are_rounded(self, tmp_path):
+        output = tmp_path / "fig9.json"
+        assert main(["fig9", *self.TINY, "--output", str(output)]) == 0
+        assert list(json.loads(output.read_text())["series"]) == [
+            "rho=0.1", "rho=0.3", "rho=0.1->0.3@1",
+        ]
 
 
 class TestCliOrchestration:
@@ -379,11 +426,11 @@ class TestCliServe:
     def test_worker_against_live_server(self, capsys):
         import threading
 
-        from repro.experiments.configs import AlgorithmSpec, serve_config
+        from repro.experiments.configs import AlgorithmSpec, preset_config
         from repro.serve.server import FederationServer
 
         server = FederationServer(
-            serve_config(), AlgorithmSpec("fedavg"), num_rounds=1
+            preset_config("serve"), AlgorithmSpec("fedavg"), num_rounds=1
         )
         server.start()
         try:

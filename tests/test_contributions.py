@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import AlgorithmSpec, robustness_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.contributions import (
     ContributionValuer,
     UtilityCache,
@@ -19,8 +19,9 @@ SPEC = AlgorithmSpec("fedavg", {})
 
 
 def tiny_cfg(num_clients=4, num_rounds=2, seed=0):
-    return robustness_config(
-        "blobs", non_iid=True, seed=seed, adversary=None, adversary_fraction=0.0
+    return preset_config(
+        "robustness", "blobs", non_iid=True, seed=seed, adversary=None,
+        adversary_fraction=0.0,
     ).with_overrides(
         name="contrib-test",
         num_clients=num_clients,

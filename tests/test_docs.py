@@ -48,13 +48,12 @@ class TestCatalogueGenerator:
         assert "closed form" in table1_row
 
     def test_sweep_point_counts_match_the_registry(self):
-        from repro.experiments.registry import StudyRequest
+        from repro.experiments.registry import StudyRequest, expand
 
         page = _generate_catalogue()
         study = STUDIES.get("table3")
         request = StudyRequest()
-        config = request.apply_overrides(study.build_config(request))
-        expected = len(study.specs(config, request))
+        expected = len(expand(study, study.config(request), request))
         table3_row = next(
             line for line in page.splitlines() if line.startswith("| `table3`")
         )

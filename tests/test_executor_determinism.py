@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.configs import AlgorithmSpec, async_config, systems_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_single
 
 EXECUTORS = ("serial", "thread", "process")
@@ -38,7 +38,7 @@ def history_fingerprint(result):
 
 
 def tiny_async_cfg(executor: str):
-    return async_config("blobs", non_iid=True, seed=4).with_overrides(
+    return preset_config("async", "blobs", non_iid=True, seed=4).with_overrides(
         num_clients=8,
         n_train=320,
         n_test=120,
@@ -51,8 +51,9 @@ def tiny_async_cfg(executor: str):
 
 
 def tiny_sync_cfg(executor: str):
-    return systems_config(
-        "blobs", non_iid=True, seed=4, codec=None, dropout=0.0, executor=executor
+    return preset_config(
+        "systems", "blobs", non_iid=True, seed=4, codec=None, dropout=0.0,
+        executor=executor,
     ).with_overrides(
         num_clients=8,
         n_train=320,

@@ -4,22 +4,15 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.core.rho import PiecewiseRho
+from repro.experiments import configs
 from repro.experiments.configs import (
+    PRESETS,
     AlgorithmSpec,
     ExperimentConfig,
-    async_config,
     default_algorithms,
-    fig3_config,
-    fig5_config,
-    fig6_config,
-    fig8_config,
-    fig9_config,
-    table3_config,
-    table4_config,
-    table5_config,
-    table6_config,
+    preset_config,
 )
-from repro.experiments.configs import semisync_config
 from repro.experiments.figures import accuracy_series, final_accuracies, series_to_text
 from repro.experiments.runner import (
     build_simulation,
@@ -28,17 +21,7 @@ from repro.experiments.runner import (
     run_comparison,
     run_single,
 )
-from repro.experiments.studies import (
-    run_async_study,
-    run_imbalanced_study,
-    run_local_epochs_study,
-    run_local_init_study,
-    run_rho_schedule_study,
-    run_rho_sensitivity_table,
-    run_scale_sweep,
-    run_semisync_study,
-    run_server_stepsize_study,
-)
+from repro.experiments.studies import STUDIES
 from repro.experiments.tables import comparison_to_rows, format_table, table3_text
 
 # A deliberately tiny configuration so every study smoke-tests in seconds.
@@ -67,39 +50,64 @@ TINY_NON_IID = TINY.with_overrides(
 
 class TestConfigs:
     def test_all_presets_construct_at_bench_scale(self):
-        presets = [
-            table3_config(),
-            table3_config(dataset="cifar10", non_iid=True),
-            table4_config(),
-            table5_config(),
-            table6_config(),
-            fig3_config(),
-            fig5_config(),
-            fig6_config(),
-            fig8_config(),
-            fig9_config(),
-        ]
-        for preset in presets:
-            assert preset.num_clients > 0
-            assert 0 < preset.target_accuracy <= 1
+        for name, row in PRESETS.items():
+            for scale in ("bench", "paper"):
+                preset = preset_config(name, scale=scale)
+                assert preset.dataset == row.dataset  # the paper's own
+                assert preset.num_clients in row.clients
+                assert 0 < preset.target_accuracy <= 1
+        assert preset_config("table3", "cifar10", non_iid=True).partition == "shard"
 
     def test_paper_scale_uses_paper_models_and_targets(self):
-        mnist = table3_config(dataset="mnist", scale="paper")
+        mnist = preset_config("table3", "mnist", scale="paper")
         assert mnist.model == "cnn1"
         assert mnist.target_accuracy == 0.97
-        cifar = table3_config(dataset="cifar10", scale="paper", num_clients=1000)
+        assert (mnist.local_epochs, mnist.batch_size) == (5, 20)
+        cifar = preset_config("table3", "cifar10", scale="paper", num_clients=1000)
         assert cifar.model == "cnn2"
-        assert cifar.local_epochs == 20
+        assert (cifar.local_epochs, cifar.batch_size) == (20, None)
+        assert cifar.name == "table3-cifar10-1000clients-iid"
 
     def test_table6_uses_imbalanced_partition(self):
-        assert table6_config().partition == "imbalanced"
+        config = preset_config("table6")
+        assert config.partition == "imbalanced"
+        assert config.partition_kwargs == {"num_groups": 20}
+        # num_groups follows the population (used to be hard-coded, so any
+        # --clients died inside the partitioner); odd ones are refused.
+        assert preset_config("table6", num_clients=8).partition_kwargs == {
+            "num_groups": 4
+        }
+        with pytest.raises(ConfigurationError, match="must be even"):
+            preset_config("table6", num_clients=7)
 
     def test_table4_disables_system_heterogeneity(self):
-        assert table4_config().system_heterogeneity is False
+        assert preset_config("table4").system_heterogeneity is False
 
     def test_invalid_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            table3_config(scale="huge")
+        with pytest.raises(ConfigurationError, match="scale"):
+            preset_config("table3", scale="huge")
+        with pytest.raises(ConfigurationError, match="preset"):
+            preset_config("table2")
+        with pytest.raises(ConfigurationError, match="dataset"):
+            preset_config("table3", "svhn")
+
+    def test_overrides_apply_last_and_population_only_names_table3_and_5(self):
+        config = preset_config("serve", codec="identity", mode="semisync")
+        assert (config.codec, config.mode, config.num_clients) == (
+            "identity", "semisync", 12
+        )
+        assert preset_config("table5", num_clients=8).name == "table5-fmnist-8clients"
+        assert preset_config("fig6", num_clients=8).name == "fig6-mnist-noniid"
+
+    def test_surface_is_one_preset_function(self):
+        import inspect
+
+        public = [
+            name for name, obj in vars(configs).items()
+            if inspect.isfunction(obj) and obj.__module__ == configs.__name__
+            and not name.startswith("_")
+        ]
+        assert sorted(public) == ["default_algorithms", "preset_config"]
 
     def test_with_overrides(self):
         assert TINY.with_overrides(num_rounds=9).num_rounds == 9
@@ -169,45 +177,51 @@ class TestRunnerBasics:
 
 
 class TestStudies:
+    """The generic sweep (``STUDIES.sweep``) with explicit axis values."""
+
     def test_scale_sweep(self):
-        sweeps = run_scale_sweep(
-            TINY, populations=[6, 12], algorithms=[AlgorithmSpec("fedavg", {})]
+        sweeps = STUDIES.sweep(
+            "fig3", TINY, populations=[6, 12], algorithms=[AlgorithmSpec("fedavg", {})]
         )
         assert set(sweeps) == {6, 12}
         assert sweeps[6].config.num_clients == 6
+        assert sweeps[12].config.name == "tiny-m12"
 
     def test_server_stepsize_study_includes_switch(self):
-        results = run_server_stepsize_study(
-            TINY_NON_IID, etas=(0.5, 1.0), switch_round=2, rho=0.3
-        )
-        assert len(results) == 3
-        assert any("->" in label for label in results)
+        results = STUDIES.sweep("fig6", TINY_NON_IID, etas=(0.5, 1.0))
+        assert list(results) == ["eta=0.5", "eta=1.0", "eta=1.0->0.5@2"]
         for result in results.values():
             assert result.rounds_run == TINY_NON_IID.num_rounds
 
     def test_local_epochs_study(self):
-        results = run_local_epochs_study(TINY, epoch_counts=(1, 2), rho=0.3)
+        results = STUDIES.sweep("table4", TINY, epochs=(1, 2))
         assert set(results) == {1, 2}
 
     def test_local_init_study_labels(self):
-        results = run_local_init_study(TINY_NON_IID, etas=(1.0,), rho=0.3)
+        results = STUDIES.sweep("fig8", TINY_NON_IID, etas=(1.0,))
         assert set(results) == {"I-warm-eta=1.0", "II-restart-eta=1.0"}
 
     def test_rho_sensitivity_table(self):
-        table = run_rho_sensitivity_table(
-            {"tiny": TINY_NON_IID}, prox_rhos=(0.1,), admm_rho=0.3
-        )
-        labels = set(table["tiny"].results)
+        table = STUDIES.sweep("table5", TINY_NON_IID, prox_rhos=(0.1,))
+        labels = set(table["tiny-noniid"].results)
         assert labels == {"fedadmm(rho=0.3)", "fedprox(rho=0.1)"}
 
     def test_rho_schedule_study(self):
-        results = run_rho_schedule_study(
-            TINY_NON_IID, constant_rhos=(0.3,), switch_round=2, switch_values=(0.3, 1.0)
+        schedule = PiecewiseRho(values=[0.3, 1.0], boundaries=[2])
+        results = STUDIES.sweep("fig9", TINY_NON_IID, rhos=[0.3, schedule])
+        assert list(results) == ["rho=0.3", "rho=0.3->1@2"]
+
+    def test_heterogeneity_comparison_sweeps_the_preset_pair(self):
+        outcome = STUDIES.sweep(
+            "fig5", TINY, algorithms=[AlgorithmSpec("fedavg", {})]
         )
-        assert len(results) == 2
+        assert set(outcome) == {"iid", "non_iid"}
+        assert outcome["iid"].config.partition == "iid"
+        assert outcome["non_iid"].config.partition == "shard"
+        assert outcome["non_iid"].config.name == "fig5-blobs-noniid"
 
     def test_async_config_preset(self):
-        config = async_config("blobs", non_iid=True)
+        config = preset_config("async", "blobs", non_iid=True)
         assert config.async_mode
         assert config.network == "lognormal"
         assert config.staleness == "polynomial"
@@ -235,8 +249,8 @@ class TestStudies:
         config = TINY.with_overrides(
             async_mode=True, num_rounds=2, buffer_size=2, network="lognormal"
         )
-        studies = run_async_study(
-            config, [AlgorithmSpec("fedavg", {})], stop_at_target=False
+        studies = STUDIES.sweep(
+            "async", config, algorithms=[AlgorithmSpec("fedavg", {})]
         )
         assert set(studies) == {"sync", "async"}
         sync_result = next(iter(studies["sync"].results.values()))
@@ -246,8 +260,8 @@ class TestStudies:
         assert async_result.simulated_seconds > 0
 
     def test_run_async_study_rejects_sync_config(self):
-        with pytest.raises(ConfigurationError):
-            run_async_study(TINY, [AlgorithmSpec("fedavg", {})])
+        with pytest.raises(ConfigurationError, match="mode='async'"):
+            STUDIES.sweep("async", TINY, algorithms=[AlgorithmSpec("fedavg", {})])
 
     def test_mode_and_async_mode_stay_consistent(self):
         config = TINY.with_overrides(async_mode=True)
@@ -271,7 +285,7 @@ class TestStudies:
         assert isinstance(simulation.network, HomogeneousNetwork)
 
     def test_semisync_config_preset(self):
-        config = semisync_config("blobs", non_iid=True)
+        config = preset_config("semisync", "blobs", non_iid=True)
         assert config.mode == "semisync"
         assert config.network == "lognormal"
         assert not config.async_mode
@@ -280,8 +294,8 @@ class TestStudies:
         config = TINY.with_overrides(
             mode="semisync", num_rounds=3, network="lognormal"
         )
-        studies = run_semisync_study(
-            config, [AlgorithmSpec("fedavg", {})], stop_at_target=False
+        studies = STUDIES.sweep(
+            "semisync", config, algorithms=[AlgorithmSpec("fedavg", {})]
         )
         assert set(studies) == {"sync", "semisync"}
         semi_result = next(iter(studies["semisync"].results.values()))
@@ -291,12 +305,12 @@ class TestStudies:
         assert all(d is not None and d > 0 for d in deadlines)
 
     def test_run_semisync_study_rejects_sync_config(self):
-        with pytest.raises(ConfigurationError):
-            run_semisync_study(TINY, [AlgorithmSpec("fedavg", {})])
+        with pytest.raises(ConfigurationError, match="mode='semisync'"):
+            STUDIES.sweep("semisync", TINY, algorithms=[AlgorithmSpec("fedavg", {})])
 
     def test_imbalanced_study_requires_imbalanced_partition(self):
-        with pytest.raises(ConfigurationError):
-            run_imbalanced_study(TINY, [AlgorithmSpec("fedavg", {})])
+        with pytest.raises(ConfigurationError, match="partition='imbalanced'"):
+            STUDIES.sweep("table6", TINY, algorithms=[AlgorithmSpec("fedavg", {})])
 
     def test_imbalanced_study_runs(self):
         config = TINY.with_overrides(
@@ -305,8 +319,24 @@ class TestStudies:
             partition_kwargs={"num_groups": 5},
             num_clients=10,
         )
-        comparison = run_imbalanced_study(config, [AlgorithmSpec("fedavg", {})])
-        assert comparison.partition_stats.std_samples > 0
+        comparison = STUDIES.sweep(
+            "table6", config, algorithms=[AlgorithmSpec("fedavg", {})]
+        )
+        assert comparison.config == config
+        assert comparison.results["fedavg"].rounds_run == config.num_rounds
+
+    def test_sweep_matches_run_comparison_bit_for_bit(self):
+        # run_comparison's shared-data loop is the reference the spec
+        # decomposition is pinned against.
+        algorithms = [AlgorithmSpec("fedadmm", {"rho": 0.3}), AlgorithmSpec("fedavg", {})]
+        swept = STUDIES.sweep("fig3", TINY, populations=[6], algorithms=algorithms)[6]
+        reference = run_comparison(swept.config, algorithms)
+        assert list(swept.results) == list(reference.results)
+        for label, result in reference.results.items():
+            assert swept.results[label].history.records == result.history.records
+            np.testing.assert_array_equal(
+                swept.results[label].final_params, result.final_params
+            )
 
 
 class TestTablesAndFigures:

@@ -12,10 +12,10 @@ from repro.experiments.orchestrator import (
     SweepOrchestrator,
     execute_spec,
 )
-from repro.experiments.registry import StudyRequest
+from repro.experiments.registry import StudyRequest, expand
 from repro.experiments.runner import run_comparison
 from repro.experiments.store import ExperimentStore, RunStatus
-from repro.experiments.studies import STUDIES, comparison_specs, run_study
+from repro.experiments.studies import STUDIES, run_study
 from repro.utils.serialization import to_jsonable
 
 TINY = ExperimentConfig(
@@ -41,7 +41,10 @@ ALGORITHMS = [
 
 
 def tiny_specs(stop_at_target=False) -> list[RunSpec]:
-    return comparison_specs("demo", TINY, ALGORITHMS, stop_at_target=stop_at_target)
+    return [
+        RunSpec("demo", (algorithm.label(),), TINY, algorithm, stop_at_target)
+        for algorithm in ALGORITHMS
+    ]
 
 
 def assert_results_bit_identical(left, right):
@@ -262,17 +265,17 @@ class TestRegistryIntegration:
 
     def test_every_training_study_is_orchestrable(self):
         for study in STUDIES:
+            specs = expand(study, study.config(self.REQUEST), self.REQUEST)
             if study.name == "table1":
-                assert not study.orchestrable  # closed form, nothing to expand
+                assert specs == []  # closed form: the study with zero runs
             else:
-                assert study.orchestrable, study.name
+                assert specs and all(spec.study == study.name for spec in specs)
 
     def test_specs_are_self_contained_and_picklable(self):
         import pickle
 
         study = STUDIES.get("table3")
-        config = self.REQUEST.apply_overrides(study.build_config(self.REQUEST))
-        specs = study.specs(config, self.REQUEST)
+        specs = expand(study, study.config(self.REQUEST), self.REQUEST)
         assert len(specs) == 5  # the paper's five-algorithm comparison
         for spec in specs:
             assert pickle.loads(pickle.dumps(spec)) == spec
@@ -290,8 +293,7 @@ class TestRegistryIntegration:
     def test_run_study_resume_payload_matches_serial(self, tmp_path):
         store = ExperimentStore(tmp_path)
         study = STUDIES.get("table4")
-        config = self.REQUEST.apply_overrides(study.build_config(self.REQUEST))
-        specs = study.specs(config, self.REQUEST)
+        specs = expand(study, study.config(self.REQUEST), self.REQUEST)
         # Pre-populate the store with the first point, as an interrupted
         # sweep would have; the resumed study must reuse it untouched.
         SweepOrchestrator(store=store).execute(specs[:1])
@@ -300,6 +302,11 @@ class TestRegistryIntegration:
         assert len(orchestrator.last_report.skipped) == 1
         assert resumed == to_jsonable(run_study("table4", self.REQUEST))
 
-    def test_monolithic_studies_ignore_the_orchestrator_with_a_note(self, capsys):
-        run_study("table1", orchestrator=SweepOrchestrator(jobs=4))
-        assert "no spec expansion" in capsys.readouterr().out
+    def test_zero_spec_studies_run_through_the_orchestrator_too(self, capsys):
+        # table1 has no second execution mode: it is the same path with
+        # nothing to execute (and no "--jobs has no effect" note).
+        orchestrator = SweepOrchestrator(jobs=4)
+        payload = run_study("table1", orchestrator=orchestrator)
+        assert payload["rows"]
+        assert orchestrator.last_report.executed == []
+        assert "note:" not in capsys.readouterr().out

@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import inspect
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import ExperimentConfig
+from repro.experiments import studies as studies_module
+from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
 from repro.experiments.registry import (
+    Axis,
     Study,
     StudyFlag,
     StudyRegistry,
     StudyRequest,
+    expand,
+    field_axis,
+    gather,
 )
+from repro.experiments.store import ExperimentStore
 from repro.experiments.studies import STUDIES
 
 
@@ -35,9 +47,9 @@ def make_study(name="demo", **kwargs) -> Study:
     defaults = dict(
         name=name,
         description="a demo study",
-        build_config=lambda request: TINY,
-        sweep=lambda config, request: {"config": config, "request": request},
-        summarise=lambda raw, request: {"ok": True, "raw": raw},
+        preset="table3",
+        algorithms=lambda request: [AlgorithmSpec("fedavg", {})],
+        report=lambda raw, request: {"ok": True, "raw": raw},
     )
     defaults.update(kwargs)
     return Study(**defaults)
@@ -68,24 +80,256 @@ class TestStudyRegistryResolution:
     def test_run_applies_overrides_before_sweep(self):
         registry = StudyRegistry()
         registry.add(make_study())
-        request = StudyRequest(rounds=7, seed=3, overrides={"dropout": 0.25})
+        request = StudyRequest(
+            dataset="blobs", clients=6, rounds=2, seed=3, overrides={"dropout": 0.25}
+        )
         payload = registry.run("demo", request)
-        swept = payload["raw"]["config"]
-        assert swept.num_rounds == 7
+        swept = payload["raw"].config  # the gathered comparison's config
+        assert swept.num_rounds == 2
         assert swept.seed == 3
         assert swept.dropout == 0.25
+        assert swept.name == "table3-blobs-6clients-iid"
 
     def test_run_skips_overrides_for_configless_studies(self):
         registry = StudyRegistry()
         registry.add(
-            make_study(
-                "closed-form",
-                build_config=lambda request: None,
-                sweep=lambda config, request: config,
-                summarise=lambda raw, request: {"config": raw},
-            )
+            make_study("closed-form", preset=None, algorithms=lambda request: ())
         )
-        assert registry.run("closed-form")["config"] is None
+        request = StudyRequest(overrides={"dropout": 0.25})
+        assert registry.get("closed-form").config(request) is None
+        # No preset and no algorithms: zero run specs, the report gets {}.
+        assert registry.run("closed-form", request) == {"ok": True, "raw": {}}
+
+    def test_default_dataset_is_the_presets_own(self):
+        # CLI, StudyRequest and the preset rows used to disagree (mnist /
+        # blobs / the paper's); None now means the PRESETS row everywhere.
+        assert StudyRequest().dataset is None
+        assert STUDIES.get("fig5").config(StudyRequest()).dataset == "fmnist"
+        assert STUDIES.get("table3").config(StudyRequest()).dataset == "mnist"
+        assert STUDIES.get("fig5").config(StudyRequest(dataset="blobs")).dataset == "blobs"
+
+
+class TestExpandAndGather:
+    """The one spec expansion and the one gather, on a two-axis demo study."""
+
+    STUDY = make_study(
+        "grid",
+        axes=(
+            field_axis("epochs", "local_epochs", "E", (1, 2)),
+            Axis(
+                "etas",
+                lambda config, request: (0.5, config.learning_rate * 10),
+                lambda config, eta: (f"eta={eta}", {}, {"server_step_size": eta}),
+            ),
+        ),
+        algorithms=lambda request: [
+            AlgorithmSpec("fedadmm", {"rho": request.rho}), AlgorithmSpec("fedavg", {}),
+        ],
+        stop_at_target=False,
+    )
+
+    def test_expand_is_the_product_of_axes_and_algorithms(self):
+        specs = expand(self.STUDY, TINY, StudyRequest(rho=0.7))
+        assert [spec.key for spec in specs][:4] == [
+            (1, "eta=0.5", "fedadmm(rho=0.7)"), (1, "eta=0.5", "fedavg"),
+            (1, "eta=1.0", "fedadmm(rho=0.7)"), (1, "eta=1.0", "fedavg"),
+        ]
+        assert len(specs) == 8
+        last = specs[-1]
+        assert last.config.local_epochs == 2
+        assert last.config.name == "tiny-registry-E2"
+        assert last.algorithm == AlgorithmSpec("fedavg", {"server_step_size": 1.0})
+        assert not last.stop_at_target and last.study == "grid"
+
+    def test_request_options_replace_axis_values_and_algorithms(self):
+        request = StudyRequest(options={
+            "epochs": [3, 3],  # duplicates collapse
+            "etas": [0.1],
+            "algorithms": [AlgorithmSpec("fedprox", {"rho": 0.2})],
+        })
+        specs = expand(self.STUDY, TINY, request)
+        assert [spec.key for spec in specs] == [(3, "eta=0.1", "fedprox(rho=0.2)")]
+        assert specs[0].algorithm.kwargs == {"rho": 0.2, "server_step_size": 0.1}
+
+    def test_buffered_modes_drop_lock_step_algorithms(self, capsys):
+        request = StudyRequest(options={
+            "algorithms": [AlgorithmSpec("scaffold", {}), AlgorithmSpec("fedavg", {})],
+        })
+        specs = expand(make_study(), TINY.with_overrides(mode="async"), request)
+        assert [spec.key for spec in specs] == [("fedavg",)]
+        assert "skips scaffold" in capsys.readouterr().out
+
+    def test_required_config_fields_are_enforced(self):
+        study = make_study(requires={"partition": "imbalanced"})
+        with pytest.raises(ConfigurationError, match="partition='imbalanced'"):
+            expand(study, TINY, StudyRequest())
+
+    def test_gather_nests_by_key_and_groups_comparisons(self):
+        specs = expand(self.STUDY, TINY, StudyRequest())
+        results = {spec.key: object() for spec in specs}
+        nested = gather(specs, results)
+        assert list(nested) == [1, 2] and list(nested[1]) == ["eta=0.5", "eta=1.0"]
+        cell = nested[2]["eta=1.0"]
+        assert cell.config == specs[-1].config
+        assert cell.results == {
+            "fedadmm(rho=0.3)": results[(2, "eta=1.0", "fedadmm(rho=0.3)")],
+            "fedavg": results[(2, "eta=1.0", "fedavg")],
+        }
+
+    def test_gather_without_comparison_keeps_bare_results(self):
+        single = dataclasses.replace(self.STUDY, compare=False)
+        specs = expand(single, TINY, StudyRequest(options={
+            "algorithms": [AlgorithmSpec("fedavg", {})]}))
+        assert [spec.key for spec in specs][0] == (1, "eta=0.5")
+        results = {spec.key: object() for spec in specs}
+        nested = gather(specs, results, compare=False)
+        assert nested[2]["eta=1.0"] is results[(2, "eta=1.0")]
+
+    def test_no_axes_gathers_to_one_comparison_and_no_specs_to_nothing(self):
+        specs = expand(make_study(), TINY, StudyRequest())
+        only = gather(specs, {spec.key: "result" for spec in specs})
+        assert only.config == TINY and only.results == {"fedavg": "result"}
+        assert gather([], {}) == {}
+
+
+#: One override variant per study: its own axis flag(s) on a tiny request.
+PIN_AXIS_VARIANTS = {
+    "table3": {},
+    "table4": {"epochs": [1, 2]},
+    "table5": {"prox_rhos": [0.05, 0.5]},
+    "table6": {},
+    "fig3": {"populations": [6, 12]},
+    "fig5": {},
+    "fig6": {"etas": [0.25, 1.0]},
+    "fig8": {"etas": [0.75]},
+    "fig9": {},
+    "systems": {"dropout_rates": [0.0, 0.3]},
+    "robustness": {
+        "adversary_fractions": [0.0, 0.1, 0.3],
+        "defenses": ["none", "trimmed_mean"],
+    },
+    "async": {},
+    "semisync": {},
+}
+
+
+def pin_requests():
+    """``(ident, study, StudyRequest kwargs)`` of the content-key pin grid."""
+    for study in PIN_AXIS_VARIANTS:
+        for dataset in ("mnist", "fmnist", "cifar10", "blobs"):
+            for non_iid in (False, True):
+                for scale in ("bench", "paper"):
+                    yield (
+                        f"{study}|{dataset}|{'noniid' if non_iid else 'iid'}|{scale}",
+                        study,
+                        dict(dataset=dataset, non_iid=non_iid, scale=scale),
+                    )
+        # table6's --clients was a crash when the pin was recorded (fixed
+        # since, which changes num_groups): it keeps the preset population.
+        clients = None if study == "table6" else 8
+        yield (
+            f"{study}|tiny",
+            study,
+            dict(dataset="blobs", clients=clients, rounds=2,
+                 options=PIN_AXIS_VARIANTS[study]),
+        )
+        yield (
+            f"{study}|rho-seed-systems",
+            study,
+            dict(dataset="blobs", non_iid=True, rho=0.05, seed=3, rounds=3,
+                 overrides={"codec": "qsgd", "network": "lognormal",
+                            "executor": "thread"}),
+        )
+    yield ("table3|paper-1000-iid", "table3",
+           dict(dataset="cifar10", scale="paper", clients=1000))
+    yield ("table3|paper-1000-noniid", "table3",
+           dict(dataset="cifar10", scale="paper", clients=1000, non_iid=True))
+    yield ("table3|async", "table3",
+           dict(dataset="blobs", clients=10, overrides={"mode": "async"}))
+    yield ("systems|semisync", "systems",
+           dict(dataset="blobs", overrides={"mode": "semisync",
+                                            "round_deadline_s": 2.0}))
+    yield ("fig3|hierarchical", "fig3",
+           dict(dataset="blobs", clients=16,
+                overrides={"plan": "hierarchical", "num_shards": 4}))
+    yield ("table6|paper-clients", "table6",
+           dict(dataset="fmnist", scale="paper", clients=200, rounds=5))
+    yield ("robustness|defended", "robustness",
+           dict(dataset="blobs", overrides={"adversary": "scale",
+                                            "adversary_fraction": 0.3,
+                                            "defense": "norm_clip"}))
+
+
+class TestContentKeyPin:
+    """Every study expands to the runs it expanded to before PR 15.
+
+    ``spec_key_pin.json`` was recorded on commit 477c4cd (the last one with
+    per-study ``*_config`` builders and ``_specs``/``_collect`` pairs) by
+    walking :func:`pin_requests` through that commit's
+    ``study.specs(request.apply_overrides(study.build_config(request)),
+    request)`` and folding each request's ordered ``label<TAB>key_for``
+    lines into one sha256 (store version ``"pin"``; fig9's labels
+    %g-formatted, as they have been since).  Equal digests mean a run store
+    written before the refactor is a 100% ``--resume`` hit after it.
+    Never refresh the pin to make a failing build pass: a mismatch means
+    the expansion now trains different runs.
+    """
+
+    PIN = json.loads(
+        (Path(__file__).parent / "spec_key_pin.json").read_text(encoding="utf-8")
+    )
+
+    def test_grid_covers_every_training_study(self):
+        assert set(PIN_AXIS_VARIANTS) == set(STUDIES.names()) - {"table1"}
+        idents = [ident for ident, _, _ in pin_requests()]
+        assert sorted(idents) == sorted(self.PIN)
+        grid = [ident for ident in idents if ident.count("|") == 3]
+        assert len(grid) == 208
+        assert sum(self.PIN[ident]["specs"] for ident in grid) == 1008
+
+    def test_every_expansion_matches_the_pin(self, tmp_path):
+        store = ExperimentStore(tmp_path, version="pin")
+        mismatched = []
+        for ident, name, kwargs in pin_requests():
+            study = STUDIES.get(name)
+            request = StudyRequest(**kwargs)
+            specs = expand(study, study.config(request), request)
+            lines = [f"{spec.label()}\t{store.key_for(spec)}" for spec in specs]
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+            if {"specs": len(specs), "digest": digest} != self.PIN[ident]:
+                mismatched.append(ident)
+        assert mismatched == []
+
+
+class TestCollapsedSurface:
+    """Studies are records; there is one expansion and one execution path."""
+
+    def test_study_has_no_per_study_code_hooks(self):
+        fields = {f.name for f in dataclasses.fields(Study)}
+        assert not fields & {"sweep", "specs", "collect", "build_config", "summarise"}
+        assert not hasattr(Study, "orchestrable")
+
+    def test_studies_module_defines_no_sweep_functions(self):
+        defined = [
+            name for name, obj in vars(studies_module).items()
+            if inspect.isfunction(obj) and obj.__module__ == studies_module.__name__
+        ]
+        assert [name for name in defined if name.startswith("run_")] == ["run_study"]
+        assert not [name for name in defined if "specs" in name or "collect" in name]
+
+    def test_experiment_config_fields_are_untouched(self):
+        # _canonical(spec.config) feeds every store key.
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "name", "dataset", "n_train", "n_test", "model", "model_kwargs",
+            "num_clients", "partition", "partition_kwargs", "client_fraction",
+            "local_epochs", "system_heterogeneity", "batch_size", "learning_rate",
+            "num_rounds", "target_accuracy", "eval_every", "seed", "codec",
+            "codec_kwargs", "dropout", "deadline_s", "network", "executor",
+            "max_workers", "backend", "mode", "async_mode", "buffer_size",
+            "max_concurrency", "staleness", "staleness_exponent",
+            "round_deadline_s", "plan", "num_shards", "adversary",
+            "adversary_fraction", "defense",
+        ]
 
 
 class TestStudyRequest:
@@ -132,9 +376,9 @@ class TestDefaultRegistryContents:
         expected = {
             "table1", "table3", "table4", "table5", "table6",
             "fig3", "fig5", "fig6", "fig8", "fig9",
-            "systems", "async", "semisync",
+            "systems", "robustness", "async", "semisync",
         }
-        assert expected <= set(STUDIES.names())
+        assert expected == set(STUDIES.names())
 
     def test_descriptions_cover_every_study(self):
         descriptions = STUDIES.descriptions()

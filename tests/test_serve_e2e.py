@@ -25,7 +25,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import build_simulation
 from repro.serve.loadgen import expected_real_bytes
 from repro.serve.server import FederationServer
@@ -87,7 +87,7 @@ def assert_bit_identical(networked, reference):
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "fedadmm"])
 def test_networked_history_bit_identical_to_simulation(algorithm):
-    config = serve_config()
+    config = preset_config("serve")
     spec = AlgorithmSpec(algorithm)
     server, networked = serve_run(config, spec)
     reference = reference_run(config, spec)
@@ -105,7 +105,7 @@ def test_networked_history_bit_identical_to_simulation(algorithm):
 
 def test_identity_codec_real_bytes_are_double_the_nominal():
     """identity ships float64 on the wire against float32 nominal accounting."""
-    config = serve_config(codec="identity")
+    config = preset_config("serve", codec="identity")
     spec = AlgorithmSpec("fedavg")
     server, networked = serve_run(config, spec)
     reference = reference_run(config, spec)
@@ -119,7 +119,7 @@ def test_identity_codec_real_bytes_are_double_the_nominal():
 
 def test_networked_run_with_more_workers_than_tasks_is_identical():
     """Worker count is a scheduling detail; four processes, same bits."""
-    config = serve_config()
+    config = preset_config("serve")
     spec = AlgorithmSpec("fedadmm")
     _, networked = serve_run(config, spec, rounds=2, num_workers=4)
     reference = reference_run(config, spec, rounds=2)

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import build_simulation
 from repro.serve.server import FederationServer
 from repro.serve.worker import run_worker
@@ -48,7 +48,7 @@ def _wait_until(predicate, timeout: float = 30.0, interval: float = 0.02):
 
 def test_worker_killed_mid_round_is_absorbed_by_lease_reclaim():
     """Kill a worker holding a task; the round completes bit-identically."""
-    config = serve_config()
+    config = preset_config("serve")
     spec = AlgorithmSpec("fedavg")
     server = FederationServer(config, spec, num_rounds=2, lease_s=0.5)
     server.start()
@@ -89,7 +89,7 @@ def test_worker_killed_mid_round_is_absorbed_by_lease_reclaim():
 
 def test_server_restart_resumes_from_store(tmp_path):
     """Stop after 2 rounds, restart with resume=True, finish 4 — same bits."""
-    config = serve_config()
+    config = preset_config("serve")
     spec = AlgorithmSpec("fedadmm")
     store_dir = str(tmp_path / "serve-store")
 
@@ -131,7 +131,7 @@ def test_resume_without_store_dir_is_refused():
 
     with pytest.raises(ConfigurationError):
         FederationServer(
-            serve_config(), AlgorithmSpec("fedavg"), num_rounds=1, resume=True
+            preset_config("serve"), AlgorithmSpec("fedavg"), num_rounds=1, resume=True
         )
 
 
@@ -145,7 +145,7 @@ def test_real_time_straggler_cannot_perturb_staleness_weighting(mode):
     clock, so the networked history (staleness columns included) must be
     bit-identical to the in-process plan run that tests/test_plans.py pins.
     """
-    config = serve_config(mode=mode)
+    config = preset_config("serve", mode=mode)
     spec = AlgorithmSpec("fedavg")
     server = FederationServer(config, spec, num_rounds=3)
     server.start()

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ProtocolError
-from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.serve import protocol
 from repro.systems.compression import (
     EncodedVector,
@@ -306,7 +306,7 @@ def test_transport_decode_rejects_signsgd_bad_signs():
 def live_server():
     from repro.serve.server import FederationServer
 
-    config = serve_config().with_overrides(num_rounds=1)
+    config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec("fedavg"), num_rounds=1)
     server.start()
     yield server
@@ -366,7 +366,7 @@ def test_server_refuses_oversized_body_with_413():
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient
 
-    config = serve_config().with_overrides(num_rounds=1)
+    config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(
         config, AlgorithmSpec("fedavg"), num_rounds=1, max_frame_bytes=1024
     )
@@ -410,7 +410,7 @@ def test_duplicate_delta_submission_is_idempotent():
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient, WorkerEnvironment, handshake
 
-    config = serve_config().with_overrides(num_rounds=1)
+    config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec("fedavg"), num_rounds=1)
     server.start()
     client = ServerClient(server.url)

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.configs import AlgorithmSpec, serve_config
+from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.serve import server as serve_server
 from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
 from repro.serve.worker import ServerClient
@@ -48,7 +48,7 @@ FOREVER = 3600.0
 def served_run(rounds=ROUNDS, num_workers=WORKERS, **server_kwargs):
     """One served fedadmm run on worker processes; returns the stopped server."""
     server, _ = serve_run(
-        serve_config(),
+        preset_config("serve"),
         AlgorithmSpec("fedadmm"),
         rounds=rounds,
         num_workers=num_workers,
@@ -87,7 +87,7 @@ def test_replies_are_one_write_on_a_nodelay_connection(monkeypatch):
         handler.wfile = _CountingWriter(handler.wfile, writes)
 
     monkeypatch.setattr(serve_server._Handler, "setup", observed_setup)
-    server = FederationServer(serve_config(), AlgorithmSpec("fedavg"), num_rounds=1)
+    server = FederationServer(preset_config("serve"), AlgorithmSpec("fedavg"), num_rounds=1)
     server.start()
     client = ServerClient(server.url)
     try:
@@ -294,7 +294,7 @@ def test_checkpoint_from_another_round_is_refused(finished_run, tmp_path):
     np.savez(sidecar, **arrays)
     with pytest.raises(ConfigurationError, match="from round 2"):
         FederationServer(
-            serve_config(),
+            preset_config("serve"),
             AlgorithmSpec("fedadmm"),
             num_rounds=ROUNDS + 1,
             store_dir=str(copy),

@@ -328,17 +328,17 @@ class TestPolicyObjectAddressing:
         # The fig6/fig9 switch points carry policy objects; a full
         # store-backed run followed by a resume must skip every point.
         from repro.experiments.orchestrator import SweepOrchestrator
-        from repro.experiments.registry import StudyRequest
+        from repro.experiments.registry import StudyRequest, expand
         from repro.experiments.studies import STUDIES
 
         request = StudyRequest(dataset="blobs", clients=8, rounds=2)
         study = STUDIES.get("fig9")
-        config = request.apply_overrides(study.build_config(request))
-        specs = study.specs(config, request)
+        config = study.config(request)
+        specs = expand(study, config, request)
         store = ExperimentStore(tmp_path)
         SweepOrchestrator(store=store).execute(specs)
         resumer = SweepOrchestrator(store=store, resume=True)
-        resumer.execute(study.specs(config, request))  # freshly-built specs
+        resumer.execute(expand(study, config, request))  # freshly-built specs
         assert len(resumer.last_report.skipped) == len(specs)
         assert resumer.last_report.executed == []
 

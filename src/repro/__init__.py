@@ -28,7 +28,7 @@ from repro.algorithms import (
     ALGORITHM_REGISTRY,
 )
 from repro.federated import (
-    AsyncFederatedSimulation,
+    AsyncPlan,
     FederatedSimulation,
     SimulationResult,
     UniformFractionSampler,
@@ -65,7 +65,7 @@ __all__ = [
     "build_algorithm",
     "ALGORITHM_REGISTRY",
     "FederatedSimulation",
-    "AsyncFederatedSimulation",
+    "AsyncPlan",
     "SimulationResult",
     "UniformFractionSampler",
     "build_staleness",

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
     from repro.federated.client import ClientState
     from repro.federated.local_problem import LocalProblem
     from repro.federated.messages import ClientMessage
-    from repro.federated.staleness import StaleUpdate
     from repro.nn.batched import BatchedCohort
 
 
@@ -321,55 +320,6 @@ class FederatedAlgorithm:
                 )
             )
         return messages
-
-    # ------------------------------------------------------------------ #
-    # Buffered aggregation (see repro.federated.plans)
-    # ------------------------------------------------------------------ #
-    def message_delta(
-        self, message: ClientMessage, base_params: np.ndarray
-    ) -> np.ndarray:
-        """The additive model update one message encodes.
-
-        The asynchronous server mixes updates trained against *different*
-        model versions, so it needs every upload expressed as a delta
-        against the parameters its client actually downloaded
-        (``base_params``).  Delta-style uploads (FedADMM) pass through;
-        whole-model uploads (FedAvg/FedProx) difference against their base.
-        Algorithms with other payloads override this.
-        """
-        if "delta" in message.payload:
-            return message.payload["delta"]
-        if "params" in message.payload:
-            return message.payload["params"] - base_params
-        raise ConfigurationError(
-            f"{type(self).__name__} cannot derive an async update from "
-            f"payload keys {sorted(message.payload)}; override message_delta"
-        )
-
-    def aggregate_async(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        updates: list[StaleUpdate],
-        num_clients: int,
-        version: int,
-    ) -> np.ndarray:
-        """Mix a buffer of possibly-stale updates into the next model version.
-
-        Default: plain staleness damping (the FedBuff/FedAsync recipe) —
-        each update's delta is scaled by its staleness weight and the
-        buffer mean is applied, so stale contributions genuinely count for
-        less.  With fresh updates and constant weights this reproduces the
-        synchronous uniform aggregate.  FedADMM overrides this with its
-        dual-corrected server update.
-        """
-        if not updates:
-            raise ConfigurationError("aggregate_async needs at least one update")
-        scaled = [
-            update.weight * self.message_delta(update.message, update.base_params)
-            for update in updates
-        ]
-        return global_params + np.stack(scaled).sum(axis=0) / len(updates)
 
     # ------------------------------------------------------------------ #
     # Communication accounting

@@ -29,7 +29,6 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.core.admm_client import admm_client_update
-from repro.core.admm_server import admm_server_update
 from repro.core.rho import ConstantRho, RhoSchedule
 from repro.core.stepsize import (
     ConstantStepSize,
@@ -203,32 +202,3 @@ class FedADMM(FederatedAlgorithm):
         if eta <= 0:
             raise ConfigurationError(f"server step size must be positive, got {eta}")
         return sums.global_params + (eta / sums.count) * sums.sums["delta"]
-
-    def aggregate_async(
-        self,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        updates,
-        num_clients: int,
-        version: int,
-    ) -> np.ndarray:
-        """Apply stale dual updates as dual-corrected tracking deltas.
-
-        The baselines upload whole models, so the asynchronous server must
-        *reconstruct* an update by differencing against the stale anchor
-        the client downloaded — the reconstruction drags the anchor's age
-        into every aggregate.  FedADMM's Δ_i needs no reconstruction: it is
-        a difference of *augmented* models in which the client's fresh dual
-        y_i (updated against the θ it downloaded) is already folded, so the
-        delta carries its own correction toward the consensus.  The server
-        applies the tracking update of eq. (5) to those deltas unchanged;
-        the engine's staleness weight enters only as a trust scalar on each
-        delta's step, exactly where the η analysis permits scaling.
-        """
-        if not updates:
-            raise ConfigurationError("FedADMM.aggregate_async needs updates")
-        eta = self.step_size_policy.value(version, len(updates), num_clients)
-        deltas = [
-            update.weight * update.message.payload["delta"] for update in updates
-        ]
-        return admm_server_update(global_params, deltas, eta)

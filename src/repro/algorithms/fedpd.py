@@ -37,7 +37,7 @@ class FedPD(FederatedAlgorithm):
     name = "fedpd"
 
     #: FedPD flips a per-round communication coin at the server; that
-    #: protocol has no analogue in the buffered asynchronous engine.
+    #: protocol has no analogue under the buffered plans.
     supports_async = False
 
     #: The communication coin lives in :meth:`server_step` (server side), so

@@ -78,7 +78,3 @@ class FedSGD(FederatedAlgorithm):
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
         """One server SGD step along the averaged client gradient."""
         return sums.global_params - self.server_learning_rate * sums.mean("gradient")
-
-    def message_delta(self, message, base_params: np.ndarray) -> np.ndarray:
-        """One server SGD step along the (possibly stale) client gradient."""
-        return -self.server_learning_rate * message.payload["gradient"]

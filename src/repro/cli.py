@@ -113,8 +113,8 @@ def _shared_flags() -> argparse.ArgumentParser:
                       choices=["sync", "semisync", "async"],
                       help="round-loop strategy: lock-step sync, "
                            "deadline-bounded semisync, or event-driven async")
-    plan.add_argument("--async", dest="async_mode", action="store_true",
-                      help="shorthand for --mode async")
+    plan.add_argument("--async", dest="mode", action="store_const",
+                      const="async", help="shorthand for --mode async")
     plan.add_argument("--plan", default=None, dest="plan",
                       choices=["flat", "hierarchical"],
                       help="sync-round topology: flat single server, or "

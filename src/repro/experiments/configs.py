@@ -75,10 +75,7 @@ class ExperimentConfig:
     # Execution plan (see repro.federated.plans): "sync" is the bit-identical
     # lock-step round loop, "semisync" the deadline-bounded plan with
     # FedBuff-weighted late arrivals, "async" the event-driven buffered plan.
-    # ``async_mode`` is the legacy boolean spelling of mode="async"; the two
-    # fields are kept consistent automatically.
     mode: str = "sync"
-    async_mode: bool = False
     buffer_size: int | None = None
     max_concurrency: int | None = None
     staleness: str = "polynomial"
@@ -105,11 +102,6 @@ class ExperimentConfig:
     defense: str | None = None
 
     def __post_init__(self) -> None:
-        # Normalise the two plan spellings: async_mode=True is shorthand for
-        # mode="async", and mode is always the authoritative field.
-        if self.async_mode and self.mode == "sync":
-            object.__setattr__(self, "mode", "async")
-        object.__setattr__(self, "async_mode", self.mode == "async")
         if self.mode not in ("sync", "semisync", "async"):
             raise ConfigurationError(
                 f"mode must be one of ('sync', 'semisync', 'async'), "
@@ -198,17 +190,17 @@ class ExperimentConfig:
                     f"available: {sorted(BACKEND_REGISTRY)}"
                 )
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """Return a copy with the given fields replaced.
+    @classmethod
+    def from_record(cls, record: dict[str, Any]) -> "ExperimentConfig":
+        """Rebuild a config from a stored or served ``asdict`` record."""
+        record = dict(record)
+        # Older records carry the boolean twin ``mode`` once had; it always
+        # equalled ``mode == "async"``, so it is simply dropped.
+        record.pop("async_mode", None)
+        return cls(**record)
 
-        Overriding either plan spelling (``mode`` or the legacy
-        ``async_mode``) updates the other, so ``async_mode=False`` really
-        does return a synchronous config.
-        """
-        if "async_mode" in kwargs and "mode" not in kwargs:
-            kwargs["mode"] = "async" if kwargs["async_mode"] else "sync"
-        if "mode" in kwargs and "async_mode" not in kwargs:
-            kwargs["async_mode"] = kwargs["mode"] == "async"
+    def with_overrides(self, **kwargs) -> "ExperimentConfig":
+        """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
 
 

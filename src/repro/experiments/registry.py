@@ -93,8 +93,6 @@ class StudyRequest:
             for name in OVERRIDE_FIELDS
             if getattr(args, name, None) is not None
         }
-        if getattr(args, "async_mode", False) and "mode" not in overrides:
-            overrides["mode"] = "async"
         if "num_shards" in overrides and "plan" not in overrides:
             # --shards N alone means the sharded synchronous topology.
             overrides["plan"] = "hierarchical"
@@ -294,7 +292,7 @@ def filter_plan_compatible(
     if len(kept) < len(specs):
         skipped = ", ".join(s.name for s in specs if s not in kept)
         print(f"note: mode={mode} skips {skipped} "
-              f"(no asynchronous aggregation support)")
+              f"(lock-step server state; no buffered-plan support)")
     return kept
 
 

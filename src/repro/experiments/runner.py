@@ -33,11 +33,10 @@ from repro.datasets.base import TrainTestSplit
 from repro.datasets.registry import load_dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
-from repro.federated.async_engine import AsyncFederatedSimulation
 from repro.federated.client import ClientState, build_clients
 from repro.federated.engine import FederatedSimulation, SimulationResult
 from repro.federated.heterogeneity import FixedEpochs, UniformRandomEpochs
-from repro.federated.plans import HierarchicalPlan, SemiSyncPlan
+from repro.federated.plans import AsyncPlan, HierarchicalPlan, SemiSyncPlan
 from repro.federated.sampler import UniformFractionSampler
 from repro.metrics.rounds_to_target import format_rounds, rounds_to_target
 from repro.metrics.speedup import reduction_vs_best_baseline, speedup_vs_reference
@@ -129,7 +128,9 @@ def build_simulation(
         if config.codec is not None
         else None
     )
-    network = build_network(config.network) if config.network is not None else None
+    # Buffered plans need a virtual clock: default to equally fast clients.
+    network_name = config.network or (None if config.mode == "sync" else "homogeneous")
+    network = build_network(network_name) if network_name is not None else None
     faults = (
         FaultInjector(dropout_rate=config.dropout, deadline_s=config.deadline_s)
         if config.dropout > 0 or config.deadline_s is not None
@@ -141,7 +142,25 @@ def build_simulation(
         else None
     )
 
-    common = dict(
+    if config.mode == "async":
+        # buffer_size=None defers to the plan's default: the synchronous
+        # cohort, so each aggregation consumes the same number of uploads.
+        plan = AsyncPlan(
+            buffer_size=config.buffer_size,
+            max_concurrency=config.max_concurrency,
+            staleness=config.staleness,
+            staleness_exponent=config.staleness_exponent,
+        )
+    elif config.mode == "semisync":
+        plan = SemiSyncPlan(
+            round_deadline_s=config.round_deadline_s,
+            staleness=config.staleness,
+            staleness_exponent=config.staleness_exponent,
+        )
+    else:
+        # plan="flat" is the one-shard case (the config refuses flat + shards).
+        plan = HierarchicalPlan(num_shards=config.num_shards)
+    return FederatedSimulation(
         algorithm=algorithm,
         model=model,
         clients=clients,
@@ -164,33 +183,7 @@ def build_simulation(
             max_workers=config.max_workers,
             backend=config.backend,
         ),
-    )
-    if config.mode == "async":
-        # buffer_size=None defers to the plan's default: the synchronous
-        # cohort, so each aggregation consumes the same number of uploads.
-        return AsyncFederatedSimulation(
-            buffer_size=config.buffer_size,
-            max_concurrency=config.max_concurrency,
-            staleness=config.staleness,
-            staleness_exponent=config.staleness_exponent,
-            **common,
-        )
-    if config.mode == "semisync":
-        if common["network"] is None:
-            from repro.systems.network import HomogeneousNetwork
-
-            common["network"] = HomogeneousNetwork()
-        return FederatedSimulation(
-            plan=SemiSyncPlan(
-                round_deadline_s=config.round_deadline_s,
-                staleness=config.staleness,
-                staleness_exponent=config.staleness_exponent,
-            ),
-            **common,
-        )
-    # plan="flat" is the one-shard case (the config refuses flat + shards).
-    return FederatedSimulation(
-        plan=HierarchicalPlan(num_shards=config.num_shards), **common
+        plan=plan,
     )
 
 

@@ -248,8 +248,12 @@ class ExperimentStore:
         constructor kwargs, the stop-at-target flag, and the package
         version, so a code release invalidates cached results.
         """
+        config = _canonical(spec.config)
+        # Hashed since PR 2, when the field existed; kept so stores written
+        # before it was folded into ``mode`` still resume.
+        config["async_mode"] = spec.config.mode == "async"
         content = {
-            "config": _canonical(spec.config),
+            "config": config,
             "algorithm": {
                 "name": spec.algorithm.name,
                 "kwargs": _canonical(spec.algorithm.kwargs),

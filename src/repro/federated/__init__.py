@@ -36,6 +36,7 @@ from repro.federated.rounds import ClientWork, ClientWorkPipeline, finalise_roun
 from repro.federated.plans import (
     ExecutionPlan,
     HierarchicalPlan,
+    BufferedPlan,
     SemiSyncPlan,
     AsyncPlan,
     PLAN_REGISTRY,
@@ -49,9 +50,9 @@ from repro.federated.staleness import (
     StaleUpdate,
     StalenessWeighting,
     build_staleness,
+    rebase,
     resolve_staleness,
 )
-from repro.federated.async_engine import AsyncFederatedSimulation
 
 __all__ = [
     # Clients and local problems
@@ -82,13 +83,13 @@ __all__ = [
     "finalise_round",
     "ExecutionPlan",
     "HierarchicalPlan",
+    "BufferedPlan",
     "SemiSyncPlan",
     "AsyncPlan",
     "PLAN_REGISTRY",
-    # Engines (composition roots)
+    # The engine (composition root)
     "FederatedSimulation",
     "SimulationResult",
-    "AsyncFederatedSimulation",
     # Virtual clock
     "AsyncScheduler",
     "ClientCompletion",
@@ -100,5 +101,6 @@ __all__ = [
     "STALENESS_REGISTRY",
     "StaleUpdate",
     "build_staleness",
+    "rebase",
     "resolve_staleness",
 ]

@@ -241,10 +241,6 @@ class FederatedSimulation:
     def adversary(self) -> AdversaryModel | None:
         return self.pipeline.adversary
 
-    @property
-    def _rounds_run(self) -> int:
-        return self.state.rounds_run
-
     # ------------------------------------------------------------------ #
     # Evaluation cadence
     # ------------------------------------------------------------------ #

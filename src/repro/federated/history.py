@@ -157,7 +157,7 @@ class TrainingHistory:
     def seconds_to_accuracy(self, target: float) -> float | None:
         """Cumulative simulated seconds at which ``target`` was first reached.
 
-        The async engine trades per-round freshness for wall-clock speed, so
+        The async plan trades per-round freshness for wall-clock speed, so
         time-to-target (not rounds-to-target) is its headline metric.
         Returns ``None`` if the target was never reached.
         """

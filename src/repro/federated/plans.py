@@ -24,6 +24,13 @@ server state lives in an explicit
   clients as they become free and the server aggregates whenever its
   bounded buffer fills (FedBuff, Nguyen et al., 2022).
 
+The last two are :class:`BufferedPlan` subclasses: they share one dispatch
+wave, one in-flight record and one aggregation tail, which rebases every
+stale arrival onto the current model
+(:func:`~repro.federated.staleness.rebase`) and then runs the same
+reduction as the lock-step round — the server update is additive in the
+uploads, so buffering needs no second aggregation rule.
+
 Plans are deliberately thin: adding a new execution mode means writing one
 subclass with a ``run_round`` and binding it to a
 :class:`~repro.federated.engine.FederatedSimulation` — no engine subclass,
@@ -45,7 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.federated.history import RoundRecord
-from repro.federated.messages import BYTES_PER_FLOAT, ClientMessage
+from repro.federated.messages import BYTES_PER_FLOAT
 from repro.federated.rounds import ClientWork, finalise_round
 from repro.federated.scheduler import AsyncScheduler
 from repro.federated.sharding import (
@@ -57,25 +64,12 @@ from repro.federated.sharding import (
 from repro.federated.staleness import (
     StalenessWeighting,
     StaleUpdate,
+    rebase,
     resolve_staleness,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federated.engine import FederatedSimulation
-
-
-@dataclass
-class _InFlight:
-    """Book-keeping attached to a dispatched client's completion event."""
-
-    message: ClientMessage | None  # None = crashed or past-deadline
-    base_params: np.ndarray
-    base_version: int
-    epochs: int
-    #: Round the dispatch happened in (semi-sync: detects late arrivals
-    #: even when the intervening rounds were abandoned and the model
-    #: version — hence staleness — did not advance).
-    dispatch_round: int = 0
 
 
 class ExecutionPlan:
@@ -106,14 +100,6 @@ class ExecutionPlan:
     def extra_metadata(self, engine: FederatedSimulation) -> dict:
         """Plan-specific additions to the end-of-run result metadata."""
         return {}
-
-    def _require_async_support(self, engine: FederatedSimulation) -> None:
-        """Buffered plans mix stale updates; the algorithm must opt in."""
-        if not engine.algorithm.supports_plan(self.name):
-            raise ConfigurationError(
-                f"algorithm {engine.algorithm.name!r} does not support "
-                "asynchronous aggregation; use the synchronous engine"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
@@ -352,9 +338,192 @@ class HierarchicalPlan(ExecutionPlan):
 
 
 # --------------------------------------------------------------------------- #
-# Semi-synchronous: deadline-bounded rounds with late arrivals
+# Buffered plans: a virtual clock, stale arrivals, the one reduction
 # --------------------------------------------------------------------------- #
-class SemiSyncPlan(ExecutionPlan):
+class BufferedPlan(ExecutionPlan):
+    """What the buffered plans share: dispatch, delivery, the aggregate tail.
+
+    Clients are dispatched onto a virtual clock; their uploads — trained
+    eagerly, delivered when the clock reaches their completion — collect
+    in the open *window* until the subclass closes it.  Closing stamps
+    each arrival with its staleness, rebases it onto the current model
+    (:func:`~repro.federated.staleness.rebase`) and runs the ordinary
+    reduction, so to the algorithm a stale upload is just another message.
+    A subclass decides only *who is dispatched when* and *when the window
+    closes*.
+    """
+
+    #: RNG-stream label of one dispatch's local update, formatted with the
+    #: dispatch ``round``, its running ``seq`` number and the ``client`` id.
+    seed_label: str
+
+    def __init__(
+        self,
+        staleness: StalenessWeighting | str | None = None,
+        staleness_exponent: float = 0.5,
+    ):
+        self.staleness_policy = resolve_staleness(staleness, staleness_exponent)
+        self._scheduler: AsyncScheduler | None = None
+        self._trained = 0  # dispatches that ran a local update, ever
+        # The open aggregation window (reset by _close_window).
+        self._arrived: list[StaleUpdate] = []
+        self._dropped: list[int] = []
+        self._dispatched = 0
+
+    def bind(self, engine: FederatedSimulation) -> None:
+        if not engine.algorithm.supports_plan(self.name):
+            raise ConfigurationError(
+                f"{engine.algorithm.name!r} cannot run under the "
+                f"{self.name!r} plan: it mixes updates trained against "
+                "different model versions and this algorithm's server step "
+                "is lock-step; use the synchronous plan"
+            )
+        if engine.pipeline.profiles is None:
+            raise ConfigurationError(
+                f"the {self.name!r} plan needs a network model to drive its "
+                "virtual clock; pass network= (HomogeneousNetwork works for "
+                "homogeneous populations)"
+            )
+        self._scheduler = AsyncScheduler(len(engine.clients), tracer=engine.tracer)
+        if engine.tracer.enabled:
+            # Spans opened from here on read the scheduler's virtual clock.
+            engine.tracer.virtual_clock = lambda: self._scheduler.now
+
+    def _dispatch_wave(self, engine: FederatedSimulation, client_ids: list[int]) -> None:
+        """Dispatch a batch of clients at the current virtual instant.
+
+        Local updates are computed eagerly (their result depends only on
+        the parameters shipped at dispatch) and ride on the completion
+        event, so a pooled executor parallelises each wave.  The fault
+        model applies exactly as in the lock-step round: a crash or a
+        duration past ``faults.deadline_s`` voids the upload (the download
+        was still paid).
+        """
+        state, pipeline = engine.state, engine.pipeline
+        round_index = state.rounds_run
+        flights: list[tuple[int, float, int]] = []
+        work: list[ClientWork] = []
+        for client_id in client_ids:
+            epochs = engine.local_work.epochs(client_id, round_index, engine._work_rng)
+            duration = pipeline.client_round_seconds(client_id, epochs)
+            crashed = engine.faults is not None and bool(pipeline.crashes(1)[0])
+            flights.append((client_id, duration, epochs))
+            if crashed or pipeline.past_deadline(duration):
+                continue
+            work.append(
+                ClientWork(
+                    client_index=client_id,
+                    epochs=epochs,
+                    round_index=round_index,
+                    # Always per-task integer seeds: buffered histories are
+                    # identical across serial/thread/process executors.
+                    rng=pipeline.seed_from_label(
+                        self.seed_label.format(
+                            round=round_index,
+                            seq=self._trained + len(work),
+                            client=client_id,
+                        )
+                    ),
+                )
+            )
+        self._trained += len(work)
+        self._dispatched += len(flights)
+
+        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
+        messages = {
+            item.client_index: outcome.message
+            for item, outcome in zip(work, outcomes)
+        }
+        for client_id, duration, epochs in flights:
+            self._scheduler.dispatch(
+                client_id,
+                duration,
+                payload=StaleUpdate(
+                    message=messages.get(client_id),
+                    base_params=state.params,
+                    base_version=state.model_version,
+                    epochs=epochs,
+                    dispatch_round=round_index,
+                ),
+            )
+
+    def _deliver_next(self) -> StaleUpdate:
+        """Advance the clock to the next completion; file it in the window."""
+        event = self._scheduler.next_completion()
+        update: StaleUpdate = event.payload
+        if update.message is None:
+            self._dropped.append(event.client_id)
+        else:
+            self._arrived.append(update)
+        return update
+
+    def _close_window(
+        self,
+        engine: FederatedSimulation,
+        close_time: float,
+        deadline_s: float | None = None,
+    ) -> RoundRecord:
+        """Mix the window's arrivals into the next model version."""
+        state, pipeline = engine.state, engine.pipeline
+        arrived, self._arrived = self._arrived, []
+        dropped, self._dropped = self._dropped, []
+        dispatched, self._dispatched = self._dispatched, 0
+        stalenesses = [state.model_version - u.base_version for u in arrived]
+        weights = [self.staleness_policy.weight(s) for s in stalenesses]
+
+        uploads = sum(u.message.upload_floats for u in arrived)
+        downloads = dispatched * engine.algorithm.download_floats(state.params.size)
+        messages, upload_wire_bytes = pipeline.compress([u.message for u in arrived])
+        if arrived:
+            with engine.tracer.span("aggregate", updates=len(arrived)):
+                state.params = engine.algorithm.aggregate(
+                    state.params,
+                    state.algorithm_state,
+                    [
+                        rebase(message, u.base_params, weight, state.params)
+                        for u, message, weight in zip(arrived, messages, weights)
+                    ],
+                    len(engine.clients),
+                    state.model_version,
+                )
+            state.model_version += 1
+        # An empty window is an abandoned round: the deadline elapsed, the
+        # costs were paid, and the model version did not advance.
+
+        state.rounds_run += 1
+        evaluation = engine._maybe_evaluate()
+        record = finalise_round(
+            engine,
+            evaluation=evaluation,
+            train_losses=[message.train_loss for message in messages],
+            # "Selected" means resolved in this window: the aggregated
+            # arrivals plus the dispatches that crashed or outran the fault
+            # deadline.  Sampled-but-busy clients were neither dispatched
+            # nor charged a download, so they do not count.
+            num_selected=len(arrived) + len(dropped),
+            uploads=uploads,
+            downloads=downloads,
+            upload_wire_bytes=upload_wire_bytes,
+            download_wire_bytes=downloads * BYTES_PER_FLOAT,
+            epochs_used=[u.epochs for u in arrived],
+            simulated_seconds=close_time - state.last_aggregation_time,
+            dropped=dropped,
+            stalenesses=stalenesses,
+            deadline_s=deadline_s,
+        )
+        state.last_aggregation_time = close_time
+        return record
+
+    def extra_metadata(self, engine: FederatedSimulation) -> dict:
+        return {
+            "mode": self.name,
+            "staleness": self.staleness_policy.name,
+            "final_version": engine.state.model_version,
+            "virtual_time_s": self._scheduler.now,
+        }
+
+
+class SemiSyncPlan(BufferedPlan):
     """Deadline-bounded rounds that aggregate whatever arrived in time.
 
     Each round the server samples a cohort among the currently idle
@@ -369,6 +538,7 @@ class SemiSyncPlan(ExecutionPlan):
     """
 
     name = "semisync"
+    seed_label = "semisync-training/round-{round}/client-{client}"
 
     def __init__(
         self,
@@ -385,24 +555,13 @@ class SemiSyncPlan(ExecutionPlan):
             raise ConfigurationError(
                 f"deadline_factor must be positive, got {deadline_factor}"
             )
+        super().__init__(staleness, staleness_exponent)
         self.round_deadline_s = round_deadline_s
         self.deadline_factor = deadline_factor
-        self.staleness_policy = resolve_staleness(staleness, staleness_exponent)
-        self._scheduler: AsyncScheduler | None = None
         self.late_arrivals = 0  # deliveries that missed their dispatch round
 
     def bind(self, engine: FederatedSimulation) -> None:
-        self._require_async_support(engine)
-        if engine.pipeline.profiles is None:
-            raise ConfigurationError(
-                "the semi-synchronous plan needs a network model to drive "
-                "its round deadline; pass network= (HomogeneousNetwork "
-                "works for homogeneous populations)"
-            )
-        self._scheduler = AsyncScheduler(len(engine.clients), tracer=engine.tracer)
-        if engine.tracer.enabled:
-            # Spans opened from here on read the scheduler's virtual clock.
-            engine.tracer.virtual_clock = lambda: self._scheduler.now
+        super().bind(engine)
         if self.round_deadline_s is None:
             times = sorted(
                 engine.pipeline.client_round_seconds(
@@ -415,9 +574,8 @@ class SemiSyncPlan(ExecutionPlan):
             )
 
     def run_round(self, engine: FederatedSimulation) -> RoundRecord:
-        state, pipeline = engine.state, engine.pipeline
         scheduler = self._scheduler
-        round_index = state.rounds_run
+        round_index = engine.state.rounds_run
         selected = engine.sampler.sample(
             round_index, len(engine.clients), engine._sampling_rng
         )
@@ -433,139 +591,35 @@ class SemiSyncPlan(ExecutionPlan):
                 "semi-synchronous round stalled: every sampled client is "
                 "busy and nothing is in flight"
             )
+        self._dispatch_wave(engine, cohort)
 
-        work, dispatch_meta = [], []
-        for client_id in cohort:
-            epochs = engine.local_work.epochs(
-                client_id, round_index, engine._work_rng
-            )
-            duration = pipeline.client_round_seconds(client_id, epochs)
-            # The fault model applies exactly as in the other plans: a
-            # crash or a duration past faults.deadline_s voids the upload
-            # (the download was still paid).  The *round* deadline is a
-            # separate knob — slow-but-healthy clients deliver late.
-            crashed = bool(
-                engine.faults is not None and pipeline.crashes(1)[0]
-            )
-            voided = crashed or pipeline.past_deadline(duration)
-            dispatch_meta.append((client_id, duration, epochs, voided))
-            if not voided:
-                work.append(
-                    ClientWork(
-                        client_index=client_id,
-                        epochs=epochs,
-                        round_index=round_index,
-                        rng=pipeline.seed_from_label(
-                            f"semisync-training/round-{round_index}"
-                            f"/client-{client_id}"
-                        ),
-                    )
-                )
-        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
-        messages = {
-            item.client_index: outcome.message
-            for item, outcome in zip(work, outcomes)
-        }
-        for client_id, duration, epochs, voided in dispatch_meta:
-            scheduler.dispatch(
-                client_id,
-                duration,
-                payload=_InFlight(
-                    message=None if voided else messages[client_id],
-                    base_params=state.params,
-                    base_version=state.model_version,
-                    epochs=epochs,
-                    dispatch_round=round_index,
-                ),
-            )
-
-        # Collect everything that lands inside the deadline window, then
-        # close the round: at the deadline, or at the last delivery when
-        # nothing is left in flight (nobody is worth waiting for).
+        # Collect everything that lands inside the deadline window — the
+        # *round* deadline is a separate knob from faults.deadline_s:
+        # slow-but-healthy clients deliver late — then close the round: at
+        # the deadline, or at the last delivery when nothing is left in
+        # flight (nobody is worth waiting for).
         deadline = scheduler.now + self.round_deadline_s
-        arrived: list[StaleUpdate] = []
-        dropped: list[int] = []
-        epochs_used: list[int] = []
         while scheduler.has_pending() and scheduler.peek_time() <= deadline:
-            event = scheduler.next_completion()
-            inflight: _InFlight = event.payload
-            if inflight.message is None:
-                dropped.append(event.client_id)
-                continue
-            update = StaleUpdate(
-                message=inflight.message,
-                base_params=inflight.base_params,
-                base_version=inflight.base_version,
-            )
-            update.stamp(state.model_version, self.staleness_policy)
-            arrived.append(update)
-            epochs_used.append(inflight.epochs)
-            if inflight.dispatch_round < round_index:
+            update = self._deliver_next()
+            # Compared by round, not version: abandoned rounds in between
+            # leave the model version — hence the staleness — unchanged.
+            if update.message is not None and update.dispatch_round < round_index:
                 self.late_arrivals += 1
         round_close = deadline if scheduler.has_pending() else scheduler.now
         scheduler.advance_to(round_close)
-
-        dim = state.params.size
-        uploads = sum(u.message.upload_floats for u in arrived)
-        downloads = len(cohort) * engine.algorithm.download_floats(dim)
-        compressed, upload_wire_bytes = pipeline.compress(
-            [u.message for u in arrived]
+        return self._close_window(
+            engine, round_close, deadline_s=self.round_deadline_s
         )
-        for update, message in zip(arrived, compressed):
-            update.message = message
-
-        if arrived:
-            with engine.tracer.span("aggregate", updates=len(arrived)):
-                state.params = engine.algorithm.aggregate_async(
-                    state.params,
-                    state.algorithm_state,
-                    arrived,
-                    len(engine.clients),
-                    state.model_version,
-                )
-            state.model_version += 1
-        # An empty window is an abandoned round: the deadline elapsed, the
-        # costs were paid, and the model version did not advance.
-
-        state.rounds_run += 1
-        evaluation = engine._maybe_evaluate()
-        record = finalise_round(
-            engine,
-            evaluation=evaluation,
-            train_losses=[u.message.train_loss for u in arrived],
-            # Like the async plan, "selected" means resolved in this round's
-            # window: the aggregated arrivals plus the crashed deliveries.
-            # Sampled-but-busy clients were neither dispatched nor charged a
-            # download, so they do not count.
-            num_selected=len(arrived) + len(dropped),
-            uploads=uploads,
-            downloads=downloads,
-            upload_wire_bytes=upload_wire_bytes,
-            download_wire_bytes=downloads * BYTES_PER_FLOAT,
-            epochs_used=epochs_used,
-            simulated_seconds=round_close - state.last_aggregation_time,
-            dropped=dropped,
-            stalenesses=[u.staleness for u in arrived],
-            deadline_s=self.round_deadline_s,
-        )
-        state.last_aggregation_time = round_close
-        return record
 
     def extra_metadata(self, engine: FederatedSimulation) -> dict:
         return {
-            "mode": "semisync",
+            **super().extra_metadata(engine),
             "round_deadline_s": self.round_deadline_s,
-            "staleness": self.staleness_policy.name,
             "late_arrivals": self.late_arrivals,
-            "final_version": engine.state.model_version,
-            "virtual_time_s": self._scheduler.now,
         }
 
 
-# --------------------------------------------------------------------------- #
-# Fully asynchronous: event-driven buffered aggregation
-# --------------------------------------------------------------------------- #
-class AsyncPlan(ExecutionPlan):
+class AsyncPlan(BufferedPlan):
     """Event-driven buffered aggregation (the FedBuff protocol).
 
     At most ``max_concurrency`` clients train at any virtual instant;
@@ -577,6 +631,7 @@ class AsyncPlan(ExecutionPlan):
     """
 
     name = "async"
+    seed_label = "async-training/dispatch-{seq}/client-{client}"
 
     #: Consecutive dropped deliveries tolerated before the plan concludes
     #: the fault configuration can never fill the buffer (e.g. a deadline
@@ -590,32 +645,25 @@ class AsyncPlan(ExecutionPlan):
         staleness: StalenessWeighting | str | None = None,
         staleness_exponent: float = 0.5,
     ):
+        super().__init__(staleness, staleness_exponent)
         self.buffer_size = buffer_size
         self.max_concurrency = max_concurrency
-        self.staleness_policy = resolve_staleness(staleness, staleness_exponent)
-        self._scheduler: AsyncScheduler | None = None
-        self._dispatch_count = 0
-        self._buffer: list[StaleUpdate] = []
-        # Per-aggregation-window accumulators (reset after each record).
-        self._window_downloads = 0
-        self._window_dropped: list[int] = []
-        self._window_epochs: list[int] = []
 
     def bind(self, engine: FederatedSimulation) -> None:
-        self._require_async_support(engine)
+        super().bind(engine)
         faults = engine.faults
         if faults is not None and (
             faults.deadline_s == 0 or faults.dropout_rate >= 1.0
         ):
             # Every dispatch would be discarded (instant deadline) or crash
             # (certain dropout): the buffer could never fill and the virtual
-            # clock would spin forever.  The synchronous engine handles these
+            # clock would spin forever.  The lock-step plan handles these
             # extremes as abandoned rounds; here they are configuration
             # errors.
             raise ConfigurationError(
                 "faults that drop every dispatch (dropout_rate=1.0 or "
-                "deadline_s=0) give the asynchronous engine nothing to "
-                "aggregate; use the synchronous engine for that regime"
+                "deadline_s=0) give the asynchronous plan nothing to "
+                "aggregate; use the synchronous plan for that regime"
             )
 
         num_clients = len(engine.clients)
@@ -640,11 +688,6 @@ class AsyncPlan(ExecutionPlan):
             )
         self.buffer_size = int(buffer_size)
         self.max_concurrency = int(min(max_concurrency, num_clients))
-
-        self._scheduler = AsyncScheduler(num_clients, tracer=engine.tracer)
-        if engine.tracer.enabled:
-            # Spans opened from here on read the scheduler's virtual clock.
-            engine.tracer.virtual_clock = lambda: self._scheduler.now
         self._dispatch_rng = engine._rng_factory.make("async-dispatch")
 
     @staticmethod
@@ -657,20 +700,6 @@ class AsyncPlan(ExecutionPlan):
             return max(1, int(num_selected(num_clients)))
         return max(1, int(round(0.1 * num_clients)))
 
-    @property
-    def virtual_time(self) -> float:
-        """Current virtual-clock reading in simulated seconds."""
-        return self._scheduler.now
-
-    def task_seed(self, engine: FederatedSimulation, dispatch_seq: int, client_id: int) -> int:
-        """Deterministic per-dispatch seed, independent of the executor."""
-        return engine.pipeline.seed_from_label(
-            f"async-training/dispatch-{dispatch_seq}/client-{client_id}"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Dispatching
-    # ------------------------------------------------------------------ #
     def _fill_dispatch_slots(self, engine: FederatedSimulation) -> None:
         """Dispatch idle clients until the concurrency cap is reached."""
         free_slots = self.max_concurrency - self._scheduler.num_in_flight
@@ -683,81 +712,19 @@ class AsyncPlan(ExecutionPlan):
         chosen = self._dispatch_rng.choice(idle, size=count, replace=False)
         self._dispatch_wave(engine, sorted(int(c) for c in chosen))
 
-    def _dispatch_wave(
-        self, engine: FederatedSimulation, client_ids: list[int]
-    ) -> None:
-        """Dispatch a batch of clients at the current virtual instant.
-
-        Local updates are computed eagerly (their result depends only on
-        the parameters shipped at dispatch) and attached to the completion
-        event, so a pooled executor parallelises each wave.
-        """
-        state, pipeline = engine.state, engine.pipeline
-        version = state.model_version
-        dispatched: list[tuple[int, float, int, bool]] = []
-        work: list[ClientWork] = []
-        for client_id in client_ids:
-            self._window_downloads += 1
-            epochs = engine.local_work.epochs(
-                client_id, version, engine._work_rng
-            )
-            duration = pipeline.client_round_seconds(client_id, epochs)
-            crashed = bool(
-                engine.faults is not None and pipeline.crashes(1)[0]
-            )
-            straggled = pipeline.past_deadline(duration)
-            dropped = crashed or straggled
-            dispatched.append((client_id, duration, epochs, dropped))
-            if dropped:
-                continue
-            seq = self._dispatch_count + len(work)
-            work.append(
-                ClientWork(
-                    client_index=client_id,
-                    epochs=epochs,
-                    round_index=version,
-                    # Always per-task integer seeds: async histories are
-                    # identical across serial/thread/process executors.
-                    rng=self.task_seed(engine, seq, client_id),
-                )
-            )
-        self._dispatch_count += len(work)
-
-        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
-        messages = {
-            item.client_index: outcome.message
-            for item, outcome in zip(work, outcomes)
-        }
-
-        for client_id, duration, epochs, dropped in dispatched:
-            self._scheduler.dispatch(
-                client_id,
-                duration,
-                payload=_InFlight(
-                    message=None if dropped else messages[client_id],
-                    base_params=state.params,
-                    base_version=version,
-                    epochs=epochs,
-                ),
-            )
-
-    # ------------------------------------------------------------------ #
-    # One aggregation ("round")
-    # ------------------------------------------------------------------ #
     def run_round(self, engine: FederatedSimulation) -> RoundRecord:
         """Advance the virtual clock until the next aggregation completes."""
         self._fill_dispatch_slots(engine)
         consecutive_drops = 0
-        while len(self._buffer) < self.buffer_size:
+        # Delivery stops the moment the buffer fills, so the window is
+        # exactly one aggregation's worth.
+        while len(self._arrived) < self.buffer_size:
             if not self._scheduler.has_pending():
                 raise SimulationError(
-                    "asynchronous engine stalled: no client in flight and "
+                    "asynchronous plan stalled: no client in flight and "
                     "the aggregation buffer is not full"
                 )
-            event = self._scheduler.next_completion()
-            inflight: _InFlight = event.payload
-            if inflight.message is None:
-                self._window_dropped.append(event.client_id)
+            if self._deliver_next().message is None:
                 consecutive_drops += 1
                 if consecutive_drops >= self._MAX_CONSECUTIVE_DROPS:
                     raise SimulationError(
@@ -767,82 +734,17 @@ class AsyncPlan(ExecutionPlan):
                     )
             else:
                 consecutive_drops = 0
-                self._buffer.append(
-                    StaleUpdate(
-                        message=inflight.message,
-                        base_params=inflight.base_params,
-                        base_version=inflight.base_version,
-                    )
-                )
-                self._window_epochs.append(inflight.epochs)
                 metrics = engine.pipeline.metrics
                 if metrics is not None:
-                    metrics.gauge("async.buffer_depth").set(len(self._buffer))
+                    metrics.gauge("async.buffer_depth").set(len(self._arrived))
             self._fill_dispatch_slots(engine)
-        return self._aggregate_buffer(engine)
-
-    def _aggregate_buffer(self, engine: FederatedSimulation) -> RoundRecord:
-        """Mix the buffered updates into the next model version."""
-        state, pipeline = engine.state, engine.pipeline
-        # run_round stops delivering the moment the buffer fills, so the
-        # whole buffer is exactly one aggregation's worth.
-        updates, self._buffer = self._buffer, []
-        for update in updates:
-            update.stamp(state.model_version, self.staleness_policy)
-
-        dim = state.params.size
-        uploads = sum(u.message.upload_floats for u in updates)
-        downloads = self._window_downloads * engine.algorithm.download_floats(dim)
-        compressed, upload_wire_bytes = pipeline.compress(
-            [u.message for u in updates]
-        )
-        for update, message in zip(updates, compressed):
-            update.message = message
-
-        with engine.tracer.span("aggregate", updates=len(updates)):
-            state.params = engine.algorithm.aggregate_async(
-                state.params,
-                state.algorithm_state,
-                updates,
-                len(engine.clients),
-                state.model_version,
-            )
-        state.model_version += 1
-        state.rounds_run += 1
-        evaluation = engine._maybe_evaluate()
-
-        now = self._scheduler.now
-        record = finalise_round(
-            engine,
-            evaluation=evaluation,
-            train_losses=[u.message.train_loss for u in updates],
-            # In the async plan "selected" means dispatched-and-resolved in
-            # this aggregation window: the aggregated updates plus the
-            # dispatches that crashed or outran the deadline.
-            num_selected=len(updates) + len(self._window_dropped),
-            uploads=uploads,
-            downloads=downloads,
-            upload_wire_bytes=upload_wire_bytes,
-            download_wire_bytes=downloads * BYTES_PER_FLOAT,
-            epochs_used=self._window_epochs,
-            simulated_seconds=now - state.last_aggregation_time,
-            dropped=self._window_dropped,
-            stalenesses=[u.staleness for u in updates],
-        )
-        state.last_aggregation_time = now
-        self._window_downloads = 0
-        self._window_dropped = []
-        self._window_epochs = []
-        return record
+        return self._close_window(engine, self._scheduler.now)
 
     def extra_metadata(self, engine: FederatedSimulation) -> dict:
         return {
-            "mode": "async",
+            **super().extra_metadata(engine),
             "buffer_size": self.buffer_size,
             "max_concurrency": self.max_concurrency,
-            "staleness": self.staleness_policy.name,
-            "final_version": engine.state.model_version,
-            "virtual_time_s": self._scheduler.now,
         }
 
 

@@ -1,6 +1,6 @@
-"""Virtual-clock event scheduling for the asynchronous federation engine.
+"""Virtual-clock event scheduling for the buffered execution plans.
 
-The asynchronous engine (:mod:`repro.federated.async_engine`) does not
+The buffered plans (:class:`repro.federated.plans.BufferedPlan`) do not
 advance in lock-step rounds; instead a virtual clock runs forward and
 clients complete their local updates at the simulated times predicted by
 the :mod:`repro.systems.network` duration model.  This module provides the

@@ -1,21 +1,19 @@
-"""Staleness weighting policies and the buffered-update container.
+"""Staleness weighting, the in-flight record, and the rebase onto θ.
 
 An update trained against model version ``v`` and aggregated into version
 ``V`` has staleness ``V - v``.  A :class:`StalenessWeighting` maps that age
-to a mixing weight in ``(0, 1]``; how the weight is *applied* is an
-algorithm decision (see
-:meth:`repro.algorithms.base.FederatedAlgorithm.aggregate_async`).
+to a mixing weight in ``(0, 1]``, and :func:`rebase` applies it: the stale
+upload is re-expressed against the *current* model, after which the
+ordinary reduction (:class:`~repro.algorithms.base.UpdateAccumulator` plus
+the algorithm's ``server_step``) aggregates it like any fresh message.
 
-These pieces are shared by every execution plan that mixes updates of
-different ages — the fully asynchronous plan (FedBuff-style bounded
-buffer) and the semi-synchronous plan (deadline-bounded rounds with
-late arrivals).  They live in their own module so the plans and the
-algorithm layer can both import them without a cycle.
+These pieces are shared by the execution plans that mix updates of
+different ages; see :class:`repro.federated.plans.BufferedPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,23 +106,48 @@ def resolve_staleness(
     return staleness
 
 
+def rebase(
+    message: ClientMessage, base_params: np.ndarray, weight: float, params: np.ndarray
+) -> ClientMessage:
+    """Re-express an upload trained from ``base_params`` against ``params``.
+
+    The server update is additive in the uploads (eq. 5), so a late one
+    needs no second aggregation rule, only its payload moved onto the
+    current model and damped by its staleness ``weight``: a model-valued
+    vector (key ``"params"``) becomes ``params + weight * (p - base)``, an
+    update-valued one (``"delta"``, ``"gradient"``) is scaled.  FedADMM's
+    Δ_i is never differenced against its stale anchor — the client's
+    fresh dual already carries the correction toward consensus.
+    """
+    payload = {}
+    for key, vector in message.payload.items():
+        if key == "params":
+            payload[key] = params + weight * (vector - base_params)
+        elif key in ("delta", "gradient"):
+            payload[key] = weight * vector
+        else:
+            raise ConfigurationError(
+                f"cannot rebase payload keys {sorted(message.payload)} onto "
+                "the current model; buffered plans need 'params', 'delta' "
+                "or 'gradient' payloads"
+            )
+    return replace(message, payload=payload)
+
+
 @dataclass
 class StaleUpdate:
-    """One buffered client update awaiting aggregation.
+    """One dispatched client update, in flight or awaiting aggregation.
 
-    ``base_params`` is the exact global-parameter vector the client
-    downloaded (version ``base_version``); algorithms that upload whole
-    models difference against it.  ``staleness`` and ``weight`` are filled
-    in at aggregation time, when the consuming version is known.
+    ``message`` is ``None`` when the dispatch crashed or outran the fault
+    deadline.  ``base_params`` is the exact global-parameter vector the
+    client downloaded (version ``base_version``); its staleness is known
+    only when the consuming version is.
     """
 
-    message: ClientMessage
+    message: ClientMessage | None
     base_params: np.ndarray
     base_version: int
-    staleness: int = 0
-    weight: float = 1.0
-
-    def stamp(self, version: int, policy: StalenessWeighting) -> None:
-        """Fill in staleness and weight against the consuming ``version``."""
-        self.staleness = version - self.base_version
-        self.weight = policy.weight(self.staleness)
+    epochs: int
+    #: Round the dispatch happened in: detects late arrivals even when the
+    #: intervening rounds were abandoned and the version did not advance.
+    dispatch_round: int

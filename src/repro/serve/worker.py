@@ -203,7 +203,7 @@ def run_worker(
     try:
         info = handshake(client, worker_id=worker_id)
         env = WorkerEnvironment(
-            ExperimentConfig(**info["config"]), info["algorithm"]
+            ExperimentConfig.from_record(info["config"]), info["algorithm"]
         )
         completed = 0
         failures = 0

@@ -1,4 +1,4 @@
-"""Tests for the event-driven asynchronous engine and its scheduler."""
+"""Tests for the event-driven asynchronous plan and its scheduler."""
 
 from __future__ import annotations
 
@@ -7,30 +7,33 @@ import pytest
 
 from repro.algorithms import build_algorithm
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.federated.async_engine import (
-    AsyncFederatedSimulation,
-    ConstantStaleness,
-    PolynomialStaleness,
-    StaleUpdate,
-    build_staleness,
-)
 from repro.federated.engine import FederatedSimulation
 from repro.federated.messages import ClientMessage
+from repro.federated.plans import AsyncPlan
 from repro.federated.scheduler import AsyncScheduler, EventQueue
+from repro.federated.staleness import (
+    ConstantStaleness,
+    PolynomialStaleness,
+    build_staleness,
+    rebase,
+)
 from repro.systems.faults import FaultInjector
 from repro.systems.network import (
     ClientSystemProfile,
-    HomogeneousNetwork,
     LogNormalNetwork,
 )
 
 from conftest import make_model
 
 
+PLAN_KNOBS = ("buffer_size", "max_concurrency", "staleness", "staleness_exponent")
+
+
 def make_async_sim(algorithm_name, clients, test_dataset, *, seed=0, **kwargs):
     kwargs.setdefault("network", LogNormalNetwork())
+    plan = AsyncPlan(**{k: kwargs.pop(k) for k in PLAN_KNOBS if k in kwargs})
     algo_kwargs = {"rho": 0.3} if algorithm_name in ("fedadmm", "fedprox") else {}
-    return AsyncFederatedSimulation(
+    return FederatedSimulation(
         algorithm=build_algorithm(algorithm_name, **algo_kwargs),
         model=make_model(seed=0),
         clients=clients,
@@ -38,7 +41,25 @@ def make_async_sim(algorithm_name, clients, test_dataset, *, seed=0, **kwargs):
         batch_size=16,
         learning_rate=0.1,
         seed=seed,
+        plan=plan,
         **kwargs,
+    )
+
+
+def message_of(client_id, num_samples=10, **payload):
+    return ClientMessage(client_id=client_id, payload=payload,
+                         num_samples=num_samples, local_epochs=1, train_loss=0.0)
+
+
+def rebased_aggregate(algorithm, params, arrivals):
+    """The buffered plans' tail: rebase each arrival, then the one reduction.
+
+    ``arrivals`` are ``(message, base_params, weight)`` triples.
+    """
+    return algorithm.aggregate(
+        params, {},
+        [rebase(message, base, weight, params) for message, base, weight in arrivals],
+        num_clients=4, round_index=0,
     )
 
 
@@ -136,7 +157,7 @@ class TestAsyncEngine:
         )
         result = sim.run(6)
         assert result.rounds_run == 6
-        assert sim.model_version == 6
+        assert sim.state.model_version == 6
         for record in result.history.records:
             assert record.model_version == record.round_index
             assert record.mean_staleness >= 0.0
@@ -166,34 +187,25 @@ class TestAsyncEngine:
         ]
 
     def test_fresh_buffered_fedavg_matches_sync_aggregate(self):
-        """With zero staleness the default async mix is the sync uniform mean."""
+        """With zero staleness the rebased mix is the sync uniform mean."""
         algorithm = build_algorithm("fedavg")
         base = np.zeros(4)
-        models = [np.full(4, 1.0), np.full(4, 3.0)]
         messages = [
-            ClientMessage(client_id=i, payload={"params": m}, num_samples=10,
-                          local_epochs=1, train_loss=0.0)
-            for i, m in enumerate(models)
+            message_of(i, params=m)
+            for i, m in enumerate([np.full(4, 1.0), np.full(4, 3.0)])
         ]
         sync = algorithm.aggregate(base, {}, messages, num_clients=4, round_index=0)
-        updates = [
-            StaleUpdate(message=msg, base_params=base, base_version=0)
-            for msg in messages
-        ]
-        asynchronous = algorithm.aggregate_async(base, {}, updates, 4, 0)
+        asynchronous = rebased_aggregate(
+            algorithm, base, [(msg, base, 1.0) for msg in messages]
+        )
         np.testing.assert_allclose(asynchronous, sync)
 
     def test_staleness_damping_shrinks_fedavg_updates(self):
         algorithm = build_algorithm("fedavg")
         base = np.zeros(4)
-        message = ClientMessage(client_id=0, payload={"params": np.full(4, 2.0)},
-                                num_samples=10, local_epochs=1, train_loss=0.0)
-        fresh = StaleUpdate(message=message, base_params=base, base_version=0,
-                            staleness=0, weight=1.0)
-        stale = StaleUpdate(message=message, base_params=base, base_version=0,
-                            staleness=3, weight=0.5)
-        full = algorithm.aggregate_async(base, {}, [fresh], 4, 0)
-        damped = algorithm.aggregate_async(base, {}, [stale], 4, 0)
+        message = message_of(0, params=np.full(4, 2.0))
+        full = rebased_aggregate(algorithm, base, [(message, base, 1.0)])
+        damped = rebased_aggregate(algorithm, base, [(message, base, 0.5)])
         np.testing.assert_allclose(damped, 0.5 * full)
 
     def test_fedadmm_uses_raw_deltas_scaled_by_trust(self):
@@ -203,17 +215,32 @@ class TestAsyncEngine:
         algorithm = build_algorithm("fedadmm", rho=0.3)
         base = np.full(4, 7.0)  # a base the delta must NOT be differenced with
         delta = np.full(4, 1.0)
-        message = ClientMessage(client_id=0, payload={"delta": delta},
-                                num_samples=10, local_epochs=1, train_loss=0.0)
-        stale = StaleUpdate(message=message, base_params=base, base_version=0,
-                            staleness=5, weight=0.1)
-        mixed = algorithm.aggregate_async(np.zeros(4), {}, [stale], 4, 0)
+        message = message_of(0, delta=delta)
+        mixed = rebased_aggregate(algorithm, np.zeros(4), [(message, base, 0.1)])
         np.testing.assert_allclose(mixed, 0.1 * delta)
-        fresh = StaleUpdate(message=message, base_params=base, base_version=0,
-                            staleness=0, weight=1.0)
         np.testing.assert_allclose(
-            algorithm.aggregate_async(np.zeros(4), {}, [fresh], 4, 0), delta
+            rebased_aggregate(algorithm, np.zeros(4), [(message, base, 1.0)]),
+            delta,
         )
+
+    def test_sample_weighting_survives_buffering(self):
+        """``weighting="samples"`` goes through the one reduction, so the
+        buffered mix is volume-weighted exactly as the lock-step round is
+        (the pre-PR-16 buffered default silently averaged uniformly)."""
+        theta = np.zeros(4)
+        small = message_of(0, num_samples=10, params=np.full(4, 1.0))
+        large = message_of(1, num_samples=30, params=np.full(4, 5.0))
+        arrivals = [(small, theta, 1.0), (large, theta, 0.5)]
+        for name, kwargs in (("fedavg", {}), ("fedprox", {"rho": 0.1})):
+            weighted = build_algorithm(name, weighting="samples", **kwargs)
+            # (10·1 + 30·(0.5·5)) / 40 vs the uniform (1 + 2.5) / 2.
+            np.testing.assert_allclose(
+                rebased_aggregate(weighted, theta, arrivals), np.full(4, 2.125)
+            )
+            uniform = build_algorithm(name, **kwargs)
+            np.testing.assert_allclose(
+                rebased_aggregate(uniform, theta, arrivals), np.full(4, 1.75)
+            )
 
     def test_unsupported_algorithms_rejected(self, iid_clients, blobs_split):
         for name in ("scaffold", "fedpd"):
@@ -249,13 +276,6 @@ class TestAsyncEngine:
             make_async_sim(
                 "fedavg", iid_clients, blobs_split.test, max_concurrency=0
             )
-
-    def test_defaults_without_network_model(self, iid_clients, blobs_split):
-        """No network model: homogeneous profiles drive the virtual clock."""
-        sim = make_async_sim("fedavg", iid_clients, blobs_split.test, network=None)
-        record = sim.run_round()
-        assert record.simulated_seconds > 0
-        assert isinstance(sim.network, HomogeneousNetwork)
 
     def test_faults_charge_downloads_but_not_uploads(self, iid_clients, blobs_split):
         sim = make_async_sim(

@@ -94,17 +94,27 @@ def test_sync_history_identical_across_isolated_executors():
 def test_async_task_seeds_are_unique_and_stable(iid_clients, blobs_split):
     """The per-dispatch seed stream: stable across calls, distinct across tasks."""
     from repro.algorithms import build_algorithm
-    from repro.federated.async_engine import AsyncFederatedSimulation
+    from repro.federated.engine import FederatedSimulation
+    from repro.federated.plans import AsyncPlan
+    from repro.systems.network import HomogeneousNetwork
     from conftest import make_model
 
-    sim = AsyncFederatedSimulation(
+    sim = FederatedSimulation(
         algorithm=build_algorithm("fedavg"),
         model=make_model(seed=0),
         clients=iid_clients,
         test_dataset=blobs_split.test,
         batch_size=16,
         seed=9,
+        plan=AsyncPlan(),
+        network=HomogeneousNetwork(),
     )
-    seeds = [sim._async_task_seed(seq, client) for seq in range(5) for client in range(4)]
+
+    def task_seed(seq, client):
+        return sim.pipeline.seed_from_label(
+            sim.plan.seed_label.format(round=0, seq=seq, client=client)
+        )
+
+    seeds = [task_seed(seq, client) for seq in range(5) for client in range(4)]
     assert len(set(seeds)) == len(seeds)
-    assert seeds[0] == sim._async_task_seed(0, 0)
+    assert seeds[0] == task_seed(0, 0)

@@ -222,32 +222,36 @@ class TestStudies:
 
     def test_async_config_preset(self):
         config = preset_config("async", "blobs", non_iid=True)
-        assert config.async_mode
+        assert config.mode == "async"
         assert config.network == "lognormal"
         assert config.staleness == "polynomial"
 
     def test_build_simulation_dispatches_on_async_mode(self):
-        from repro.federated.async_engine import AsyncFederatedSimulation
+        from repro.federated.plans import AsyncPlan
+        from repro.systems.network import HomogeneousNetwork
 
         config = TINY.with_overrides(
-            async_mode=True, buffer_size=2, max_concurrency=3
+            mode="async", buffer_size=2, max_concurrency=3
         )
         simulation = build_simulation(config, AlgorithmSpec("fedavg", {}))
-        assert isinstance(simulation, AsyncFederatedSimulation)
-        assert simulation.buffer_size == 2
-        assert simulation.max_concurrency == 3
+        assert isinstance(simulation.plan, AsyncPlan)
+        assert simulation.plan.buffer_size == 2
+        assert simulation.plan.max_concurrency == 3
+        # No network configured: the homogeneous default drives the clock.
+        assert isinstance(simulation.network, HomogeneousNetwork)
         sync = build_simulation(TINY, AlgorithmSpec("fedavg", {}))
-        assert not isinstance(sync, AsyncFederatedSimulation)
+        assert not isinstance(sync.plan, AsyncPlan)
+        assert sync.network is None
 
     def test_async_buffer_defaults_to_sync_cohort(self):
-        config = TINY.with_overrides(async_mode=True)
+        config = TINY.with_overrides(mode="async")
         simulation = build_simulation(config, AlgorithmSpec("fedavg", {}))
         # client_fraction 0.3 of 10 clients -> 3-client cohort.
-        assert simulation.buffer_size == 3
+        assert simulation.plan.buffer_size == 3
 
     def test_run_async_study_runs_both_modes(self):
         config = TINY.with_overrides(
-            async_mode=True, num_rounds=2, buffer_size=2, network="lognormal"
+            mode="async", num_rounds=2, buffer_size=2, network="lognormal"
         )
         studies = STUDIES.sweep(
             "async", config, algorithms=[AlgorithmSpec("fedavg", {})]
@@ -263,13 +267,10 @@ class TestStudies:
         with pytest.raises(ConfigurationError, match="mode='async'"):
             STUDIES.sweep("async", TINY, algorithms=[AlgorithmSpec("fedavg", {})])
 
-    def test_mode_and_async_mode_stay_consistent(self):
-        config = TINY.with_overrides(async_mode=True)
-        assert config.mode == "async"
-        back = config.with_overrides(async_mode=False)
-        assert back.mode == "sync" and not back.async_mode
-        semi = TINY.with_overrides(mode="semisync")
-        assert not semi.async_mode
+    def test_mode_is_the_only_plan_spelling(self):
+        assert TINY.with_overrides(mode="async").mode == "async"
+        with pytest.raises(TypeError):
+            TINY.with_overrides(async_mode=True)
         with pytest.raises(ConfigurationError):
             TINY.with_overrides(mode="lockstep")
 
@@ -288,7 +289,6 @@ class TestStudies:
         config = preset_config("semisync", "blobs", non_iid=True)
         assert config.mode == "semisync"
         assert config.network == "lognormal"
-        assert not config.async_mode
 
     def test_run_semisync_study_runs_both_modes(self):
         config = TINY.with_overrides(

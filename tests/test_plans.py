@@ -15,6 +15,7 @@ from repro.algorithms import build_algorithm
 from repro.exceptions import ConfigurationError
 from repro.federated import (
     AsyncPlan,
+    BufferedPlan,
     ExecutionPlan,
     FederatedSimulation,
     PLAN_REGISTRY,
@@ -107,19 +108,19 @@ class TestPlanRegistry:
         assert isinstance(sim.plan, HierarchicalPlan)
         assert (sim.plan.name, sim.plan.num_shards) == ("sync", 1)
 
-    def test_async_engine_binds_async_plan(self, iid_clients, blobs_split):
-        from repro.federated.async_engine import AsyncFederatedSimulation
-
-        sim = AsyncFederatedSimulation(
+    def test_buffered_plans_bind_to_the_one_engine(self, iid_clients, blobs_split):
+        sim = FederatedSimulation(
             algorithm=build_algorithm("fedavg"),
             model=make_model(seed=0),
             clients=iid_clients,
             test_dataset=blobs_split.test,
             seed=0,
-            buffer_size=2,
+            plan=AsyncPlan(buffer_size=2),
+            network=HomogeneousNetwork(),
         )
-        assert isinstance(sim.plan, AsyncPlan)
-        assert sim.async_plan is sim.plan
+        assert isinstance(sim.plan, BufferedPlan)
+        assert (sim.plan.name, sim.plan.buffer_size) == ("async", 2)
+        assert issubclass(SemiSyncPlan, BufferedPlan)
 
 
 class TestSemiSyncValidation:
@@ -129,21 +130,45 @@ class TestSemiSyncValidation:
         with pytest.raises(ConfigurationError):
             SemiSyncPlan(deadline_factor=-1.0)
 
-    def test_requires_network_model(self, iid_clients, blobs_split):
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize(
+        "plan", [AsyncPlan(buffer_size=2), SemiSyncPlan(round_deadline_s=1.0)],
+        ids=["async", "semisync"],
+    )
+    def test_requires_network_model(self, plan, iid_clients, blobs_split):
+        """Both buffered plans refuse at bind, with the same line (the async
+        plan used to die on its first round with a ``TypeError``)."""
+        with pytest.raises(
+            ConfigurationError,
+            match=f"the '{plan.name}' plan needs a network model",
+        ):
             FederatedSimulation(
                 algorithm=build_algorithm("fedavg"),
                 model=make_model(seed=0),
                 clients=iid_clients,
                 test_dataset=blobs_split.test,
                 seed=0,
-                plan=SemiSyncPlan(round_deadline_s=1.0),
+                plan=plan,
             )
 
-    def test_rejects_lockstep_algorithms(self, iid_clients, blobs_split):
-        for name in ("scaffold", "fedpd"):
-            with pytest.raises(ConfigurationError):
-                make_semisync_sim(name, iid_clients, blobs_split.test)
+    @pytest.mark.parametrize("plan_cls", [AsyncPlan, SemiSyncPlan])
+    @pytest.mark.parametrize("name", ["scaffold", "fedpd", "feddropoutavg"])
+    def test_rejects_lockstep_algorithms(
+        self, name, plan_cls, iid_clients, blobs_split
+    ):
+        """The refusal names the algorithm and the plan being bound."""
+        with pytest.raises(
+            ConfigurationError,
+            match=f"'{name}' cannot run under the '{plan_cls.name}' plan",
+        ):
+            FederatedSimulation(
+                algorithm=build_algorithm(name),
+                model=make_model(seed=0),
+                clients=iid_clients,
+                test_dataset=blobs_split.test,
+                seed=0,
+                plan=plan_cls(),
+                network=HomogeneousNetwork(),
+            )
 
     def test_plan_instances_are_single_use(self, iid_clients, blobs_split):
         """Plans carry per-run state (schedulers, derived deadlines), so

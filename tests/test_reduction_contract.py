@@ -16,15 +16,22 @@ stated once here and property-tested for *every* entry of
 * ``count`` is the cohort size, and server-side effects — SCAFFOLD's
   control-variate write, FedPD's communication coin — happen exactly once
   per round, at ``finalise``, however many shards were merged;
-* an empty ``finalise`` is a :class:`ConfigurationError`.
+* an empty ``finalise`` is a :class:`ConfigurationError`;
+* a *stale* upload needs no second rule: :func:`~repro.federated.staleness.rebase`
+  moves it onto the current model and the same reduction yields the
+  buffered closed form ``θ + Σ sᵢδᵢ / n`` (FedADMM: the paper-equation
+  reference bit for bit), which is all the buffered plans do.
 
 The surface tests pin the shape of the contract itself: one ``aggregate``
 (the base class's), one accumulator class, a defense that only decorates
-that accumulator, and a sharded plan that hands executors whole cohorts.
+that accumulator, a sharded plan that hands executors whole cohorts, and no
+buffered-plan hook, second engine class or second plan spelling anywhere.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +48,7 @@ from repro.federated.engine import FederatedSimulation
 from repro.federated.messages import ClientMessage
 from repro.federated.plans import HierarchicalPlan
 from repro.federated.sampler import UniformFractionSampler
+from repro.federated.staleness import rebase
 from repro.obs.metrics import MetricsRegistry
 from repro.systems.adversaries import (
     DefendedAlgorithm,
@@ -315,6 +323,150 @@ class TestReductionLaws:
 
 
 # --------------------------------------------------------------------------- #
+# Stale uploads: rebase, then the same reduction
+# --------------------------------------------------------------------------- #
+#: The rules whose payloads follow the key convention (model-valued
+#: ``"params"``; update-valued ``"delta"`` / ``"gradient"``).
+BUFFERED_RULES = {
+    name: rule for name, rule in RULES.items()
+    if set(rule.keys) <= {"params", "delta", "gradient"}
+}
+REBASE_ATOL = 1e-12
+
+
+@st.composite
+def buffers(draw, keys):
+    """A generated round plus, per message, a stale anchor and a weight."""
+    generated = draw(rounds(keys))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    bases = [rng.normal(size=generated.theta.size) for _ in generated.messages]
+    weights = [float(w) for w in rng.uniform(0.05, 1.0, len(generated.messages))]
+    return generated, bases, weights
+
+
+def rebased_aggregate(algorithm, generated, bases, weights):
+    return algorithm.aggregate(
+        generated.theta, {},
+        [
+            rebase(message, base, weight, generated.theta)
+            for message, base, weight in zip(generated.messages, bases, weights)
+        ],
+        NUM_CLIENTS, ROUND_INDEX,
+    )
+
+
+def step_of(algorithm, message, base):
+    """δᵢ: the additive model update one upload encodes against its anchor."""
+    payload = message.payload
+    if "params" in payload:
+        return payload["params"] - base
+    if "gradient" in payload:
+        return -algorithm.server_learning_rate * payload["gradient"]
+    return payload["delta"]
+
+
+def buffered_cases(test):
+    test = settings(max_examples=25, deadline=None)(given(data=st.data())(test))
+    return pytest.mark.parametrize(
+        "rule", BUFFERED_RULES.values(), ids=list(BUFFERED_RULES)
+    )(test)
+
+
+class TestRebaseLaws:
+    def test_buffered_rules_are_the_plan_ready_algorithms(self):
+        assert {rule.algorithm for rule in BUFFERED_RULES.values()} == {
+            name for name, cls in ALGORITHM_REGISTRY.items()
+            if cls.supports_plan("async")
+        }
+
+    @buffered_cases
+    def test_rebased_aggregate_is_the_buffered_closed_form(self, rule, data):
+        generated, bases, weights = data.draw(buffers(rule.keys))
+        algorithm = build_algorithm(rule.algorithm, **rule.kwargs)
+        messages = generated.messages
+        # θ + Σ cᵢ sᵢ δᵢ / Σ cᵢ, with cᵢ the sample count or 1.
+        volumes = [
+            float(m.num_samples) if algorithm.weighting == "samples" else 1.0
+            for m in messages
+        ]
+        total = sum(
+            c * s * step_of(algorithm, m, b)
+            for c, s, m, b in zip(volumes, weights, messages, bases)
+        )
+        eta = 1.0
+        if rule.algorithm == "fedadmm":
+            eta = algorithm.step_size_policy.value(
+                ROUND_INDEX, len(messages), NUM_CLIENTS
+            )
+        np.testing.assert_allclose(
+            rebased_aggregate(algorithm, generated, bases, weights),
+            generated.theta + eta * total / sum(volumes),
+            atol=REBASE_ATOL, rtol=0,
+        )
+
+    @buffered_cases
+    def test_fresh_full_weight_rebase_is_the_lockstep_aggregate(self, rule, data):
+        generated = data.draw(rounds(rule.keys))
+        algorithm = build_algorithm(rule.algorithm, **rule.kwargs)
+        count = len(generated.messages)
+        np.testing.assert_allclose(
+            rebased_aggregate(
+                algorithm, generated, [generated.theta] * count, [1.0] * count
+            ),
+            algorithm.aggregate(
+                generated.theta, {}, generated.messages, NUM_CLIENTS, ROUND_INDEX
+            ),
+            atol=REBASE_ATOL, rtol=0,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(buffer=buffers(("delta",)))
+    @pytest.mark.parametrize("step", [1.0, "participation"])
+    def test_fedadmm_matches_the_paper_reference_bitwise(self, step, buffer):
+        generated, bases, weights = buffer
+        algorithm = build_algorithm("fedadmm", rho=0.3, server_step_size=step)
+        eta = algorithm.step_size_policy.value(
+            ROUND_INDEX, len(generated.messages), NUM_CLIENTS
+        )
+        # Never differenced against the stale anchor: s·Δ into eq. (5).
+        deltas = [
+            weight * message.payload["delta"]
+            for message, weight in zip(generated.messages, weights)
+        ]
+        np.testing.assert_array_equal(
+            rebased_aggregate(algorithm, generated, bases, weights),
+            admm_server_update(generated.theta, deltas, eta),
+        )
+
+    @pytest.mark.parametrize(
+        "rule", [r for r in RULES.values() if r not in BUFFERED_RULES.values()],
+        ids=[n for n in RULES if n not in BUFFERED_RULES],
+    )
+    def test_unknown_payload_keys_refuse(self, rule):
+        message = ClientMessage(
+            client_id=0, payload={key: np.ones(4) for key in rule.keys},
+            num_samples=1, local_epochs=1, train_loss=0.0,
+        )
+        with pytest.raises(ConfigurationError, match="cannot rebase payload keys"):
+            rebase(message, np.zeros(4), 1.0, np.zeros(4))
+
+    def test_rebase_leaves_the_upload_untouched(self):
+        payload = {"params": np.arange(4.0)}
+        message = ClientMessage(
+            client_id=3, payload=payload, num_samples=7, local_epochs=2,
+            train_loss=0.5,
+        )
+        rebased = rebase(message, np.ones(4), 0.5, np.full(4, 2.0))
+        np.testing.assert_array_equal(payload["params"], np.arange(4.0))
+        np.testing.assert_array_equal(
+            rebased.payload["params"], 2.0 + 0.5 * (np.arange(4.0) - 1.0)
+        )
+        assert (rebased.client_id, rebased.num_samples, rebased.train_loss) == (
+            3, 7, 0.5
+        )
+
+
+# --------------------------------------------------------------------------- #
 # Contract surface
 # --------------------------------------------------------------------------- #
 def classes_below_base(cls):
@@ -364,6 +516,43 @@ class TestContractSurface:
         assert defended.name == "scaffold"
         assert defended.download_floats(10) == inner.download_floats(10) == 20
         assert defended.local_update == inner.local_update
+
+    # --- PR 16: the buffered half of the contract collapsed too ---------- #
+    @pytest.mark.parametrize(
+        "cls",
+        [FederatedAlgorithm, *ALGORITHM_REGISTRY.values(), DefendedAlgorithm],
+        ids=["base", *ALGORITHM_REGISTRY, "defended"],
+    )
+    def test_no_buffered_plan_hooks_on_the_algorithm_contract(self, cls):
+        for hook in ("aggregate_async", "message_delta"):
+            assert not hasattr(cls, hook)
+
+    def test_one_engine_class(self):
+        import repro
+        import repro.federated
+
+        for package in (repro, repro.federated):
+            assert "AsyncFederatedSimulation" not in package.__all__
+            assert not hasattr(package, "AsyncFederatedSimulation")
+        assert importlib.util.find_spec("repro.federated.async_engine") is None
+        assert FederatedSimulation.__subclasses__() == []
+
+    def test_mode_is_the_one_plan_spelling(self):
+        from repro.experiments.configs import ExperimentConfig, preset_config
+
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert "async_mode" not in fields and len(fields) == 37
+        # Configs served or stored before the field went are folded on load,
+        # not by re-adding it.
+        config = preset_config("serve")
+        record = dataclasses.asdict(config)
+        assert ExperimentConfig.from_record(record) == config
+        legacy = {**record, "mode": "async", "async_mode": True}
+        assert ExperimentConfig.from_record(legacy).mode == "async"
+        legacy = {**record, "mode": "semisync", "async_mode": False}
+        assert ExperimentConfig.from_record(legacy).mode == "semisync"
+        with pytest.raises(TypeError):
+            ExperimentConfig(**legacy)
 
     def test_sharded_plan_dispatches_one_cohort_per_shard(
         self, blobs_split, iid_partition

@@ -318,14 +318,15 @@ class TestCollapsedSurface:
         assert not [name for name in defined if "specs" in name or "collect" in name]
 
     def test_experiment_config_fields_are_untouched(self):
-        # _canonical(spec.config) feeds every store key.
+        # _canonical(spec.config) feeds every store key.  PR 16 removed
+        # ``async_mode`` (key_for re-emits it; spec_key_pin.json is the oracle).
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "name", "dataset", "n_train", "n_test", "model", "model_kwargs",
             "num_clients", "partition", "partition_kwargs", "client_fraction",
             "local_epochs", "system_heterogeneity", "batch_size", "learning_rate",
             "num_rounds", "target_accuracy", "eval_every", "seed", "codec",
             "codec_kwargs", "dropout", "deadline_s", "network", "executor",
-            "max_workers", "backend", "mode", "async_mode", "buffer_size",
+            "max_workers", "backend", "mode", "buffer_size",
             "max_concurrency", "staleness", "staleness_exponent",
             "round_deadline_s", "plan", "num_shards", "adversary",
             "adversary_fraction", "defense",
@@ -360,11 +361,11 @@ class TestStudyRequest:
         assert request.option("missing", "fallback") == "fallback"
 
     def test_legacy_async_flag_maps_to_mode(self):
-        class Args:
-            async_mode = True
+        from repro.cli import _build_parser
 
-        request = StudyRequest.from_args(Args())
-        assert request.overrides["mode"] == "async"
+        args = _build_parser().parse_args(["table3", "--async"])
+        assert not hasattr(args, "async_mode")
+        assert StudyRequest.from_args(args).overrides["mode"] == "async"
 
     def test_flag_dest_derivation(self):
         flag = StudyFlag("--dropout-rates", {"nargs": "+", "type": float})

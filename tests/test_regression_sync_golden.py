@@ -17,6 +17,8 @@ without understanding why the stream moved.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.datasets.synthetic import make_blobs
 from repro.federated.client import build_clients
 from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import UniformRandomEpochs
+from repro.federated.plans import AsyncPlan, SemiSyncPlan
 from repro.federated.sampler import UniformFractionSampler
 from repro.nn.models import MLP
 from repro.partition.imbalanced import ImbalancedPartitioner
@@ -159,9 +162,8 @@ GOLDEN_ASYNC_UPLOAD_FLOATS = 3312
 GOLDEN_ASYNC_DOWNLOAD_FLOATS = 4692
 
 
-def run_async_seed_recipe():
-    """The exact async run the golden values were generated from."""
-    from repro.federated.async_engine import AsyncFederatedSimulation
+def run_buffered_seed_recipe(algorithm, plan, num_rounds):
+    """The exact buffered-plan run the golden values were generated from."""
     from repro.systems.network import LogNormalNetwork
 
     split = make_blobs(
@@ -176,8 +178,8 @@ def run_async_seed_recipe():
         input_dim=12, hidden_dims=(16,), num_classes=4,
         rng=np.random.default_rng(7),
     )
-    simulation = AsyncFederatedSimulation(
-        algorithm=build_algorithm("fedadmm", rho=0.3),
+    simulation = FederatedSimulation(
+        algorithm=algorithm,
         model=model,
         clients=clients,
         test_dataset=split.test,
@@ -185,11 +187,19 @@ def run_async_seed_recipe():
         learning_rate=0.1,
         seed=11,
         eval_every=1,
-        buffer_size=2,
-        max_concurrency=5,
+        plan=plan,
         network=LogNormalNetwork(),
     )
-    return simulation.run(6, target_accuracy=None)
+    return simulation.run(num_rounds, target_accuracy=None)
+
+
+def run_async_seed_recipe():
+    """The exact async run the golden values were generated from."""
+    return run_buffered_seed_recipe(
+        build_algorithm("fedadmm", rho=0.3),
+        AsyncPlan(buffer_size=2, max_concurrency=5),
+        6,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +243,122 @@ class TestAsyncPathBitIdentity:
             rec.simulated_seconds > 0
             for rec in async_seed_result.history.records
         )
+
+
+# --------------------------------------------------------------------------- #
+# Semi-synchronous golden path, and the buffered baselines
+# --------------------------------------------------------------------------- #
+# Recorded on ``9798c77`` — the last commit whose buffered plans aggregated
+# through ``aggregate_async`` — with the recipe above and the default
+# (median-duration) round deadline: eight rounds, two of them abandoned,
+# three late arrivals.  The rebase-then-reduce form that replaced it must
+# reproduce FedADMM bit for bit; never refresh these.
+GOLDEN_SEMISYNC_PARAMS_SHA256 = (
+    "2a59e845a76d74664b7f11bdbe51b287851e4fa8e1a64156e790ae6912af2a33"
+)
+GOLDEN_SEMISYNC_TRAIN_LOSSES = [
+    0.876416598174037,
+    float("nan"),
+    0.0853970647550828,
+    0.3038563017700035,
+    0.5779428499096537,
+    float("nan"),
+    0.008474765404449745,
+    0.11430257602348745,
+]
+GOLDEN_SEMISYNC_STALENESS = [
+    (0.0, 0),
+    (0.0, 0),
+    (0.0, 0),
+    (1.0, 1),
+    (0.5, 1),
+    (0.0, 0),
+    (0.0, 0),
+    (0.5, 1),
+]
+GOLDEN_SEMISYNC_VERSIONS = [1, 1, 2, 3, 4, 4, 5, 6]
+GOLDEN_SEMISYNC_LATE_ARRIVALS = 3
+GOLDEN_SEMISYNC_UPLOAD_FLOATS = 2208
+GOLDEN_SEMISYNC_DOWNLOAD_FLOATS = 2208
+
+
+class TestSemiSyncPathBitIdentity:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_buffered_seed_recipe(
+            build_algorithm("fedadmm", rho=0.3), SemiSyncPlan(), 8
+        )
+
+    def test_final_parameters_hash(self, result):
+        digest = hashlib.sha256(result.final_params.tobytes()).hexdigest()
+        assert digest == GOLDEN_SEMISYNC_PARAMS_SHA256
+
+    def test_train_loss_and_staleness_trajectories_exact(self, result):
+        records = result.history.records
+        # assert_array_equal: NaN (an abandoned round) equals NaN.
+        np.testing.assert_array_equal(
+            [rec.train_loss for rec in records], GOLDEN_SEMISYNC_TRAIN_LOSSES
+        )
+        assert [
+            (rec.mean_staleness, rec.max_staleness) for rec in records
+        ] == GOLDEN_SEMISYNC_STALENESS
+        assert [rec.model_version for rec in records] == GOLDEN_SEMISYNC_VERSIONS
+
+    def test_accounting_exact(self, result):
+        assert result.metadata["late_arrivals"] == GOLDEN_SEMISYNC_LATE_ARRIVALS
+        assert result.ledger.upload_floats == GOLDEN_SEMISYNC_UPLOAD_FLOATS
+        assert result.ledger.download_floats == GOLDEN_SEMISYNC_DOWNLOAD_FLOATS
+
+
+class TestAsyncFedAvgParentParity:
+    """FedAvg under the async plan against the parent's ``aggregate_async``.
+
+    Whole-model uploads go through ``θ + s·(p − θ_base)`` and the ordinary
+    mean instead of ``θ + Σ s·(p − θ_base) / n``: a re-association, so the
+    parameters are pinned at ``atol=1e-12`` and everything discrete exactly
+    (``tests/golden_async_fedavg.json``, recorded on ``9798c77``).
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        path = Path(__file__).with_name("golden_async_fedavg.json")
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_buffered_seed_recipe(
+            build_algorithm("fedavg"),
+            AsyncPlan(buffer_size=2, max_concurrency=5),
+            8,
+        )
+
+    def test_final_parameters_within_reassociation_bound(self, result, golden):
+        np.testing.assert_allclose(
+            result.final_params, golden["final_params"], atol=1e-12, rtol=0
+        )
+
+    def test_trajectories_exact(self, result, golden):
+        records = result.history.records
+        assert [rec.test_accuracy for rec in records] == golden["accuracies"]
+        assert [
+            [rec.mean_staleness, rec.max_staleness] for rec in records
+        ] == golden["staleness"]
+        assert [
+            rec.simulated_seconds for rec in records
+        ] == golden["simulated_seconds"]
+        np.testing.assert_allclose(
+            [rec.train_loss for rec in records], golden["train_losses"],
+            atol=1e-12, rtol=0,
+        )
+
+    def test_ledger_exact(self, result, golden):
+        ledger = result.ledger
+        assert {
+            "upload_floats": ledger.upload_floats,
+            "download_floats": ledger.download_floats,
+            "upload_wire_bytes": ledger.upload_wire_bytes,
+            "download_wire_bytes": ledger.download_wire_bytes,
+        } == golden["ledger"]
 
 
 # --------------------------------------------------------------------------- #

@@ -418,7 +418,9 @@ def test_duplicate_delta_submission_is_idempotent():
         info = handshake(client, worker_id="dup-test")
         from repro.experiments.configs import ExperimentConfig
 
-        env = WorkerEnvironment(ExperimentConfig(**info["config"]), info["algorithm"])
+        env = WorkerEnvironment(
+            ExperimentConfig.from_record(info["config"]), info["algorithm"]
+        )
         status, content_type, data = client.post("/v1/task", b"")
         assert status == 200 and not content_type.startswith("application/json")
         header, blobs = protocol.unpack_frame(data)

@@ -329,13 +329,13 @@ class TestBufferedPlans:
 
     def test_async_plan_matches_serial(self):
         sizes = [16] * 6
-        from repro.federated.async_engine import AsyncFederatedSimulation
+        from repro.federated.plans import AsyncPlan
 
         def run(executor):
             split, clients = make_ragged_clients(sizes, seed=3)
             model = MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
                         rng=np.random.default_rng(5))
-            simulation = AsyncFederatedSimulation(
+            simulation = FederatedSimulation(
                 algorithm=build_algorithm("fedavg"),
                 model=model,
                 clients=clients,
@@ -344,8 +344,7 @@ class TestBufferedPlans:
                 batch_size=5,
                 learning_rate=0.1,
                 seed=11,
-                buffer_size=2,
-                max_concurrency=4,
+                plan=AsyncPlan(buffer_size=2, max_concurrency=4),
                 network=LogNormalNetwork(),
                 executor=executor,
             )

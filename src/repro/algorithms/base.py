@@ -278,9 +278,11 @@ class FederatedAlgorithm:
         shuffles) along a leading client axis; ``clients`` is the aligned
         list of :class:`ClientState` objects whose persistent variables and
         participation counters must be mutated exactly as
-        :meth:`local_update` would.  Returns one :class:`ClientMessage` per
-        cohort member, in cohort order.  Only called when
-        ``supports_batched`` is true.
+        :meth:`local_update` would.  ``config`` carries the batch size and
+        learning rate the cohort shares; each member's local epoch count is
+        ``cohort.epochs`` (``config.epochs`` is one member's and must not
+        be used).  Returns one :class:`ClientMessage` per cohort member, in
+        cohort order.  Only called when ``supports_batched`` is true.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batched execution"
@@ -290,7 +292,7 @@ class FederatedAlgorithm:
         self,
         clients: list[ClientState],
         cohort: BatchedCohort,
-        local_epochs: int,
+        local_epochs: np.ndarray,
         train_losses: np.ndarray,
         payload_for,
         metadata: dict | None = None,
@@ -299,22 +301,26 @@ class FederatedAlgorithm:
 
         Records each client's participation and builds its
         :class:`ClientMessage` exactly as the serial ``local_update``
-        paths do; ``payload_for(index)`` supplies the algorithm-specific
-        payload for cohort member ``index``.  Keeping this in one place
-        means cohort bookkeeping (participation accounting, sample
-        counts) cannot drift between the batched algorithms.
+        paths do; ``local_epochs`` is the per-member ``(C,)`` epoch count
+        (``cohort.epochs`` for every SGD method) and ``payload_for(index)``
+        supplies the algorithm-specific payload for cohort member
+        ``index``.  Keeping this in one place means cohort bookkeeping
+        (participation accounting, sample counts) cannot drift between the
+        batched algorithms.
         """
         from repro.federated.messages import ClientMessage
 
         messages = []
-        for index, client in enumerate(clients):
-            client.record_participation(local_epochs)
+        for index, (client, epochs) in enumerate(
+            zip(clients, local_epochs.tolist())
+        ):
+            client.record_participation(epochs)
             messages.append(
                 ClientMessage(
                     client_id=client.client_id,
                     payload=payload_for(index),
                     num_samples=cohort.num_samples,
-                    local_epochs=local_epochs,
+                    local_epochs=epochs,
                     train_loss=float(train_losses[index]),
                     metadata=dict(metadata) if metadata else {},
                 )

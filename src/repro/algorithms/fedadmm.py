@@ -29,6 +29,8 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.core.admm_client import admm_client_update
+from repro.core.augmented_lagrangian import AugmentedLagrangian
+from repro.core.dual import augmented_model, dual_update
 from repro.core.rho import ConstantRho, RhoSchedule
 from repro.core.stepsize import (
     ConstantStepSize,
@@ -151,8 +153,8 @@ class FedADMM(FederatedAlgorithm):
         """Stacked Algorithm 1 ClientUpdate: one SGD sweep for the cohort.
 
         The per-client state reads/writes, the dual update, and the Δ_i
-        assembly follow :func:`repro.core.admm_client.admm_client_update`
-        operation for operation, just with a leading client axis.
+        assembly are :func:`repro.core.admm_client.admm_client_update`'s
+        own in-place helpers, broadcast over a leading client axis.
         """
         from repro.nn.batched import batched_run_local_sgd
 
@@ -161,7 +163,6 @@ class FedADMM(FederatedAlgorithm):
             raise ConfigurationError(f"FedADMM requires rho > 0, got {rho}")
         for client in clients:
             self.init_client_state(client, global_params)
-        theta = global_params[None, :]
         w_old = np.stack([client.get("w") for client in clients])
         if self.use_duals:
             y_old = np.stack([client.get("y") for client in clients])
@@ -170,22 +171,31 @@ class FedADMM(FederatedAlgorithm):
         start = w_old if self.warm_start else np.broadcast_to(
             global_params, w_old.shape
         )
+        lagrangian = AugmentedLagrangian(rho)
+        scratch = np.empty(w_old.shape, dtype=np.float64)
 
         def extra_grad(params: np.ndarray) -> np.ndarray:
-            return y_old + rho * (params - theta)
+            active = params.shape[0]
+            return lagrangian.penalty_gradient(
+                params, y_old[:active], global_params, out=scratch[:active]
+            )
 
         w_new, losses = batched_run_local_sgd(
             cohort, start, config, extra_grad=extra_grad
         )
-        y_new = y_old + rho * (w_new - theta)
-        delta = (w_new + y_new / rho) - (w_old + y_old / rho)
+        # Eq. (4) as update_message computes it, with every stack that has
+        # just died reused as the next output: the epilogue allocates nothing.
+        u_old = augmented_model(w_old, y_old, rho, out=scratch)
+        y_new = dual_update(y_old, w_new, global_params, rho, out=w_old)
+        delta = augmented_model(w_new, y_new, rho, out=y_old)
+        delta -= u_old
 
         for index, client in enumerate(clients):
             client.set("w", w_new[index])
             if self.use_duals:
                 client.set("y", y_new[index])
         return self.build_cohort_messages(
-            clients, cohort, config.epochs, losses,
+            clients, cohort, cohort.epochs, losses,
             lambda index: {"delta": delta[index].copy()},
             metadata={"rho": rho},
         )

@@ -71,7 +71,7 @@ class FedAvg(FederatedAlgorithm):
         start = np.broadcast_to(global_params, (len(clients), global_params.size))
         params, losses = batched_run_local_sgd(cohort, start, config)
         return self.build_cohort_messages(
-            clients, cohort, config.epochs, losses,
+            clients, cohort, cohort.epochs, losses,
             lambda index: {"params": params[index].copy()},
         )
 

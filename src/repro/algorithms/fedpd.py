@@ -23,7 +23,8 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.core.admm_client import admm_client_update
-from repro.core.dual import augmented_model
+from repro.core.augmented_lagrangian import AugmentedLagrangian
+from repro.core.dual import augmented_model, dual_update
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
@@ -120,18 +121,23 @@ class FedPD(FederatedAlgorithm):
 
         for client in clients:
             self.init_client_state(client, global_params)
-        theta = global_params[None, :]
         w_old = np.stack([client.get("w") for client in clients])
         y_old = np.stack([client.get("y") for client in clients])
+        lagrangian = AugmentedLagrangian(self.rho)
+        scratch = np.empty(w_old.shape, dtype=np.float64)
+
+        def extra_grad(params: np.ndarray) -> np.ndarray:
+            active = params.shape[0]
+            return lagrangian.penalty_gradient(
+                params, y_old[:active], global_params, out=scratch[:active]
+            )
 
         w_new, losses = batched_run_local_sgd(
-            cohort,
-            w_old,
-            config,
-            extra_grad=lambda params: y_old + self.rho * (params - theta),
+            cohort, w_old, config, extra_grad=extra_grad
         )
-        y_new = y_old + self.rho * (w_new - theta)
-        augmented = w_new + y_new / self.rho
+        # The SGD scratch, then the old duals' stack, are dead: reuse them.
+        y_new = dual_update(y_old, w_new, global_params, self.rho, out=scratch)
+        augmented = augmented_model(w_new, y_new, self.rho, out=y_old)
 
         for index, client in enumerate(clients):
             client.set("w", w_new[index])
@@ -139,7 +145,7 @@ class FedPD(FederatedAlgorithm):
         return self.build_cohort_messages(
             clients,
             cohort,
-            config.epochs,
+            cohort.epochs,
             losses,
             lambda index: {"augmented_model": augmented[index].copy()},
         )

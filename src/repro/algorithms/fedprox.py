@@ -81,15 +81,18 @@ class FedProx(FedAvg):
 
         theta = global_params[None, :]
         rho = self.rho
+        start = np.broadcast_to(global_params, (len(clients), global_params.size))
+        scratch = np.empty(start.shape, dtype=np.float64)
 
         def extra_grad(params: np.ndarray) -> np.ndarray:
-            return rho * (params - theta)
+            out = np.subtract(params, theta, out=scratch[: params.shape[0]])
+            out *= rho
+            return out
 
-        start = np.broadcast_to(global_params, (len(clients), global_params.size))
         params, losses = batched_run_local_sgd(
             cohort, start, config, extra_grad=extra_grad
         )
         return self.build_cohort_messages(
-            clients, cohort, config.epochs, losses,
+            clients, cohort, cohort.epochs, losses,
             lambda index: {"params": params[index].copy()},
         )

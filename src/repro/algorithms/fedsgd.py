@@ -71,7 +71,7 @@ class FedSGD(FederatedAlgorithm):
         # One exact gradient per round: local_epochs is 1 regardless of
         # the config, exactly as in the serial local_update.
         return self.build_cohort_messages(
-            clients, cohort, 1, losses,
+            clients, cohort, np.ones(len(clients), dtype=np.int64), losses,
             lambda index: {"gradient": grads[index].copy()},
         )
 

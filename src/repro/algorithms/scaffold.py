@@ -120,13 +120,13 @@ class Scaffold(FederatedAlgorithm):
         """A cohort of corrected local updates as one stacked SGD run.
 
         The per-client correction ``c − c_i`` is fixed for the whole round,
-        so it stacks into a single ``(C, dim)`` ``extra_grad`` term; the
-        option-II refresh divides by the shared step count (cohorts group
-        on ``(n, epochs, batch_size)``, so ``K`` is identical across the
-        cohort).  Numerics match :meth:`local_update` client for client up
+        so it stacks into a single ``(C, dim)`` ``extra_grad`` term.  A
+        cohort shares ``(n, batch_size)`` but not the epoch count, so the
+        option-II refresh divides by a per-client ``(C, 1)`` step count
+        ``K_i``.  Numerics match :meth:`local_update` client for client up
         to stacked-matmul reduction order.
         """
-        from repro.nn.batched import batched_run_local_sgd, local_steps_per_round
+        from repro.nn.batched import batched_run_local_sgd, local_steps_per_epoch
 
         for client in clients:
             self.init_client_state(client, global_params)
@@ -138,12 +138,15 @@ class Scaffold(FederatedAlgorithm):
             global_params, (len(clients), global_params.size)
         )
         params, losses = batched_run_local_sgd(
-            cohort, start, config, extra_grad=lambda _: correction
+            cohort,
+            start,
+            config,
+            extra_grad=lambda live: correction[: live.shape[0]],
         )
 
-        num_steps = local_steps_per_round(cohort.num_samples, config)
-        if num_steps == 0:
-            raise ConfigurationError("SCAFFOLD client performed zero local steps")
+        num_steps = cohort.epochs[:, None] * local_steps_per_epoch(
+            cohort.num_samples, config.batch_size
+        )
         new_controls = client_controls - server_control[None, :] + (
             global_params[None, :] - params
         ) / (num_steps * config.learning_rate)
@@ -155,7 +158,7 @@ class Scaffold(FederatedAlgorithm):
         return self.build_cohort_messages(
             clients,
             cohort,
-            config.epochs,
+            cohort.epochs,
             losses,
             lambda index: {
                 "delta_params": delta_params[index].copy(),

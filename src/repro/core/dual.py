@@ -19,20 +19,34 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 
-def dual_update(y: np.ndarray, w: np.ndarray, theta: np.ndarray, rho: float) -> np.ndarray:
-    """Algorithm 1 line 20: ``y_new = y + ρ (w − θ)``."""
+def dual_update(
+    y: np.ndarray,
+    w: np.ndarray,
+    theta: np.ndarray,
+    rho: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Algorithm 1 line 20: ``y_new = y + ρ (w − θ)``.
+
+    Written into ``out`` when given (it must not alias ``y``).
+    """
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive for a dual update, got {rho}")
-    y_new = np.subtract(w, theta, dtype=np.float64)
+    y_new = np.subtract(w, theta, out=out, dtype=np.float64)
     y_new *= rho
     return np.add(y, y_new, out=y_new)
 
 
-def augmented_model(w: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """The augmented model ``u = w + y / ρ`` combined into a single vector."""
+def augmented_model(
+    w: np.ndarray, y: np.ndarray, rho: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The augmented model ``u = w + y / ρ`` combined into a single vector.
+
+    Written into ``out`` when given (it may alias neither input).
+    """
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
-    u = y / rho
+    u = np.divide(y, rho, out=out)
     return np.add(w, u, out=u)
 
 

@@ -97,9 +97,22 @@ class LocalProblem:
         return total_loss / total_count, total_grad / total_count
 
     def full_loss(self, params: np.ndarray, batch_size: int | None = 256) -> float:
-        """Mean local loss ``f_i(params)`` over the whole local dataset."""
-        value, _ = self.full_loss_and_grad(params, batch_size=batch_size)
-        return value
+        """Mean local loss ``f_i(params)`` over the whole local dataset.
+
+        Forward passes only, in the same chunks and with the same
+        sample-weighted mean as :meth:`full_loss_and_grad`.
+        """
+        model = self.model
+        model.set_flat_params(params)
+        total_loss = 0.0
+        total_count = 0
+        for features, labels in iterate_minibatches(
+            self.dataset.features, self.dataset.labels, batch_size, shuffle=False
+        ):
+            weight = labels.shape[0]
+            total_loss += self.loss.value(model.forward(features), labels) * weight
+            total_count += weight
+        return total_loss / total_count
 
     # ------------------------------------------------------------------ #
     # Batching

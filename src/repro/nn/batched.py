@@ -16,10 +16,13 @@ it by giving the whole cohort a leading client axis:
 
 All raw array math goes through a pluggable :class:`~repro.nn.backend.Backend`
 (NumPy by default; see :mod:`repro.nn.backend` for the selection chain),
-and every :class:`BatchedModel` owns a per-cohort-shape **workspace**: the
-``(C, dim)`` gradient buffer and the cross-entropy one-hot buffer are
-allocated once per distinct cohort size and reused across every step and
-round.  The gradient buffer is reused *without zeroing* — this is safe
+and every :class:`BatchedModel` owns one **workspace** per scratch array
+(the ``(C, dim)`` gradient buffer, the cross-entropy one-hot buffer, the
+max-pool scatter target): a single allocation at the largest size seen so
+far, handed out as prefix views and reused across every step and round —
+the stack a call sees shrinks epoch by epoch (see
+:func:`batched_run_local_sgd`), so sizing per shape would reallocate every
+step.  The gradient buffer is reused *without zeroing* — this is safe
 because each parametric op's backward **assigns** (never accumulates) its
 full parameter slice, and :func:`build_batched_model` verifies the slices
 tile the entire flat layout (``offset == model.num_params``).
@@ -32,7 +35,10 @@ back to per-client execution.  :func:`batched_run_local_sgd` mirrors
 schedule, same update order, same loss bookkeeping — so a batched cohort
 reproduces the serial histories up to stacked-matmul reduction order
 (``atol=1e-8`` on the pinned goldens, see ``docs/tutorials/fast-sweeps.md``
-for the tolerance contract).  The one documented exception is
+for the tolerance contract).  Clients of one cohort may run different
+numbers of local epochs: the cohort is ordered by descending epochs and
+each epoch runs on the contiguous prefix of still-active clients.  The one
+documented exception to serial parity is
 :class:`BatchedDropout`: dropout masks come from a dedicated per-model
 stream (pre-seeded per cohort, drawn with a leading client axis so every
 client gets its own mask), not from the serial layers' private generators,
@@ -46,6 +52,7 @@ consumes arrays and a training config, exactly like the serial kernels in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -69,7 +76,8 @@ from repro.nn.losses import CrossEntropyLoss, Loss, MSELoss
 from repro.nn.module import Module
 
 #: Extra per-parameter gradient term added before each SGD step, evaluated
-#: at the current stacked parameters ``(C, dim)`` (proximal/dual terms).
+#: at the stacked parameters of the clients still training — the
+#: ``(active, dim)`` prefix of the cohort (proximal/dual terms).
 ExtraGrad = Callable[[np.ndarray], np.ndarray]
 
 
@@ -77,6 +85,27 @@ def _resolve_backend(backend: Backend | str | None) -> Backend:
     if isinstance(backend, Backend):
         return backend
     return get_backend(backend)
+
+
+class _Workspace:
+    """One scratch allocation, handed out as prefix views of any shape.
+
+    Sized to the largest request seen so far and never shrunk.  The active
+    prefix of a cohort changes every epoch, so a buffer per shape would
+    either reallocate every step or pile up one array per prefix length; a
+    prefix of one flat buffer is C-contiguous for every shape.  Contents
+    are whatever the previous user left: callers assign or ``fill``.
+    """
+
+    def __init__(self, backend: Backend) -> None:
+        self.backend = backend
+        self._flat: np.ndarray | None = None
+
+    def view(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self._flat is None or self._flat.size < size:
+            self._flat = self.backend.empty((size,))
+        return self._flat[:size].reshape(shape)
 
 
 # --------------------------------------------------------------------------- #
@@ -280,7 +309,7 @@ class BatchedMaxPool2D(_BatchedOp):
         self.backend = _resolve_backend(backend)
         self._input_shape: tuple[int, ...] | None = None
         self._argmax: np.ndarray | None = None
-        self._cols_grad: np.ndarray | None = None
+        self._cols_grad = _Workspace(self.backend)
 
     def clone(self) -> "BatchedMaxPool2D":
         return BatchedMaxPool2D(self.kernel_size, self.stride, self.backend)
@@ -311,13 +340,11 @@ class BatchedMaxPool2D(_BatchedOp):
         grad_flat = grad_output.reshape(-1)
         # Workspace: the scatter target is reused between steps (zeroed each
         # time — only the argmax positions are written).
-        if self._cols_grad is None or self._cols_grad.shape[0] != grad_flat.size:
-            self._cols_grad = self.backend.zeros((grad_flat.size, k * k))
-        else:
-            self._cols_grad.fill(0.0)
-        self._cols_grad[np.arange(grad_flat.size), self._argmax] = grad_flat
+        cols_grad = self._cols_grad.view((grad_flat.size, k * k))
+        cols_grad.fill(0.0)
+        cols_grad[np.arange(grad_flat.size), self._argmax] = grad_flat
         grad_input = col2im(
-            self._cols_grad, (cohort * n * channels, 1, height, width), k, k, s, 0
+            cols_grad, (cohort * n * channels, 1, height, width), k, k, s, 0
         )
         return grad_input.reshape(self._input_shape)
 
@@ -452,7 +479,7 @@ class BatchedCrossEntropy:
 
     def __init__(self, backend: Backend | str | None = None) -> None:
         self.backend = _resolve_backend(backend)
-        self._one_hot: np.ndarray | None = None
+        self._one_hot = _Workspace(self.backend)
 
     def clone(self) -> "BatchedCrossEntropy":
         return BatchedCrossEntropy(self.backend)
@@ -465,14 +492,12 @@ class BatchedCrossEntropy:
         log_probs = self.backend.log_softmax(logits)
         picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)
         losses = -picked[:, :, 0].mean(axis=1)
-        # Workspace: one reusable one-hot buffer per logits shape (zeroed
-        # each step — the scatter writes only the target entries).
-        if self._one_hot is None or self._one_hot.shape != logits.shape:
-            self._one_hot = self.backend.zeros(logits.shape)
-        else:
-            self._one_hot.fill(0.0)
-        np.put_along_axis(self._one_hot, targets[:, :, None], 1.0, axis=2)
-        grad = (self.backend.softmax(logits) - self._one_hot) / n
+        # Workspace: one reusable one-hot buffer (zeroed each step — the
+        # scatter writes only the target entries).
+        one_hot = self._one_hot.view(logits.shape)
+        one_hot.fill(0.0)
+        np.put_along_axis(one_hot, targets[:, :, None], 1.0, axis=2)
+        grad = (self.backend.softmax(logits) - one_hot) / n
         return losses, grad
 
 
@@ -524,12 +549,13 @@ class BatchedModel:
     :meth:`~repro.nn.module.Module.get_flat_params` order, so rows of the
     stacked parameter array round-trip into the serial model unchanged.
 
-    The model owns a per-cohort-shape workspace: one ``(C, dim)`` gradient
-    buffer per distinct cohort size ``C``, reused across every step, round,
-    and :meth:`loss_and_grad` call.  **The returned gradient array is owned
-    by this workspace and is overwritten by the next call** — consume it
-    (or copy it) before calling again.  A ``BatchedModel`` instance is not
-    safe for concurrent use; executors give each concurrent cohort its own
+    The model owns one gradient workspace, sized to the largest stack it
+    has seen and handed out as its first ``C`` rows, reused across every
+    step, round, and :meth:`loss_and_grad` call.  **The returned gradient
+    array is a view of this workspace and is overwritten by the next call**
+    — consume it (or copy it) before calling again; the caller may scale or
+    add to it in place until then.  A ``BatchedModel`` instance is not safe
+    for concurrent use; executors give each concurrent cohort its own
     :meth:`clone`.
     """
 
@@ -548,7 +574,7 @@ class BatchedModel:
         #: op's forward/backward is timed under a ``kernel.*`` key.  The
         #: untimed hot path pays exactly one ``None`` check per call.
         self.profiler = None
-        self._grad_buffers: dict[int, np.ndarray] = {}
+        self._grads = _Workspace(self.backend)
 
     def clone(self) -> "BatchedModel":
         """A fresh execution context: same compiled pipeline, own workspace."""
@@ -586,17 +612,13 @@ class BatchedModel:
         return self.train(False)
 
     def _grads_for(self, cohort: int) -> np.ndarray:
-        """The reused ``(C, dim)`` gradient buffer for this cohort size.
+        """The first ``C`` rows of the reused gradient workspace.
 
         Never zeroed between uses: every parametric op's backward assigns
         its full slice, and compilation verified the slices tile the whole
         flat layout, so each backward pass overwrites every element.
         """
-        buffer = self._grad_buffers.get(cohort)
-        if buffer is None:
-            buffer = self.backend.zeros((cohort, self.dim))
-            self._grad_buffers[cohort] = buffer
-        return buffer
+        return self._grads.view((cohort, self.dim))
 
     def loss_and_grad(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
@@ -762,10 +784,15 @@ def build_batched_model(
 class BatchedCohort:
     """A same-shape group of clients stacked along a leading axis.
 
-    ``epoch_orders`` carries the pre-drawn per-epoch shuffles as an
-    ``(E, C, n)`` index array — drawn by the caller *in task order* from
-    each task's own RNG, so the cohort consumes exactly the random numbers
-    the serial executor would have (see
+    Clients are ordered by **descending local epochs**: ``epochs`` is the
+    non-increasing ``(C,)`` vector of each client's realised epoch count,
+    so the clients still training at epoch ``e`` are always the contiguous
+    prefix ``[:active(e)]`` of every stacked array.
+
+    ``epoch_orders`` carries the pre-drawn shuffles, one ``(active(e), n)``
+    index array per epoch — drawn by the caller *in task order* from each
+    task's own RNG, so the cohort consumes exactly the random numbers the
+    serial executor would have (see
     :meth:`repro.systems.executor.VectorizedExecutor.run_tasks`).  ``None``
     means full-batch training, which draws nothing, again like the serial
     path.
@@ -774,7 +801,18 @@ class BatchedCohort:
     model: BatchedModel
     features: np.ndarray  # (C, n, d)
     labels: np.ndarray  # (C, n)
-    epoch_orders: np.ndarray | None = None  # (E, C, n) or None
+    epochs: np.ndarray  # (C,), non-increasing
+    epoch_orders: list[np.ndarray] | None = None  # per epoch: (active(e), n)
+
+    def __post_init__(self) -> None:
+        self.epochs = np.asarray(self.epochs, dtype=np.int64)
+        if self.epochs.shape != (self.num_clients,) or np.any(
+            self.epochs[1:] > self.epochs[:-1]
+        ):
+            raise ShapeError(
+                f"cohort epochs must be a non-increasing vector of length "
+                f"{self.num_clients}, got {self.epochs.tolist()}"
+            )
 
     @property
     def num_clients(self) -> int:
@@ -784,6 +822,10 @@ class BatchedCohort:
     def num_samples(self) -> int:
         """Local training-set size ``n`` (identical across the cohort)."""
         return int(self.features.shape[1])
+
+    def active(self, epoch: int) -> int:
+        """How many clients (a prefix) still train at 0-based ``epoch``."""
+        return int(np.count_nonzero(self.epochs > epoch))
 
     def full_loss_and_grad(
         self, params: np.ndarray, batch_size: int | None = 256
@@ -798,35 +840,38 @@ class BatchedCohort:
 
 
 def _epoch_batches(
-    cohort: BatchedCohort, batch_size: int | None, epoch: int
+    cohort: BatchedCohort, batch_size: int | None, epoch: int, active: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield this epoch's stacked mini-batches, mirroring ``iterate_minibatches``."""
+    """Yield this epoch's stacked mini-batches for the ``active`` prefix,
+    mirroring ``iterate_minibatches``."""
     n = cohort.num_samples
+    features, labels = cohort.features[:active], cohort.labels[:active]
     if batch_size is None or batch_size >= n:
-        yield cohort.features, cohort.labels
+        yield features, labels
         return
-    order = cohort.epoch_orders[epoch]  # (C, n)
-    shuffled_x = np.take_along_axis(cohort.features, order[:, :, None], axis=1)
-    shuffled_y = np.take_along_axis(cohort.labels, order, axis=1)
+    order = cohort.epoch_orders[epoch]  # (active, n)
+    shuffled_x = np.take_along_axis(features, order[:, :, None], axis=1)
+    shuffled_y = np.take_along_axis(labels, order, axis=1)
     for start in range(0, n, batch_size):
         stop = start + batch_size
         yield shuffled_x[:, start:stop], shuffled_y[:, start:stop]
 
 
-def local_steps_per_round(num_samples: int, config) -> int:
-    """Mini-batch steps one client takes in ``config.epochs`` local epochs.
+def local_steps_per_epoch(num_samples: int, batch_size: int | None) -> int:
+    """Mini-batch steps in one local epoch over ``num_samples`` samples.
 
     Mirrors ``iterate_minibatches``/:func:`_epoch_batches`: full-batch
-    training is one step per epoch, otherwise ``ceil(n / batch_size)``.
-    Cohorts group on ``(n, epochs, batch_size)``, so the count is shared by
-    every member — SCAFFOLD's control-variate refresh divides by it.
+    training is one step, otherwise ``ceil(n / batch_size)``.
     """
-    batch_size = config.batch_size
     if batch_size is None or batch_size >= num_samples:
-        per_epoch = 1
-    else:
-        per_epoch = -(-num_samples // batch_size)
-    return config.epochs * per_epoch
+        return 1
+    return -(-num_samples // batch_size)
+
+
+def local_steps_per_round(num_samples: int, config) -> int:
+    """Mini-batch steps one client takes in ``config.epochs`` local epochs
+    (SCAFFOLD's control-variate refresh divides by it)."""
+    return config.epochs * local_steps_per_epoch(num_samples, config.batch_size)
 
 
 def batched_run_local_sgd(
@@ -837,25 +882,40 @@ def batched_run_local_sgd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked counterpart of :func:`repro.algorithms.base.run_local_sgd`.
 
-    ``start_params`` is ``(C, dim)``; ``config`` is a
-    :class:`~repro.algorithms.base.LocalTrainingConfig` shared by the whole
-    cohort (cohorts group on epochs/batch size).  Returns the trained
-    ``(C, dim)`` parameters and each client's mean mini-batch loss ``(C,)``
-    — the unweighted mean over batches, exactly like the serial kernel.
+    ``start_params`` is ``(C, dim)``; ``config`` supplies the batch size
+    and learning rate the whole cohort shares, while each client's epoch
+    count comes from ``cohort.epochs``.  The loop is an **active prefix**:
+    at epoch ``e`` the kernels and the step run on views of the first
+    ``cohort.active(e)`` rows only, so a client past its last epoch takes
+    no step and costs no kernel work.  ``extra_grad`` is handed that prefix
+    of the parameters and must return a matching ``(active, dim)`` array;
+    as in the serial kernel it is only read, and only before the next
+    call, so the callee may return the same scratch buffer every time.
+
+    Returns the trained ``(C, dim)`` parameters and each client's mean
+    mini-batch loss ``(C,)`` — the unweighted mean over that client's own
+    batches, exactly like the serial kernel.
     """
-    params = np.array(start_params, dtype=np.float64, copy=True)
+    # order="C": a broadcast start (every client from the global model) would
+    # otherwise copy client-axis-fastest, and no prefix of that is contiguous.
+    params = np.array(start_params, dtype=np.float64, order="C")
     loss_sum = np.zeros(cohort.num_clients, dtype=np.float64)
-    batches_seen = 0
-    for epoch in range(config.epochs):
-        for features, labels in _epoch_batches(cohort, config.batch_size, epoch):
-            losses, grads = cohort.model.loss_and_grad(params, features, labels)
-            loss_sum += losses
-            batches_seen += 1
+    learning_rate = config.learning_rate
+    for epoch in range(int(cohort.epochs.max(initial=0))):
+        active = cohort.active(epoch)
+        live = params[:active]
+        for features, labels in _epoch_batches(
+            cohort, config.batch_size, epoch, active
+        ):
+            losses, grads = cohort.model.loss_and_grad(live, features, labels)
+            loss_sum[:active] += losses
+            # ``grads`` is the model's workspace until the next call, so the
+            # step live -= lr * (grads + extra) runs without a temporary.
             if extra_grad is not None:
-                grads = grads + extra_grad(params)
-            params -= config.learning_rate * grads
-    if batches_seen:
-        mean_losses = loss_sum / batches_seen
-    else:
-        mean_losses = np.full(cohort.num_clients, float("nan"))
-    return params, mean_losses
+                grads += extra_grad(live)
+            grads *= learning_rate
+            live -= grads
+    batches_seen = cohort.epochs * local_steps_per_epoch(
+        cohort.num_samples, config.batch_size
+    )
+    return params, loss_sum / batches_seen

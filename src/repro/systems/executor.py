@@ -14,9 +14,11 @@ slim :class:`LocalUpdateTask`; the executor runs the batch and returns one
   parameter buffers in place, so sharing one template across threads would
   race) and draws from its own per-task seed.
 * :class:`VectorizedExecutor` — same-shape tasks are grouped into cohorts
-  and each cohort's local updates run as stacked NumPy operations with a
-  leading client axis (see :mod:`repro.nn.batched`), eliminating the
-  per-client Python dispatch that dominates the serial hot path.  Only
+  (whatever their local epoch counts) and each cohort's local updates run
+  as stacked NumPy operations with a leading client axis (see
+  :mod:`repro.nn.batched`), eliminating the per-client Python dispatch
+  that dominates the serial hot path; a round with fewer cohorts than
+  workers deals each cohort evenly across them.  Only
   algorithms that opt in (``supports_batched``) and models with batched
   kernels run stacked; everything else falls back to the serial per-task
   loop, so a vectorized run never changes *which* computation happens —
@@ -42,6 +44,7 @@ any previously primed state.
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import os
@@ -250,35 +253,63 @@ class SerialExecutor(ClientExecutor):
         ]
 
 
+#: Fewest stacked feature values (clients × rows per step × feature width) a
+#: dealt part may hold.  Two threads only overlap while each NumPy call runs
+#: long enough to outlast a GIL hand-off, and per-call cost is what the
+#: ledger found small cohorts drowning in (``bench/README.md``, "Cohorts
+#: behind ``vec_ragged`` vs ``vec_uniform``").  Measured on that shape (16
+#: rows × 32 features a client, two workers): halving 256 clients into two
+#: 128-client parts (65,536 values each) cuts a round from 35 to 26 ms;
+#: halving 128 into two of 64 gains nothing and halving 64 loses 5 %.  On
+#: 20-row × 784-feature clients the same floor deals 100 clients into two
+#: parts of 50 for 2× and still deals 20 into two of 10.
+MIN_PART_ELEMENTS = 65_536
+
+
 class VectorizedExecutor(ClientExecutor):
     """Run same-shape cohorts of tasks as stacked NumPy operations.
 
-    Grouping key: local dataset shape × epochs × training hyper-parameters
-    × round index.  Clients whose datasets are ragged (different sample
-    counts) simply land in different cohorts; a cohort of one still runs
-    through the batched kernels (with a leading axis of 1).
+    Grouping key: local dataset shape × batch size × learning rate × round
+    index — *not* the local epoch count.  Clients whose datasets are ragged
+    (different sample counts) land in different groups; a group of one
+    still runs through the batched kernels (with a leading axis of 1).
+    Within a group, clients are ordered by descending epochs, so the
+    paper's variable-work protocol (1..E epochs per client) trains as one
+    stack whose active prefix shrinks epoch by epoch (see
+    :func:`repro.nn.batched.batched_run_local_sgd`).
 
     Seeding semantics are preserved exactly: each task's epoch shuffles are
-    pre-drawn *in task order* from that task's own RNG before any cohort
+    pre-drawn *in task order* from that task's own RNG before anything
     executes, so the executor consumes the same random numbers in the same
     order as :class:`SerialExecutor` — whether the plan hands every task
     the shared training stream (sync) or per-task integer seeds
     (async/semisync).  ``isolated`` stays ``False`` for the same reason:
     the sync plan must seed vectorized runs exactly like serial ones.
 
-    Independent cohorts dispatch concurrently through a bounded thread
-    pool (``max_workers``, default ``os.cpu_count()``; NumPy releases the
-    GIL inside the stacked kernels).  Every per-task random draw happens
-    *before* dispatch in task order, client-state mutations are disjoint
-    across cohorts, and outcomes are reassembled in task order afterwards,
-    so results are identical regardless of thread scheduling — the
-    ``atol=1e-8`` golden-parity contract is unchanged.  A single cohort
-    (or ``max_workers=1``) runs inline with no thread overhead.
+    Work is spread over ``max_workers`` threads (default
+    ``os.cpu_count()``; NumPy releases the GIL inside the stacked kernels)
+    by *dealing*: when a round has fewer groups than workers, each group's
+    epoch-sorted clients are dealt round-robin into enough parts to occupy
+    every worker (never below :data:`MIN_PART_ELEMENTS` stacked feature
+    values a part), so every part carries the same epoch profile and the
+    same load.  The calling
+    thread is one of the workers — it takes parts alongside
+    ``max_workers - 1`` pool threads — so a round that comes to a single
+    part (or ``max_workers=1``) runs inline with no thread overhead.  A
+    client's row of a stacked kernel does not depend on who else is in the
+    stack, every per-task random draw happens *before* dispatch in task
+    order, client-state mutations are disjoint across parts, and outcomes
+    are reassembled in task order afterwards, so results are bit-identical
+    for every ``max_workers`` and thread schedule — the ``atol=1e-8``
+    golden-parity contract against serial is unchanged.  Models with
+    dropout are grouped the same way but never dealt: their mask stream is
+    drawn per stacked forward, so splitting a stack would make history
+    depend on the worker count.
 
-    Each concurrent cohort executes on its own :class:`BatchedModel` clone
+    Each concurrent part executes on its own :class:`BatchedModel` clone
     drawn from a lock-protected pool that persists across rounds, so the
-    per-cohort-shape gradient/one-hot workspaces are reused round to round
-    instead of reallocated.  The raw array math inside those models routes
+    gradient/one-hot workspaces are reused round to round instead of
+    reallocated.  The raw array math inside those models routes
     through the pluggable backend selected at construction (see
     :mod:`repro.nn.backend`).
     """
@@ -303,7 +334,7 @@ class VectorizedExecutor(ClientExecutor):
         self._dispatch_pool: ThreadPoolExecutor | None = None
         self._data_cache: dict[
             tuple[int, ...], tuple[np.ndarray, np.ndarray, tuple[int, ...]]
-        ] = {}
+        ] = {}  # sorted client indices -> (features, labels, source array ids)
 
     def prime(self, problems: list[LocalProblem], algorithm: Any) -> None:
         super().prime(problems, algorithm)
@@ -358,31 +389,34 @@ class VectorizedExecutor(ClientExecutor):
             self._model_pool.append(model)
 
     def _stacked_data(
-        self, client_indices: tuple[int, ...], problems: list[LocalProblem]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The cohort's ``(C, n, d)`` feature / ``(C, n)`` label stacks.
+        self, client_indices: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A group's cached ``(C, n, d)`` / ``(C, n)`` stacks and row map.
 
-        Client datasets are immutable for the life of a simulation, so a
-        recurring cohort composition (e.g. full participation under
-        fixed epochs) pays the per-round stacking cost exactly once.
-        Entries are validated against the identity of the source arrays,
-        so repriming on new problems can never serve stale data; the
-        cache is cleared when ragged compositions (variable-epoch
-        protocols under sampling) stop it from ever hitting.
+        The stacks hold the group's client *set* in client-index order,
+        whatever order the round trains them in; the third result maps
+        each entry of ``client_indices`` to its row.  Client datasets are
+        immutable for the life of a simulation, so a recurring group
+        (full participation, under any epoch draw) pays the stacking cost
+        exactly once and holds exactly one entry.  Entries are validated
+        against the identity of the source arrays, so repriming on new
+        problems can never serve stale data; the cache is cleared when
+        changing compositions (client sampling) stop it from ever hitting.
+        Called on the dispatching thread only.
         """
-        key = client_indices
+        key = tuple(sorted(client_indices))
+        rows = np.searchsorted(key, client_indices)
+        problems = [self._problems[index] for index in key]
         source_ids = tuple(id(problem.dataset.features) for problem in problems)
-        with self._pool_lock:
-            cached = self._data_cache.get(key)
+        cached = self._data_cache.get(key)
         if cached is not None and cached[2] == source_ids:
-            return cached[0], cached[1]
+            return cached[0], cached[1], rows
         features = np.stack([problem.dataset.features for problem in problems])
         labels = np.stack([problem.dataset.labels for problem in problems])
-        with self._pool_lock:
-            if len(self._data_cache) >= 64:
-                self._data_cache.clear()
-            self._data_cache[key] = (features, labels, source_ids)
-        return features, labels
+        if len(self._data_cache) >= 64:
+            self._data_cache.clear()
+        self._data_cache[key] = (features, labels, source_ids)
+        return features, labels, rows
 
     def _draw_epoch_orders(
         self, tasks: list[LocalUpdateTask]
@@ -410,48 +444,56 @@ class VectorizedExecutor(ClientExecutor):
             )
         return orders
 
-    def _run_cohort(
+    def _run_part(
         self,
         positions: list[int],
+        rows: np.ndarray,
+        features: np.ndarray,
+        labels: np.ndarray,
+        dropout_seed: int | None,
         tasks: list[LocalUpdateTask],
         epoch_orders: list[np.ndarray | None],
-        dropout_seed: int | None,
     ) -> tuple[list[ClientMessage], float, float]:
-        """Execute one cohort on a pooled model clone (worker-thread safe).
+        """Execute one part on a pooled model clone (worker-thread safe).
 
-        Everything stochastic (epoch shuffles, the dropout seed) was drawn
-        before dispatch; client-state mutations are confined to this
-        cohort's clients; ``server_state`` and the algorithm are read-only
-        here — so cohorts may run on any thread in any order.
+        ``positions`` are the part's tasks in descending-epoch order and
+        ``rows`` their rows in the group's cached ``features``/``labels``
+        stacks.  Everything stochastic (epoch shuffles, the dropout seed)
+        was drawn before dispatch; client-state mutations are confined to
+        this part's clients; ``server_state``, the cached stacks and the
+        algorithm are read-only here — so parts may run on any thread in
+        any order.
         """
         from repro.nn.batched import BatchedCohort
 
-        cohort_tasks = [tasks[position] for position in positions]
-        problems = [self._problems[task.client_index] for task in cohort_tasks]
-        orders = None
-        if epoch_orders[positions[0]] is not None:
-            orders = np.stack(
-                [epoch_orders[position] for position in positions], axis=1
-            )  # (E, C, n)
+        part_tasks = [tasks[position] for position in positions]
+        epochs = np.array([task.config.epochs for task in part_tasks])
+        if not np.array_equal(rows, np.arange(features.shape[0])):
+            features, labels = features.take(rows, axis=0), labels.take(rows, axis=0)
         model = self._acquire_model()
         try:
             if dropout_seed is not None:
                 model.reseed_dropout(dropout_seed)
-            features, labels = self._stacked_data(
-                tuple(task.client_index for task in cohort_tasks), problems
-            )
             cohort = BatchedCohort(
-                model=model,
-                features=features,
-                labels=labels,
-                epoch_orders=orders,
+                model=model, features=features, labels=labels, epochs=epochs
             )
-            lead = cohort_tasks[0]
+            if epoch_orders[positions[0]] is not None:
+                # Per epoch, the shuffles of the prefix of clients still active.
+                cohort.epoch_orders = [
+                    np.stack(
+                        [
+                            epoch_orders[position][epoch]
+                            for position in positions[: cohort.active(epoch)]
+                        ]
+                    )
+                    for epoch in range(epochs[0])
+                ]
+            lead = part_tasks[0]
             cohort_wall = time.time()
             cohort_perf = time.perf_counter()
             messages = self._algorithm.batched_local_update(
                 cohort,
-                [task.client for task in cohort_tasks],
+                [task.client for task in part_tasks],
                 lead.global_params,
                 lead.server_state,
                 lead.config,
@@ -488,62 +530,100 @@ class VectorizedExecutor(ClientExecutor):
 
         epoch_orders = self._draw_epoch_orders(tasks)
 
-        cohorts: dict[tuple, list[int]] = {}
+        groups: dict[tuple, list[int]] = {}
         for position, task in enumerate(tasks):
             problem = self._problems[task.client_index]
             key = (
                 problem.num_samples,
                 problem.dataset.features.shape[1],
-                task.config.epochs,
                 task.config.batch_size,
                 task.config.learning_rate,
                 task.round_index,
             )
-            cohorts.setdefault(key, []).append(position)
+            groups.setdefault(key, []).append(position)
 
-        # Dropout mask seeds, when the model needs them, are drawn here —
-        # before any dispatch, in deterministic cohort-grouping order —
-        # so results do not depend on which thread runs which cohort.
-        dropout_seeds: dict[int, int | None] = {}
-        for index, positions in enumerate(cohorts.values()):
-            if self._batched_model.has_dropout:
-                lead = tasks[positions[0]]
-                dropout_seeds[index] = int(
-                    as_rng(lead.rng).integers(np.iinfo(np.int64).max)
-                )
-            else:
-                dropout_seeds[index] = None
-
-        position_groups = list(cohorts.values())
         workers = self.max_workers or os.cpu_count() or 1
-        if len(position_groups) == 1 or workers <= 1:
-            # No concurrency to exploit: run inline, zero thread overhead.
-            results = [
-                self._run_cohort(
-                    positions, tasks, epoch_orders, dropout_seeds[index]
+        has_dropout = self._batched_model.has_dropout
+        parts = []
+        for (num_samples, width, batch_size, *_), positions in groups.items():
+            # Dropout mask seeds, when the model needs them, are drawn here
+            # — before any dispatch, in deterministic group order, from the
+            # group's first task — so results do not depend on which thread
+            # runs which part.
+            dropout_seed = None
+            if has_dropout:
+                dropout_seed = int(
+                    as_rng(tasks[positions[0]].rng).integers(np.iinfo(np.int64).max)
                 )
-                for index, positions in enumerate(position_groups)
-            ]
-        else:
-            if self._dispatch_pool is None:
-                self._dispatch_pool = ThreadPoolExecutor(
-                    max_workers=min(workers, len(position_groups)),
-                    thread_name_prefix="repro-cohort",
-                )
-            results = list(
-                self._dispatch_pool.map(
-                    lambda item: self._run_cohort(
-                        item[1], tasks, epoch_orders, dropout_seeds[item[0]]
-                    ),
-                    enumerate(position_groups),
-                )
+            # Descending epochs (stable: ties keep task order) makes the
+            # clients still training at any epoch a prefix of the stack.
+            positions.sort(key=lambda position: -tasks[position].config.epochs)
+            features, labels, rows = self._stacked_data(
+                [tasks[position].client_index for position in positions]
             )
+            # Fewer groups than workers: deal each group round-robin into
+            # enough parts to occupy every worker, as far as the floor on
+            # a part's stacked step allows.  Dealing after the sort gives
+            # every part the same epoch profile, hence the same load.
+            # Dropout draws one mask stream per stacked forward, so a
+            # dealt dropout model would depend on the worker count.
+            count = 1
+            if not has_dropout:
+                step_rows = min(batch_size or num_samples, num_samples)
+                count = max(
+                    1,
+                    min(
+                        -(-workers // len(groups)),
+                        len(positions) * step_rows * width // MIN_PART_ELEMENTS,
+                    ),
+                )
+            for offset in range(count):
+                parts.append(
+                    (
+                        positions[offset::count],
+                        rows[offset::count],
+                        features,
+                        labels,
+                        dropout_seed,
+                    )
+                )
+
+        # The calling thread works too: it and up to ``workers - 1`` pool
+        # threads each take the next part until none is left, so a round of
+        # one part (or ``max_workers=1``) runs inline with no thread at all.
+        results: list[Any] = [None] * len(parts)
+        pending = collections.deque(enumerate(parts))
+
+        def drain() -> None:
+            while True:
+                try:
+                    index, part = pending.popleft()
+                except IndexError:  # none left (or another thread took the last)
+                    return
+                results[index] = self._run_part(*part, tasks, epoch_orders)
+
+        helpers = min(workers, len(parts)) - 1
+        if helpers > 0 and self._dispatch_pool is None:
+            self._dispatch_pool = ThreadPoolExecutor(
+                max_workers=workers - 1, thread_name_prefix="repro-cohort"
+            )
+        futures = [self._dispatch_pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            # Join every helper even if this thread's part raised; with the
+            # queue emptied they stop after the part they are on.
+            pending.clear()
+            errors = [future.exception() for future in futures]
+        for error in errors:
+            if error is not None:
+                raise error
 
         # Reassembly — and all metrics/trace bookkeeping — happens back on
         # the calling thread, in task order.
         outcomes: list[LocalUpdateOutcome | None] = [None] * len(tasks)
-        for positions, (messages, cohort_wall, cohort_duration) in zip(
-            position_groups, results
+        for (positions, *_), (messages, cohort_wall, cohort_duration) in zip(
+            parts, results
         ):
             if self._metrics is not None:
                 self._metrics.counter("executor.batched_tasks").inc(len(positions))
@@ -554,9 +634,9 @@ class VectorizedExecutor(ClientExecutor):
                 task = tasks[position]
                 spans: tuple[SpanRecord, ...] = ()
                 if task.trace:
-                    # One client_task span per task sharing the cohort's
+                    # One client_task span per task sharing the part's
                     # window: the stacked kernels ran every client jointly,
-                    # so per-client attribution is the cohort extent.
+                    # so per-client attribution is the part's extent.
                     spans = _task_spans(
                         task,
                         cohort_wall,

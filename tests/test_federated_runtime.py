@@ -21,7 +21,7 @@ from repro.federated.sampler import (
     FixedScheduleSampler,
     UniformFractionSampler,
 )
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import CrossEntropyLoss, Loss
 from tests.conftest import make_model
 
 
@@ -36,6 +36,38 @@ class TestLocalProblem:
         loss_chunked, grad_chunked = local_problem.full_loss_and_grad(params, batch_size=7)
         assert np.isclose(loss_full, loss_chunked)
         assert np.allclose(grad_full, grad_chunked)
+
+    @pytest.mark.parametrize("batch_size", [None, 7, 256])
+    def test_full_loss_is_the_gradient_free_value(
+        self, local_problem, batch_size, monkeypatch
+    ):
+        params = local_problem.model.get_flat_params() + 0.1
+        reference, _ = local_problem.full_loss_and_grad(params, batch_size=batch_size)
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("full_loss ran a backward pass")
+
+        monkeypatch.setattr(type(local_problem.model), "backward_params", no_backward)
+        monkeypatch.setattr(type(local_problem.model), "backward", no_backward)
+        value = local_problem.full_loss(params, batch_size=batch_size)
+        # CrossEntropyLoss.value and .value_and_grad associate the log-sum-exp
+        # differently: same number to the last few ulps.
+        assert abs(value - reference) <= 1e-12
+
+    def test_full_loss_is_exact_where_the_value_path_is_shared(self, local_problem):
+        # A loss without a gradient-free override: Loss.value *is*
+        # value_and_grad()[0], so chunk for chunk the two agree exactly.
+        class GradOnlyLoss(Loss):
+            def value_and_grad(self, predictions, targets):
+                return CrossEntropyLoss().value_and_grad(predictions, targets)
+
+        problem = LocalProblem(
+            local_problem.model, GradOnlyLoss(), local_problem.dataset
+        )
+        params = problem.model.get_flat_params()
+        for batch_size in (None, 16):
+            assert problem.full_loss(params, batch_size=batch_size) == \
+                problem.full_loss_and_grad(params, batch_size=batch_size)[0]
 
     def test_gradient_descent_on_problem_reduces_loss(self, local_problem):
         params = local_problem.model.get_flat_params()

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import ShapeError
 from repro.nn.batched import (
     BatchedCohort,
     BatchedMSE,
@@ -83,7 +85,8 @@ class TestBatchedModelKernels:
         labels = rng.integers(0, 3, size=(3, 10))
         shared = rng.normal(size=model.num_params)
 
-        cohort = BatchedCohort(model=batched, features=features, labels=labels)
+        cohort = BatchedCohort(model=batched, features=features, labels=labels,
+                               epochs=np.ones(3))
         losses, grads = cohort.full_loss_and_grad(shared, batch_size=4)
         for c in range(3):
             # Serial reference with the same chunk-weighted accumulation.
@@ -121,11 +124,11 @@ class TestBatchedModelKernels:
         anchor = rng.normal(size=model.num_params)
 
         class Config:
-            epochs = 2
             batch_size = None  # full batch: no orders needed
             learning_rate = 0.1
 
-        cohort = BatchedCohort(model=batched, features=features, labels=labels)
+        cohort = BatchedCohort(model=batched, features=features, labels=labels,
+                               epochs=np.full(2, 2))
         params, losses = batched_run_local_sgd(
             cohort, start, Config,
             extra_grad=lambda p: 0.5 * (p - anchor[None, :]),
@@ -142,6 +145,142 @@ class TestBatchedModelKernels:
                 w -= 0.1 * (grad + 0.5 * (w - anchor))
             np.testing.assert_allclose(params[c], w, atol=1e-10, rtol=0)
             assert abs(losses[c] - np.mean(batch_losses)) < 1e-10
+
+
+class SgdConfig:
+    """The two fields ``batched_run_local_sgd`` reads off a training config."""
+
+    def __init__(self, batch_size, learning_rate=0.1):
+        self.batch_size = batch_size
+        self.learning_rate = learning_rate
+
+
+def make_ragged_cohort(batched, epochs, batch_size, seed, n=8):
+    """A cohort over ``epochs`` (sorted here) plus each client's raw shuffles."""
+    rng = np.random.default_rng(seed)
+    epochs = np.array(sorted(epochs, reverse=True))
+    clients = len(epochs)
+    features = rng.normal(size=(clients, n, 6))
+    labels = rng.integers(0, 3, size=(clients, n))
+    start = rng.normal(size=(clients, batched.dim))
+    shuffles = [
+        np.stack([rng.permutation(n) for _ in range(count)]) for count in epochs
+    ]
+    orders = None
+    if batch_size is not None and batch_size < n:
+        orders = [
+            np.stack([shuffles[c][epoch] for c in range(clients) if epochs[c] > epoch])
+            for epoch in range(epochs[0])
+        ]
+    cohort = BatchedCohort(model=batched, features=features, labels=labels,
+                           epochs=epochs, epoch_orders=orders)
+    return cohort, start, shuffles
+
+
+class TestActivePrefix:
+    """Clients of one cohort run different epoch counts: each epoch trains
+    the contiguous prefix of still-active clients, nobody else."""
+
+    def _batched(self):
+        model = MLP(input_dim=6, hidden_dims=(5,), num_classes=3,
+                    rng=np.random.default_rng(20))
+        return model, build_batched_model(model, CrossEntropyLoss())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        epochs=st.lists(st.integers(1, 5), min_size=1, max_size=7),
+        batch_size=st.sampled_from([None, 3, 4, 8]),
+        with_extra=st.booleans(),
+        shared_start=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_ragged_cohort_equals_every_client_alone(
+        self, epochs, batch_size, with_extra, shared_start, seed
+    ):
+        model, batched = self._batched()
+        cohort, start, shuffles = make_ragged_cohort(
+            batched, epochs, batch_size, seed
+        )
+        if shared_start:  # every client from the global model: a broadcast
+            start = np.broadcast_to(start[0], start.shape)
+        anchor = np.random.default_rng(seed + 1).normal(size=batched.dim)
+        pulls = np.random.default_rng(seed + 2).normal(size=start.shape)
+
+        def extra_for(rows):
+            if not with_extra:
+                return None
+            # Per-client constants are sliced to the prefix handed in.
+            return lambda live: rows[: live.shape[0]] + 0.5 * (live - anchor)
+
+        config = SgdConfig(batch_size)
+        params, losses = batched_run_local_sgd(
+            cohort, start, config, extra_grad=extra_for(pulls)
+        )
+        loss = CrossEntropyLoss()
+        for c, count in enumerate(cohort.epochs):
+            # (a) A client's row does not depend on who shares the stack:
+            # the same client as a cohort of one gives the same bits.
+            alone = BatchedCohort(
+                model=batched.clone(),
+                features=cohort.features[c:c + 1],
+                labels=cohort.labels[c:c + 1],
+                epochs=cohort.epochs[c:c + 1],
+                epoch_orders=None if cohort.epoch_orders is None else [
+                    shuffles[c][epoch][None, :] for epoch in range(count)
+                ],
+            )
+            alone_params, alone_losses = batched_run_local_sgd(
+                alone, start[c:c + 1], config, extra_grad=extra_for(pulls[c:c + 1])
+            )
+            np.testing.assert_array_equal(params[c], alone_params[0])
+            assert losses[c] == alone_losses[0]
+            # (b) ... and it is the serial loop: `count` epochs, no more.
+            w, seen = start[c].copy(), []
+            for epoch in range(count):
+                x, y = cohort.features[c], cohort.labels[c]
+                step = len(y)
+                if cohort.epoch_orders is not None:
+                    x, y = x[shuffles[c][epoch]], y[shuffles[c][epoch]]
+                    step = batch_size
+                for begin in range(0, len(y), step):
+                    value, grad = serial_loss_and_grad(
+                        model, loss, w, x[begin:begin + step], y[begin:begin + step]
+                    )
+                    seen.append(value)
+                    if with_extra:
+                        grad = grad + pulls[c] + 0.5 * (w - anchor)
+                    w -= 0.1 * grad
+            np.testing.assert_allclose(params[c], w, atol=1e-10, rtol=0)
+            assert abs(losses[c] - np.mean(seen)) < 1e-10
+
+    def test_kernels_run_exactly_the_client_epochs_asked_for(self):
+        # No mask, no padding: one call per epoch, on the active prefix only.
+        _, batched = self._batched()
+        cohort, start, _ = make_ragged_cohort(batched, [5, 1, 3, 3, 2], None, 0)
+        stack_sizes = []
+        original = batched.loss_and_grad
+
+        def counting(params, features, labels):
+            assert params.flags.c_contiguous and features.flags.c_contiguous
+            assert np.shares_memory(features, cohort.features)  # a view
+            stack_sizes.append(params.shape[0])
+            return original(params, features, labels)
+
+        batched.loss_and_grad = counting
+        # A broadcast start must still train on contiguous prefixes.
+        batched_run_local_sgd(
+            cohort, np.broadcast_to(start[0], start.shape), SgdConfig(None)
+        )
+        assert stack_sizes == [5, 4, 3, 1, 1]
+        assert sum(stack_sizes) == cohort.epochs.sum()
+
+    def test_unsorted_or_misshapen_epochs_are_refused(self):
+        _, batched = self._batched()
+        features, labels = np.zeros((3, 4, 6)), np.zeros((3, 4), dtype=np.int64)
+        for bad in ([1, 2, 2], [3, 1, 2], [2, 2], [2, 2, 2, 2]):
+            with pytest.raises(ShapeError):
+                BatchedCohort(model=batched, features=features, labels=labels,
+                              epochs=np.array(bad))
 
 
 class TestCompilationRules:
@@ -361,9 +500,10 @@ class TestWorkspaceReuse:
         saved_a = grads_a.copy()
         _, grads_b = batched.loss_and_grad(pb, xb, yb)
 
-        # Same cohort size -> the very same workspace buffer, now holding
+        # Same cohort size -> the very same workspace memory, now holding
         # cohort B's gradients (the documented ownership contract).
-        assert grads_b is grads_a
+        assert np.shares_memory(grads_b, grads_a)
+        np.testing.assert_array_equal(grads_a, grads_b)
 
         fresh = batched.clone()
         _, ref_a = fresh.loss_and_grad(pa, xa, ya)
@@ -386,11 +526,28 @@ class TestWorkspaceReuse:
         _, ref_a = batched.clone().loss_and_grad(pa, xa, ya)
         np.testing.assert_allclose(grads_a, ref_a, atol=0, rtol=0)
 
-    def test_distinct_cohort_sizes_get_distinct_buffers(self):
+    def test_every_cohort_size_is_a_prefix_of_one_buffer(self):
+        # The active prefix shrinks epoch by epoch: a buffer per size would
+        # pile up one array per prefix length.  One allocation at the
+        # largest size seen serves every smaller stack as a prefix view —
+        # for the gradients and for the one-hot scratch alike.
         batched, make = self._setup()
         xa, ya, pa = make(0)
-        _, grads_small = batched.loss_and_grad(pa[:2], xa[:2], ya[:2])
         _, grads_full = batched.loss_and_grad(pa, xa, ya)
-        assert grads_small.shape == (2, batched.dim)
-        assert grads_full.shape == (3, batched.dim)
-        assert grads_small is not grads_full
+        grads_buffer = batched._grads._flat
+        one_hot_buffer = batched.loss._one_hot._flat
+        expected_full = grads_full.copy()
+        for size in (2, 1, 3, 2):
+            _, grads = batched.loss_and_grad(pa[:size], xa[:size], ya[:size])
+            assert grads.shape == (size, batched.dim)
+            assert grads.flags.c_contiguous
+            assert np.shares_memory(grads, grads_buffer)
+            # A prefix call leaves exactly what a fresh model computes.
+            _, reference = batched.clone().loss_and_grad(
+                pa[:size], xa[:size], ya[:size]
+            )
+            np.testing.assert_array_equal(grads, reference)
+            np.testing.assert_array_equal(grads, expected_full[:size])
+        assert batched._grads._flat is grads_buffer
+        assert batched.loss._one_hot._flat is one_hot_buffer
+        assert grads_buffer.size == 3 * batched.dim

@@ -10,9 +10,13 @@ and ``repro.nn.batched``):
   serial's — with the shared sync training stream and with per-task
   integer seeds (async/semisync);
 * ragged client datasets land in separate cohorts and still match;
+* clients of one shape form ONE cohort whatever their local epoch counts
+  (epoch-sorted, trained as a shrinking active prefix) and still match;
 * a cohort of size one runs through the batched kernels and matches;
-* results are identical regardless of ``max_workers`` (parallel cohort
-  dispatch reassembles in task order, with every draw made pre-dispatch);
+* a cohort dealt round-robin into any number of parts matches too, and
+  results are bit-identical regardless of ``max_workers`` (a client's row
+  does not depend on who shares its stack; every draw is made
+  pre-dispatch; reassembly is in task order);
 * opt-out algorithms and genuinely unbatchable pieces (subclassed losses,
   custom layers) fall back to the serial per-task loop bit for bit, with
   the reason recorded in the labelled fallback counters.
@@ -20,9 +24,13 @@ and ``repro.nn.batched``):
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.systems.executor as executor_module
 from repro.algorithms import FedAvg, build_algorithm
 from repro.algorithms.base import LocalTrainingConfig
 from repro.datasets.base import Dataset
@@ -32,6 +40,7 @@ from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import UniformRandomEpochs
 from repro.federated.local_problem import LocalProblem
 from repro.federated.sampler import UniformFractionSampler
+from repro.nn.layers import Dropout, Linear, ReLU, Sequential
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLP, SmallCNN
 from repro.obs import MetricsRegistry, observe
@@ -41,9 +50,22 @@ from repro.systems.executor import (
     VectorizedExecutor,
     build_executor,
 )
+from repro.systems.faults import FaultInjector
 from repro.systems.network import LogNormalNetwork
 
 ATOL = 1e-8
+
+
+def min_part_clients(clients, rows, width=12):
+    """Lower the dealing floor to ``clients`` clients a part.
+
+    The floor is in stacked feature values per step (clients × rows ×
+    width) and far above what test-sized cohorts reach; ``rows`` is the
+    batch size, or the local dataset size under full-batch training.
+    """
+    return mock.patch.object(
+        executor_module, "MIN_PART_ELEMENTS", clients * rows * width
+    )
 
 
 def make_ragged_clients(sizes, seed=0, num_classes=4, feature_dim=12):
@@ -64,22 +86,23 @@ def make_ragged_clients(sizes, seed=0, num_classes=4, feature_dim=12):
     return split, clients
 
 
-def run_simulation(algorithm_name, executor, sizes, *, batch_size=5,
-                   rounds=4, mode_kwargs=None, local_work=None, seed=11,
-                   algorithm_kwargs=None):
+def make_simulation(algorithm_name, executor, sizes, *, batch_size=5,
+                    mode_kwargs=None, local_work=None, seed=11,
+                    algorithm_kwargs=None, model=None, sampler=None):
     split, clients = make_ragged_clients(sizes, seed=3)
-    model = MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
-                rng=np.random.default_rng(5))
+    if model is None:
+        model = MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
+                    rng=np.random.default_rng(5))
     if isinstance(algorithm_name, str):
         algorithm = build_algorithm(algorithm_name, **(algorithm_kwargs or {}))
     else:
         algorithm = algorithm_name  # a pre-built instance
-    simulation = FederatedSimulation(
+    return FederatedSimulation(
         algorithm=algorithm,
         model=model,
         clients=clients,
         test_dataset=split.test,
-        sampler=UniformFractionSampler(1.0),
+        sampler=sampler or UniformFractionSampler(1.0),
         local_work=local_work,
         batch_size=batch_size,
         learning_rate=0.1,
@@ -88,6 +111,10 @@ def run_simulation(algorithm_name, executor, sizes, *, batch_size=5,
         executor=executor,
         **(mode_kwargs or {}),
     )
+
+
+def run_simulation(algorithm_name, executor, sizes, *, rounds=4, **kwargs):
+    simulation = make_simulation(algorithm_name, executor, sizes, **kwargs)
     return simulation.run(rounds, target_accuracy=None)
 
 
@@ -158,18 +185,25 @@ class TestSerialEquivalence:
         assert_histories_match(serial, vectorized)
 
     def test_variable_epochs_group_into_ragged_cohorts(self):
-        # UniformRandomEpochs gives each client its own epoch draw, so a
-        # round fragments into one cohort per realised epoch count; the
-        # work RNG is shared, so both runs see identical draws.
+        # UniformRandomEpochs gives each client its own epoch draw; eight
+        # equal-sized clients still form ONE cohort a round (the epoch
+        # count is not part of the grouping key).  The work RNG is shared,
+        # so both runs see identical draws.
         sizes = [16] * 8
         work = lambda: UniformRandomEpochs(max_epochs=4)  # noqa: E731
         serial = run_simulation("fedadmm", SerialExecutor(), sizes,
                                 local_work=work(),
                                 algorithm_kwargs={"rho": 0.3})
-        vectorized = run_simulation("fedadmm", VectorizedExecutor(), sizes,
-                                    local_work=work(),
-                                    algorithm_kwargs={"rho": 0.3})
+        metrics = MetricsRegistry()
+        with observe(metrics=metrics):
+            vectorized = run_simulation("fedadmm", VectorizedExecutor(), sizes,
+                                        local_work=work(),
+                                        algorithm_kwargs={"rho": 0.3})
         assert_histories_match(serial, vectorized)
+        assert len({r.mean_local_epochs for r in serial.history.records}) > 1
+        cohort_size = metrics.snapshot()["histograms"]["executor.cohort_size"]
+        assert cohort_size["count"] == serial.rounds_run  # one group a round
+        assert cohort_size["min"] == cohort_size["max"] == 8
 
 
 class TestFallback:
@@ -467,26 +501,36 @@ class TestCohortMechanics:
 
     def test_stacked_data_is_cached_across_rounds(self):
         # Client datasets are immutable for a simulation, so a recurring
-        # cohort composition must reuse its (C, n, d) stack rather than
-        # re-stacking every round — and the cached arrays must be the
-        # exact bytes a fresh stack would produce.
+        # group must reuse its (C, n, d) stack rather than re-stacking
+        # every round — and the cached arrays must be the exact bytes a
+        # fresh stack would produce.  The entry is keyed on the client
+        # *set*: the order a round trains them in (epoch-sorted, so
+        # different every round) is a row map over the same entry.
         sizes = [10, 10, 10]
         executor, clients, params = self._prime(sizes)
         problems = executor._problems
-        key = (0, 1, 2)
-        features_a, labels_a = executor._stacked_data(key, problems)
-        features_b, labels_b = executor._stacked_data(key, problems)
+        features_a, labels_a, rows_a = executor._stacked_data([0, 1, 2])
+        features_b, labels_b, rows_b = executor._stacked_data([2, 0, 1])
         assert features_b is features_a and labels_b is labels_a
+        assert len(executor._data_cache) == 1
         np.testing.assert_array_equal(
             features_a, np.stack([p.dataset.features for p in problems])
         )
         np.testing.assert_array_equal(
             labels_a, np.stack([p.dataset.labels for p in problems])
         )
-        # A different composition is a different cache entry.
-        reordered, _ = executor._stacked_data((2, 1, 0), problems[::-1])
-        assert reordered is not features_a
-        np.testing.assert_array_equal(reordered, features_a[::-1])
+        np.testing.assert_array_equal(rows_a, [0, 1, 2])
+        np.testing.assert_array_equal(rows_b, [2, 0, 1])
+        np.testing.assert_array_equal(
+            features_b.take(rows_b, axis=0),
+            np.stack([problems[i].dataset.features for i in (2, 0, 1)]),
+        )
+        # A different set is a different cache entry, stacked in
+        # client-index order; rows index into that entry.
+        subset, _, rows = executor._stacked_data([2, 0])
+        assert subset is not features_a and len(executor._data_cache) == 2
+        np.testing.assert_array_equal(subset, features_a[[0, 2]])
+        np.testing.assert_array_equal(rows, [1, 0])
         # Repriming (new problem objects, fresh arrays) must never serve
         # a stale stack: the entry is validated by source-array identity.
         executor.prime(
@@ -504,9 +548,383 @@ class TestCohortMechanics:
             ],
             executor._algorithm,
         )
-        features_c, _ = executor._stacked_data(key, executor._problems)
+        features_c, _, _ = executor._stacked_data([0, 1, 2])
         assert features_c is not features_a
         np.testing.assert_array_equal(features_c, features_a)
+
+    def test_ragged_full_participation_holds_one_stack_per_group(self):
+        # Twenty rounds of freshly drawn epochs reorder every group every
+        # round; the cache must still hit (one entry per shape group, the
+        # same arrays throughout), however the groups are dealt into parts.
+        sizes = [12] * 6 + [20] * 5
+        with min_part_clients(2, rows=5):
+            executor = VectorizedExecutor(max_workers=2)
+            simulation = make_simulation(
+                "fedadmm", executor, sizes,
+                local_work=UniformRandomEpochs(max_epochs=5),
+                algorithm_kwargs={"rho": 0.3},
+            )
+            simulation.run_round()
+            first = {key: entry[0] for key, entry in executor._data_cache.items()}
+            for _ in range(19):
+                simulation.run_round()
+            simulation.pipeline.close()
+        assert sorted(first) == [tuple(range(6)), tuple(range(6, 11))]
+        assert executor._data_cache.keys() == first.keys()
+        for key, entry in executor._data_cache.items():
+            assert entry[0] is first[key]
+
+
+def dropout_model():
+    rng = np.random.default_rng(5)
+    return Sequential(
+        Linear(12, 8, rng=rng), ReLU(), Dropout(0.3), Linear(8, 4, rng=rng)
+    )
+
+
+class TestMergeAndDeal:
+    """One cohort per shape, epoch-sorted, dealt into any number of parts.
+
+    The contract, stated once: for arbitrary per-client epoch counts and
+    arbitrary part counts, merged-and-dealt execution equals per-task
+    serial execution (``atol=1e-8``, bookkeeping exactly), consumes the
+    same random numbers, and is bit-identical for every ``max_workers``.
+    """
+
+    NUM_SAMPLES = 16
+
+    def _primed(self, executor, name, num_clients):
+        _, clients = make_ragged_clients([self.NUM_SAMPLES] * num_clients, seed=3)
+        model = MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
+                    rng=np.random.default_rng(5))
+        algorithm = name  # a pre-built instance ...
+        if isinstance(name, str):  # ... or a registry name
+            algorithm = build_algorithm(name, **ALGO_KWARGS.get(name, {}))
+        executor.prime(
+            [LocalProblem(model=model, loss=CrossEntropyLoss(), dataset=c.dataset)
+             for c in clients],
+            algorithm,
+        )
+        params = model.get_flat_params()
+        for client in clients:
+            algorithm.init_client_state(client, params)
+        return clients, params, algorithm.init_server_state(params, num_clients)
+
+    def _run(self, executor, name, epochs, batch_size, seed):
+        """Two rounds over one shared training stream; persistent client
+        state (w/y, control variates) carries from the first to the second."""
+        clients, params, server_state = self._primed(executor, name, len(epochs))
+        rng = np.random.default_rng(seed)
+        outcomes = []
+        for round_index in range(2):
+            realised = epochs[round_index:] + epochs[:round_index]
+            tasks = [
+                LocalUpdateTask(
+                    client_index=i,
+                    client=clients[i],
+                    global_params=params + 0.01 * round_index,
+                    server_state=server_state,
+                    config=LocalTrainingConfig(
+                        epochs=realised[i], batch_size=batch_size,
+                        learning_rate=0.1,
+                    ),
+                    round_index=round_index,
+                    rng=rng,
+                )
+                for i in range(len(epochs))
+            ]
+            outcomes += executor.run_tasks(tasks)
+        executor.close()
+        return outcomes, clients, int(rng.integers(2**62))
+
+    @pytest.mark.parametrize("name", BATCHED_ALGORITHMS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        epochs=st.lists(st.integers(1, 5), min_size=1, max_size=9),
+        min_part=st.integers(1, 5),
+        batch_size=st.sampled_from([None, 5]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(epochs=[3] * 6, min_part=2, batch_size=5, seed=0)  # all equal
+    @example(epochs=[1, 2, 3, 4, 5], min_part=1, batch_size=None, seed=1)
+    @example(epochs=[4], min_part=1, batch_size=5, seed=2)  # a single client
+    @example(epochs=[5, 4, 3, 2, 1], min_part=5, batch_size=5, seed=3)
+    def test_merged_and_dealt_equals_per_task_serial(
+        self, name, epochs, min_part, batch_size, seed
+    ):
+        metrics = MetricsRegistry()
+        with min_part_clients(min_part, rows=batch_size or self.NUM_SAMPLES), \
+                observe(metrics=metrics):
+            serial, serial_clients, serial_next = self._run(
+                SerialExecutor(), name, epochs, batch_size, seed
+            )
+            runs = {
+                workers: self._run(
+                    VectorizedExecutor(max_workers=workers), name, epochs,
+                    batch_size, seed,
+                )
+                for workers in (1, 2, 4)
+            }
+        counters = metrics.snapshot()["counters"]
+        assert not any(key.startswith("executor.fallback.") for key in counters)
+        assert counters["executor.batched_tasks"] == 3 * 2 * len(epochs)
+
+        inline, inline_clients, inline_next = runs[1]
+        # Same shuffles drawn, so the shared stream continues identically.
+        assert inline_next == serial_next
+        for ours, theirs in zip(inline, serial):
+            assert ours.message.client_id == theirs.message.client_id
+            assert ours.message.local_epochs == theirs.message.local_epochs
+            assert type(ours.message.local_epochs) is int
+            assert ours.message.num_samples == theirs.message.num_samples
+            assert ours.message.metadata == theirs.message.metadata
+            assert abs(ours.message.train_loss - theirs.message.train_loss) <= ATOL
+            assert ours.message.payload.keys() == theirs.message.payload.keys()
+            for key, vector in theirs.message.payload.items():
+                np.testing.assert_allclose(
+                    ours.message.payload[key], vector, atol=ATOL, rtol=0
+                )
+        for ours, theirs in zip(inline_clients, serial_clients):
+            assert ours.rounds_participated == theirs.rounds_participated
+            assert ours.local_work_done == theirs.local_work_done
+            assert ours.variables.keys() == theirs.variables.keys()
+            for key, vector in theirs.variables.items():
+                np.testing.assert_allclose(
+                    ours.variables[key], vector, atol=ATOL, rtol=0
+                )
+
+        # Dealt across 2 or 4 workers: not "close" — the same bytes.
+        for workers in (2, 4):
+            dealt, dealt_clients, dealt_next = runs[workers]
+            assert dealt_next == inline_next
+            for ours, theirs in zip(dealt, inline):
+                assert ours.message.train_loss == theirs.message.train_loss
+                assert ours.message.local_epochs == theirs.message.local_epochs
+                for key, vector in theirs.message.payload.items():
+                    np.testing.assert_array_equal(ours.message.payload[key], vector)
+            for ours, theirs in zip(dealt_clients, inline_clients):
+                assert ours.local_work_done == theirs.local_work_done
+                for key, vector in theirs.variables.items():
+                    np.testing.assert_array_equal(ours.variables[key], vector)
+
+    @pytest.mark.parametrize("sizes, workers, min_part, expected", [
+        ([16] * 8, 1, 2, [8]),            # one worker: never dealt
+        ([16] * 8, 2, 2, [4, 4]),         # one part per worker ...
+        ([16] * 8, 4, 2, [2, 2, 2, 2]),
+        ([16] * 8, 8, 2, [2, 2, 2, 2]),   # ... but never below the floor
+        ([16] * 8, 2, 5, [8]),            # too small to deal at all
+        ([16] * 7, 2, 2, [3, 4]),         # uneven deals differ by one
+        ([16] * 6 + [20] * 4, 2, 2, [4, 6]),     # as many groups as workers
+        ([16] * 6 + [20] * 4, 4, 2, [2, 2, 3, 3]),  # two parts per group
+    ])
+    def test_groups_are_dealt_to_occupy_the_workers(
+        self, sizes, workers, min_part, expected
+    ):
+        metrics = MetricsRegistry()
+        with min_part_clients(min_part, rows=5), observe(metrics=metrics):
+            run_simulation("fedavg", VectorizedExecutor(max_workers=workers),
+                           sizes, rounds=1)
+        observed = metrics.snapshot()["histograms"]["executor.cohort_size"]
+        assert observed["count"] == len(expected)
+        assert observed["sum"] == sum(expected)
+        assert (observed["min"], observed["max"]) == (expected[0], expected[-1])
+
+    def test_parts_are_dealt_round_robin_after_the_epoch_sort(self):
+        # Descending epochs (ties in task order), then every third client
+        # to each of three workers' parts: the epoch profiles interleave.
+        epochs = [2, 5, 1, 4, 3, 5, 2]
+        seen = []
+
+        class Spy(FedAvg):
+            def batched_local_update(self, cohort, clients, *args, **kwargs):
+                seen.append((cohort.epochs.tolist(),
+                             [client.client_id for client in clients]))
+                return super().batched_local_update(
+                    cohort, clients, *args, **kwargs
+                )
+
+        with min_part_clients(2, rows=self.NUM_SAMPLES):
+            executor = VectorizedExecutor(max_workers=3)
+            clients, params, server_state = self._primed(executor, Spy(), 7)
+            tasks = [
+                LocalUpdateTask(
+                    client_index=i, client=clients[i], global_params=params,
+                    server_state=server_state,
+                    config=LocalTrainingConfig(epochs=epochs[i], batch_size=None,
+                                               learning_rate=0.1),
+                    round_index=0, rng=7,
+                )
+                for i in range(7)
+            ]
+            outcomes = executor.run_tasks(tasks)
+            executor.close()
+        assert sorted(seen, reverse=True) == [
+            ([5, 3, 1], [1, 4, 2]),
+            ([5, 2], [5, 0]),
+            ([4, 2], [3, 6]),
+        ]
+        assert [o.message.client_id for o in outcomes] == list(range(7))
+        assert [o.message.local_epochs for o in outcomes] == epochs
+
+    @pytest.mark.parametrize("name", BATCHED_ALGORITHMS)
+    @pytest.mark.parametrize("batch_size", [5, None])
+    def test_ragged_rounds_match_serial_down_to_the_rng_streams(
+        self, name, batch_size
+    ):
+        # Whole simulations under the paper's variable-work protocol, with
+        # client sampling and crash faults drawing from their own streams
+        # after every round's local training.
+        def run(executor):
+            simulation = make_simulation(
+                name, executor, [16] * 10, batch_size=batch_size,
+                local_work=UniformRandomEpochs(max_epochs=5),
+                sampler=UniformFractionSampler(0.8),
+                algorithm_kwargs=ALGO_KWARGS.get(name),
+                mode_kwargs={"faults": FaultInjector(dropout_rate=0.2)},
+            )
+            result = simulation.run(5, target_accuracy=None)
+            streams = [
+                generator.bit_generator.state
+                for generator in (
+                    simulation.pipeline.training_rng,
+                    simulation.pipeline.fault_rng,
+                    simulation._sampling_rng,
+                    simulation._work_rng,
+                )
+            ]
+            work = [(c.rounds_participated, c.local_work_done)
+                    for c in simulation.clients]
+            return result, streams, work
+
+        metrics = MetricsRegistry()
+        with min_part_clients(3, rows=batch_size or 16), observe(metrics=metrics):
+            serial, serial_streams, serial_work = run(SerialExecutor())
+            runs = {w: run(VectorizedExecutor(max_workers=w)) for w in (1, 2, 4)}
+        assert not any(key.startswith("executor.fallback.")
+                       for key in metrics.snapshot()["counters"])
+        inline, inline_streams, inline_work = runs[1]
+        assert_histories_match(serial, inline)
+        assert inline.ledger == serial.ledger
+        assert inline_streams == serial_streams
+        assert inline_work == serial_work
+        for record, reference in zip(inline.history.records,
+                                     serial.history.records):
+            assert record.mean_local_epochs == reference.mean_local_epochs
+            assert record.dropped_clients == reference.dropped_clients
+            assert record.upload_floats == reference.upload_floats
+        for workers in (2, 4):
+            dealt, dealt_streams, dealt_work = runs[workers]
+            assert dealt.history.records == inline.history.records
+            np.testing.assert_array_equal(dealt.final_params, inline.final_params)
+            assert dealt_streams == inline_streams
+            assert dealt_work == inline_work
+
+    @pytest.mark.parametrize("failing_client", [0, 1])
+    def test_a_failing_part_fails_the_round_on_either_thread(self, failing_client):
+        # Two parts on two workers: client 0's part runs on the calling
+        # thread, client 1's on the helper; either failure must surface.
+        class Failing(FedAvg):
+            def batched_local_update(self, cohort, clients, *args, **kwargs):
+                if any(c.client_id == failing_client for c in clients):
+                    raise RuntimeError("part failed")
+                return super().batched_local_update(
+                    cohort, clients, *args, **kwargs
+                )
+
+        with min_part_clients(1, rows=self.NUM_SAMPLES):
+            executor = VectorizedExecutor(max_workers=2)
+            clients, params, server_state = self._primed(executor, Failing(), 4)
+            tasks = [
+                LocalUpdateTask(
+                    client_index=i, client=clients[i], global_params=params,
+                    server_state=server_state,
+                    config=LocalTrainingConfig(epochs=1, batch_size=None,
+                                               learning_rate=0.1),
+                    round_index=0, rng=7,
+                )
+                for i in range(4)
+            ]
+            with pytest.raises(RuntimeError, match="part failed"):
+                executor.run_tasks(tasks)
+            executor.close()
+
+    def test_more_workers_than_cores_lose_no_part(self):
+        # The calling thread and seven helpers race for 24 one-client parts
+        # under a 1 µs switch interval: every part must run exactly once
+        # (a lost or doubled part would show in the participation counts)
+        # and the history must still be the inline run's bytes.
+        import sys
+
+        def run(workers):
+            simulation = make_simulation(
+                "fedadmm", VectorizedExecutor(max_workers=workers), [16] * 24,
+                local_work=UniformRandomEpochs(max_epochs=3),
+                algorithm_kwargs={"rho": 0.3},
+            )
+            result = simulation.run(6, target_accuracy=None)
+            return result, [c.rounds_participated for c in simulation.clients]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with min_part_clients(1, rows=5):
+                raced, participation = run(8)
+                inline, _ = run(1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert participation == [6] * 24
+        assert raced.history.records == inline.history.records
+        np.testing.assert_array_equal(raced.final_params, inline.final_params)
+
+    def test_dropout_model_is_merged_but_never_dealt(self):
+        # A dropout mask stream is drawn per stacked forward: dealing the
+        # stack would make history depend on the worker count, so dropout
+        # cohorts stay whole — and the history stays the same bytes.
+        def run(workers):
+            metrics = MetricsRegistry()
+            with observe(metrics=metrics):
+                result = run_simulation(
+                    "fedadmm", VectorizedExecutor(max_workers=workers),
+                    [16] * 8, model=dropout_model(),
+                    local_work=UniformRandomEpochs(max_epochs=4),
+                    algorithm_kwargs={"rho": 0.3},
+                )
+            return result, metrics.snapshot()["histograms"]["executor.cohort_size"]
+
+        with min_part_clients(2, rows=5):
+            (inline, inline_sizes), (two, two_sizes), (four, _) = (
+                run(1), run(2), run(4)
+            )
+        assert two_sizes["min"] == two_sizes["max"] == 8  # one whole cohort
+        assert two_sizes["count"] == inline_sizes["count"] == inline.rounds_run
+        for dealt in (two, four):
+            assert dealt.history.records == inline.history.records
+            np.testing.assert_array_equal(dealt.final_params, inline.final_params)
+
+    def test_workspaces_are_sized_once_under_changing_prefixes(self):
+        # Thirty rounds of random epochs: the active prefix takes every
+        # length between 1 and the part size, yet each pooled model clone
+        # holds exactly one gradient buffer and one one-hot buffer — sized
+        # for a whole part on first use (every client is active at epoch
+        # 0) and never reallocated afterwards.
+        with min_part_clients(6, rows=16):
+            executor = VectorizedExecutor(max_workers=2)
+            simulation = make_simulation(
+                "fedadmm", executor, [16] * 12, batch_size=None,
+                local_work=UniformRandomEpochs(max_epochs=5),
+                algorithm_kwargs={"rho": 0.3},
+            )
+            first_seen = {}
+            for _ in range(30):
+                simulation.run_round()
+                for model in executor._model_pool:  # all released between rounds
+                    buffers = (model._grads._flat, model.loss._one_hot._flat)
+                    grads, one_hot = first_seen.setdefault(id(model), buffers)
+                    assert buffers[0] is grads and buffers[1] is one_hot
+                    assert grads.size == 6 * model.dim  # a part of six, whole
+                    assert one_hot.size == 6 * 16 * 4  # (part, n, classes)
+            simulation.pipeline.close()
+        assert 1 <= len(first_seen) <= 2  # at most one clone per worker
 
 
 class TestParallelDispatch:

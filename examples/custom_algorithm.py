@@ -4,9 +4,12 @@ Implements "FedAvgM" (FedAvg with server momentum) as a third-party algorithm
 by subclassing :class:`repro.algorithms.base.FederatedAlgorithm`, then runs it
 head-to-head against FedADMM and FedAvg on the same partitioned data.  The
 point of the example is the integration surface: a new algorithm only has to
-define its local update, its server step on the summed uploads, and
-(optionally) persistent state — the simulation engine, samplers, heterogeneity
-policies, metrics, and communication accounting all come for free.
+define its one client update over a client axis (``batched_local_update``),
+its server step on the summed uploads, and (optionally) persistent state —
+the simulation engine, samplers, heterogeneity policies, metrics,
+communication accounting and every executor come for free: the per-client
+executors run the body on a cohort of one, the vectorized executor on a whole
+stacked cohort, as the last run below shows.
 
 Run with:  python examples/custom_algorithm.py
 """
@@ -20,7 +23,6 @@ from repro.algorithms.base import (
     FederatedAlgorithm,
     LocalTrainingConfig,
     UpdateAccumulator,
-    run_local_sgd,
 )
 from repro.datasets.registry import load_dataset
 from repro.federated import (
@@ -30,12 +32,11 @@ from repro.federated import (
 )
 from repro.federated.client import ClientState
 from repro.federated.heterogeneity import FixedEpochs
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLP
 from repro.partition import ShardPartitioner
-from repro.utils.rng import SeedLike
+from repro.systems.executor import VectorizedExecutor
 
 SEED = 0
 NUM_ROUNDS = 15
@@ -52,24 +53,22 @@ class FedAvgM(FederatedAlgorithm):
     def init_server_state(self, initial_params, num_clients):
         return {"velocity": np.zeros_like(initial_params)}
 
-    def local_update(
+    def batched_local_update(
         self,
-        problem: LocalProblem,
-        client: ClientState,
+        cohort,
+        clients: list[ClientState],
         global_params: np.ndarray,
         server_state: dict,
         config: LocalTrainingConfig,
         round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        params, train_loss = run_local_sgd(problem, global_params, config, rng=rng)
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"delta": params - global_params},
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=train_loss,
+    ) -> list[ClientMessage]:
+        # One row per cohort member: every client starts from the global
+        # model, and uploads how far its local SGD moved.
+        start = np.broadcast_to(global_params, (len(clients), global_params.size))
+        params, train_losses = cohort.run_sgd(start, config)
+        return self.build_cohort_messages(
+            clients, cohort, cohort.epochs, train_losses,
+            {"delta": params - global_params},
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
@@ -80,7 +79,7 @@ class FedAvgM(FederatedAlgorithm):
         return sums.global_params + state["velocity"]
 
 
-def run(algorithm, clients, split) -> float:
+def run(algorithm, clients, split, executor=None) -> float:
     model = MLP(input_dim=split.train.feature_dim, hidden_dims=(32,), rng=SEED)
     simulation = FederatedSimulation(
         algorithm=algorithm,
@@ -93,6 +92,7 @@ def run(algorithm, clients, split) -> float:
         batch_size=32,
         learning_rate=0.1,
         seed=SEED,
+        executor=executor,
     )
     result = simulation.run(NUM_ROUNDS)
     return result.final_evaluation.accuracy
@@ -107,6 +107,14 @@ def main() -> None:
         clients = build_clients(split.train, partition)
         accuracy = run(algorithm, clients, split)
         print(f"{algorithm.name:10s} final test accuracy: {accuracy:.3f}")
+
+    # The same class, untouched, as stacked cohorts: nothing to opt into.
+    executor = VectorizedExecutor()
+    accuracy = run(
+        FedAvgM(momentum=0.9), build_clients(split.train, partition), split, executor
+    )
+    assert executor.fallback_reason is None
+    print(f"{'fedavgm':10s} final test accuracy: {accuracy:.3f}  (vectorized)")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 A federated algorithm is defined by three pieces, mirroring Algorithm 1 in
 the paper:
 
-1. how a selected client trains locally and what it uploads
+1. how selected clients train locally and what they upload — one
+   ClientUpdate written over a leading client axis
+   (:meth:`FederatedAlgorithm.batched_local_update`); every executor runs
+   it, the per-client ones on a cohort of one
    (:meth:`FederatedAlgorithm.local_update`),
 2. the closed-form server update on the round's summed uploads
    (:meth:`FederatedAlgorithm.server_step`; the sums themselves are kept by
@@ -23,7 +26,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import SeedLike
+from repro.nn.batched import local_steps_per_epoch
+from repro.utils.rng import SeedLike, as_rng
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
     from repro.federated.client import ClientState
@@ -150,15 +154,6 @@ class FederatedAlgorithm:
     #: variate, FedPD's per-round communication coin) opt out.
     supports_async = True
 
-    #: Whether :meth:`batched_local_update` is implemented, i.e. the
-    #: :class:`~repro.systems.executor.VectorizedExecutor` may run a whole
-    #: same-shape cohort of this algorithm's clients as stacked NumPy
-    #: operations.  Algorithms whose local update is not a pure function of
-    #: ``(start, batches, extra gradient term)`` — SCAFFOLD's control
-    #: variates, FedPD's communication coin — leave this ``False`` and are
-    #: executed per client even under the vectorized executor.
-    supports_batched = False
-
     #: Whether :meth:`local_update` consumes the mini-batch shuffling RNG.
     #: The vectorized executor pre-draws each task's epoch permutations in
     #: task order so its RNG stream consumption matches the serial
@@ -170,6 +165,19 @@ class FederatedAlgorithm:
     #: each upload by its client's sample count (FedAvg/FedProx expose this
     #: as a constructor argument; every other method is uniform).
     weighting = "uniform"
+
+    @property
+    def supports_batched(self) -> bool:
+        """Whether the :class:`~repro.systems.executor.VectorizedExecutor`
+        may run a same-shape cohort of this algorithm's clients stacked.
+
+        Derived, not declared: true exactly when :meth:`local_update` is the
+        base class's cohort-of-one, i.e. the algorithm's ClientUpdate is its
+        :meth:`batched_local_update`.  An algorithm that overrides
+        :meth:`local_update` is per-client only and runs task by task under
+        every executor.
+        """
+        return type(self).local_update is FederatedAlgorithm.local_update
 
     @classmethod
     def supports_plan(cls, plan_name: str) -> bool:
@@ -213,8 +221,17 @@ class FederatedAlgorithm:
         round_index: int = 0,
         rng: SeedLike = None,
     ) -> ClientMessage:
-        """Run local training for one selected client and build its upload."""
-        raise NotImplementedError
+        """One selected client's update: :meth:`batched_local_update` on a
+        cohort of one.
+
+        Override this instead only for a method that cannot be written over
+        a client axis (FedDropoutAvg's mask draw follows SGD on the task's
+        RNG stream, so it cannot be pre-drawn for a stack).
+        """
+        cohort = OneClientCohort(problem, config.epochs, rng)
+        return self.batched_local_update(
+            cohort, [client], global_params, server_state, config, round_index
+        )[0]
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:
         """The closed-form server update on one round's accumulated sums.
@@ -260,56 +277,59 @@ class FederatedAlgorithm:
             accumulator.accumulate(message)
         return accumulator.finalise()
 
-    # ------------------------------------------------------------------ #
-    # Vectorized cohort execution (see repro.systems.executor)
-    # ------------------------------------------------------------------ #
     def batched_local_update(
         self,
-        cohort: BatchedCohort,
+        cohort: BatchedCohort | OneClientCohort,
         clients: list[ClientState],
         global_params: np.ndarray,
         server_state: dict[str, np.ndarray],
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        """Run every cohort member's local update as stacked NumPy ops.
+        """The algorithm's ClientUpdate, for every cohort member at once.
 
-        ``cohort`` stacks the clients' datasets (and pre-drawn epoch
-        shuffles) along a leading client axis; ``clients`` is the aligned
-        list of :class:`ClientState` objects whose persistent variables and
-        participation counters must be mutated exactly as
-        :meth:`local_update` would.  ``config`` carries the batch size and
-        learning rate the cohort shares; each member's local epoch count is
-        ``cohort.epochs`` (``config.epochs`` is one member's and must not
-        be used).  Returns one :class:`ClientMessage` per cohort member, in
-        cohort order.  Only called when ``supports_batched`` is true.
+        ``cohort`` is the clients' training data behind a leading client
+        axis — a stacked :class:`~repro.nn.batched.BatchedCohort` under the
+        vectorized executor, a :class:`OneClientCohort` everywhere else —
+        and offers ``num_samples``, ``epochs`` ``(C,)``,
+        ``steps_per_epoch(batch_size)``, ``run_sgd(start, config,
+        extra_grad)`` and ``full_loss_and_grad(params)``.  ``clients`` is
+        the aligned list of :class:`ClientState` objects whose persistent
+        variables the update reads and writes.  ``config`` carries the
+        batch size and learning rate the cohort shares; each member's local
+        epoch count is ``cohort.epochs`` (``config.epochs`` is one member's
+        and must not be used).  Returns one :class:`ClientMessage` per
+        cohort member, in cohort order.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement batched execution"
+            f"{type(self).__name__} does not implement batched_local_update"
         )
 
     def build_cohort_messages(
         self,
         clients: list[ClientState],
-        cohort: BatchedCohort,
+        cohort: BatchedCohort | OneClientCohort,
         local_epochs: np.ndarray,
         train_losses: np.ndarray,
-        payload_for,
+        payload: dict[str, np.ndarray],
         metadata: dict | None = None,
     ) -> list[ClientMessage]:
         """Shared upload assembly for every ``batched_local_update``.
 
         Records each client's participation and builds its
-        :class:`ClientMessage` exactly as the serial ``local_update``
-        paths do; ``local_epochs`` is the per-member ``(C,)`` epoch count
-        (``cohort.epochs`` for every SGD method) and ``payload_for(index)``
-        supplies the algorithm-specific payload for cohort member
-        ``index``.  Keeping this in one place means cohort bookkeeping
-        (participation accounting, sample counts) cannot drift between the
-        batched algorithms.
+        :class:`ClientMessage`; ``local_epochs`` is the per-member ``(C,)``
+        epoch count (``cohort.epochs`` for every SGD method) and
+        ``payload`` maps each payload key to its ``(C, dim)`` stack — fresh
+        arrays the caller gives away — of which member ``index`` uploads
+        row ``index``: a copy, so that no message pins its whole cohort's
+        stacks, except that a one-client stack is all row and is taken as
+        it is.  Keeping this in one place means cohort bookkeeping
+        (participation accounting, sample counts) cannot drift between
+        algorithms.
         """
         from repro.federated.messages import ClientMessage
 
+        one_row = len(clients) == 1
         messages = []
         for index, (client, epochs) in enumerate(
             zip(clients, local_epochs.tolist())
@@ -318,7 +338,10 @@ class FederatedAlgorithm:
             messages.append(
                 ClientMessage(
                     client_id=client.client_id,
-                    payload=payload_for(index),
+                    payload={
+                        key: stack[index] if one_row else stack[index].copy()
+                        for key, stack in payload.items()
+                    },
                     num_samples=cohort.num_samples,
                     local_epochs=epochs,
                     train_loss=float(train_losses[index]),
@@ -402,3 +425,57 @@ def run_local_sgd(
             del grad
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     return params, mean_loss
+
+
+class OneClientCohort:
+    """One client's :class:`LocalProblem` as a cohort of one.
+
+    The per-client implementation of the cohort interface
+    :meth:`FederatedAlgorithm.batched_local_update` trains against (the
+    stacked one is :class:`repro.nn.batched.BatchedCohort`).  ``run_sgd`` is
+    :func:`run_local_sgd` on row 0, so the per-client kernels, the mean
+    train loss and every RNG draw are the serial path's.
+
+    ``rng`` is coerced once, here: an integer seed handed on to
+    :meth:`LocalProblem.minibatches` would be re-coerced every epoch and
+    replay the first epoch's shuffle.
+    """
+
+    def __init__(self, problem: LocalProblem, epochs: int, rng: SeedLike = None):
+        self.problem = problem
+        self.epochs = np.array([epochs], dtype=np.int64)
+        self.rng = as_rng(rng)
+
+    @property
+    def num_samples(self) -> int:
+        return self.problem.num_samples
+
+    def steps_per_epoch(self, batch_size: int | None) -> int:
+        return local_steps_per_epoch(self.num_samples, batch_size)
+
+    def run_sgd(
+        self,
+        start_params: np.ndarray,
+        config: LocalTrainingConfig,
+        extra_grad=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`run_local_sgd` from ``start_params[0]``, as ``(1, dim)``
+        parameters and a ``(1,)`` loss; ``extra_grad`` sees ``(1, dim)``."""
+        if config.epochs != self.epochs[0]:
+            raise ConfigurationError(
+                f"cohort of one was built for {self.epochs[0]} epochs, "
+                f"config asks for {config.epochs}"
+            )
+        row_extra = None
+        if extra_grad is not None:
+            def row_extra(params: np.ndarray) -> np.ndarray:
+                return extra_grad(params[None, :])[0]
+
+        params, loss = run_local_sgd(
+            self.problem, start_params[0], config, self.rng, row_extra
+        )
+        return params[None, :], np.array([loss])
+
+    def full_loss_and_grad(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        loss, grad = self.problem.full_loss_and_grad(params)
+        return np.array([loss]), grad[None, :]

@@ -29,8 +29,6 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.core.admm_client import admm_client_update
-from repro.core.augmented_lagrangian import AugmentedLagrangian
-from repro.core.dual import augmented_model, dual_update
 from repro.core.rho import ConstantRho, RhoSchedule
 from repro.core.stepsize import (
     ConstantStepSize,
@@ -39,9 +37,7 @@ from repro.core.stepsize import (
 )
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike
 
 
 def _coerce_rho(rho) -> RhoSchedule:
@@ -73,7 +69,6 @@ class FedADMM(FederatedAlgorithm):
     """The paper's primal-dual federated learning algorithm."""
 
     name = "fedadmm"
-    supports_batched = True
 
     def __init__(
         self,
@@ -102,45 +97,6 @@ class FedADMM(FederatedAlgorithm):
     # ------------------------------------------------------------------ #
     # Round
     # ------------------------------------------------------------------ #
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        self.init_client_state(client, global_params)
-        rho = self.rho_schedule.value(round_index)
-        w_old = client.get("w")
-        y_old = client.get("y") if self.use_duals else np.zeros_like(global_params)
-
-        result = admm_client_update(
-            problem,
-            w_old=w_old,
-            y_old=y_old,
-            theta=global_params,
-            rho=rho,
-            config=config,
-            rng=rng,
-            warm_start=self.warm_start,
-        )
-
-        client.set("w", result.w_new)
-        if self.use_duals:
-            client.set("y", result.y_new)
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"delta": result.delta},
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=result.train_loss,
-            metadata={"rho": rho},
-        )
-
     def batched_local_update(
         self,
         cohort,
@@ -150,53 +106,27 @@ class FedADMM(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        """Stacked Algorithm 1 ClientUpdate: one SGD sweep for the cohort.
-
-        The per-client state reads/writes, the dual update, and the Δ_i
-        assembly are :func:`repro.core.admm_client.admm_client_update`'s
-        own in-place helpers, broadcast over a leading client axis.
-        """
-        from repro.nn.batched import batched_run_local_sgd
-
+        """Algorithm 1's ClientUpdate on the clients' stacked ``(w_i, y_i)``."""
         rho = self.rho_schedule.value(round_index)
-        if rho <= 0:
-            raise ConfigurationError(f"FedADMM requires rho > 0, got {rho}")
         for client in clients:
             self.init_client_state(client, global_params)
-        w_old = np.stack([client.get("w") for client in clients])
         if self.use_duals:
-            y_old = np.stack([client.get("y") for client in clients])
+            y_old = [client.get("y") for client in clients]
         else:
-            y_old = np.zeros_like(w_old)
-        start = w_old if self.warm_start else np.broadcast_to(
-            global_params, w_old.shape
-        )
-        lagrangian = AugmentedLagrangian(rho)
-        scratch = np.empty(w_old.shape, dtype=np.float64)
+            y_old = [np.zeros_like(global_params)] * len(clients)
 
-        def extra_grad(params: np.ndarray) -> np.ndarray:
-            active = params.shape[0]
-            return lagrangian.penalty_gradient(
-                params, y_old[:active], global_params, out=scratch[:active]
-            )
-
-        w_new, losses = batched_run_local_sgd(
-            cohort, start, config, extra_grad=extra_grad
+        result = admm_client_update(
+            cohort, [client.get("w") for client in clients], y_old,
+            global_params, rho, config, warm_start=self.warm_start,
         )
-        # Eq. (4) as update_message computes it, with every stack that has
-        # just died reused as the next output: the epilogue allocates nothing.
-        u_old = augmented_model(w_old, y_old, rho, out=scratch)
-        y_new = dual_update(y_old, w_new, global_params, rho, out=w_old)
-        delta = augmented_model(w_new, y_new, rho, out=y_old)
-        delta -= u_old
 
         for index, client in enumerate(clients):
-            client.set("w", w_new[index])
+            client.set("w", result.w_new[index])
             if self.use_duals:
-                client.set("y", y_new[index])
+                client.set("y", result.y_new[index])
         return self.build_cohort_messages(
-            clients, cohort, cohort.epochs, losses,
-            lambda index: {"delta": delta[index].copy()},
+            clients, cohort, cohort.epochs, result.train_loss,
+            {"delta": result.delta},
             metadata={"rho": rho},
         )
 

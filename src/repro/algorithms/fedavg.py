@@ -15,20 +15,16 @@ from repro.algorithms.base import (
     FederatedAlgorithm,
     LocalTrainingConfig,
     UpdateAccumulator,
-    run_local_sgd,
 )
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike
 
 
 class FedAvg(FederatedAlgorithm):
     """Local SGD from the global model, plain model averaging at the server."""
 
     name = "fedavg"
-    supports_batched = True
 
     def __init__(self, weighting: str = "uniform"):
         if weighting not in ("uniform", "samples"):
@@ -36,26 +32,6 @@ class FedAvg(FederatedAlgorithm):
                 f"weighting must be 'uniform' or 'samples', got {weighting!r}"
             )
         self.weighting = weighting
-
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        params, train_loss = run_local_sgd(problem, global_params, config, rng=rng)
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"params": params},
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=train_loss,
-        )
 
     def batched_local_update(
         self,
@@ -66,13 +42,10 @@ class FedAvg(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        from repro.nn.batched import batched_run_local_sgd
-
         start = np.broadcast_to(global_params, (len(clients), global_params.size))
-        params, losses = batched_run_local_sgd(cohort, start, config)
+        params, losses = cohort.run_sgd(start, config)
         return self.build_cohort_messages(
-            clients, cohort, cohort.epochs, losses,
-            lambda index: {"params": params[index].copy()},
+            clients, cohort, cohort.epochs, losses, {"params": params}
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:

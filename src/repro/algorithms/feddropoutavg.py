@@ -36,10 +36,6 @@ class FedDropoutAvg(FederatedAlgorithm):
     #: Mask-aware aggregation needs every mask from one lock-step cohort;
     #: a stale masked model has no meaningful delta against newer params.
     supports_async = False
-    #: The per-client mask draw happens inside local_update, after SGD, so
-    #: the batched kernel path cannot reproduce it; the vectorized executor
-    #: falls back to bit-identical per-task execution.
-    supports_batched = False
 
     def __init__(self, dropout_rate: float = 0.25):
         if not 0 <= dropout_rate < 1:
@@ -61,7 +57,9 @@ class FedDropoutAvg(FederatedAlgorithm):
         rng = as_rng(rng)
         params, train_loss = run_local_sgd(problem, global_params, config, rng=rng)
         # The mask is drawn *after* training from the same task stream, so
-        # the SGD trajectory is identical to FedAvg's for a fixed seed.
+        # the SGD trajectory is identical to FedAvg's for a fixed seed.  A
+        # stack cannot pre-draw it, hence local_update (per client under
+        # every executor) and no batched_local_update.
         mask = (rng.random(params.size) >= self.dropout_rate).astype(np.float64)
         client.record_participation(config.epochs)
         return ClientMessage(

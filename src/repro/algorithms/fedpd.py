@@ -9,8 +9,7 @@ large federated populations); it is implemented here for completeness and for
 the communication-pattern ablation.
 
 When driven by the simulation engine, FedPD should be paired with a sampler
-that selects the full population (e.g. ``UniformFractionSampler(1.0)``);
-a warning is recorded in the message metadata if it is not.
+that selects the full population (e.g. ``UniformFractionSampler(1.0)``).
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.core.admm_client import admm_client_update
-from repro.core.augmented_lagrangian import AugmentedLagrangian
-from repro.core.dual import augmented_model, dual_update
+from repro.core.dual import augmented_model
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import as_rng
 
 
 class FedPD(FederatedAlgorithm):
@@ -40,11 +37,6 @@ class FedPD(FederatedAlgorithm):
     #: FedPD flips a per-round communication coin at the server; that
     #: protocol has no analogue under the buffered plans.
     supports_async = False
-
-    #: The communication coin lives in :meth:`server_step` (server side), so
-    #: local updates are pure primal-dual SGD and a cohort's duals stack
-    #: along the client axis exactly like FedADMM's.
-    supports_batched = True
 
     def __init__(self, rho: float = 0.01, communication_probability: float = 1.0):
         if rho <= 0:
@@ -66,40 +58,6 @@ class FedPD(FederatedAlgorithm):
         if not client.has("y"):
             client.set("y", np.zeros_like(initial_params))
 
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        self.init_client_state(client, global_params)
-        result = admm_client_update(
-            problem,
-            w_old=client.get("w"),
-            y_old=client.get("y"),
-            theta=global_params,
-            rho=self.rho,
-            config=config,
-            rng=rng,
-            warm_start=True,
-        )
-        client.set("w", result.w_new)
-        client.set("y", result.y_new)
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={
-                "augmented_model": augmented_model(result.w_new, result.y_new, self.rho)
-            },
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=result.train_loss,
-        )
-
     def batched_local_update(
         self,
         cohort,
@@ -109,45 +67,24 @@ class FedPD(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        """A cohort of primal-dual updates with the duals stacked.
-
-        Mirrors :func:`repro.core.admm_client.admm_client_update` with a
-        leading client axis: warm start from each client's ``w``, augmented
-        gradient ``y + rho (params − theta)``, then the dual ascent step —
-        the same computation :meth:`local_update` performs per client, up
-        to stacked-matmul reduction order.
-        """
-        from repro.nn.batched import batched_run_local_sgd
-
+        """FedADMM's warm-started primal-dual ClientUpdate; the upload is the
+        new augmented model rather than its change."""
         for client in clients:
             self.init_client_state(client, global_params)
-        w_old = np.stack([client.get("w") for client in clients])
-        y_old = np.stack([client.get("y") for client in clients])
-        lagrangian = AugmentedLagrangian(self.rho)
-        scratch = np.empty(w_old.shape, dtype=np.float64)
-
-        def extra_grad(params: np.ndarray) -> np.ndarray:
-            active = params.shape[0]
-            return lagrangian.penalty_gradient(
-                params, y_old[:active], global_params, out=scratch[:active]
-            )
-
-        w_new, losses = batched_run_local_sgd(
-            cohort, w_old, config, extra_grad=extra_grad
-        )
-        # The SGD scratch, then the old duals' stack, are dead: reuse them.
-        y_new = dual_update(y_old, w_new, global_params, self.rho, out=scratch)
-        augmented = augmented_model(w_new, y_new, self.rho, out=y_old)
-
-        for index, client in enumerate(clients):
-            client.set("w", w_new[index])
-            client.set("y", y_new[index])
-        return self.build_cohort_messages(
-            clients,
+        result = admm_client_update(
             cohort,
-            cohort.epochs,
-            losses,
-            lambda index: {"augmented_model": augmented[index].copy()},
+            [client.get("w") for client in clients],
+            [client.get("y") for client in clients],
+            global_params,
+            self.rho,
+            config,
+        )
+        for index, client in enumerate(clients):
+            client.set("w", result.w_new[index])
+            client.set("y", result.y_new[index])
+        return self.build_cohort_messages(
+            clients, cohort, cohort.epochs, result.train_loss,
+            {"augmented_model": augmented_model(result.w_new, result.y_new, self.rho)},
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
+from repro.algorithms.base import LocalTrainingConfig
 from repro.algorithms.fedavg import FedAvg
-from repro.core.augmented_lagrangian import AugmentedLagrangian
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike
 
 
 class FedProx(FedAvg):
@@ -29,44 +26,12 @@ class FedProx(FedAvg):
     """
 
     name = "fedprox"
-    supports_batched = True
 
     def __init__(self, rho: float = 0.1, weighting: str = "uniform"):
         super().__init__(weighting)
         if rho < 0:
             raise ConfigurationError(f"rho must be non-negative, got {rho}")
         self.rho = rho
-
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        lagrangian = AugmentedLagrangian(self.rho)
-        zero_dual = np.zeros_like(global_params)
-        scratch = np.empty(global_params.shape, dtype=np.float64)
-
-        def extra_grad(params: np.ndarray) -> np.ndarray:
-            return lagrangian.penalty_gradient(
-                params, zero_dual, global_params, out=scratch
-            )
-
-        params, train_loss = run_local_sgd(
-            problem, global_params, config, rng=rng, extra_grad=extra_grad
-        )
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"params": params},
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=train_loss,
-        )
 
     def batched_local_update(
         self,
@@ -77,8 +42,6 @@ class FedProx(FedAvg):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        from repro.nn.batched import batched_run_local_sgd
-
         theta = global_params[None, :]
         rho = self.rho
         start = np.broadcast_to(global_params, (len(clients), global_params.size))
@@ -89,10 +52,7 @@ class FedProx(FedAvg):
             out *= rho
             return out
 
-        params, losses = batched_run_local_sgd(
-            cohort, start, config, extra_grad=extra_grad
-        )
+        params, losses = cohort.run_sgd(start, config, extra_grad)
         return self.build_cohort_messages(
-            clients, cohort, cohort.epochs, losses,
-            lambda index: {"params": params[index].copy()},
+            clients, cohort, cohort.epochs, losses, {"params": params}
         )

@@ -17,16 +17,13 @@ from repro.algorithms.base import (
 )
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike
 
 
 class FedSGD(FederatedAlgorithm):
     """Distributed synchronous SGD over the selected clients."""
 
     name = "fedsgd"
-    supports_batched = True
     # One exact full-dataset gradient per round: no mini-batch shuffling,
     # so the vectorized executor must not pre-draw epoch permutations.
     shuffles_minibatches = False
@@ -37,26 +34,6 @@ class FedSGD(FederatedAlgorithm):
                 f"server_learning_rate must be positive, got {server_learning_rate}"
             )
         self.server_learning_rate = server_learning_rate
-
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        loss_value, grad = problem.full_loss_and_grad(global_params)
-        client.record_participation(epochs=1)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"gradient": grad},
-            num_samples=problem.num_samples,
-            local_epochs=1,
-            train_loss=loss_value,
-        )
 
     def batched_local_update(
         self,
@@ -69,10 +46,10 @@ class FedSGD(FederatedAlgorithm):
     ) -> list[ClientMessage]:
         losses, grads = cohort.full_loss_and_grad(global_params)
         # One exact gradient per round: local_epochs is 1 regardless of
-        # the config, exactly as in the serial local_update.
+        # the config.
         return self.build_cohort_messages(
             clients, cohort, np.ones(len(clients), dtype=np.int64), losses,
-            lambda index: {"gradient": grads[index].copy()},
+            {"gradient": grads},
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:

@@ -17,13 +17,10 @@ from repro.algorithms.base import (
     FederatedAlgorithm,
     LocalTrainingConfig,
     UpdateAccumulator,
-    run_local_sgd,
 )
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
-from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.utils.rng import SeedLike, as_rng
 
 
 class Scaffold(FederatedAlgorithm):
@@ -35,11 +32,6 @@ class Scaffold(FederatedAlgorithm):
     #: control delta is only meaningful against the server state it was
     #: computed from, so SCAFFOLD opts out of asynchronous aggregation.
     supports_async = False
-
-    #: The drift correction is constant within a round, so a whole cohort's
-    #: corrected SGD runs as one stacked ``extra_grad`` term (control
-    #: variates stacked along the client axis).
-    supports_batched = True
 
     def __init__(self, server_step_size: float = 1.0):
         if server_step_size <= 0:
@@ -65,49 +57,6 @@ class Scaffold(FederatedAlgorithm):
     # ------------------------------------------------------------------ #
     # Round
     # ------------------------------------------------------------------ #
-    def local_update(
-        self,
-        problem: LocalProblem,
-        client: ClientState,
-        global_params: np.ndarray,
-        server_state: dict[str, np.ndarray],
-        config: LocalTrainingConfig,
-        round_index: int = 0,
-        rng: SeedLike = None,
-    ) -> ClientMessage:
-        from repro.nn.batched import local_steps_per_round
-
-        self.init_client_state(client, global_params)
-        server_control = server_state["control"]
-        client_control = client.get("control")
-
-        correction = server_control - client_control
-        params, train_loss = run_local_sgd(
-            problem,
-            global_params,
-            config,
-            rng=as_rng(rng),
-            extra_grad=lambda _: correction,
-        )
-
-        # Option II refresh: c_i+ = c_i - c + (theta - w) / (K * lr).
-        num_steps = local_steps_per_round(problem.num_samples, config)
-        new_control = client_control - server_control + (
-            global_params - params
-        ) / (num_steps * config.learning_rate)
-
-        delta_params = params - global_params
-        delta_control = new_control - client_control
-        client.set("control", new_control)
-        client.record_participation(config.epochs)
-        return ClientMessage(
-            client_id=client.client_id,
-            payload={"delta_params": delta_params, "delta_control": delta_control},
-            num_samples=problem.num_samples,
-            local_epochs=config.epochs,
-            train_loss=train_loss,
-        )
-
     def batched_local_update(
         self,
         cohort,
@@ -117,17 +66,14 @@ class Scaffold(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        """A cohort of corrected local updates as one stacked SGD run.
+        """A cohort of corrected local updates as one SGD run.
 
         The per-client correction ``c − c_i`` is fixed for the whole round,
         so it stacks into a single ``(C, dim)`` ``extra_grad`` term.  A
         cohort shares ``(n, batch_size)`` but not the epoch count, so the
         option-II refresh divides by a per-client ``(C, 1)`` step count
-        ``K_i``.  Numerics match :meth:`local_update` client for client up
-        to stacked-matmul reduction order.
+        ``K_i``.
         """
-        from repro.nn.batched import batched_run_local_sgd, local_steps_per_epoch
-
         for client in clients:
             self.init_client_state(client, global_params)
         server_control = server_state["control"]
@@ -137,16 +83,12 @@ class Scaffold(FederatedAlgorithm):
         start = np.broadcast_to(
             global_params, (len(clients), global_params.size)
         )
-        params, losses = batched_run_local_sgd(
-            cohort,
-            start,
-            config,
-            extra_grad=lambda live: correction[: live.shape[0]],
+        params, losses = cohort.run_sgd(
+            start, config, lambda live: correction[: live.shape[0]]
         )
 
-        num_steps = cohort.epochs[:, None] * local_steps_per_epoch(
-            cohort.num_samples, config.batch_size
-        )
+        # Option II refresh: c_i+ = c_i - c + (theta - w) / (K_i * lr).
+        num_steps = cohort.epochs[:, None] * cohort.steps_per_epoch(config.batch_size)
         new_controls = client_controls - server_control[None, :] + (
             global_params[None, :] - params
         ) / (num_steps * config.learning_rate)
@@ -156,14 +98,8 @@ class Scaffold(FederatedAlgorithm):
         for index, client in enumerate(clients):
             client.set("control", new_controls[index])
         return self.build_cohort_messages(
-            clients,
-            cohort,
-            cohort.epochs,
-            losses,
-            lambda index: {
-                "delta_params": delta_params[index].copy(),
-                "delta_control": delta_controls[index].copy(),
-            },
+            clients, cohort, cohort.epochs, losses,
+            {"delta_params": delta_params, "delta_control": delta_controls},
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:

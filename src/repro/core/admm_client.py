@@ -13,38 +13,43 @@ A selected client i, holding its persistent primal/dual pair ``(w_i, y_i)``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
+from repro.algorithms.base import LocalTrainingConfig
 from repro.core.augmented_lagrangian import AugmentedLagrangian
-from repro.core.dual import dual_update, update_message
+from repro.core.dual import augmented_model, dual_update
 from repro.exceptions import ConfigurationError
-from repro.federated.local_problem import LocalProblem
-from repro.utils.rng import SeedLike
 
 
 @dataclass
 class AdmmClientResult:
-    """Output of one FedADMM client update."""
+    """Output of one ClientUpdate sweep: ``(C, dim)`` stacks, ``(C,)`` losses."""
 
     w_new: np.ndarray
     y_new: np.ndarray
     delta: np.ndarray
-    train_loss: float
+    train_loss: np.ndarray
 
 
 def admm_client_update(
-    problem: LocalProblem,
-    w_old: np.ndarray,
-    y_old: np.ndarray,
+    cohort,
+    w_old: Sequence[np.ndarray],
+    y_old: Sequence[np.ndarray],
     theta: np.ndarray,
     rho: float,
     config: LocalTrainingConfig,
-    rng: SeedLike = None,
     warm_start: bool = True,
 ) -> AdmmClientResult:
-    """Run Algorithm 1's ClientUpdate and return the new state plus ``Δ_i``.
+    """Run Algorithm 1's ClientUpdate for a cohort and return the new states
+    plus every ``Δ_i``.
+
+    ``cohort`` is the clients' data behind the cohort interface of
+    :meth:`repro.algorithms.base.FederatedAlgorithm.batched_local_update`
+    (one client or a stack); ``w_old`` / ``y_old`` hold one ``(dim,)``
+    primal / dual vector per cohort member and are only read — they are
+    stacked into ``(C, dim)`` copies here.
 
     Parameters
     ----------
@@ -56,16 +61,23 @@ def admm_client_update(
     if rho <= 0:
         raise ConfigurationError(f"FedADMM requires rho > 0, got {rho}")
     lagrangian = AugmentedLagrangian(rho)
-    start = w_old if warm_start else theta
+    w_old, y_old = np.array(w_old, dtype=np.float64), np.array(y_old, dtype=np.float64)
+    start = w_old if warm_start else np.broadcast_to(theta, w_old.shape)
 
-    scratch = np.empty(theta.shape, dtype=np.float64)
+    scratch = np.empty(w_old.shape, dtype=np.float64)
 
     def extra_grad(params: np.ndarray) -> np.ndarray:
-        return lagrangian.penalty_gradient(params, y_old, theta, out=scratch)
+        # ``params`` is the prefix of clients still training this epoch.
+        active = params.shape[0]
+        return lagrangian.penalty_gradient(
+            params, y_old[:active], theta, out=scratch[:active]
+        )
 
-    w_new, train_loss = run_local_sgd(
-        problem, start, config, rng=rng, extra_grad=extra_grad
-    )
-    y_new = dual_update(y_old, w_new, theta, rho)
-    delta = update_message(w_new, y_new, w_old, y_old, rho)
+    w_new, train_loss = cohort.run_sgd(start, config, extra_grad)
+    # Eq. (4) as update_message computes it, with every one of our stacks
+    # that has just died reused as the next output: no allocation here.
+    u_old = augmented_model(w_old, y_old, rho, out=scratch)
+    y_new = dual_update(y_old, w_new, theta, rho, out=w_old)
+    delta = augmented_model(w_new, y_new, rho, out=y_old)
+    delta -= u_old
     return AdmmClientResult(w_new=w_new, y_new=y_new, delta=delta, train_loss=train_loss)

@@ -784,6 +784,11 @@ def build_batched_model(
 class BatchedCohort:
     """A same-shape group of clients stacked along a leading axis.
 
+    The stacked implementation of the cohort interface an algorithm's
+    ``batched_local_update`` trains against (``num_samples``, ``epochs``,
+    ``steps_per_epoch``, ``run_sgd``, ``full_loss_and_grad``); the
+    per-client one is :class:`repro.algorithms.base.OneClientCohort`.
+
     Clients are ordered by **descending local epochs**: ``epochs`` is the
     non-increasing ``(C,)`` vector of each client's realised epoch count,
     so the clients still training at epoch ``e`` are always the contiguous
@@ -838,6 +843,15 @@ class BatchedCohort:
             stacked, self.features, self.labels, batch_size=batch_size
         )
 
+    def steps_per_epoch(self, batch_size: int | None) -> int:
+        return local_steps_per_epoch(self.num_samples, batch_size)
+
+    def run_sgd(
+        self, start_params: np.ndarray, config, extra_grad: ExtraGrad | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`batched_run_local_sgd` on this cohort."""
+        return batched_run_local_sgd(self, start_params, config, extra_grad)
+
 
 def _epoch_batches(
     cohort: BatchedCohort, batch_size: int | None, epoch: int, active: int
@@ -870,7 +884,7 @@ def local_steps_per_epoch(num_samples: int, batch_size: int | None) -> int:
 
 def local_steps_per_round(num_samples: int, config) -> int:
     """Mini-batch steps one client takes in ``config.epochs`` local epochs
-    (SCAFFOLD's control-variate refresh divides by it)."""
+    (what a task's ``local_sgd`` trace span reports)."""
     return config.epochs * local_steps_per_epoch(num_samples, config.batch_size)
 
 

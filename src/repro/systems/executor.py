@@ -18,11 +18,13 @@ slim :class:`LocalUpdateTask`; the executor runs the batch and returns one
   as stacked NumPy operations with a leading client axis (see
   :mod:`repro.nn.batched`), eliminating the per-client Python dispatch
   that dominates the serial hot path; a round with fewer cohorts than
-  workers deals each cohort evenly across them.  Only
-  algorithms that opt in (``supports_batched``) and models with batched
-  kernels run stacked; everything else falls back to the serial per-task
-  loop, so a vectorized run never changes *which* computation happens —
-  only how it is scheduled.  RNG streams are consumed in task order,
+  workers deals each cohort evenly across them.  Every algorithm's
+  ClientUpdate is written over a client axis, so all of them run stacked
+  on models with batched kernels; a per-client-only method (one that
+  overrides ``local_update``, so ``supports_batched`` reads false) or an
+  unbatchable model falls back to the serial per-task loop, so a
+  vectorized run never changes *which* computation happens — only how it
+  is scheduled.  RNG streams are consumed in task order,
   matching the serial executor draw for draw; histories agree with serial
   within ``atol=1e-8`` (stacked matmuls reduce in a different order).
 * :class:`ProcessPoolClientExecutor` — tasks run in worker processes,
@@ -507,7 +509,7 @@ class VectorizedExecutor(ClientExecutor):
     def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._batched_model is None:
-            # Opt-out algorithm or unbatchable model: the serial loop,
+            # Per-client-only algorithm or unbatchable model: the serial loop,
             # bit for bit.  The labelled counter and profiler entry say
             # *why*, so unexpected serial fallbacks are diagnosable from
             # `repro profile` / the metrics snapshot.

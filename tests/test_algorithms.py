@@ -15,8 +15,8 @@ from repro.algorithms import (
     Scaffold,
     build_algorithm,
 )
-from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
-from repro.core import admm_client
+from repro.algorithms import base as algorithms_base
+from repro.algorithms.base import LocalTrainingConfig, OneClientCohort, run_local_sgd
 from repro.core.admm_client import admm_client_update
 from repro.core.rho import PiecewiseRho
 from repro.core.stepsize import ParticipationScaledStepSize
@@ -185,17 +185,42 @@ class TestLocalStepCost:
 
         def update():
             return admm_client_update(
-                problem, theta, np.zeros_like(theta), theta, 0.3, config, rng=0
+                OneClientCohort(problem, config.epochs, rng=0),
+                [theta], [np.zeros_like(theta)], theta, 0.3, config,
             )
 
         expected = update()  # warm-up: the model moves into flat storage once
-        monkeypatch.setattr(admm_client, "run_local_sgd", measured)
+        monkeypatch.setattr(algorithms_base, "run_local_sgd", measured)
         result = update()
         assert np.array_equal(result.w_new, expected.w_new)
         # 50 steps live in the iterate plus one gradient or matmul product
         # at a time: measured 2.1 model-sized arrays, where the allocating
         # step `params -= lr * (grad + y + rho * (w - theta))` peaked at 4.1.
         assert growth[0] / theta.nbytes < 3.0
+
+
+class TestSeedCoercion:
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+    def test_integer_seed_is_one_stream_across_epochs(self, name, problem_and_client):
+        # An int handed down to ``minibatches`` was re-coerced every epoch
+        # and replayed the first epoch's shuffle three times.
+        problem, _ = problem_and_client
+        assert problem.num_samples > 4
+        theta = problem.model.get_flat_params()
+        config = LocalTrainingConfig(epochs=3, batch_size=4, learning_rate=0.1)
+        algorithm = build_algorithm(name)
+        server_state = algorithm.init_server_state(theta, 1)
+        seeded, streamed = (
+            algorithm.local_update(
+                problem, ClientState(client_id=0, dataset=problem.dataset), theta,
+                server_state, config, rng=rng,
+            )
+            for rng in (5, np.random.default_rng(5))
+        )
+        assert seeded.payload.keys() == streamed.payload.keys()
+        for key, vector in seeded.payload.items():
+            np.testing.assert_array_equal(vector, streamed.payload[key])
+        assert seeded.train_loss == streamed.train_loss
 
 
 class TestFedSGD:

@@ -4,7 +4,7 @@ client/server updates, step-size and rho schedules."""
 import numpy as np
 import pytest
 
-from repro.algorithms.base import LocalTrainingConfig
+from repro.algorithms.base import LocalTrainingConfig, OneClientCohort
 from repro.core.admm_client import admm_client_update
 from repro.core.admm_server import admm_server_update, average_aggregate
 from repro.core.augmented_lagrangian import AugmentedLagrangian
@@ -132,6 +132,11 @@ class TestDualMechanics:
             kkt_residuals([np.zeros(2)], [], np.zeros(2))
 
 
+def _cohort(problem, config):
+    """The problem as the cohort of one ``admm_client_update`` trains on."""
+    return OneClientCohort(problem, config.epochs, rng=0)
+
+
 class TestAdmmClientUpdate:
     def test_dual_and_message_consistency(self, local_problem, training_config):
         theta = local_problem.model.get_flat_params()
@@ -139,37 +144,40 @@ class TestAdmmClientUpdate:
         y_old = np.zeros_like(theta)
         rho = 0.5
         result = admm_client_update(
-            local_problem, w_old, y_old, theta, rho, training_config, rng=0
+            _cohort(local_problem, training_config), [w_old], [y_old],
+            theta, rho, training_config,
         )
-        assert np.allclose(result.y_new, y_old + rho * (result.w_new - theta))
-        expected_delta = (result.w_new + result.y_new / rho) - (w_old + y_old / rho)
-        assert np.allclose(result.delta, expected_delta)
-        assert np.isfinite(result.train_loss)
+        assert np.allclose(result.y_new[0], y_old + rho * (result.w_new[0] - theta))
+        expected_delta = (result.w_new[0] + result.y_new[0] / rho) - (w_old + y_old / rho)
+        assert np.allclose(result.delta[0], expected_delta)
+        assert np.isfinite(result.train_loss[0])
 
     def test_training_reduces_local_loss(self, local_problem, training_config):
         theta = local_problem.model.get_flat_params()
+        config = LocalTrainingConfig(epochs=5, batch_size=16, learning_rate=0.2)
         result = admm_client_update(
-            local_problem,
-            theta.copy(),
-            np.zeros_like(theta),
+            _cohort(local_problem, config),
+            [theta.copy()],
+            [np.zeros_like(theta)],
             theta,
             rho=0.1,
-            config=LocalTrainingConfig(epochs=5, batch_size=16, learning_rate=0.2),
-            rng=0,
+            config=config,
         )
-        assert local_problem.full_loss(result.w_new) < local_problem.full_loss(theta)
+        assert local_problem.full_loss(result.w_new[0]) < local_problem.full_loss(theta)
 
     def test_warm_start_vs_restart_differ_for_stale_local_model(
         self, local_problem, training_config
     ):
         theta = local_problem.model.get_flat_params()
-        stale_w = theta + 1.0  # pretend the client trained long ago
-        y = np.zeros_like(theta)
+        stale_w = [theta + 1.0]  # pretend the client trained long ago
+        y = [np.zeros_like(theta)]
         warm = admm_client_update(
-            local_problem, stale_w, y, theta, 0.5, training_config, rng=0, warm_start=True
+            _cohort(local_problem, training_config), stale_w, y, theta, 0.5,
+            training_config, warm_start=True,
         )
         restart = admm_client_update(
-            local_problem, stale_w, y, theta, 0.5, training_config, rng=0, warm_start=False
+            _cohort(local_problem, training_config), stale_w, y, theta, 0.5,
+            training_config, warm_start=False,
         )
         assert not np.allclose(warm.w_new, restart.w_new)
 
@@ -177,7 +185,8 @@ class TestAdmmClientUpdate:
         theta = local_problem.model.get_flat_params()
         with pytest.raises(ConfigurationError):
             admm_client_update(
-                local_problem, theta, np.zeros_like(theta), theta, 0.0, training_config
+                _cohort(local_problem, training_config), [theta],
+                [np.zeros_like(theta)], theta, 0.0, training_config,
             )
 
 

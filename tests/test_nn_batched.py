@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms import build_algorithm
+from repro.algorithms.base import LocalTrainingConfig
+from repro.datasets.base import Dataset
 from repro.exceptions import ShapeError
+from repro.federated.client import ClientState
+from repro.federated.local_problem import LocalProblem
 from repro.nn.batched import (
     BatchedCohort,
     BatchedMSE,
@@ -281,6 +286,108 @@ class TestActivePrefix:
             with pytest.raises(ShapeError):
                 BatchedCohort(model=batched, features=features, labels=labels,
                               epochs=np.array(bad))
+
+
+class TestOneBodyTwoCohorts:
+    """An algorithm's one ClientUpdate gives client *i* the same upload and
+    state whether it trains alone (``local_update``, a cohort of one over the
+    per-client kernels) or as row *i* of a stacked ragged cohort."""
+
+    STACKED = {"fedavg": {}, "fedprox": {"rho": 0.3}, "fedsgd": {},
+               "fedadmm": {"rho": 0.3}, "fedpd": {"rho": 0.3}, "scaffold": {}}
+    STATE_KEYS = ("w", "y", "control")
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    @settings(max_examples=12, deadline=None)
+    @given(
+        epochs=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        batch_size=st.sampled_from([None, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_local_update_is_row_i_of_the_stacked_update(
+        self, name, epochs, batch_size, seed
+    ):
+        rng = np.random.default_rng(seed)
+        model = MLP(input_dim=6, hidden_dims=(5,), num_classes=3, rng=rng)
+        loss = CrossEntropyLoss()
+        epochs = sorted(epochs, reverse=True)
+        n, count, round_index = 8, len(epochs), 2
+        algorithm = build_algorithm(name, **self.STACKED[name])
+        theta = rng.normal(size=model.num_params)
+        server_state = {
+            key: rng.normal(size=value.shape)
+            for key, value in algorithm.init_server_state(theta, count).items()
+        }
+        datasets = [
+            Dataset(rng.normal(size=(n, 6)), rng.integers(0, 3, size=n))
+            for _ in range(count)
+        ]
+        # Mid-run state: every persistent variable an algorithm may keep.
+        variables = [
+            {key: rng.normal(size=theta.shape) for key in self.STATE_KEYS}
+            for _ in range(count)
+        ]
+
+        def fresh_clients():
+            return [
+                ClientState(index, dataset, {k: v.copy() for k, v in state.items()})
+                for index, (dataset, state) in enumerate(zip(datasets, variables))
+            ]
+
+        def config(index):
+            return LocalTrainingConfig(epochs[index], batch_size, learning_rate=0.1)
+
+        alone = fresh_clients()
+        messages = [
+            algorithm.local_update(
+                LocalProblem(model, loss, datasets[index]), alone[index], theta,
+                server_state, config(index), round_index,
+                rng=np.random.default_rng(seed + index),
+            )
+            for index in range(count)
+        ]
+
+        # Epoch shuffles pre-drawn per client from the same task streams, in
+        # the order VectorizedExecutor._draw_epoch_orders uses.
+        orders = None
+        if algorithm.shuffles_minibatches and batch_size is not None:
+            shuffles = []
+            for index in range(count):
+                task_rng = np.random.default_rng(seed + index)
+                shuffles.append([task_rng.permutation(n) for _ in range(epochs[index])])
+            orders = [
+                np.stack([drawn[epoch] for drawn in shuffles if len(drawn) > epoch])
+                for epoch in range(epochs[0])
+            ]
+        cohort = BatchedCohort(
+            model=build_batched_model(model, loss),
+            features=np.stack([dataset.features for dataset in datasets]),
+            labels=np.stack([dataset.labels for dataset in datasets]),
+            epochs=np.array(epochs),
+            epoch_orders=orders,
+        )
+        stacked = fresh_clients()
+        rows = algorithm.batched_local_update(
+            cohort, stacked, theta, server_state, config(0), round_index
+        )
+
+        assert len(rows) == count
+        for message, row, client, twin in zip(messages, rows, alone, stacked):
+            assert message.payload.keys() == row.payload.keys()
+            for key, vector in message.payload.items():
+                np.testing.assert_allclose(row.payload[key], vector, atol=1e-8, rtol=0)
+            for key in self.STATE_KEYS:
+                np.testing.assert_allclose(
+                    twin.get(key), client.get(key), atol=1e-8, rtol=0
+                )
+            assert abs(row.train_loss - message.train_loss) < 1e-8
+            assert (row.client_id, row.local_epochs, row.num_samples, row.metadata) == (
+                message.client_id, message.local_epochs, message.num_samples,
+                message.metadata,
+            )
+            assert (twin.rounds_participated, twin.local_work_done) == (
+                client.rounds_participated, client.local_work_done
+            )
 
 
 class TestCompilationRules:

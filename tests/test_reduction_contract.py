@@ -24,8 +24,10 @@ stated once here and property-tested for *every* entry of
 
 The surface tests pin the shape of the contract itself: one ``aggregate``
 (the base class's), one accumulator class, a defense that only decorates
-that accumulator, a sharded plan that hands executors whole cohorts, and no
-buffered-plan hook, second engine class or second plan spelling anywhere.
+that accumulator, a sharded plan that hands executors whole cohorts, one
+client update per algorithm (``local_update`` is the base class's
+cohort-of-one), and no buffered-plan hook, second engine class or second
+plan spelling anywhere.
 """
 
 from __future__ import annotations
@@ -516,6 +518,35 @@ class TestContractSurface:
         assert defended.name == "scaffold"
         assert defended.download_floats(10) == inner.download_floats(10) == 20
         assert defended.local_update == inner.local_update
+
+    # --- PR 18: the client half collapsed too ---------------------------- #
+    def test_one_client_update_per_algorithm(self):
+        def shipped(cls):
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro.algorithms"):
+                    yield sub
+                yield from shipped(sub)
+
+        subclasses = set(shipped(FederatedAlgorithm))
+        assert set(ALGORITHM_REGISTRY.values()) <= subclasses
+        # ``local_update`` is the base class's cohort-of-one; the one shipped
+        # per-client-only method writes its own instead.
+        assert {cls.__name__ for cls in subclasses if "local_update" in vars(cls)} == {
+            "FedDropoutAvg"
+        }
+        # Stacked execution is derived from that, never declared.
+        assert isinstance(vars(FederatedAlgorithm)["supports_batched"], property)
+        assert not [cls for cls in subclasses if "supports_batched" in vars(cls)]
+        for name, cls in ALGORITHM_REGISTRY.items():
+            assert cls().supports_batched == (name != "feddropoutavg")
+            assert ("batched_local_update" in vars(cls)) == cls().supports_batched
+
+    @pytest.mark.parametrize("name", ["fedadmm", "feddropoutavg"])
+    def test_defended_algorithm_batches_iff_its_inner_does(self, name):
+        inner = build_algorithm(name)
+        defended = DefendedAlgorithm(inner, build_defense("median"))
+        assert defended.supports_batched == inner.supports_batched
+        assert inner.supports_batched == (name == "fedadmm")
 
     # --- PR 16: the buffered half of the contract collapsed too ---------- #
     @pytest.mark.parametrize(

@@ -139,9 +139,11 @@ ALGO_KWARGS = {"fedprox": {"rho": 0.1}, "fedadmm": {"rho": 0.3},
 
 
 class OptOutFedAvg(FedAvg):
-    """FedAvg with batching explicitly disabled (exercises the opt-out path)."""
+    """FedAvg made per-client-only the way any algorithm opts out of stacked
+    execution: by overriding ``local_update`` (same computation here)."""
 
-    supports_batched = False
+    def local_update(self, *args, **kwargs):
+        return super().local_update(*args, **kwargs)
 
 
 class TweakedCrossEntropy(CrossEntropyLoss):

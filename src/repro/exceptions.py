@@ -36,7 +36,7 @@ class ProtocolError(ReproError):
     """A wire payload was malformed, inconsistent, or mismatched its template.
 
     Raised at trust boundaries (the :mod:`repro.serve` protocol layer and
-    :meth:`repro.systems.transport.Transport.decode`) where a payload arrives
+    :meth:`repro.systems.compression.Codec.unpack`) where a payload arrives
     from another process and cannot be assumed well-formed.  Carries an
     optional machine-readable ``code`` so the serve layer can map the failure
     onto an HTTP status.

@@ -34,11 +34,13 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
-from repro.experiments.runner import build_simulation, prepare_environment
+from repro.experiments.runner import (
+    build_model_template,
+    build_simulation,
+    prepare_environment,
+)
 from repro.federated.client import ClientState
 from repro.federated.evaluation import evaluate_model
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import build_model
 from repro.utils.rng import RngFactory
 
 #: Cache-key for the empty coalition (accuracy of the untrained model).
@@ -166,13 +168,10 @@ class ContributionValuer:
             return cached
         if not indices:
             # The empty coalition: the untrained (seed-initialised) model.
-            model_rng = RngFactory(self.config.seed).make("model-init")
-            model = build_model(
-                self.config.model, rng=model_rng, **self.config.model_kwargs
-            )
+            model, loss = build_model_template(self.config)
             evaluation = evaluate_model(
                 model,
-                CrossEntropyLoss(),
+                loss,
                 model.get_flat_params(),
                 self.split.test,
             )

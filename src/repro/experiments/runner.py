@@ -40,8 +40,9 @@ from repro.federated.plans import AsyncPlan, HierarchicalPlan, SemiSyncPlan
 from repro.federated.sampler import UniformFractionSampler
 from repro.metrics.rounds_to_target import format_rounds, rounds_to_target
 from repro.metrics.speedup import reduction_vs_best_baseline, speedup_vs_reference
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.models import build_model
+from repro.nn.module import Module
 from repro.partition import build_partitioner, compute_partition_stats
 from repro.partition.stats import PartitionStats
 from repro.systems import (
@@ -83,6 +84,18 @@ def prepare_environment(
     return split, clients, stats
 
 
+def build_model_template(config: ExperimentConfig) -> tuple[Module, Loss]:
+    """The freshly initialised model (and its loss) every run starts from.
+
+    Every algorithm — and every serve worker rebuilding its environment —
+    starts from the same random initialisation: the model seed depends only
+    on the experiment seed.
+    """
+    model_rng = RngFactory(config.seed).make("model-init")
+    model = build_model(config.model, rng=model_rng, **config.model_kwargs)
+    return model, CrossEntropyLoss()
+
+
 def _work_policy(config: ExperimentConfig, algorithm_name: str):
     if config.system_heterogeneity and algorithm_name in _VARIABLE_WORK_ALGORITHMS:
         return UniformRandomEpochs(max_epochs=config.local_epochs)
@@ -118,10 +131,7 @@ def build_simulation(
     if clients is None or split is None:
         split, clients, _ = prepare_environment(config)
 
-    # Every algorithm starts from the same random initialisation: the model
-    # seed depends only on the experiment seed.
-    model_rng = RngFactory(config.seed).make("model-init")
-    model = build_model(config.model, rng=model_rng, **config.model_kwargs)
+    model, loss = build_model_template(config)
 
     transport = (
         Transport(build_codec(config.codec, **config.codec_kwargs))
@@ -165,7 +175,7 @@ def build_simulation(
         model=model,
         clients=clients,
         test_dataset=split.test,
-        loss=CrossEntropyLoss(),
+        loss=loss,
         sampler=UniformFractionSampler(config.client_fraction),
         local_work=_work_policy(config, algorithm.name),
         batch_size=config.batch_size,

@@ -307,7 +307,14 @@ class FederatedSimulation:
                         break
         finally:
             self.pipeline.close()
+        return self.result(target_accuracy)
 
+    def result(self, target_accuracy: float | None = None) -> SimulationResult:
+        """The :class:`SimulationResult` of the rounds completed so far.
+
+        What :meth:`run` returns; drivers that call :meth:`run_round`
+        themselves (the federation server) take their snapshots here.
+        """
         final_evaluation = None
         if len(self.test_dataset) > 0:
             if self.state.evaluation_is_current():

@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
-from repro.serve.protocol import payload_wire_bytes
 from repro.serve.server import FederationServer
 from repro.serve.worker import run_worker
+from repro.systems.executor import LocalUpdateTask
 
 
 @dataclass
@@ -76,14 +76,13 @@ def expected_real_bytes(server: FederationServer) -> int:
     """Ledger-equivalent real payload bytes for the rounds the server ran.
 
     The ledger counts ``codec.wire_bytes(d)`` per uploaded vector; the HTTP
-    body carries ``payload_wire_bytes(codec, d)`` (identical for float16
-    and topk, float64-vs-float32 doubled for identity/raw, +4 bytes per
-    vector for the qsgd/signsgd scalar side-channel).  Both are linear in
-    the per-vector counts, so the exact expectation follows from the
-    ledger's upload-float total without replaying the run.
+    body carries ``codec.packed_bytes(d)`` (identical for float16 and topk,
+    float64-vs-float32 doubled for identity/raw, +4 bytes per vector for
+    the qsgd/signsgd scalar side-channel).  Both are linear in the
+    per-vector counts, so the exact expectation follows from the ledger's
+    upload-float total without replaying the run.
     """
     sim = server.simulation
-    codec = sim.transport.codec if sim.transport is not None else None
     dims = server.algorithm.upload_vector_dims(server.model_dim)
     floats_per_upload = sum(dims)
     if floats_per_upload == 0:
@@ -94,8 +93,7 @@ def expected_real_bytes(server: FederationServer) -> int:
             "ledger upload floats are not a whole number of uploads; "
             "cannot derive the expected real byte total"
         )
-    per_upload = sum(payload_wire_bytes(codec, dim) for dim in dims)
-    return uploads * per_upload
+    return uploads * sum(server.codec.packed_bytes(dim) for dim in dims)
 
 
 def run_load_test(
@@ -121,11 +119,11 @@ def run_load_test(
     )
     pipeline = server.simulation.pipeline
 
-    def paced_delay(task: dict[str, Any]) -> float:
+    def paced_delay(task: LocalUpdateTask) -> float:
         if pipeline.profiles is None:
             return 0.0
         simulated = pipeline.client_round_seconds(
-            task["client_index"], task["epochs"]
+            task.client_index, task.config.epochs
         )
         return simulated * time_scale
 
@@ -160,7 +158,7 @@ def run_load_test(
     finally:
         server.stop()
 
-    codec_name = result.metadata.get("codec") or "raw"
+    codec_name = server.codec.name
     counters = server.metrics.snapshot()["counters"]
     real_bytes = int(counters.get(f"serve.payload_bytes.{codec_name}", 0))
     latencies = np.asarray(server.round_latencies, dtype=np.float64)

@@ -10,10 +10,17 @@ integers are little-endian.  The header carries small structured fields
 (task ids, seeds, shapes, hex-exact floats); the blobs carry array payloads.
 
 Uploaded model deltas travel as the *encoded* representation of the
-:mod:`repro.systems.compression` codecs, packed to their exact wire size —
-so the bytes counted by the :class:`~repro.federated.messages.CommunicationLedger`
-correspond to real bytes in the HTTP body, modulo the documented per-codec
-framing overhead (see :func:`payload_wire_bytes`).
+:mod:`repro.systems.compression` codecs, packed by the codec itself
+(:meth:`~repro.systems.compression.Codec.pack`) — so the bytes counted by
+the :class:`~repro.federated.messages.CommunicationLedger` correspond to
+real bytes in the HTTP body, modulo each codec's documented gap between
+``packed_bytes`` and ``wire_bytes``.  This module knows frames, not codecs.
+
+The frame codecs are symmetric: ``encode_task``/``decode_task`` carry a
+:class:`~repro.systems.executor.LocalUpdateTask`, ``encode_submit``/
+``decode_submit`` a :class:`~repro.systems.executor.LocalUpdateOutcome`.
+The decoders are total: whatever the bytes, they return or raise
+:class:`~repro.exceptions.ProtocolError`.
 
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
@@ -29,13 +36,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
-from repro.systems.compression import (
-    Codec,
-    EncodedVector,
-    QSGDCodec,
-    TopKCodec,
-)
+from repro.algorithms.base import LocalTrainingConfig
+from repro.exceptions import ConfigurationError, ProtocolError
+from repro.federated.client import ClientState
+from repro.federated.messages import ClientMessage
+from repro.systems.compression import Codec
+from repro.systems.executor import LocalUpdateOutcome, LocalUpdateTask
 
 #: Version carried in every frame and checked during the handshake.
 PROTOCOL_VERSION = 1
@@ -45,6 +51,9 @@ MAGIC = b"RFP1"
 
 #: Hard cap on a single frame; requests beyond this are rejected outright.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Most scalars any array in a frame can declare: one bit each (signSGD).
+_MAX_SCALARS = 8 * MAX_FRAME_BYTES
 
 _HEADER_STRUCT = struct.Struct("<4sHHI")
 _BLOB_LEN = struct.Struct("<I")
@@ -111,7 +120,7 @@ def unpack_frame(
         raise ProtocolError("frame truncated inside the JSON header")
     try:
         header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, absurd nesting
         raise ProtocolError(f"frame header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
@@ -132,7 +141,7 @@ def unpack_frame(
 
 
 # ---------------------------------------------------------------------------
-# Exact float transport
+# Header fields and float64 blobs
 # ---------------------------------------------------------------------------
 
 
@@ -150,8 +159,37 @@ def unhex_float(text: str) -> float:
         return math.nan
     try:
         return float.fromhex(text)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ProtocolError(f"bad hex float {text!r}: {exc}") from None
+
+
+_REQUIRED = object()
+
+
+def _field(header: dict[str, Any], key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``header[key]``, which must be a ``kind`` (ints: non-negative)."""
+    value = header.get(key, default)
+    if value is _REQUIRED:
+        raise ProtocolError(f"frame missing field {key!r}")
+    if value is default:  # absent, or spelled out (``"batch_size": null``)
+        return value
+    if type(value) is not kind or (kind is int and value < 0):
+        raise ProtocolError(
+            f"frame field {key!r} must be a {'non-negative ' * (kind is int)}"
+            f"{kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _shape(value: Any) -> tuple[int, ...]:
+    """A declared array shape: a list of non-negative ints of sane size."""
+    if not (
+        isinstance(value, list)
+        and all(type(side) is int and 0 <= side <= _MAX_SCALARS for side in value)
+        and math.prod(value) <= _MAX_SCALARS
+    ):
+        raise ProtocolError(f"bad array shape {value!r}")
+    return tuple(value)
 
 
 def pack_array(array: np.ndarray) -> bytes:
@@ -159,174 +197,57 @@ def pack_array(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype="<f8").tobytes()
 
 
-def unpack_array(data: bytes, shape: tuple[int, ...]) -> np.ndarray:
+def unpack_array(data: bytes, shape: Any) -> np.ndarray:
     """Inverse of :func:`pack_array`; validates the byte count against shape."""
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if len(data) != count * 8:
+    shape = _shape(shape)
+    if len(data) != math.prod(shape) * 8:
         raise ProtocolError(
-            f"float64 blob has {len(data)} bytes, expected {count * 8} for "
-            f"shape {tuple(shape)}"
+            f"float64 blob has {len(data)} bytes, expected "
+            f"{math.prod(shape) * 8} for shape {shape}"
         )
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    try:
+        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # e.g. (0, huge, huge): empty but unaddressable
+        raise ProtocolError(f"bad array shape {shape}: {exc}") from None
 
 
-# ---------------------------------------------------------------------------
-# Bit packing (QSGD levels+signs, signSGD signs)
-# ---------------------------------------------------------------------------
+def _pack_named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[bytes]]:
+    """Header fields + float64 blobs of a name → array dict, keys sorted."""
+    keys = sorted(arrays)
+    shapes = [list(np.asarray(arrays[key]).shape) for key in keys]
+    fields = {f"{prefix}_keys": keys, f"{prefix}_shapes": shapes}
+    return fields, [pack_array(arrays[key]) for key in keys]
 
 
-def _pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """Pack small unsigned ints, ``bits`` each, MSB-first, into bytes."""
-    values = np.asarray(values, dtype=np.uint32)
-    if values.size == 0:
-        return b""
-    # Explode each value into its `bits` bits (MSB first), then let packbits
-    # fold the flat bit-stream into bytes.
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
-    bit_matrix = (values[:, None] >> shifts[None, :]) & 1
-    return np.packbits(bit_matrix.astype(np.uint8).ravel()).tobytes()
-
-
-def _unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits` for ``count`` values."""
-    total_bits = count * bits
-    expected = (total_bits + 7) // 8
-    if len(data) != expected:
+def _unpack_named(
+    header: dict[str, Any], prefix: str, blobs: list[bytes]
+) -> dict[str, np.ndarray]:
+    """Inverse of :func:`_pack_named` over the blobs that belong to it."""
+    keys = _field(header, f"{prefix}_keys", list)
+    shapes = _field(header, f"{prefix}_shapes", list)
+    if not (
+        len(keys) == len(shapes) == len(blobs)
+        and all(type(key) is str for key in keys)
+        and len(set(keys)) == len(keys)
+    ):
         raise ProtocolError(
-            f"bit-packed blob has {len(data)} bytes, expected {expected} for "
-            f"{count} values of {bits} bits"
+            f"{prefix}_keys must be distinct strings, one per shape and blob: "
+            f"{len(keys)} keys, {len(shapes)} shapes, {len(blobs)} blobs"
         )
-    if count == 0:
-        return np.zeros(0, dtype=np.uint32)
-    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=total_bits)
-    bit_matrix = flat.reshape(count, bits).astype(np.uint32)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
-    return (bit_matrix << shifts[None, :]).sum(axis=1, dtype=np.uint32)
+    return {
+        key: unpack_array(blob, shape) for key, shape, blob in zip(keys, shapes, blobs)
+    }
 
 
-# ---------------------------------------------------------------------------
-# Codec payload packing
-# ---------------------------------------------------------------------------
-
-
-def payload_wire_bytes(codec: Codec | None, dim: int) -> int:
-    """Exact bytes :func:`pack_vector` produces for a d-vector.
-
-    Relations to the ledger's nominal ``codec.wire_bytes(dim)``:
-
-    - ``identity`` (and raw, ``codec=None``): ``2 x`` — the ledger costs a
-      float32 wire while exact reconstruction requires shipping float64.
-    - ``float16``: equal.
-    - ``topk``: equal (uint32 index + float32 value per kept coordinate).
-    - ``qsgd`` / ``signsgd``: ``+ 4`` per vector — the ledger costs the
-      norm/scale side-channel at 4 bytes, the wire ships a float64.
-    """
-    if codec is None or codec.name == "identity":
-        return dim * 8
-    if codec.name == "float16":
-        return dim * 2
-    if codec.name == "topk":
-        return codec.wire_bytes(dim)
-    if codec.name in ("qsgd", "signsgd"):
-        return codec.wire_bytes(dim) + 4
-    raise ProtocolError(f"no wire packing for codec {codec.name!r}", code="bad_codec")
-
-
-def pack_vector(codec: Codec | None, encoded: EncodedVector) -> bytes:
-    """Pack one encoded vector into its exact binary wire form."""
-    data = encoded.data
-    if codec is None or codec.name == "identity":
-        return np.ascontiguousarray(data["values"], dtype="<f8").tobytes()
-    if codec.name == "float16":
-        return np.ascontiguousarray(data["values"], dtype="<f2").tobytes()
-    if codec.name == "topk":
-        indices = np.ascontiguousarray(data["indices"], dtype="<u4").tobytes()
-        values = np.ascontiguousarray(data["values"], dtype="<f4").tobytes()
-        return indices + values
-    if codec.name == "qsgd":
-        assert isinstance(codec, QSGDCodec)
-        bits = codec.bits_per_coordinate
-        negatives = (np.asarray(data["signs"]) < 0).astype(np.uint32)
-        levels = np.asarray(data["levels"], dtype=np.uint32)
-        packed = _pack_bits((negatives << (bits - 1)) | levels, bits)
-        return packed + np.ascontiguousarray(data["norm"], dtype="<f8").tobytes()
-    if codec.name == "signsgd":
-        negatives = (np.asarray(data["signs"]) < 0).astype(np.uint8)
-        packed = np.packbits(negatives).tobytes()
-        return packed + np.ascontiguousarray(data["scale"], dtype="<f8").tobytes()
-    raise ProtocolError(f"no wire packing for codec {codec.name!r}", code="bad_codec")
-
-
-def unpack_vector(codec: Codec | None, dim: int, data: bytes) -> EncodedVector:
-    """Parse the binary wire form back into an :class:`EncodedVector`.
-
-    Validates the byte count against the codec and declared dimension; the
-    semantic validation (index ranges, level bounds, sign values) lives in
-    :meth:`repro.systems.transport.Transport.decode`.
-    """
-    if dim < 0:
-        raise ProtocolError(f"negative vector dimension {dim}")
-    expected = payload_wire_bytes(codec, dim)
-    if len(data) != expected:
-        raise ProtocolError(
-            f"{'raw' if codec is None else codec.name} payload has "
-            f"{len(data)} bytes, expected {expected} for dim {dim}"
-        )
-    if codec is None or codec.name == "identity":
-        values = np.frombuffer(data, dtype="<f8").astype(np.float64)
-        name = "identity" if codec is not None else "raw"
-        wire = codec.wire_bytes(dim) if codec is not None else dim * 8
-        return EncodedVector(codec=name, dim=dim, wire_bytes=wire, data={"values": values})
-    if codec.name == "float16":
-        values = np.frombuffer(data, dtype="<f2").astype(np.float16)
-        return EncodedVector(
-            codec=codec.name,
-            dim=dim,
-            wire_bytes=codec.wire_bytes(dim),
-            data={"values": values},
-        )
-    if codec.name == "topk":
-        assert isinstance(codec, TopKCodec)
-        kept = codec.num_kept(dim)
-        indices = np.frombuffer(data[: kept * 4], dtype="<u4").astype(np.uint32)
-        values = np.frombuffer(data[kept * 4 :], dtype="<f4").astype(np.float32)
-        return EncodedVector(
-            codec=codec.name,
-            dim=dim,
-            wire_bytes=codec.wire_bytes(dim),
-            data={"indices": indices, "values": values},
-        )
-    if codec.name == "qsgd":
-        assert isinstance(codec, QSGDCodec)
-        bits = codec.bits_per_coordinate
-        split = len(data) - 8
-        ints = _unpack_bits(data[:split], bits, dim)
-        negatives = ints >> (bits - 1)
-        levels = (ints & ((1 << (bits - 1)) - 1)).astype(np.int32)
-        if np.any(levels > codec.levels):
-            raise ProtocolError(
-                f"qsgd payload carries a level above {codec.levels}"
-            )
-        signs = np.where(negatives, -1, 1).astype(np.int8)
-        norm = np.frombuffer(data[split:], dtype="<f8").astype(np.float64)
-        return EncodedVector(
-            codec=codec.name,
-            dim=dim,
-            wire_bytes=codec.wire_bytes(dim),
-            data={"levels": levels, "signs": signs, "norm": norm},
-        )
-    if codec.name == "signsgd":
-        split = len(data) - 8
-        bits_arr = np.unpackbits(np.frombuffer(data[:split], dtype=np.uint8), count=dim)
-        signs = np.where(bits_arr, -1, 1).astype(np.int8)
-        scale = np.frombuffer(data[split:], dtype="<f8").astype(np.float64)
-        return EncodedVector(
-            codec=codec.name,
-            dim=dim,
-            wire_bytes=codec.wire_bytes(dim),
-            data={"signs": signs, "scale": scale},
-        )
-    raise ProtocolError(f"no wire packing for codec {codec.name!r}", code="bad_codec")
+def _client(header: dict[str, Any], var_blobs: list[bytes]) -> ClientState:
+    """The client state both frame kinds carry (its dataset stays behind)."""
+    return ClientState(
+        client_id=_field(header, "client_id", int),
+        dataset=None,
+        variables=_unpack_named(header, "var", var_blobs),
+        rounds_participated=_field(header, "rounds_participated", int, 0),
+        local_work_done=_field(header, "local_work_done", int, 0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +255,16 @@ def unpack_vector(codec: Codec | None, dim: int, data: bytes) -> EncodedVector:
 # ---------------------------------------------------------------------------
 
 
-def encode_task(task_id: str, task) -> bytes:
+def encode_task(task_id: str, task: LocalUpdateTask) -> bytes:
     """Frame one :class:`~repro.systems.executor.LocalUpdateTask` for the wire.
 
     The global parameters, server-state vectors, and the client's persistent
     variables ship as raw float64 blobs; everything else rides in the header.
     Isolated executors hand tasks integer seeds, which JSON carries exactly.
     """
-    blobs: list[bytes] = []
-    state_keys = sorted(task.server_state)
-    var_keys = sorted(task.client.variables)
-    blobs.append(pack_array(task.global_params))
-    for key in state_keys:
-        blobs.append(pack_array(task.server_state[key]))
-    for key in var_keys:
-        blobs.append(pack_array(task.client.variables[key]))
+    state_fields, state_blobs = _pack_named("state", task.server_state)
+    var_fields, var_blobs = _pack_named("var", task.client.variables)
+    config = task.config
     header = {
         "kind": "task",
         "task_id": task_id,
@@ -356,74 +272,46 @@ def encode_task(task_id: str, task) -> bytes:
         "client_id": int(task.client.client_id),
         "round_index": int(task.round_index),
         "seed": int(task.rng),
-        "epochs": int(task.config.epochs),
-        "batch_size": None if task.config.batch_size is None else int(task.config.batch_size),
-        "learning_rate": hex_float(task.config.learning_rate),
+        "epochs": int(config.epochs),
+        "batch_size": None if config.batch_size is None else int(config.batch_size),
+        "learning_rate": hex_float(config.learning_rate),
         "rounds_participated": int(task.client.rounds_participated),
         "local_work_done": int(task.client.local_work_done),
         "params_shape": list(np.asarray(task.global_params).shape),
-        "state_keys": state_keys,
-        "state_shapes": [list(np.asarray(task.server_state[k]).shape) for k in state_keys],
-        "var_keys": var_keys,
-        "var_shapes": [list(np.asarray(task.client.variables[k]).shape) for k in var_keys],
+        **state_fields,
+        **var_fields,
     }
-    return pack_frame(header, blobs)
+    return pack_frame(header, [pack_array(task.global_params), *state_blobs, *var_blobs])
 
 
-def decode_task(header: dict[str, Any], blobs: list[bytes]) -> dict[str, Any]:
-    """Parse a task frame into plain fields plus reconstructed arrays."""
-    required = (
-        "task_id",
-        "client_index",
-        "client_id",
-        "round_index",
-        "seed",
-        "epochs",
-        "learning_rate",
-        "params_shape",
-        "state_keys",
-        "state_shapes",
-        "var_keys",
-        "var_shapes",
+def decode_task(
+    header: dict[str, Any], blobs: list[bytes]
+) -> tuple[str, LocalUpdateTask]:
+    """Parse a task frame back into ``(task_id, task)``.
+
+    The task's client carries no dataset — the worker binds its own copy.
+    """
+    split = 1 + len(_field(header, "state_keys", list))
+    if not blobs:
+        raise ProtocolError("task frame carries no parameter blob")
+    try:
+        config = LocalTrainingConfig(
+            epochs=_field(header, "epochs", int),
+            batch_size=_field(header, "batch_size", int, None),
+            learning_rate=unhex_float(_field(header, "learning_rate", str)),
+        )
+    except ConfigurationError as exc:
+        raise ProtocolError(f"task frame: {exc}") from None
+    task = LocalUpdateTask(
+        client_index=_field(header, "client_index", int),
+        client=_client(header, blobs[split:]),
+        global_params=unpack_array(blobs[0], header.get("params_shape")),
+        server_state=_unpack_named(header, "state", blobs[1:split]),
+        config=config,
+        round_index=_field(header, "round_index", int),
+        rng=_field(header, "seed", int),
     )
-    for key in required:
-        if key not in header:
-            raise ProtocolError(f"task frame missing field {key!r}")
-    state_keys = list(header["state_keys"])
-    var_keys = list(header["var_keys"])
-    expected_blobs = 1 + len(state_keys) + len(var_keys)
-    if len(blobs) != expected_blobs:
-        raise ProtocolError(
-            f"task frame carries {len(blobs)} blobs, expected {expected_blobs}"
-        )
-    params = unpack_array(blobs[0], tuple(header["params_shape"]))
-    server_state = {
-        key: unpack_array(blob, tuple(shape))
-        for key, shape, blob in zip(
-            state_keys, header["state_shapes"], blobs[1 : 1 + len(state_keys)]
-        )
-    }
-    variables = {
-        key: unpack_array(blob, tuple(shape))
-        for key, shape, blob in zip(
-            var_keys, header["var_shapes"], blobs[1 + len(state_keys) :]
-        )
-    }
-    return {
-        "task_id": str(header["task_id"]),
-        "client_index": int(header["client_index"]),
-        "client_id": int(header["client_id"]),
-        "round_index": int(header["round_index"]),
-        "seed": int(header["seed"]),
-        "epochs": int(header["epochs"]),
-        "batch_size": header.get("batch_size"),
-        "learning_rate": unhex_float(header["learning_rate"]),
-        "rounds_participated": int(header.get("rounds_participated", 0)),
-        "local_work_done": int(header.get("local_work_done", 0)),
-        "global_params": params,
-        "server_state": server_state,
-        "variables": variables,
-    }
+    return _field(header, "task_id", str), task
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +320,7 @@ def decode_task(header: dict[str, Any], blobs: list[bytes]) -> dict[str, Any]:
 
 
 def encode_submit(
-    task_id: str,
-    message,
-    client,
-    codec: Codec | None,
-    rng=None,
+    task_id: str, message: ClientMessage, client: ClientState, codec: Codec, rng=None
 ) -> bytes:
     """Frame one finished local update: codec-encoded payload + client vars.
 
@@ -445,26 +329,9 @@ def encode_submit(
     and re-derives the wire costs through its own transport, keeping the
     ledger identical to simulation.
     """
-    blobs: list[bytes] = []
     payload_keys = sorted(message.payload)
-    payload_meta = []
-    for key in payload_keys:
-        array = np.asarray(message.payload[key])
-        encoded = (
-            codec.encode(array.ravel(), rng=rng)
-            if codec is not None
-            else EncodedVector(
-                codec="raw",
-                dim=array.size,
-                wire_bytes=array.size * 8,
-                data={"values": np.asarray(array.ravel(), dtype=np.float64)},
-            )
-        )
-        blobs.append(pack_vector(codec, encoded))
-        payload_meta.append({"key": key, "shape": list(array.shape)})
-    var_keys = sorted(client.variables)
-    for key in var_keys:
-        blobs.append(pack_array(client.variables[key]))
+    arrays = [np.asarray(message.payload[key]) for key in payload_keys]
+    var_fields, var_blobs = _pack_named("var", client.variables)
     header = {
         "kind": "submit",
         "task_id": task_id,
@@ -472,79 +339,57 @@ def encode_submit(
         "num_samples": int(message.num_samples),
         "local_epochs": int(message.local_epochs),
         "train_loss": hex_float(message.train_loss),
-        "codec": codec.name if codec is not None else "raw",
-        "payload": payload_meta,
-        "var_keys": var_keys,
-        "var_shapes": [list(np.asarray(client.variables[k]).shape) for k in var_keys],
+        "codec": codec.name,
+        "payload": [
+            {"key": key, "shape": list(array.shape)}
+            for key, array in zip(payload_keys, arrays)
+        ],
+        **var_fields,
         "rounds_participated": int(client.rounds_participated),
         "local_work_done": int(client.local_work_done),
     }
-    return pack_frame(header, blobs)
+    blobs = [codec.pack(codec.encode(array.ravel(), rng=rng)) for array in arrays]
+    return pack_frame(header, blobs + var_blobs)
 
 
 def decode_submit(
-    header: dict[str, Any],
-    blobs: list[bytes],
-    transport,
-) -> dict[str, Any]:
-    """Parse and validate a submit frame against the server's transport.
+    header: dict[str, Any], blobs: list[bytes], codec: Codec
+) -> tuple[str, LocalUpdateOutcome, int]:
+    """Parse a submit frame into ``(task_id, outcome, payload_bytes)``.
 
-    Every payload vector is run through :meth:`Transport.decode` (or raw
-    float64 unpacking when the server runs without a codec), so malformed or
-    template-mismatched uploads surface as :class:`ProtocolError` here, at
-    the boundary, rather than corrupting aggregation.
+    Every payload vector goes through ``codec.unpack`` — length and
+    semantic validation — before ``codec.decode``, so malformed uploads
+    surface as :class:`ProtocolError` here, at the boundary, rather than
+    corrupting aggregation.  ``payload_bytes`` is the real size of the
+    codec-packed blobs.
     """
-    required = ("task_id", "client_id", "num_samples", "local_epochs",
-                "train_loss", "codec", "payload", "var_keys", "var_shapes")
-    for key in required:
-        if key not in header:
-            raise ProtocolError(f"submit frame missing field {key!r}")
-    codec = transport.codec if transport is not None else None
-    expected_name = codec.name if codec is not None else "raw"
-    if header["codec"] != expected_name:
+    if header.get("codec") != codec.name:
         raise ProtocolError(
-            f"submit encoded with codec {header['codec']!r}, server expects "
-            f"{expected_name!r}",
+            f"submit encoded with codec {header.get('codec')!r}, server expects "
+            f"{codec.name!r}",
             code="bad_codec",
         )
-    payload_meta = header["payload"]
-    if not isinstance(payload_meta, list):
-        raise ProtocolError("submit 'payload' must be a list of descriptors")
-    var_keys = list(header["var_keys"])
-    expected_blobs = len(payload_meta) + len(var_keys)
-    if len(blobs) != expected_blobs:
-        raise ProtocolError(
-            f"submit frame carries {len(blobs)} blobs, expected {expected_blobs}"
-        )
+    descriptors = _field(header, "payload", list)
     payload: dict[str, np.ndarray] = {}
     payload_bytes = 0
-    for meta, blob in zip(payload_meta, blobs[: len(payload_meta)]):
-        if not isinstance(meta, dict) or "key" not in meta or "shape" not in meta:
+    for meta, blob in zip(descriptors, blobs):
+        if not isinstance(meta, dict) or type(meta.get("key")) is not str:
             raise ProtocolError("submit payload descriptor must carry key and shape")
-        shape = tuple(int(s) for s in meta["shape"])
-        template = np.empty(shape, dtype=np.float64)
-        encoded = unpack_vector(codec, int(template.size), blob)
-        if transport is not None:
-            payload[str(meta["key"])] = transport.decode(encoded, template)
-        else:
-            values = np.asarray(encoded.data["values"], dtype=np.float64)
-            payload[str(meta["key"])] = values.reshape(shape)
+        shape = _shape(meta.get("shape"))
+        encoded = codec.unpack(math.prod(shape), blob)
+        payload[meta["key"]] = codec.decode(encoded).reshape(shape)
         payload_bytes += len(blob)
-    variables = {
-        key: unpack_array(blob, tuple(shape))
-        for key, shape, blob in zip(
-            var_keys, header["var_shapes"], blobs[len(payload_meta) :]
+    if len(payload) != len(descriptors):
+        raise ProtocolError(
+            f"submit frame carries {len(blobs)} blobs for {len(descriptors)} "
+            "payload vectors with distinct keys"
         )
-    }
-    return {
-        "task_id": str(header["task_id"]),
-        "client_id": int(header["client_id"]),
-        "num_samples": int(header["num_samples"]),
-        "local_epochs": int(header["local_epochs"]),
-        "train_loss": unhex_float(header["train_loss"]),
-        "payload": payload,
-        "payload_bytes": payload_bytes,
-        "variables": variables,
-        "rounds_participated": int(header.get("rounds_participated", 0)),
-        "local_work_done": int(header.get("local_work_done", 0)),
-    }
+    client = _client(header, blobs[len(descriptors) :])
+    message = ClientMessage(
+        client_id=client.client_id,
+        payload=payload,
+        num_samples=_field(header, "num_samples", int),
+        local_epochs=_field(header, "local_epochs", int),
+        train_loss=unhex_float(_field(header, "train_loss", str)),
+    )
+    return _field(header, "task_id", str), LocalUpdateOutcome(message, client), payload_bytes

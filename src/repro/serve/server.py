@@ -26,7 +26,8 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
   ``{"task": null, "done": ...}`` means the wait elapsed or the run ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
   Duplicate submissions of a finished task are idempotent
-  (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426.
+  (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426;
+  an exception that is not a :class:`ProtocolError` is answered 500.
 - ``GET /v1/status`` — JSON progress snapshot.
 - ``POST /v1/shutdown`` — JSON; asks the driver to stop after the current
   round.
@@ -38,6 +39,7 @@ import dataclasses
 import json
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,7 +47,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.algorithms import build_algorithm
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
 from repro.experiments.orchestrator import RunSpec
@@ -53,10 +54,9 @@ from repro.experiments.runner import build_simulation
 from repro.experiments.store import ExperimentStore
 from repro.federated.client import ClientState
 from repro.federated.engine import SimulationResult
-from repro.federated.evaluation import evaluate_model
-from repro.federated.messages import ClientMessage
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
+from repro.systems.compression import build_codec
 from repro.systems.executor import ClientExecutor, LocalUpdateOutcome, LocalUpdateTask
 from repro.systems.transport import Transport
 
@@ -106,8 +106,7 @@ class _Ticket:
 
     task_id: str
     frame: bytes
-    client_index: int
-    client_id: int
+    client: ClientState  #: as leased: what a submission is checked against
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
@@ -270,8 +269,7 @@ class RemoteExecutor(ClientExecutor):
                 _Ticket(
                     task_id=task_id,
                     frame=protocol.encode_task(task_id, task),
-                    client_index=task.client_index,
-                    client_id=int(task.client.client_id),
+                    client=task.client,
                 )
             )
         self.board.publish(tickets)
@@ -377,6 +375,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 protocol.http_status_for(exc), {"error": str(exc), "code": code}
             )
+        except Exception as exc:  # a bug, not a bad request: answer, don't die
+            traceback.print_exc()
+            self.app.metrics.counter("serve.errors.internal").inc()
+            self.close_connection = True
+            self._send_json(500, {"error": repr(exc), "code": "internal"})
 
 
 # --------------------------------------------------------------------------- #
@@ -417,12 +420,12 @@ class FederationServer:
         self.simulation = build_simulation(
             config, algorithm, executor=RemoteExecutor(self.board)
         )
-        if self.simulation.pipeline.transport is not None:
+        #: What submit payloads are packed with ("raw" float64 without one).
+        self.codec = build_codec(config.codec, **config.codec_kwargs)
+        if config.codec is not None:
             # Uploads arrive codec-encoded over HTTP; the pipeline must
             # account their wire cost without re-quantizing them.
-            self.simulation.pipeline.transport = WireAccountingTransport(
-                self.simulation.pipeline.transport.codec
-            )
+            self.simulation.pipeline.transport = WireAccountingTransport(self.codec)
         self.algorithm = self.simulation.algorithm
         self.model_dim = int(self.simulation.state.params.size)
         self.allowed_dims = set(
@@ -527,14 +530,14 @@ class FederationServer:
                 if self.store is not None:
                     self.store.save_result(
                         self.run_spec,
-                        self._snapshot_result(),
+                        sim.result(),
                         arrays=self._checkpoint_arrays(),
                     )
-            self.result = self._snapshot_result()
+            self.result = sim.result()
         except _Aborted:
             # stop() tore down the board mid-round; report what completed.
             try:
-                self.result = self._snapshot_result()
+                self.result = sim.result()
             except Exception:  # pragma: no cover - best-effort summary
                 pass
         except BaseException as exc:
@@ -546,44 +549,6 @@ class FederationServer:
             # After _done, so a worker parked in /v1/task wakes to
             # ``done: true`` at once instead of after the wait bound.
             self.board.close()
-
-    def _snapshot_result(self) -> SimulationResult:
-        """A :class:`SimulationResult` for the rounds completed so far.
-
-        Mirrors the tail of :meth:`FederatedSimulation.run`.
-        """
-        sim = self.simulation
-        final_evaluation = None
-        if len(sim.test_dataset) > 0:
-            if sim.state.evaluation_is_current():
-                final_evaluation = sim.state.last_evaluation
-            else:
-                final_evaluation = evaluate_model(
-                    sim.model,
-                    sim.loss,
-                    sim.state.params,
-                    sim.test_dataset,
-                    batch_size=sim.eval_batch_size,
-                )
-        metadata = {
-            "num_clients": len(sim.clients),
-            "batch_size": sim.batch_size,
-            "learning_rate": sim.learning_rate,
-            "executor": type(sim.executor).__name__,
-            "codec": None if sim.transport is None else sim.transport.codec.name,
-            **sim.plan.extra_metadata(sim),
-        }
-        return SimulationResult(
-            algorithm=sim.algorithm.name,
-            history=sim.history,
-            final_params=np.array(sim.state.params, copy=True),
-            ledger=sim.ledger,
-            final_evaluation=final_evaluation,
-            rounds_run=sim.state.rounds_run,
-            target_accuracy=None,
-            rounds_to_target=None,
-            metadata=metadata,
-        )
 
     def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
         """What a restarted server needs beyond the stored result.
@@ -713,8 +678,7 @@ class FederationServer:
             "protocol_version": protocol.PROTOCOL_VERSION,
             "config": dataclasses.asdict(self.config),
             "algorithm": {"name": self.spec.name, "kwargs": dict(self.spec.kwargs)},
-            "codec": None if self.simulation.transport is None
-            else self.simulation.transport.codec.name,
+            "codec": self.config.codec,
             "model_dim": self.model_dim,
             "num_rounds": self.num_rounds,
         }
@@ -738,46 +702,39 @@ class FederationServer:
             raise ProtocolError(
                 f"expected a submit frame, got kind={header.get('kind')!r}"
             )
-        decoded = protocol.decode_submit(header, blobs, self.simulation.transport)
-        ticket = self.board.client_of(decoded["task_id"])
-        if decoded["client_id"] != ticket.client_id:
+        task_id, outcome, payload_bytes = protocol.decode_submit(
+            header, blobs, self.codec
+        )
+        leased = self.board.client_of(task_id).client
+        if outcome.client.client_id != leased.client_id:
             raise ProtocolError(
-                f"submit for task {decoded['task_id']!r} names client "
-                f"{decoded['client_id']}, task belongs to {ticket.client_id}"
+                f"submit for task {task_id!r} names client "
+                f"{outcome.client.client_id}, task belongs to {leased.client_id}"
             )
-        for key, vector in decoded["payload"].items():
-            if int(np.asarray(vector).size) not in self.allowed_dims:
+        for key, vector in outcome.message.payload.items():
+            if vector.size not in self.allowed_dims:
                 raise ProtocolError(
-                    f"payload vector {key!r} has {np.asarray(vector).size} "
-                    f"scalars; the model template allows {sorted(self.allowed_dims)}"
+                    f"payload vector {key!r} has {vector.size} scalars; the "
+                    f"model template allows {sorted(self.allowed_dims)}"
                 )
-        message = ClientMessage(
-            client_id=decoded["client_id"],
-            payload=decoded["payload"],
-            num_samples=decoded["num_samples"],
-            local_epochs=decoded["local_epochs"],
-            train_loss=decoded["train_loss"],
-        )
-        client = ClientState(
-            client_id=decoded["client_id"],
-            dataset=None,
-            variables=decoded["variables"],
-            rounds_participated=decoded["rounds_participated"],
-            local_work_done=decoded["local_work_done"],
-        )
-        status = self.board.resolve(
-            decoded["task_id"], LocalUpdateOutcome(message=message, client=client)
-        )
+        # The variables replace the client's own after the round: they must
+        # be the variables that were leased, updated — not a new schema.
+        submitted = outcome.client.variables
+        shapes = {key: value.shape for key, value in submitted.items()}
+        own = {key: np.shape(value) for key, value in leased.variables.items()}
+        if shapes != own or not all(
+            np.isfinite(value).all() for value in submitted.values()
+        ):
+            raise ProtocolError(
+                f"submitted variables {shapes} must be finite and shaped like "
+                f"client {leased.client_id}'s own"
+            )
+        status = self.board.resolve(task_id, outcome)
         if status == "ok":
-            codec = (
-                "raw"
-                if self.simulation.transport is None
-                else self.simulation.transport.codec.name
+            self.metrics.counter(f"serve.payload_bytes.{self.codec.name}").inc(
+                payload_bytes
             )
-            self.metrics.counter(f"serve.payload_bytes.{codec}").inc(
-                decoded["payload_bytes"]
-            )
-        return {"status": status, "task_id": decoded["task_id"]}
+        return {"status": status, "task_id": task_id}
 
     def status_snapshot(self) -> dict:
         sim = self.simulation
@@ -799,7 +756,7 @@ class FederationServer:
             "duplicate_submissions": self.board.duplicates,
             "simulated_seconds": sim.history.total_simulated_seconds(),
             "round_latencies_s": list(self.round_latencies),
-            "codec": None if sim.transport is None else sim.transport.codec.name,
+            "codec": self.config.codec,
             "ledger": {
                 "upload_wire_bytes": sim.ledger.upload_wire_bytes,
                 "download_wire_bytes": sim.ledger.download_wire_bytes,
@@ -810,28 +767,3 @@ class FederationServer:
                 if name.startswith("serve.")
             },
         }
-
-
-def run_server(
-    config: ExperimentConfig,
-    algorithm: AlgorithmSpec,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    num_rounds: int | None = None,
-    lease_s: float = 30.0,
-    store_dir: str | None = None,
-    resume: bool = False,
-) -> FederationServer:
-    """Build, start, and return a :class:`FederationServer` (non-blocking)."""
-    server = FederationServer(
-        config,
-        algorithm,
-        host=host,
-        port=port,
-        num_rounds=num_rounds,
-        lease_s=lease_s,
-        store_dir=store_dir,
-        resume=resume,
-    )
-    server.start()
-    return server

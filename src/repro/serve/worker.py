@@ -27,18 +27,13 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from repro.algorithms import build_algorithm
-from repro.algorithms.base import LocalTrainingConfig
 from repro.exceptions import ProtocolError
 from repro.experiments.configs import ExperimentConfig
-from repro.experiments.runner import prepare_environment
-from repro.federated.client import ClientState
+from repro.experiments.runner import build_model_template, prepare_environment
 from repro.federated.local_problem import LocalProblem
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import build_model
 from repro.serve import protocol
 from repro.systems.compression import build_codec
 from repro.systems.executor import LocalUpdateTask, execute_task
-from repro.utils.rng import RngFactory
 
 
 class ServerClient:
@@ -100,63 +95,34 @@ class WorkerEnvironment:
         self.algorithm = build_algorithm(
             algorithm_spec["name"], **algorithm_spec.get("kwargs", {})
         )
-        _, clients, _ = prepare_environment(config)
-        self.clients = clients
-        model = build_model(
-            config.model,
-            rng=RngFactory(config.seed).make("model-init"),
-            **config.model_kwargs,
-        )
-        loss = CrossEntropyLoss()
+        _, self.clients, _ = prepare_environment(config)
+        model, loss = build_model_template(config)
         # One shared model template, mutated serially per task — the same
         # discipline as a ProcessPool worker running its tasks in order.
         self.problems = [
             LocalProblem(model=model, loss=loss, dataset=client.dataset)
-            for client in clients
+            for client in self.clients
         ]
-        self.codec = (
-            build_codec(config.codec, **config.codec_kwargs)
-            if config.codec is not None
-            else None
-        )
+        self.codec = build_codec(config.codec, **config.codec_kwargs)
 
-    def execute(self, task: dict[str, Any]) -> bytes:
-        """Run one decoded task frame; return the submit frame."""
-        index = task["client_index"]
+    def execute(self, task_id: str, task: LocalUpdateTask) -> bytes:
+        """Run one decoded task; return the submit frame."""
+        index = task.client_index
         if not 0 <= index < len(self.clients):
             raise ProtocolError(
                 f"task names client index {index}, population has "
                 f"{len(self.clients)} clients"
             )
-        client = ClientState(
-            client_id=task["client_id"],
-            dataset=self.clients[index].dataset,
-            variables=task["variables"],
-            rounds_participated=task["rounds_participated"],
-            local_work_done=task["local_work_done"],
-        )
-        update = LocalUpdateTask(
-            client_index=index,
-            client=client,
-            global_params=task["global_params"],
-            server_state=task["server_state"],
-            config=LocalTrainingConfig(
-                epochs=task["epochs"],
-                batch_size=task["batch_size"],
-                learning_rate=task["learning_rate"],
-            ),
-            round_index=task["round_index"],
-            rng=task["seed"],
-        )
-        outcome = execute_task(update, self.problems[index], self.algorithm)
+        task.client.dataset = self.clients[index].dataset
+        outcome = execute_task(task, self.problems[index], self.algorithm)
         # The encode rng only matters for QSGD's stochastic rounding; keying
         # it on the task seed makes a re-computed duplicate byte-identical.
         return protocol.encode_submit(
-            task["task_id"],
+            task_id,
             outcome.message,
             outcome.client,
             self.codec,
-            rng=np.random.default_rng(task["seed"]),
+            rng=np.random.default_rng(task.rng),
         )
 
 
@@ -183,14 +149,14 @@ def run_worker(
     url: str,
     max_tasks: int | None = None,
     poll_interval: float = 0.05,
-    delay_fn: Callable[[dict[str, Any]], float] | None = None,
+    delay_fn: Callable[[LocalUpdateTask], float] | None = None,
     stop_check: Callable[[], bool] | None = None,
     max_failures: int = 50,
     worker_id: str | None = None,
 ) -> int:
     """Serve one federation server until it reports done; returns tasks run.
 
-    ``delay_fn`` (decoded task dict → seconds) injects per-task latency —
+    ``delay_fn`` (decoded task → seconds) injects per-task latency —
     the load generator uses it to replay heterogeneous client compute/
     network profiles; fault tests use it to hold a task past its lease.
     ``stop_check`` lets an embedding thread ask the loop to exit early; it
@@ -224,11 +190,10 @@ def run_worker(
                 if status != 200 or payload.get("done"):
                     break
                 continue
-            header, blobs = protocol.unpack_frame(data)
-            task = protocol.decode_task(header, blobs)
+            task_id, task = protocol.decode_task(*protocol.unpack_frame(data))
             if delay_fn is not None:
                 time.sleep(max(0.0, delay_fn(task)))
-            frame = env.execute(task)
+            frame = env.execute(task_id, task)
             try:
                 client.post("/v1/submit", frame)
             except (http.client.HTTPException, OSError):

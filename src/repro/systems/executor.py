@@ -20,8 +20,9 @@ slim :class:`LocalUpdateTask`; the executor runs the batch and returns one
   that dominates the serial hot path; a round with fewer cohorts than
   workers deals each cohort evenly across them.  Every algorithm's
   ClientUpdate is written over a client axis, so all of them run stacked
-  on models with batched kernels; a per-client-only method (one that
-  overrides ``local_update``, so ``supports_batched`` reads false) or an
+  on models with batched kernels.  Nothing opts in or out by flag:
+  ``supports_batched`` is derived (false iff the class overrides
+  ``local_update`` — a per-client-only method), and such a method or an
   unbatchable model falls back to the serial per-task loop, so a
   vectorized run never changes *which* computation happens — only how it
   is scheduled.  RNG streams are consumed in task order,

@@ -8,9 +8,11 @@ deployment, while the returned wire-byte counts feed the
 :class:`~repro.federated.messages.CommunicationLedger` and the network time
 model.
 
-Downlink (server → client) traffic is shipped uncompressed float32 by
-default, matching common practice where broadcast bandwidth is cheap and
-only the many uplinks are compressed.
+Downlink (server → client) traffic is costed as uncompressed float32,
+matching common practice where broadcast bandwidth is cheap and only the
+many uplinks are compressed.  Payloads that arrive from another process
+are parsed and validated by the codec itself
+(:meth:`~repro.systems.compression.Codec.unpack`), not here.
 """
 
 from __future__ import annotations
@@ -19,15 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
-from repro.federated.messages import BYTES_PER_FLOAT, ClientMessage
-from repro.systems.compression import (
-    Codec,
-    EncodedVector,
-    IdentityCodec,
-    QSGDCodec,
-    TopKCodec,
-)
+from repro.federated.messages import ClientMessage
+from repro.systems.compression import Codec, IdentityCodec
 from repro.utils.rng import SeedLike
 
 
@@ -63,133 +58,9 @@ class Transport:
         )
         return compressed, wire_bytes
 
-    def decode(self, encoded: EncodedVector, template: np.ndarray) -> np.ndarray:
-        """Validated decode of one wire vector against a model template.
-
-        ``compress_message`` round-trips payloads inside a single process,
-        where shapes are trusted by construction.  ``decode`` is the
-        boundary-crossing path: the encoded vector arrived from another
-        process and every field must be checked against ``template`` (an
-        array with the expected shape) before the codec touches it.  Raises
-        :class:`~repro.exceptions.ProtocolError` on any mismatch instead of
-        silently reshaping or broadcasting.
-        """
-        template = np.asarray(template)
-        expected_dim = int(template.size)
-        if encoded.codec != self.codec.name:
-            raise ProtocolError(
-                f"payload codec {encoded.codec!r} does not match transport "
-                f"codec {self.codec.name!r}",
-                code="bad_codec",
-            )
-        if encoded.dim != expected_dim:
-            raise ProtocolError(
-                f"payload declares dim={encoded.dim} but the model template "
-                f"has {expected_dim} scalars (shape {template.shape})"
-            )
-        expected_bytes = self.codec.wire_bytes(expected_dim)
-        if encoded.wire_bytes != expected_bytes:
-            raise ProtocolError(
-                f"payload declares wire_bytes={encoded.wire_bytes} but a "
-                f"{self.codec.name} vector of dim {expected_dim} occupies "
-                f"{expected_bytes} bytes"
-            )
-        self._validate_data(encoded, expected_dim)
-        decoded = self.codec.decode(encoded)
-        if decoded.size != expected_dim:
-            raise ProtocolError(
-                f"decoded vector has {decoded.size} scalars, expected "
-                f"{expected_dim}"
-            )
-        return decoded.reshape(template.shape)
-
-    def _validate_data(self, encoded: EncodedVector, dim: int) -> None:
-        """Per-codec consistency checks on the raw wire arrays."""
-        data = encoded.data
-        name = self.codec.name
-
-        def _require(condition: bool, detail: str) -> None:
-            if not condition:
-                raise ProtocolError(f"invalid {name} payload: {detail}")
-
-        def _vector(key: str, size: int) -> np.ndarray:
-            _require(key in data, f"missing field {key!r}")
-            array = np.asarray(data[key])
-            _require(array.ndim == 1, f"{key!r} must be one-dimensional")
-            _require(
-                array.size == size,
-                f"{key!r} has {array.size} entries, expected {size}",
-            )
-            return array
-
-        if name in ("identity", "float16"):
-            values = _vector("values", dim)
-            _require(
-                np.issubdtype(values.dtype, np.floating),
-                f"'values' must be floating point, got {values.dtype}",
-            )
-        elif name == "topk":
-            assert isinstance(self.codec, TopKCodec)
-            kept = self.codec.num_kept(dim)
-            indices = _vector("indices", kept)
-            values = _vector("values", kept)
-            _require(
-                np.issubdtype(indices.dtype, np.integer),
-                f"'indices' must be integers, got {indices.dtype}",
-            )
-            _require(
-                np.issubdtype(values.dtype, np.floating),
-                f"'values' must be floating point, got {values.dtype}",
-            )
-            idx = indices.astype(np.int64)
-            _require(
-                bool(idx.size == 0 or (idx[0] >= 0 and idx[-1] < dim)),
-                "'indices' out of range for the template",
-            )
-            _require(
-                bool(np.all(np.diff(idx) > 0)) if idx.size > 1 else True,
-                "'indices' must be strictly increasing",
-            )
-        elif name == "qsgd":
-            assert isinstance(self.codec, QSGDCodec)
-            levels = _vector("levels", dim)
-            signs = _vector("signs", dim)
-            norm = _vector("norm", 1)
-            _require(
-                np.issubdtype(levels.dtype, np.integer),
-                f"'levels' must be integers, got {levels.dtype}",
-            )
-            _require(
-                bool(np.all((levels >= 0) & (levels <= self.codec.levels))),
-                f"'levels' must lie in [0, {self.codec.levels}]",
-            )
-            _require(
-                bool(np.all(np.abs(signs.astype(np.int64)) == 1)),
-                "'signs' must be +/-1",
-            )
-            _require(
-                bool(np.isfinite(norm[0]) and norm[0] >= 0),
-                "'norm' must be a finite non-negative scalar",
-            )
-        elif name == "signsgd":
-            signs = _vector("signs", dim)
-            scale = _vector("scale", 1)
-            _require(
-                bool(np.all(np.abs(signs.astype(np.int64)) == 1)),
-                "'signs' must be +/-1",
-            )
-            _require(
-                bool(np.isfinite(scale[0]) and scale[0] >= 0),
-                "'scale' must be a finite non-negative scalar",
-            )
-
     def upload_wire_bytes(self, num_floats: int) -> int:
         """Nominal post-compression bytes for an upload of ``num_floats`` scalars."""
         return self.codec.wire_bytes(num_floats)
-
-    def download_wire_bytes(self, num_floats: int) -> int:
-        """Downlink bytes for ``num_floats`` scalars (uncompressed float32)."""
-        return num_floats * BYTES_PER_FLOAT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Transport(codec={self.codec.name!r})"

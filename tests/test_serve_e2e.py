@@ -14,7 +14,10 @@ bytes in the HTTP bodies.  For float16 the packed payload equals the
 nominal ``codec.wire_bytes`` exactly; for identity the real float64 body
 is exactly twice the nominal float32 accounting.  Both relations are
 asserted against the server's byte counters, which measure the actual
-submit-frame payload blobs.
+submit-frame payload blobs — and every other registered codec (and no
+codec at all) crosses the socket too, its real bytes equal to
+``expected_real_bytes`` and, where encoding is deterministic, its history
+bit-identical to the in-process run.
 """
 
 from __future__ import annotations
@@ -115,6 +118,28 @@ def test_identity_codec_real_bytes_are_double_the_nominal():
     real_bytes = int(counters["serve.payload_bytes.identity"])
     assert real_bytes == 2 * networked.ledger.upload_wire_bytes
     assert real_bytes == expected_real_bytes(server)
+
+
+@pytest.mark.parametrize("codec", ["topk", "qsgd", "signsgd", None])
+def test_every_other_codec_crosses_the_socket(codec):
+    """Real submit bytes are the codec's ``packed_bytes``, per upload."""
+    config = preset_config("serve", codec=codec)
+    spec = AlgorithmSpec("fedadmm")
+    server, networked = serve_run(config, spec, rounds=2)
+    reference = reference_run(config, spec, rounds=2)
+
+    counters = server.metrics.snapshot()["counters"]
+    real_bytes = int(counters[f"serve.payload_bytes.{codec or 'raw'}"])
+    assert real_bytes == expected_real_bytes(server) > 0
+    assert networked.metadata["codec"] == codec
+    assert dataclasses.asdict(networked.ledger) == dataclasses.asdict(reference.ledger)
+    assert server.metrics.counter("serve.errors.malformed").value == 0
+    if codec == "qsgd":
+        # Stochastic rounding: the worker draws from the task seed, the
+        # in-process transport from its own stream.  Same cost, other bits.
+        assert len(networked.history.records) == len(reference.history.records)
+    else:
+        assert_bit_identical(networked, reference)
 
 
 def test_networked_run_with_more_workers_than_tasks_is_identical():

@@ -151,7 +151,7 @@ def test_real_time_straggler_cannot_perturb_staleness_weighting(mode):
     server.start()
 
     def straggle(task):
-        return 0.3 if task["client_index"] == 0 else 0.0
+        return 0.3 if task.client_index == 0 else 0.0
 
     workers = [
         threading.Thread(

@@ -1,41 +1,53 @@
 """Wire-protocol tests for the serve layer.
 
-Three concerns, each pinned independently of the networked e2e suite:
+Four concerns, each pinned independently of the networked e2e suite:
 
 * **Round-trips** — hypothesis drives every codec's encoded form through
-  :func:`~repro.serve.protocol.pack_vector` / ``unpack_vector`` and whole
-  frames through ``pack_frame`` / ``unpack_frame``, asserting the binary
-  wire form reproduces the in-memory representation exactly (bit-exact
-  floats, identical support, identical signs).
-* **Rejection** — malformed, truncated, and oversized frames raise
-  :class:`~repro.exceptions.ProtocolError` with the documented machine
-  codes, and a live server maps those codes onto the right HTTP statuses
-  (400/404/413/426), refusing version-mismatched handshakes.
-* **Transport.decode** — the boundary-crossing decode validates payload
-  dtype/shape/support against the model template and raises instead of
-  silently reshaping; a regression pin for the transport fix.
+  its own :meth:`~repro.systems.compression.Codec.pack` / ``unpack`` and
+  whole frames through ``pack_frame`` / ``unpack_frame``, asserting the
+  binary wire form reproduces the in-memory representation exactly
+  (bit-exact floats, identical support, identical signs).
+* **Format** — the sha256 of one fixed task frame and one fixed submit frame
+  per codec, recorded on the commit before codecs owned their bytes
+  (``fd19288``): a refactor of the packing code must not move a byte.
+* **Rejection** — the decoders are *total*: over arbitrary bytes and over
+  field-mutated valid frames, ``unpack_frame``, ``decode_task``,
+  ``decode_submit`` and every ``Codec.unpack`` return or raise
+  :class:`~repro.exceptions.ProtocolError`, nothing else; forged payload
+  bytes (bad top-k support, out-of-range QSGD levels, non-finite scales)
+  are refused at ``unpack``; and a live server maps the error codes onto
+  the right HTTP statuses (400/404/413/426), refusing version-mismatched
+  handshakes.
+* **The population is guarded** — a submission whose persistent variables
+  do not match the leased client's own is answered 400 and merged nowhere.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.base import LocalTrainingConfig
 from repro.exceptions import ProtocolError
-from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.experiments.configs import AlgorithmSpec, ExperimentConfig, preset_config
+from repro.federated.client import ClientState
+from repro.federated.messages import ClientMessage
 from repro.serve import protocol
 from repro.systems.compression import (
-    EncodedVector,
+    CODEC_REGISTRY,
     Float16Codec,
     IdentityCodec,
     QSGDCodec,
     SignSGDCodec,
     TopKCodec,
+    build_codec,
 )
-from repro.systems.transport import Transport
+from repro.systems.executor import LocalUpdateTask
 
 finite_floats = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False, width=64
@@ -48,7 +60,7 @@ vectors = st.lists(finite_floats, min_size=1, max_size=64).map(
 
 def all_codecs():
     return [
-        None,  # the raw float64 path used when the server runs codec-free
+        build_codec(None),  # "raw": float64, what a codec-free server speaks
         IdentityCodec(),
         Float16Codec(),
         TopKCodec(fraction=0.3),
@@ -59,15 +71,11 @@ def all_codecs():
     ]
 
 
-def encode(codec, values, rng):
-    if codec is None:
-        return EncodedVector(
-            codec="raw",
-            dim=values.size,
-            wire_bytes=values.size * 8,
-            data={"values": np.asarray(values, dtype=np.float64)},
-        )
-    return codec.encode(values, rng=rng)
+def codec_id(codec):
+    return f"{codec.name}-{getattr(codec, 'k', '')}{getattr(codec, 'levels', '')}"
+
+
+every_codec = pytest.mark.parametrize("codec", all_codecs(), ids=codec_id)
 
 
 # --------------------------------------------------------------------------- #
@@ -75,37 +83,36 @@ def encode(codec, values, rng):
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize(
-    "codec", all_codecs(), ids=lambda c: "raw" if c is None else repr(c)
-)
+@every_codec
 @given(values=vectors, seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_vector_wire_roundtrip_is_exact(codec, values, seed):
-    """pack_vector → unpack_vector reproduces every codec field bit-exactly."""
-    encoded = encode(codec, values, np.random.default_rng(seed))
-    wire = protocol.pack_vector(codec, encoded)
-    assert len(wire) == protocol.payload_wire_bytes(codec, values.size)
-    decoded = protocol.unpack_vector(codec, values.size, wire)
-    assert decoded.codec == encoded.codec
+    """pack → unpack reproduces every codec field bit-exactly."""
+    encoded = codec.encode(values, rng=np.random.default_rng(seed))
+    wire = codec.pack(encoded)
+    assert len(wire) == codec.packed_bytes(values.size)
+    decoded = codec.unpack(values.size, wire)
+    assert decoded.codec == encoded.codec == codec.name
     assert decoded.dim == encoded.dim
     assert decoded.wire_bytes == encoded.wire_bytes
     assert set(decoded.data) == set(encoded.data)
     for key, original in encoded.data.items():
-        assert np.array_equal(
-            np.asarray(decoded.data[key], dtype=np.float64),
-            np.asarray(original, dtype=np.float64),
-        ), key
-    if codec is not None:
-        assert np.array_equal(codec.decode(decoded), codec.decode(encoded))
+        assert decoded.data[key].dtype == original.dtype, key
+        assert np.array_equal(decoded.data[key], original), key
+    assert np.array_equal(codec.decode(decoded), codec.decode(encoded))
 
 
-@given(values=vectors)
-@settings(max_examples=25, deadline=None)
-def test_float16_wire_bytes_match_ledger_exactly(values):
-    """float16 is the codec whose real packed bytes equal the nominal ones."""
-    codec = Float16Codec()
-    wire = protocol.pack_vector(codec, codec.encode(values))
-    assert len(wire) == codec.wire_bytes(values.size)
+@pytest.mark.parametrize("dim", [0, 1, 7, 8, 9, 1000])
+@every_codec
+def test_packed_bytes_against_the_nominal_wire_bytes(codec, dim):
+    """The documented gaps: x2 for identity/raw, +4 for qsgd/signsgd, else 0."""
+    gap = codec.packed_bytes(dim) - codec.wire_bytes(dim)
+    if isinstance(codec, IdentityCodec):
+        assert codec.packed_bytes(dim) == 2 * codec.wire_bytes(dim) == 8 * dim
+    elif isinstance(codec, (QSGDCodec, SignSGDCodec)):
+        assert gap == 4
+    else:
+        assert gap == 0
 
 
 @given(value=st.floats(allow_nan=True, allow_infinity=True, width=64))
@@ -196,105 +203,348 @@ def test_error_code_to_http_status_table():
 
 
 # --------------------------------------------------------------------------- #
-# Transport.decode validation (regression pin for the silent-reshape fix)
+# Format pins: the frames are byte-for-byte what fd19288 emitted
+# --------------------------------------------------------------------------- #
+
+TASK_ID = "r4-c3-9"
+
+
+def fixed_task_and_message():
+    """One task and its upload, from one seed (the recording used the same)."""
+    rng = np.random.default_rng(20240519)
+    d = 37
+    client = ClientState(
+        client_id=3,
+        dataset=None,
+        variables={"w": rng.normal(size=d), "y": rng.normal(size=(d, 1))},
+        rounds_participated=2,
+        local_work_done=5,
+    )
+    task = LocalUpdateTask(
+        client_index=3,
+        client=client,
+        global_params=rng.normal(size=d),
+        server_state={"control": rng.normal(size=d)},
+        config=LocalTrainingConfig(epochs=2, batch_size=16, learning_rate=0.05),
+        round_index=4,
+        rng=123456789,
+    )
+    message = ClientMessage(
+        client_id=3,
+        payload={"delta": rng.normal(size=d), "aux": rng.normal(size=(3, 5))},
+        num_samples=40,
+        local_epochs=2,
+        train_loss=0.75,
+    )
+    return task, message
+
+
+def submit_frame(codec):
+    task, message = fixed_task_and_message()
+    return protocol.encode_submit(
+        TASK_ID, message, task.client, codec, rng=np.random.default_rng(7)
+    )
+
+
+#: sha256 of the frames `encode_task` / `encode_submit` produced at fd19288
+#: (through `pack_vector`, before codecs packed themselves) for the fixture
+#: above.  PROTOCOL_VERSION is still 1: these never change without a bump.
+FRAME_PINS = {
+    "task": "df2422e97f8e9bea6703f8586a5e4fa3f8681da800a7c54329647d8327c12fbd",
+    "raw": "fb90aa38fa0c40202cba4550df92ced74347f2d95077328b01c69973414f5f95",
+    "identity": "a522c087bb0ebab8d5c8a3abbd77d98273555a61e4c71662ef5148060a2a07c9",
+    "float16": "235520393c232c8129b7cb84eba021177e3e9b4fcb5ca0969b83cb33caae5a12",
+    "topk": "a51d164a5e15f8830332a3941715cb81cffd20e53099a8de4cbcb172ee694218",
+    "qsgd": "c870cf89af240814707dc7b1e863e6784ec621105c8572736545a4e942dad658",
+    "signsgd": "c13f088c11dec14fade387e2dd1344d41ca8e0b9d9c23f03fc7ab557a2b2e8f0",
+    "topk-k2": "4c8b2d27d9a918d12df10d4e2c758060997ecff02b2e0e81720424ffbe46f345",
+    "qsgd-5": "d9cda6022de4429eef2b39b38118d50cb2aaf801ae9b7db2d0418dc11dcda1ed",
+}
+
+
+def test_protocol_version_is_still_one():
+    assert protocol.PROTOCOL_VERSION == 1
+
+
+def test_task_frame_bytes_are_pinned():
+    task, _ = fixed_task_and_message()
+    frame = protocol.encode_task(TASK_ID, task)
+    assert hashlib.sha256(frame).hexdigest() == FRAME_PINS["task"]
+
+
+@pytest.mark.parametrize(
+    "pin, codec",
+    [(name, build_codec(name)) for name in sorted(CODEC_REGISTRY)]
+    + [
+        ("raw", build_codec(None)),
+        ("topk-k2", TopKCodec(k=2, fraction=None)),
+        ("qsgd-5", QSGDCodec(levels=5)),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_submit_frame_bytes_are_pinned(pin, codec):
+    assert hashlib.sha256(submit_frame(codec)).hexdigest() == FRAME_PINS[pin]
+
+
+# --------------------------------------------------------------------------- #
+# Frame codecs are symmetric: a task in, a task out
 # --------------------------------------------------------------------------- #
 
 
-def test_transport_decode_roundtrips_valid_payload():
-    transport = Transport(Float16Codec())
-    template = np.zeros((3, 4))
-    values = np.linspace(-1, 1, template.size)
-    encoded = transport.codec.encode(values)
-    decoded = transport.decode(encoded, template)
-    assert decoded.shape == template.shape
-    assert np.array_equal(decoded.ravel(), transport.codec.decode(encoded))
+def assert_same_arrays(decoded, original):
+    assert sorted(decoded) == sorted(original)
+    for key, value in original.items():
+        assert decoded[key].shape == np.shape(value), key
+        assert decoded[key].tobytes() == np.asarray(value).tobytes(), key
 
 
-def test_transport_decode_rejects_wrong_codec_name():
-    transport = Transport(Float16Codec())
-    encoded = IdentityCodec().encode(np.ones(4))
+def test_decode_task_returns_the_task_that_was_encoded():
+    task, _ = fixed_task_and_message()
+    header, blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
+    task_id, decoded = protocol.decode_task(header, blobs)
+    assert task_id == TASK_ID
+    assert isinstance(decoded, LocalUpdateTask)
+    assert decoded.config == task.config
+    assert (decoded.client_index, decoded.round_index, decoded.rng) == (3, 4, 123456789)
+    assert decoded.global_params.tobytes() == task.global_params.tobytes()
+    assert_same_arrays(decoded.server_state, task.server_state)
+    client = decoded.client
+    assert (client.client_id, client.rounds_participated, client.local_work_done) == (3, 2, 5)
+    assert client.dataset is None  # the worker binds its own copy
+    assert_same_arrays(client.variables, task.client.variables)
+
+
+@every_codec
+def test_decode_submit_returns_the_outcome_and_its_real_bytes(codec):
+    task, message = fixed_task_and_message()
+    header, blobs = protocol.unpack_frame(submit_frame(codec))
+    task_id, outcome, payload_bytes = protocol.decode_submit(header, blobs, codec)
+    assert task_id == TASK_ID
+    assert payload_bytes == codec.packed_bytes(37) + codec.packed_bytes(15)
+    assert payload_bytes == sum(len(blob) for blob in blobs[:2])
+    decoded = outcome.message
+    assert (decoded.client_id, decoded.num_samples, decoded.local_epochs) == (3, 40, 2)
+    assert decoded.train_loss == 0.75
+    # Exactly one codec application (keys in sorted order on one rng), and
+    # every vector back in its own shape.
+    rng = np.random.default_rng(7)
+    for key in sorted(message.payload):
+        vector = message.payload[key]
+        expected = codec.decode(codec.encode(vector.ravel(), rng=rng))
+        assert decoded.payload[key].shape == vector.shape
+        assert np.array_equal(decoded.payload[key].ravel(), expected)
+    assert_same_arrays(outcome.client.variables, task.client.variables)
+    assert (outcome.client.rounds_participated, outcome.client.local_work_done) == (2, 5)
+
+
+def test_decode_submit_refuses_another_codecs_frame():
+    header, blobs = protocol.unpack_frame(submit_frame(IdentityCodec()))
     with pytest.raises(ProtocolError) as excinfo:
-        transport.decode(encoded, np.zeros(4))
+        protocol.decode_submit(header, blobs, Float16Codec())
     assert excinfo.value.code == "bad_codec"
 
 
-def test_transport_decode_rejects_dim_mismatch_instead_of_reshaping():
-    """The old path reshaped whatever arrived; dim mismatches must now raise."""
-    transport = Transport(IdentityCodec())
-    encoded = transport.codec.encode(np.ones(6))
+# --------------------------------------------------------------------------- #
+# Forged payload bytes are refused by the codec that owns the format
+# --------------------------------------------------------------------------- #
+
+
+def f64(value):
+    return struct.pack("<d", value)
+
+
+def test_unpack_rejects_a_length_that_does_not_fit_the_declared_dim():
+    """Six float64s declared as eight scalars: refused, never reshaped."""
+    codec = IdentityCodec()
+    wire = codec.pack(codec.encode(np.ones(6)))
     with pytest.raises(ProtocolError):
-        transport.decode(encoded, np.zeros((2, 4)))  # 8 scalars != 6
-
-
-def test_transport_decode_rejects_wire_byte_lie():
-    transport = Transport(Float16Codec())
-    encoded = transport.codec.encode(np.ones(4))
-    forged = EncodedVector(
-        codec=encoded.codec, dim=encoded.dim, wire_bytes=1, data=encoded.data
-    )
+        codec.unpack(8, wire)
     with pytest.raises(ProtocolError):
-        transport.decode(forged, np.zeros(4))
+        codec.unpack(-1, b"")
 
 
-def test_transport_decode_rejects_non_float_values():
-    transport = Transport(IdentityCodec())
-    encoded = transport.codec.encode(np.ones(4))
-    forged = EncodedVector(
-        codec=encoded.codec,
-        dim=4,
-        wire_bytes=encoded.wire_bytes,
-        data={"values": np.ones(4, dtype=np.int64)},
-    )
-    with pytest.raises(ProtocolError):
-        transport.decode(forged, np.zeros(4))
-
-
-def test_transport_decode_rejects_bad_topk_indices():
-    codec = TopKCodec(k=2)
-    transport = Transport(codec)
-    encoded = codec.encode(np.array([5.0, -4.0, 3.0, 1.0]))
-    for indices in ([3, 3], [1, 0], [2, 99]):  # duplicate, unsorted, out of range
-        forged = EncodedVector(
-            codec=codec.name,
-            dim=4,
-            wire_bytes=encoded.wire_bytes,
-            data={
-                "indices": np.array(indices, dtype=np.uint32),
-                "values": np.asarray(encoded.data["values"]),
-            },
-        )
+@every_codec
+def test_unpack_rejects_padded_and_truncated_bytes(codec):
+    wire = codec.pack(codec.encode(np.linspace(-1, 1, 12), rng=0))
+    for forged in (wire + b"\x00", wire[:-1]):
         with pytest.raises(ProtocolError):
-            transport.decode(forged, np.zeros(4))
+            codec.unpack(12, forged)
 
 
-def test_transport_decode_rejects_qsgd_out_of_range():
-    codec = QSGDCodec(levels=4)
-    transport = Transport(codec)
-    encoded = codec.encode(np.ones(4), rng=np.random.default_rng(0))
-    bad = {
-        "levels": np.array([99, 0, 0, 0]),
-        "signs": np.asarray(encoded.data["signs"]),
-        "norm": np.asarray(encoded.data["norm"]),
-    }
-    forged = EncodedVector(
-        codec=codec.name, dim=4, wire_bytes=encoded.wire_bytes, data=bad
-    )
-    with pytest.raises(ProtocolError):
-        transport.decode(forged, np.zeros(4))
+def test_unpack_fixes_the_dtype_whatever_bytes_arrive():
+    """int64 ones on the wire are read as (denormal) float64s, not as ints."""
+    values = IdentityCodec().unpack(4, np.ones(4, dtype="<i8").tobytes()).data["values"]
+    assert values.dtype == np.float64 and values.shape == (4,)
+    assert Float16Codec().unpack(4, b"\x01" * 8).data["values"].dtype == np.float16
 
 
-def test_transport_decode_rejects_signsgd_bad_signs():
+@pytest.mark.parametrize("indices", [[3, 3], [1, 0], [2, 99]])
+def test_unpack_rejects_bad_topk_indices(indices):
+    """Duplicate, unsorted and out-of-range support."""
+    codec = TopKCodec(k=2)
+    good = codec.pack(codec.encode(np.array([5.0, -4.0, 3.0, 1.0])))
+    assert codec.unpack(4, good).data["indices"].tolist() == [0, 1]
+    forged = np.array(indices, dtype="<u4").tobytes() + good[8:]
+    with pytest.raises(ProtocolError, match="indices"):
+        codec.unpack(4, forged)
+
+
+def test_unpack_rejects_qsgd_out_of_range():
+    codec = QSGDCodec(levels=4)  # 4 bits a coordinate: sign + a level up to 7
+    assert codec.bits_per_coordinate == 4
+    assert codec.unpack(4, bytes([0x4C, 0x00]) + f64(2.0)).data["levels"].tolist() == [4, 4, 0, 0]
+    with pytest.raises(ProtocolError, match="levels"):
+        codec.unpack(4, bytes([0x70, 0x00]) + f64(2.0))  # level 7 > 4
+    for norm in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ProtocolError, match="norm"):
+            codec.unpack(4, bytes([0x40, 0x00]) + f64(norm))
+
+
+def test_unpack_rejects_signsgd_bad_scale():
+    """The sign bits cannot be forged (a bit is +1 or -1); the scale can."""
     codec = SignSGDCodec()
-    transport = Transport(codec)
-    encoded = codec.encode(np.array([1.0, -2.0, 3.0]))
-    forged = EncodedVector(
-        codec=codec.name,
-        dim=3,
-        wire_bytes=encoded.wire_bytes,
-        data={"signs": np.array([1, 0, -1]), "scale": np.asarray(encoded.data["scale"])},
-    )
+    assert codec.unpack(3, bytes([0b01000000]) + f64(0.5)).data["signs"].tolist() == [1, -1, 1]
+    for scale in (-0.5, float("nan"), float("-inf")):
+        with pytest.raises(ProtocolError, match="scale"):
+            codec.unpack(3, bytes([0b01000000]) + f64(scale))
+
+
+# --------------------------------------------------------------------------- #
+# The decoders are total: ProtocolError or a value, whatever arrives
+# --------------------------------------------------------------------------- #
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-3, max_value=40)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def decode_whatever(header, blobs, codec):
+    """Both decoders over one frame; anything but ProtocolError escapes."""
+    for decode in (
+        lambda: protocol.decode_task(header, blobs),
+        lambda: protocol.decode_submit(header, blobs, codec),
+    ):
+        try:
+            decode()
+        except ProtocolError:
+            pass
+
+
+@given(data=st.binary(max_size=256))
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_bytes_only_raise_protocol_error(data):
+    for frame in (data, protocol.pack_frame({})[: protocol._HEADER_STRUCT.size] + data):
+        try:
+            header, blobs = protocol.unpack_frame(frame)
+        except ProtocolError:
+            continue
+        decode_whatever(header, blobs, Float16Codec())
+
+
+@given(
+    header=st.dictionaries(st.text(max_size=12), json_values, max_size=8),
+    blobs=st.lists(st.binary(max_size=64), max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_headers_only_raise_protocol_error(header, blobs):
+    restored, restored_blobs = protocol.unpack_frame(protocol.pack_frame(header, blobs))
+    decode_whatever(restored, restored_blobs, IdentityCodec())
+
+
+def valid_frames():
+    task, _ = fixed_task_and_message()
+    frames = [(Float16Codec(), protocol.encode_task(TASK_ID, task))]
+    frames += [(codec, submit_frame(codec)) for codec in all_codecs()]
+    return [(codec, *protocol.unpack_frame(frame)) for codec, frame in frames]
+
+
+@given(
+    frame=st.sampled_from(valid_frames()),
+    field=st.integers(min_value=0, max_value=30),
+    value=json_values,
+    nested=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_field_mutated_frames_only_raise_protocol_error(frame, field, value, nested):
+    """One header field of a valid frame replaced by arbitrary JSON."""
+    codec, header, blobs = frame
+    keys = sorted(header)
+    key = keys[field % len(keys)]
+    mutated = dict(header)
+    if nested and isinstance(header[key], list) and header[key]:
+        # Reach inside: one shape, one key, one payload descriptor.
+        mutated[key] = [value, *header[key][1:]]
+    else:
+        mutated[key] = value
+    restored, _ = protocol.unpack_frame(protocol.pack_frame(mutated, blobs))
+    decode_whatever(restored, blobs, codec)
+
+
+@given(
+    frame=st.sampled_from(valid_frames()),
+    index=st.integers(min_value=0, max_value=8),
+    blob=st.binary(max_size=400),
+    drop=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_blob_mutated_frames_only_raise_protocol_error(frame, index, blob, drop):
+    codec, header, blobs = frame
+    mutated = list(blobs)
+    if drop:
+        del mutated[index % len(mutated)]
+    else:
+        mutated[index % len(mutated)] = blob
+    decode_whatever(header, mutated, codec)
+
+
+@every_codec
+@given(dim=st.integers(min_value=-2, max_value=40), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_codec_unpack_only_raises_protocol_error(codec, dim, data):
+    """Arbitrary bytes — of the right length too, to get past the size check."""
+    right = codec.packed_bytes(dim) if dim >= 0 else 0
+    blob = data.draw(st.binary(max_size=64) | st.binary(min_size=right, max_size=right))
+    try:
+        encoded = codec.unpack(dim, blob)
+    except ProtocolError:
+        return
+    assert codec.decode(encoded).shape == (dim,)  # what unpack accepts, decode can take
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("params_shape", "37"),
+        ("params_shape", [-37]),
+        ("params_shape", [3.5]),
+        ("params_shape", [2**62, 2**62]),
+        ("state_keys", "control"),
+        ("state_shapes", [[37], [37]]),
+        ("var_keys", ["w", "y", "z"]),  # zip() used to drop the third silently
+        ("var_keys", ["w", "w"]),
+        ("client_id", "3"),
+        ("client_index", -1),
+        ("seed", 1.5),
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("learning_rate", 0.05),
+        ("learning_rate", "0x1p99999"),
+        ("task_id", 9),
+    ],
+)
+def test_decode_task_turns_every_bad_field_into_a_protocol_error(field, value):
+    task, _ = fixed_task_and_message()
+    header, blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
     with pytest.raises(ProtocolError):
-        transport.decode(forged, np.zeros(3))
+        protocol.decode_task({**header, field: value}, blobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -405,26 +655,37 @@ def test_server_refuses_bad_content_length_with_400(live_server, declared):
         conn.close()
 
 
-def test_duplicate_delta_submission_is_idempotent():
-    """The same submit frame twice: first 'ok', second 'duplicate', one count."""
+def _leased_task(algorithm):
+    """A one-round server, a handshaken worker environment and one leased task."""
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient, WorkerEnvironment, handshake
 
     config = preset_config("serve").with_overrides(num_rounds=1)
-    server = FederationServer(config, AlgorithmSpec("fedavg"), num_rounds=1)
+    server = FederationServer(config, AlgorithmSpec(algorithm), num_rounds=1)
     server.start()
     client = ServerClient(server.url)
-    try:
-        info = handshake(client, worker_id="dup-test")
-        from repro.experiments.configs import ExperimentConfig
+    info = handshake(client, worker_id="protocol-test")
+    env = WorkerEnvironment(
+        ExperimentConfig.from_record(info["config"]), info["algorithm"]
+    )
+    status, content_type, data = client.post("/v1/task", b"")
+    assert status == 200 and not content_type.startswith("application/json")
+    return server, client, env, protocol.unpack_frame(data)
 
-        env = WorkerEnvironment(
-            ExperimentConfig.from_record(info["config"]), info["algorithm"]
-        )
-        status, content_type, data = client.post("/v1/task", b"")
-        assert status == 200 and not content_type.startswith("application/json")
-        header, blobs = protocol.unpack_frame(data)
-        frame = env.execute(protocol.decode_task(header, blobs))
+
+@pytest.fixture
+def leased_fedadmm_task():
+    server, client, env, frame = _leased_task("fedadmm")
+    yield server, client, env, frame
+    client.close()
+    server.stop()
+
+
+def test_duplicate_delta_submission_is_idempotent():
+    """The same submit frame twice: first 'ok', second 'duplicate', one count."""
+    server, client, env, (header, blobs) = _leased_task("fedavg")
+    try:
+        frame = env.execute(*protocol.decode_task(header, blobs))
 
         status, _, first = client.post("/v1/submit", frame)
         assert status == 200 and json.loads(first)["status"] == "ok"
@@ -444,3 +705,109 @@ def test_duplicate_delta_submission_is_idempotent():
     finally:
         client.close()
         server.stop()
+
+
+def _forge_variables(header, blobs, forgery):
+    """A submit frame whose persistent variables were tampered with."""
+    first_var = len(header["payload"])  # payload blobs come first
+    header, blobs = dict(header), list(blobs)
+    if forgery == "renamed":
+        header["var_keys"] = ["v", *header["var_keys"][1:]]
+    elif forgery == "extra":
+        header["var_keys"] = [*header["var_keys"], "z"]
+        header["var_shapes"] = [*header["var_shapes"], [2]]
+        blobs.append(protocol.pack_array(np.ones(2)))
+    elif forgery == "missing":
+        header["var_keys"] = header["var_keys"][:-1]
+        header["var_shapes"] = header["var_shapes"][:-1]
+        del blobs[-1]
+    elif forgery == "reshaped":
+        (dim,) = header["var_shapes"][0]
+        header["var_shapes"] = [[dim - 1], *header["var_shapes"][1:]]
+        blobs[first_var] = blobs[first_var][:-8]
+    elif forgery == "non-finite":
+        blobs[first_var] = struct.pack("<d", float("nan")) + blobs[first_var][8:]
+    return protocol.pack_frame(header, blobs)
+
+
+@pytest.mark.parametrize(
+    "forgery", ["renamed", "extra", "missing", "reshaped", "non-finite"]
+)
+def test_submitted_variables_must_match_the_leased_clients_own(
+    leased_fedadmm_task, forgery
+):
+    """Regression: these were answered ``200 ok`` and merged into the population;
+    the client's next task then died of a ``ShapeError`` in whichever worker
+    leased it, round after reclaimed round."""
+    server, client, env, (header, blobs) = leased_fedadmm_task
+    task_id, task = protocol.decode_task(header, blobs)
+    leased = server.simulation.clients[task.client_index]
+    before = {key: value.tobytes() for key, value in leased.variables.items()}
+    assert sorted(before) == ["w", "y"]
+    honest = env.execute(task_id, task)
+
+    errors = server.metrics.counter("serve.errors.malformed")
+    refused = errors.value
+    forged = _forge_variables(*protocol.unpack_frame(honest), forgery)
+    status, _, reply = client.post("/v1/submit", forged)
+    assert status == 400 and json.loads(reply)["code"] == "malformed"
+    assert errors.value == refused + 1
+    # Nothing was resolved, nothing merged: the task is still out on lease.
+    assert server.board.client_of(task_id).state == "leased"
+    assert {k: v.tobytes() for k, v in leased.variables.items()} == before
+
+    status, _, reply = client.post("/v1/submit", honest)
+    assert status == 200 and json.loads(reply)["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("client_id", "zero"),
+        ("num_samples", None),
+        ("var_keys", "w"),
+        ("var_keys", ["w", "y", "z"]),
+        ("var_shapes", [[-1], [3]]),
+        ("var_shapes", [[2.5], [3]]),
+        ("payload", [{"key": "delta", "shape": [-4]}]),
+        ("payload", [{"key": "delta", "shape": "4"}]),
+        ("payload", [{"key": ["delta"], "shape": [4]}]),
+        ("payload", {"delta": [4]}),
+        ("train_loss", 0.5),
+        ("task_id", ["r0"]),
+    ],
+)
+def test_server_answers_every_malformed_submit_header_with_400(
+    leased_fedadmm_task, field, value
+):
+    """Regression: these raised ValueError/TypeError out of ``decode_submit``;
+    the handler thread died with a traceback and the worker got no reply."""
+    server, client, env, (header, blobs) = leased_fedadmm_task
+    honest = env.execute(*protocol.decode_task(header, blobs))
+    submit_header, submit_blobs = protocol.unpack_frame(honest)
+    forged = protocol.pack_frame({**submit_header, field: value}, submit_blobs)
+    status, content_type, reply = client.post("/v1/submit", forged)
+    assert status == 400 and content_type == "application/json"
+    assert json.loads(reply)["code"] == "malformed"
+    status, _, reply = client.post("/v1/submit", honest)  # same connection, still up
+    assert status == 200 and json.loads(reply)["status"] == "ok"
+
+
+def test_a_handler_bug_is_answered_with_500_not_a_dead_connection(
+    live_server, live_client, monkeypatch
+):
+    def broken(body):
+        raise RuntimeError("a bug, not a bad request")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(live_server, "handle_submit", broken)
+        status, content_type, reply = live_client.post("/v1/submit", b"anything")
+    assert status == 500 and content_type == "application/json"
+    assert json.loads(reply) == {
+        "error": "RuntimeError('a bug, not a bad request')",
+        "code": "internal",
+    }
+    assert live_server.metrics.counter("serve.errors.internal").value == 1
+    # The worker-side client reconnects on the closed connection and carries on.
+    status, _, _ = live_client.post("/v1/submit", b"garbage bytes")
+    assert status == 400

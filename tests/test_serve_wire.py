@@ -31,6 +31,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.federated.client import ClientState
 from repro.serve import server as serve_server
 from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
 from repro.serve.worker import ServerClient
@@ -130,7 +131,9 @@ class _ParkingCondition(threading.Condition):
 
 
 def _ticket(task_id="r0-c0-1"):
-    return _Ticket(task_id=task_id, frame=b"frame", client_index=0, client_id=0)
+    return _Ticket(
+        task_id=task_id, frame=b"frame", client=ClientState(client_id=0, dataset=None)
+    )
 
 
 def _parked_puller(board, wait=FOREVER):

@@ -150,7 +150,6 @@ class TestTransport:
         transport = Transport()
         assert transport.codec.name == "identity"
         assert transport.upload_wire_bytes(10) == 10 * BYTES_PER_FLOAT
-        assert transport.download_wire_bytes(10) == 10 * BYTES_PER_FLOAT
 
 
 class TestNetworkModel:

@@ -1,4 +1,4 @@
-"""Backend-seam + parallel-cohort executor: speedup over serial at 256 clients.
+"""Parallel-cohort vectorized executor: speedup over serial at 256 clients.
 
 The PR-5 benchmark (``test_bench_vectorized_clients.py``) pins the
 stacked kernels alone at 64 clients.  This benchmark pins
@@ -7,8 +7,8 @@ Python dispatch the serial executor pays scales linearly while the
 stacked path amortises it across the whole population:
 
 * **speedup** — the same 256-client federated run under ``vectorized``
-  (pluggable backend + pooled per-cohort workspaces + parallel cohort
-  dispatch) vs ``serial``, best of 3.  The fixed-epoch FedAvg cohort is
+  (pooled per-cohort workspaces + parallel cohort dispatch) vs
+  ``serial``, best of 3.  The fixed-epoch FedAvg cohort is
   the headline (~7x); FedADMM's variable epochs fragment rounds into
   ragged cohorts, exercising the parallel dispatch path, and its
   recorded ratio shows what survives fragmentation.  **The ratio's
@@ -176,7 +176,7 @@ def test_backend_parallel_speedup_parity_and_coverage(benchmark):
         rows.append({"algorithm": label, **summary[label]})
 
     print_header(
-        f"Backend seam + parallel cohorts vs serial ({NUM_CLIENTS} clients)"
+        f"Pooled workspaces + parallel cohorts vs serial ({NUM_CLIENTS} clients)"
     )
     print(format_table(rows))
     emit_summary("backend_parallel", summary, benchmark=benchmark)

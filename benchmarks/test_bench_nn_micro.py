@@ -3,9 +3,9 @@
 These are true repeated-measurement benchmarks (unlike the experiment
 regenerations): forward+backward throughput of the paper's CNN1 on one
 mini-batch, the small-MLP step used by the bench presets, the flat
-parameter packing that every federated round relies on, and — per
-registered array backend — the cohort-amortisation ratio of each stacked
-kernel (one cohort-C call vs C cohort-1 calls of the same op), written to
+parameter packing that every federated round relies on, and the
+cohort-amortisation ratio of each stacked NumPy kernel (one cohort-C call
+vs C cohort-1 calls of the same op), written to
 ``BENCH_backend_kernels.json`` for the regression gate.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from bench_utils import emit_summary, print_header, run_once
 
 from repro.experiments.tables import format_table
-from repro.nn.backend import available_backends, build_backend
 from repro.nn.batched import BatchedConv2D, BatchedCrossEntropy, BatchedLinear
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import CNN1, MLP
@@ -67,7 +66,7 @@ def test_micro_flat_param_roundtrip(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Per-kernel, per-backend cohort amortisation
+# Per-kernel cohort amortisation
 # --------------------------------------------------------------------------- #
 #: Cohort size / per-client batch for the kernel micro-benchmarks.  64
 #: clients is the smallest population where the stacked kernels' win is
@@ -85,7 +84,7 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def _linear_speedups(backend) -> dict:
+def _linear_speedups() -> dict:
     cohort, n, in_f, out_f = KERNEL_COHORT, KERNEL_BATCH, 64, 32
     num_params = in_f * out_f + out_f
     rng = np.random.default_rng(0)
@@ -93,8 +92,8 @@ def _linear_speedups(backend) -> dict:
     x = rng.normal(size=(cohort, n, in_f))
     grad_out = np.ones((cohort, n, out_f))
     grads = np.zeros((cohort, num_params))
-    stacked = BatchedLinear(in_f, out_f, 0, backend=backend)
-    looped = BatchedLinear(in_f, out_f, 0, backend=backend)
+    stacked = BatchedLinear(in_f, out_f, 0)
+    looped = BatchedLinear(in_f, out_f, 0)
     grads_one = np.zeros((1, num_params))
 
     def stacked_forward():
@@ -121,7 +120,7 @@ def _linear_speedups(backend) -> dict:
     }
 
 
-def _conv2d_speedups(backend) -> dict:
+def _conv2d_speedups() -> dict:
     cohort, n = KERNEL_COHORT, 4
     in_ch, out_ch, size = 2, 4, 8
     num_params = out_ch * in_ch * 9 + out_ch
@@ -130,8 +129,8 @@ def _conv2d_speedups(backend) -> dict:
     x = rng.normal(size=(cohort, n, in_ch, size, size))
     grad_out = np.ones((cohort, n, out_ch, size, size))
     grads = np.zeros((cohort, num_params))
-    stacked = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0, backend=backend)
-    looped = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0, backend=backend)
+    stacked = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0)
+    looped = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0)
     grads_one = np.zeros((1, num_params))
 
     def stacked_forward():
@@ -158,13 +157,13 @@ def _conv2d_speedups(backend) -> dict:
     }
 
 
-def _cross_entropy_speedups(backend) -> dict:
+def _cross_entropy_speedups() -> dict:
     cohort, n, classes = KERNEL_COHORT, KERNEL_BATCH, 10
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(cohort, n, classes))
     labels = rng.integers(0, classes, size=(cohort, n))
-    stacked = BatchedCrossEntropy(backend=backend)
-    looped = BatchedCrossEntropy(backend=backend)
+    stacked = BatchedCrossEntropy()
+    looped = BatchedCrossEntropy()
 
     def stacked_call():
         stacked.value_and_grad(logits, labels)
@@ -177,40 +176,28 @@ def _cross_entropy_speedups(backend) -> dict:
 
 
 def test_micro_backend_kernels(benchmark):
-    """Stacked-kernel amortisation per backend: one cohort-64 call must
-    beat 64 cohort-1 calls of the same op — the per-kernel version of the
+    """Stacked-kernel amortisation: one cohort-64 call must beat 64
+    cohort-1 calls of the same op — the per-kernel version of the
     executor-level speedup the vectorized path is built on."""
 
     def measure():
-        report = {}
-        for name in available_backends():
-            backend = build_backend(name)
-            report[name] = {
-                "linear": _linear_speedups(backend),
-                "conv2d": _conv2d_speedups(backend),
-                "cross_entropy": _cross_entropy_speedups(backend),
-            }
-        return report
+        return {
+            "linear": _linear_speedups(),
+            "conv2d": _conv2d_speedups(),
+            "cross_entropy": _cross_entropy_speedups(),
+        }
 
-    report = run_once(benchmark, measure)
-    summary = {
-        "clients": KERNEL_COHORT,
-        "backends": sorted(report),
-        **report,
-    }
-    rows = [
-        {"backend": name, "kernel": kernel, **ratios}
-        for name, kernels in report.items()
-        for kernel, ratios in kernels.items()
-    ]
+    kernels = run_once(benchmark, measure)
+    # Keyed "numpy" as the committed baseline is: the kernels are NumPy.
+    summary = {"clients": KERNEL_COHORT, "numpy": kernels}
+    rows = [{"kernel": kernel, **ratios} for kernel, ratios in kernels.items()]
     print_header(f"Stacked-kernel amortisation ({KERNEL_COHORT} clients)")
     print(format_table(rows))
     emit_summary("backend_kernels", summary, benchmark=benchmark)
 
-    # Sanity floor: batching a cohort into one kernel call must win on
-    # every registered-and-importable backend; the committed baseline in
-    # benchmarks/baselines/ pins the actual ratios under the 20% gate.
-    for name, kernels in report.items():
-        for kernel, ratios in kernels.items():
-            for metric, value in ratios.items():
-                assert value > 1.0, (name, kernel, metric, value)
+    # Sanity floor: batching a cohort into one kernel call must win; the
+    # committed baseline in benchmarks/baselines/ pins the actual ratios
+    # under the 20% gate.
+    for kernel, ratios in kernels.items():
+        for metric, value in ratios.items():
+            assert value > 1.0, (kernel, metric, value)

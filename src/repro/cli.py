@@ -44,7 +44,6 @@ from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 from repro.federated.staleness import STALENESS_REGISTRY
 from repro.obs import MetricsRegistry, Profiler, Tracer, observe
-from repro.nn.backend import BACKEND_REGISTRY
 from repro.systems import CODEC_REGISTRY, EXECUTOR_REGISTRY, NETWORK_REGISTRY
 from repro.utils.serialization import save_json, to_jsonable
 
@@ -103,10 +102,6 @@ def _shared_flags() -> argparse.ArgumentParser:
     systems.add_argument("--executor", default=None, choices=sorted(EXECUTOR_REGISTRY),
                          help="how local updates run: serial, thread/process "
                               "pool, or vectorized (stacked-NumPy cohorts)")
-    systems.add_argument("--backend", default=None, choices=sorted(BACKEND_REGISTRY),
-                         help="array backend for the vectorized executor's "
-                              "stacked kernels (default: REPRO_BACKEND env "
-                              "var, then numpy)")
     plan = common.add_argument_group(
         "execution plan (see repro.federated.plans)")
     plan.add_argument("--mode", default=None,
@@ -709,13 +704,6 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry() if getattr(args, "metrics_path", None) else None
     profiler = Profiler() if profiling else None
     try:
-        if getattr(args, "backend", None) is not None:
-            # A registered-but-unimportable backend (e.g. --backend torch
-            # without the package) must die here with one line, not as a
-            # wrapped failure on every sweep point.
-            from repro.nn.backend import build_backend
-
-            build_backend(args.backend)
         with observe(tracer=tracer, metrics=metrics, profiler=profiler):
             result = run_experiment(study_name, args)
     except ReproError as exc:

@@ -67,11 +67,6 @@ class ExperimentConfig:
     network: str | None = None
     executor: str = "serial"
     max_workers: int | None = None
-    # Array backend for the vectorized executor's stacked kernels (see
-    # repro.nn.backend).  None defers to the REPRO_BACKEND environment
-    # variable and then the "numpy" default; per-task executors always run
-    # the serial NumPy model code and ignore this field.
-    backend: str | None = None
     # Execution plan (see repro.federated.plans): "sync" is the bit-identical
     # lock-step round loop, "semisync" the deadline-bounded plan with
     # FedBuff-weighted late arrivals, "async" the event-driven buffered plan.
@@ -181,22 +176,16 @@ class ExperimentConfig:
                         "cohort's updates against each other; they cannot "
                         f"be combined with mode={self.mode!r}"
                     )
-        if self.backend is not None:
-            from repro.nn.backend import BACKEND_REGISTRY
-
-            if self.backend not in BACKEND_REGISTRY:
-                raise ConfigurationError(
-                    f"unknown backend {self.backend!r}; "
-                    f"available: {sorted(BACKEND_REGISTRY)}"
-                )
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ExperimentConfig":
         """Rebuild a config from a stored or served ``asdict`` record."""
         record = dict(record)
-        # Older records carry the boolean twin ``mode`` once had; it always
-        # equalled ``mode == "async"``, so it is simply dropped.
+        # Older records carry the boolean twin ``mode`` once had (it always
+        # equalled ``mode == "async"``) and the array backend of the stacked
+        # kernels (only ever NumPy); both are simply dropped.
         record.pop("async_mode", None)
+        record.pop("backend", None)
         return cls(**record)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":

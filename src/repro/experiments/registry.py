@@ -48,7 +48,6 @@ OVERRIDE_FIELDS = (
     "deadline_s",
     "network",
     "executor",
-    "backend",
     "mode",
     "plan",
     "num_shards",

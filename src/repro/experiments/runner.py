@@ -188,11 +188,7 @@ def build_simulation(
         adversary=adversary,
         executor=executor
         if executor is not None
-        else build_executor(
-            config.executor,
-            max_workers=config.max_workers,
-            backend=config.backend,
-        ),
+        else build_executor(config.executor, max_workers=config.max_workers),
         plan=plan,
     )
 

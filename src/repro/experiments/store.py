@@ -252,6 +252,9 @@ class ExperimentStore:
         # Hashed since PR 2, when the field existed; kept so stores written
         # before it was folded into ``mode`` still resume.
         config["async_mode"] = spec.config.mode == "async"
+        # Likewise the stacked kernels' array backend field: only NumPy ever
+        # ran, so it hashes as the ``None`` default it always held.
+        config["backend"] = None
         content = {
             "config": config,
             "algorithm": {

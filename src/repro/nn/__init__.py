@@ -31,15 +31,6 @@ from repro.nn.models import (
     MODEL_REGISTRY,
 )
 from repro.nn.gradcheck import numerical_gradient, check_gradients
-from repro.nn.backend import (
-    BACKEND_REGISTRY,
-    Backend,
-    NumpyBackend,
-    available_backends,
-    build_backend,
-    get_backend,
-    register_backend,
-)
 from repro.nn.batched import (
     BatchedCohort,
     BatchedModel,
@@ -48,13 +39,6 @@ from repro.nn.batched import (
 )
 
 __all__ = [
-    "BACKEND_REGISTRY",
-    "Backend",
-    "NumpyBackend",
-    "available_backends",
-    "build_backend",
-    "get_backend",
-    "register_backend",
     "BatchedCohort",
     "BatchedModel",
     "batched_run_local_sgd",

@@ -14,9 +14,7 @@ it by giving the whole cohort a leading client axis:
 * each layer's forward/backward is a single stacked ``matmul`` /
   elementwise op over all ``C`` clients at once.
 
-All raw array math goes through a pluggable :class:`~repro.nn.backend.Backend`
-(NumPy by default; see :mod:`repro.nn.backend` for the selection chain),
-and every :class:`BatchedModel` owns one **workspace** per scratch array
+Every :class:`BatchedModel` owns one **workspace** per scratch array
 (the ``(C, dim)`` gradient buffer, the cross-entropy one-hot buffer, the
 max-pool scatter target): a single allocation at the largest size seen so
 far, handed out as prefix views and reused across every step and round —
@@ -60,8 +58,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.backend import Backend, get_backend
-from repro.nn.functional import col2im, conv_output_size, im2col
+from repro.nn.functional import (
+    col2im,
+    conv_output_size,
+    im2col,
+    log_softmax,
+    softmax,
+)
 from repro.nn.layers import (
     Conv2D,
     Dropout,
@@ -81,12 +84,6 @@ from repro.nn.module import Module
 ExtraGrad = Callable[[np.ndarray], np.ndarray]
 
 
-def _resolve_backend(backend: Backend | str | None) -> Backend:
-    if isinstance(backend, Backend):
-        return backend
-    return get_backend(backend)
-
-
 class _Workspace:
     """One scratch allocation, handed out as prefix views of any shape.
 
@@ -97,14 +94,13 @@ class _Workspace:
     are whatever the previous user left: callers assign or ``fill``.
     """
 
-    def __init__(self, backend: Backend) -> None:
-        self.backend = backend
+    def __init__(self) -> None:
         self._flat: np.ndarray | None = None
 
     def view(self, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         if self._flat is None or self._flat.size < size:
-            self._flat = self.backend.empty((size,))
+            self._flat = np.empty(size, dtype=np.float64)
         return self._flat[:size].reshape(shape)
 
 
@@ -140,17 +136,10 @@ class _BatchedOp:
 class BatchedLinear(_BatchedOp):
     """``y = x @ W + b`` with a leading client axis on everything."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        offset: int,
-        backend: Backend | str | None = None,
-    ):
+    def __init__(self, in_features: int, out_features: int, offset: int):
         self.in_features = in_features
         self.out_features = out_features
         self.offset = offset
-        self.backend = _resolve_backend(backend)
         self.weight_slice = slice(offset, offset + in_features * out_features)
         self.bias_slice = slice(
             self.weight_slice.stop, self.weight_slice.stop + out_features
@@ -159,9 +148,7 @@ class BatchedLinear(_BatchedOp):
         self._weight: np.ndarray | None = None
 
     def clone(self) -> "BatchedLinear":
-        return BatchedLinear(
-            self.in_features, self.out_features, self.offset, self.backend
-        )
+        return BatchedLinear(self.in_features, self.out_features, self.offset)
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         cohort = params.shape[0]
@@ -176,17 +163,17 @@ class BatchedLinear(_BatchedOp):
         bias = params[:, self.bias_slice]
         self._input = x
         self._weight = weight
-        return self.backend.matmul(x, weight) + bias[:, None, :]
+        return x @ weight + bias[:, None, :]
 
     def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None or self._weight is None:
             raise ShapeError("backward called before forward on BatchedLinear")
         cohort = grads.shape[0]
-        grads[:, self.weight_slice] = self.backend.matmul(
-            self._input.transpose(0, 2, 1), grad_output
+        grads[:, self.weight_slice] = (
+            self._input.transpose(0, 2, 1) @ grad_output
         ).reshape(cohort, -1)
-        grads[:, self.bias_slice] = self.backend.sum(grad_output, axis=1)
-        return self.backend.matmul(grad_output, self._weight.transpose(0, 2, 1))
+        grads[:, self.bias_slice] = grad_output.sum(axis=1)
+        return grad_output @ self._weight.transpose(0, 2, 1)
 
 
 class BatchedConv2D(_BatchedOp):
@@ -213,7 +200,6 @@ class BatchedConv2D(_BatchedOp):
         stride: int,
         padding: int,
         offset: int,
-        backend: Backend | str | None = None,
     ):
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -221,7 +207,6 @@ class BatchedConv2D(_BatchedOp):
         self.stride = stride
         self.padding = padding
         self.offset = offset
-        self.backend = _resolve_backend(backend)
         weight_size = out_channels * in_channels * kernel_size * kernel_size
         self.weight_slice = slice(offset, offset + weight_size)
         self.bias_slice = slice(
@@ -239,7 +224,6 @@ class BatchedConv2D(_BatchedOp):
             self.stride,
             self.padding,
             self.offset,
-            self.backend,
         )
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,7 +244,7 @@ class BatchedConv2D(_BatchedOp):
             cohort, self.out_channels, -1
         )
         bias = params[:, self.bias_slice]
-        out = self.backend.matmul(cols, weight.transpose(0, 2, 1)) + bias[:, None, :]
+        out = cols @ weight.transpose(0, 2, 1) + bias[:, None, :]
         out = out.reshape(cohort, n, out_h, out_w, self.out_channels)
 
         self._cols = cols
@@ -277,12 +261,12 @@ class BatchedConv2D(_BatchedOp):
         grad_mat = grad_output.transpose(0, 1, 3, 4, 2).reshape(
             cohort, -1, self.out_channels
         )
-        grads[:, self.weight_slice] = self.backend.matmul(
-            grad_mat.transpose(0, 2, 1), self._cols
+        grads[:, self.weight_slice] = (
+            grad_mat.transpose(0, 2, 1) @ self._cols
         ).reshape(cohort, -1)
-        grads[:, self.bias_slice] = self.backend.sum(grad_mat, axis=1)
+        grads[:, self.bias_slice] = grad_mat.sum(axis=1)
 
-        grad_cols = self.backend.matmul(grad_mat, self._weight)
+        grad_cols = grad_mat @ self._weight
         folded_shape = (cohort * n,) + self._input_shape[2:]
         grad_input = col2im(
             grad_cols.reshape(-1, grad_cols.shape[2]),
@@ -298,21 +282,15 @@ class BatchedConv2D(_BatchedOp):
 class BatchedMaxPool2D(_BatchedOp):
     """Stacked max pooling: clients *and* channels fold into the im2col batch."""
 
-    def __init__(
-        self,
-        kernel_size: int,
-        stride: int,
-        backend: Backend | str | None = None,
-    ):
+    def __init__(self, kernel_size: int, stride: int):
         self.kernel_size = kernel_size
         self.stride = stride
-        self.backend = _resolve_backend(backend)
         self._input_shape: tuple[int, ...] | None = None
         self._argmax: np.ndarray | None = None
-        self._cols_grad = _Workspace(self.backend)
+        self._cols_grad = _Workspace()
 
     def clone(self) -> "BatchedMaxPool2D":
-        return BatchedMaxPool2D(self.kernel_size, self.stride, self.backend)
+        return BatchedMaxPool2D(self.kernel_size, self.stride)
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5:
@@ -376,39 +354,37 @@ class BatchedImageReshape(_BatchedOp):
 
 
 class BatchedReLU(_BatchedOp):
-    def __init__(self, backend: Backend | str | None = None) -> None:
-        self.backend = _resolve_backend(backend)
+    def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
     def clone(self) -> "BatchedReLU":
-        return BatchedReLU(self.backend)
+        return BatchedReLU()
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return self.backend.where(self._mask, x, 0.0)
+        return np.where(self._mask, x, 0.0)
 
     def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise ShapeError("backward called before forward on BatchedReLU")
-        return self.backend.multiply(grad_output, self._mask)
+        return grad_output * self._mask
 
 
 class BatchedTanh(_BatchedOp):
-    def __init__(self, backend: Backend | str | None = None) -> None:
-        self.backend = _resolve_backend(backend)
+    def __init__(self) -> None:
         self._output: np.ndarray | None = None
 
     def clone(self) -> "BatchedTanh":
-        return BatchedTanh(self.backend)
+        return BatchedTanh()
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        self._output = self.backend.tanh(x)
+        self._output = np.tanh(x)
         return self._output
 
     def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
             raise ShapeError("backward called before forward on BatchedTanh")
-        return self.backend.multiply(grad_output, 1.0 - self._output**2)
+        return grad_output * (1.0 - self._output**2)
 
 
 class BatchedFlatten(_BatchedOp):
@@ -477,19 +453,18 @@ class BatchedDropout(_BatchedOp):
 class BatchedCrossEntropy:
     """Per-client softmax cross-entropy over ``(C, n, K)`` logits."""
 
-    def __init__(self, backend: Backend | str | None = None) -> None:
-        self.backend = _resolve_backend(backend)
-        self._one_hot = _Workspace(self.backend)
+    def __init__(self) -> None:
+        self._one_hot = _Workspace()
 
     def clone(self) -> "BatchedCrossEntropy":
-        return BatchedCrossEntropy(self.backend)
+        return BatchedCrossEntropy()
 
     def value_and_grad(
         self, logits: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         targets = np.asarray(targets, dtype=np.int64)
         n = logits.shape[1]
-        log_probs = self.backend.log_softmax(logits)
+        log_probs = log_softmax(logits)
         picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)
         losses = -picked[:, :, 0].mean(axis=1)
         # Workspace: one reusable one-hot buffer (zeroed each step — the
@@ -497,18 +472,15 @@ class BatchedCrossEntropy:
         one_hot = self._one_hot.view(logits.shape)
         one_hot.fill(0.0)
         np.put_along_axis(one_hot, targets[:, :, None], 1.0, axis=2)
-        grad = (self.backend.softmax(logits) - one_hot) / n
+        grad = (softmax(logits) - one_hot) / n
         return losses, grad
 
 
 class BatchedMSE:
     """Per-client mean squared error over ``(C, ...)`` predictions."""
 
-    def __init__(self, backend: Backend | str | None = None) -> None:
-        self.backend = _resolve_backend(backend)
-
     def clone(self) -> "BatchedMSE":
-        return BatchedMSE(self.backend)
+        return BatchedMSE()
 
     def value_and_grad(
         self, predictions: np.ndarray, targets: np.ndarray
@@ -526,16 +498,16 @@ class BatchedMSE:
         return losses, grad
 
 
-def _batched_loss_for(loss: Loss, backend: Backend):
+def _batched_loss_for(loss: Loss):
     """The stacked counterpart of a serial loss, or ``None`` if unsupported.
 
     Exact type matches only: a subclass may override ``value_and_grad``
     with semantics the batched kernel would silently diverge from.
     """
     if type(loss) is CrossEntropyLoss:
-        return BatchedCrossEntropy(backend)
+        return BatchedCrossEntropy()
     if type(loss) is MSELoss:
-        return BatchedMSE(backend)
+        return BatchedMSE()
     return None
 
 
@@ -559,28 +531,20 @@ class BatchedModel:
     :meth:`clone`.
     """
 
-    def __init__(
-        self,
-        ops: list[_BatchedOp],
-        dim: int,
-        loss,
-        backend: Backend | str | None = None,
-    ) -> None:
+    def __init__(self, ops: list[_BatchedOp], dim: int, loss) -> None:
         self.ops = ops
         self.dim = dim
         self.loss = loss
-        self.backend = _resolve_backend(backend)
         #: Optional :class:`repro.obs.Profiler`: when set, every stacked
         #: op's forward/backward is timed under a ``kernel.*`` key.  The
         #: untimed hot path pays exactly one ``None`` check per call.
         self.profiler = None
-        self._grads = _Workspace(self.backend)
+        self._grads = _Workspace()
 
     def clone(self) -> "BatchedModel":
         """A fresh execution context: same compiled pipeline, own workspace."""
         cloned = BatchedModel(
-            [op.clone() for op in self.ops], self.dim, self.loss.clone(),
-            self.backend,
+            [op.clone() for op in self.ops], self.dim, self.loss.clone()
         )
         cloned.profiler = self.profiler
         return cloned
@@ -712,9 +676,7 @@ def _iter_supported_layers(model: Module) -> Iterator[Module] | None:
     return flat
 
 
-def build_batched_model(
-    model: Module, loss: Loss, backend: Backend | str | None = None
-) -> BatchedModel | None:
+def build_batched_model(model: Module, loss: Loss) -> BatchedModel | None:
     """Compile a model template into a :class:`BatchedModel`.
 
     Covers the full model zoo — Linear/activation stacks, the im2col
@@ -725,20 +687,15 @@ def build_batched_model(
     """
     from repro.nn.models import _ImageReshape
 
-    resolved = _resolve_backend(backend)
     layers = _iter_supported_layers(model)
-    batched_loss = _batched_loss_for(loss, resolved)
+    batched_loss = _batched_loss_for(loss)
     if layers is None or batched_loss is None:
         return None
     ops: list[_BatchedOp] = []
     offset = 0
     for position, layer in enumerate(layers):
         if type(layer) is Linear:
-            ops.append(
-                BatchedLinear(
-                    layer.in_features, layer.out_features, offset, resolved
-                )
-            )
+            ops.append(BatchedLinear(layer.in_features, layer.out_features, offset))
             offset += layer.in_features * layer.out_features + layer.out_features
         elif type(layer) is Conv2D:
             ops.append(
@@ -749,7 +706,6 @@ def build_batched_model(
                     layer.stride,
                     layer.padding,
                     offset,
-                    resolved,
                 )
             )
             offset += (
@@ -757,13 +713,13 @@ def build_batched_model(
                 + layer.out_channels
             )
         elif type(layer) is MaxPool2D:
-            ops.append(BatchedMaxPool2D(layer.kernel_size, layer.stride, resolved))
+            ops.append(BatchedMaxPool2D(layer.kernel_size, layer.stride))
         elif type(layer) is _ImageReshape:
             ops.append(BatchedImageReshape(layer.channels, layer.height, layer.width))
         elif type(layer) is ReLU:
-            ops.append(BatchedReLU(resolved))
+            ops.append(BatchedReLU())
         elif type(layer) is Tanh:
-            ops.append(BatchedTanh(resolved))
+            ops.append(BatchedTanh())
         elif type(layer) is Flatten:
             ops.append(BatchedFlatten())
         elif type(layer) is Dropout:
@@ -774,7 +730,7 @@ def build_batched_model(
         # A layer carries parameters the batched packing did not account
         # for; running it stacked would silently train the wrong slices.
         return None
-    return BatchedModel(ops, dim=offset, loss=batched_loss, backend=resolved)
+    return BatchedModel(ops, dim=offset, loss=batched_loss)
 
 
 # --------------------------------------------------------------------------- #

@@ -56,7 +56,7 @@ from repro.federated.client import ClientState
 from repro.federated.engine import SimulationResult
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.systems.compression import build_codec
+from repro.systems.compression import IdentityCodec, build_codec
 from repro.systems.executor import ClientExecutor, LocalUpdateOutcome, LocalUpdateTask
 from repro.systems.transport import Transport
 
@@ -426,6 +426,21 @@ class FederationServer:
             # Uploads arrive codec-encoded over HTTP; the pipeline must
             # account their wire cost without re-quantizing them.
             self.simulation.pipeline.transport = WireAccountingTransport(self.codec)
+        adversary = self.simulation.pipeline.adversary
+        if adversary is not None:
+            if adversary.poisons_data:
+                raise ConfigurationError(
+                    f"adversary {adversary.name!r} poisons client datasets, "
+                    "but served workers rebuild clean ones from the config; "
+                    "run it in-process instead"
+                )
+            if not isinstance(self.codec, IdentityCodec):
+                raise ConfigurationError(
+                    f"adversary {adversary.name!r} corrupts decoded uploads "
+                    "when served but pre-encode ones in-process, which differs "
+                    f"under the lossy codec {self.codec.name!r}; serve it with "
+                    "codec None or 'identity'"
+                )
         self.algorithm = self.simulation.algorithm
         self.model_dim = int(self.simulation.state.params.size)
         self.allowed_dims = set(

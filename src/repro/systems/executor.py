@@ -312,24 +312,17 @@ class VectorizedExecutor(ClientExecutor):
     Each concurrent part executes on its own :class:`BatchedModel` clone
     drawn from a lock-protected pool that persists across rounds, so the
     gradient/one-hot workspaces are reused round to round instead of
-    reallocated.  The raw array math inside those models routes
-    through the pluggable backend selected at construction (see
-    :mod:`repro.nn.backend`).
+    reallocated.
     """
 
     isolated = False
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers <= 0:
             raise ConfigurationError(
                 f"max_workers must be positive, got {max_workers}"
             )
         self.max_workers = max_workers
-        self.backend = backend
         self._batched_model = None
         self._fallback_reason: str | None = None
         self._model_pool: list[Any] = []
@@ -356,9 +349,7 @@ class VectorizedExecutor(ClientExecutor):
         template = problems[0]
         if any(problem.dataset.features.ndim != 2 for problem in problems):
             return  # stacked kernels take flat (n, d) features only
-        self._batched_model = build_batched_model(
-            template.model, template.loss, backend=self.backend
-        )
+        self._batched_model = build_batched_model(template.model, template.loss)
         if self._batched_model is not None:
             self._fallback_reason = None
             # Per-kernel profiling: the batched model times each stacked
@@ -744,18 +735,11 @@ EXECUTOR_REGISTRY: dict[str, type[ClientExecutor]] = {
 }
 
 
-def build_executor(
-    name: str,
-    max_workers: int | None = None,
-    backend: str | None = None,
-) -> ClientExecutor:
+def build_executor(name: str, max_workers: int | None = None) -> ClientExecutor:
     """Instantiate a client executor by registry name.
 
     ``max_workers`` bounds the worker pool of every concurrent executor
-    (threads, processes, and the vectorized executor's cohort dispatch);
-    ``backend`` selects the array backend for the vectorized executor's
-    stacked kernels (see :mod:`repro.nn.backend`) and is ignored by the
-    per-task executors, which always run the serial NumPy model code.
+    (threads, processes, and the vectorized executor's cohort dispatch).
     """
     try:
         executor_cls = EXECUTOR_REGISTRY[name]
@@ -766,6 +750,4 @@ def build_executor(
     if executor_cls is SerialExecutor:
         # Strictly in-order, in-thread: nothing to configure.
         return executor_cls()
-    if executor_cls is VectorizedExecutor:
-        return executor_cls(max_workers=max_workers, backend=backend)
     return executor_cls(max_workers=max_workers)

@@ -572,7 +572,7 @@ class TestContractSurface:
         from repro.experiments.configs import ExperimentConfig, preset_config
 
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        assert "async_mode" not in fields and len(fields) == 37
+        assert "async_mode" not in fields and len(fields) == 36
         # Configs served or stored before the field went are folded on load,
         # not by re-adding it.
         config = preset_config("serve")
@@ -584,6 +584,20 @@ class TestContractSurface:
         assert ExperimentConfig.from_record(legacy).mode == "semisync"
         with pytest.raises(TypeError):
             ExperimentConfig(**legacy)
+
+    def test_array_backend_is_not_a_config_field(self):
+        from repro.experiments.configs import ExperimentConfig, preset_config
+
+        # The stacked kernels are NumPy: no field, and records written while
+        # there was one (``None`` by default, ``"numpy"`` at most) still load.
+        with pytest.raises(TypeError):
+            ExperimentConfig(name="x", backend="numpy")
+        config = preset_config("serve")
+        record = dataclasses.asdict(config)
+        assert "backend" not in record
+        for legacy in (None, "numpy"):
+            loaded = ExperimentConfig.from_record({**record, "backend": legacy})
+            assert loaded == config
 
     def test_sharded_plan_dispatches_one_cohort_per_shard(
         self, blobs_split, iid_partition

@@ -319,14 +319,15 @@ class TestCollapsedSurface:
 
     def test_experiment_config_fields_are_untouched(self):
         # _canonical(spec.config) feeds every store key.  PR 16 removed
-        # ``async_mode`` (key_for re-emits it; spec_key_pin.json is the oracle).
+        # ``async_mode`` and PR 20 ``backend`` (key_for re-emits both;
+        # spec_key_pin.json is the oracle).
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "name", "dataset", "n_train", "n_test", "model", "model_kwargs",
             "num_clients", "partition", "partition_kwargs", "client_fraction",
             "local_epochs", "system_heterogeneity", "batch_size", "learning_rate",
             "num_rounds", "target_accuracy", "eval_every", "seed", "codec",
             "codec_kwargs", "dropout", "deadline_s", "network", "executor",
-            "max_workers", "backend", "mode", "buffer_size",
+            "max_workers", "mode", "buffer_size",
             "max_concurrency", "staleness", "staleness_exponent",
             "round_deadline_s", "plan", "num_shards", "adversary",
             "adversary_fraction", "defense",

@@ -30,7 +30,17 @@ from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import UniformRandomEpochs
 from repro.federated.plans import AsyncPlan, SemiSyncPlan
 from repro.federated.sampler import UniformFractionSampler
-from repro.nn.models import MLP
+from repro.nn.layers import (
+    Conv2D,
+    Dropout,
+    Flatten,
+    Linear,
+    MaxPool2D,
+    ReLU,
+    Sequential,
+    Tanh,
+)
+from repro.nn.models import MLP, _ImageReshape
 from repro.partition.imbalanced import ImbalancedPartitioner
 from repro.partition.shard import ShardPartitioner
 from repro.systems import (
@@ -534,7 +544,31 @@ FLAT_CASES = {
 }
 
 
-def run_flat_recipe(case, executor="serial", plan=None):
+def dropout_mlp():
+    rng = np.random.default_rng(7)
+    return Sequential(
+        Linear(12, 16, rng=rng), ReLU(), Dropout(0.3), Linear(16, 4, rng=rng)
+    )
+
+
+def conv_model():
+    rng = np.random.default_rng(7)
+    return Sequential(
+        _ImageReshape(3, 2, 2),
+        Conv2D(3, 4, kernel_size=3, padding=1, rng=rng),
+        Tanh(),
+        MaxPool2D(2),
+        Flatten(),
+        Linear(4, 4, rng=rng),
+    )
+
+
+# The stacked kernels the default MLP never reaches (dropout masks, im2col
+# convolution, pooling, tanh), pinned on the vectorized executor only.
+VECTORIZED_MODELS = {"dropout-mlp": dropout_mlp, "conv": conv_model}
+
+
+def run_flat_recipe(case, executor="serial", plan=None, model=None):
     """Three lock-step rounds of one ``FLAT_CASES`` entry (``plan=None``: flat)."""
     name, kwargs, defense, adversary = FLAT_CASES[case]
     split = make_blobs(
@@ -549,7 +583,7 @@ def run_flat_recipe(case, executor="serial", plan=None):
         algorithm = DefendedAlgorithm(algorithm, build_defense(defense))
     simulation = FederatedSimulation(
         algorithm=algorithm,
-        model=MLP(
+        model=model or MLP(
             input_dim=12, hidden_dims=(16,), num_classes=4,
             rng=np.random.default_rng(7),
         ),
@@ -665,14 +699,81 @@ FLAT_GOLDENS = {
         [0.4815111359165921, 0.16494956474620137, 0.2963759020449524],
         3312, 3312,
     ),
+    # The vectorized leg, recorded on ``46cbbf4`` — the last commit whose
+    # stacked kernels reached NumPy through ``repro.nn.backend`` — so "same
+    # NumPy calls, same bits" is checked, not asserted.  On these shapes the
+    # parameters are serial's to the bit; a few losses differ in the last ulp.
+    ("fedadmm", "vectorized"): (
+        "c3fdf9a6ff661c5a4d64c4ab54e4614c7d8dc4d94f0d347088fa99bf73370b40",
+        [0.96875, 0.94375, 0.96875],
+        [0.5092572231834789, 0.11500729488544517, 0.25141302770052604],
+        3312, 3312,
+    ),
+    ("fedavg", "vectorized"): (
+        "808be8b6c5e14867e61357a0eb5c32d8d9f7a3b019ba833e3090cb95c116d1ea",
+        [0.81875, 0.9625, 1.0],
+        [0.49974890627471374, 0.0827201973258916, 0.10167609304028699],
+        3312, 3312,
+    ),
+    ("fedavg-samples", "vectorized"): (
+        "46ce6252e637859afa7a8d99b8b66993f70014ba3fd4bd0cd06771cbdef01717",
+        [0.875, 0.99375, 1.0],
+        [0.49974890627471374, 0.07275520790246237, 0.05982858250935457],
+        3312, 3312,
+    ),
+    ("fedprox", "vectorized"): (
+        "2850c44b3057e73fe4a1a489608b5bcf12c79c4c0e468b77114677e9f5368f20",
+        [0.80625, 0.93125, 1.0],
+        [0.5092572231834789, 0.09647400227996174, 0.12404509120045036],
+        3312, 3312,
+    ),
+    ("fedsgd", "vectorized"): (
+        "e389e5de358fe35b0288d1437b25ded1857e49e9b8a27176c3e72d223fe14c58",
+        [0.71875, 0.7375, 0.83125],
+        [1.525800589408235, 0.4575468396678144, 0.9693635227821499],
+        3312, 3312,
+    ),
+    ("feddropoutavg", "vectorized"): (  # opts out of batching: serial's run
+        "7ec87b8292f18b594022466d6723870641424d8790b11443e4a42aa521740ed4",
+        [0.8375, 0.9625, 1.0],
+        [0.47397049561356874, 0.07516396274201834, 0.10668153054785764],
+        6624, 3312,
+    ),
+    ("fedadmm-median", "vectorized"): (
+        "56d97026c73ff40376305d3b239e82e436dd44f8fdfb5459f0445cb5cde48918",
+        [0.4375, 0.425, 0.73125],
+        [0.5092572231834789, 0.16437252483095827, 0.29875464069536745],
+        3312, 3312,
+    ),
+    ("fedadmm+dropout-mlp", "vectorized"): (
+        "94276c290dd15d3b8f2d0dc99de1a44c193c1ec81de7efcc7bd1f398fa7117ff",
+        [0.975, 0.95, 0.9875],
+        [0.6695298068773914, 0.2747123966505689, 0.4419831694882491],
+        3312, 3312,
+    ),
+    ("fedadmm+conv", "vectorized"): (
+        "31404cf820d410caf95d690b63c4ef768872e1b4f9fd2c23ec4289c3f1484f30",
+        [0.725, 0.5, 0.8],
+        [1.0826296301149971, 1.1099415210007164, 0.6948093963969219],
+        1584, 1584,
+    ),
 }
 
 
 class TestFlatPathPins:
     """Every flat aggregation rule reproduces its pre-collapse values exactly."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "vectorized"])
     @pytest.mark.parametrize("case", sorted(FLAT_CASES))
     def test_flat_run_matches_pin(self, case, executor):
         result = run_flat_recipe(case, executor)
         assert flat_fingerprint(result) == FLAT_GOLDENS[case, executor]
+
+    @pytest.mark.parametrize("name", sorted(VECTORIZED_MODELS))
+    def test_vectorized_model_run_matches_pin(self, name):
+        result = run_flat_recipe(
+            "fedadmm", "vectorized", model=VECTORIZED_MODELS[name]()
+        )
+        assert flat_fingerprint(result) == FLAT_GOLDENS[
+            f"fedadmm+{name}", "vectorized"
+        ]

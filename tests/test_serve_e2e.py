@@ -18,6 +18,11 @@ submit-frame payload blobs — and every other registered codec (and no
 codec at all) crosses the socket too, its real bytes equal to
 ``expected_real_bytes`` and, where encoding is deterministic, its history
 bit-identical to the in-process run.
+
+The served × adversary cells are decided the same way: an
+update-corrupting adversary on an exact codec is pinned served ≡
+in-process; the cells the serve layer cannot reproduce (poisoned datasets,
+corruption under a lossy codec) are refused at construction.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import build_simulation
 from repro.serve.loadgen import expected_real_bytes
@@ -149,3 +155,30 @@ def test_networked_run_with_more_workers_than_tasks_is_identical():
     _, networked = serve_run(config, spec, rounds=2, num_workers=4)
     reference = reference_run(config, spec, rounds=2)
     assert_bit_identical(networked, reference)
+
+
+def test_served_sign_flip_on_the_raw_codec_is_the_in_process_run():
+    """The server corrupts decoded uploads; exact decode, so the same bits."""
+    config = preset_config(
+        "serve", codec=None, adversary="sign_flip", adversary_fraction=0.5
+    )
+    spec = AlgorithmSpec("fedadmm")
+    _, networked = serve_run(config, spec)
+    reference = reference_run(config, spec)
+    assert_bit_identical(networked, reference)
+    clean = reference_run(config.with_overrides(adversary=None), spec)
+    assert not np.array_equal(networked.final_params, clean.final_params)
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    # Workers rebuild their datasets from the config: the flipped labels
+    # would stay on the server and the run would train clean.
+    ({"adversary": "label_flip", "codec": None}, "poisons client datasets"),
+    # Served corruption happens after decode, in-process before encode.
+    ({"adversary": "sign_flip", "codec": "float16"}, "lossy codec 'float16'"),
+    ({"adversary": "gaussian_noise", "codec": "topk"}, "lossy codec 'topk'"),
+], ids=["label_flip-raw", "sign_flip-float16", "gaussian_noise-topk"])
+def test_adversary_cells_the_wire_cannot_reproduce_are_refused(overrides, reason):
+    config = preset_config("serve", adversary_fraction=0.5, **overrides)
+    with pytest.raises(ConfigurationError, match=reason):
+        FederationServer(config, AlgorithmSpec("fedavg"))

@@ -58,6 +58,20 @@ class TestContentAddressing:
         assert store.key_for(make_spec(name="fedsgd")) != base
         assert store.key_for(make_spec(stop=False)) != base
 
+    def test_default_config_key_is_the_one_older_stores_wrote(self, tmp_path):
+        # Recorded on 46cbbf4, when ExperimentConfig still had ``backend``
+        # (hashed as null): dropping the field must not move any key, or
+        # every existing store stops resuming.
+        spec = RunSpec(
+            study="demo",
+            key=("a",),
+            config=ExperimentConfig(name="default"),
+            algorithm=AlgorithmSpec("fedadmm", {}),
+            stop_at_target=True,
+        )
+        store = ExperimentStore(tmp_path, version="1.0.0")
+        assert store.key_for(spec) == "7f03788576daa291de75"
+
     def test_key_ignores_spec_position(self, tmp_path):
         # The sweep-tree position is bookkeeping, not run content: the same
         # training run reached via a different study layout must hit the cache.

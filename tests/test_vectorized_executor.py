@@ -488,12 +488,9 @@ class TestCohortMechanics:
 
     def test_build_executor_registry_entry(self):
         assert isinstance(build_executor("vectorized"), VectorizedExecutor)
-        executor = build_executor("vectorized", max_workers=4, backend="numpy")
+        executor = build_executor("vectorized", max_workers=4)
         assert isinstance(executor, VectorizedExecutor)
         assert executor.max_workers == 4
-        assert executor.backend == "numpy"
-        # Per-task executors ignore the backend (they run serial model code).
-        assert build_executor("thread", max_workers=2, backend="numpy") is not None
 
     def test_invalid_max_workers_rejected(self):
         from repro.exceptions import ConfigurationError
@@ -958,18 +955,37 @@ class TestParallelDispatch:
             inline.final_params, threaded.final_params
         )
 
-    def test_explicit_numpy_backend_is_bit_identical(self):
-        sizes = [16] * 4
-        default = run_simulation("fedadmm", VectorizedExecutor(), sizes,
-                                 algorithm_kwargs={"rho": 0.3})
-        explicit = run_simulation(
-            "fedadmm", VectorizedExecutor(backend="numpy"), sizes,
-            algorithm_kwargs={"rho": 0.3},
-        )
-        assert default.history.records == explicit.history.records
-        np.testing.assert_array_equal(
-            default.final_params, explicit.final_params
-        )
+    @settings(max_examples=20, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from([12, 16]), min_size=4, max_size=24),
+        max_epochs=st.integers(1, 5),
+        batch_size=st.sampled_from([None, 5, 8]),
+        min_part=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_history_is_independent_of_max_workers(
+        self, sizes, max_epochs, batch_size, min_part, seed
+    ):
+        # The executor invariant, stated once: whatever the population, the
+        # realised epochs (1..E per client per round), the batch size and the
+        # dealing floor, a FedADMM history is the same bytes for every
+        # ``max_workers``.
+        def run(workers):
+            return run_simulation(
+                "fedadmm", VectorizedExecutor(max_workers=workers), sizes,
+                rounds=2, batch_size=batch_size, seed=seed,
+                local_work=UniformRandomEpochs(max_epochs=max_epochs),
+                algorithm_kwargs={"rho": 0.3},
+            )
+
+        with min_part_clients(min_part, rows=batch_size or min(sizes)):
+            inline = run(1)
+            for workers in (2, 3, 4):
+                dealt = run(workers)
+                assert dealt.history.records == inline.history.records
+                np.testing.assert_array_equal(
+                    dealt.final_params, inline.final_params
+                )
 
 
 class TestConvModels:

@@ -399,7 +399,9 @@ def run_local_sgd(
         stochastic gradient.  FedProx passes ``rho * (w - theta)``; FedADMM
         passes ``y + rho * (w - theta)``; SCAFFOLD passes ``c - c_i``.  The
         returned array is only read, and only before the next call, so the
-        callee may return the same scratch buffer every time.
+        callee may return the same scratch buffer every time.  ``params`` is
+        the same array on every call — the model's live value vector, to be
+        read and not kept.
 
     Returns
     -------
@@ -408,23 +410,22 @@ def run_local_sgd(
         over all steps (the value of the *local data loss*, excluding the
         extra term, which is what the paper plots).
     """
-    params = np.array(start_params, dtype=np.float64, copy=True)
+    # The iterate lives in the model's own value vector for the whole update:
+    # one load here, one copy out below, none per step.
+    params = problem.bind(start_params)
     losses: list[float] = []
     for _ in range(config.epochs):
         for features, labels in problem.minibatches(config.batch_size, rng=rng):
             loss_value, grad = problem.loss_and_grad(params, features, labels)
             losses.append(loss_value)
-            # ``grad`` is ours (loss_and_grad returns a copy), so the step
-            # params -= lr * (grad + extra) runs without a temporary.
+            # ``grad`` is the model's workspace until the next call, so the
+            # step params -= lr * (grad + extra) runs without a temporary.
             if extra_grad is not None:
                 grad += extra_grad(params)
             grad *= config.learning_rate
             params -= grad
-            # Released before the next step allocates its gradient, so the
-            # allocator hands the same (cache-warm) block straight back.
-            del grad
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return params, mean_loss
+    return params.copy(), mean_loss
 
 
 class OneClientCohort:
@@ -466,14 +467,17 @@ class OneClientCohort:
                 f"cohort of one was built for {self.epochs[0]} epochs, "
                 f"config asks for {config.epochs}"
             )
+        live = self.problem.bind(start_params[0])
         row_extra = None
         if extra_grad is not None:
-            def row_extra(params: np.ndarray) -> np.ndarray:
-                return extra_grad(params[None, :])[0]
+            # Every step hands ``extra_grad`` the live vector, so its
+            # ``(1, dim)`` view is built once per update.
+            stacked = live[None, :]
 
-        params, loss = run_local_sgd(
-            self.problem, start_params[0], config, self.rng, row_extra
-        )
+            def row_extra(_: np.ndarray) -> np.ndarray:
+                return extra_grad(stacked)[0]
+
+        params, loss = run_local_sgd(self.problem, live, config, self.rng, row_extra)
         return params[None, :], np.array([loss])
 
     def full_loss_and_grad(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

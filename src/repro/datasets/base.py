@@ -98,6 +98,10 @@ def iterate_minibatches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield mini-batches ``(x, y)``; ``batch_size=None`` yields one full batch.
 
+    Batches are views — of the inputs themselves when ``shuffle`` is off or
+    the batch is full, of this epoch's shuffled copy otherwise — to be read,
+    not written.
+
     The paper's IID 1,000-client runs use full-batch local training
     (``B = inf``), which corresponds to ``batch_size=None`` here.
     """
@@ -109,12 +113,13 @@ def iterate_minibatches(
         return
     if batch_size <= 0:
         raise ShapeError(f"batch_size must be positive or None, got {batch_size}")
-    order = np.arange(n)
     if shuffle:
+        # One gather per epoch; every batch is then a contiguous slice.
         order = as_rng(rng).permutation(n)
+        features, labels = features[order], labels[order]
     for start in range(0, n, batch_size):
-        batch = order[start : start + batch_size]
-        yield features[batch], labels[batch]
+        stop = start + batch_size
+        yield features[start:stop], labels[start:stop]
 
 
 def train_test_split(

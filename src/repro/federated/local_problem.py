@@ -27,9 +27,10 @@ class LocalProblem:
     Parameters
     ----------
     model:
-        A model *template*.  The problem temporarily loads candidate parameter
-        vectors into it to evaluate losses/gradients; callers must not rely on
-        the template's parameters between calls.
+        A model *template*.  The problem loads candidate parameter vectors
+        into it to evaluate losses/gradients, and local SGD iterates in its
+        flat storage (:meth:`bind`); callers must not rely on the template's
+        parameters or gradients between calls.
     loss:
         Loss object mapping (predictions, labels) to a scalar and gradient.
     dataset:
@@ -56,24 +57,41 @@ class LocalProblem:
     # ------------------------------------------------------------------ #
     # Loss / gradient evaluation
     # ------------------------------------------------------------------ #
+    def bind(self, params: np.ndarray) -> np.ndarray:
+        """Load ``params`` into the model and return its live value vector.
+
+        Writes to the returned vector move the model's parameters, so an
+        iterate that lives there is never copied in again: handing it back
+        to :meth:`bind` or :meth:`loss_and_grad` skips the load.
+        """
+        live = self.model.flat_value
+        if params is not live:
+            self.model.set_flat_params(params)
+        return live
+
     def loss_and_grad(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        """Mean loss and flat gradient of ``f_i`` on one batch at ``params``."""
+        """Mean loss and flat gradient of ``f_i`` on one batch at ``params``.
+
+        The gradient is the model's live gradient vector — the caller's to
+        scale and step with in place, valid until the next call (the
+        contract of :meth:`repro.nn.batched.BatchedModel.loss_and_grad`);
+        copy it to keep it.
+        """
         model = self.model
-        model.set_flat_params(params)
-        model.zero_grad()
+        self.bind(params)
         predictions = model.forward(features)
         value, grad_predictions = self.loss.value_and_grad(predictions, labels)
         model.backward_params(grad_predictions)
-        return value, model.get_flat_grad()
+        return value, model.flat_grad
 
     def batch_gradient(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
     ) -> np.ndarray:
-        """Flat gradient only (convenience wrapper)."""
+        """A copy of the flat gradient only (convenience wrapper)."""
         _, grad = self.loss_and_grad(params, features, labels)
-        return grad
+        return grad.copy()
 
     def full_loss_and_grad(
         self, params: np.ndarray, batch_size: int | None = 256

@@ -37,7 +37,6 @@ def analytic_flat_gradient(
     model: Module, loss: Loss, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Backpropagated gradient of ``mean loss`` w.r.t. the flat parameters."""
-    model.zero_grad()
     predictions = model.forward(x)
     _, grad_pred = loss.value_and_grad(predictions, y)
     model.backward(grad_pred)

@@ -71,8 +71,8 @@ class Linear(Module):
     def backward_params(self, grad_output: np.ndarray) -> None:
         if self._input is None:
             raise ShapeError("backward called before forward on Linear")
-        self.weight.grad += self._input.T @ grad_output
-        self.bias.grad += grad_output.sum(axis=0)
+        np.matmul(self._input.T, grad_output, out=self.weight.grad)
+        np.sum(grad_output, axis=0, out=self.bias.grad)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.backward_params(grad_output)
@@ -132,20 +132,22 @@ class Conv2D(Module):
         self._input_shape = x.shape
         return out
 
-    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
-        """Add the parameter gradients; return ``grad_output`` as a matrix."""
+    def _assign(self, grad_output: np.ndarray) -> np.ndarray:
+        """Write the parameter gradients; return ``grad_output`` as a matrix."""
         if self._cols is None or self._input_shape is None:
             raise ShapeError("backward called before forward on Conv2D")
         grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.shape)
-        self.bias.grad += grad_mat.sum(axis=0)
+        np.matmul(
+            grad_mat.T, self._cols, out=self.weight.grad.reshape(self.out_channels, -1)
+        )
+        np.sum(grad_mat, axis=0, out=self.bias.grad)
         return grad_mat
 
     def backward_params(self, grad_output: np.ndarray) -> None:
-        self._accumulate(grad_output)
+        self._assign(grad_output)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_mat = self._accumulate(grad_output)
+        grad_mat = self._assign(grad_output)
         weight_mat = self.weight.value.reshape(self.out_channels, -1)
         grad_cols = grad_mat @ weight_mat
         return col2im(

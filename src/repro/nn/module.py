@@ -2,7 +2,8 @@
 
 Modules implement ``forward(x)`` and ``backward(grad_output)``; ``backward``
 must be called after ``forward`` with the gradient of the loss with respect
-to the module output, accumulates parameter gradients, and returns the
+to the module output, assigns parameter gradients (each call overwrites the
+last one's, so no ``zero_grad`` is needed between steps), and returns the
 gradient with respect to the module input.
 
 The federated algorithms never look inside a model: they exchange flat
@@ -47,8 +48,9 @@ class Module:
     gradient vector (:class:`~repro.nn.parameter.FlatStorage`); each
     ``Parameter.value`` / ``.grad`` is a reshaped view into them.  The
     parameters are moved there on the first flat access, so loading a flat
-    vector is one copy, ``zero_grad`` one fill, and reading the flat
-    gradient one copy — with no per-step walk over the attribute tree.
+    vector is one copy and reading one back is one copy — with no per-step
+    walk over the attribute tree.  :attr:`flat_value` / :attr:`flat_grad`
+    are the vectors themselves: local SGD steps on them in place.
     """
 
     #: Built lazily by :meth:`_flat`; never part of a copy or pickle.
@@ -69,7 +71,7 @@ class Module:
         raise NotImplementedError
 
     def backward_params(self, grad_output: np.ndarray) -> None:
-        """Accumulate parameter gradients when nobody needs the input gradient.
+        """Assign parameter gradients when nobody needs the input gradient.
 
         Same parameter gradients as :meth:`backward`, bit for bit; layers
         override it to skip the work that only produces the return value.
@@ -186,6 +188,16 @@ class Module:
     def num_params(self) -> int:
         """Total number of scalar trainable parameters."""
         return self._flat().value.size
+
+    @property
+    def flat_value(self) -> np.ndarray:
+        """The live value vector (not a copy): writes move the parameters."""
+        return self._flat().value
+
+    @property
+    def flat_grad(self) -> np.ndarray:
+        """The live gradient vector, overwritten by the next backward pass."""
+        return self._flat().grad
 
     # ------------------------------------------------------------------ #
     # Flat packing (the representation exchanged in federated rounds)

@@ -1,9 +1,10 @@
 """Trainable parameter container.
 
-A :class:`Parameter` holds a value array and an accumulated gradient array of
-identical shape.  Modules expose their parameters through
-:meth:`repro.nn.module.Module.parameters`, and the federated algorithms view
-them as one flat vector via the packing helpers on ``Module``.
+A :class:`Parameter` holds a value array and a gradient array of identical
+shape (layers assign the gradient on every backward pass).  Modules expose
+their parameters through :meth:`repro.nn.module.Module.parameters`, and the
+federated algorithms view them as one flat vector via the packing helpers on
+``Module``.
 
 Once a model has been asked for its flat vector, every parameter's ``value``
 and ``grad`` are reshaped *views* into the model's :class:`FlatStorage`, so
@@ -59,7 +60,7 @@ class Parameter:
         return int(self.value.size)
 
     def zero_grad(self) -> None:
-        """Reset the accumulated gradient to zero in place."""
+        """Reset the gradient to zero in place."""
         self.grad.fill(0.0)
 
     def assign(self, new_value: np.ndarray) -> None:

@@ -154,7 +154,11 @@ def run_worker(
     max_failures: int = 50,
     worker_id: str | None = None,
 ) -> int:
-    """Serve one federation server until it reports done; returns tasks run.
+    """Serve one federation server until it reports done; returns tasks done.
+
+    A task is done when the server answers its submit with 200;
+    ``max_failures`` bounds the requests that fail — a connection error, or
+    a submit the server refuses — since the last one that was.
 
     ``delay_fn`` (decoded task → seconds) injects per-task latency —
     the load generator uses it to replay heterogeneous client compute/
@@ -184,7 +188,6 @@ def run_worker(
                     break
                 time.sleep(poll_interval)
                 continue
-            failures = 0
             if content_type.startswith("application/json"):
                 payload = json.loads(data.decode("utf-8"))
                 if status != 200 or payload.get("done"):
@@ -195,12 +198,18 @@ def run_worker(
                 time.sleep(max(0.0, delay_fn(task)))
             frame = env.execute(task_id, task)
             try:
-                client.post("/v1/submit", frame)
+                status, _, _ = client.post("/v1/submit", frame)
             except (http.client.HTTPException, OSError):
+                status = None
+            if status != 200:
+                # Refused (400/404/500) or never delivered: the task is not
+                # done, and a server that refuses every submit must not keep
+                # this worker recomputing it forever.
                 failures += 1
                 if failures >= max_failures:
                     break
                 continue
+            failures = 0
             completed += 1
         return completed
     finally:

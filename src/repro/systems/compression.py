@@ -321,12 +321,17 @@ class QSGDCodec(Codec):
             levels = np.zeros(values.size, dtype=np.int32)
             signs = np.ones(values.size, dtype=np.int8)
         else:
-            scaled = np.abs(values) / norm * self.levels
+            # |v| / norm * levels, then floor + Bernoulli(fraction), each in
+            # the buffer the previous step left behind.
+            scaled = np.abs(values)
+            scaled /= norm
+            scaled *= self.levels
             floor = np.floor(scaled)
-            levels = (floor + (rng.random(values.size) < (scaled - floor))).astype(
-                np.int32
-            )
-            signs = np.where(values < 0, -1, 1).astype(np.int8)
+            scaled -= floor
+            floor += rng.random(values.size) < scaled
+            levels = floor.astype(np.int32)
+            signs = np.ones(values.size, dtype=np.int8)
+            signs[values < 0] = -1
         return self._encoded(
             values.size,
             levels=levels,
@@ -336,9 +341,11 @@ class QSGDCodec(Codec):
 
     def decode(self, encoded: EncodedVector) -> np.ndarray:
         norm = float(encoded.data["norm"][0])
-        levels = encoded.data["levels"].astype(np.float64)
-        signs = encoded.data["signs"].astype(np.float64)
-        return signs * levels / self.levels * norm
+        decoded = encoded.data["signs"].astype(np.float64)
+        decoded *= encoded.data["levels"]
+        decoded /= self.levels
+        decoded *= norm
+        return decoded
 
     def wire_bytes(self, dim: int) -> int:
         return (dim * self.bits_per_coordinate + 7) // 8 + _SCALAR_BYTES

@@ -182,3 +182,39 @@ def test_real_time_straggler_cannot_perturb_staleness_weighting(mode):
         assert any(
             record.max_staleness > 0 for record in networked.history.records
         )
+
+
+def test_refused_submits_are_failures_not_completed_tasks():
+    """A server that answers every submit with 400 gets a worker that stops.
+
+    The refusals must not count as completed tasks (the parent returned
+    ``max_tasks``), and must trip ``max_failures`` although every ``/v1/task``
+    in between succeeds.
+    """
+    from repro.exceptions import ProtocolError
+
+    server = FederationServer(
+        preset_config("serve"), AlgorithmSpec("fedavg"), num_rounds=1, lease_s=0.2
+    )
+
+    def refuse(body):
+        raise ProtocolError("refused by the test", code="malformed")
+
+    server.handle_submit = refuse
+    server.start()
+    completed = []
+    worker = threading.Thread(
+        target=lambda: completed.append(
+            run_worker(server.url, max_tasks=5, max_failures=3)
+        ),
+        daemon=True,
+    )
+    worker.start()
+    try:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        server.stop()
+    assert completed == [0]
+    counters = server.metrics.snapshot()["counters"]
+    assert counters["serve.errors.malformed"] == 3

@@ -9,8 +9,9 @@ the working tree this file sits in.  Pair ``i`` runs ``python3 bench/run.py
 each, and alternates which side goes first.  For every workload it then
 prints the claimed metric pair by pair, the wins, each side's median and
 quartiles, and the verdict of the ``choosing-metrics`` guide, section 8: a
-gain is claimed only when B wins at least nine tenths of the pairs (ties
-count for neither) and the medians lie further apart than A's own quartiles.
+gain is claimed only from at least ten pairs, when B wins at least nine
+tenths of them (ties count for neither) and the medians lie further apart
+than A's own quartiles.
 It finishes with ``bench/compare.py A B`` over the ledgers it wrote, which
 gives every other end-to-end metric its ``ok`` / ``unresolved`` / ``worse``.
 
@@ -36,6 +37,8 @@ import compare  # bench/compare.py: BENCHMARK.json, the ledger reader, the verdi
 
 SPEC = compare.SPEC
 END_TO_END = {metric["name"]: metric for metric in SPEC["end_to_end"]}
+#: Fewer pairs cannot carry a claim: with one, A's quartiles are its one value.
+MIN_PAIRS = 10
 
 
 def unpack_revision(rev: str, target: Path) -> None:
@@ -69,11 +72,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, out: Path) ->
     return json.loads(lines[-1])
 
 
-def report_claim(workload: str, metric: dict, a: dict, b: dict) -> None:
+def report_claim(workload: str, metric: dict, a: dict, b: dict) -> bool:
     """Pairs, wins, quartiles and the section-8 verdict for one workload.
 
     ``a`` / ``b`` are ``compare.summarise`` records: every run's value, the
-    median and, with more than one pair, the quartiles.
+    median and, with more than one pair, the quartiles.  Returns whether the
+    gain is claimed.
     """
     sign = 1.0 if metric["better"] == "higher" else -1.0
     pairs = list(zip(a["values"], b["values"]))
@@ -89,12 +93,16 @@ def report_claim(workload: str, metric: dict, a: dict, b: dict) -> None:
               f"q3 {record.get('q3', record['value']):.6g}]")
     gain = sign * (b["value"] - a["value"])
     spread = a.get("q3", a["value"]) - a.get("q1", a["value"])
-    met = wins >= 0.9 * len(pairs) and gain > spread
     print(f"B wins {wins}/{len(pairs)} ({ties} ties); medians differ by "
           f"{gain / a['value']:+.1%} of A, A's interquartile distance is "
           f"{spread / a['value']:.1%}")
+    if len(pairs) < MIN_PAIRS:
+        print(f"verdict: gain NOT claimed (needs >= {MIN_PAIRS} pairs, ran {len(pairs)})")
+        return False
+    met = wins >= 0.9 * len(pairs) and gain > spread
     print(f"verdict: gain {'CLAIMED' if met else 'NOT claimed'} "
           f"(needs >= {0.9 * len(pairs):g} wins and medians further apart than A's quartiles)")
+    return met
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,8 +15,8 @@ it by giving the whole cohort a leading client axis:
   elementwise op over all ``C`` clients at once.
 
 Every :class:`BatchedModel` owns one **workspace** per scratch array
-(the ``(C, dim)`` gradient buffer, the cross-entropy one-hot buffer, the
-max-pool scatter target): a single allocation at the largest size seen so
+(the ``(C, dim)`` gradient buffer, the stacked max-pool's scatter
+target): a single allocation at the largest size seen so
 far, handed out as prefix views and reused across every step and round —
 the stack a call sees shrinks epoch by epoch (see
 :func:`batched_run_local_sgd`), so sizing per shape would reallocate every
@@ -59,11 +59,10 @@ import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.nn.functional import (
+    check_label_range,
     col2im,
     conv_output_size,
     im2col,
-    log_softmax,
-    softmax,
 )
 from repro.nn.layers import (
     Conv2D,
@@ -123,6 +122,15 @@ class _BatchedOp:
         """
         raise NotImplementedError
 
+    def backward_params(self, grads: np.ndarray, grad_output: np.ndarray) -> None:
+        """Write parameter gradients when nobody needs the input gradient.
+
+        Same ``grads`` as :meth:`backward`, bit for bit (the contract of
+        :meth:`repro.nn.module.Module.backward_params`); parametric ops
+        override it to skip the work that only produces the return value.
+        """
+        self.backward(grads, grad_output)
+
     def clone(self) -> "_BatchedOp":
         """A fresh op with the same configuration and no cached state.
 
@@ -163,16 +171,24 @@ class BatchedLinear(_BatchedOp):
         bias = params[:, self.bias_slice]
         self._input = x
         self._weight = weight
-        return x @ weight + bias[:, None, :]
+        out = x @ weight
+        out += bias[:, None, :]
+        return out
 
-    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+    def backward_params(self, grads: np.ndarray, grad_output: np.ndarray) -> None:
         if self._input is None or self._weight is None:
             raise ShapeError("backward called before forward on BatchedLinear")
-        cohort = grads.shape[0]
-        grads[:, self.weight_slice] = (
-            self._input.transpose(0, 2, 1) @ grad_output
-        ).reshape(cohort, -1)
-        grads[:, self.bias_slice] = grad_output.sum(axis=1)
+        # Both results land in their slice of ``grads`` (the reshape of a
+        # column slice is a view): no temporary, no strided copy.
+        np.matmul(
+            self._input.transpose(0, 2, 1),
+            grad_output,
+            out=grads[:, self.weight_slice].reshape(self._weight.shape),
+        )
+        np.add.reduce(grad_output, axis=1, out=grads[:, self.bias_slice])
+
+    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grads, grad_output)
         return grad_output @ self._weight.transpose(0, 2, 1)
 
 
@@ -244,7 +260,8 @@ class BatchedConv2D(_BatchedOp):
             cohort, self.out_channels, -1
         )
         bias = params[:, self.bias_slice]
-        out = cols @ weight.transpose(0, 2, 1) + bias[:, None, :]
+        out = cols @ weight.transpose(0, 2, 1)
+        out += bias[:, None, :]
         out = out.reshape(cohort, n, out_h, out_w, self.out_channels)
 
         self._cols = cols
@@ -252,20 +269,29 @@ class BatchedConv2D(_BatchedOp):
         self._input_shape = x.shape
         return out.transpose(0, 1, 4, 2, 3)
 
-    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+    def _assign(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+        """Write the parameter gradients; return ``grad_output`` as matrices."""
         if self._cols is None or self._weight is None or self._input_shape is None:
             raise ShapeError("backward called before forward on BatchedConv2D")
-        cohort, n = self._input_shape[0], self._input_shape[1]
         # (C, n, out_ch, oh, ow) -> (C, n*oh*ow, out_ch): the serial layer's
         # row order, per client.
         grad_mat = grad_output.transpose(0, 1, 3, 4, 2).reshape(
-            cohort, -1, self.out_channels
+            self._input_shape[0], -1, self.out_channels
         )
-        grads[:, self.weight_slice] = (
-            grad_mat.transpose(0, 2, 1) @ self._cols
-        ).reshape(cohort, -1)
-        grads[:, self.bias_slice] = grad_mat.sum(axis=1)
+        np.matmul(
+            grad_mat.transpose(0, 2, 1),
+            self._cols,
+            out=grads[:, self.weight_slice].reshape(self._weight.shape),
+        )
+        np.add.reduce(grad_mat, axis=1, out=grads[:, self.bias_slice])
+        return grad_mat
 
+    def backward_params(self, grads: np.ndarray, grad_output: np.ndarray) -> None:
+        self._assign(grads, grad_output)
+
+    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+        grad_mat = self._assign(grads, grad_output)
+        cohort, n = self._input_shape[0], self._input_shape[1]
         grad_cols = grad_mat @ self._weight
         folded_shape = (cohort * n,) + self._input_shape[2:]
         grad_input = col2im(
@@ -354,6 +380,8 @@ class BatchedImageReshape(_BatchedOp):
 
 
 class BatchedReLU(_BatchedOp):
+    """:class:`repro.nn.layers.ReLU`'s arithmetic on a stacked activation."""
+
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
@@ -362,7 +390,9 @@ class BatchedReLU(_BatchedOp):
 
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -451,10 +481,11 @@ class BatchedDropout(_BatchedOp):
 # Batched losses
 # --------------------------------------------------------------------------- #
 class BatchedCrossEntropy:
-    """Per-client softmax cross-entropy over ``(C, n, K)`` logits."""
+    """Per-client softmax cross-entropy over ``(C, n, K)`` logits.
 
-    def __init__(self) -> None:
-        self._one_hot = _Workspace()
+    :meth:`repro.nn.losses.CrossEntropyLoss.value_and_grad` with a client
+    axis: one shifted/exp/sum feeds both results.
+    """
 
     def clone(self) -> "BatchedCrossEntropy":
         return BatchedCrossEntropy()
@@ -463,17 +494,19 @@ class BatchedCrossEntropy:
         self, logits: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         targets = np.asarray(targets, dtype=np.int64)
-        n = logits.shape[1]
-        log_probs = log_softmax(logits)
-        picked = np.take_along_axis(log_probs, targets[:, :, None], axis=2)
-        losses = -picked[:, :, 0].mean(axis=1)
-        # Workspace: one reusable one-hot buffer (zeroed each step — the
-        # scatter writes only the target entries).
-        one_hot = self._one_hot.view(logits.shape)
-        one_hot.fill(0.0)
-        np.put_along_axis(one_hot, targets[:, :, None], 1.0, axis=2)
-        grad = (softmax(logits) - one_hot) / n
-        return losses, grad
+        n, num_classes = logits.shape[1:]
+        check_label_range(targets, num_classes)
+        clients, rows = np.arange(logits.shape[0])[:, None], np.arange(n)
+        shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        probs = np.exp(shifted)
+        total = np.add.reduce(probs, axis=-1, keepdims=True)
+        picked = shifted[clients, rows, targets]
+        picked -= np.log(total)[:, :, 0]
+        losses = -(np.add.reduce(picked, axis=1) / n)
+        probs /= total
+        probs[clients, rows, targets] -= 1.0
+        probs /= n
+        return losses, probs
 
 
 class BatchedMSE:
@@ -540,6 +573,14 @@ class BatchedModel:
         #: untimed hot path pays exactly one ``None`` check per call.
         self.profiler = None
         self._grads = _Workspace()
+        self._first_parametric = next(
+            (
+                index
+                for index, op in enumerate(ops)
+                if isinstance(op, (BatchedLinear, BatchedConv2D))
+            ),
+            len(ops),
+        )
 
     def clone(self) -> "BatchedModel":
         """A fresh execution context: same compiled pipeline, own workspace."""
@@ -584,6 +625,19 @@ class BatchedModel:
         """
         return self._grads.view((cohort, self.dim))
 
+    def _backward_steps(self) -> Iterator[tuple[_BatchedOp, Callable]]:
+        """The backward chain, last op first, as ``(op, method)`` pairs.
+
+        Nothing upstream of the first parametric op reads a gradient, so the
+        chain stops there (``Sequential.backward_params``): that op writes
+        its slice without an input gradient and the ops before it do not run.
+        """
+        first = self._first_parametric
+        for op in reversed(self.ops[first + 1 :]):
+            yield op, op.backward
+        if first < len(self.ops):
+            yield self.ops[first], self.ops[first].backward_params
+
     def loss_and_grad(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -599,8 +653,8 @@ class BatchedModel:
             x = op.forward(params, x)
         losses, grad_output = self.loss.value_and_grad(x, labels)
         grads = self._grads_for(params.shape[0])
-        for op in reversed(self.ops):
-            grad_output = op.backward(grads, grad_output)
+        for _, step in self._backward_steps():
+            grad_output = step(grads, grad_output)
         return losses, grads
 
     def _profiled_loss_and_grad(
@@ -622,9 +676,9 @@ class BatchedModel:
             f"kernel.{type(self.loss).__name__}", time.perf_counter() - started
         )
         grads = self._grads_for(params.shape[0])
-        for op in reversed(self.ops):
+        for op, step in self._backward_steps():
             started = time.perf_counter()
-            grad_output = op.backward(grads, grad_output)
+            grad_output = step(grads, grad_output)
             profiler.add(
                 f"kernel.{type(op).__name__}.backward",
                 time.perf_counter() - started,

@@ -12,16 +12,27 @@ import numpy as np
 from repro.exceptions import ShapeError
 
 
+def check_label_range(targets: np.ndarray, num_classes: int) -> None:
+    """Raise unless every int64 label lies in ``[0, num_classes)``.
+
+    One reduction answers both bounds: viewed as unsigned, a negative label
+    is larger than any class count.
+    """
+    if targets.size and (
+        np.maximum.reduce(targets.view(np.uint64), axis=None) >= num_classes
+    ):
+        raise ShapeError(
+            f"labels must lie in [0, {num_classes}), got range "
+            f"[{targets.min()}, {targets.max()}]"
+        )
+
+
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Return a ``(n, num_classes)`` one-hot encoding of integer ``labels``."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ShapeError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    check_label_range(labels, num_classes)
     encoded = np.zeros((labels.size, num_classes), dtype=np.float64)
     encoded[np.arange(labels.size), labels] = 1.0
     return encoded

@@ -66,13 +66,15 @@ class Linear(Module):
                 f"got {x.shape}"
             )
         self._input = x
-        return x @ self.weight.value + self.bias.value
+        out = x @ self.weight.value
+        out += self.bias.value
+        return out
 
     def backward_params(self, grad_output: np.ndarray) -> None:
         if self._input is None:
             raise ShapeError("backward called before forward on Linear")
         np.matmul(self._input.T, grad_output, out=self.weight.grad)
-        np.sum(grad_output, axis=0, out=self.bias.grad)
+        np.add.reduce(grad_output, axis=0, out=self.bias.grad)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.backward_params(grad_output)
@@ -125,7 +127,8 @@ class Conv2D(Module):
 
         cols = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
         weight_mat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ weight_mat.T + self.bias.value
+        out = cols @ weight_mat.T
+        out += self.bias.value
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
         self._cols = cols
@@ -140,7 +143,7 @@ class Conv2D(Module):
         np.matmul(
             grad_mat.T, self._cols, out=self.weight.grad.reshape(self.out_channels, -1)
         )
-        np.sum(grad_mat, axis=0, out=self.bias.grad)
+        np.add.reduce(grad_mat, axis=0, out=self.bias.grad)
         return grad_mat
 
     def backward_params(self, grad_output: np.ndarray) -> None:
@@ -207,7 +210,12 @@ class MaxPool2D(Module):
 
 
 class ReLU(Module):
-    """Rectified linear activation."""
+    """Rectified linear activation.
+
+    ``fmax`` sends negatives and NaN to its ``0.0`` operand without a
+    data-dependent branch, and ``+ 0.0`` turns a surviving ``-0.0`` into
+    ``+0.0``: ``where(x > 0, x, 0.0)`` bit for bit, on every float.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -215,7 +223,9 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -297,7 +307,7 @@ class Sequential(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
-            x = layer(x)
+            x = layer.forward(x)
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ShapeError
-from repro.nn.functional import log_softmax
+from repro.nn.functional import check_label_range, log_softmax
 
 
 class Loss:
@@ -50,11 +50,7 @@ class CrossEntropyLoss(Loss):
             raise ShapeError(
                 f"batch mismatch: logits {n}, targets {targets.shape[0]}"
             )
-        if n and (targets.min() < 0 or targets.max() >= num_classes):
-            raise ShapeError(
-                f"labels must lie in [0, {num_classes}), got range "
-                f"[{targets.min()}, {targets.max()}]"
-            )
+        check_label_range(targets, num_classes)
         return targets
 
     def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -70,10 +66,12 @@ class CrossEntropyLoss(Loss):
         targets = self._checked_targets(predictions, targets)
         n = targets.size
         rows = np.arange(n)
-        shifted = predictions - predictions.max(axis=-1, keepdims=True)
+        shifted = predictions - np.maximum.reduce(predictions, axis=-1, keepdims=True)
         probs = np.exp(shifted)
-        total = probs.sum(axis=-1, keepdims=True)
-        loss = -float((shifted[rows, targets] - np.log(total)[:, 0]).mean())
+        total = np.add.reduce(probs, axis=-1, keepdims=True)
+        picked = shifted[rows, targets]
+        picked -= np.log(total)[:, 0]
+        loss = -float(np.add.reduce(picked) / n)
         probs /= total
         probs[rows, targets] -= 1.0
         probs /= n

@@ -311,8 +311,7 @@ class VectorizedExecutor(ClientExecutor):
 
     Each concurrent part executes on its own :class:`BatchedModel` clone
     drawn from a lock-protected pool that persists across rounds, so the
-    gradient/one-hot workspaces are reused round to round instead of
-    reallocated.
+    gradient workspace is reused round to round instead of reallocated.
     """
 
     isolated = False

@@ -451,6 +451,23 @@ class TestCompilationRules:
                 params, np.zeros((2, 5, 7)), np.zeros((2, 5), dtype=np.int64)
             )
 
+    @pytest.mark.parametrize("bad_label", [-1, 4])
+    def test_cross_entropy_refuses_labels_outside_the_classes(self, bad_label):
+        # A label of -1 would wrap to class K-1 and train silently; one past
+        # the end was a bare IndexError.  Same refusal, same line, as the
+        # per-client loss gives for these labels.
+        model = MLP(input_dim=4, hidden_dims=(3,), num_classes=4,
+                    rng=np.random.default_rng(0))
+        batched = build_batched_model(model, CrossEntropyLoss())
+        params = np.zeros((2, model.num_params))
+        labels = np.array([[0, 1, bad_label], [2, 3, 1]])
+        with pytest.raises(ShapeError) as stacked:
+            batched.loss_and_grad(params, np.zeros((2, 3, 4)), labels)
+        with pytest.raises(ShapeError) as per_client:
+            CrossEntropyLoss().value_and_grad(np.zeros((6, 4)), labels.reshape(-1))
+        assert str(stacked.value) == str(per_client.value)
+        assert f"[{labels.min()}, {labels.max()}]" in str(stacked.value)
+
 
 class TestConvKernels:
     """The im2col conv/pool stack against the serial layers, per client."""
@@ -636,13 +653,12 @@ class TestWorkspaceReuse:
     def test_every_cohort_size_is_a_prefix_of_one_buffer(self):
         # The active prefix shrinks epoch by epoch: a buffer per size would
         # pile up one array per prefix length.  One allocation at the
-        # largest size seen serves every smaller stack as a prefix view —
-        # for the gradients and for the one-hot scratch alike.
+        # largest size seen serves every smaller stack as a prefix view;
+        # the loss holds no per-shape buffer at all.
         batched, make = self._setup()
         xa, ya, pa = make(0)
         _, grads_full = batched.loss_and_grad(pa, xa, ya)
         grads_buffer = batched._grads._flat
-        one_hot_buffer = batched.loss._one_hot._flat
         expected_full = grads_full.copy()
         for size in (2, 1, 3, 2):
             _, grads = batched.loss_and_grad(pa[:size], xa[:size], ya[:size])
@@ -656,5 +672,5 @@ class TestWorkspaceReuse:
             np.testing.assert_array_equal(grads, reference)
             np.testing.assert_array_equal(grads, expected_full[:size])
         assert batched._grads._flat is grads_buffer
-        assert batched.loss._one_hot._flat is one_hot_buffer
+        assert vars(batched.loss) == {}
         assert grads_buffer.size == 3 * batched.dim

@@ -903,9 +903,9 @@ class TestMergeAndDeal:
     def test_workspaces_are_sized_once_under_changing_prefixes(self):
         # Thirty rounds of random epochs: the active prefix takes every
         # length between 1 and the part size, yet each pooled model clone
-        # holds exactly one gradient buffer and one one-hot buffer — sized
-        # for a whole part on first use (every client is active at epoch
-        # 0) and never reallocated afterwards.
+        # holds exactly one gradient buffer — sized for a whole part on
+        # first use (every client is active at epoch 0) and never
+        # reallocated afterwards — and its loss no per-shape buffer at all.
         with min_part_clients(6, rows=16):
             executor = VectorizedExecutor(max_workers=2)
             simulation = make_simulation(
@@ -917,11 +917,10 @@ class TestMergeAndDeal:
             for _ in range(30):
                 simulation.run_round()
                 for model in executor._model_pool:  # all released between rounds
-                    buffers = (model._grads._flat, model.loss._one_hot._flat)
-                    grads, one_hot = first_seen.setdefault(id(model), buffers)
-                    assert buffers[0] is grads and buffers[1] is one_hot
+                    grads = first_seen.setdefault(id(model), model._grads._flat)
+                    assert model._grads._flat is grads
                     assert grads.size == 6 * model.dim  # a part of six, whole
-                    assert one_hot.size == 6 * 16 * 4  # (part, n, classes)
+                    assert vars(model.loss) == {}
             simulation.pipeline.close()
         assert 1 <= len(first_seen) <= 2  # at most one clone per worker
 

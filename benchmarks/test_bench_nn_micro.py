@@ -4,8 +4,8 @@ These are true repeated-measurement benchmarks (unlike the experiment
 regenerations): forward+backward throughput of the paper's CNN1 on one
 mini-batch, the small-MLP step used by the bench presets, the flat
 parameter packing that every federated round relies on, and the
-cohort-amortisation ratio of each stacked NumPy kernel (one cohort-C call
-vs C cohort-1 calls of the same op), written to
+cohort-amortisation ratio of each layer on a stack (one cohort-C call
+vs C cohort-1 calls of the same layer), written to
 ``BENCH_backend_kernels.json`` for the regression gate.
 """
 
@@ -15,7 +15,8 @@ import numpy as np
 from bench_utils import emit_summary, print_header, run_once
 
 from repro.experiments.tables import format_table
-from repro.nn.batched import BatchedConv2D, BatchedCrossEntropy, BatchedLinear
+from repro.nn.batched import build_batched_model
+from repro.nn.layers import Conv2D, Linear, Sequential
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import CNN1, MLP
 
@@ -84,33 +85,33 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def _linear_speedups() -> dict:
-    cohort, n, in_f, out_f = KERNEL_COHORT, KERNEL_BATCH, 64, 32
-    num_params = in_f * out_f + out_f
-    rng = np.random.default_rng(0)
-    params = rng.normal(size=(cohort, num_params))
-    x = rng.normal(size=(cohort, n, in_f))
-    grad_out = np.ones((cohort, n, out_f))
-    grads = np.zeros((cohort, num_params))
-    stacked = BatchedLinear(in_f, out_f, 0)
-    looped = BatchedLinear(in_f, out_f, 0)
-    grads_one = np.zeros((1, num_params))
+def _layer_speedups(layer, x: np.ndarray, grad_out: np.ndarray) -> dict:
+    """One stacked call of ``layer`` vs one call per client, same layer code."""
+    cohort = x.shape[0]
+    # A layer meets a stack as part of a model bound to the parameter rows.
+    stacked = build_batched_model(Sequential(layer), CrossEntropyLoss())
+    looped = stacked.clone()
+    params = np.random.default_rng(0).normal(size=(cohort, stacked.dim))
+    stacked._bind(params)
+    (many,), (one,) = stacked.layers, looped.layers
 
     def stacked_forward():
-        stacked.forward(params, x)
+        many.forward(x)
 
     def stacked_backward():
-        stacked.forward(params, x)
-        stacked.backward(grads, grad_out)
+        many.forward(x)
+        many.backward(grad_out)
 
     def loop_forward():
         for c in range(cohort):
-            looped.forward(params[c : c + 1], x[c : c + 1])
+            looped._bind(params[c : c + 1])
+            one.forward(x[c : c + 1])
 
     def loop_backward():
         for c in range(cohort):
-            looped.forward(params[c : c + 1], x[c : c + 1])
-            looped.backward(grads_one, grad_out[c : c + 1])
+            looped._bind(params[c : c + 1])
+            one.forward(x[c : c + 1])
+            one.backward(grad_out[c : c + 1])
 
     return {
         "forward_speedup": round(_best_of(loop_forward) / _best_of(stacked_forward), 3),
@@ -118,43 +119,25 @@ def _linear_speedups() -> dict:
             _best_of(loop_backward) / _best_of(stacked_backward), 3
         ),
     }
+
+
+def _linear_speedups() -> dict:
+    cohort, n, in_f, out_f = KERNEL_COHORT, KERNEL_BATCH, 64, 32
+    x = np.random.default_rng(0).normal(size=(cohort, n, in_f))
+    return _layer_speedups(
+        Linear(in_f, out_f, rng=0), x, np.ones((cohort, n, out_f))
+    )
 
 
 def _conv2d_speedups() -> dict:
     cohort, n = KERNEL_COHORT, 4
     in_ch, out_ch, size = 2, 4, 8
-    num_params = out_ch * in_ch * 9 + out_ch
-    rng = np.random.default_rng(0)
-    params = rng.normal(size=(cohort, num_params))
-    x = rng.normal(size=(cohort, n, in_ch, size, size))
-    grad_out = np.ones((cohort, n, out_ch, size, size))
-    grads = np.zeros((cohort, num_params))
-    stacked = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0)
-    looped = BatchedConv2D(in_ch, out_ch, 3, 1, 1, 0)
-    grads_one = np.zeros((1, num_params))
-
-    def stacked_forward():
-        stacked.forward(params, x)
-
-    def stacked_backward():
-        stacked.forward(params, x)
-        stacked.backward(grads, grad_out)
-
-    def loop_forward():
-        for c in range(cohort):
-            looped.forward(params[c : c + 1], x[c : c + 1])
-
-    def loop_backward():
-        for c in range(cohort):
-            looped.forward(params[c : c + 1], x[c : c + 1])
-            looped.backward(grads_one, grad_out[c : c + 1])
-
-    return {
-        "forward_speedup": round(_best_of(loop_forward) / _best_of(stacked_forward), 3),
-        "backward_speedup": round(
-            _best_of(loop_backward) / _best_of(stacked_backward), 3
-        ),
-    }
+    x = np.random.default_rng(0).normal(size=(cohort, n, in_ch, size, size))
+    return _layer_speedups(
+        Conv2D(in_ch, out_ch, 3, 1, 1, rng=0),
+        x,
+        np.ones((cohort, n, out_ch, size, size)),
+    )
 
 
 def _cross_entropy_speedups() -> dict:
@@ -162,15 +145,14 @@ def _cross_entropy_speedups() -> dict:
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(cohort, n, classes))
     labels = rng.integers(0, classes, size=(cohort, n))
-    stacked = BatchedCrossEntropy()
-    looped = BatchedCrossEntropy()
+    loss = CrossEntropyLoss()
 
     def stacked_call():
-        stacked.value_and_grad(logits, labels)
+        loss.value_and_grad(logits, labels, client_axes=1)
 
     def loop_call():
         for c in range(cohort):
-            looped.value_and_grad(logits[c : c + 1], labels[c : c + 1])
+            loss.value_and_grad(logits[c : c + 1], labels[c : c + 1], client_axes=1)
 
     return {"speedup": round(_best_of(loop_call) / _best_of(stacked_call), 3)}
 

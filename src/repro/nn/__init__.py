@@ -3,7 +3,7 @@
 The paper trains CNNs with PyTorch; this environment has no PyTorch, so the
 package provides the minimal-but-complete pieces federated optimisation
 needs: composable layers with explicit forward/backward passes, losses,
-initialisers, SGD optimisers, flat parameter packing (every federated
+initialisers, flat parameter packing (every federated
 algorithm in :mod:`repro.algorithms` operates on flat vectors), the paper's
 two CNN architectures, and numerical gradient checking used by the tests.
 """
@@ -21,7 +21,6 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss, Loss
-from repro.nn.optim import SGD, SGDConfig
 from repro.nn.models import (
     CNN1,
     CNN2,
@@ -56,8 +55,6 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "Loss",
-    "SGD",
-    "SGDConfig",
     "CNN1",
     "CNN2",
     "MLP",

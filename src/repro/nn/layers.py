@@ -4,9 +4,17 @@ Each layer caches whatever it needs during ``forward`` to compute gradients
 in ``backward``.  The layers are deliberately small and single-purpose:
 ``Sequential`` is the only container and is what the model zoo in
 :mod:`repro.nn.models` builds on.
+
+Every layer is written on trailing axes, so it takes one client's batch
+``(n, ...)`` or — when :class:`repro.nn.batched.BatchedModel` has bound a
+private copy to a ``(C, d)`` parameter stack — a cohort's ``(C, n, ...)``,
+issuing the 2-D or the stacked NumPy call respectively.  The shapes in the
+docstrings below are one client's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,25 +68,27 @@ class Linear(Module):
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+        if x.ndim != 2 + self._client_axes or x.shape[-1] != self.in_features:
             raise ShapeError(
-                f"Linear expected input of shape (n, {self.in_features}), "
-                f"got {x.shape}"
+                f"Linear expected {2 + self._client_axes}-D input "
+                f"(n, {self.in_features}), got {x.shape}"
             )
         self._input = x
         out = x @ self.weight.value
-        out += self.bias.value
+        # One bias row per client: a stack adds it across that client's rows.
+        bias = self.bias.value
+        out += bias[..., None, :] if self._client_axes else bias
         return out
 
     def backward_params(self, grad_output: np.ndarray) -> None:
         if self._input is None:
             raise ShapeError("backward called before forward on Linear")
-        np.matmul(self._input.T, grad_output, out=self.weight.grad)
-        np.add.reduce(grad_output, axis=0, out=self.bias.grad)
+        np.matmul(self._input.swapaxes(-1, -2), grad_output, out=self.weight.grad)
+        np.add.reduce(grad_output, axis=-2, out=self.bias.grad)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         self.backward_params(grad_output)
-        return grad_output @ self.weight.value.T
+        return grad_output @ self.weight.value.swapaxes(-1, -2)
 
 
 class Conv2D(Module):
@@ -117,50 +127,69 @@ class Conv2D(Module):
         self._input_shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != 4 + self._client_axes or x.shape[-3] != self.in_channels:
             raise ShapeError(
-                f"Conv2D expected input (n, {self.in_channels}, h, w), got {x.shape}"
+                f"Conv2D expected {4 + self._client_axes}-D input "
+                f"(n, {self.in_channels}, h, w), got {x.shape}"
             )
-        n, _, height, width = x.shape
+        height, width = x.shape[-2:]
         out_h = conv_output_size(height, self.kernel_size, self.stride, self.padding)
         out_w = conv_output_size(width, self.kernel_size, self.stride, self.padding)
 
-        cols = im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        weight_mat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ weight_mat.T
-        out += self.bias.value
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        # im2col is weight-independent, so client axes fold into its batch —
+        # one patch extraction for the whole stack — and unfold again into
+        # one (n*out_h*out_w, c*k*k) matrix per client for the multiply.
+        samples = x.shape[:-3]
+        cols = im2col(
+            x.reshape((-1,) + x.shape[-3:]),
+            self.kernel_size,
+            self.kernel_size,
+            self.stride,
+            self.padding,
+        )
+        cols = cols.reshape(samples[:-1] + (-1, cols.shape[-1]))
+        out = cols @ self._weight_matrix(self.weight.value).swapaxes(-1, -2)
+        bias = self.bias.value
+        out += bias[..., None, :] if self._client_axes else bias
+        out = out.reshape(samples + (out_h, out_w, self.out_channels))
 
         self._cols = cols
         self._input_shape = x.shape
-        return out
+        return np.moveaxis(out, -1, -3)
+
+    def _weight_matrix(self, weight: np.ndarray) -> np.ndarray:
+        """``weight`` (values or gradients) as one (out_ch, c*k*k) matrix a client."""
+        return weight.reshape(weight.shape[:-3] + (-1,))
 
     def _assign(self, grad_output: np.ndarray) -> np.ndarray:
-        """Write the parameter gradients; return ``grad_output`` as a matrix."""
+        """Write the parameter gradients; return ``grad_output`` as matrices."""
         if self._cols is None or self._input_shape is None:
             raise ShapeError("backward called before forward on Conv2D")
-        grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        np.matmul(
-            grad_mat.T, self._cols, out=self.weight.grad.reshape(self.out_channels, -1)
+        grad_mat = np.moveaxis(grad_output, -3, -1).reshape(
+            self._input_shape[:-4] + (-1, self.out_channels)
         )
-        np.add.reduce(grad_mat, axis=0, out=self.bias.grad)
+        np.matmul(
+            grad_mat.swapaxes(-1, -2),
+            self._cols,
+            out=self._weight_matrix(self.weight.grad),
+        )
+        np.add.reduce(grad_mat, axis=-2, out=self.bias.grad)
         return grad_mat
 
     def backward_params(self, grad_output: np.ndarray) -> None:
         self._assign(grad_output)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_mat = self._assign(grad_output)
-        weight_mat = self.weight.value.reshape(self.out_channels, -1)
-        grad_cols = grad_mat @ weight_mat
-        return col2im(
-            grad_cols,
-            self._input_shape,
+        grad_cols = self._assign(grad_output) @ self._weight_matrix(self.weight.value)
+        grad_input = col2im(
+            grad_cols.reshape(-1, grad_cols.shape[-1]),
+            (math.prod(self._input_shape[:-3]),) + self._input_shape[-3:],
             self.kernel_size,
             self.kernel_size,
             self.stride,
             self.padding,
         )
+        return grad_input.reshape(self._input_shape)
 
 
 class MaxPool2D(Module):
@@ -176,37 +205,43 @@ class MaxPool2D(Module):
         self._argmax: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ShapeError(f"MaxPool2D expected 4-D input, got {x.shape}")
-        n, channels, height, width = x.shape
+        if x.ndim != 4 + self._client_axes:
+            raise ShapeError(
+                f"MaxPool2D expected {4 + self._client_axes}-D input, got {x.shape}"
+            )
+        height, width = x.shape[-2:]
         k, s = self.kernel_size, self.stride
         out_h = conv_output_size(height, k, s, 0)
         out_w = conv_output_size(width, k, s, 0)
 
-        # Treat each channel independently by folding channels into the batch.
-        reshaped = x.reshape(n * channels, 1, height, width)
-        cols = im2col(reshaped, k, k, s, 0)  # (n*c*out_h*out_w, k*k)
-        argmax = cols.argmax(axis=1)
+        # Every channel (of every sample, of every client) is pooled on its
+        # own: all leading axes fold into the im2col batch.
+        cols = im2col(x.reshape(-1, 1, height, width), k, k, s, 0)
+        argmax = cols.argmax(axis=1)  # cols: (..*c*out_h*out_w, k*k)
         out = cols[np.arange(cols.shape[0]), argmax]
-        out = out.reshape(n, channels, out_h, out_w)
 
         self._input_shape = x.shape
         self._argmax = argmax
-        return out
+        return out.reshape(x.shape[:-2] + (out_h, out_w))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None or self._argmax is None:
             raise ShapeError("backward called before forward on MaxPool2D")
-        n, channels, height, width = self._input_shape
+        height, width = self._input_shape[-2:]
         k, s = self.kernel_size, self.stride
 
         grad_flat = grad_output.reshape(-1)
         cols_grad = np.zeros((grad_flat.size, k * k), dtype=np.float64)
         cols_grad[np.arange(grad_flat.size), self._argmax] = grad_flat
         grad_input = col2im(
-            cols_grad, (n * channels, 1, height, width), k, k, s, 0
+            cols_grad,
+            (math.prod(self._input_shape[:-2]), 1, height, width),
+            k,
+            k,
+            s,
+            0,
         )
-        return grad_input.reshape(n, channels, height, width)
+        return grad_input.reshape(self._input_shape)
 
 
 class ReLU(Module):
@@ -251,7 +286,11 @@ class Tanh(Module):
 
 
 class Flatten(Module):
-    """Flatten all but the batch dimension."""
+    """Flatten all but the batch dimension (and any client axes before it).
+
+    Rank alone cannot tell ``(n, h, w)`` from ``(C, n, d)``, so the number
+    of leading axes kept comes from the storage the layer is bound to.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -259,7 +298,7 @@ class Flatten(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[: self._client_axes + 1] + (-1,))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

@@ -31,7 +31,8 @@ from repro.utils.rng import SeedLike, as_rng
 
 
 class _ImageReshape(Module):
-    """Reshape flattened image vectors into ``(n, c, h, w)`` batches."""
+    """Reshape flattened image vectors into ``(n, c, h, w)`` batches
+    (``(C, n, c, h, w)`` on a stack)."""
 
     def __init__(self, channels: int, height: int, width: int):
         super().__init__()
@@ -40,18 +41,20 @@ class _ImageReshape(Module):
         self.width = width
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        image = (self.channels, self.height, self.width)
         expected = self.channels * self.height * self.width
-        if x.ndim == 2 and x.shape[1] == expected:
-            return x.reshape(x.shape[0], self.channels, self.height, self.width)
-        if x.ndim == 4 and x.shape[1:] == (self.channels, self.height, self.width):
+        flat_rank = 2 + self._client_axes
+        if x.ndim == flat_rank and x.shape[-1] == expected:
+            return x.reshape(x.shape[:-1] + image)
+        if x.ndim == flat_rank + 2 and x.shape[-3:] == image:
             return x
         raise ShapeError(
-            f"expected input of shape (n, {expected}) or "
+            f"expected {flat_rank}-D input (n, {expected}) or {flat_rank + 2}-D "
             f"(n, {self.channels}, {self.height}, {self.width}), got {x.shape}"
         )
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(grad_output.shape[0], -1)
+        return grad_output.reshape(grad_output.shape[:-3] + (-1,))
 
 
 class CNN1(Sequential):

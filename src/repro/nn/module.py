@@ -56,6 +56,12 @@ class Module:
     #: Built lazily by :meth:`_flat`; never part of a copy or pickle.
     _flat_view: _FlatView | None = None
 
+    #: How many client axes lead this layer's parameters and inputs: 0 for
+    #: a model of its own, 1 on the private copies a
+    #: :class:`repro.nn.batched.BatchedModel` binds to a ``(C, d)`` stack.
+    #: A fact about the storage, set by whoever binds it — not an option.
+    _client_axes: int = 0
+
     def __init__(self) -> None:
         self.training = True
 

@@ -44,6 +44,12 @@ class Parameter:
     #: detached, so the copy's model re-homes them on its first flat access.
     _home: tuple[FlatStorage, int] | None = None
 
+    #: True on the copies a :class:`repro.nn.batched.BatchedModel` keeps:
+    #: their ``value`` / ``grad`` are rebound, stack by stack, to
+    #: ``(C, *shape)`` views of the caller's parameter rows and of the
+    #: model's gradient workspace, and they never move into a flat storage.
+    stacked = False
+
     def __init__(self, value: np.ndarray, name: str = "param"):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
@@ -75,6 +81,13 @@ class Parameter:
 
     def rehome(self, storage: FlatStorage, offset: int) -> None:
         """Move value and gradient into ``storage`` at ``offset``, contents kept."""
+        if self.stacked:
+            # It would copy every client's parameters into a vector of the
+            # layer's own and detach the layer from the rows it trains.
+            raise ShapeError(
+                f"parameter {self.name!r} is bound to a stack of parameter "
+                f"rows and has no place in a flat vector"
+            )
         if self._home is not None:
             self._home[0].stale = True
         stop = offset + self.size

@@ -11,7 +11,7 @@ The federation runtime feeds it from two levels:
 * **per-phase** — :class:`~repro.federated.rounds.ClientWorkPipeline`
   times its systems simulation, local updates, and codec round-trips;
 * **per-kernel** — :class:`~repro.nn.batched.BatchedModel` times each
-  stacked op's forward/backward (only when a profiler is attached; the
+  layer's stacked forward/backward (only when a profiler is attached; the
   hot loop pays a single ``None`` check otherwise).
 
 ``hotspot_table()`` renders the classic profile view — keys sorted by

@@ -112,6 +112,27 @@ class TestSiteIntegrity:
         for identifier in sorted(referenced):
             importlib.import_module(identifier)
 
+    def test_architecture_page_names_only_code_that_exists(self):
+        # The one prose file that describes the contracts: a back-ticked
+        # ``nn.<module>.<Name>`` / ``repro.<...>.<Name>`` outside fenced code
+        # must resolve, so a deleted class cannot outlive its code there.
+        text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
+        prose = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+        referenced = set(re.findall(r"`((?:repro|nn)(?:\.\w+)+)`", prose))
+        assert len(referenced) > 10, "no dotted references found"
+        for reference in sorted(referenced):
+            parts = ("repro." * reference.startswith("nn.") + reference).split(".")
+            # The longest importable prefix is the module; the rest attributes.
+            for split in range(len(parts), 0, -1):
+                try:
+                    target = importlib.import_module(".".join(parts[:split]))
+                except ModuleNotFoundError:
+                    continue
+                break
+            for name in parts[split:]:
+                assert hasattr(target, name), f"architecture.md names `{reference}`"
+                target = getattr(target, name)
+
     def test_api_pages_cover_the_advertised_layers(self):
         pages = {page.stem for page in (DOCS_DIR / "api").glob("*.md")}
         assert {"algorithms", "federated", "systems", "experiments"} <= pages

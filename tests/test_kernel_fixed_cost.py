@@ -1,38 +1,51 @@
 """The training step's kernels against the bodies they replaced, bit for bit.
 
-The oracles below are the kernels as they stood at commit ``f848122`` —
-both cross-entropies, both ReLUs, and the forward / backward passes of
-``Linear``, ``BatchedLinear``, ``Conv2D`` and ``BatchedConv2D``, bodies
-copied verbatim (``self`` spelled ``layer`` / ``op``) — so this file is the
-one place that says what "the same kernel" means: the same **bytes**
-(``tobytes()``, not ``array_equal``: the sign of a zero is part of the
-contract), for every shape, cohort size and memory layout the step can be
-handed.  The other sections pin what the shortened backward chain leans on
-(``backward_params`` writes what ``backward`` writes; the model never asks
-the first parametric op for an input gradient, profiled or not) and
-ROADMAP item 7's probe for the ops touched here: a stacked step at C = 1
-is the per-client step, byte for byte.
+The oracles below are the kernels as they stood at commit ``f848122``, when
+there were two sets of them — the cross-entropy, the ReLU, and the forward /
+backward passes of ``Linear`` and ``Conv2D``, each once per client and once
+with a client axis (``Batched*``), bodies copied verbatim (``self`` spelled
+``layer`` / ``op``) — so this file is the one place that says what "the
+same kernel" means: the same **bytes** (``tobytes()``, not ``array_equal``:
+the sign of a zero is part of the contract), for every shape, cohort size
+and memory layout the step can be handed.  Today's one layer set is held to
+both: to the per-client bodies on one client's batch, to the stacked bodies
+when bound to a stack.  The other sections pin what the shortened backward
+chain leans on (``backward_params`` writes what ``backward`` writes; the
+model never asks the first parametric layer for an input gradient, profiled
+or not) and close ROADMAP item 7: for every layer and loss, a stack of one
+is the per-client call and row *i* of a stack is that client in a stack of
+one — and why the two SGD loops nevertheless stay two.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.base import LocalTrainingConfig, run_local_sgd
 from repro.datasets.base import Dataset
 from repro.federated.local_problem import LocalProblem
 from repro.nn.batched import (
-    BatchedConv2D,
-    BatchedCrossEntropy,
-    BatchedLinear,
-    BatchedReLU,
+    BatchedCohort,
     _Workspace,
+    batched_run_local_sgd,
     build_batched_model,
 )
 from repro.nn.functional import col2im, conv_output_size, im2col, log_softmax, softmax
-from repro.nn.layers import Conv2D, Linear, ReLU
-from repro.nn.losses import CrossEntropyLoss
+from repro.nn.layers import (
+    Conv2D,
+    Dropout,
+    Flatten,
+    Linear,
+    MaxPool2D,
+    ReLU,
+    Sequential,
+    Tanh,
+)
+from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.models import MLP, SmallCNN
 from repro.obs import Profiler
 
@@ -65,6 +78,18 @@ def oracle_batched_cross_entropy(logits, targets):
     np.put_along_axis(one_hot, targets[:, :, None], 1.0, axis=2)
     grad = (softmax(logits) - one_hot) / n
     return losses, grad
+
+
+def oracle_mse(predictions, targets):
+    diff = predictions - targets
+    return float(np.mean(diff**2)), 2.0 * diff / diff.size
+
+
+def oracle_batched_mse(predictions, targets):
+    diff = predictions - targets
+    per_client = diff.size // diff.shape[0]
+    losses = (diff**2).reshape(diff.shape[0], -1).mean(axis=1)
+    return losses, 2.0 * diff / per_client
 
 
 def oracle_relu_forward(x):
@@ -179,14 +204,14 @@ def oracle_batched_conv_backward(op, grads, grad_output):
 
 
 def oracle_batched_loss_and_grad(batched, params, features, labels):
+    batched._bind(params)
     x = features
-    for op in batched.ops:
-        x = op.forward(params, x)
-    losses, grad_output = batched.loss.value_and_grad(x, labels)
-    grads = batched._grads_for(params.shape[0])
-    for op in reversed(batched.ops):
-        grad_output = op.backward(grads, grad_output)
-    return losses, grads
+    for layer in batched.layers:
+        x = layer.forward(x)
+    losses, grad_output = batched.loss.value_and_grad(x, labels, client_axes=1)
+    for layer in reversed(batched.layers):
+        grad_output = layer.backward(grad_output)
+    return losses, batched._param_grads
 
 
 # --------------------------------------------------------------------------- #
@@ -253,6 +278,36 @@ def same_bytes(new, old):
         assert got.tobytes() == expected.tobytes()
 
 
+#: The stacked oracles address a layer's parameters as columns of a row;
+#: the layer under test sits between two others, so its columns are inside
+#: a longer flat layout: 3 before, 2 after.
+COLUMNS_BEFORE, COLUMNS_AFTER = 3, 2
+
+
+def stack_bound(layer):
+    """``layer`` bound into a stack, and the parent's view of its columns."""
+    batched = build_batched_model(
+        Sequential(Linear(2, 1, rng=0), layer, Linear(1, 1, rng=0)), CrossEntropyLoss()
+    )
+    weight_stop = COLUMNS_BEFORE + layer.weight.size
+    columns = SimpleNamespace(
+        **{name: getattr(layer, name) for name in vars(layer) if name[0] != "_"},
+        weight_slice=slice(COLUMNS_BEFORE, weight_stop),
+        bias_slice=slice(weight_stop, weight_stop + layer.bias.size),
+    )
+    assert batched.dim == columns.bias_slice.stop + COLUMNS_AFTER
+    return batched, batched.layers[1], columns
+
+
+def bound_gradients(batched, params, stack):
+    """Bind ``params``; the gradient rows (whole workspace or a prefix), NaN-filled."""
+    if stack == "prefix":
+        batched._bind(np.empty((params.shape[0] + 3, batched.dim)))
+    batched._bind(params)
+    batched._param_grads.fill(np.nan)
+    return batched._param_grads
+
+
 # --------------------------------------------------------------------------- #
 # (a) New kernel == parent kernel, byte for byte
 # --------------------------------------------------------------------------- #
@@ -282,8 +337,26 @@ class TestKernelsEqualParentBodies:
         # Labels arrive as a batch slice of the epoch's gathered labels.
         labels = rng.integers(0, classes, size=(cohort, n + 4))[:, 3 : 3 + n]
         same_bytes(
-            BatchedCrossEntropy().value_and_grad(logits, labels),
+            CrossEntropyLoss().value_and_grad(logits, labels, client_axes=1),
             oracle_batched_cross_entropy(logits, labels),
+        )
+
+    @given(
+        cohort=COHORTS, n=SAMPLES, width=st.integers(1, 12), layout=LAYOUTS, seed=SEEDS
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mse(self, cohort, n, width, layout, seed):
+        # These two bodies are 7f171f4's (the last commit with two losses).
+        rng = np.random.default_rng(seed)
+        predictions = laid_out(30.0 * values(rng, (cohort, n, width)), layout)
+        targets = values(rng, (cohort, n, width))
+        same_bytes(
+            MSELoss().value_and_grad(predictions, targets, client_axes=1),
+            oracle_batched_mse(predictions, targets),
+        )
+        same_bytes(
+            MSELoss().value_and_grad(predictions[0], targets[0]),
+            oracle_mse(predictions[0], targets[0]),
         )
 
     @given(
@@ -301,17 +374,17 @@ class TestKernelsEqualParentBodies:
         x = laid_out(np.tile(row, (3, 1)), layout)
         same_bytes([ReLU().forward(x)], [oracle_relu_forward(x)])
         stack = laid_out(np.tile(row, (cohort, 2, 1)), layout)
-        same_bytes([BatchedReLU().forward(None, stack)], [oracle_relu_forward(stack)])
+        same_bytes([ReLU().forward(stack)], [oracle_relu_forward(stack)])
 
     def test_relu_backward_still_masks_with_x_positive(self):
         x = np.array([[-1.0, 0.0, -0.0, 2.0, np.nan, np.inf]])
         grad = np.full_like(x, 3.0)
         expected = grad * (x > 0)
-        relu, batched = ReLU(), BatchedReLU()
+        relu, on_a_stack = ReLU(), ReLU()
         relu.forward(x)
-        batched.forward(None, x[None])
+        on_a_stack.forward(x[None])
         same_bytes([relu.backward(grad)], [expected])
-        same_bytes([batched.backward(None, grad[None])], [expected[None]])
+        same_bytes([on_a_stack.backward(grad[None])], [expected[None]])
 
     @given(
         n=SAMPLES, fan_in=st.integers(1, 9), fan_out=st.integers(1, 9),
@@ -348,22 +421,19 @@ class TestKernelsEqualParentBodies:
         self, cohort, n, fan_in, fan_out, x_layout, g_layout, stack, seed
     ):
         rng = np.random.default_rng(seed)
-        offset = 3  # the op's slices sit inside a longer flat layout
-        op = BatchedLinear(fan_in, fan_out, offset)
-        dim = op.bias_slice.stop + 2
-        params = stacked(values(rng, (cohort, dim)), stack)
+        batched, layer, op = stack_bound(Linear(fan_in, fan_out, rng=seed))
+        params = stacked(values(rng, (cohort, batched.dim)), stack)
         x = laid_out(values(rng, (cohort, n, fan_in)), x_layout)
         grad_output = laid_out(values(rng, (cohort, n, fan_out)), g_layout)
-
-        def run(forward, backward):
-            grads = stacked(np.full((cohort, dim), np.nan), stack)
-            return forward(params, x), backward(grads, grad_output), grads
+        grads = bound_gradients(batched, params, stack)
+        expected = stacked(np.full((cohort, batched.dim), np.nan), stack)
 
         same_bytes(
-            run(op.forward, op.backward),
-            run(
-                lambda p, x: oracle_batched_linear_forward(op, p, x),
-                lambda grads, g: oracle_batched_linear_backward(op, grads, g),
+            (layer.forward(x), layer.backward(grad_output), grads),
+            (
+                oracle_batched_linear_forward(op, params, x),
+                oracle_batched_linear_backward(op, expected, grad_output),
+                expected,
             ),
         )
 
@@ -411,30 +481,30 @@ class TestKernelsEqualParentBodies:
         g_layout, stack, seed,
     ):
         rng = np.random.default_rng(seed)
-        op = BatchedConv2D(channels, out_channels, kernel, stride, padding, offset=3)
-        dim = op.bias_slice.stop + 2
-        params = stacked(values(rng, (cohort, dim)), stack)
+        batched, layer, op = stack_bound(
+            Conv2D(channels, out_channels, kernel, stride, padding, rng=seed)
+        )
+        params = stacked(values(rng, (cohort, batched.dim)), stack)
         x = values(rng, (cohort, n, channels, size, size))
         out_size = conv_output_size(size, kernel, stride, padding)
         grad_output = laid_out(
             values(rng, (cohort, n, out_channels, out_size, out_size)), g_layout
         )
-
-        def run(forward, backward):
-            grads = stacked(np.full((cohort, dim), np.nan), stack)
-            return forward(params, x), backward(grads, grad_output), grads
+        grads = bound_gradients(batched, params, stack)
+        expected = stacked(np.full((cohort, batched.dim), np.nan), stack)
 
         same_bytes(
-            run(op.forward, op.backward),
-            run(
-                lambda p, x: oracle_batched_conv_forward(op, p, x),
-                lambda grads, g: oracle_batched_conv_backward(op, grads, g),
+            (layer.forward(x), layer.backward(grad_output), grads),
+            (
+                oracle_batched_conv_forward(op, params, x),
+                oracle_batched_conv_backward(op, expected, grad_output),
+                expected,
             ),
         )
 
 
 # --------------------------------------------------------------------------- #
-# (b) The backward chain stops at the first parametric op
+# (b) The backward chain stops at the first parametric layer
 # --------------------------------------------------------------------------- #
 def _mlp():
     return MLP(6, (5, 4), num_classes=3, rng=0), (3, 9, 6)
@@ -455,7 +525,7 @@ def _batch(batched, feature_shape, seed=0):
     )
 
 
-class TestBackwardStopsAtTheFirstParametricOp:
+class TestBackwardStopsAtTheFirstParametricLayer:
     @given(
         cohort=COHORTS, n=st.integers(1, 12), g_layout=LAYOUTS, stack=STACKS, seed=SEEDS
     )
@@ -465,23 +535,24 @@ class TestBackwardStopsAtTheFirstParametricOp:
     ):
         rng = np.random.default_rng(seed)
         cases = [
-            (BatchedLinear(4, 3, 2), (cohort, n, 4), (cohort, n, 3)),
-            (BatchedConv2D(2, 3, 2, 1, 1, 2), (cohort, n, 2, 4, 4), (cohort, n, 3, 5, 5)),
+            (Linear(4, 3, rng=seed), (cohort, n, 4), (cohort, n, 3)),
+            (Conv2D(2, 3, 2, 1, 1, rng=seed), (cohort, n, 2, 4, 4), (cohort, n, 3, 5, 5)),
         ]
-        for op, in_shape, out_shape in cases:
-            dim = op.bias_slice.stop + 1
-            params = values(rng, (cohort, dim))
-            assert op.forward(params, values(rng, in_shape)).shape == out_shape
+        for template, in_shape, out_shape in cases:
+            batched, layer, op = stack_bound(template)
+            params = values(rng, (cohort, batched.dim))
+            batched._bind(params)
+            assert layer.forward(values(rng, in_shape)).shape == out_shape
             grad_output = laid_out(values(rng, out_shape), g_layout)
             written = []
-            for method in (op.backward, op.backward_params):
-                grads = stacked(np.full((cohort, dim), np.nan), stack)
-                method(grads, grad_output)
-                written.append(grads)
-            assert op.backward_params(written[1], grad_output) is None
+            for method in (layer.backward, layer.backward_params):
+                grads = bound_gradients(batched, params, stack)
+                method(grad_output)
+                written.append(grads.copy())
+            assert layer.backward_params(grad_output) is None
             same_bytes(written[1:], written[:1])
-            # Everything outside the op's own slices is left alone.
-            untouched = np.ones(dim, dtype=bool)
+            # Everything outside the layer's own columns is left alone.
+            untouched = np.ones(batched.dim, dtype=bool)
             untouched[op.weight_slice.start : op.bias_slice.stop] = False
             assert np.isnan(written[1][:, untouched]).all()
             assert not np.isnan(written[1][:, ~untouched]).any()
@@ -491,13 +562,13 @@ class TestBackwardStopsAtTheFirstParametricOp:
         model, feature_shape = build()
         batched = build_batched_model(model, CrossEntropyLoss())
         first = next(
-            i for i, op in enumerate(batched.ops)
-            if isinstance(op, (BatchedLinear, BatchedConv2D))
+            i for i, layer in enumerate(batched.layers)
+            if isinstance(layer, (Linear, Conv2D))
         )
         calls, depth = [], [0]
 
         def record(index, name):
-            method = getattr(batched.ops[index], name)
+            method = getattr(batched.layers[index], name)
 
             def recorded(*args):
                 if not depth[0]:  # the model's calls, not ``backward``'s own
@@ -508,16 +579,16 @@ class TestBackwardStopsAtTheFirstParametricOp:
                 finally:
                     depth[0] -= 1
 
-            setattr(batched.ops[index], name, recorded)
+            setattr(batched.layers[index], name, recorded)
 
-        for index in range(len(batched.ops)):
+        for index in range(len(batched.layers)):
             record(index, "backward")
             record(index, "backward_params")
-        # Later ops hand back input gradients, the first parametric op only
-        # writes its slice, and nothing before it (the CNN's image reshape)
-        # runs at all.
+        # Later layers hand back input gradients, the first parametric one
+        # only writes its gradients, and nothing before it (the CNN's image
+        # reshape) runs at all.
         expected_walk = [
-            (index, "backward") for index in range(len(batched.ops) - 1, first, -1)
+            (index, "backward") for index in range(len(batched.layers) - 1, first, -1)
         ] + [(first, "backward_params")]
         params, features, labels = _batch(batched, feature_shape)
 
@@ -536,14 +607,122 @@ class TestBackwardStopsAtTheFirstParametricOp:
         timed = batched.profiler.snapshot()
         backward_keys = {key for key in timed if key.endswith(".backward")}
         assert backward_keys == {
-            f"kernel.{type(op).__name__}.backward" for op in batched.ops[first:]
+            f"kernel.{type(layer).__name__}.backward" for layer in batched.layers[first:]
         }
 
 
 # --------------------------------------------------------------------------- #
-# (c) ROADMAP item 7, step 1, for Linear / ReLU / CrossEntropy
+# (c) ROADMAP item 7: one layer set, with and without a client axis
 # --------------------------------------------------------------------------- #
+#: name -> (layer factory, one sample's input shape, one sample's output shape)
+LAYERS = {
+    "linear": (lambda: Linear(5, 4, rng=1), (5,), (4,)),
+    "relu": (ReLU, (5,), (5,)),
+    "tanh": (Tanh, (5,), (5,)),
+    "flatten": (Flatten, (2, 3, 3), (18,)),
+    "conv_padded": (lambda: Conv2D(2, 3, 3, 1, 1, rng=1), (2, 5, 5), (3, 5, 5)),
+    "conv_strided": (lambda: Conv2D(2, 3, 3, 2, 0, rng=1), (2, 6, 6), (3, 2, 2)),
+    "maxpool": (lambda: MaxPool2D(2), (2, 4, 4), (2, 2, 2)),
+    "dropout": (lambda: Dropout(0.4), (6,), (6,)),
+}
+
+
+def mask_stream(seed, skipped):
+    """A dropout stream, ``skipped`` draws in: where a later client's mask starts."""
+    rng = np.random.default_rng(seed)
+    rng.random(skipped)
+    return rng
+
+
 class TestStackOfOneIsThePerClientStep:
+    @pytest.mark.parametrize("name", LAYERS)
+    @given(cohort=st.sampled_from([1, 2, 5]), n=st.integers(1, 9), seed=SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_layer(self, name, cohort, n, seed):
+        if name.startswith("conv"):
+            n += 1  # one sample a client: see the xfail below
+        self.check_layer(name, cohort, n, seed)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Conv2D's weight gradient at one sample a client: the transposed "
+        "output gradient then reshapes as a view, not a copy, and for that "
+        "layout matmul sums a stack of one (and the per-client call) in another "
+        "order than a longer stack.  So with n = 1 a client's row does depend "
+        "on whether it has company — as it did with the Batched* twins; no "
+        "golden or bench shape trains a conv model on single-sample batches.",
+    )
+    def test_conv_with_one_sample_a_client(self):
+        self.check_layer("conv_padded", cohort=2, n=1, seed=0)
+
+    @staticmethod
+    def check_layer(name, cohort, n, seed):
+        make, in_shape, out_shape = LAYERS[name]
+        rng = np.random.default_rng(seed)
+        per_client = make()
+        batched = build_batched_model(Sequential(make()), CrossEntropyLoss())
+        (layer,) = batched.layers
+        params = values(rng, (cohort, batched.dim))
+        x = values(rng, (cohort, n) + in_shape)
+        grad_output = values(rng, (cohort, n) + out_shape)
+        sample = n * int(np.prod(in_shape))  # mask draws a client
+
+        def on_a_stack(rows, backward):
+            """(output, input gradient, parameter gradients) for clients ``rows``."""
+            layer._rng = mask_stream(seed, rows.start * sample)
+            batched._bind(params[rows])
+            batched._param_grads.fill(np.nan)
+            out = layer.forward(x[rows])
+            grad_input = getattr(layer, backward)(grad_output[rows])
+            return out, grad_input, batched._param_grads.copy()
+
+        whole = on_a_stack(slice(0, cohort), "backward")
+        for c in range(cohort):
+            one = on_a_stack(slice(c, c + 1), "backward")
+            # Row c does not depend on who else is in the stack ...
+            same_bytes(one, [part[c : c + 1] for part in whole])
+            # ... and a stack of one is the per-client call.
+            per_client._rng = mask_stream(seed, c * sample)
+            per_client.set_flat_params(params[c])
+            per_client.set_flat_grad(np.full(batched.dim, np.nan))
+            out = per_client.forward(x[c])
+            grad_input = per_client.backward(grad_output[c])
+            same_bytes(
+                [part[0] for part in one], [out, grad_input, per_client.get_flat_grad()]
+            )
+            # ``backward_params``: the same gradients, no input gradient.
+            _, nothing, grads = on_a_stack(slice(c, c + 1), "backward_params")
+            per_client.set_flat_grad(np.full(batched.dim, np.nan))
+            per_client.forward(x[c])
+            assert per_client.backward_params(grad_output[c]) is None
+            if batched.dim:
+                assert nothing is None
+            same_bytes([grads[0]], [per_client.get_flat_grad()])
+            same_bytes([grads], [one[2]])
+
+    @pytest.mark.parametrize("loss", [CrossEntropyLoss(), MSELoss()], ids=["ce", "mse"])
+    @given(
+        cohort=st.sampled_from([1, 2, 5]), n=SAMPLES, classes=st.integers(1, 8),
+        scale=st.sampled_from([1.0, 30.0]), seed=SEEDS,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_loss(self, loss, cohort, n, classes, scale, seed):
+        rng = np.random.default_rng(seed)
+        predictions = scale * values(rng, (cohort, n, classes))
+        if isinstance(loss, MSELoss):
+            targets = values(rng, (cohort, n, classes))
+        else:
+            targets = rng.integers(0, classes, size=(cohort, n))
+        losses, grad = loss.value_and_grad(predictions, targets, client_axes=1)
+        assert losses.shape == (cohort,)
+        for c in range(cohort):
+            rows = slice(c, c + 1)
+            one = loss.value_and_grad(predictions[rows], targets[rows], client_axes=1)
+            same_bytes(one, [losses[rows], grad[rows]])
+            value, per_client = loss.value_and_grad(predictions[c], targets[c])
+            assert type(value) is float
+            same_bytes([one[0][0], one[1][0]], [np.float64(value), per_client])
+
     @given(
         n=SAMPLES, width=st.integers(1, 12), classes=st.integers(1, 8),
         hidden=st.lists(st.integers(1, 10), max_size=3), seed=SEEDS,
@@ -553,16 +732,74 @@ class TestStackOfOneIsThePerClientStep:
         rng = np.random.default_rng(seed)
         model = MLP(width, tuple(hidden), num_classes=classes, rng=seed)
         features, labels = values(rng, (n, width)), rng.integers(0, classes, size=n)
+        self.check_step(model, rng, features[None], labels[None])
+
+    @given(cohort=st.sampled_from([1, 3]), n=st.integers(2, 6), seed=SEEDS)
+    @settings(max_examples=15, deadline=None)
+    def test_small_cnn_end_to_end(self, cohort, n, seed):
+        rng = np.random.default_rng(seed)
+        model = SmallCNN(
+            rng=seed, image_size=8, num_classes=3, conv_channels=(2, 3), hidden=4
+        )
+        features = values(rng, (cohort, n, 64))
+        self.check_step(model, rng, features, rng.integers(0, 3, size=(cohort, n)))
+
+    @staticmethod
+    def check_step(model, rng, features, labels):
+        """``loss_and_grad``: row c of the stack, c in a stack of one, c alone."""
+        batched = build_batched_model(model, CrossEntropyLoss())
+        params = rng.normal(scale=0.5, size=(features.shape[0], batched.dim))
+        whole = [a.copy() for a in batched.loss_and_grad(params, features, labels)]
+        for c in range(features.shape[0]):
+            rows = slice(c, c + 1)
+            one = batched.loss_and_grad(params[rows], features[rows], labels[rows])
+            same_bytes(one, [part[rows] for part in whole])
+            problem = LocalProblem(
+                model=model,
+                loss=CrossEntropyLoss(),
+                dataset=Dataset(features=features[c], labels=labels[c], name="t"),
+            )
+            value, grad = problem.loss_and_grad(params[c], features[c], labels[c])
+            same_bytes([one[0][0], one[1][0]], [np.float64(value), grad])
+
+
+class TestTheTwoSgdLoopsStayTwo:
+    """Every kernel call of a stack of one is the per-client call (above), and
+    so are the trained parameters — but one client is not routed through the
+    stacked loop: it costs 19-36 % per update on mini-batched shapes, and the
+    loops book the train loss differently, which shows in its last bit."""
+
+    def test_same_parameters_but_the_mean_loss_differs_in_the_last_bit(self):
+        # A fixed case where the last bit moves (it does in about one case
+        # in three, by one or two ulp).
+        rng = np.random.default_rng(7)
+        model = MLP(12, (16,), num_classes=4, rng=0)
+        n, batch_size, epochs = 80, 16, 2  # 10 steps
+        features, labels = rng.normal(size=(n, 12)), rng.integers(0, 4, size=n)
+        start = rng.normal(scale=0.5, size=model.num_params)
+        anchor, dual = start + 0.1, rng.normal(scale=0.01, size=start.shape)
+        config = LocalTrainingConfig(epochs, batch_size, learning_rate=0.1)
         problem = LocalProblem(
-            model=model,
-            loss=CrossEntropyLoss(),
+            model=model, loss=CrossEntropyLoss(),
             dataset=Dataset(features=features, labels=labels, name="t"),
         )
-        batched = build_batched_model(model, CrossEntropyLoss())
-        params = rng.normal(scale=0.5, size=problem.dim)
-
-        value, grad = problem.loss_and_grad(params, features, labels)
-        losses, grads = batched.loss_and_grad(
-            params[None], features[None], labels[None]
+        params, mean_loss = run_local_sgd(
+            problem, start, config, rng=np.random.default_rng(7),
+            extra_grad=lambda w: dual + 0.3 * (w - anchor),  # FedADMM's term
         )
-        same_bytes([losses[0], grads[0]], [np.float64(value), grad])
+
+        shuffles = np.random.default_rng(7)
+        cohort = BatchedCohort(
+            model=build_batched_model(model, CrossEntropyLoss()),
+            features=features[None], labels=labels[None], epochs=np.array([epochs]),
+            epoch_orders=[shuffles.permutation(n)[None] for _ in range(epochs)],
+        )
+        stacked_params, stacked_loss = batched_run_local_sgd(
+            cohort, start[None], config, extra_grad=lambda w: dual + 0.3 * (w - anchor)
+        )
+
+        same_bytes([stacked_params[0]], [params])
+        # ``np.mean`` of the ten losses reduces pairwise; the stacked loop
+        # keeps a running sum per client.  Same numbers, another order.
+        assert stacked_loss[0] != mean_loss
+        assert abs(stacked_loss[0] - mean_loss) <= np.spacing(mean_loss)

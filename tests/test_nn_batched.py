@@ -1,9 +1,10 @@
-"""Direct unit tests for the stacked kernels in ``repro.nn.batched``.
+"""Direct unit tests for the stack-bound model in ``repro.nn.batched``.
 
 The executor-level tests (``test_vectorized_executor.py``) cover the MLP +
-cross-entropy path end to end; these exercise each kernel against its
-serial counterpart — Tanh, Flatten, MSE, nested containers — and pin the
-compilation rules (what :func:`build_batched_model` accepts and rejects).
+cross-entropy path end to end; these run each layer and loss with a client
+axis against the same layer without one — Tanh, Flatten, MSE, nested
+containers — and pin the binding rules (what :func:`build_batched_model`
+accepts and rejects, what a stack-bound copy shares and refuses).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.nn.batched import (
     BatchedCohort,
-    BatchedMSE,
     batched_run_local_sgd,
     build_batched_model,
 )
+from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import (
     Conv2D,
     Dropout,
@@ -107,15 +108,15 @@ class TestBatchedModelKernels:
                 grads[c], total_grad / count, atol=1e-10, rtol=0
             )
 
-    def test_batched_mse_matches_serial(self):
+    def test_mse_with_a_client_axis_matches_each_client_alone(self):
         rng = np.random.default_rng(2)
         predictions = rng.normal(size=(3, 7, 2))
         targets = rng.normal(size=(3, 7, 2))
-        batched = BatchedMSE()
-        serial = MSELoss()
-        losses, grads = batched.value_and_grad(predictions, targets)
+        loss = MSELoss()
+        losses, grads = loss.value_and_grad(predictions, targets, client_axes=1)
+        assert losses.shape == (3,)
         for c in range(3):
-            value, grad = serial.value_and_grad(predictions[c], targets[c])
+            value, grad = loss.value_and_grad(predictions[c], targets[c])
             assert abs(losses[c] - value) < 1e-12
             np.testing.assert_allclose(grads[c], grad, atol=1e-12, rtol=0)
 
@@ -467,6 +468,198 @@ class TestCompilationRules:
             CrossEntropyLoss().value_and_grad(np.zeros((6, 4)), labels.reshape(-1))
         assert str(stacked.value) == str(per_client.value)
         assert f"[{labels.min()}, {labels.max()}]" in str(stacked.value)
+
+
+    def test_cross_entropy_refuses_labels_of_another_shape(self):
+        # One label column against five rows a client used to broadcast
+        # through the stacked gather and train every row of a client on
+        # that client's first label; the per-client loss always refused.
+        model = MLP(input_dim=4, hidden_dims=(3,), num_classes=4,
+                    rng=np.random.default_rng(0))
+        batched = build_batched_model(model, CrossEntropyLoss())
+        params = np.zeros((3, model.num_params))
+        features = np.zeros((3, 5, 4))
+        with pytest.raises(ShapeError, match="batch mismatch"):
+            batched.loss_and_grad(params, features, np.ones((3, 1), dtype=np.int64))
+        with pytest.raises(ShapeError, match="batch mismatch"):
+            CrossEntropyLoss().value_and_grad(
+                np.zeros((5, 4)), np.ones((5, 1), dtype=np.int64)
+            )
+        batched.loss_and_grad(params, features, np.ones((3, 5), dtype=np.int64))
+
+
+class _StackAsOneModel:
+    """A stack-bound model behind the flat-vector interface that
+    ``check_gradients`` drives: every client's parameters as one vector."""
+
+    def __init__(self, batched, cohort):
+        self.batched = batched
+        self.params = np.random.default_rng(0).normal(
+            scale=0.3, size=(cohort, batched.dim)
+        )
+
+    def get_flat_params(self):
+        return self.params.reshape(-1).copy()
+
+    def set_flat_params(self, flat):
+        self.params[...] = flat.reshape(self.params.shape)
+
+    def forward(self, x):
+        self.batched._bind(self.params)
+        for layer in self.batched.layers:
+            x = layer.forward(x)
+        return x
+
+    def backward(self, grad_output):
+        for layer in reversed(self.batched.layers):
+            grad_output = layer.backward(grad_output)
+        return grad_output
+
+    def get_flat_grad(self):
+        return self.batched._param_grads.reshape(-1).copy()
+
+
+class _SummedOverClients(CrossEntropyLoss):
+    """The scalar whose gradient is every client's own, side by side."""
+
+    def value(self, predictions, targets):
+        return self.value_and_grad(predictions, targets)[0]
+
+    def value_and_grad(self, predictions, targets):
+        losses, grad = super().value_and_grad(predictions, targets, client_axes=1)
+        return float(losses.sum()), grad
+
+
+class TestStackBoundLayers:
+    """What a private copy bound to ``(C, d)`` rows shares, refuses and computes."""
+
+    def _template(self):
+        rng = np.random.default_rng(12)
+        return Sequential(
+            _ImageReshape(1, 4, 4),
+            Conv2D(1, 2, kernel_size=3, padding=1, rng=rng),
+            Tanh(),
+            MaxPool2D(2),
+            Flatten(),
+            Dropout(0.25, rng=3),
+            Linear(8, 3, rng=rng),
+        )
+
+    @staticmethod
+    def _arrays(layers):
+        found = []
+        for layer in layers:
+            for value in vars(layer).values():
+                if isinstance(value, np.ndarray):
+                    found.append(value)
+                elif hasattr(value, "grad"):
+                    found += [value.value, value.grad]
+        return found
+
+    def test_a_copy_shares_no_array_with_the_template_or_another_clone(self):
+        template = self._template()
+        rng = np.random.default_rng(13)
+        features, labels = rng.normal(size=(2, 5, 16)), rng.integers(0, 3, size=(2, 5))
+        # The template has cached activations by the time it is bound.
+        template.backward(template.forward(features[0]))
+        batched = build_batched_model(template, CrossEntropyLoss())
+        clone = batched.clone()
+        theirs = self._arrays(template.layers)
+        assert len(theirs) > 8
+        for model in (batched, clone):
+            for array in self._arrays(model.layers):  # before any call ...
+                assert not any(np.shares_memory(array, other) for other in theirs)
+        params = rng.normal(size=(2, batched.dim))
+        batched.loss_and_grad(params, features, labels)
+        clone.loss_and_grad(params.copy(), features, labels)
+        mine, others = self._arrays(batched.layers), self._arrays(clone.layers)
+        for array in mine:  # ... and with activations cached on both
+            assert not any(np.shares_memory(array, other) for other in theirs + others)
+        # Dropout streams are the copies' own, too.
+        streams = {id(m.layers[5]._rng) for m in (batched, clone)} | {id(template[5]._rng)}
+        assert len(streams) == 3
+
+    def test_parameters_are_views_of_the_callers_rows_and_the_workspace(self):
+        batched = build_batched_model(self._template(), CrossEntropyLoss())
+        rng = np.random.default_rng(14)
+        params = rng.normal(size=(3, batched.dim))
+        _, grads = batched.loss_and_grad(
+            params, rng.normal(size=(3, 5, 16)), rng.integers(0, 3, size=(3, 5))
+        )
+        conv, linear = batched.layers[1], batched.layers[6]
+        assert conv.weight.value.shape == (3, 2, 1, 3, 3)
+        assert linear.bias.grad.shape == (3, 3)
+        for layer in (conv, linear):
+            for param in (layer.weight, layer.bias):
+                assert np.shares_memory(param.value, params)
+                assert np.shares_memory(param.grad, grads)
+        # A step on the caller's rows is a step on the layers' parameters.
+        params -= 1.0
+        np.testing.assert_array_equal(
+            linear.bias.value, params[:, -3:]
+        )
+
+    def test_a_stack_bound_layer_never_rehomes_into_a_flat_vector(self):
+        batched = build_batched_model(self._template(), CrossEntropyLoss())
+        params = np.zeros((2, batched.dim))
+        batched.loss_and_grad(
+            params, np.zeros((2, 5, 16)), np.zeros((2, 5), dtype=np.int64)
+        )
+        linear = batched.layers[6]
+        bound = linear.weight.value
+        for access in (
+            lambda: linear.num_params,
+            linear.parameters,
+            linear.get_flat_params,
+            linear.zero_grad,
+            lambda: Sequential(*batched.layers).num_params,
+        ):
+            with pytest.raises(ShapeError, match="bound to a stack"):
+                access()
+        assert linear.weight.value is bound and np.shares_memory(bound, params)
+
+    def test_each_rank_refuses_the_others_input(self):
+        template = self._template()
+        batched = build_batched_model(template, CrossEntropyLoss())
+        batched.loss_and_grad(
+            np.zeros((2, batched.dim)), np.zeros((2, 5, 16)),
+            np.zeros((2, 5), dtype=np.int64),
+        )
+        shapes = {0: (5, 16), 1: (5, 1, 4, 4), 3: (5, 2, 4, 4), 6: (5, 8)}
+        for index, shape in shapes.items():
+            with pytest.raises(ShapeError):  # a client axis on a per-client layer
+                template[index].forward(np.zeros((2,) + shape))
+            with pytest.raises(ShapeError):  # none on a stack-bound one
+                batched.layers[index].forward(np.zeros(shape))
+        # Flatten cannot tell by rank; it keeps the axes its storage has.
+        assert template[4].forward(np.zeros((2, 5, 8))).shape == (2, 40)
+        assert batched.layers[4].forward(np.zeros((2, 5, 8))).shape == (2, 5, 8)
+        with pytest.raises(ShapeError):
+            CrossEntropyLoss().value_and_grad(
+                np.zeros((2, 5, 3)), np.zeros((2, 5), dtype=np.int64)
+            )
+
+    @pytest.mark.parametrize("kind", ["linear", "conv"])
+    def test_stacked_gradients_match_finite_differences(self, kind):
+        # ``gradcheck`` had only ever seen one client.
+        rng = np.random.default_rng(15)
+        if kind == "linear":
+            template = Sequential(Linear(5, 4, rng=rng), Tanh(), Linear(4, 3, rng=rng))
+        else:
+            template = Sequential(
+                _ImageReshape(2, 4, 4),
+                Conv2D(2, 3, kernel_size=3, stride=2, padding=1, rng=rng),
+                Tanh(),
+                Conv2D(3, 2, kernel_size=2, rng=rng),
+                Flatten(),
+                Linear(2, 3, rng=rng),
+            )
+        width = 5 if kind == "linear" else 32
+        loss = _SummedOverClients()
+        model = _StackAsOneModel(build_batched_model(template, CrossEntropyLoss()), 3)
+        features = rng.normal(size=(3, 6, width))
+        labels = rng.integers(0, 3, size=(3, 6))
+        assert check_gradients(model, loss, features, labels, max_params=None) < 1e-6
 
 
 class TestConvKernels:

@@ -1,71 +1,15 @@
-"""Tests for the SGD optimiser and the gradient-checking utilities."""
+"""Tests for the gradient-checking utilities."""
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.nn.gradcheck import check_gradients, numerical_gradient
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD, SGDConfig
 
 
 def _toy_batch(n=16, d=6, k=3, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, d)), rng.integers(0, k, size=n)
-
-
-class TestSGD:
-    def test_step_reduces_loss(self):
-        model = Sequential(Linear(6, 8, rng=0), ReLU(), Linear(8, 3, rng=1))
-        loss = CrossEntropyLoss()
-        optimizer = SGD(model, learning_rate=0.2)
-        x, y = _toy_batch()
-        initial = loss.value(model.forward(x), y)
-        for _ in range(20):
-            optimizer.zero_grad()
-            _, grad_pred = loss.value_and_grad(model.forward(x), y)
-            model.backward(grad_pred)
-            optimizer.step()
-        assert loss.value(model.forward(x), y) < initial
-
-    def test_momentum_differs_from_plain(self):
-        x, y = _toy_batch()
-        finals = []
-        for momentum in (0.0, 0.9):
-            model = Sequential(Linear(6, 3, rng=0))
-            optimizer = SGD(model, learning_rate=0.05, momentum=momentum)
-            loss = CrossEntropyLoss()
-            for _ in range(5):
-                optimizer.zero_grad()
-                _, grad_pred = loss.value_and_grad(model.forward(x), y)
-                model.backward(grad_pred)
-                optimizer.step()
-            finals.append(model.get_flat_params())
-        assert not np.allclose(finals[0], finals[1])
-
-    def test_weight_decay_shrinks_weights(self):
-        model = Sequential(Linear(4, 2, rng=0))
-        optimizer = SGD(model, learning_rate=0.1, weight_decay=0.5)
-        norm_before = np.linalg.norm(model.get_flat_params())
-        model.zero_grad()  # zero gradient: only decay acts
-        optimizer.step()
-        assert np.linalg.norm(model.get_flat_params()) < norm_before
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SGDConfig(learning_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            SGDConfig(momentum=1.0)
-        with pytest.raises(ConfigurationError):
-            SGDConfig(weight_decay=-0.1)
-
-    def test_learning_rate_setter(self):
-        optimizer = SGD(Sequential(Linear(2, 2, rng=0)), learning_rate=0.1)
-        optimizer.learning_rate = 0.01
-        assert optimizer.learning_rate == 0.01
-        with pytest.raises(ConfigurationError):
-            optimizer.learning_rate = -1.0
 
 
 class TestGradcheckUtilities:

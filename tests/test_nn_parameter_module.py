@@ -13,7 +13,6 @@ from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import CNN1, CNN2, MLP, LogisticRegression, SmallCNN
 from repro.nn.module import Module
-from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter
 
 
@@ -199,11 +198,12 @@ class TestFlatBackedStorage:
             model.set_flat_params(np.full(23, 2.0))
             assert np.array_equal(model[2].get_flat_params(), np.full(8, 2.0))
 
-    def test_optimizer_step_moves_the_flat_vector(self):
+    def test_in_place_parameter_step_moves_the_flat_vector(self):
         model = Sequential(Linear(4, 3, rng=0), ReLU(), Linear(3, 2, rng=1))
         before = model.get_flat_params()
         model.set_flat_grad(np.ones(model.num_params))
-        SGD(model, learning_rate=0.5).step()
+        for param in model.parameters():
+            param.value -= 0.5 * param.grad
         assert np.array_equal(model.get_flat_params(), before - 0.5)
 
     def test_num_params_and_parameters_do_not_rewalk_the_tree(self, monkeypatch):

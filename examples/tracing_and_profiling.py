@@ -2,7 +2,7 @@
 
 Runs the same asynchronous FedADMM simulation twice — client work on the
 in-process serial executor, then on a process pool — with the full
-observability stack attached (tracer + metrics registry + profiler), and
+observability stack attached (tracer + metrics registry), and
 shows that the recorded span tree is identical in shape either way:
 worker processes return picklable span records that the pipeline adopts
 back under the correct ``round`` span, so the trace reconciles with the
@@ -11,8 +11,8 @@ training history no matter where the work physically ran.
 Writes ``traces/async-serial.trace.json`` and
 ``traces/async-process.trace.json`` (Chrome ``trace_event`` JSON — open
 them in chrome://tracing or https://ui.perfetto.dev), prints each run's
-span-tree summary, the metrics snapshot, and the profiler's hot-spot
-table.
+span-tree summary, the metrics snapshot, and the hot-spot table folded
+from the process-executor run's spans.
 
 This is the library-level face of the CLI's ``--trace`` / ``--metrics``
 flags and of ``repro profile <study>``.
@@ -35,7 +35,7 @@ from repro import (
 from repro.federated import AsyncPlan, FederatedSimulation
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLP
-from repro.obs import MetricsRegistry, Profiler, Tracer, observe
+from repro.obs import MetricsRegistry, Tracer, hotspot_table, observe
 from repro.obs.trace import span_tree
 from repro.systems.executor import build_executor
 
@@ -68,12 +68,12 @@ def build(executor_name: str) -> FederatedSimulation:
 
 
 def traced_run(executor_name: str):
-    """One fully instrumented run; returns (result, tracer, metrics, profiler)."""
-    tracer, metrics, profiler = Tracer(), MetricsRegistry(), Profiler()
-    with observe(tracer=tracer, metrics=metrics, profiler=profiler):
+    """One fully instrumented run; returns (result, tracer, metrics)."""
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with observe(tracer=tracer, metrics=metrics):
         simulation = build(executor_name)
         result = simulation.run(ROUNDS)
-    return result, tracer, metrics, profiler
+    return result, tracer, metrics
 
 
 def describe(label: str, result, tracer: Tracer) -> dict[str, int]:
@@ -112,8 +112,8 @@ def describe(label: str, result, tracer: Tracer) -> dict[str, int]:
 
 
 def main() -> None:
-    serial_result, serial_tracer, _, _ = traced_run("serial")
-    process_result, process_tracer, metrics, profiler = traced_run("process")
+    serial_result, serial_tracer, _ = traced_run("serial")
+    process_result, process_tracer, metrics = traced_run("process")
 
     serial_counts = describe("serial executor", serial_result, serial_tracer)
     process_counts = describe("process executor", process_result, process_tracer)
@@ -137,7 +137,7 @@ def main() -> None:
     print("\n=== metrics (process-executor run) ===")
     print(metrics.render_text())
     print("\n=== hot spots (process-executor run) ===")
-    print(profiler.hotspot_table(top=8))
+    print(hotspot_table(process_tracer.records, top=8))
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from repro.experiments.store import ExperimentStore, RunStatus
 from repro.experiments.studies import STUDIES
 from repro.experiments.tables import format_table
 from repro.federated.staleness import STALENESS_REGISTRY
-from repro.obs import MetricsRegistry, Profiler, Tracer, observe
+from repro.obs import MetricsRegistry, Tracer, hotspot_table, observe
 from repro.systems import CODEC_REGISTRY, EXECUTOR_REGISTRY, NETWORK_REGISTRY
 from repro.utils.serialization import save_json, to_jsonable
 
@@ -52,6 +52,14 @@ EXPERIMENTS: dict[str, str] = STUDIES.descriptions()
 
 #: Where run records land when ``--resume`` is given without ``--store-dir``.
 DEFAULT_STORE_DIR = ".repro_runs"
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -182,13 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag.name, **flag.kwargs)
     profile = subparsers.add_parser(
         "profile", parents=[shared],
-        help="run a study under the profiler and print its hot-spot table",
-        description="Run one study with per-phase and per-kernel timing "
-                    "enabled, then print where the wall-clock went.",
+        help="run a study traced and print its hot-spot table",
+        description="Run one study under a tracer (with per-kernel spans "
+                    "on the vectorized executor), then print the spans' "
+                    "self time by name.",
     )
     profile.add_argument("study", choices=sorted(EXPERIMENTS),
                          help="the study to profile")
-    profile.add_argument("--top", type=int, default=None,
+    profile.add_argument("--top", type=positive_int, default=None,
                          help="show only the N hottest entries")
     runs = subparsers.add_parser(
         "runs", help="inspect/maintain the persistent run store",
@@ -700,11 +709,11 @@ def main(argv: list[str] | None = None) -> int:
 
     profiling = args.experiment == "profile"
     study_name = args.study if profiling else args.experiment
-    tracer = Tracer() if getattr(args, "trace_path", None) else None
+    trace_path = getattr(args, "trace_path", None)
+    tracer = Tracer() if profiling or trace_path else None
     metrics = MetricsRegistry() if getattr(args, "metrics_path", None) else None
-    profiler = Profiler() if profiling else None
     try:
-        with observe(tracer=tracer, metrics=metrics, profiler=profiler):
+        with observe(tracer=tracer, metrics=metrics):
             result = run_experiment(study_name, args)
     except ReproError as exc:
         # One clear line instead of a traceback: exit 2 for unsupported
@@ -712,17 +721,17 @@ def main(argv: list[str] | None = None) -> int:
         # a sweep whose points failed (the orchestrator's summary).
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigurationError) else 1
-    if tracer is not None:
-        trace_path = tracer.write_chrome_trace(args.trace_path)
+    if trace_path:
+        trace_path = tracer.write_chrome_trace(trace_path)
         span_log = tracer.write_span_log(f"{args.trace_path}.spans.jsonl")
         print(f"\nWrote Chrome trace to {trace_path} "
               f"({len(tracer)} spans; span log: {span_log})")
     if metrics is not None:
         metrics_path = metrics.write_json(args.metrics_path)
         print(f"Wrote metrics snapshot to {metrics_path}")
-    if profiler is not None:
+    if profiling:
         print(f"\nHot spots for {study_name}:")
-        print(profiler.hotspot_table(top=getattr(args, "top", None)))
+        print(hotspot_table(tracer.records, top=args.top))
     if args.output:
         path = save_json(to_jsonable(result), args.output)
         print(f"\nSaved raw results to {path}")

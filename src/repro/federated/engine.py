@@ -43,7 +43,6 @@ from repro.federated.state import ServerState
 from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.trace import Tracer
 from repro.utils.rng import RngFactory
 
@@ -106,7 +105,6 @@ class FederatedSimulation:
         plan: ExecutionPlan | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: Profiler | None = None,
     ):
         if not clients:
             raise ConfigurationError("FederatedSimulation needs at least one client")
@@ -155,7 +153,6 @@ class FederatedSimulation:
             adversary=adversary,
             tracer=tracer,
             metrics=metrics,
-            profiler=profiler,
         )
 
         initial_params = model.get_flat_params()
@@ -220,10 +217,6 @@ class FederatedSimulation:
     @property
     def metrics(self) -> MetricsRegistry | None:
         return self.pipeline.metrics
-
-    @property
-    def profiler(self) -> Profiler | None:
-        return self.pipeline.profiler
 
     @property
     def transport(self) -> Transport | None:

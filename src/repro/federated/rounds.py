@@ -17,7 +17,6 @@ and asynchronous histories bit-for-bit reproducible across refactors.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -34,7 +33,6 @@ from repro.federated.state import RoundContext
 from repro.nn.losses import Loss
 from repro.nn.module import Module
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.runtime import get_obs, observe
 from repro.obs.trace import Tracer
 from repro.utils.rng import RngFactory, SeedLike
@@ -82,7 +80,6 @@ class ClientWorkPipeline:
         adversary: AdversaryModel | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profiler: Profiler | None = None,
     ):
         self.algorithm = algorithm
         self.clients = clients
@@ -101,7 +98,6 @@ class ClientWorkPipeline:
         obs = get_obs()
         self.tracer = tracer if tracer is not None else obs.tracer
         self.metrics = metrics if metrics is not None else obs.metrics
-        self.profiler = profiler if profiler is not None else obs.profiler
 
         self._rng_factory = rng_factory
         self.training_rng = rng_factory.make("local-training")
@@ -151,16 +147,10 @@ class ClientWorkPipeline:
         # process pools this is what reaches the workers at creation, so the
         # per-round task payloads stay small.  Priming runs under this
         # pipeline's resolved sinks so executors that consult get_obs() —
-        # the vectorized executor attaches the profiler to its batched
-        # kernels — see the same sinks regardless of injection route.
-        with observe(
-            tracer=self.tracer, metrics=self.metrics, profiler=self.profiler
-        ):
+        # the vectorized executor reads its metrics registry and tracer
+        # there — see the same sinks regardless of injection route.
+        with observe(tracer=self.tracer, metrics=self.metrics):
             self.executor.prime(self.problems, self.algorithm)
-
-    def _timed(self, key: str):
-        """Profiler phase timer, or a no-op when profiling is off."""
-        return self.profiler.time(key) if self.profiler is not None else nullcontext()
 
     # ------------------------------------------------------------------ #
     # Seeding
@@ -223,15 +213,6 @@ class ClientWorkPipeline:
         Without a network model round time is 0.0; without a fault injector
         every selected client survives.
         """
-        with self._timed("pipeline.simulate_systems"):
-            return self._simulate_systems(round_index, selected, epochs_by_client)
-
-    def _simulate_systems(
-        self,
-        round_index: int,
-        selected: np.ndarray,
-        epochs_by_client: dict[int, int],
-    ) -> RoundContext:
         selected_ids = [int(c) for c in selected]
         ctx = RoundContext(
             round_index=round_index,
@@ -314,8 +295,7 @@ class ClientWorkPipeline:
             )
             for item in work
         ]
-        with self._timed("pipeline.local_updates"):
-            outcomes = self.executor.run_tasks(tasks) if tasks else []
+        outcomes = self.executor.run_tasks(tasks) if tasks else []
         for task, outcome in zip(tasks, outcomes):
             self.merge_client(task.client_index, outcome.client)
         if self.adversary is not None and self.adversary.corrupts_updates:
@@ -372,19 +352,18 @@ class ClientWorkPipeline:
         messages = list(messages)
         codec = "raw" if self.transport is None else self.transport.codec.name
         with self.tracer.span("compress", codec=codec, messages=len(messages)):
-            with self._timed("pipeline.compress"):
-                if self.transport is None:
-                    uploads = sum(msg.upload_floats for msg in messages)
-                    compressed, wire_bytes = messages, uploads * BYTES_PER_FLOAT
-                else:
-                    wire_bytes = 0
-                    compressed = []
-                    for message in messages:
-                        message, wire = self.transport.compress_message(
-                            message, self.transport_rng
-                        )
-                        compressed.append(message)
-                        wire_bytes += wire
+            if self.transport is None:
+                uploads = sum(msg.upload_floats for msg in messages)
+                compressed, wire_bytes = messages, uploads * BYTES_PER_FLOAT
+            else:
+                wire_bytes = 0
+                compressed = []
+                for message in messages:
+                    message, wire = self.transport.compress_message(
+                        message, self.transport_rng
+                    )
+                    compressed.append(message)
+                    wire_bytes += wire
         if self.metrics is not None and messages:
             self.metrics.counter(f"wire.upload_bytes.{codec}").inc(wire_bytes)
         return compressed, wire_bytes

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import copy
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -159,10 +158,10 @@ class BatchedModel:
             _stack_copy(layer, position) for position, layer in enumerate(template)
         ]
         self.loss = loss  # stateless, so shared with the template
-        #: Optional :class:`repro.obs.Profiler`: when set, every layer's
-        #: forward/backward is timed under a ``kernel.*`` key.  The untimed
-        #: hot path pays exactly one ``None`` check per call.
-        self.profiler = None
+        #: Optional :class:`repro.obs.Tracer`: when set, every layer's
+        #: forward/backward (and the loss) is recorded as a ``kernel.*``
+        #: span.  The untraced hot path pays exactly one ``None`` check.
+        self.tracer = None
         #: Every parameter with its per-client shape and its columns of a row.
         self._layout: list[tuple[Parameter, tuple[int, ...], slice]] = []
         self._first_parametric = len(self.layers)
@@ -184,9 +183,7 @@ class BatchedModel:
         Cohorts executing concurrently must not share layers: forward
         caches activations on the instance (``_input``/``_mask``/...).
         """
-        cloned = BatchedModel(self._template, self.loss)
-        cloned.profiler = self.profiler
-        return cloned
+        return BatchedModel(self._template, self.loss)
 
     @property
     def has_dropout(self) -> bool:
@@ -254,7 +251,7 @@ class BatchedModel:
         """
         if params is not self._params:
             self._bind(params)
-        if self.profiler is not None:
+        if self.tracer is not None:
             return self._profiled_loss_and_grad(features, labels)
         x = features
         for layer in self.layers:
@@ -267,13 +264,11 @@ class BatchedModel:
     def _profiled_loss_and_grad(
         self, features: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The same computation with per-kernel timing (``repro profile``)."""
+        """The same computation with one span per kernel (``repro profile``)."""
 
         def timed(key: str, call: Callable, *args):
-            started = time.perf_counter()
-            result = call(*args)
-            self.profiler.add(f"kernel.{key}", time.perf_counter() - started)
-            return result
+            with self.tracer.span(f"kernel.{key}"):
+                return call(*args)
 
         x = features
         for layer in self.layers:

@@ -1,6 +1,6 @@
-"""Observability: structured tracing, metrics, and profiling.
+"""Observability: structured tracing and metrics.
 
-Three zero-dependency pillars, each usable on its own:
+Two zero-dependency pillars, each usable on its own:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing nested spans
   (``round`` → ``client_task`` → ``local_sgd`` / ``compress`` /
@@ -8,11 +8,10 @@ Three zero-dependency pillars, each usable on its own:
   clock, with Chrome ``trace_event`` JSON export (loadable in
   ``chrome://tracing`` / Perfetto) and a JSON-lines span log.  The
   :class:`NullTracer` compiles to no-ops when tracing is disabled.
+  :func:`hotspot_table` folds the recorded spans into the per-name
+  self-time table ``repro profile <study>`` prints.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and histograms with a snapshot API and text/JSON dumps.
-* :mod:`repro.obs.profile` — a :class:`Profiler` accumulating per-phase
-  and per-kernel wall-clock into a hot-spot table
-  (``repro profile <study>``).
 
 The federation runtime resolves its observability sinks from the
 process-wide :func:`active context <repro.obs.runtime.get_obs>` at engine
@@ -22,13 +21,13 @@ plan signature changes.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.runtime import ObsContext, get_obs, observe, set_obs
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     SpanRecord,
     Tracer,
+    hotspot_table,
     load_chrome_trace,
     read_span_log,
 )
@@ -41,10 +40,10 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "ObsContext",
-    "Profiler",
     "SpanRecord",
     "Tracer",
     "get_obs",
+    "hotspot_table",
     "load_chrome_trace",
     "observe",
     "read_span_log",

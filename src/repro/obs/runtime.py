@@ -1,6 +1,6 @@
 """Process-wide observability context.
 
-The federation runtime never threads tracer/metrics/profiler handles
+The federation runtime never threads tracer/metrics handles
 through every constructor.  Instead, a single module-level
 :class:`ObsContext` holds the active sinks, and engines resolve them at
 construction time via :func:`get_obs`.  Enabling observability for a run
@@ -14,7 +14,7 @@ is therefore one ``with`` block::
     tracer.write_chrome_trace("run.trace.json")
 
 The default context carries the :data:`~repro.obs.trace.NULL_TRACER`
-and no metrics/profiler, so code paths that consult the context in the
+and no metrics registry, so code paths that consult the context in the
 common (disabled) case cost one attribute read.
 """
 
@@ -25,17 +25,15 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
 @dataclass(frozen=True)
 class ObsContext:
-    """The three observability sinks an engine resolves at construction."""
+    """The two observability sinks an engine resolves at construction."""
 
     tracer: Tracer = NULL_TRACER
     metrics: Optional[MetricsRegistry] = None
-    profiler: Optional[Profiler] = None
 
     @property
     def tracing(self) -> bool:
@@ -66,7 +64,6 @@ _UNSET = object()
 def observe(
     tracer: object = _UNSET,
     metrics: object = _UNSET,
-    profiler: object = _UNSET,
 ) -> Iterator[ObsContext]:
     """Activate sinks for the enclosed block, restoring the previous context.
 
@@ -78,8 +75,6 @@ def observe(
         updates["tracer"] = tracer if tracer is not None else NULL_TRACER
     if metrics is not _UNSET:
         updates["metrics"] = metrics
-    if profiler is not _UNSET:
-        updates["profiler"] = profiler
     context = replace(get_obs(), **updates)
     previous = set_obs(context)
     try:

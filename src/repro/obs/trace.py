@@ -435,3 +435,52 @@ def span_tree(records: Iterable[SpanRecord]) -> dict[str | None, list[SpanRecord
     for record in records:
         children.setdefault(record.parent_id, []).append(record)
     return children
+
+
+def hotspot_table(records: Iterable[SpanRecord], top: int | None = None) -> str:
+    """The hot-spot table: spans grouped by name, most self time first.
+
+    A span's self time is its duration minus the part of it that its
+    children cover.  Children on other threads may overlap one another, so
+    the union of their intervals is what counts.  A span whose parent is
+    not among ``records`` keeps its whole duration; so does a root opened
+    on a thread with no open span.  Each row's share is its self time over
+    the sum of every row's, so the shares partition the recorded time.
+    """
+    records = list(records)
+    children = span_tree(records)
+    rows: dict[str, list] = {}  # name -> [calls, total s, self s]
+    for record in records:
+        start, end = record.start_s, record.start_s + record.duration_s
+        covered, reach = 0.0, start
+        for child_start, child_end in sorted(
+            (child.start_s, child.start_s + child.duration_s)
+            for child in children.get(record.span_id, ())
+        ):
+            low, high = max(child_start, reach), min(child_end, end)
+            if high > low:
+                covered += high - low
+                reach = high
+        row = rows.setdefault(record.name, [0, 0.0, 0.0])
+        row[0] += 1
+        row[1] += record.duration_s
+        row[2] += max(record.duration_s - covered, 0.0)
+    if not rows:
+        return "(no spans recorded)"
+    ordered = sorted(rows.items(), key=lambda item: (-item[1][2], item[0]))
+    grand_self = sum(own for _, _, own in rows.values())
+    width = max(len("hotspot"), *(len(name) for name in rows))
+    lines = [
+        f"{'hotspot':<{width}}  {'calls':>8}  {'total s':>9}  {'self s':>9}  "
+        f"{'mean ms':>9}  {'share':>6}"
+    ]
+    for index, (name, (calls, total, own)) in enumerate(ordered):
+        if top is not None and index >= top:
+            lines.append(f"... ({len(ordered) - top} more)")
+            break
+        share = own / grand_self if grand_self > 0 else 0.0
+        lines.append(
+            f"{name:<{width}}  {calls:>8d}  {total:>9.3f}  {own:>9.3f}  "
+            f"{1e3 * total / calls:>9.3f}  {share:>6.1%}"
+        )
+    return "\n".join(lines)

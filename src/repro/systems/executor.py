@@ -63,7 +63,7 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.federated.messages import ClientMessage
-from repro.obs.trace import SpanRecord, new_span_id
+from repro.obs.trace import SpanRecord, Tracer, new_span_id
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -337,7 +337,7 @@ class VectorizedExecutor(ClientExecutor):
         from repro.obs.runtime import get_obs
 
         self._metrics = get_obs().metrics
-        self._profiler = get_obs().profiler
+        self._tracer = get_obs().tracer
         self._batched_model = None
         self._model_pool = []
         self._data_cache = {}
@@ -351,9 +351,6 @@ class VectorizedExecutor(ClientExecutor):
         self._batched_model = build_batched_model(template.model, template.loss)
         if self._batched_model is not None:
             self._fallback_reason = None
-            # Per-kernel profiling: the batched model times each stacked
-            # op's forward/backward when a profiler is active.
-            self._batched_model.profiler = self._profiler
             # Seed the reusable execution-context pool with the compiled
             # template itself; concurrent cohorts clone on demand and the
             # clones (with their warmed workspaces) live for the run.
@@ -446,7 +443,7 @@ class VectorizedExecutor(ClientExecutor):
         dropout_seed: int | None,
         tasks: list[LocalUpdateTask],
         epoch_orders: list[np.ndarray | None],
-    ) -> tuple[list[ClientMessage], float, float]:
+    ) -> tuple[list[ClientMessage], float, float, list[SpanRecord]]:
         """Execute one part on a pooled model clone (worker-thread safe).
 
         ``positions`` are the part's tasks in descending-epoch order and
@@ -455,7 +452,8 @@ class VectorizedExecutor(ClientExecutor):
         was drawn before dispatch; client-state mutations are confined to
         this part's clients; ``server_state``, the cached stacks and the
         algorithm are read-only here — so parts may run on any thread in
-        any order.
+        any order.  A traced part records one span per kernel call on a
+        tracer of its own and returns them as parentless records.
         """
         from repro.nn.batched import BatchedCohort
 
@@ -464,6 +462,7 @@ class VectorizedExecutor(ClientExecutor):
         if not np.array_equal(rows, np.arange(features.shape[0])):
             features, labels = features.take(rows, axis=0), labels.take(rows, axis=0)
         model = self._acquire_model()
+        model.tracer = Tracer() if part_tasks[0].trace else None
         try:
             if dropout_seed is not None:
                 model.reseed_dropout(dropout_seed)
@@ -493,33 +492,30 @@ class VectorizedExecutor(ClientExecutor):
                 round_index=lead.round_index,
             )
             cohort_duration = time.perf_counter() - cohort_perf
+            kernels = model.tracer.records if model.tracer is not None else []
         finally:
             self._release_model(model)
-        return messages, cohort_wall, cohort_duration
+        return messages, cohort_wall, cohort_duration, kernels
 
     def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._batched_model is None:
             # Per-client-only algorithm or unbatchable model: the serial loop,
-            # bit for bit.  The labelled counter and profiler entry say
-            # *why*, so unexpected serial fallbacks are diagnosable from
-            # `repro profile` / the metrics snapshot.
+            # bit for bit.  The labelled counter and span say *why*, so
+            # unexpected serial fallbacks are diagnosable from `repro
+            # profile` / the metrics snapshot.
             reason = self._fallback_reason or "unbatchable_model"
             if self._metrics is not None and tasks:
                 self._metrics.counter(f"executor.fallback.{reason}").inc(
                     len(tasks)
                 )
-            started = time.perf_counter()
-            outcomes = [
-                execute_task(task, self._problems[task.client_index], self._algorithm)
-                for task in tasks
-            ]
-            if self._profiler is not None and tasks:
-                self._profiler.add(
-                    f"executor.fallback.{reason}",
-                    time.perf_counter() - started,
-                )
-            return outcomes
+            with self._tracer.span(f"executor.fallback.{reason}"):
+                return [
+                    execute_task(
+                        task, self._problems[task.client_index], self._algorithm
+                    )
+                    for task in tasks
+                ]
 
         epoch_orders = self._draw_epoch_orders(tasks)
 
@@ -615,7 +611,7 @@ class VectorizedExecutor(ClientExecutor):
         # Reassembly — and all metrics/trace bookkeeping — happens back on
         # the calling thread, in task order.
         outcomes: list[LocalUpdateOutcome | None] = [None] * len(tasks)
-        for (positions, *_), (messages, cohort_wall, cohort_duration) in zip(
+        for (positions, *_), (messages, cohort_wall, cohort_duration, kernels) in zip(
             parts, results
         ):
             if self._metrics is not None:
@@ -639,6 +635,12 @@ class VectorizedExecutor(ClientExecutor):
                         cohort=len(positions),
                         batched=True,
                     )
+                    if position == positions[0]:
+                        # The part's kernels ran once for all its clients;
+                        # they hang off its first client's local_sgd span.
+                        for kernel in kernels:
+                            kernel.parent_id = spans[1].span_id
+                        spans += tuple(kernels)
                 outcomes[position] = LocalUpdateOutcome(
                     message=message, client=task.client, spans=spans
                 )

@@ -356,7 +356,19 @@ class TestCliObservability:
         assert code == 0
         out = capsys.readouterr().out
         assert "Hot spots for table4" in out
-        assert "pipeline.local_updates" in out
+        table = out.split("Hot spots for table4:\n")[1].splitlines()
+        assert table[0].split() == [
+            "hotspot", "calls", "total", "s", "self", "s", "mean", "ms", "share"
+        ]
+        assert len(table) == 7 and table[6].startswith("... (")
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_profile_refuses_a_top_below_one(self, top, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "table4", "--dataset", "blobs", "--clients", "8",
+                  "--rounds", "2", "--top", top])
+        assert exit_info.value.code == 2
+        assert "--top: must be at least 1" in capsys.readouterr().err
 
     def test_profile_vectorized_includes_kernels(self, capsys):
         code = main(
@@ -364,7 +376,17 @@ class TestCliObservability:
              "--rounds", "2", "--executor", "vectorized"]
         )
         assert code == 0
-        assert "kernel." in capsys.readouterr().out
+        out = capsys.readouterr().out
+        rows = [
+            line.split()
+            for line in out.split("Hot spots for table4:\n")[1].splitlines()[1:]
+        ]
+        names = {row[0] for row in rows}
+        assert {"round", "client_task", "local_sgd", "compress"} <= names
+        assert any(name.startswith("kernel.") for name in names)
+        # Self shares partition the recorded time (each printed to 0.1 %).
+        shares = [float(row[-1].rstrip("%")) for row in rows]
+        assert sum(shares) == pytest.approx(100.0, abs=0.05 * len(shares))
 
     def test_runs_show_prints_duration_and_wire_totals(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

@@ -11,7 +11,7 @@ and memory layout the step can be handed.  Today's one layer set is held to
 both: to the per-client bodies on one client's batch, to the stacked bodies
 when bound to a stack.  The other sections pin what the shortened backward
 chain leans on (``backward_params`` writes what ``backward`` writes; the
-model never asks the first parametric layer for an input gradient, profiled
+model never asks the first parametric layer for an input gradient, traced
 or not) and close ROADMAP item 7: for every layer and loss, a stack of one
 is the per-client call and row *i* of a stack is that client in a stack of
 one — and why the two SGD loops nevertheless stay two.
@@ -47,7 +47,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
 from repro.nn.models import MLP, SmallCNN
-from repro.obs import Profiler
+from repro.obs import Tracer
 
 
 # --------------------------------------------------------------------------- #
@@ -599,16 +599,18 @@ class TestBackwardStopsAtTheFirstParametricLayer:
         plain = [a.copy() for a in batched.loss_and_grad(params, features, labels)]
         assert calls == expected_walk
         calls.clear()
-        batched.profiler = Profiler()
-        profiled = [a.copy() for a in batched.loss_and_grad(params, features, labels)]
+        batched.tracer = Tracer()
+        traced = [a.copy() for a in batched.loss_and_grad(params, features, labels)]
         assert calls == expected_walk
         same_bytes(plain, expected)
-        same_bytes(profiled, expected)
-        timed = batched.profiler.snapshot()
-        backward_keys = {key for key in timed if key.endswith(".backward")}
-        assert backward_keys == {
-            f"kernel.{type(layer).__name__}.backward" for layer in batched.layers[first:]
-        }
+        same_bytes(traced, expected)
+        spans = [record.name for record in batched.tracer.records]
+        backward_spans = [name for name in spans if name.endswith(".backward")]
+        assert backward_spans == [
+            f"kernel.{type(batched.layers[index]).__name__}.backward"
+            for index, _ in expected_walk
+        ]
+        assert spans[len(batched.layers)] == "kernel.CrossEntropyLoss"
 
 
 # --------------------------------------------------------------------------- #

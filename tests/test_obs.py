@@ -2,7 +2,8 @@
 
 Covers the tracer (nesting, adoption, ordering, Chrome/JSONL round-trip),
 the metrics registry (counter/gauge/histogram semantics and snapshots),
-the profiler, and the process-wide context plumbing.  Integration with
+the hot-spot fold over span records, and the process-wide context
+plumbing.  Integration with
 the federation runtime lives in ``test_obs_runtime.py``.
 """
 
@@ -20,10 +21,10 @@ from repro.obs import (
     MetricsRegistry,
     NullTracer,
     ObsContext,
-    Profiler,
     SpanRecord,
     Tracer,
     get_obs,
+    hotspot_table,
     load_chrome_trace,
     observe,
     read_span_log,
@@ -329,43 +330,110 @@ class TestMetrics:
         assert summary["buckets"] == {"le_8": 20_000, "inf": 0}
 
 
-class TestProfiler:
-    def test_time_accumulates_per_key(self):
-        profiler = Profiler()
-        with profiler.time("phase.a"):
-            pass
-        with profiler.time("phase.a"):
-            pass
-        profiler.add("phase.b", 1.5, calls=3)
-        snap = profiler.snapshot()
-        assert snap["phase.a"]["calls"] == 2
-        assert snap["phase.b"] == {
-            "seconds": 1.5, "calls": 3, "mean_ms": pytest.approx(500.0),
+def _span(name, span_id, start, duration, parent=None, tid=1):
+    return SpanRecord(
+        name=name, span_id=span_id, parent_id=parent,
+        start_s=start, duration_s=duration, tid=tid,
+    )
+
+
+def _rows(table):
+    """``name -> (calls, total s, self s, mean ms, share %)`` from a table."""
+    rows = {}
+    for line in table.splitlines()[1:]:
+        if line.startswith("..."):
+            continue
+        name, calls, total, own, mean, share = line.split()
+        rows[name] = (int(calls), float(total), float(own), float(mean),
+                      float(share.rstrip("%")))
+    return rows
+
+
+class TestHotspotTable:
+    def test_self_time_subtracts_nested_children(self):
+        records = [
+            _span("round", "r", 0.0, 10.0),
+            _span("client_task", "c", 1.0, 6.0, parent="r"),
+            _span("local_sgd", "l", 2.0, 4.0, parent="c"),
+            _span("compress", "z", 7.0, 1.0, parent="r"),
+        ]
+        rows = _rows(hotspot_table(records))
+        assert {name: row[2] for name, row in rows.items()} == {
+            "round": 3.0, "client_task": 2.0, "local_sgd": 4.0, "compress": 1.0,
         }
-        # Hottest first.
-        assert list(snap) == ["phase.b", "phase.a"]
+        assert rows["round"][:2] == (1, 10.0)
+        assert rows["local_sgd"][3] == 4000.0  # mean ms
+        # Hottest self time first.
+        assert list(rows) == ["local_sgd", "round", "client_task", "compress"]
 
-    def test_hotspot_table_renders_and_truncates(self):
-        profiler = Profiler()
-        assert "no profile samples" in profiler.hotspot_table()
-        for key, seconds in (("hot", 2.0), ("warm", 1.0), ("cold", 0.5)):
-            profiler.add(key, seconds)
-        table = profiler.hotspot_table(top=2)
-        assert "hot" in table and "warm" in table
-        assert "cold" not in table and "(1 more)" in table
+    def test_overlapping_children_count_once(self):
+        # Two client tasks on two threads overlap during [2, 5]: the round's
+        # covered time is their union, 5 s, not their sum.
+        records = [
+            _span("round", "r", 0.0, 10.0),
+            _span("client_task", "a", 1.0, 4.0, parent="r", tid=2),
+            _span("client_task", "b", 2.0, 4.0, parent="r", tid=3),
+        ]
+        rows = _rows(hotspot_table(records))
+        assert rows["round"][2] == 5.0
+        assert rows["client_task"][:3] == (2, 8.0, 8.0)
 
-    def test_reset(self):
-        profiler = Profiler()
-        profiler.add("x", 1.0)
-        profiler.reset()
-        assert len(profiler) == 0
+    def test_orphan_spans_keep_their_whole_duration(self):
+        # A root opened on a thread with no open span, and a span whose
+        # parent is not among the records, both inside the round's window:
+        # neither is the round's child, so neither shortens its self time.
+        records = [
+            _span("round", "r", 0.0, 10.0),
+            _span("kernel.Linear.forward", "k1", 3.0, 2.0, tid=2),
+            _span("kernel.Linear.forward", "k2", 6.0, 1.0, parent="gone", tid=2),
+        ]
+        rows = _rows(hotspot_table(records))
+        assert rows["round"][2] == 10.0
+        assert rows["kernel.Linear.forward"][:3] == (2, 3.0, 3.0)
+
+    def test_empty_table(self):
+        assert hotspot_table([]) == "(no spans recorded)"
+
+    def test_top_truncates_with_the_remaining_count(self):
+        records = [
+            _span(name, name, 0.0, seconds)
+            for name, seconds in (("a", 5.0), ("b", 4.0), ("c", 3.0),
+                                  ("d", 2.0), ("e", 1.0))
+        ]
+        table = hotspot_table(records, top=2)
+        assert list(_rows(table)) == ["a", "b"]
+        assert table.splitlines()[-1] == "... (3 more)"
+        assert "more" not in hotspot_table(records, top=5)
+
+    def test_self_shares_sum_to_one(self):
+        records = [
+            _span("round", "r", 0.0, 4.0),
+            _span("local_sgd", "l", 0.0, 2.0, parent="r"),
+            _span("kernel.ReLU.forward", "k", 0.0, 1.0, parent="l"),
+            _span("compress", "z", 2.0, 1.0, parent="r"),
+        ]
+        rows = _rows(hotspot_table(records))
+        assert {name: row[4] for name, row in rows.items()} == {
+            "round": 25.0, "local_sgd": 25.0,
+            "kernel.ReLU.forward": 25.0, "compress": 25.0,
+        }
+        # Spans a live tracer recorded: self shares still partition.
+        tracer = Tracer()
+        with tracer.span("run"):
+            for _ in range(3):
+                with tracer.span("round"):
+                    with tracer.span("compress"):
+                        pass
+        shares = [row[4] for row in _rows(hotspot_table(tracer.records)).values()]
+        # Each printed share is rounded to 0.1 %.
+        assert sum(shares) == pytest.approx(100.0, abs=0.05 * len(shares))
 
 
 class TestObsContext:
     def test_default_context_is_inert(self):
         context = get_obs()
         assert context.tracer is NULL_TRACER
-        assert context.metrics is None and context.profiler is None
+        assert context.metrics is None
         assert not context.tracing
 
     def test_observe_installs_and_restores(self):
@@ -373,19 +441,19 @@ class TestObsContext:
         with observe(tracer=tracer, metrics=metrics) as context:
             assert get_obs() is context
             assert context.tracer is tracer and context.tracing
-            assert context.metrics is metrics and context.profiler is None
+            assert context.metrics is metrics
         assert get_obs().tracer is NULL_TRACER
         assert get_obs().metrics is None
 
     def test_nested_observe_composes(self):
-        tracer, profiler = Tracer(), Profiler()
+        tracer, metrics = Tracer(), MetricsRegistry()
         with observe(tracer=tracer):
-            with observe(profiler=profiler):
+            with observe(metrics=metrics):
                 context = get_obs()
                 assert context.tracer is tracer
-                assert context.profiler is profiler
+                assert context.metrics is metrics
             assert get_obs().tracer is tracer
-            assert get_obs().profiler is None
+            assert get_obs().metrics is None
 
     def test_observe_none_tracer_means_disabled(self):
         with observe(tracer=Tracer()):

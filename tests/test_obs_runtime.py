@@ -17,7 +17,7 @@ import pytest
 from repro.algorithms import build_algorithm
 from repro.federated import AsyncPlan, FederatedSimulation, SemiSyncPlan
 from repro.federated.scheduler import AsyncScheduler
-from repro.obs import MetricsRegistry, Profiler, Tracer, observe
+from repro.obs import MetricsRegistry, Tracer, observe
 from repro.obs.trace import load_chrome_trace, span_tree
 from repro.systems.executor import build_executor
 from repro.systems.network import HomogeneousNetwork, LogNormalNetwork
@@ -174,7 +174,7 @@ class TestObservabilityIsInert:
         plain_result = plain.run(ROUNDS)
         traced = make_sim(
             build_clients(blobs_split.train, iid_partition), blobs_split.test,
-            tracer=Tracer(), metrics=MetricsRegistry(), profiler=Profiler(),
+            tracer=Tracer(), metrics=MetricsRegistry(),
         )
         traced_result = traced.run(ROUNDS)
         assert (
@@ -187,23 +187,52 @@ class TestObservabilityIsInert:
         assert "metrics" not in plain_result.metadata
         assert "metrics" in traced_result.metadata
 
-    def test_profiler_collects_pipeline_phases(self, iid_clients, blobs_split):
-        profiler = Profiler()
-        sim = make_sim(iid_clients, blobs_split.test, profiler=profiler)
+    def test_kernel_spans_never_change_results(self, blobs_split, iid_partition):
+        from repro.federated.client import build_clients
+
+        def run(tracer):
+            sim = make_sim(
+                build_clients(blobs_split.train, iid_partition), blobs_split.test,
+                executor=build_executor("vectorized", max_workers=2), tracer=tracer,
+            )
+            return sim.run(ROUNDS)
+
+        tracer = Tracer()
+        traced, plain = run(tracer), run(None)
+        assert any(r.name.startswith("kernel.") for r in tracer.records)
+        assert traced.final_params.tobytes() == plain.final_params.tobytes()
+        assert [r.train_loss for r in traced.history.records] == [
+            r.train_loss for r in plain.history.records
+        ]
+
+    def test_trace_covers_the_round_phases(self, iid_clients, blobs_split):
+        tracer = Tracer()
+        sim = make_sim(iid_clients, blobs_split.test, tracer=tracer)
         sim.run(2)
-        snap = profiler.snapshot()
-        assert "pipeline.local_updates" in snap
-        assert "pipeline.simulate_systems" in snap
-        assert snap["pipeline.local_updates"]["calls"] == 2
+        names = [record.name for record in tracer.records]
+        for name in ("round", "compress", "aggregate"):
+            assert names.count(name) == 2
+        assert names.count("local_sgd") == names.count("client_task") > 0
+        # The serial executor records no kernel spans.
+        assert not any(name.startswith("kernel.") for name in names)
 
     def test_vectorized_kernels_profiled(self, iid_clients, blobs_split):
-        profiler = Profiler()
+        tracer = Tracer()
         sim = make_sim(
             iid_clients, blobs_split.test,
-            executor=build_executor("vectorized"), profiler=profiler,
+            executor=build_executor("vectorized"), tracer=tracer,
         )
-        sim.run(2)
-        assert any(key.startswith("kernel.") for key in profiler.snapshot())
+        result = sim.run(2)
+        by_name = reconcile(tracer, result)
+        spans = {record.span_id: record for record in tracer.records}
+        kernels = [r for r in tracer.records if r.name.startswith("kernel.")]
+        assert {r.name for r in kernels} >= {
+            "kernel.Linear.forward", "kernel.Linear.backward",
+            "kernel.CrossEntropyLoss",
+        }
+        # Each part's kernels hang off the local_sgd span of its first client.
+        assert {spans[r.parent_id].name for r in kernels} == {"local_sgd"}
+        assert len({r.parent_id for r in kernels}) <= len(by_name["local_sgd"])
 
 
 class TestSchedulerObservability:

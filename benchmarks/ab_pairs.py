@@ -6,12 +6,14 @@
 Side A is ``git archive <rev>`` unpacked into a temporary directory, side B
 the working tree this file sits in.  Pair ``i`` runs ``python3 bench/run.py
 --workload NAME --seed i --trace 0`` once on each side, in a fresh process
-each, and alternates which side goes first.  For every workload it then
-prints the claimed metric pair by pair, the wins, each side's median and
-quartiles, and the verdict of the ``choosing-metrics`` guide, section 8: a
-gain is claimed only from at least ten pairs, when B wins at least nine
+each, and alternates which side goes first.  After the pairs, one ``--seed 0
+--trace 1`` run a side per workload measures the layers.  For every workload
+it then prints the claimed metric pair by pair, the wins, each side's median
+and quartiles, and the verdict of the ``choosing-metrics`` guide, section 8:
+a gain is claimed only from at least ten pairs, when B wins at least nine
 tenths of them (ties count for neither) and the medians lie further apart
-than A's own quartiles.
+than A's own quartiles; then the traced runs' per-layer medians side by
+side, which says in which layer a change in the claimed metric appeared.
 It finishes with ``bench/compare.py A B`` over the ledgers it wrote, which
 gives every other end-to-end metric its ``ok`` / ``unresolved`` / ``worse``.
 
@@ -37,6 +39,7 @@ import compare  # bench/compare.py: BENCHMARK.json, the ledger reader, the verdi
 
 SPEC = compare.SPEC
 END_TO_END = {metric["name"]: metric for metric in SPEC["end_to_end"]}
+PER_LAYER = {metric["name"]: metric for metric in SPEC["per_layer"]}
 #: Fewer pairs cannot carry a claim: with one, A's quartiles are its one value.
 MIN_PAIRS = 10
 
@@ -52,12 +55,14 @@ def unpack_revision(rev: str, target: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, out: Path) -> dict:
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, out: Path, trace: int = 0
+) -> dict:
     """One ``bench/run.py`` process in ``tree``; its result as a one-workload ledger."""
     child = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0", "--out", str(out),
+            "--seconds", str(seconds), "--trace", str(trace), "--out", str(out),
         ],
         cwd=tree,
         capture_output=True,
@@ -105,6 +110,16 @@ def report_claim(workload: str, metric: dict, a: dict, b: dict) -> bool:
     return met
 
 
+def report_layers(workload: str, a: dict, b: dict) -> None:
+    """One traced run a side: every per-layer metric, A beside B."""
+    print(f"\n## {workload}: per layer, one traced run a side (seed 0)")
+    print(f"{'metric':44s} {'A':>12s} {'B':>12s}  change")
+    for name, metric in PER_LAYER.items():
+        x, y = a["metrics"][name]["value"], b["metrics"][name]["value"]
+        change = f"{(y - x) / x:+.1%}" if x else "n/a"
+        print(f"{name:44s} {x:12.6g} {y:12.6g}  {change:>7s} {metric['unit']}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision of side A")
@@ -137,11 +152,20 @@ def main(argv: list[str] | None = None) -> int:
             for side, ledger in ledgers.items():
                 path = sides[side] / f"{index:03d}" / f"ledger_seed{index}.json"
                 path.write_text(json.dumps(ledger, indent=1) + "\n")
+        layers = {
+            (side, workload): run_once(
+                trees[side], workload, 0, args.seconds,
+                (sides[side] / "trace").resolve(), trace=1,
+            )
+            for workload in args.workload
+            for side in "AB"
+        }
 
     runs = {side: compare.load_side(path) for side, path in sides.items()}
     for workload in args.workload:
         a, b = (compare.summarise(runs[side], workload, args.metric) for side in "AB")
         report_claim(workload, END_TO_END[args.metric], a, b)
+        report_layers(workload, layers["A", workload], layers["B", workload])
         moved = [
             name
             for name in sorted(compare.EXACT)

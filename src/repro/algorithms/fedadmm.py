@@ -36,7 +36,7 @@ from repro.core.stepsize import (
     ServerStepSize,
 )
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState
+from repro.federated.client import ClientState, gather, scatter
 from repro.federated.messages import ClientMessage
 
 
@@ -110,20 +110,17 @@ class FedADMM(FederatedAlgorithm):
         rho = self.rho_schedule.value(round_index)
         for client in clients:
             self.init_client_state(client, global_params)
-        if self.use_duals:
-            y_old = [client.get("y") for client in clients]
-        else:
-            y_old = [np.zeros_like(global_params)] * len(clients)
+        w_old = gather(clients, "w")
+        y_old = gather(clients, "y") if self.use_duals else np.zeros(w_old.shape)
 
         result = admm_client_update(
-            cohort, [client.get("w") for client in clients], y_old,
-            global_params, rho, config, warm_start=self.warm_start,
+            cohort, w_old, y_old, global_params, rho, config,
+            warm_start=self.warm_start,
         )
 
-        for index, client in enumerate(clients):
-            client.set("w", result.w_new[index])
-            if self.use_duals:
-                client.set("y", result.y_new[index])
+        scatter(clients, "w", result.w_new)
+        if self.use_duals:
+            scatter(clients, "y", result.y_new)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, result.train_loss,
             {"delta": result.delta},

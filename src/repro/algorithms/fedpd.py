@@ -24,7 +24,7 @@ from repro.algorithms.base import (
 from repro.core.admm_client import admm_client_update
 from repro.core.dual import augmented_model
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState
+from repro.federated.client import ClientState, gather, scatter
 from repro.federated.messages import ClientMessage
 from repro.utils.rng import as_rng
 
@@ -73,15 +73,14 @@ class FedPD(FederatedAlgorithm):
             self.init_client_state(client, global_params)
         result = admm_client_update(
             cohort,
-            [client.get("w") for client in clients],
-            [client.get("y") for client in clients],
+            gather(clients, "w"),
+            gather(clients, "y"),
             global_params,
             self.rho,
             config,
         )
-        for index, client in enumerate(clients):
-            client.set("w", result.w_new[index])
-            client.set("y", result.y_new[index])
+        scatter(clients, "w", result.w_new)
+        scatter(clients, "y", result.y_new)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, result.train_loss,
             {"augmented_model": augmented_model(result.w_new, result.y_new, self.rho)},

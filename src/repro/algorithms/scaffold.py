@@ -19,7 +19,7 @@ from repro.algorithms.base import (
     UpdateAccumulator,
 )
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState
+from repro.federated.client import ClientState, gather, scatter
 from repro.federated.messages import ClientMessage
 
 
@@ -77,7 +77,7 @@ class Scaffold(FederatedAlgorithm):
         for client in clients:
             self.init_client_state(client, global_params)
         server_control = server_state["control"]
-        client_controls = np.stack([client.get("control") for client in clients])
+        client_controls = gather(clients, "control")
         correction = server_control[None, :] - client_controls
 
         start = np.broadcast_to(
@@ -95,8 +95,7 @@ class Scaffold(FederatedAlgorithm):
 
         delta_params = params - global_params[None, :]
         delta_controls = new_controls - client_controls
-        for index, client in enumerate(clients):
-            client.set("control", new_controls[index])
+        scatter(clients, "control", new_controls)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, losses,
             {"delta_params": delta_params, "delta_control": delta_controls},

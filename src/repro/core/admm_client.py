@@ -13,7 +13,6 @@ A selected client i, holding its persistent primal/dual pair ``(w_i, y_i)``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +34,8 @@ class AdmmClientResult:
 
 def admm_client_update(
     cohort,
-    w_old: Sequence[np.ndarray],
-    y_old: Sequence[np.ndarray],
+    w_old: np.ndarray,
+    y_old: np.ndarray,
     theta: np.ndarray,
     rho: float,
     config: LocalTrainingConfig,
@@ -47,9 +46,10 @@ def admm_client_update(
 
     ``cohort`` is the clients' data behind the cohort interface of
     :meth:`repro.algorithms.base.FederatedAlgorithm.batched_local_update`
-    (one client or a stack); ``w_old`` / ``y_old`` hold one ``(dim,)``
-    primal / dual vector per cohort member and are only read — they are
-    stacked into ``(C, dim)`` copies here.
+    (one client or a stack); ``w_old`` / ``y_old`` are the cohort's
+    ``(C, dim)`` primal / dual stacks.  The update owns them: their memory
+    becomes the returned ``y_new`` and ``delta``, so pass stacks nobody
+    else reads (:func:`repro.federated.client.gather` returns fresh ones).
 
     Parameters
     ----------
@@ -61,7 +61,8 @@ def admm_client_update(
     if rho <= 0:
         raise ConfigurationError(f"FedADMM requires rho > 0, got {rho}")
     lagrangian = AugmentedLagrangian(rho)
-    w_old, y_old = np.array(w_old, dtype=np.float64), np.array(y_old, dtype=np.float64)
+    w_old = np.asarray(w_old, dtype=np.float64)
+    y_old = np.asarray(y_old, dtype=np.float64)
     start = w_old if warm_start else np.broadcast_to(theta, w_old.shape)
 
     scratch = np.empty(w_old.shape, dtype=np.float64)

@@ -15,7 +15,13 @@ The runtime is algorithm-agnostic and layered:
 """
 
 from repro.federated.local_problem import LocalProblem
-from repro.federated.client import ClientState, build_clients
+from repro.federated.client import (
+    ClientState,
+    ClientStateStore,
+    build_clients,
+    gather,
+    scatter,
+)
 from repro.federated.sampler import (
     ClientSampler,
     UniformFractionSampler,
@@ -58,7 +64,10 @@ __all__ = [
     # Clients and local problems
     "LocalProblem",
     "ClientState",
+    "ClientStateStore",
     "build_clients",
+    "gather",
+    "scatter",
     # Sampling and local-work policies
     "ClientSampler",
     "UniformFractionSampler",

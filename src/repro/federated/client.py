@@ -1,15 +1,32 @@
-"""Per-client state.
+"""Per-client state, held in one stacked arena.
 
-A :class:`ClientState` owns a client's local dataset and the algorithm's
-persistent variables for that client (for FedADMM the primal/dual pair
-``(w_i, y_i)``; for SCAFFOLD the control variate ``c_i``).  Persistent state
-lives in a plain dict so each algorithm can store whatever it needs without
-the runtime knowing the details.
+A :class:`ClientState` owns a client's local dataset and a *row* of a
+:class:`ClientStateStore`, in which the algorithm keeps that client's
+persistent variables (for FedADMM the primal/dual pair ``(w_i, y_i)``; for
+SCAFFOLD the control variate ``c_i``).  The store holds one float64
+``(rows, *shape)`` array per variable name, so a cohort reads its rows with
+one :func:`gather` and writes them back with one :func:`scatter` instead of
+stacking and copying per client.
+
+Contract (``docs/architecture.md``, "Client state"):
+
+* :meth:`ClientState.get` returns the *live* row: the next ``set`` or
+  ``scatter`` on that client overwrites it, so a caller that keeps a vector
+  across a round must ``.copy()`` it.
+* Rows are allocated on the coordinating thread only — when a list
+  population is adopted (:meth:`ClientStateStore.adopt`, at simulation
+  construction) or a lazy population touches a client for the first time —
+  never while a round's parts run.  Storage grows in pages of
+  ``page_rows`` rows that never move, so no row a part reads or writes is
+  ever reallocated.
+* A pickled or copied handle carries only its own rows and arrives on a
+  private one-row store; :meth:`ClientState.variables`' setter copies rows
+  back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -18,42 +35,218 @@ from repro.exceptions import ConfigurationError
 from repro.partition.base import Partition
 
 
-@dataclass
-class ClientState:
-    """One client's data and algorithm-specific persistent variables."""
+class ClientStateStore:
+    """Every client's persistent variables: one float64 array per name.
 
-    client_id: int
-    dataset: Dataset
-    variables: dict[str, np.ndarray] = field(default_factory=dict)
-    rounds_participated: int = 0
-    local_work_done: int = 0
+    A name's array is kept as pages of ``page_rows`` rows; row ``r`` lives
+    at ``pages[r // page_rows][r % page_rows]``.  A store sized for its
+    whole population up front (an adopted list, a standalone client) is a
+    single page, so :meth:`take` is one ``np.take``.
+    """
+
+    def __init__(self, page_rows: int):
+        if page_rows <= 0:
+            raise ConfigurationError(f"page_rows must be positive, got {page_rows}")
+        self.page_rows = page_rows
+        self.rows = 0
+        self._pages: dict[str, list[np.ndarray]] = {}
+
+    @classmethod
+    def adopt(cls, clients: Sequence[ClientState]) -> ClientStateStore:
+        """Move ``clients`` onto one new single-page store, values kept."""
+        store = cls(page_rows=max(1, len(clients)))
+        for client in clients:
+            variables = client.variables
+            client.store, client.row = store, store.allocate()
+            client.variables = variables
+        return store
+
+    def allocate(self) -> int:
+        """Claim the next row.  Coordinating thread only: may add a page."""
+        if self.rows % self.page_rows == 0:
+            for pages in self._pages.values():
+                pages.append(np.zeros(pages[0].shape))
+        self.rows += 1
+        return self.rows - 1
+
+    def _named(self, key: str, shape: tuple[int, ...]) -> list[np.ndarray]:
+        pages = self._pages.get(key)
+        if pages is None:
+            # A name's first write may come from any part's thread; setdefault
+            # is atomic, so racing parts end up writing into the same pages.
+            count = -(-self.rows // self.page_rows)
+            pages = self._pages.setdefault(
+                key, [np.zeros((self.page_rows, *shape)) for _ in range(count)]
+            )
+        if pages[0].shape[1:] != shape:
+            raise ConfigurationError(
+                f"variable {key!r} holds rows of shape {pages[0].shape[1:]}, "
+                f"got {shape}"
+            )
+        return pages
+
+    def _spans(self, rows: Sequence[int]):
+        """``(page, positions, rows within the page)`` for each page touched."""
+        page_of, offset = np.divmod(np.asarray(rows, dtype=np.intp), self.page_rows)
+        if (page_of == page_of[0]).all():
+            return [(page_of[0], slice(None), offset)]
+        return [
+            (page, page_of == page, offset[page_of == page])
+            for page in np.unique(page_of)
+        ]
+
+    def row(self, key: str, row: int) -> np.ndarray:
+        """The live ``(*shape)`` view of one row."""
+        return self._pages[key][row // self.page_rows][row % self.page_rows]
+
+    def write(self, key: str, row: int, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        self._named(key, value.shape)[row // self.page_rows][row % self.page_rows] = value
+
+    def take(self, key: str, rows: Sequence[int]) -> np.ndarray:
+        """A fresh ``(len(rows), *shape)`` stack of the rows."""
+        pages = self._pages[key]
+        spans = self._spans(rows)
+        if len(spans) == 1:
+            page, _, offset = spans[0]
+            return pages[page].take(offset, axis=0)
+        out = np.empty((len(rows), *pages[0].shape[1:]))
+        for page, positions, offset in spans:
+            out[positions] = pages[page].take(offset, axis=0)
+        return out
+
+    def put(self, key: str, rows: Sequence[int], values: np.ndarray) -> None:
+        """Write ``values[i]`` into row ``rows[i]`` (one indexed store a page)."""
+        pages = self._named(key, values.shape[1:])
+        for page, positions, offset in self._spans(rows):
+            pages[page][offset] = values[positions]
+
+
+class ClientState:
+    """One client's data and its row of algorithm-specific variables."""
+
+    def __init__(
+        self,
+        client_id: int,
+        dataset: Dataset,
+        variables: dict[str, np.ndarray] | None = None,
+        rounds_participated: int = 0,
+        local_work_done: int = 0,
+        store: ClientStateStore | None = None,
+    ):
+        self.client_id = client_id
+        self.dataset = dataset
+        self.rounds_participated = rounds_participated
+        self.local_work_done = local_work_done
+        self.store = store if store is not None else ClientStateStore(page_rows=1)
+        self.row = self.store.allocate()
+        self._keys: dict[str, None] = {}  # the names set on this row, in order
+        if variables:
+            self.variables = variables
+
+    def __repr__(self) -> str:
+        return (
+            f"ClientState(client_id={self.client_id}, row={self.row}, "
+            f"variables={list(self._keys)}, "
+            f"rounds_participated={self.rounds_participated})"
+        )
+
+    def __getstate__(self) -> dict:
+        # Only this client's rows travel, never the store they live in.
+        return {
+            "client_id": self.client_id,
+            "dataset": self.dataset,
+            "variables": self.variables,
+            "rounds_participated": self.rounds_participated,
+            "local_work_done": self.local_work_done,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     @property
     def num_samples(self) -> int:
         """Local training-set size ``n_i``."""
         return len(self.dataset)
 
+    @property
+    def variables(self) -> dict[str, np.ndarray]:
+        """Every persistent variable as its live row, in first-set order."""
+        return {key: self.store.row(key, self.row) for key in self._keys}
+
+    @variables.setter
+    def variables(self, values: dict[str, np.ndarray]) -> None:
+        self._keys = {}
+        for key, value in values.items():
+            self.set(key, value)
+
+    def _missing(self, key: str) -> ConfigurationError:
+        return ConfigurationError(
+            f"client {self.client_id} has no variable {key!r}; "
+            f"available: {sorted(self._keys)}"
+        )
+
     def get(self, key: str) -> np.ndarray:
-        """Fetch a persistent variable, raising if it was never initialised."""
-        if key not in self.variables:
-            raise ConfigurationError(
-                f"client {self.client_id} has no variable {key!r}; "
-                f"available: {sorted(self.variables)}"
-            )
-        return self.variables[key]
+        """The live row of a persistent variable (raises if never set)."""
+        if key not in self._keys:
+            raise self._missing(key)
+        return self.store.row(key, self.row)
 
     def set(self, key: str, value: np.ndarray) -> None:
-        """Store (a copy of) a persistent variable."""
-        self.variables[key] = np.array(value, dtype=np.float64, copy=True)
+        """Write ``value`` into this client's row of ``key``."""
+        self.store.write(key, self.row, value)
+        self._keys[key] = None
 
     def has(self, key: str) -> bool:
         """Whether the persistent variable ``key`` exists."""
-        return key in self.variables
+        return key in self._keys
 
     def record_participation(self, epochs: int) -> None:
         """Update participation counters after a local update."""
         self.rounds_participated += 1
         self.local_work_done += epochs
+
+
+def _row_by_row(clients: Sequence[ClientState]) -> bool:
+    """Whether a cohort's rows move one at a time.
+
+    A lone client has nothing to stack, and hand-built handles may live on
+    stores of their own; every other cohort shares its population's store.
+    """
+    store = clients[0].store
+    return len(clients) == 1 or any(client.store is not store for client in clients)
+
+
+def gather(clients: Sequence[ClientState], key: str) -> np.ndarray:
+    """The clients' ``key`` rows as a fresh ``(C, *shape)`` stack.
+
+    One ``np.take`` for a cohort on one store.
+    """
+    for client in clients:
+        if key not in client._keys:
+            raise client._missing(key)
+    if _row_by_row(clients):
+        return np.array([client.get(key) for client in clients])
+    return clients[0].store.take(key, [client.row for client in clients])
+
+
+def scatter(clients: Sequence[ClientState], key: str, stack: np.ndarray) -> None:
+    """Write row ``i`` of ``stack`` as client ``i``'s ``key``.
+
+    One indexed assignment for a cohort on one store.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if len(stack) != len(clients):
+        raise ConfigurationError(
+            f"scatter of {len(stack)} rows onto {len(clients)} clients"
+        )
+    if _row_by_row(clients):
+        for client, value in zip(clients, stack):
+            client.set(key, value)
+        return
+    clients[0].store.put(key, [client.row for client in clients], stack)
+    for client in clients:
+        client._keys[key] = None
 
 
 def build_clients(dataset: Dataset, partition: Partition) -> list[ClientState]:

@@ -31,7 +31,7 @@ import numpy as np
 from repro.algorithms.base import FederatedAlgorithm
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState
+from repro.federated.client import ClientState, ClientStateStore
 from repro.federated.evaluation import Evaluation, evaluate_model
 from repro.federated.heterogeneity import FixedEpochs, LocalWorkPolicy
 from repro.federated.history import RoundRecord, TrainingHistory
@@ -117,6 +117,9 @@ class FederatedSimulation:
         self.algorithm = algorithm
         self.model = model
         self.loss = loss if loss is not None else CrossEntropyLoss()
+        if isinstance(clients, list):
+            # One store for the whole list, so a cohort's rows are one take.
+            ClientStateStore.adopt(clients)
         self.clients = clients
         self.test_dataset = test_dataset
         self.sampler = sampler if sampler is not None else UniformFractionSampler(0.1)

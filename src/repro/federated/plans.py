@@ -250,9 +250,10 @@ class HierarchicalPlan(ExecutionPlan):
         # remote executors see every task of the shard at once.
         outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
         messages = [outcome.message for outcome in outcomes]
-        totals.uploads += sum(message.upload_floats for message in messages)
+        uploads = sum(message.upload_floats for message in messages)
+        totals.uploads += uploads
         totals.epochs_used.extend(message.local_epochs for message in messages)
-        messages, upload_wire_bytes = pipeline.compress(messages)
+        messages, upload_wire_bytes = pipeline.compress(messages, uploads)
         totals.upload_wire_bytes += upload_wire_bytes
         totals.train_losses.extend(message.train_loss for message in messages)
 
@@ -473,7 +474,9 @@ class BufferedPlan(ExecutionPlan):
 
         uploads = sum(u.message.upload_floats for u in arrived)
         downloads = dispatched * engine.algorithm.download_floats(state.params.size)
-        messages, upload_wire_bytes = pipeline.compress([u.message for u in arrived])
+        messages, upload_wire_bytes = pipeline.compress(
+            [u.message for u in arrived], uploads
+        )
         if arrived:
             with engine.tracer.span("aggregate", updates=len(arrived)):
                 state.params = engine.algorithm.aggregate(

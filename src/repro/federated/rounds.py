@@ -278,6 +278,8 @@ class ClientWorkPipeline:
         from repro.systems.executor import LocalUpdateTask
 
         trace = self.tracer.enabled
+        # Indexing the population here, on the coordinating thread, is what
+        # allocates a lazily materialised client's store row before dispatch.
         tasks = [
             LocalUpdateTask(
                 client_index=item.client_index,
@@ -330,7 +332,7 @@ class ClientWorkPipeline:
         return outcomes
 
     def merge_client(self, client_index: int, updated: ClientState) -> None:
-        """Fold a worker-process copy of a client back into the population."""
+        """Copy a worker-process copy's rows back into the population's store."""
         original = self.clients[client_index]
         if updated is original:
             return
@@ -342,19 +344,20 @@ class ClientWorkPipeline:
     # Transport
     # ------------------------------------------------------------------ #
     def compress(
-        self, messages: Iterable[ClientMessage]
+        self, messages: Iterable[ClientMessage], upload_floats: int
     ) -> tuple[list[ClientMessage], int]:
         """Round-trip uploads through the codec; return post-wire messages.
 
-        Returns ``(messages, upload_wire_bytes)``.  Without a transport the
-        messages pass through and the wire bytes are the raw float bytes.
+        Returns ``(messages, upload_wire_bytes)``.  ``upload_floats`` is the
+        messages' summed :attr:`ClientMessage.upload_floats`, which the
+        caller has already counted for the ledger; without a transport the
+        messages pass through and the wire bytes are those raw float bytes.
         """
         messages = list(messages)
         codec = "raw" if self.transport is None else self.transport.codec.name
         with self.tracer.span("compress", codec=codec, messages=len(messages)):
             if self.transport is None:
-                uploads = sum(msg.upload_floats for msg in messages)
-                compressed, wire_bytes = messages, uploads * BYTES_PER_FLOAT
+                compressed, wire_bytes = messages, upload_floats * BYTES_PER_FLOAT
             else:
                 wire_bytes = 0
                 compressed = []

@@ -94,7 +94,7 @@ class LocalUpdateOutcome:
     """A finished local update: the upload plus the (possibly copied) client.
 
     When the task ran in another process, ``client`` is a pickled copy whose
-    mutated persistent variables the engine must merge back; in-process
+    mutated rows the engine copies back into its store; in-process
     executors return the original object and the merge is a no-op.
     ``spans`` carries the task's trace records (empty unless the task asked
     for tracing); roots have ``parent_id=None`` so the adopting tracer can
@@ -711,13 +711,13 @@ class ProcessPoolClientExecutor(_PoolExecutor):
     def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         # The worker already holds every client's dataset (primed at pool
         # creation); strip it from the per-task payload so round IPC scales
-        # with the model dimension, not the local dataset size.
-        slim = [
-            dataclasses.replace(
-                task, client=dataclasses.replace(task.client, dataset=None)
-            )
-            for task in tasks
-        ]
+        # with the model dimension, not the local dataset size.  A copied
+        # client is a one-row handle of its own: only its rows travel.
+        slim = []
+        for task in tasks:
+            client = copy.copy(task.client)
+            client.dataset = None
+            slim.append(dataclasses.replace(task, client=client))
         return super().run_tasks(slim)
 
     def _make_pool(self) -> Executor:

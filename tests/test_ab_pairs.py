@@ -79,3 +79,53 @@ def test_fewer_than_ten_pairs_never_claim(pairs, capsys):
     out = capsys.readouterr().out
     assert f"verdict: gain NOT claimed (needs >= 10 pairs, ran {pairs})" in out
     assert "CLAIMED" not in out
+
+
+def traced(scale: float) -> dict:
+    """A ``--trace 1`` result: every per-layer metric at ``scale`` times its index."""
+    return {
+        "metrics": {
+            name: {"value": scale * index} for index, name in enumerate(ab_pairs.PER_LAYER)
+        }
+    }
+
+
+def test_layers_print_side_by_side(capsys):
+    ab_pairs.report_layers(WORKLOAD, traced(1.0), traced(0.5))
+    out = capsys.readouterr().out
+    assert f"## {WORKLOAD}: per layer, one traced run a side (seed 0)" in out
+    rows = [line.split() for line in out.splitlines()[3:]]
+    assert [row[0] for row in rows] == list(ab_pairs.PER_LAYER)
+    assert rows[0][1:4] == ["0", "0", "n/a"]  # a zero on A has no ratio
+    assert rows[2][1:4] == ["2", "1", "-50.0%"]
+
+
+def test_the_pairs_end_with_one_traced_run_a_side_per_workload(
+    monkeypatch, tmp_path, capsys
+):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, out, trace=0):
+        calls.append((tree, workload, seed, trace))
+        out.mkdir(parents=True, exist_ok=True)
+        if trace:
+            return traced(1.0 if tree != ab_pairs.ROOT else 2.0)
+        metrics = {name: {"value": 1.0} for name in ab_pairs.END_TO_END}
+        return {"metrics": metrics, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(ab_pairs, "unpack_revision", lambda rev, target: None)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs.compare, "main", lambda argv: 0)
+    workloads = ["serial_sgd", "vec_ragged"]
+    assert ab_pairs.main(
+        ["--base", "HEAD", "--workload", *workloads, "--pairs", "2", "--out", str(tmp_path)]
+    ) == 0
+    untraced, traced_calls = calls[:8], calls[8:]
+    assert all(trace == 0 for *_, trace in untraced)
+    assert [(workload, seed, trace) for _, workload, seed, trace in traced_calls] == [
+        (workload, 0, 1) for workload in workloads for _ in "AB"
+    ]
+    assert [tree == ab_pairs.ROOT for tree, *_ in traced_calls] == [False, True] * 2
+    out = capsys.readouterr().out
+    for workload in workloads:
+        assert f"## {workload}: per layer" in out

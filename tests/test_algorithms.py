@@ -186,7 +186,7 @@ class TestLocalStepCost:
         def update():
             return admm_client_update(
                 OneClientCohort(problem, config.epochs, rng=0),
-                [theta], [np.zeros_like(theta)], theta, 0.3, config,
+                theta[None].copy(), np.zeros((1, theta.size)), theta, 0.3, config,
             )
 
         expected = update()  # warm-up: the model moves into flat storage once

@@ -144,8 +144,8 @@ class TestAdmmClientUpdate:
         y_old = np.zeros_like(theta)
         rho = 0.5
         result = admm_client_update(
-            _cohort(local_problem, training_config), [w_old], [y_old],
-            theta, rho, training_config,
+            _cohort(local_problem, training_config), w_old[None].copy(),
+            y_old[None].copy(), theta, rho, training_config,
         )
         assert np.allclose(result.y_new[0], y_old + rho * (result.w_new[0] - theta))
         expected_delta = (result.w_new[0] + result.y_new[0] / rho) - (w_old + y_old / rho)
@@ -157,8 +157,8 @@ class TestAdmmClientUpdate:
         config = LocalTrainingConfig(epochs=5, batch_size=16, learning_rate=0.2)
         result = admm_client_update(
             _cohort(local_problem, config),
-            [theta.copy()],
-            [np.zeros_like(theta)],
+            theta[None].copy(),
+            np.zeros((1, theta.size)),
             theta,
             rho=0.1,
             config=config,
@@ -169,15 +169,16 @@ class TestAdmmClientUpdate:
         self, local_problem, training_config
     ):
         theta = local_problem.model.get_flat_params()
-        stale_w = [theta + 1.0]  # pretend the client trained long ago
-        y = [np.zeros_like(theta)]
+        stale_w = (theta + 1.0)[None]  # pretend the client trained long ago
+        y = np.zeros((1, theta.size))
+        # The update owns the stacks it is given: each call gets copies.
         warm = admm_client_update(
-            _cohort(local_problem, training_config), stale_w, y, theta, 0.5,
-            training_config, warm_start=True,
+            _cohort(local_problem, training_config), stale_w.copy(), y.copy(),
+            theta, 0.5, training_config, warm_start=True,
         )
         restart = admm_client_update(
-            _cohort(local_problem, training_config), stale_w, y, theta, 0.5,
-            training_config, warm_start=False,
+            _cohort(local_problem, training_config), stale_w.copy(), y.copy(),
+            theta, 0.5, training_config, warm_start=False,
         )
         assert not np.allclose(warm.w_new, restart.w_new)
 
@@ -185,8 +186,8 @@ class TestAdmmClientUpdate:
         theta = local_problem.model.get_flat_params()
         with pytest.raises(ConfigurationError):
             admm_client_update(
-                _cohort(local_problem, training_config), [theta],
-                [np.zeros_like(theta)], theta, 0.0, training_config,
+                _cohort(local_problem, training_config), theta[None].copy(),
+                np.zeros((1, theta.size)), theta, 0.0, training_config,
             )
 
 

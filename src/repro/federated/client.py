@@ -13,12 +13,11 @@ Contract (``docs/architecture.md``, "Client state"):
 * :meth:`ClientState.get` returns the *live* row: the next ``set`` or
   ``scatter`` on that client overwrites it, so a caller that keeps a vector
   across a round must ``.copy()`` it.
-* Rows are allocated on the coordinating thread only — when a list
-  population is adopted (:meth:`ClientStateStore.adopt`, at simulation
-  construction) or a lazy population touches a client for the first time —
-  never while a round's parts run.  Storage grows in pages of
-  ``page_rows`` rows that never move, so no row a part reads or writes is
-  ever reallocated.
+* A store is sized once and never grows, so no row a round's parts read
+  or write is ever reallocated.  A new handle has a private one-row store;
+  a list population is adopted into one shared store when a simulation is
+  built (:meth:`ClientStateStore.adopt`); a lazy population's clients keep
+  their own, so its memory grows with the clients it touches.
 * A pickled or copied handle carries only its own rows and arrives on a
   private one-row store; :meth:`ClientState.variables`' setter copies rows
   back.
@@ -38,92 +37,66 @@ from repro.partition.base import Partition
 class ClientStateStore:
     """Every client's persistent variables: one float64 array per name.
 
-    A name's array is kept as pages of ``page_rows`` rows; row ``r`` lives
-    at ``pages[r // page_rows][r % page_rows]``.  A store sized for its
-    whole population up front (an adopted list, a standalone client) is a
-    single page, so :meth:`take` is one ``np.take``.
+    A store is sized once, for the clients it holds (an adopted list, or one
+    standalone client).  A name's ``(rows, *shape)`` array is created on its
+    first write, so :meth:`take` is one ``np.take`` and :meth:`put`
+    one indexed store.
     """
 
-    def __init__(self, page_rows: int):
-        if page_rows <= 0:
-            raise ConfigurationError(f"page_rows must be positive, got {page_rows}")
-        self.page_rows = page_rows
-        self.rows = 0
-        self._pages: dict[str, list[np.ndarray]] = {}
+    # Slots: a lazy population keeps one store per touched client.
+    __slots__ = ("rows", "_arrays")
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        self._arrays: dict[str, np.ndarray] = {}
 
     @classmethod
     def adopt(cls, clients: Sequence[ClientState]) -> ClientStateStore:
-        """Move ``clients`` onto one new single-page store, values kept."""
-        store = cls(page_rows=max(1, len(clients)))
-        for client in clients:
+        """Move ``clients`` onto one new store, row ``i`` for client ``i``, values kept."""
+        store = cls(len(clients))
+        for row, client in enumerate(clients):
             variables = client.variables
-            client.store, client.row = store, store.allocate()
+            client.store, client.row = store, row
             client.variables = variables
         return store
 
-    def allocate(self) -> int:
-        """Claim the next row.  Coordinating thread only: may add a page."""
-        if self.rows % self.page_rows == 0:
-            for pages in self._pages.values():
-                pages.append(np.zeros(pages[0].shape))
-        self.rows += 1
-        return self.rows - 1
-
-    def _named(self, key: str, shape: tuple[int, ...]) -> list[np.ndarray]:
-        pages = self._pages.get(key)
-        if pages is None:
+    def _named(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = self._arrays.get(key)
+        if array is None:
             # A name's first write may come from any part's thread; setdefault
-            # is atomic, so racing parts end up writing into the same pages.
-            count = -(-self.rows // self.page_rows)
-            pages = self._pages.setdefault(
-                key, [np.zeros((self.page_rows, *shape)) for _ in range(count)]
-            )
-        if pages[0].shape[1:] != shape:
+            # is atomic, so racing parts end up writing into the same array.
+            # Left unzeroed: a row is only read once its client has set it.
+            array = self._arrays.setdefault(key, np.empty((self.rows, *shape)))
+        if array.shape[1:] != shape:
             raise ConfigurationError(
-                f"variable {key!r} holds rows of shape {pages[0].shape[1:]}, "
-                f"got {shape}"
+                f"variable {key!r} holds rows of shape {array.shape[1:]}, got {shape}"
             )
-        return pages
-
-    def _spans(self, rows: Sequence[int]):
-        """``(page, positions, rows within the page)`` for each page touched."""
-        page_of, offset = np.divmod(np.asarray(rows, dtype=np.intp), self.page_rows)
-        if (page_of == page_of[0]).all():
-            return [(page_of[0], slice(None), offset)]
-        return [
-            (page, page_of == page, offset[page_of == page])
-            for page in np.unique(page_of)
-        ]
+        return array
 
     def row(self, key: str, row: int) -> np.ndarray:
         """The live ``(*shape)`` view of one row."""
-        return self._pages[key][row // self.page_rows][row % self.page_rows]
+        return self._arrays[key][row]
 
     def write(self, key: str, row: int, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=np.float64)
-        self._named(key, value.shape)[row // self.page_rows][row % self.page_rows] = value
+        self._named(key, value.shape)[row] = value
 
     def take(self, key: str, rows: Sequence[int]) -> np.ndarray:
         """A fresh ``(len(rows), *shape)`` stack of the rows."""
-        pages = self._pages[key]
-        spans = self._spans(rows)
-        if len(spans) == 1:
-            page, _, offset = spans[0]
-            return pages[page].take(offset, axis=0)
-        out = np.empty((len(rows), *pages[0].shape[1:]))
-        for page, positions, offset in spans:
-            out[positions] = pages[page].take(offset, axis=0)
-        return out
+        return self._arrays[key].take(rows, axis=0)
 
     def put(self, key: str, rows: Sequence[int], values: np.ndarray) -> None:
-        """Write ``values[i]`` into row ``rows[i]`` (one indexed store a page)."""
-        pages = self._named(key, values.shape[1:])
-        for page, positions, offset in self._spans(rows):
-            pages[page][offset] = values[positions]
+        """Write ``values[i]`` into row ``rows[i]``."""
+        self._named(key, values.shape[1:])[rows] = values
 
 
 class ClientState:
     """One client's data and its row of algorithm-specific variables."""
+
+    __slots__ = (
+        "client_id", "dataset", "rounds_participated", "local_work_done",
+        "store", "row", "_keys",
+    )
 
     def __init__(
         self,
@@ -132,15 +105,14 @@ class ClientState:
         variables: dict[str, np.ndarray] | None = None,
         rounds_participated: int = 0,
         local_work_done: int = 0,
-        store: ClientStateStore | None = None,
     ):
         self.client_id = client_id
         self.dataset = dataset
         self.rounds_participated = rounds_participated
         self.local_work_done = local_work_done
-        self.store = store if store is not None else ClientStateStore(page_rows=1)
-        self.row = self.store.allocate()
-        self._keys: dict[str, None] = {}  # the names set on this row, in order
+        # A private one-row store until a simulation adopts the client.
+        self.store, self.row = ClientStateStore(1), 0
+        self._keys: tuple[str, ...] = ()  # the names set on this row, in order
         if variables:
             self.variables = variables
 
@@ -176,7 +148,7 @@ class ClientState:
 
     @variables.setter
     def variables(self, values: dict[str, np.ndarray]) -> None:
-        self._keys = {}
+        self._keys = ()
         for key, value in values.items():
             self.set(key, value)
 
@@ -195,7 +167,11 @@ class ClientState:
     def set(self, key: str, value: np.ndarray) -> None:
         """Write ``value`` into this client's row of ``key``."""
         self.store.write(key, self.row, value)
-        self._keys[key] = None
+        self._mark(key)
+
+    def _mark(self, key: str) -> None:
+        if key not in self._keys:
+            self._keys += (key,)
 
     def has(self, key: str) -> bool:
         """Whether the persistent variable ``key`` exists."""
@@ -208,13 +184,13 @@ class ClientState:
 
 
 def _row_by_row(clients: Sequence[ClientState]) -> bool:
-    """Whether a cohort's rows move one at a time.
+    """Whether a cohort's clients live on different stores.
 
-    A lone client has nothing to stack, and hand-built handles may live on
-    stores of their own; every other cohort shares its population's store.
+    Clients of an adopted list share one store; a lazy population's clients
+    and hand-built handles each keep a store of their own.
     """
     store = clients[0].store
-    return len(clients) == 1 or any(client.store is not store for client in clients)
+    return any(client.store is not store for client in clients)
 
 
 def gather(clients: Sequence[ClientState], key: str) -> np.ndarray:
@@ -246,7 +222,7 @@ def scatter(clients: Sequence[ClientState], key: str, stack: np.ndarray) -> None
         return
     clients[0].store.put(key, [client.row for client in clients], stack)
     for client in clients:
-        client._keys[key] = None
+        client._mark(key)
 
 
 def build_clients(dataset: Dataset, partition: Partition) -> list[ClientState]:

@@ -5,9 +5,8 @@ index, and stable object identity per index (worker copies are folded back
 into the population via ``merge_client``).  :class:`ClientPopulation`
 provides exactly that over a small set of *template* datasets: client ``i``
 reads template ``i % len(templates)``, and its :class:`ClientState` is
-created on first touch and cached, with the next row of the population's
-:class:`~repro.federated.client.ClientStateStore`, so memory grows with the
-number of clients actually sampled — not with the population.
+created on first touch and cached, so memory grows with the number of
+clients actually sampled — not with the population.
 
 :class:`LazyProblems` is the matching view for the pipeline's per-client
 :class:`~repro.federated.local_problem.LocalProblem` list: problems are
@@ -22,15 +21,10 @@ from typing import Sequence
 
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState, ClientStateStore
+from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.nn.losses import Loss
 from repro.nn.module import Module
-
-
-#: Rows a population's store grows by.  Pages never move, so growing never
-#: copies (or double-buffers) the rows already there.
-POPULATION_PAGE_ROWS = 256
 
 
 class ClientPopulation(Sequence):
@@ -39,10 +33,7 @@ class ClientPopulation(Sequence):
     ``__getitem__`` returns the *same* cached :class:`ClientState` for a
     given index on every call, which is what lets the pipeline's
     ``merge_client`` fold worker copies back into persistent per-client
-    state exactly as with an eager list.  First touch allocates the
-    client's row in :attr:`store`; the pipeline touches every client of a
-    round on the coordinating thread before dispatch, so rows are never
-    allocated while parts run.
+    state exactly as with an eager list.
     """
 
     def __init__(self, num_clients: int, templates: Sequence[Dataset]):
@@ -59,7 +50,6 @@ class ClientPopulation(Sequence):
                 raise ConfigurationError(f"template dataset {index} is empty")
         self.num_clients = num_clients
         self.templates = list(templates)
-        self.store = ClientStateStore(page_rows=POPULATION_PAGE_ROWS)
         self._cache: dict[int, ClientState] = {}
 
     def __len__(self) -> int:
@@ -77,7 +67,6 @@ class ClientPopulation(Sequence):
             client = ClientState(
                 client_id=index,
                 dataset=self.templates[index % len(self.templates)],
-                store=self.store,
             )
             self._cache[index] = client
         return client

@@ -278,8 +278,6 @@ class ClientWorkPipeline:
         from repro.systems.executor import LocalUpdateTask
 
         trace = self.tracer.enabled
-        # Indexing the population here, on the coordinating thread, is what
-        # allocates a lazily materialised client's store row before dispatch.
         tasks = [
             LocalUpdateTask(
                 client_index=item.client_index,
@@ -332,7 +330,7 @@ class ClientWorkPipeline:
         return outcomes
 
     def merge_client(self, client_index: int, updated: ClientState) -> None:
-        """Copy a worker-process copy's rows back into the population's store."""
+        """Copy a worker-process copy's rows back into the original client's."""
         original = self.clients[client_index]
         if updated is original:
             return

@@ -197,8 +197,11 @@ def pack_array(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype="<f8").tobytes()
 
 
-def unpack_array(data: bytes, shape: Any) -> np.ndarray:
-    """Inverse of :func:`pack_array`; validates the byte count against shape."""
+def unpack_array(data: bytes, shape: Any, copy: bool = True) -> np.ndarray:
+    """Inverse of :func:`pack_array`; validates the byte count against shape.
+
+    With ``copy=False`` the result is a read-only view of ``data``.
+    """
     shape = _shape(shape)
     if len(data) != math.prod(shape) * 8:
         raise ProtocolError(
@@ -206,9 +209,10 @@ def unpack_array(data: bytes, shape: Any) -> np.ndarray:
             f"{math.prod(shape) * 8} for shape {shape}"
         )
     try:
-        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        array = np.frombuffer(data, dtype="<f8").reshape(shape)
     except ValueError as exc:  # e.g. (0, huge, huge): empty but unaddressable
         raise ProtocolError(f"bad array shape {shape}: {exc}") from None
+    return array.copy() if copy else array
 
 
 def _pack_named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[bytes]]:
@@ -220,7 +224,7 @@ def _pack_named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[
 
 
 def _unpack_named(
-    header: dict[str, Any], prefix: str, blobs: list[bytes]
+    header: dict[str, Any], prefix: str, blobs: list[bytes], copy: bool = True
 ) -> dict[str, np.ndarray]:
     """Inverse of :func:`_pack_named` over the blobs that belong to it."""
     keys = _field(header, f"{prefix}_keys", list)
@@ -235,7 +239,8 @@ def _unpack_named(
             f"{len(keys)} keys, {len(shapes)} shapes, {len(blobs)} blobs"
         )
     return {
-        key: unpack_array(blob, shape) for key, shape, blob in zip(keys, shapes, blobs)
+        key: unpack_array(blob, shape, copy)
+        for key, shape, blob in zip(keys, shapes, blobs)
     }
 
 
@@ -244,7 +249,8 @@ def _client(header: dict[str, Any], var_blobs: list[bytes]) -> ClientState:
     return ClientState(
         client_id=_field(header, "client_id", int),
         dataset=None,
-        variables=_unpack_named(header, "var", var_blobs),
+        # Views suffice: the ClientState copies them into its own store.
+        variables=_unpack_named(header, "var", var_blobs, copy=False),
         rounds_participated=_field(header, "rounds_participated", int, 0),
         local_work_done=_field(header, "local_work_done", int, 0),
     )

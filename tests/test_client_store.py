@@ -1,10 +1,10 @@
 """The client-state arena: every client's persistent variables as rows of one store.
 
 Contracts pinned here (stated once in ``docs/architecture.md``, "Client
-state"): under any sequence of first-touch allocation, ``set``, ``get``,
-``gather`` and ``scatter`` a store behaves as a dict of copies; a handle
-pickles as its own rows only; a lazy population allocates one row per
-touched client; no upload aliases the store; and ``get`` is a *live* row.
+state"): under any sequence of new handles, adoption, ``set``, ``get``,
+``gather`` and ``scatter`` the stores behave as a dict of copies; a handle
+pickles as its own rows only; a lazy population holds one row per touched
+client; no upload aliases the store; and ``get`` is a *live* row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_model
 from repro.algorithms import build_algorithm
 from repro.exceptions import ConfigurationError
-from repro.federated import population as population_module
 from repro.federated.client import (
     ClientState,
     ClientStateStore,
@@ -50,26 +49,32 @@ KEYS = ("w", "y")
 # The store is a dict of copies
 # --------------------------------------------------------------------------- #
 @settings(max_examples=80, deadline=None)
-@given(page_rows=st.integers(1, 4), data=st.data())
-def test_store_behaves_as_a_dict_of_copies(page_rows, data):
-    store = ClientStateStore(page_rows)
+@given(data=st.data())
+def test_store_behaves_as_a_dict_of_copies(data):
     clients: list[ClientState] = []
     reference: list[dict[str, np.ndarray]] = []
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(data.draw(st.integers(1, 30))):
-        op = data.draw(st.sampled_from(["touch", "set", "get", "gather", "scatter"]))
+        op = data.draw(
+            st.sampled_from(["touch", "adopt", "set", "get", "gather", "scatter"])
+        )
         if op == "touch" or not clients:
-            # First touch: a row of the shared store, or a standalone handle
-            # (gather / scatter then span several stores).
-            shared = data.draw(st.booleans())
-            clients.append(ClientState(len(clients), None, store=store if shared else None))
+            # First touch: a standalone handle on a one-row store of its own.
+            clients.append(ClientState(len(clients), None))
             reference.append({})
             continue
-        key = data.draw(st.sampled_from(KEYS))
         subset = data.draw(
             st.lists(st.integers(0, len(clients) - 1), min_size=1, unique=True)
         )
         chosen = [clients[i] for i in subset]
+        if op == "adopt":
+            # Some clients move onto a shared store, values kept; later
+            # gathers and scatters mix shared and private stores.
+            store = ClientStateStore.adopt(chosen)
+            assert store.rows == len(chosen)
+            assert all(client.store is store for client in chosen)
+            continue
+        key = data.draw(st.sampled_from(KEYS))
         if op == "set":
             value = rng.normal(size=DIM)
             chosen[0].set(key, value)
@@ -94,7 +99,6 @@ def test_store_behaves_as_a_dict_of_copies(page_rows, data):
                         client.get(key)
                 else:
                     gather(chosen, key)
-        assert store.rows == sum(client.store is store for client in clients)
     for client, expected in zip(clients, reference):
         assert list(client.variables) == list(expected)  # first-set order
         for key, value in expected.items():
@@ -117,8 +121,8 @@ def test_racing_parts_lose_no_row():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            store = ClientStateStore(page_rows=4)
-            clients = [ClientState(i, None, store=store) for i in range(rows)]
+            clients = [ClientState(i, None) for i in range(rows)]
+            ClientStateStore.adopt(clients)
             barrier = threading.Barrier(parts_count)
 
             def part(members):
@@ -205,13 +209,11 @@ def test_process_pool_run_is_bit_identical_to_serial(
 # Lazy populations
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("page_rows", [1, 3, 256])
 def test_lazy_rows_match_a_list_population(
-    page_rows, workers, monkeypatch, iid_clients, blobs_split
+    workers, monkeypatch, iid_clients, blobs_split
 ):
-    """One row per touched client; paged rows train exactly like a list,
-    also when a cohort is dealt into parts on threads."""
-    monkeypatch.setattr(population_module, "POPULATION_PAGE_ROWS", page_rows)
+    """One row per touched client; a lazy population trains exactly like a
+    list, also when a cohort is dealt into parts on threads."""
     monkeypatch.setattr(executor_module, "MIN_PART_ELEMENTS", 1)
     templates = [client.dataset for client in iid_clients[:2]]
     population = ClientPopulation(400, templates)
@@ -234,7 +236,8 @@ def test_lazy_rows_match_a_list_population(
         return sim.run(num_rounds=3).final_params.tobytes()
 
     assert run(population) == run(eager)
-    assert population.store.rows == population.materialised > 0
+    touched = population._cache.values()
+    assert sum(client.store.rows for client in touched) == population.materialised > 0
     for index, client in enumerate(eager):
         lazy = population[index].variables
         assert list(lazy) == list(client.variables)
@@ -266,11 +269,11 @@ def test_no_payload_shares_memory_with_a_store_array(
         outcomes = pipeline.local_updates(
             sim.state.params, sim.state.algorithm_state, work
         )
-        pages = [row.base for client in iid_clients for row in client.variables.values()]
-        assert pages and all(page is not None for page in pages)
+        arrays = [row.base for client in iid_clients for row in client.variables.values()]
+        assert arrays and all(array is not None for array in arrays)
         for outcome in outcomes:
             for vector in outcome.message.payload.values():
-                assert not any(np.shares_memory(vector, page) for page in pages)
+                assert not any(np.shares_memory(vector, array) for array in arrays)
 
 
 def test_get_is_a_live_row_that_the_next_scatter_overwrites():

@@ -22,6 +22,23 @@ The frame codecs are symmetric: ``encode_task``/``decode_task`` carry a
 The decoders are total: whatever the bytes, they return or raise
 :class:`~repro.exceptions.ProtocolError`.
 
+The model is content-addressed.  :func:`model_digest` names a task's global
+parameters θ and server state; a task frame comes in two forms:
+
+- the **full frame** carries θ (``params_shape`` + one blob), the server
+  state (``state_keys``/``state_shapes`` + one blob each) and the client's
+  variables — every task frame of protocol version 1 is one;
+- the **lean frame** carries ``"model": digest`` in place of those three
+  fields and the client's variable blobs only.  It decodes against a
+  :class:`HeldModel` — the θ and state of the last full frame the worker
+  decoded — and a lean frame naming a model the worker does not hold is a
+  :class:`~repro.exceptions.ProtocolError`.
+
+A worker names the model it holds in its ``/v1/task`` request body
+(``{"model": digest}``, see :func:`json_object`); the server answers with the
+lean frame when that is the task's model and with the full frame otherwise,
+so θ crosses the wire once per worker per model, not once per task.
+
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
 but hex strings also survive NaN and are unambiguous to human readers.
@@ -29,10 +46,11 @@ but hex strings also survive NaN and are unambiguous to human readers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -71,6 +89,19 @@ HTTP_STATUS_FOR_CODE = {
 def http_status_for(error: ProtocolError) -> int:
     """Map a ProtocolError onto the HTTP status the server should send."""
     return HTTP_STATUS_FOR_CODE.get(getattr(error, "code", "malformed"), 400)
+
+
+def json_object(body: bytes, what: str) -> dict[str, Any]:
+    """A JSON request body that must be an object; empty means ``{}``."""
+    if not body:
+        return {}
+    try:
+        request = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, absurd nesting
+        raise ProtocolError(f"{what} body is not JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise ProtocolError(f"{what} body must be a JSON object, got {request!r:.40}")
+    return request
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +292,51 @@ def _client(header: dict[str, Any], var_blobs: list[bytes]) -> ClientState:
 # ---------------------------------------------------------------------------
 
 
-def encode_task(task_id: str, task: LocalUpdateTask) -> bytes:
+class HeldModel(NamedTuple):
+    """The model a worker holds: what lean task frames leave out."""
+
+    digest: str
+    params: np.ndarray
+    state: dict[str, np.ndarray]
+
+
+def _model_fields(
+    global_params: np.ndarray, server_state: dict[str, np.ndarray]
+) -> tuple[dict, list[bytes]]:
+    """The header fields and blobs a full task frame spends on the model."""
+    state_fields, state_blobs = _pack_named("state", server_state)
+    fields = {"params_shape": list(np.asarray(global_params).shape), **state_fields}
+    return fields, [pack_array(global_params), *state_blobs]
+
+
+def model_digest(global_params: np.ndarray, server_state: dict[str, np.ndarray]) -> str:
+    """sha256 of exactly what the lean frame leaves out: shapes, keys, bytes.
+
+    θ's float64 bytes, then each server-state array's in sorted key order,
+    after the JSON of their shapes and keys — the same bytes
+    :func:`encode_task` writes, so both sides of the wire agree.
+    """
+    fields, blobs = _model_fields(global_params, server_state)
+    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    for blob in blobs:
+        hasher.update(blob)
+    return hasher.hexdigest()
+
+
+def encode_task(task_id: str, task: LocalUpdateTask, model: str | None = None) -> bytes:
     """Frame one :class:`~repro.systems.executor.LocalUpdateTask` for the wire.
 
     The global parameters, server-state vectors, and the client's persistent
     variables ship as raw float64 blobs; everything else rides in the header.
     Isolated executors hand tasks integer seeds, which JSON carries exactly.
+    With ``model`` — the task's :func:`model_digest` — the frame is the
+    *lean* one: the digest stands in for θ and the server state.
     """
-    state_fields, state_blobs = _pack_named("state", task.server_state)
     var_fields, var_blobs = _pack_named("var", task.client.variables)
+    if model is None:
+        model_fields, model_blobs = _model_fields(task.global_params, task.server_state)
+    else:
+        model_fields, model_blobs = {"model": model}, []
     config = task.config
     header = {
         "kind": "task",
@@ -283,23 +350,36 @@ def encode_task(task_id: str, task: LocalUpdateTask) -> bytes:
         "learning_rate": hex_float(config.learning_rate),
         "rounds_participated": int(task.client.rounds_participated),
         "local_work_done": int(task.client.local_work_done),
-        "params_shape": list(np.asarray(task.global_params).shape),
-        **state_fields,
+        **model_fields,
         **var_fields,
     }
-    return pack_frame(header, [pack_array(task.global_params), *state_blobs, *var_blobs])
+    return pack_frame(header, [*model_blobs, *var_blobs])
 
 
 def decode_task(
-    header: dict[str, Any], blobs: list[bytes]
+    header: dict[str, Any], blobs: list[bytes], held: HeldModel | None = None
 ) -> tuple[str, LocalUpdateTask]:
     """Parse a task frame back into ``(task_id, task)``.
 
-    The task's client carries no dataset — the worker binds its own copy.
+    A lean frame takes θ and the server state from ``held`` (the state dict
+    is a fresh one over the held arrays).  The task's client carries no
+    dataset — the worker binds its own copy.
     """
-    split = 1 + len(_field(header, "state_keys", list))
-    if not blobs:
-        raise ProtocolError("task frame carries no parameter blob")
+    model = _field(header, "model", str, None)
+    if model is None:
+        split = 1 + len(_field(header, "state_keys", list))
+        if not blobs:
+            raise ProtocolError("task frame carries no parameter blob")
+        global_params = unpack_array(blobs[0], header.get("params_shape"))
+        server_state = _unpack_named(header, "state", blobs[1:split])
+    elif held is None or held.digest != model:
+        raise ProtocolError(
+            f"lean task frame names model {model[:16]!r}, this worker holds "
+            f"{None if held is None else held.digest[:16]!r}"
+        )
+    else:
+        split = 0
+        global_params, server_state = held.params, dict(held.state)
     try:
         config = LocalTrainingConfig(
             epochs=_field(header, "epochs", int),
@@ -311,8 +391,8 @@ def decode_task(
     task = LocalUpdateTask(
         client_index=_field(header, "client_index", int),
         client=_client(header, blobs[split:]),
-        global_params=unpack_array(blobs[0], header.get("params_shape")),
-        server_state=_unpack_named(header, "state", blobs[1:split]),
+        global_params=global_params,
+        server_state=server_state,
         config=config,
         round_index=_field(header, "round_index", int),
         rng=_field(header, "seed", int),

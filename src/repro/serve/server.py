@@ -20,10 +20,13 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 
 - ``POST /v1/handshake`` — JSON in/out; refuses version mismatches (426)
   and returns the experiment config workers must rebuild.
-- ``POST /v1/task`` — empty body in; one task frame out.  On an empty
-  board the request is *parked* (a long poll, at most
-  :data:`LEASE_WAIT_S`) until a task is published; JSON
-  ``{"task": null, "done": ...}`` means the wait elapsed or the run ended.
+- ``POST /v1/task`` — optional JSON ``{"model": digest}`` in, naming the
+  model the worker holds; one task frame out: the *lean* frame when the
+  task's model is the one named, the full frame otherwise (see
+  :mod:`repro.serve.protocol`).  On an empty board the request is *parked*
+  (a long poll, at most :data:`LEASE_WAIT_S`) until a task is published;
+  JSON ``{"task": null, "done": ...}`` means the wait elapsed or the run
+  ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
   Duplicate submissions of a finished task are idempotent
   (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426;
@@ -52,7 +55,6 @@ from repro.experiments.configs import AlgorithmSpec, ExperimentConfig
 from repro.experiments.orchestrator import RunSpec
 from repro.experiments.runner import build_simulation
 from repro.experiments.store import ExperimentStore
-from repro.federated.client import ClientState
 from repro.federated.engine import SimulationResult
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
@@ -105,8 +107,9 @@ class _Ticket:
     """One published local-update task and its lifecycle on the board."""
 
     task_id: str
-    frame: bytes
-    client: ClientState  #: as leased: what a submission is checked against
+    task: LocalUpdateTask  #: as leased: what a submission is checked against
+    model: str  #: the digest of the task's θ and server state
+    lean: bytes  #: the task frame without them, encoded at publish
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
@@ -262,14 +265,23 @@ class RemoteExecutor(ClientExecutor):
         self.board = board
 
     def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+        digests: dict[tuple[int, int], str] = {}
         tickets = []
         for task in tasks:
+            # The tasks of one call share their θ and state objects.
+            shared = (id(task.global_params), id(task.server_state))
+            if shared not in digests:
+                digests[shared] = protocol.model_digest(
+                    task.global_params, task.server_state
+                )
+            model = digests[shared]
             task_id = self.board.next_task_id(task.round_index, task.client_index)
             tickets.append(
                 _Ticket(
                     task_id=task_id,
-                    frame=protocol.encode_task(task_id, task),
-                    client=task.client,
+                    task=task,
+                    model=model,
+                    lean=protocol.encode_task(task_id, task, model=model),
                 )
             )
         self.board.publish(tickets)
@@ -354,7 +366,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, self.app.handle_handshake(body))
             elif route == "/v1/task":
                 self.app.count_request("task")
-                frame = self.app.handle_task()
+                frame = self.app.handle_task(body)
                 if frame is None:
                     # The bounded wait elapsed (ask again) or the run ended.
                     self._send_json(200, {"task": None, "done": self.app.done})
@@ -678,11 +690,7 @@ class FederationServer:
         self.metrics.counter(f"serve.requests.{route}").inc()
 
     def handle_handshake(self, body: bytes) -> dict:
-        try:
-            request = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"handshake body is not JSON: {exc}") from None
-        version = request.get("protocol_version")
+        version = protocol.json_object(body, "handshake").get("protocol_version")
         if version != protocol.PROTOCOL_VERSION:
             raise ProtocolError(
                 f"worker speaks protocol version {version!r}, server speaks "
@@ -698,7 +706,17 @@ class FederationServer:
             "num_rounds": self.num_rounds,
         }
 
-    def handle_task(self) -> bytes | None:
+    def handle_task(self, body: bytes = b"") -> bytes | None:
+        """Lease the next task; ``body`` may name the model the worker holds.
+
+        The reply leaves θ and the server state out when they are the named
+        model, and is the full frame — at most once per worker per model —
+        otherwise.  A bad body is refused before the request is parked.
+        """
+        request = protocol.json_object(body, "task request")
+        held = request.get("model")
+        if "model" in request and type(held) is not str:
+            raise ProtocolError(f"task request model must be a string, got {held!r:.40}")
         asked = time.perf_counter()
         ticket = self.board.pull(wait=LEASE_WAIT_S)
         self.metrics.histogram(
@@ -708,8 +726,18 @@ class FederationServer:
         if ticket is None:
             self.metrics.counter("serve.empty_task_replies").inc()
             return None
-        self.metrics.counter("serve.download_payload_bytes").inc(len(ticket.frame))
-        return ticket.frame
+        if held == ticket.model:
+            frame = ticket.lean
+        else:
+            # On a handler thread, and safe: the round (``_drive``) sits in
+            # board.wait until this leased ticket is done, so the task's
+            # arrays hold still (unless a first lessee already resolved it
+            # after a reclaim — then this reply can only earn a discarded
+            # duplicate).
+            frame = protocol.encode_task(ticket.task_id, ticket.task)
+            self.metrics.counter("serve.model_frames").inc()
+        self.metrics.counter("serve.download_payload_bytes").inc(len(frame))
+        return frame
 
     def handle_submit(self, body: bytes) -> dict:
         header, blobs = protocol.unpack_frame(body, self.max_frame_bytes)
@@ -720,7 +748,7 @@ class FederationServer:
         task_id, outcome, payload_bytes = protocol.decode_submit(
             header, blobs, self.codec
         )
-        leased = self.board.client_of(task_id).client
+        leased = self.board.client_of(task_id).task.client
         if outcome.client.client_id != leased.client_id:
             raise ProtocolError(
                 f"submit for task {task_id!r} names client "

@@ -11,6 +11,11 @@ and push the submit frame.  Tasks carry integer seeds, so any worker (or a
 re-pull after this worker dies mid-task) computes the identical update the
 in-process simulation would have.
 
+The one thing a worker keeps between tasks is the model — θ and the server
+state — of the last full task frame it decoded, read-only.  It names that
+model's digest in every task request, and the server then leaves the model
+out of the frame when the task shares it (:mod:`repro.serve.protocol`).
+
 Workers are plain functions so tests can spawn them with
 ``multiprocessing.Process(target=run_worker, ...)`` and the CLI can run
 them with ``repro worker --url``.
@@ -145,6 +150,18 @@ def handshake(client: ServerClient, worker_id: str | None = None) -> dict[str, A
     return json.loads(data.decode("utf-8"))
 
 
+def hold(task: LocalUpdateTask) -> protocol.HeldModel:
+    """Keep a full frame's model for the lean frames that follow it.
+
+    The arrays become read-only: an algorithm that wrote into θ would
+    otherwise corrupt every later task of the same model.
+    """
+    for array in (task.global_params, *task.server_state.values()):
+        array.flags.writeable = False
+    digest = protocol.model_digest(task.global_params, task.server_state)
+    return protocol.HeldModel(digest, task.global_params, dict(task.server_state))
+
+
 def run_worker(
     url: str,
     max_tasks: int | None = None,
@@ -175,13 +192,15 @@ def run_worker(
         env = WorkerEnvironment(
             ExperimentConfig.from_record(info["config"]), info["algorithm"]
         )
+        held: protocol.HeldModel | None = None
         completed = 0
         failures = 0
         while max_tasks is None or completed < max_tasks:
             if stop_check is not None and stop_check():
                 break
+            lease = b"" if held is None else json.dumps({"model": held.digest}).encode()
             try:
-                status, content_type, data = client.post("/v1/task", b"")
+                status, content_type, data = client.post("/v1/task", lease)
             except (http.client.HTTPException, OSError):
                 failures += 1
                 if failures >= max_failures:
@@ -193,7 +212,10 @@ def run_worker(
                 if status != 200 or payload.get("done"):
                     break
                 continue
-            task_id, task = protocol.decode_task(*protocol.unpack_frame(data))
+            header, blobs = protocol.unpack_frame(data)
+            task_id, task = protocol.decode_task(header, blobs, held=held)
+            if header.get("model") is None:  # a full frame: hold its model
+                held = hold(task)
             if delay_fn is not None:
                 time.sleep(max(0.0, delay_fn(task)))
             frame = env.execute(task_id, task)

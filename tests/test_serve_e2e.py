@@ -1,8 +1,9 @@
 """End-to-end networked federation: server + worker *processes* on loopback.
 
 The serve layer's central claim, checked for real: spawn a
-:class:`~repro.serve.server.FederationServer` plus N separate worker
-processes, run fedavg and fedadmm for a few rounds over actual HTTP, and
+:class:`~repro.serve.server.FederationServer` plus separate worker
+processes, run every registered algorithm (and FedADMM on the 2-shard
+hierarchical plan) for a few rounds over actual HTTP, and
 the :class:`TrainingHistory` is **bit-identical** to the in-process
 simulation with the same seeds — not approximately equal, byte-for-byte
 the same floats.  Tasks flow through the isolated-executor seam (integer
@@ -33,6 +34,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.algorithms import ALGORITHM_REGISTRY
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import build_simulation
@@ -94,13 +96,25 @@ def assert_bit_identical(networked, reference):
     assert networked_ledger == reference_ledger
 
 
-@pytest.mark.parametrize("algorithm", ["fedavg", "fedadmm"])
-def test_networked_history_bit_identical_to_simulation(algorithm):
-    config = preset_config("serve")
+@pytest.mark.parametrize(
+    "algorithm, overrides",
+    [pytest.param(name, {}, id=name) for name in sorted(ALGORITHM_REGISTRY)]
+    + [
+        pytest.param(
+            "fedadmm", {"plan": "hierarchical", "num_shards": 2}, id="fedadmm-hierarchical"
+        )
+    ],
+)
+def test_networked_history_bit_identical_to_simulation(algorithm, overrides):
+    """One worker, so every task of a round is a lean frame on the held model
+    but the first — server state (SCAFFOLD) and the per-shard dispatches of
+    the hierarchical plan included."""
+    config = preset_config("serve", **overrides)
     spec = AlgorithmSpec(algorithm)
-    server, networked = serve_run(config, spec)
+    server, networked = serve_run(config, spec, num_workers=1)
     reference = reference_run(config, spec)
     assert_bit_identical(networked, reference)
+    assert server.metrics.counter("serve.model_frames").value == ROUNDS
 
     # Real bytes on the wire: float16's packed payload equals the ledger's
     # nominal wire accounting exactly, per codec design.

@@ -259,7 +259,19 @@ FRAME_PINS = {
     "signsgd": "c13f088c11dec14fade387e2dd1344d41ca8e0b9d9c23f03fc7ab557a2b2e8f0",
     "topk-k2": "4c8b2d27d9a918d12df10d4e2c758060997ecff02b2e0e81720424ffbe46f345",
     "qsgd-5": "d9cda6022de4429eef2b39b38118d50cb2aaf801ae9b7db2d0418dc11dcda1ed",
+    # Recorded when the lean frame was introduced (θ and state left out).
+    "task-lean": "ad33ca903ca903658d10c35a3d3c332b249cef441c5c5663a7e28de4791254bc",
 }
+
+
+def held_model(task):
+    """What a worker holds after decoding the fixture's full frame."""
+    digest = protocol.model_digest(task.global_params, task.server_state)
+    return protocol.HeldModel(digest, task.global_params, task.server_state)
+
+
+def lean_frame(task):
+    return protocol.encode_task(TASK_ID, task, model=held_model(task).digest)
 
 
 def test_protocol_version_is_still_one():
@@ -270,6 +282,11 @@ def test_task_frame_bytes_are_pinned():
     task, _ = fixed_task_and_message()
     frame = protocol.encode_task(TASK_ID, task)
     assert hashlib.sha256(frame).hexdigest() == FRAME_PINS["task"]
+
+
+def test_lean_task_frame_bytes_are_pinned():
+    task, _ = fixed_task_and_message()
+    assert hashlib.sha256(lean_frame(task)).hexdigest() == FRAME_PINS["task-lean"]
 
 
 @pytest.mark.parametrize(
@@ -312,6 +329,54 @@ def test_decode_task_returns_the_task_that_was_encoded():
     assert (client.client_id, client.rounds_participated, client.local_work_done) == (3, 2, 5)
     assert client.dataset is None  # the worker binds its own copy
     assert_same_arrays(client.variables, task.client.variables)
+
+
+def test_lean_frame_is_the_full_frame_without_the_model():
+    task, _ = fixed_task_and_message()
+    full_header, full_blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
+    header, blobs = protocol.unpack_frame(lean_frame(task))
+    held = held_model(task)
+    dropped = {"params_shape", "state_keys", "state_shapes"}
+    assert header == {
+        **{k: v for k, v in full_header.items() if k not in dropped},
+        "model": held.digest,
+    }
+    assert blobs == full_blobs[2:]  # θ and the one state vector left out
+    task_id, decoded = protocol.decode_task(header, blobs, held=held)
+    assert task_id == TASK_ID
+    assert decoded.global_params is held.params
+    assert decoded.server_state == held.state
+    assert decoded.server_state is not held.state
+    assert_same_arrays(decoded.client.variables, task.client.variables)
+    # A full frame needs no held model, and ignores one.
+    _, full = protocol.decode_task(full_header, full_blobs, held=held)
+    assert full.global_params.tobytes() == task.global_params.tobytes()
+
+
+def test_lean_frame_of_a_model_the_worker_does_not_hold_is_refused():
+    task, _ = fixed_task_and_message()
+    header, blobs = protocol.unpack_frame(lean_frame(task))
+    held = held_model(task)
+    with pytest.raises(ProtocolError, match="holds None"):
+        protocol.decode_task(header, blobs)
+    with pytest.raises(ProtocolError, match="lean task frame"):
+        protocol.decode_task(header, blobs, held=held._replace(digest="0" * 64))
+
+
+def test_model_digest_names_shapes_keys_and_bytes():
+    task, _ = fixed_task_and_message()
+    params, state = task.global_params, task.server_state
+    digest = protocol.model_digest(params, state)
+    assert digest == protocol.model_digest(params.copy(), {"control": state["control"]})
+    nudged = params.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    for other in (
+        protocol.model_digest(nudged, state),
+        protocol.model_digest(params.reshape(1, -1), state),
+        protocol.model_digest(params, {"c": state["control"]}),
+        protocol.model_digest(params, {}),
+    ):
+        assert other != digest
 
 
 @every_codec
@@ -426,10 +491,18 @@ json_values = st.recursive(
 )
 
 
+HELD = held_model(fixed_task_and_message()[0])
+
+
 def decode_whatever(header, blobs, codec):
-    """Both decoders over one frame; anything but ProtocolError escapes."""
+    """Every decoder over one frame; anything but ProtocolError escapes.
+
+    A task frame is also decoded against the fixture's held model, so a
+    lean frame is tried with its own model and, mutated, with another.
+    """
     for decode in (
         lambda: protocol.decode_task(header, blobs),
+        lambda: protocol.decode_task(header, blobs, held=HELD),
         lambda: protocol.decode_submit(header, blobs, codec),
     ):
         try:
@@ -462,6 +535,7 @@ def test_arbitrary_headers_only_raise_protocol_error(header, blobs):
 def valid_frames():
     task, _ = fixed_task_and_message()
     frames = [(Float16Codec(), protocol.encode_task(TASK_ID, task))]
+    frames += [(Float16Codec(), lean_frame(task))]
     frames += [(codec, submit_frame(codec)) for codec in all_codecs()]
     return [(codec, *protocol.unpack_frame(frame)) for codec, frame in frames]
 
@@ -538,6 +612,7 @@ def test_codec_unpack_only_raises_protocol_error(codec, dim, data):
         ("learning_rate", 0.05),
         ("learning_rate", "0x1p99999"),
         ("task_id", 9),
+        ("model", 41),
     ],
 )
 def test_decode_task_turns_every_bad_field_into_a_protocol_error(field, value):
@@ -586,6 +661,81 @@ def test_server_accepts_current_version_handshake(live_server, live_client):
     assert info["protocol_version"] == protocol.PROTOCOL_VERSION
     assert info["model_dim"] == live_server.model_dim
     assert info["config"]["name"] == live_server.config.name
+
+
+@pytest.mark.parametrize(
+    "route, body",
+    [
+        ("/v1/handshake", b"[1]"),
+        ("/v1/handshake", b"1"),
+        ("/v1/handshake", b'"x"'),
+        ("/v1/handshake", b"{not json"),
+        ("/v1/task", b"[1]"),
+        ("/v1/task", b"1"),
+        ("/v1/task", b'"x"'),
+        ("/v1/task", b"\xff"),
+        ("/v1/task", b'{"model": 5}'),
+        ("/v1/task", b'{"model": null}'),
+        ("/v1/task", b'{"model": ["abc"]}'),
+    ],
+)
+def test_a_body_that_is_not_a_json_object_is_answered_400(
+    live_server, live_client, route, body
+):
+    """Regression: JSON that is not an object (``[1]``, ``1``, ``"x"``) made
+    the handshake call ``.get`` on it — a 500 and a traceback.  The lease
+    body is read by the same helper, and its model must be a string."""
+    internal = live_server.metrics.counter("serve.errors.internal")
+    before = internal.value
+    status, content_type, reply = live_client.post(route, body)
+    assert status == 400 and content_type == "application/json"
+    assert json.loads(reply)["code"] == "malformed"
+    assert internal.value == before
+
+
+def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
+    """Empty body and a stale model: the v1 frame, byte for byte.  The
+    model of the task: the frame encoded at publish, without θ and state."""
+    from repro.serve.server import FederationServer
+    from repro.serve.worker import ServerClient, hold
+
+    config = preset_config("serve").with_overrides(num_rounds=1)
+    server = FederationServer(config, AlgorithmSpec("scaffold"), num_rounds=1)
+    server.start()
+    client = ServerClient(server.url)
+
+    def lease(body):
+        status, content_type, data = client.post("/v1/task", body)
+        assert status == 200 and content_type == "application/octet-stream"
+        header, blobs = protocol.unpack_frame(data)
+        return data, header, blobs, server.board.client_of(header["task_id"])
+
+    try:
+        data, header, blobs, ticket = lease(b"")
+        assert data == protocol.encode_task(ticket.task_id, ticket.task)
+        _, task = protocol.decode_task(header, blobs)
+        held = hold(task)
+        assert held.digest == ticket.model and sorted(held.state) == ["control"]
+        with pytest.raises(ValueError, match="read-only"):
+            task.global_params[0] = 0.0
+
+        lean, header, blobs, ticket = lease(json.dumps({"model": held.digest}).encode())
+        assert lean == ticket.lean == protocol.encode_task(
+            ticket.task_id, ticket.task, model=held.digest
+        )
+        _, task = protocol.decode_task(header, blobs, held=held)
+        assert task.global_params is held.params
+
+        stale, _, _, ticket = lease(json.dumps({"model": "0" * 64}).encode())
+        assert stale == protocol.encode_task(ticket.task_id, ticket.task)
+
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["serve.model_frames"] == 2
+        assert counters["serve.download_payload_bytes"] == len(data) + len(lean) + len(stale)
+        assert len(lean) < len(data) - 8 * server.model_dim
+    finally:
+        client.close()
+        server.stop()
 
 
 def test_server_maps_malformed_submit_to_400(live_client):

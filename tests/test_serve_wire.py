@@ -10,6 +10,10 @@ that fails if it comes back, and none of them measures a latency:
   by ``publish``, ``close`` and ``abort`` and picks up a lease that expires
   while it waits; over a whole served run only the final ``done`` replies
   are empty (the count that fails if sleep-polling returns);
+* **θ once per worker per round** — a worker names the model it holds in
+  its lease, so only its first task of a round carries θ (the count of
+  such replies is pinned, and the download bytes stay below a full frame
+  per task);
 * **a stopped server is freed by reference counting** — no ``gc.collect()``;
 * **the checkpoint is binary** — the result JSON of a served run carries no
   per-client number list, and a sidecar from another round is refused.
@@ -29,12 +33,14 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.algorithms.base import LocalTrainingConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.federated.client import ClientState
 from repro.serve import server as serve_server
 from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
 from repro.serve.worker import ServerClient
+from repro.systems.executor import LocalUpdateTask
 
 from test_serve_e2e import serve_run
 
@@ -131,9 +137,16 @@ class _ParkingCondition(threading.Condition):
 
 
 def _ticket(task_id="r0-c0-1"):
-    return _Ticket(
-        task_id=task_id, frame=b"frame", client=ClientState(client_id=0, dataset=None)
+    task = LocalUpdateTask(
+        client_index=0,
+        client=ClientState(client_id=0, dataset=None),
+        global_params=np.zeros(1),
+        server_state={},
+        config=LocalTrainingConfig(epochs=1, batch_size=None, learning_rate=0.1),
+        round_index=0,
+        rng=0,
     )
+    return _Ticket(task_id=task_id, task=task, model="", lean=b"frame")
 
 
 def _parked_puller(board, wait=FOREVER):
@@ -225,6 +238,22 @@ def test_only_the_final_done_replies_are_empty(finished_run):
     # one ("done").  Sleep-polling an empty board would add one per poll.
     assert counters["serve.requests.task"] - executed <= WORKERS
     assert counters["serve.empty_task_replies"] <= WORKERS
+
+
+def test_the_model_crosses_the_wire_once_per_worker_per_round(finished_run):
+    server, _ = finished_run
+    counters = server.status_snapshot()["counters"]
+    # Each round's θ reaches each worker that leases a task of it once.
+    assert ROUNDS <= counters["serve.model_frames"] <= WORKERS * ROUNDS
+    # Every other reply is a lean frame: the client's variables alone.
+    tasks = counters["serve.requests.submit"]
+    client = server.simulation.clients[0]
+    full_frame_blobs = 8 * (
+        server.model_dim
+        + sum(np.size(value) for value in client.variables.values())
+        + sum(np.size(value) for value in server.simulation.state.algorithm_state.values())
+    )
+    assert counters["serve.download_payload_bytes"] < tasks * full_frame_blobs
 
 
 def test_status_reports_the_waits(finished_run):

@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of the perf ledger, and the verdict on a claim.
 
     python3 benchmarks/ab_pairs.py --base <rev> --workload NAME [NAME ...] \\
-        --pairs N [--seconds S] [--metric client_updates_per_s]
+        --pairs N [--first-seed N0] [--seconds S] [--metric client_updates_per_s]
 
 Side A is ``git archive <rev>`` unpacked into a temporary directory, side B
 the working tree this file sits in.  Pair ``i`` runs ``python3 bench/run.py
---workload NAME --seed i --trace 0`` once on each side, in a fresh process
-each, and alternates which side goes first.  After the pairs, one ``--seed 0
---trace 1`` run a side per workload measures the layers.  For every workload
+--workload NAME --seed N0+i --trace 0`` once on each side, in a fresh process
+each, and alternates which side goes first; ``--first-seed N0`` (default 0)
+repeats a claim on seeds it was not found on.  After the pairs, one ``--seed
+N0 --trace 1`` run a side per workload measures the layers.  For every workload
 it then prints the claimed metric pair by pair, the wins, each side's median
 and quartiles, and the verdict of the ``choosing-metrics`` guide, section 8:
 a gain is claimed only from at least ten pairs, when B wins at least nine
@@ -77,12 +78,14 @@ def run_once(
     return json.loads(lines[-1])
 
 
-def report_claim(workload: str, metric: dict, a: dict, b: dict) -> bool:
+def report_claim(
+    workload: str, metric: dict, a: dict, b: dict, first_seed: int = 0
+) -> bool:
     """Pairs, wins, quartiles and the section-8 verdict for one workload.
 
     ``a`` / ``b`` are ``compare.summarise`` records: every run's value, the
-    median and, with more than one pair, the quartiles.  Returns whether the
-    gain is claimed.
+    median and, with more than one pair, the quartiles; pair ``i`` ran seed
+    ``first_seed + i``.  Returns whether the gain is claimed.
     """
     sign = 1.0 if metric["better"] == "higher" else -1.0
     pairs = list(zip(a["values"], b["values"]))
@@ -92,7 +95,8 @@ def report_claim(workload: str, metric: dict, a: dict, b: dict) -> bool:
     for index, (x, y) in enumerate(pairs):
         first = "A" if index % 2 == 0 else "B"
         change = f"{(y - x) / x:+.1%}" if x else "n/a"
-        print(f"pair {index} (seed {index}, {first} first): A {x:.6g}  B {y:.6g}  {change}")
+        print(f"pair {index} (seed {first_seed + index}, {first} first): "
+              f"A {x:.6g}  B {y:.6g}  {change}")
     for side, record in (("A", a), ("B", b)):
         print(f"{side} median {record['value']:.6g} [q1 {record.get('q1', record['value']):.6g}, "
               f"q3 {record.get('q3', record['value']):.6g}]")
@@ -110,9 +114,9 @@ def report_claim(workload: str, metric: dict, a: dict, b: dict) -> bool:
     return met
 
 
-def report_layers(workload: str, a: dict, b: dict) -> None:
+def report_layers(workload: str, a: dict, b: dict, seed: int = 0) -> None:
     """One traced run a side: every per-layer metric, A beside B."""
-    print(f"\n## {workload}: per layer, one traced run a side (seed 0)")
+    print(f"\n## {workload}: per layer, one traced run a side (seed {seed})")
     print(f"{'metric':44s} {'A':>12s} {'B':>12s}  change")
     for name, metric in PER_LAYER.items():
         x, y = a["metrics"][name]["value"], b["metrics"][name]["value"]
@@ -126,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs="+", required=True,
                         choices=[w["name"] for w in SPEC["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="seed of pair 0 and of the traced runs; pair i runs seed N + i")
     parser.add_argument("--seconds", type=float, default=float(SPEC["run_seconds"]))
     parser.add_argument("--metric", default="client_updates_per_s", choices=sorted(END_TO_END))
     parser.add_argument("--out", type=Path, default=ROOT / "benchmarks" / "results" / "ab_pairs")
@@ -140,21 +146,22 @@ def main(argv: list[str] | None = None) -> int:
         unpack_revision(args.base, Path(scratch))
         trees = {"A": Path(scratch), "B": ROOT}
         for index in range(args.pairs):
-            ledgers = {side: {"seed": index, "workloads": {}} for side in sides}
+            seed = args.first_seed + index
+            ledgers = {side: {"seed": seed, "workloads": {}} for side in sides}
             for workload in args.workload:
                 for side in ("AB" if index % 2 == 0 else "BA"):
                     out = (sides[side] / f"{index:03d}").resolve()
-                    result = run_once(trees[side], workload, index, args.seconds, out)
+                    result = run_once(trees[side], workload, seed, args.seconds, out)
                     ledgers[side]["workloads"][workload] = {"end_to_end": result}
                     print(f"pair {index} {side} {workload}: {args.metric} = "
                           f"{result['metrics'][args.metric]['value']:.6g}, "
                           f"{result['failed']}/{result['attempted']} failed", flush=True)
             for side, ledger in ledgers.items():
-                path = sides[side] / f"{index:03d}" / f"ledger_seed{index}.json"
+                path = sides[side] / f"{index:03d}" / f"ledger_seed{seed}.json"
                 path.write_text(json.dumps(ledger, indent=1) + "\n")
         layers = {
             (side, workload): run_once(
-                trees[side], workload, 0, args.seconds,
+                trees[side], workload, args.first_seed, args.seconds,
                 (sides[side] / "trace").resolve(), trace=1,
             )
             for workload in args.workload
@@ -164,8 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     runs = {side: compare.load_side(path) for side, path in sides.items()}
     for workload in args.workload:
         a, b = (compare.summarise(runs[side], workload, args.metric) for side in "AB")
-        report_claim(workload, END_TO_END[args.metric], a, b)
-        report_layers(workload, layers["A", workload], layers["B", workload])
+        report_claim(workload, END_TO_END[args.metric], a, b, args.first_seed)
+        report_layers(
+            workload, layers["A", workload], layers["B", workload], args.first_seed
+        )
         moved = [
             name
             for name in sorted(compare.EXACT)

@@ -44,6 +44,10 @@ _PACKED_SCALAR_BYTES = 8
 #: Bytes used for one coordinate index in sparse encodings (uint32).
 _INDEX_BYTES = 4
 
+#: Largest QSGD level count: levels are int32 and a packed coordinate
+#: (level bits + sign bit) must fit a uint32.
+_MAX_QSGD_LEVELS = 2**31 - 1
+
 
 @dataclass
 class EncodedVector:
@@ -76,6 +80,13 @@ def _unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
     bit_matrix = flat.reshape(count, bits).astype(np.uint32)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
     return (bit_matrix << shifts[None, :]).sum(axis=1, dtype=np.uint32)
+
+
+def _signs(values: np.ndarray) -> np.ndarray:
+    """int8 -1 exactly where ``values < 0``, +1 elsewhere (-0.0 and NaN too)."""
+    signs = np.less(values, 0).view(np.int8) * np.int8(-2)
+    signs += np.int8(1)
+    return signs
 
 
 class Codec:
@@ -295,17 +306,22 @@ class QSGDCodec(Codec):
     """QSGD stochastic quantisation to ``levels`` uniform levels per sign.
 
     Each coordinate is mapped to ``sign(v_i) * l_i / levels * ||v||_2`` where
-    ``l_i`` is an integer level chosen by unbiased stochastic rounding.  The
-    wire cost is ``ceil(log2(levels + 1)) + 1`` bits per coordinate (level +
-    sign) plus one float for the norm — costed at 4 bytes, packed as a
-    float64, so ``packed_bytes`` is ``wire_bytes + 4``.
+    ``l_i`` is an integer level chosen by unbiased stochastic rounding and
+    the sign is -1 exactly where ``v_i < 0`` (so -0.0 and NaN encode as +1).
+    ``levels`` lies in ``[1, 2**31 - 1]``: every level fits an int32 and a
+    packed coordinate fits 32 bits.  The wire cost is
+    ``ceil(log2(levels + 1)) + 1`` bits per coordinate (level + sign) plus
+    one float for the norm — costed at 4 bytes, packed as a float64, so
+    ``packed_bytes`` is ``wire_bytes + 4``.
     """
 
     name = "qsgd"
 
     def __init__(self, levels: int = 16):
-        if levels <= 0:
-            raise ConfigurationError(f"levels must be positive, got {levels}")
+        if not 1 <= levels <= _MAX_QSGD_LEVELS:
+            raise ConfigurationError(
+                f"levels must lie in [1, {_MAX_QSGD_LEVELS}], got {levels}"
+            )
         self.levels = int(levels)
 
     @property
@@ -321,17 +337,15 @@ class QSGDCodec(Codec):
             levels = np.zeros(values.size, dtype=np.int32)
             signs = np.ones(values.size, dtype=np.int8)
         else:
-            # |v| / norm * levels, then floor + Bernoulli(fraction), each in
-            # the buffer the previous step left behind.
+            # |v| / norm * levels lies in [0, levels], so the int32 cast is
+            # the floor; then + Bernoulli(fraction), in the float buffer.
             scaled = np.abs(values)
             scaled /= norm
             scaled *= self.levels
-            floor = np.floor(scaled)
-            scaled -= floor
-            floor += rng.random(values.size) < scaled
-            levels = floor.astype(np.int32)
-            signs = np.ones(values.size, dtype=np.int8)
-            signs[values < 0] = -1
+            levels = scaled.astype(np.int32)
+            scaled -= levels
+            levels += rng.random(values.size) < scaled
+            signs = _signs(values)
         return self._encoded(
             values.size,
             levels=levels,
@@ -391,7 +405,7 @@ class SignSGDCodec(Codec):
         scale = float(np.mean(np.abs(values))) if values.size else 0.0
         return self._encoded(
             values.size,
-            signs=np.where(values < 0, -1, 1).astype(np.int8),
+            signs=_signs(values),
             scale=np.array([scale], dtype=np.float64),
         )
 

@@ -129,3 +129,29 @@ def test_the_pairs_end_with_one_traced_run_a_side_per_workload(
     out = capsys.readouterr().out
     for workload in workloads:
         assert f"## {workload}: per layer" in out
+
+
+def test_first_seed_offsets_every_pair_and_the_traced_runs(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, out, trace=0):
+        calls.append((seed, trace))
+        out.mkdir(parents=True, exist_ok=True)
+        if trace:
+            return traced(1.0)
+        metrics = {name: {"value": 1.0} for name in ab_pairs.END_TO_END}
+        return {"metrics": metrics, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(ab_pairs, "unpack_revision", lambda rev, target: None)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs.compare, "main", lambda argv: 0)
+    argv = ["--base", "HEAD", "--workload", WORKLOAD, "--pairs", "2", "--out", str(tmp_path)]
+    assert ab_pairs.main([*argv, "--first-seed", "100"]) == 0
+    assert calls == [(100, 0)] * 2 + [(101, 0)] * 2 + [(100, 1)] * 2
+    assert sorted(path.name for path in tmp_path.rglob("ledger_*.json")) == [
+        "ledger_seed100.json", "ledger_seed100.json",
+        "ledger_seed101.json", "ledger_seed101.json",
+    ]
+    out = capsys.readouterr().out
+    assert "pair 0 (seed 100, A first)" in out and "pair 1 (seed 101, B first)" in out
+    assert f"## {WORKLOAD}: per layer, one traced run a side (seed 100)" in out

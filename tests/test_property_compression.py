@@ -10,7 +10,9 @@ the contracts the engine relies on:
 * QSGD's stochastic rounding is unbiased: averaging decodes over many seeds
   converges to the original vector,
 * signSGD reconstructions all share one magnitude — the mean absolute
-  value — which never exceeds the largest input magnitude.
+  value — which never exceeds the largest input magnitude,
+* QSGD and signSGD encode exactly as the reference encoders below (the
+  code they replaced): same arrays, same packed bytes, same decodes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import ConfigurationError
 from repro.systems.compression import (
     CODEC_REGISTRY,
     Float16Codec,
@@ -28,6 +31,7 @@ from repro.systems.compression import (
     TopKCodec,
     build_codec,
 )
+from repro.utils.rng import as_rng
 
 #: Bounded, finite, non-degenerate coordinate values.  float16 overflows at
 #: |x| > 65504, so the shared strategy stays well inside every codec's range.
@@ -146,6 +150,131 @@ class TestQSGD:
     def test_zero_vector_stays_zero(self):
         decoded, _ = QSGDCodec().roundtrip(np.zeros(5), rng=0)
         np.testing.assert_array_equal(decoded, np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [0, -1, 2**31])
+    def test_levels_outside_int32_are_refused(self, bad):
+        # 2**31 used to be accepted and overflowed the int32 level of a
+        # coordinate at full scale, flipping its sign.
+        with pytest.raises(ConfigurationError, match="levels"):
+            QSGDCodec(levels=bad)
+
+    def test_largest_levels_round_trip(self):
+        # A coordinate at full scale gets the top level, 2**31 - 1.
+        codec = QSGDCodec(levels=2**31 - 1)
+        for vector in (np.array([0.0, 5.0]), np.array([-5.0, 0.0])):
+            decoded, _ = codec.roundtrip(vector, rng=0)
+            np.testing.assert_array_equal(decoded, vector)
+            packed = codec.pack(codec.encode(vector, rng=0))
+            served = codec.decode(codec.unpack(vector.size, packed))
+            np.testing.assert_array_equal(served, vector)
+
+
+# --------------------------------------------------------------------------- #
+# Reference encoders: QSGD and signSGD as written before the sign helper and
+# the integer floor.  Every array, packed byte and decoded byte must match.
+# --------------------------------------------------------------------------- #
+
+
+def reference_qsgd_encode(codec, vector, rng=None):
+    rng = as_rng(rng)
+    values = np.asarray(vector, dtype=np.float64)
+    norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        levels = np.zeros(values.size, dtype=np.int32)
+        signs = np.ones(values.size, dtype=np.int8)
+    else:
+        scaled = np.abs(values)
+        scaled /= norm
+        scaled *= codec.levels
+        floor = np.floor(scaled)
+        scaled -= floor
+        floor += rng.random(values.size) < scaled
+        levels = floor.astype(np.int32)
+        signs = np.ones(values.size, dtype=np.int8)
+        signs[values < 0] = -1
+    return codec._encoded(
+        values.size,
+        levels=levels,
+        signs=signs,
+        norm=np.array([norm], dtype=np.float64),
+    )
+
+
+def reference_signsgd_encode(codec, vector, rng=None):
+    values = np.asarray(vector, dtype=np.float64)
+    scale = float(np.mean(np.abs(values))) if values.size else 0.0
+    return codec._encoded(
+        values.size,
+        signs=np.where(values < 0, -1, 1).astype(np.int8),
+        scale=np.array([scale], dtype=np.float64),
+    )
+
+
+#: Coordinates that stress the sign and level arithmetic: signed zeros,
+#: subnormals and the smallest/largest normal magnitudes.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, -1e300, 1e300]
+)
+
+edge_vectors = st.lists(
+    st.one_of(finite_floats, edge_floats), min_size=0, max_size=64
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+@st.composite
+def one_hot_vectors(draw):
+    """One non-zero coordinate among signed zeros: |v_i| == norm, so that
+    coordinate scales to exactly ``levels`` (its square must not underflow)."""
+    size = draw(st.integers(1, 16))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
+    vector = np.array(zeros, dtype=np.float64)
+    vector[draw(st.integers(0, size - 1))] = draw(
+        finite_floats.filter(lambda x: abs(x) > 1e-150)
+    )
+    return vector
+
+
+def assert_same_encoding(codec, reference, vector, seed=None):
+    """Arrays, packed bytes and decoded bytes equal the reference's.
+
+    Huge or non-finite coordinates overflow the norm (inf, NaN); the
+    warnings that raises are expected, the bytes must still agree.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference(codec, vector, rng=seed)
+        actual = codec.encode(vector, rng=seed)
+        assert actual.codec == expected.codec and actual.dim == expected.dim
+        assert actual.wire_bytes == expected.wire_bytes
+        assert list(actual.data) == list(expected.data)
+        for key, array in expected.data.items():
+            assert actual.data[key].dtype == array.dtype, key
+            assert actual.data[key].tobytes() == array.tobytes(), key
+        assert codec.pack(actual) == codec.pack(expected)
+        assert codec.decode(actual).tobytes() == codec.decode(expected).tobytes()
+
+
+class TestEncodeMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        vector=st.one_of(edge_vectors, one_hot_vectors()),
+        levels=st.sampled_from([1, 5, 16, 256, 2**31 - 1]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_qsgd(self, vector, levels, seed):
+        assert_same_encoding(QSGDCodec(levels=levels), reference_qsgd_encode, vector, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector=st.one_of(edge_vectors, one_hot_vectors()))
+    def test_signsgd(self, vector):
+        assert_same_encoding(SignSGDCodec(), reference_signsgd_encode, vector)
+
+    @pytest.mark.parametrize("levels", [1, 16, 2**31 - 1])
+    def test_non_finite_inputs(self, levels):
+        # NaN and inf poison the norm; the casts must still agree.
+        vector = np.array([np.nan, 1.0, -0.0, -2.0, np.inf, -np.inf])
+        for case in (vector, vector[1:4], vector[3:]):
+            assert_same_encoding(QSGDCodec(levels=levels), reference_qsgd_encode, case, 3)
+            assert_same_encoding(SignSGDCodec(), reference_signsgd_encode, case)
 
 
 class TestSignSGD:

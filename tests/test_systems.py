@@ -1,6 +1,8 @@
 """Tests for the client-systems layer: codecs, transport, network model,
 fault injection, executors, and their integration into the engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -491,7 +493,7 @@ class TestEndToEndScenario:
             )
             results.append(sim.run(5))
         first, second = results
-        assert np.allclose(first.final_params, second.final_params)
+        assert np.array_equal(first.final_params, second.final_params)
         assert first.history.accuracies.tolist() == second.history.accuracies.tolist()
         assert [r.dropped_clients for r in first.history.records] == [
             r.dropped_clients for r in second.history.records
@@ -502,6 +504,64 @@ class TestEndToEndScenario:
         assert (first.history.simulated_seconds > 0).all()
         # And training still works through the lossy transport.
         assert first.final_evaluation.accuracy > 0.5
+
+
+#: One FedADMM run per registry codec (3 rounds, serial, seed 11): the
+#: final-params sha256, the per-round test accuracies and the upload wire
+#: bytes.  Recorded at cddf63d, before QSGD's encode lost its mask scatter
+#: and float floor; a codec rewrite must leave every run bit for bit.
+CODEC_RUN_GOLDENS = {
+    "float16": (
+        "82eb6a43e8b9e2a66c112ff2ea9a8991c41f415b051f4b6d3dda0666f378dbc6",
+        [1.0, 1.0, 1.0],
+        5520,
+    ),
+    "identity": (
+        "39807a656cede61eaa20c59ddccba5335e464b6d189697def53f782c29b17802",
+        [1.0, 1.0, 1.0],
+        11040,
+    ),
+    "qsgd": (
+        "40174eeaee9aa410a48a9677bd03eb1c746da659f52cc181a0413a96478b8c7a",
+        [1.0, 1.0, 1.0],
+        2110,
+    ),
+    "signsgd": (
+        "ef7dfcf0e5191f10fdcdf54ff439aff1dbeeb8022ea6ff38ade82c49fc29da80",
+        [0.9375, 0.99375, 1.0],
+        390,
+    ),
+    "topk": (
+        "ab012d37710f35f32230fba7abad88559b4704669409466aa7b0d9c8d2241af5",
+        [1.0, 1.0, 1.0],
+        2240,
+    ),
+}
+
+
+def test_codec_run_goldens_cover_the_registry():
+    assert set(CODEC_RUN_GOLDENS) == set(CODEC_REGISTRY)
+
+
+@pytest.mark.parametrize("codec", sorted(CODEC_RUN_GOLDENS))
+def test_codec_run_is_pinned(codec, blobs_split, iid_partition):
+    from repro.federated.client import build_clients
+
+    sim = _systems_simulation(
+        "fedadmm",
+        build_clients(blobs_split.train, iid_partition),
+        blobs_split.test,
+        seed=11,
+        codec=codec,
+        executor="serial",
+        rho=0.3,
+    )
+    result = sim.run(3)
+    assert (
+        hashlib.sha256(result.final_params.tobytes()).hexdigest(),
+        [record.test_accuracy for record in result.history.records],
+        result.ledger.upload_wire_bytes,
+    ) == CODEC_RUN_GOLDENS[codec]
 
 
 class TestCommunicationMetrics:

@@ -246,22 +246,27 @@ class HierarchicalPlan(ExecutionPlan):
                     rng=rng,
                 )
             )
-        # The whole shard cohort is one dispatch, so pooled, vectorized and
-        # remote executors see every task of the shard at once.
-        outcomes = pipeline.local_updates(state.params, state.algorithm_state, work)
-        messages = [outcome.message for outcome in outcomes]
-        uploads = sum(message.upload_floats for message in messages)
-        totals.uploads += uploads
-        totals.epochs_used.extend(message.local_epochs for message in messages)
-        messages, upload_wire_bytes = pipeline.compress(messages, uploads)
-        totals.upload_wire_bytes += upload_wire_bytes
-        totals.train_losses.extend(message.train_loss for message in messages)
-
         partial = engine.algorithm.make_accumulator(
             state.params, state.algorithm_state, len(engine.clients), round_index
         )
-        for message in messages:
-            partial.accumulate(message)
+
+        def hand_over(outcome) -> None:
+            message = outcome.message
+            totals.uploads += message.upload_floats
+            totals.epochs_used.append(message.local_epochs)
+            totals.train_losses.append(message.train_loss)
+            stage.submit(message)
+
+        # The whole shard cohort is one dispatch, so pooled, vectorized and
+        # remote executors see every task of the shard at once; each upload
+        # is compressed and summed as the executor hands it over, beside the
+        # training of the next client (UploadStage), and the stage is
+        # joined before the partial leaves the shard.
+        with pipeline.upload_stage(partial) as stage:
+            pipeline.local_updates(
+                state.params, state.algorithm_state, work, on_outcome=hand_over
+            )
+        totals.upload_wire_bytes += stage.wire_bytes
         return partial
 
     def run_round(self, engine: FederatedSimulation) -> RoundRecord:

@@ -17,8 +17,9 @@ and asynchronous histories bit-for-bit reproducible across refactors.
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,10 +35,11 @@ from repro.nn.losses import Loss
 from repro.nn.module import Module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import get_obs, observe
-from repro.obs.trace import Tracer
+from repro.obs.trace import SpanRecord, Tracer
 from repro.utils.rng import RngFactory, SeedLike
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
+    from repro.algorithms.base import UpdateAccumulator
     from repro.systems.adversaries import AdversaryModel
     from repro.systems.executor import ClientExecutor, LocalUpdateOutcome
     from repro.systems.faults import FaultInjector
@@ -103,6 +105,7 @@ class ClientWorkPipeline:
         self.training_rng = rng_factory.make("local-training")
         self.fault_rng = rng_factory.make("faults")
         self.transport_rng = rng_factory.make("transport")
+        self._upload_thread: ThreadPoolExecutor | None = None
 
         self.profiles: list[ClientSystemProfile] | None = None
         if network is not None:
@@ -268,12 +271,17 @@ class ClientWorkPipeline:
         params: np.ndarray,
         algorithm_state: dict[str, np.ndarray],
         work: Sequence[ClientWork],
-    ) -> list[LocalUpdateOutcome]:
+        on_outcome: Callable[[LocalUpdateOutcome], None] | None = None,
+    ) -> list[LocalUpdateOutcome] | None:
         """Run the algorithm's local update for each work item.
 
         Worker-process copies of client state are folded back into the
-        population before the outcomes are returned, so callers only see
-        the messages.
+        population, and adversarial uploads corrupted, one outcome at a
+        time as the executor hands them over, so callers only see the
+        messages.  Without ``on_outcome`` the outcomes are returned in task
+        order; with it each is handed on in that order instead (the serial
+        executor as each task finishes, the others after their batch) and
+        nothing is returned.
         """
         from repro.systems.executor import LocalUpdateTask
 
@@ -295,19 +303,21 @@ class ClientWorkPipeline:
             )
             for item in work
         ]
-        outcomes = self.executor.run_tasks(tasks) if tasks else []
-        for task, outcome in zip(tasks, outcomes):
+        outcomes: list[LocalUpdateOutcome] = []
+        spans: list[SpanRecord] = []
+        corrupts = self.adversary is not None and self.adversary.corrupts_updates
+        corrupted = 0
+
+        def hand_over(task: LocalUpdateTask, outcome: LocalUpdateOutcome) -> None:
+            nonlocal corrupted
             self.merge_client(task.client_index, outcome.client)
-        if self.adversary is not None and self.adversary.corrupts_updates:
-            # Corrupt on the coordinator thread, after the executor returns:
-            # the same bytes replace the same messages no matter which
-            # executor (or max_workers) produced them.  Each corruption
-            # draws from its own (client, round) stream so the order the
-            # outcomes are visited cannot perturb another client's noise.
-            corrupted = 0
-            for task, outcome in zip(tasks, outcomes):
-                if task.client_index not in self.adversarial:
-                    continue
+            if corrupts and task.client_index in self.adversarial:
+                # Corrupt on the coordinator thread, after the executor
+                # hands the outcome over: the same bytes replace the same
+                # messages no matter which executor (or max_workers)
+                # produced them.  Each corruption draws from its own
+                # (client, round) stream, so the order the outcomes are
+                # visited cannot perturb another client's noise.
                 rng = self._rng_factory.make(
                     f"adversary/round-{task.round_index}/client-{task.client_index}"
                 )
@@ -315,19 +325,26 @@ class ClientWorkPipeline:
                     outcome.message, params, rng
                 )
                 corrupted += 1
-            if self.metrics is not None and corrupted:
+            spans.extend(outcome.spans)
+            if on_outcome is None:
+                outcomes.append(outcome)
+            else:
+                on_outcome(outcome)
+
+        if tasks:
+            self.executor.run_tasks(tasks, on_outcome=hand_over)
+        if self.metrics is not None:
+            if corrupted:
                 self.metrics.counter("adversary.corrupted_updates").inc(corrupted)
-        if self.metrics is not None and tasks:
-            self.metrics.counter("tasks_executed").inc(len(tasks))
-        if trace:
+            if tasks:
+                self.metrics.counter("tasks_executed").inc(len(tasks))
+        if spans:
             # Executors return picklable span records (possibly produced in
             # worker threads/processes); adopting re-parents the orphan
             # client_task roots under the caller's open round span and gives
             # every record a place in this tracer's FIFO order.
-            produced = [span for outcome in outcomes for span in outcome.spans]
-            if produced:
-                self.tracer.adopt(produced)
-        return outcomes
+            self.tracer.adopt(spans)
+        return outcomes if on_outcome is None else None
 
     def merge_client(self, client_index: int, updated: ClientState) -> None:
         """Copy a worker-process copy's rows back into the original client's."""
@@ -341,8 +358,16 @@ class ClientWorkPipeline:
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
+    @property
+    def codec_name(self) -> str:
+        """The uplink codec's name; ``"raw"`` without a transport."""
+        return "raw" if self.transport is None else self.transport.codec.name
+
     def compress(
-        self, messages: Iterable[ClientMessage], upload_floats: int
+        self,
+        messages: Iterable[ClientMessage],
+        upload_floats: int,
+        tracer: Tracer | None = None,
     ) -> tuple[list[ClientMessage], int]:
         """Round-trip uploads through the codec; return post-wire messages.
 
@@ -350,28 +375,134 @@ class ClientWorkPipeline:
         messages' summed :attr:`ClientMessage.upload_floats`, which the
         caller has already counted for the ledger; without a transport the
         messages pass through and the wire bytes are those raw float bytes.
+        The ``compress`` span goes to ``tracer`` (default: the pipeline's);
+        the upload thread passes a tracer of its own.
         """
         messages = list(messages)
-        codec = "raw" if self.transport is None else self.transport.codec.name
-        with self.tracer.span("compress", codec=codec, messages=len(messages)):
+        tracer = self.tracer if tracer is None else tracer
+        with tracer.span("compress", codec=self.codec_name, messages=len(messages)):
             if self.transport is None:
-                compressed, wire_bytes = messages, upload_floats * BYTES_PER_FLOAT
-            else:
-                wire_bytes = 0
-                compressed = []
-                for message in messages:
-                    message, wire = self.transport.compress_message(
-                        message, self.transport_rng
-                    )
-                    compressed.append(message)
-                    wire_bytes += wire
-        if self.metrics is not None and messages:
-            self.metrics.counter(f"wire.upload_bytes.{codec}").inc(wire_bytes)
+                return messages, upload_floats * BYTES_PER_FLOAT
+            wire_bytes = 0
+            compressed = []
+            for message in messages:
+                message, wire = self.transport.compress_message(
+                    message, self.transport_rng
+                )
+                compressed.append(message)
+                wire_bytes += wire
         return compressed, wire_bytes
 
+    def upload_stage(self, accumulator: UpdateAccumulator) -> UploadStage:
+        """A stage that compresses uploads and sums them into ``accumulator``.
+
+        With a codec the stage runs on the pipeline's one upload thread,
+        created here on first use and joined by :meth:`close`.
+        """
+        thread = None
+        if self.transport is not None:
+            if self._upload_thread is None:
+                self._upload_thread = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-upload"
+                )
+            thread = self._upload_thread
+        return UploadStage(self, accumulator, thread)
+
     def close(self) -> None:
-        """Release executor resources (worker pools)."""
+        """Join the upload thread and release executor resources (pools)."""
+        if self._upload_thread is not None:
+            self._upload_thread.shutdown(wait=True)
+            self._upload_thread = None
         self.executor.close()
+
+
+class UploadStage:
+    """One shard's uploads: each is compressed, then summed, in hand-over order.
+
+    With a codec configured, each submitted message is compressed and folded
+    into the accumulator on the pipeline's one upload thread while the
+    calling thread trains the next client; the codec and the sum work on
+    whole parameter vectors, so both threads make progress.  One thread fed
+    in task order keeps the ``transport_rng`` draws and the sum's ``+=``
+    order exactly those of compressing and summing after the whole cohort,
+    so results are bit for bit the same.  A message is dropped as soon as it
+    is summed.  Without a codec there is nothing to overlap: the messages
+    are held and go through :meth:`ClientWorkPipeline.compress` as one batch
+    on the calling thread when the stage is left.
+
+    Use it as a context manager.  Leaving it waits for the upload thread,
+    adopts the spans it recorded under the caller's open span, and re-raises
+    the first upload error (nothing is summed after one).  If the block
+    raises, uploads not yet started are cancelled and the block's error
+    propagates.
+    """
+
+    def __init__(
+        self,
+        pipeline: ClientWorkPipeline,
+        accumulator: UpdateAccumulator,
+        thread: ThreadPoolExecutor | None,
+    ):
+        self.pipeline = pipeline
+        self.accumulator = accumulator
+        self.wire_bytes = 0
+        self._thread = thread
+        self._held: list[ClientMessage] = []
+        self._futures: list[Future] = []
+        self._error: BaseException | None = None
+        # Spans opened on the upload thread have no parent there: they are
+        # recorded on a tracer of their own and adopted on the way out.
+        self._tracer = (
+            Tracer()
+            if thread is not None and pipeline.tracer.enabled
+            else pipeline.tracer
+        )
+
+    def submit(self, message: ClientMessage) -> None:
+        """Hand one upload over, in task order."""
+        if self._thread is None:
+            self._held.append(message)
+            return
+        if self._error is not None:
+            raise self._error  # stop training a cohort that cannot be summed
+        self._futures.append(self._thread.submit(self._upload, message))
+
+    def _upload(self, message: ClientMessage) -> None:
+        """Compress one message and sum it (on the upload thread)."""
+        if self._error is not None:
+            return
+        try:
+            (compressed,), wire_bytes = self.pipeline.compress(
+                [message], message.upload_floats, tracer=self._tracer
+            )
+            self.accumulator.accumulate(compressed)
+        except BaseException as error:
+            self._error = error
+        else:
+            self.wire_bytes += wire_bytes
+
+    def __enter__(self) -> UploadStage:
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is not None:
+            for future in self._futures:
+                future.cancel()
+        wait(self._futures)
+        self._futures = []
+        if self._tracer is not self.pipeline.tracer:
+            self.pipeline.tracer.adopt(self._tracer.records)
+        if exc_type is not None:
+            return
+        if self._error is not None:
+            raise self._error
+        if self._thread is None:
+            held, self._held = self._held, []
+            compressed, self.wire_bytes = self.pipeline.compress(
+                held, sum(message.upload_floats for message in held)
+            )
+            for message in compressed:
+                self.accumulator.accumulate(message)
 
 
 def finalise_round(
@@ -432,6 +563,10 @@ def finalise_round(
     engine.history.append(record)
     metrics = engine.pipeline.metrics
     if metrics is not None:
+        if train_losses:  # one per upload
+            metrics.counter(f"wire.upload_bytes.{engine.pipeline.codec_name}").inc(
+                upload_wire_bytes
+            )
         metrics.counter("rounds_completed").inc()
         metrics.counter("wire.download_bytes").inc(download_wire_bytes)
         if dropped:

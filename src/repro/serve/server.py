@@ -264,7 +264,7 @@ class RemoteExecutor(ClientExecutor):
     def __init__(self, board: TaskBoard):
         self.board = board
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         digests: dict[tuple[int, int], str] = {}
         tickets = []
         for task in tasks:

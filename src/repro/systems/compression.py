@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError, SimulationError
 from repro.federated.messages import BYTES_PER_FLOAT
 from repro.utils.rng import SeedLike, as_rng
 
@@ -80,6 +80,25 @@ def _unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
     bit_matrix = flat.reshape(count, bits).astype(np.uint32)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
     return (bit_matrix << shifts[None, :]).sum(axis=1, dtype=np.uint32)
+
+
+def _rescaled(codec: str, values: np.ndarray, reduce, what: str) -> float:
+    """``reduce(values)`` for a vector on which the plain reduction overflowed.
+
+    A finite vector is reduced divided by its largest magnitude, then scaled
+    back, so a norm or mean that fits float64 is returned even when the sum
+    of squares (or of magnitudes) does not.  A non-finite vector, or one
+    whose result itself exceeds float64, is refused.
+    """
+    if not np.isfinite(values).all():
+        raise SimulationError(
+            f"{codec} cannot encode a vector with NaN or infinite coordinates"
+        )
+    peak = float(np.abs(values).max())
+    result = peak * float(reduce(values / peak))
+    if not math.isfinite(result):
+        raise SimulationError(f"{codec} cannot encode a vector whose {what} exceeds float64")
+    return result
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
@@ -332,7 +351,10 @@ class QSGDCodec(Codec):
     def encode(self, vector: np.ndarray, rng: SeedLike = None) -> EncodedVector:
         rng = as_rng(rng)
         values = np.asarray(vector, dtype=np.float64)
-        norm = float(np.linalg.norm(values))
+        with np.errstate(over="ignore"):  # an overflow takes the branch below
+            norm = float(np.linalg.norm(values))
+        if not math.isfinite(norm):
+            norm = _rescaled(self.name, values, np.linalg.norm, "L2 norm")
         if norm == 0.0:
             levels = np.zeros(values.size, dtype=np.int32)
             signs = np.ones(values.size, dtype=np.int8)
@@ -402,7 +424,12 @@ class SignSGDCodec(Codec):
 
     def encode(self, vector: np.ndarray, rng: SeedLike = None) -> EncodedVector:
         values = np.asarray(vector, dtype=np.float64)
-        scale = float(np.mean(np.abs(values))) if values.size else 0.0
+        with np.errstate(over="ignore"):  # an overflow takes the branch below
+            scale = float(np.mean(np.abs(values))) if values.size else 0.0
+        if not math.isfinite(scale):
+            scale = _rescaled(
+                self.name, values, lambda v: np.mean(np.abs(v)), "mean magnitude"
+            )
         return self._encoded(
             values.size,
             signs=_signs(values),

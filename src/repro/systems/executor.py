@@ -4,7 +4,9 @@ The engine *primes* an executor once with the immutable per-client state
 (the :class:`~repro.federated.local_problem.LocalProblem` list and the
 algorithm), then per round packages each surviving client's update into a
 slim :class:`LocalUpdateTask`; the executor runs the batch and returns one
-:class:`LocalUpdateOutcome` per task, in task order.
+:class:`LocalUpdateOutcome` per task, in task order — or hands each outcome
+to the caller's ``on_outcome`` in that order: the serial executor as each
+task finishes, the others once the batch is done.
 
 * :class:`SerialExecutor` — the seed behaviour: tasks run in order in the
   calling thread, sharing the engine's model template and training RNG, so
@@ -55,7 +57,7 @@ import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -104,6 +106,10 @@ class LocalUpdateOutcome:
     message: ClientMessage
     client: ClientState
     spans: tuple[SpanRecord, ...] = ()
+
+
+#: ``run_tasks``' ordered hand-over: called with each task and its outcome.
+OnOutcome = Callable[[LocalUpdateTask, LocalUpdateOutcome], None]
 
 
 def _task_spans(
@@ -235,7 +241,26 @@ class ClientExecutor:
         if getattr(self, "_problems", None) is None:
             raise SimulationError("executor used before prime() was called")
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def run_tasks(
+        self, tasks: list[LocalUpdateTask], on_outcome: OnOutcome | None = None
+    ) -> list[LocalUpdateOutcome] | None:
+        """Execute every task; outcomes come back in task order.
+
+        Without ``on_outcome`` the outcomes are returned as a list.  With
+        it, each ``(task, outcome)`` pair is handed to ``on_outcome`` in
+        task order on the calling thread, and nothing is returned.  A batch
+        executor hands every outcome over once the whole batch has run;
+        :class:`SerialExecutor` hands each one over as soon as its task
+        finishes, so what the caller does with it overlaps the next task.
+        """
+        outcomes = self._run_batch(tasks)
+        if on_outcome is None:
+            return outcomes
+        for task, outcome in zip(tasks, outcomes):
+            on_outcome(task, outcome)
+        return None
+
+    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         """Execute every task and return outcomes in task order."""
         raise NotImplementedError
 
@@ -248,12 +273,20 @@ class SerialExecutor(ClientExecutor):
 
     isolated = False
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def run_tasks(
+        self, tasks: list[LocalUpdateTask], on_outcome: OnOutcome | None = None
+    ) -> list[LocalUpdateOutcome] | None:
         self._require_primed()
-        return [
-            execute_task(task, self._problems[task.client_index], self._algorithm)
-            for task in tasks
-        ]
+        outcomes = []
+        for task in tasks:
+            outcome = execute_task(
+                task, self._problems[task.client_index], self._algorithm
+            )
+            if on_outcome is None:
+                outcomes.append(outcome)
+            else:
+                on_outcome(task, outcome)
+        return None if on_outcome is not None else outcomes
 
 
 #: Fewest stacked feature values (clients × rows per step × feature width) a
@@ -497,7 +530,7 @@ class VectorizedExecutor(ClientExecutor):
             self._release_model(model)
         return messages, cohort_wall, cohort_duration, kernels
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._batched_model is None:
             # Per-client-only algorithm or unbatchable model: the serial loop,
@@ -672,7 +705,7 @@ class _PoolExecutor(ClientExecutor):
     def _make_pool(self) -> Executor:
         raise NotImplementedError
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._pool is None:
             self._pool = self._make_pool()
@@ -708,7 +741,7 @@ class ProcessPoolClientExecutor(_PoolExecutor):
     # Bound at class level so the pool pickles only a module-level reference.
     _submit_fn = staticmethod(_execute_in_worker)
 
-    def run_tasks(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
+    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         # The worker already holds every client's dataset (primed at pool
         # creation); strip it from the per-task payload so round IPC scales
         # with the model dimension, not the local dataset size.  A copied
@@ -718,7 +751,7 @@ class ProcessPoolClientExecutor(_PoolExecutor):
             client = copy.copy(task.client)
             client.dataset = None
             slim.append(dataclasses.replace(task, client=client))
-        return super().run_tasks(slim)
+        return super()._run_batch(slim)
 
     def _make_pool(self) -> Executor:
         return ProcessPoolExecutor(

@@ -620,9 +620,9 @@ class TestContractSurface:
         calls: list[int] = []
         run_tasks = executor.run_tasks
 
-        def counting_run_tasks(tasks):
+        def counting_run_tasks(tasks, **kwargs):
             calls.append(len(tasks))
-            return run_tasks(tasks)
+            return run_tasks(tasks, **kwargs)
 
         executor.run_tasks = counting_run_tasks
         simulation.run(num_rounds)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import build_algorithm
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import FixedEpochs
 from repro.federated.messages import BYTES_PER_FLOAT, ClientMessage
@@ -92,6 +92,36 @@ class TestCodecs:
         assert np.array_equal(np.sign(decoded), np.sign(vector))
         assert np.allclose(np.abs(decoded), 4.0)  # mean magnitude scale
         assert wire == 1 + 4  # ceil(3/8) sign bytes + one scale float
+
+    @pytest.mark.parametrize("codec", [QSGDCodec(256), SignSGDCodec()], ids=str)
+    def test_finite_vector_whose_norm_overflows_round_trips(self, codec):
+        # ||v||_2 and sum|v| overflow float64 here; every coordinate is finite.
+        vector = np.array([1e308, 1e308, 0.5])
+        encoded = codec.encode(vector, rng=0)
+        decoded = codec.decode(encoded)
+        assert np.isfinite(decoded).all()
+        assert (decoded[:2] > 0).all() and decoded[2] >= 0
+        # The served path parses the same bytes into the same vector.
+        served = codec.decode(codec.unpack(vector.size, codec.pack(encoded)))
+        assert served.tobytes() == decoded.tobytes()
+
+    def test_qsgd_overflow_branch_scales_by_the_largest_coordinate(self):
+        vector = np.array([1e308, 1e308, 0.5])
+        norm = float(QSGDCodec(256).encode(vector, rng=0).data["norm"][0])
+        assert norm == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+        scale = float(SignSGDCodec().encode(vector).data["scale"][0])
+        assert scale == pytest.approx(1e308 * (2 / 3), rel=1e-15)
+
+    @pytest.mark.parametrize("codec", [QSGDCodec(256), SignSGDCodec()], ids=str)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vector_is_refused(self, codec, bad):
+        with pytest.raises(SimulationError, match=codec.name) as caught:
+            codec.encode(np.array([bad, 1.0, 0.0]), rng=0)
+        assert "\n" not in str(caught.value)
+
+    def test_qsgd_norm_beyond_float64_is_refused(self):
+        with pytest.raises(SimulationError, match="qsgd"):
+            QSGDCodec(256).encode(np.full(4, 1.7e308), rng=0)
 
     @pytest.mark.parametrize("name", ["float16", "topk", "qsgd", "signsgd"])
     def test_compressive_codecs_beat_raw_float32(self, name):

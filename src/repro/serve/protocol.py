@@ -22,22 +22,29 @@ The frame codecs are symmetric: ``encode_task``/``decode_task`` carry a
 The decoders are total: whatever the bytes, they return or raise
 :class:`~repro.exceptions.ProtocolError`.
 
-The model is content-addressed.  :func:`model_digest` names a task's global
-parameters θ and server state; a task frame comes in two forms:
+The model and the client's variables are content-addressed.
+:func:`model_digest` names a task's global parameters θ and server state,
+:func:`vars_digest` a client's persistent variables (wᵢ, yᵢ, ...).  A task
+frame carries each part or names it:
 
 - the **full frame** carries θ (``params_shape`` + one blob), the server
   state (``state_keys``/``state_shapes`` + one blob each) and the client's
-  variables — every task frame of protocol version 1 is one;
-- the **lean frame** carries ``"model": digest`` in place of those three
-  fields and the client's variable blobs only.  It decodes against a
-  :class:`HeldModel` — the θ and state of the last full frame the worker
-  decoded — and a lean frame naming a model the worker does not hold is a
-  :class:`~repro.exceptions.ProtocolError`.
+  variables (``var_keys``/``var_shapes`` + one blob each) — every task frame
+  of protocol version 1 is one;
+- ``"model": digest`` in place of the θ and state fields and blobs makes the
+  **lean frame**; it decodes against a :class:`HeldModel` — the θ and state
+  of the last full frame the worker decoded;
+- ``"vars": digest`` in place of the variable fields and blobs names the
+  client's variables; it decodes against the worker's map of
+  :class:`HeldVars` by client index — the variables of the submits the
+  server accepted from it.  With ``"model"`` too the frame is header only.
 
-A worker names the model it holds in its ``/v1/task`` request body
-(``{"model": digest}``, see :func:`json_object`); the server answers with the
-lean frame when that is the task's model and with the full frame otherwise,
-so θ crosses the wire once per worker per model, not once per task.
+A frame naming a model or variables the worker does not hold is a
+:class:`~repro.exceptions.ProtocolError`.  A worker names what it holds in
+its ``/v1/task`` request body (``{"model": digest, "vars": {"<client_index>":
+digest, ...}}``, see :func:`encode_lease`); the server leaves out what the
+worker holds of the task it leases, so θ crosses the wire once per worker
+per model and a client's variables only when the worker lacks them.
 
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
@@ -109,24 +116,31 @@ def json_object(body: bytes, what: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def pack_frame(header: dict[str, Any], blobs: list[bytes] | None = None) -> bytes:
-    """Serialise a header dict plus binary blobs into one frame."""
-    blobs = blobs or []
+def pack_frame(header: dict[str, Any], blobs: list | None = None) -> bytes:
+    """Serialise a header dict plus binary blobs into one frame.
+
+    A blob is any C-contiguous buffer — bytes, or an array whose raw bytes
+    are the blob — joined into the frame with no copy of its own.
+    """
+    blobs = [memoryview(blob) for blob in blobs or []]
     if len(blobs) > 0xFFFF:
         raise ProtocolError(f"too many blobs in one frame: {len(blobs)}")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [_HEADER_STRUCT.pack(MAGIC, PROTOCOL_VERSION, len(blobs), len(header_bytes))]
     parts.append(header_bytes)
     for blob in blobs:
-        parts.append(_BLOB_LEN.pack(len(blob)))
+        parts.append(_BLOB_LEN.pack(blob.nbytes))
         parts.append(blob)
     return b"".join(parts)
 
 
 def unpack_frame(
     data: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> tuple[dict[str, Any], list[bytes]]:
-    """Parse one frame, validating structure, version, and size bounds."""
+) -> tuple[dict[str, Any], list[memoryview]]:
+    """Parse one frame, validating structure, version, and size bounds.
+
+    The blobs are read-only views of ``data``, not copies of it.
+    """
     if len(data) > max_bytes:
         raise ProtocolError(
             f"frame of {len(data)} bytes exceeds the {max_bytes}-byte limit",
@@ -156,7 +170,8 @@ def unpack_frame(
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
     offset += header_len
-    blobs: list[bytes] = []
+    view = memoryview(data).toreadonly()
+    blobs: list[memoryview] = []
     for index in range(blob_count):
         if offset + _BLOB_LEN.size > len(data):
             raise ProtocolError(f"frame truncated before blob {index}")
@@ -164,7 +179,7 @@ def unpack_frame(
         offset += _BLOB_LEN.size
         if offset + length > len(data):
             raise ProtocolError(f"frame truncated inside blob {index}")
-        blobs.append(data[offset : offset + length])
+        blobs.append(view[offset : offset + length])
         offset += length
     if offset != len(data):
         raise ProtocolError(f"{len(data) - offset} trailing bytes after the last blob")
@@ -225,10 +240,10 @@ def _shape(value: Any) -> tuple[int, ...]:
 
 def pack_array(array: np.ndarray) -> bytes:
     """Raw little-endian float64 bytes of an array (shape travels in the header)."""
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+    return _blob(array).tobytes()
 
 
-def unpack_array(data: bytes, shape: Any, copy: bool = True) -> np.ndarray:
+def unpack_array(data: bytes | memoryview, shape: Any, copy: bool = True) -> np.ndarray:
     """Inverse of :func:`pack_array`; validates the byte count against shape.
 
     With ``copy=False`` the result is a read-only view of ``data``.
@@ -246,18 +261,23 @@ def unpack_array(data: bytes, shape: Any, copy: bool = True) -> np.ndarray:
     return array.copy() if copy else array
 
 
-def _pack_named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[bytes]]:
-    """Header fields + float64 blobs of a name → array dict, keys sorted."""
+def _blob(array: np.ndarray) -> np.ndarray:
+    """The array whose raw bytes :func:`pack_array` returns (no copy if it is one)."""
+    return np.ascontiguousarray(array, dtype="<f8")
+
+
+def _named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[np.ndarray]]:
+    """Header fields + float64 blob arrays of a name → array dict, keys sorted."""
     keys = sorted(arrays)
-    shapes = [list(np.asarray(arrays[key]).shape) for key in keys]
+    shapes = [list(np.shape(arrays[key])) for key in keys]
     fields = {f"{prefix}_keys": keys, f"{prefix}_shapes": shapes}
-    return fields, [pack_array(arrays[key]) for key in keys]
+    return fields, [_blob(arrays[key]) for key in keys]
 
 
 def _unpack_named(
-    header: dict[str, Any], prefix: str, blobs: list[bytes], copy: bool = True
+    header: dict[str, Any], prefix: str, blobs: list[bytes | memoryview], copy: bool = True
 ) -> dict[str, np.ndarray]:
-    """Inverse of :func:`_pack_named` over the blobs that belong to it."""
+    """Inverse of :func:`_named` over the blobs that belong to it."""
     keys = _field(header, f"{prefix}_keys", list)
     shapes = _field(header, f"{prefix}_shapes", list)
     if not (
@@ -275,13 +295,35 @@ def _unpack_named(
     }
 
 
-def _client(header: dict[str, Any], var_blobs: list[bytes]) -> ClientState:
+def _digest(fields: dict[str, Any], arrays: list[np.ndarray]) -> str:
+    """sha256 of the JSON of ``fields``, then each blob array's bytes.
+
+    The buffers are hashed in place: they are the bytes a frame's blobs
+    carry, without the copy ``pack_array`` makes.
+    """
+    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    for array in arrays:
+        hasher.update(array)
+    return hasher.hexdigest()
+
+
+def vars_digest(variables: dict[str, np.ndarray]) -> str:
+    """sha256 of what a held-vars frame leaves out: keys, shapes, bytes.
+
+    The JSON of ``var_keys``/``var_shapes``, then each variable's float64
+    bytes in sorted key order — the fields and blobs :func:`encode_task`
+    writes for them, so both sides of the wire agree.
+    """
+    return _digest(*_named("var", variables))
+
+
+def _client(header: dict[str, Any], variables: dict[str, np.ndarray]) -> ClientState:
     """The client state both frame kinds carry (its dataset stays behind)."""
     return ClientState(
         client_id=_field(header, "client_id", int),
         dataset=None,
         # Views suffice: the ClientState copies them into its own store.
-        variables=_unpack_named(header, "var", var_blobs, copy=False),
+        variables=variables,
         rounds_participated=_field(header, "rounds_participated", int, 0),
         local_work_done=_field(header, "local_work_done", int, 0),
     )
@@ -300,13 +342,54 @@ class HeldModel(NamedTuple):
     state: dict[str, np.ndarray]
 
 
-def _model_fields(
+class HeldVars(NamedTuple):
+    """One client's variables a worker holds: what held-vars frames leave out."""
+
+    digest: str
+    #: Read-only views of the blobs of an accepted submit: no task writes them.
+    variables: dict[str, np.ndarray]
+
+
+def encode_lease(held: HeldModel | None, held_vars: dict[int, HeldVars]) -> bytes:
+    """The ``/v1/task`` request body: the model and client variables held."""
+    request: dict[str, Any] = {}
+    if held is not None:
+        request["model"] = held.digest
+    if held_vars:
+        request["vars"] = {str(index): entry.digest for index, entry in held_vars.items()}
+    return json.dumps(request).encode("utf-8")
+
+
+def decode_lease(body: bytes) -> tuple[str | None, dict[int, str]]:
+    """Inverse of :func:`encode_lease`: ``(model digest, {client_index: digest})``.
+
+    An empty body (a worker that holds nothing, or an older one) names nothing.
+    """
+    request = json_object(body, "task request")
+    model = request.get("model")
+    if "model" in request and type(model) is not str:
+        raise ProtocolError(f"task request model must be a string, got {model!r:.40}")
+    named = request.get("vars", {})
+    if not isinstance(named, dict):
+        raise ProtocolError(f"task request vars must be an object, got {named!r:.40}")
+    held: dict[int, str] = {}
+    for key, digest in named.items():
+        if not (key.isascii() and key.isdigit()) or type(digest) is not str:
+            raise ProtocolError(
+                "task request vars must map client indices to digest strings, "
+                f"got {key!r:.20}: {digest!r:.40}"
+            )
+        held[int(key)] = digest
+    return model, held
+
+
+def _model(
     global_params: np.ndarray, server_state: dict[str, np.ndarray]
-) -> tuple[dict, list[bytes]]:
-    """The header fields and blobs a full task frame spends on the model."""
-    state_fields, state_blobs = _pack_named("state", server_state)
-    fields = {"params_shape": list(np.asarray(global_params).shape), **state_fields}
-    return fields, [pack_array(global_params), *state_blobs]
+) -> tuple[dict, list[np.ndarray]]:
+    """The header fields and arrays a full task frame spends on the model."""
+    state_fields, state = _named("state", server_state)
+    fields = {"params_shape": list(np.shape(global_params)), **state_fields}
+    return fields, [_blob(global_params), *state]
 
 
 def model_digest(global_params: np.ndarray, server_state: dict[str, np.ndarray]) -> str:
@@ -316,25 +399,31 @@ def model_digest(global_params: np.ndarray, server_state: dict[str, np.ndarray])
     after the JSON of their shapes and keys — the same bytes
     :func:`encode_task` writes, so both sides of the wire agree.
     """
-    fields, blobs = _model_fields(global_params, server_state)
-    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
-    for blob in blobs:
-        hasher.update(blob)
-    return hasher.hexdigest()
+    return _digest(*_model(global_params, server_state))
 
 
-def encode_task(task_id: str, task: LocalUpdateTask, model: str | None = None) -> bytes:
+def encode_task(
+    task_id: str,
+    task: LocalUpdateTask,
+    model: str | None = None,
+    variables: str | None = None,
+) -> bytes:
     """Frame one :class:`~repro.systems.executor.LocalUpdateTask` for the wire.
 
     The global parameters, server-state vectors, and the client's persistent
     variables ship as raw float64 blobs; everything else rides in the header.
     Isolated executors hand tasks integer seeds, which JSON carries exactly.
     With ``model`` — the task's :func:`model_digest` — the frame is the
-    *lean* one: the digest stands in for θ and the server state.
+    *lean* one: the digest stands in for θ and the server state.  With
+    ``variables`` — the client's :func:`vars_digest` — the digest stands in
+    for the client's variables.
     """
-    var_fields, var_blobs = _pack_named("var", task.client.variables)
+    if variables is None:
+        var_fields, var_blobs = _named("var", task.client.variables)
+    else:
+        var_fields, var_blobs = {"vars": variables}, []
     if model is None:
-        model_fields, model_blobs = _model_fields(task.global_params, task.server_state)
+        model_fields, model_blobs = _model(task.global_params, task.server_state)
     else:
         model_fields, model_blobs = {"model": model}, []
     config = task.config
@@ -357,13 +446,17 @@ def encode_task(task_id: str, task: LocalUpdateTask, model: str | None = None) -
 
 
 def decode_task(
-    header: dict[str, Any], blobs: list[bytes], held: HeldModel | None = None
+    header: dict[str, Any],
+    blobs: list[bytes | memoryview],
+    held: HeldModel | None = None,
+    held_vars: dict[int, HeldVars] | None = None,
 ) -> tuple[str, LocalUpdateTask]:
     """Parse a task frame back into ``(task_id, task)``.
 
     A lean frame takes θ and the server state from ``held`` (the state dict
-    is a fresh one over the held arrays).  The task's client carries no
-    dataset — the worker binds its own copy.
+    is a fresh one over the held arrays); a frame naming the client's
+    variables takes them from ``held_vars[client_index]``.  The task's
+    client carries no dataset — the worker binds its own copy.
     """
     model = _field(header, "model", str, None)
     if model is None:
@@ -380,6 +473,24 @@ def decode_task(
     else:
         split = 0
         global_params, server_state = held.params, dict(held.state)
+    client_index = _field(header, "client_index", int)
+    digest = _field(header, "vars", str, None)
+    if digest is None:
+        variables = _unpack_named(header, "var", blobs[split:], copy=False)
+    else:
+        entry = None if held_vars is None else held_vars.get(client_index)
+        if entry is None or entry.digest != digest:
+            raise ProtocolError(
+                f"task frame names client {client_index}'s variables "
+                f"{digest[:16]!r}, this worker holds "
+                f"{None if entry is None else entry.digest[:16]!r}"
+            )
+        if len(blobs) != split:
+            raise ProtocolError(
+                f"task frame names its variables but carries {len(blobs) - split} "
+                "variable blobs"
+            )
+        variables = entry.variables
     try:
         config = LocalTrainingConfig(
             epochs=_field(header, "epochs", int),
@@ -389,8 +500,8 @@ def decode_task(
     except ConfigurationError as exc:
         raise ProtocolError(f"task frame: {exc}") from None
     task = LocalUpdateTask(
-        client_index=_field(header, "client_index", int),
-        client=_client(header, blobs[split:]),
+        client_index=client_index,
+        client=_client(header, variables),
         global_params=global_params,
         server_state=server_state,
         config=config,
@@ -417,7 +528,7 @@ def encode_submit(
     """
     payload_keys = sorted(message.payload)
     arrays = [np.asarray(message.payload[key]) for key in payload_keys]
-    var_fields, var_blobs = _pack_named("var", client.variables)
+    var_fields, var_blobs = _named("var", client.variables)
     header = {
         "kind": "submit",
         "task_id": task_id,
@@ -438,8 +549,22 @@ def encode_submit(
     return pack_frame(header, blobs + var_blobs)
 
 
+def submitted_vars(frame: bytes) -> HeldVars:
+    """The client variables of a submit frame, as a worker holds them.
+
+    Read-only views of the frame's own variable blobs, named by their
+    :func:`vars_digest`: what the worker sent is what it later stands for.
+    The views keep the frame alive rather than copy out of it — one
+    long-lived buffer per held client, which fragments the heap less than
+    a copy per blob (measured in peak RSS).
+    """
+    header, blobs = unpack_frame(frame)
+    variables = _unpack_named(header, "var", blobs[len(header["payload"]) :], copy=False)
+    return HeldVars(vars_digest(variables), variables)
+
+
 def decode_submit(
-    header: dict[str, Any], blobs: list[bytes], codec: Codec
+    header: dict[str, Any], blobs: list[bytes | memoryview], codec: Codec
 ) -> tuple[str, LocalUpdateOutcome, int]:
     """Parse a submit frame into ``(task_id, outcome, payload_bytes)``.
 
@@ -470,7 +595,9 @@ def decode_submit(
             f"submit frame carries {len(blobs)} blobs for {len(descriptors)} "
             "payload vectors with distinct keys"
         )
-    client = _client(header, blobs[len(descriptors) :])
+    client = _client(
+        header, _unpack_named(header, "var", blobs[len(descriptors) :], copy=False)
+    )
     message = ClientMessage(
         client_id=client.client_id,
         payload=payload,

@@ -20,13 +20,15 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 
 - ``POST /v1/handshake`` — JSON in/out; refuses version mismatches (426)
   and returns the experiment config workers must rebuild.
-- ``POST /v1/task`` — optional JSON ``{"model": digest}`` in, naming the
-  model the worker holds; one task frame out: the *lean* frame when the
-  task's model is the one named, the full frame otherwise (see
-  :mod:`repro.serve.protocol`).  On an empty board the request is *parked*
-  (a long poll, at most :data:`LEASE_WAIT_S`) until a task is published;
-  JSON ``{"task": null, "done": ...}`` means the wait elapsed or the run
-  ended.
+- ``POST /v1/task`` — optional JSON ``{"model": digest, "vars":
+  {"<client_index>": digest, ...}}`` in, naming the model and the client
+  variables the worker holds; one task frame out, leaving out whichever of
+  the task's model and client variables are the ones named (see
+  :mod:`repro.serve.protocol`).  The board leases the worker a task whose
+  variables it holds when one is pending.  On an empty board the request
+  is *parked* (a long poll, at most :data:`LEASE_WAIT_S`) until a task is
+  published; JSON ``{"task": null, "done": ...}`` means the wait elapsed or
+  the run ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
   Duplicate submissions of a finished task are idempotent
   (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426;
@@ -45,6 +47,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -109,10 +112,23 @@ class _Ticket:
     task_id: str
     task: LocalUpdateTask  #: as leased: what a submission is checked against
     model: str  #: the digest of the task's θ and server state
-    lean: bytes  #: the task frame without them, encoded at publish
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
+
+    @cached_property
+    def vars(self) -> str:
+        """The digest of the task client's variables, hashed on first use.
+
+        The round's client rows hold still until its merge, which follows
+        every ticket's resolve, so one digest serves every lease.
+        """
+        return protocol.vars_digest(self.task.client.variables)
+
+    def held_by(self, held: dict[int, str]) -> bool:
+        """Whether ``held`` names this client's variables (only then hashed)."""
+        named = held.get(self.task.client_index)
+        return named is not None and named == self.vars
 
 
 class TaskBoard:
@@ -155,23 +171,34 @@ class TaskBoard:
                 self._queue.append(ticket.task_id)
             self._cond.notify_all()
 
-    def pull(self, wait: float = 0.0) -> _Ticket | None:
-        """Lease the next pending task, reclaiming expired leases first.
+    def pull(
+        self, wait: float = 0.0, held: dict[int, str] | None = None
+    ) -> _Ticket | None:
+        """Lease a pending task, reclaiming expired leases first.
 
-        On an empty board the caller is parked for up to ``wait`` seconds;
-        ``None`` means the wait elapsed or the board was closed.
+        The first pending task whose client variables ``held`` names (client
+        index → digest) is leased before the head of the queue; with none,
+        the head is.  No task is reserved, so no puller waits while any task
+        is pending.  On an empty board the caller is parked for up to
+        ``wait`` seconds; ``None`` means the wait elapsed or the board was
+        closed.
         """
         deadline = time.monotonic() + wait
         with self._cond:
             while True:
                 self._reclaim_locked()
-                while self._queue:
-                    ticket = self._tickets.get(self._queue.popleft())
-                    if ticket is None or ticket.state != "pending":
-                        continue
+                # Entries resolved after a reclaim, or forgotten, drop out here.
+                queued = (self._tickets.get(task_id) for task_id in self._queue)
+                pending = [t for t in queued if t is not None and t.state == "pending"]
+                if pending:
+                    ticket = next(
+                        (t for t in pending if held and t.held_by(held)), pending[0]
+                    )
+                    self._queue = deque(t.task_id for t in pending if t is not ticket)
                     ticket.state = "leased"
                     ticket.lease_expires = time.monotonic() + self.lease_s
                     return ticket
+                self._queue.clear()
                 remaining = deadline - time.monotonic()
                 if self._closed or remaining <= 0:
                     return None
@@ -274,16 +301,10 @@ class RemoteExecutor(ClientExecutor):
                 digests[shared] = protocol.model_digest(
                     task.global_params, task.server_state
                 )
-            model = digests[shared]
             task_id = self.board.next_task_id(task.round_index, task.client_index)
-            tickets.append(
-                _Ticket(
-                    task_id=task_id,
-                    task=task,
-                    model=model,
-                    lean=protocol.encode_task(task_id, task, model=model),
-                )
-            )
+            tickets.append(_Ticket(task_id=task_id, task=task, model=digests[shared]))
+        # All at once: a worker woken by a first ticket would take it before
+        # the task whose variables it holds is on the board.
         self.board.publish(tickets)
         return self.board.wait([ticket.task_id for ticket in tickets])
 
@@ -707,18 +728,17 @@ class FederationServer:
         }
 
     def handle_task(self, body: bytes = b"") -> bytes | None:
-        """Lease the next task; ``body`` may name the model the worker holds.
+        """Lease a task; ``body`` may name the model and variables the worker holds.
 
-        The reply leaves θ and the server state out when they are the named
-        model, and is the full frame — at most once per worker per model —
-        otherwise.  A bad body is refused before the request is parked.
+        The reply is encoded here, leaving out what the worker holds: θ and
+        the server state when they are the named model (so they cross at
+        most once per worker per model), the client's variables when they
+        are the named ones.  A bad body is refused before the request is
+        parked.
         """
-        request = protocol.json_object(body, "task request")
-        held = request.get("model")
-        if "model" in request and type(held) is not str:
-            raise ProtocolError(f"task request model must be a string, got {held!r:.40}")
+        model, held = protocol.decode_lease(body)
         asked = time.perf_counter()
-        ticket = self.board.pull(wait=LEASE_WAIT_S)
+        ticket = self.board.pull(wait=LEASE_WAIT_S, held=held)
         self.metrics.histogram(
             "serve.lease_wait_seconds", LEASE_WAIT_BUCKETS
         ).observe(time.perf_counter() - asked)
@@ -726,16 +746,22 @@ class FederationServer:
         if ticket is None:
             self.metrics.counter("serve.empty_task_replies").inc()
             return None
-        if held == ticket.model:
-            frame = ticket.lean
-        else:
-            # On a handler thread, and safe: the round (``_drive``) sits in
-            # board.wait until this leased ticket is done, so the task's
-            # arrays hold still (unless a first lessee already resolved it
-            # after a reclaim — then this reply can only earn a discarded
-            # duplicate).
-            frame = protocol.encode_task(ticket.task_id, ticket.task)
+        has_model = model == ticket.model
+        has_vars = ticket.held_by(held)
+        # On a handler thread, and safe: the round (``_drive``) sits in
+        # board.wait until this leased ticket is done, so the task's arrays
+        # hold still (unless a first lessee already resolved it after a
+        # reclaim — then this reply can only earn a discarded duplicate).
+        frame = protocol.encode_task(
+            ticket.task_id,
+            ticket.task,
+            model=ticket.model if has_model else None,
+            variables=ticket.vars if has_vars else None,
+        )
+        if not has_model:
             self.metrics.counter("serve.model_frames").inc()
+        if not has_vars and ticket.task.client.variables:
+            self.metrics.counter("serve.client_state_frames").inc()
         self.metrics.counter("serve.download_payload_bytes").inc(len(frame))
         return frame
 
@@ -760,6 +786,9 @@ class FederationServer:
                     f"payload vector {key!r} has {vector.size} scalars; the "
                     f"model template allows {sorted(self.allowed_dims)}"
                 )
+            if not np.isfinite(vector).all():
+                # It would be summed into θ: one NaN poisons every client.
+                raise ProtocolError(f"payload vector {key!r} is not finite")
         # The variables replace the client's own after the round: they must
         # be the variables that were leased, updated — not a new schema.
         submitted = outcome.client.variables

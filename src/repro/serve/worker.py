@@ -1,6 +1,6 @@
 """Federation worker: a separate process that computes local updates.
 
-A worker is stateless from the server's point of view.  It handshakes
+A worker needs no state of its own to serve a task.  It handshakes
 (refusing protocol-version mismatches), rebuilds the *identical* client
 environment from the experiment config — datasets, partition, and model
 are all deterministic functions of ``config.seed`` — then loops: pull a
@@ -11,10 +11,14 @@ and push the submit frame.  Tasks carry integer seeds, so any worker (or a
 re-pull after this worker dies mid-task) computes the identical update the
 in-process simulation would have.
 
-The one thing a worker keeps between tasks is the model — θ and the server
-state — of the last full task frame it decoded, read-only.  It names that
-model's digest in every task request, and the server then leaves the model
-out of the frame when the task shares it (:mod:`repro.serve.protocol`).
+Between tasks a worker keeps what it would otherwise be sent again, all
+read-only: the model — θ and the server state — of the last full task frame
+it decoded, and, per client, the variables of its last submit the server
+accepted (wᵢ, yᵢ for FedADMM).  It names their digests in every task
+request; the server leaves out of the frame what the worker holds of the
+task, and prefers to lease it the tasks whose variables it holds
+(:mod:`repro.serve.protocol`).  The server compares digests of its own
+state, so a stale entry only costs a resend.
 
 Workers are plain functions so tests can spawn them with
 ``multiprocessing.Process(target=run_worker, ...)`` and the CLI can run
@@ -193,12 +197,13 @@ def run_worker(
             ExperimentConfig.from_record(info["config"]), info["algorithm"]
         )
         held: protocol.HeldModel | None = None
+        held_vars: dict[int, protocol.HeldVars] = {}
         completed = 0
         failures = 0
         while max_tasks is None or completed < max_tasks:
             if stop_check is not None and stop_check():
                 break
-            lease = b"" if held is None else json.dumps({"model": held.digest}).encode()
+            lease = protocol.encode_lease(held, held_vars)
             try:
                 status, content_type, data = client.post("/v1/task", lease)
             except (http.client.HTTPException, OSError):
@@ -213,7 +218,9 @@ def run_worker(
                     break
                 continue
             header, blobs = protocol.unpack_frame(data)
-            task_id, task = protocol.decode_task(header, blobs, held=held)
+            task_id, task = protocol.decode_task(
+                header, blobs, held=held, held_vars=held_vars
+            )
             if header.get("model") is None:  # a full frame: hold its model
                 held = hold(task)
             if delay_fn is not None:
@@ -233,6 +240,8 @@ def run_worker(
                 continue
             failures = 0
             completed += 1
+            if task.client.variables:  # a stateless algorithm holds nothing
+                held_vars[task.client_index] = protocol.submitted_vars(frame)
         return completed
     finally:
         client.close()

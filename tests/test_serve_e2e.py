@@ -126,6 +126,19 @@ def test_networked_history_bit_identical_to_simulation(algorithm, overrides):
     assert server.board.duplicates == 0
 
 
+@pytest.mark.parametrize("algorithm", ["fedadmm", "fedpd", "scaffold"])
+def test_client_state_held_by_two_workers_keeps_the_history(algorithm):
+    """Each worker keeps the variables of the clients it served and is sent
+    them again only on a miss; which worker holds what cannot matter."""
+    config = preset_config("serve")
+    spec = AlgorithmSpec(algorithm)
+    server, networked = serve_run(config, spec)
+    assert_bit_identical(networked, reference_run(config, spec))
+    counters = server.metrics.snapshot()["counters"]
+    assert 0 < counters["serve.client_state_frames"] <= counters["serve.requests.submit"]
+    assert not [name for name in counters if name.startswith("serve.errors.")]
+
+
 def test_identity_codec_real_bytes_are_double_the_nominal():
     """identity ships float64 on the wire against float32 nominal accounting."""
     config = preset_config("serve", codec="identity")

@@ -9,7 +9,9 @@ Four concerns, each pinned independently of the networked e2e suite:
   (bit-exact floats, identical support, identical signs).
 * **Format** — the sha256 of one fixed task frame and one fixed submit frame
   per codec, recorded on the commit before codecs owned their bytes
-  (``fd19288``): a refactor of the packing code must not move a byte.
+  (``fd19288``): a refactor of the packing code must not move a byte.  The
+  additive task forms — the model held (lean), the model and the client's
+  variables held (header only) — are pinned as recorded when introduced.
 * **Rejection** — the decoders are *total*: over arbitrary bytes and over
   field-mutated valid frames, ``unpack_frame``, ``decode_task``,
   ``decode_submit`` and every ``Codec.unpack`` return or raise
@@ -261,6 +263,8 @@ FRAME_PINS = {
     "qsgd-5": "d9cda6022de4429eef2b39b38118d50cb2aaf801ae9b7db2d0418dc11dcda1ed",
     # Recorded when the lean frame was introduced (θ and state left out).
     "task-lean": "ad33ca903ca903658d10c35a3d3c332b249cef441c5c5663a7e28de4791254bc",
+    # Recorded when frames could name the client's variables (header only).
+    "task-held": "f2434bdf62b0a36a80abd2b406022a272f58a286872d11e919cced131a26eaca",
 }
 
 
@@ -272,6 +276,22 @@ def held_model(task):
 
 def lean_frame(task):
     return protocol.encode_task(TASK_ID, task, model=held_model(task).digest)
+
+
+def held_vars(task):
+    """What a worker holds of the fixture's client after its accepted submit."""
+    variables = task.client.variables
+    return {task.client_index: protocol.HeldVars(protocol.vars_digest(variables), variables)}
+
+
+def held_frame(task):
+    """The fixture's task with both the model and the variables held."""
+    return protocol.encode_task(
+        TASK_ID,
+        task,
+        model=held_model(task).digest,
+        variables=held_vars(task)[task.client_index].digest,
+    )
 
 
 def test_protocol_version_is_still_one():
@@ -287,6 +307,11 @@ def test_task_frame_bytes_are_pinned():
 def test_lean_task_frame_bytes_are_pinned():
     task, _ = fixed_task_and_message()
     assert hashlib.sha256(lean_frame(task)).hexdigest() == FRAME_PINS["task-lean"]
+
+
+def test_held_task_frame_bytes_are_pinned():
+    task, _ = fixed_task_and_message()
+    assert hashlib.sha256(held_frame(task)).hexdigest() == FRAME_PINS["task-held"]
 
 
 @pytest.mark.parametrize(
@@ -361,6 +386,96 @@ def test_lean_frame_of_a_model_the_worker_does_not_hold_is_refused():
         protocol.decode_task(header, blobs)
     with pytest.raises(ProtocolError, match="lean task frame"):
         protocol.decode_task(header, blobs, held=held._replace(digest="0" * 64))
+
+
+def test_held_frame_is_the_lean_frame_without_the_variables():
+    task, _ = fixed_task_and_message()
+    lean_header, lean_blobs = protocol.unpack_frame(lean_frame(task))
+    header, blobs = protocol.unpack_frame(held_frame(task))
+    held = held_vars(task)
+    digest = held[task.client_index].digest
+    dropped = {"var_keys", "var_shapes"}
+    assert header == {
+        **{k: v for k, v in lean_header.items() if k not in dropped},
+        "vars": digest,
+    }
+    assert blobs == []  # header only: the worker holds everything else
+    task_id, decoded = protocol.decode_task(
+        header, blobs, held=held_model(task), held_vars=held
+    )
+    assert task_id == TASK_ID
+    assert_same_arrays(decoded.client.variables, task.client.variables)
+    # The client copies the held arrays into its own store: a task that
+    # writes its variables cannot change what the digest names.
+    for key, value in decoded.client.variables.items():
+        assert not np.shares_memory(value, held[task.client_index].variables[key])
+    # The variables are named independently of the model.
+    full_vars = protocol.encode_task(TASK_ID, task, variables=digest)
+    _, decoded = protocol.decode_task(*protocol.unpack_frame(full_vars), held_vars=held)
+    assert decoded.global_params.tobytes() == task.global_params.tobytes()
+    assert_same_arrays(decoded.client.variables, task.client.variables)
+
+
+@pytest.mark.parametrize(
+    "held, match",
+    [
+        (None, "holds None"),  # no held map at all
+        ({}, "holds None"),
+        ({3: "another"}, "holds 'another'"),  # an unknown digest
+        ({4: "own"}, "holds None"),  # the digest is held for another client
+    ],
+    ids=["no-map", "empty-map", "unknown-digest", "other-client"],
+)
+def test_a_held_vars_frame_the_worker_cannot_match_is_refused(held, match):
+    task, _ = fixed_task_and_message()
+    header, blobs = protocol.unpack_frame(held_frame(task))
+    own = held_vars(task)[task.client_index]
+    if held:
+        held = {
+            index: own if digest == "own" else own._replace(digest=digest)
+            for index, digest in held.items()
+        }
+    with pytest.raises(ProtocolError, match=match):
+        protocol.decode_task(header, blobs, held=held_model(task), held_vars=held)
+
+
+def test_a_held_vars_frame_carrying_variable_blobs_is_refused():
+    task, _ = fixed_task_and_message()
+    header, _ = protocol.unpack_frame(held_frame(task))
+    with pytest.raises(ProtocolError, match="carries 1 variable blobs"):
+        protocol.decode_task(
+            header, [b"\x00" * 8], held=held_model(task), held_vars=held_vars(task)
+        )
+
+
+def test_vars_digest_is_the_digest_of_the_frames_variable_fields_and_blobs():
+    """Server (arrays) and worker (the blobs it sent) name the same bytes."""
+    task, message = fixed_task_and_message()
+    variables = task.client.variables
+    digest = protocol.vars_digest(variables)
+    header, blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
+    fields = {"var_keys": header["var_keys"], "var_shapes": header["var_shapes"]}
+    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    for blob in blobs[-len(variables) :]:
+        hasher.update(blob)
+    assert digest == hasher.hexdigest()
+
+    submitted = protocol.submitted_vars(
+        protocol.encode_submit(TASK_ID, message, task.client, Float16Codec())
+    )
+    assert submitted.digest == digest
+    assert_same_arrays(submitted.variables, variables)
+    assert not any(value.flags.writeable for value in submitted.variables.values())
+
+    nudged = variables["w"].copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    for other in (
+        protocol.vars_digest({**variables, "w": nudged}),
+        protocol.vars_digest({**variables, "w": variables["w"].reshape(1, -1)}),
+        protocol.vars_digest({"v": variables["w"], "y": variables["y"]}),
+        protocol.vars_digest({"w": variables["w"]}),
+    ):
+        assert other != digest
 
 
 def test_model_digest_names_shapes_keys_and_bytes():
@@ -492,17 +607,19 @@ json_values = st.recursive(
 
 
 HELD = held_model(fixed_task_and_message()[0])
+HELD_VARS = held_vars(fixed_task_and_message()[0])
 
 
 def decode_whatever(header, blobs, codec):
     """Every decoder over one frame; anything but ProtocolError escapes.
 
-    A task frame is also decoded against the fixture's held model, so a
-    lean frame is tried with its own model and, mutated, with another.
+    A task frame is also decoded against the fixture's held model and
+    variables, so a lean or held frame is tried with its own and, mutated,
+    with another.
     """
     for decode in (
         lambda: protocol.decode_task(header, blobs),
-        lambda: protocol.decode_task(header, blobs, held=HELD),
+        lambda: protocol.decode_task(header, blobs, held=HELD, held_vars=HELD_VARS),
         lambda: protocol.decode_submit(header, blobs, codec),
     ):
         try:
@@ -535,7 +652,7 @@ def test_arbitrary_headers_only_raise_protocol_error(header, blobs):
 def valid_frames():
     task, _ = fixed_task_and_message()
     frames = [(Float16Codec(), protocol.encode_task(TASK_ID, task))]
-    frames += [(Float16Codec(), lean_frame(task))]
+    frames += [(Float16Codec(), lean_frame(task)), (Float16Codec(), held_frame(task))]
     frames += [(codec, submit_frame(codec)) for codec in all_codecs()]
     return [(codec, *protocol.unpack_frame(frame)) for codec, frame in frames]
 
@@ -572,7 +689,9 @@ def test_field_mutated_frames_only_raise_protocol_error(frame, field, value, nes
 def test_blob_mutated_frames_only_raise_protocol_error(frame, index, blob, drop):
     codec, header, blobs = frame
     mutated = list(blobs)
-    if drop:
+    if not mutated:  # a header-only frame: a blob where none belongs
+        mutated.append(blob)
+    elif drop:
         del mutated[index % len(mutated)]
     else:
         mutated[index % len(mutated)] = blob
@@ -613,6 +732,7 @@ def test_codec_unpack_only_raises_protocol_error(codec, dim, data):
         ("learning_rate", "0x1p99999"),
         ("task_id", 9),
         ("model", 41),
+        ("vars", 41),
     ],
 )
 def test_decode_task_turns_every_bad_field_into_a_protocol_error(field, value):
@@ -677,6 +797,9 @@ def test_server_accepts_current_version_handshake(live_server, live_client):
         ("/v1/task", b'{"model": 5}'),
         ("/v1/task", b'{"model": null}'),
         ("/v1/task", b'{"model": ["abc"]}'),
+        ("/v1/task", b'{"vars": ["abc"]}'),
+        ("/v1/task", b'{"vars": {"3": 5}}'),
+        ("/v1/task", b'{"vars": {"c3": "abc"}}'),
     ],
 )
 def test_a_body_that_is_not_a_json_object_is_answered_400(
@@ -684,18 +807,24 @@ def test_a_body_that_is_not_a_json_object_is_answered_400(
 ):
     """Regression: JSON that is not an object (``[1]``, ``1``, ``"x"``) made
     the handshake call ``.get`` on it — a 500 and a traceback.  The lease
-    body is read by the same helper, and its model must be a string."""
+    body is read by the same helper: its model must be a string, its vars
+    an object from client indices to digest strings.  None is parked."""
+    def parked():
+        waits = live_server.metrics.snapshot()["histograms"]
+        return waits.get("serve.lease_wait_seconds", {}).get("count", 0)
+
     internal = live_server.metrics.counter("serve.errors.internal")
-    before = internal.value
+    before, parked_before = internal.value, parked()
     status, content_type, reply = live_client.post(route, body)
     assert status == 400 and content_type == "application/json"
     assert json.loads(reply)["code"] == "malformed"
     assert internal.value == before
+    assert parked() == parked_before
 
 
 def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
     """Empty body and a stale model: the v1 frame, byte for byte.  The
-    model of the task: the frame encoded at publish, without θ and state."""
+    model of the task: the frame without θ and state."""
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient, hold
 
@@ -720,7 +849,7 @@ def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
             task.global_params[0] = 0.0
 
         lean, header, blobs, ticket = lease(json.dumps({"model": held.digest}).encode())
-        assert lean == ticket.lean == protocol.encode_task(
+        assert lean == protocol.encode_task(
             ticket.task_id, ticket.task, model=held.digest
         )
         _, task = protocol.decode_task(header, blobs, held=held)
@@ -733,6 +862,52 @@ def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
         assert counters["serve.model_frames"] == 2
         assert counters["serve.download_payload_bytes"] == len(data) + len(lean) + len(stale)
         assert len(lean) < len(data) - 8 * server.model_dim
+    finally:
+        client.close()
+        server.stop()
+
+
+def test_a_lease_naming_a_pending_clients_variables_leaves_them_out():
+    """The board leases the named client first; its frame names the
+    variables instead of carrying them.  A stale digest changes nothing."""
+    from repro.serve.server import FederationServer
+    from repro.serve.worker import ServerClient
+
+    config = preset_config("serve").with_overrides(num_rounds=1)
+    server = FederationServer(config, AlgorithmSpec("fedadmm"), num_rounds=1)
+    server.start()
+    client = ServerClient(server.url)
+
+    def lease(request):
+        status, content_type, data = client.post("/v1/task", json.dumps(request).encode())
+        assert status == 200 and content_type == "application/octet-stream"
+        header, _ = protocol.unpack_frame(data)
+        return data, server.board.client_of(header["task_id"])
+
+    try:
+        first, ticket = lease({})
+        assert first == protocol.encode_task(ticket.task_id, ticket.task)
+        model = ticket.model
+        pending = [t for t in server.board._tickets.values() if t.state == "pending"]
+        assert len(pending) == 2
+        last = pending[-1].task
+        digest = protocol.vars_digest(server.simulation.clients[last.client_index].variables)
+
+        stale, ticket = lease({"model": model, "vars": {str(last.client_index): "0" * 64}})
+        assert ticket.task is pending[0].task  # the head: nothing named is pending
+        assert stale == protocol.encode_task(ticket.task_id, ticket.task, model=model)
+
+        held, ticket = lease({"model": model, "vars": {str(last.client_index): digest}})
+        assert ticket.task is last
+        assert held == protocol.encode_task(
+            ticket.task_id, ticket.task, model=model, variables=digest
+        )
+        assert protocol.unpack_frame(held)[1] == []  # header only
+
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["serve.model_frames"] == 1
+        assert counters["serve.client_state_frames"] == 2
+        assert counters["serve.download_payload_bytes"] == len(first) + len(stale) + len(held)
     finally:
         client.close()
         server.stop()
@@ -805,12 +980,12 @@ def test_server_refuses_bad_content_length_with_400(live_server, declared):
         conn.close()
 
 
-def _leased_task(algorithm):
+def _leased_task(algorithm, **overrides):
     """A one-round server, a handshaken worker environment and one leased task."""
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient, WorkerEnvironment, handshake
 
-    config = preset_config("serve").with_overrides(num_rounds=1)
+    config = preset_config("serve", **overrides).with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec(algorithm), num_rounds=1)
     server.start()
     client = ServerClient(server.url)
@@ -961,3 +1136,37 @@ def test_a_handler_bug_is_answered_with_500_not_a_dead_connection(
     # The worker-side client reconnects on the closed connection and carries on.
     status, _, _ = live_client.post("/v1/submit", b"garbage bytes")
     assert status == 400
+
+
+@pytest.mark.parametrize("codec", [None, "identity", "float16", "topk"])
+def test_a_non_finite_payload_is_refused_before_it_reaches_theta(codec):
+    """Regression: these codecs decode NaN and ±inf as sent, and the submit
+    was answered ``200 ok`` and its Δ summed into θ — one NaN poisons every
+    client from the next round on."""
+    server, client, env, (header, blobs) = _leased_task("fedavg", codec=codec)
+    try:
+        task_id, task = protocol.decode_task(header, blobs)
+        honest = env.execute(task_id, task)
+        submit_header, submit_blobs = protocol.unpack_frame(honest)
+        (delta,) = protocol.decode_submit(
+            submit_header, submit_blobs, server.codec
+        )[1].message.payload.values()
+        poisoned = delta.ravel().copy()
+        poisoned[:3] = [np.nan, np.inf, -np.inf]
+        submit_blobs[0] = server.codec.pack(
+            server.codec.encode(poisoned, rng=np.random.default_rng(0))
+        )
+        forged = protocol.pack_frame(submit_header, submit_blobs)
+
+        errors = server.metrics.counter("serve.errors.malformed")
+        status, _, reply = client.post("/v1/submit", forged)
+        assert status == 400 and json.loads(reply)["code"] == "malformed"
+        assert "not finite" in json.loads(reply)["error"]
+        assert errors.value == 1
+        assert server.board.client_of(task_id).state == "leased"  # nothing resolved
+
+        status, _, reply = client.post("/v1/submit", honest)
+        assert status == 200 and json.loads(reply)["status"] == "ok"
+    finally:
+        client.close()
+        server.stop()

@@ -10,10 +10,12 @@ that fails if it comes back, and none of them measures a latency:
   by ``publish``, ``close`` and ``abort`` and picks up a lease that expires
   while it waits; over a whole served run only the final ``done`` replies
   are empty (the count that fails if sleep-polling returns);
-* **θ once per worker per round** — a worker names the model it holds in
-  its lease, so only its first task of a round carries θ (the count of
-  such replies is pinned, and the download bytes stay below a full frame
-  per task);
+* **θ once per worker per round, client state only on a miss** — a worker
+  names the model and the client variables it holds in its lease, so only
+  its first task of a round carries θ, and a client's variables cross only
+  when the lessee lacks them; the board leases a worker the tasks whose
+  variables it holds first (the counts of such replies are pinned, and with
+  one worker the download bytes exactly);
 * **a stopped server is freed by reference counting** — no ``gc.collect()``;
 * **the checkpoint is binary** — the result JSON of a served run carries no
   per-client number list, and a sidecar from another round is refused.
@@ -37,7 +39,7 @@ from repro.algorithms.base import LocalTrainingConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.federated.client import ClientState
-from repro.serve import server as serve_server
+from repro.serve import protocol, server as serve_server
 from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
 from repro.serve.worker import ServerClient
 from repro.systems.executor import LocalUpdateTask
@@ -136,17 +138,17 @@ class _ParkingCondition(threading.Condition):
         return super().wait(timeout)
 
 
-def _ticket(task_id="r0-c0-1"):
+def _ticket(task_id="r0-c0-1", client_index=0, variables=None):
     task = LocalUpdateTask(
-        client_index=0,
-        client=ClientState(client_id=0, dataset=None),
+        client_index=client_index,
+        client=ClientState(client_id=client_index, dataset=None, variables=variables),
         global_params=np.zeros(1),
         server_state={},
         config=LocalTrainingConfig(epochs=1, batch_size=None, learning_rate=0.1),
         round_index=0,
         rng=0,
     )
-    return _Ticket(task_id=task_id, task=task, model="", lean=b"frame")
+    return _Ticket(task_id=task_id, task=task, model="")
 
 
 def _parked_puller(board, wait=FOREVER):
@@ -218,6 +220,25 @@ def test_lease_expiring_under_a_parked_puller_is_handed_to_it():
     assert board.reclaimed == 1
 
 
+def test_pull_leases_the_task_whose_variables_the_puller_holds_first():
+    board = TaskBoard(lease_s=FOREVER)
+    tickets = [
+        _ticket(f"r0-c{index}-{index}", index, {"w": np.full(3, float(index))})
+        for index in range(4)
+    ]
+    board.publish(tickets)
+    held = {2: protocol.vars_digest({"w": np.full(3, 2.0)})}
+    assert board.pull(held=held) is tickets[2]
+    # Named with another digest (stale), or not pending: the head, at once.
+    stale = {1: protocol.vars_digest({"w": np.zeros(3)}), 2: held[2]}
+    assert board.pull(held=stale) is tickets[0]
+    assert board.pull() is tickets[1]
+    assert board.pull(held=held) is tickets[3]
+    assert board.pull(held=held) is None
+    # Only a named client's variables were hashed.
+    assert ["vars" in vars(ticket) for ticket in tickets] == [False, True, True, False]
+
+
 # --------------------------------------------------------------------------- #
 # (c) A whole served run: no idle polling, waits visible, checkpoint binary
 # --------------------------------------------------------------------------- #
@@ -240,20 +261,65 @@ def test_only_the_final_done_replies_are_empty(finished_run):
     assert counters["serve.empty_task_replies"] <= WORKERS
 
 
+def _blob_bytes(server):
+    """Bytes a task frame spends on (model, client variables) blobs."""
+    client = server.simulation.clients[0]
+    state = server.simulation.state.algorithm_state.values()
+    model = 8 * (server.model_dim + sum(np.size(value) for value in state))
+    variables = 8 * sum(np.size(value) for value in client.variables.values())
+    return model, variables
+
+
 def test_the_model_crosses_the_wire_once_per_worker_per_round(finished_run):
     server, _ = finished_run
     counters = server.status_snapshot()["counters"]
     # Each round's θ reaches each worker that leases a task of it once.
     assert ROUNDS <= counters["serve.model_frames"] <= WORKERS * ROUNDS
-    # Every other reply is a lean frame: the client's variables alone.
+    # A client's variables cross only to a worker that lacks them.
     tasks = counters["serve.requests.submit"]
-    client = server.simulation.clients[0]
-    full_frame_blobs = 8 * (
-        server.model_dim
-        + sum(np.size(value) for value in client.variables.values())
-        + sum(np.size(value) for value in server.simulation.state.algorithm_state.values())
+    assert counters["serve.client_state_frames"] <= tasks
+    # Beyond those blobs a reply is its header: well under a kilobyte.
+    model, variables = _blob_bytes(server)
+    assert counters["serve.download_payload_bytes"] < (
+        counters["serve.model_frames"] * model
+        + counters["serve.client_state_frames"] * variables
+        + tasks * 1024
     )
-    assert counters["serve.download_payload_bytes"] < tasks * full_frame_blobs
+
+
+def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
+    monkeypatch,
+):
+    """With one worker the download is a function of the seed alone.
+
+    The worker holds the variables of every client it served, so each
+    client's (w, y) crosses once, at its first task, and each round's θ
+    once, at the round's first task.  Every reply is recorded as the
+    server encodes it: its form follows that rule and the bytes counter is
+    their exact sum.
+    """
+    encode = protocol.encode_task
+    replies = []
+
+    def recorded(task_id, task, model=None, variables=None):
+        frame = encode(task_id, task, model=model, variables=variables)
+        replies.append((task.round_index, task.client_index, model, variables, len(frame)))
+        return frame
+
+    monkeypatch.setattr(protocol, "encode_task", recorded)
+    server = served_run(num_workers=1)
+    counters = server.status_snapshot()["counters"]
+
+    assert len(replies) == counters["serve.requests.submit"] > 0
+    served, rounds = set(), set()
+    for round_index, client_index, model, variables, _ in replies:
+        assert (model is None) == (round_index not in rounds)
+        assert (variables is None) == (client_index not in served)
+        rounds.add(round_index)
+        served.add(client_index)
+    assert counters["serve.model_frames"] == ROUNDS
+    assert counters["serve.client_state_frames"] == len(served)
+    assert counters["serve.download_payload_bytes"] == sum(r[-1] for r in replies)
 
 
 def test_status_reports_the_waits(finished_run):

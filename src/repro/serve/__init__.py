@@ -15,24 +15,18 @@ Import submodules directly (``repro.serve.server``, ``repro.serve.worker``,
 re-exports the main entry points for convenience.
 """
 
+import importlib
+
 from repro.serve.protocol import PROTOCOL_VERSION
 
 __all__ = ["PROTOCOL_VERSION", "FederationServer", "run_worker", "run_load_test"]
 
+#: Lazy re-exports: `repro.serve.protocol` must import without pulling in
+#: the whole experiment stack (server/worker/loadgen import it).
+_LAZY = {"FederationServer": "server", "run_worker": "worker", "run_load_test": "loadgen"}
+
 
 def __getattr__(name):
-    # Lazy re-exports: `repro.serve.protocol` must import without pulling in
-    # the whole experiment stack (server/worker/loadgen import it).
-    if name == "FederationServer":
-        from repro.serve.server import FederationServer
-
-        return FederationServer
-    if name == "run_worker":
-        from repro.serve.worker import run_worker
-
-        return run_worker
-    if name == "run_load_test":
-        from repro.serve.loadgen import run_load_test
-
-        return run_load_test
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"repro.serve.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -53,23 +53,7 @@ class LoadReport:
     empty_task_replies: int
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "codec": self.codec,
-            "workers": self.workers,
-            "rounds": self.rounds,
-            "wall_seconds": self.wall_seconds,
-            "simulated_seconds": self.simulated_seconds,
-            "rounds_per_sec": self.rounds_per_sec,
-            "mean_round_latency_seconds": self.mean_round_latency_seconds,
-            "p99_round_latency_seconds": self.p99_round_latency_seconds,
-            "real_upload_payload_bytes": self.real_upload_payload_bytes,
-            "ledger_upload_wire_bytes": self.ledger_upload_wire_bytes,
-            "expected_real_upload_bytes": self.expected_real_upload_bytes,
-            "reclaimed_tasks": self.reclaimed_tasks,
-            "duplicate_submissions": self.duplicate_submissions,
-            "empty_task_replies": self.empty_task_replies,
-        }
+        return asdict(self)
 
 
 def expected_real_bytes(server: FederationServer) -> int:

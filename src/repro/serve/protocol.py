@@ -549,18 +549,19 @@ def encode_submit(
     return pack_frame(header, blobs + var_blobs)
 
 
-def submitted_vars(frame: bytes) -> HeldVars:
-    """The client variables of a submit frame, as a worker holds them.
+def submitted_vars(frame: bytes, digest: str) -> HeldVars:
+    """The client variables of an accepted submit frame, as a worker holds them.
 
-    Read-only views of the frame's own variable blobs, named by their
-    :func:`vars_digest`: what the worker sent is what it later stands for.
-    The views keep the frame alive rather than copy out of it — one
-    long-lived buffer per held client, which fragments the heap less than
-    a copy per blob (measured in peak RSS).
+    Read-only views of the frame's own variable blobs, filed under
+    ``digest`` — the :func:`vars_digest` the server took of them when it
+    accepted the submit, so the worker never hashes.  The views keep the
+    frame alive rather than copy out of it — one long-lived buffer per held
+    client, which fragments the heap less than a copy per blob (measured in
+    peak RSS).
     """
     header, blobs = unpack_frame(frame)
     variables = _unpack_named(header, "var", blobs[len(header["payload"]) :], copy=False)
-    return HeldVars(vars_digest(variables), variables)
+    return HeldVars(digest, variables)
 
 
 def decode_submit(

@@ -29,10 +29,13 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
   is *parked* (a long poll, at most :data:`LEASE_WAIT_S`) until a task is
   published; JSON ``{"task": null, "done": ...}`` means the wait elapsed or
   the run ended.
-- ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
+- ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok", "vars":
+  digest}`` out, ``vars`` the :func:`~repro.serve.protocol.vars_digest` of
+  the accepted client variables (absent when the algorithm keeps none).
   Duplicate submissions of a finished task are idempotent
-  (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426;
-  an exception that is not a :class:`ProtocolError` is answered 500.
+  (``{"status": "duplicate"}``, no digest), malformed ones map onto
+  400/404/413/426; an exception that is not a :class:`ProtocolError` is
+  answered 500.
 - ``GET /v1/status`` — JSON progress snapshot.
 - ``POST /v1/shutdown`` — JSON; asks the driver to stop after the current
   round.
@@ -47,7 +50,6 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -112,23 +114,15 @@ class _Ticket:
     task_id: str
     task: LocalUpdateTask  #: as leased: what a submission is checked against
     model: str  #: the digest of the task's θ and server state
+    vars: str | None = None  #: the client's variables' digest, if the board knows it
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
-
-    @cached_property
-    def vars(self) -> str:
-        """The digest of the task client's variables, hashed on first use.
-
-        The round's client rows hold still until its merge, which follows
-        every ticket's resolve, so one digest serves every lease.
-        """
-        return protocol.vars_digest(self.task.client.variables)
+    submitted: str | None = None  #: the digest of the accepted submit's variables
 
     def held_by(self, held: dict[int, str]) -> bool:
-        """Whether ``held`` names this client's variables (only then hashed)."""
-        named = held.get(self.task.client_index)
-        return named is not None and named == self.vars
+        """Whether ``held`` names this client's variables (a string compare)."""
+        return self.vars is not None and held.get(self.task.client_index) == self.vars
 
 
 class TaskBoard:
@@ -144,6 +138,11 @@ class TaskBoard:
     deadline).  Because tasks are seeded, a reclaimed task recomputed
     elsewhere yields the identical update; :meth:`resolve` keeps the first
     result and reports ``"duplicate"`` for any re-submission.
+
+    ``digests`` names each client's row (by index) by its ``vars_digest``:
+    :meth:`wait` takes in the digests of the submits whose variables the
+    round's merge writes into the rows next, and :meth:`publish` copies them
+    onto the tickets, so leasing compares strings and never hashes.
     """
 
     def __init__(self, lease_s: float = 30.0):
@@ -158,6 +157,7 @@ class TaskBoard:
         self._closed = False
         self.reclaimed = 0
         self.duplicates = 0
+        self.digests: dict[int, str | None] = {}
 
     def next_task_id(self, round_index: int, client_index: int) -> str:
         with self._cond:
@@ -167,6 +167,7 @@ class TaskBoard:
     def publish(self, tickets: list[_Ticket]) -> None:
         with self._cond:
             for ticket in tickets:
+                ticket.vars = self.digests.get(ticket.task.client_index)
                 self._tickets[ticket.task_id] = ticket
                 self._queue.append(ticket.task_id)
             self._cond.notify_all()
@@ -215,7 +216,8 @@ class TaskBoard:
                 )
             return ticket
 
-    def resolve(self, task_id: str, outcome: LocalUpdateOutcome) -> str:
+    def resolve(self, task_id: str, outcome: LocalUpdateOutcome, digest: str | None = None) -> str:
+        """Record a task's first outcome (and its variables' ``digest``)."""
         with self._cond:
             ticket = self._tickets.get(task_id)
             if ticket is None:
@@ -227,6 +229,7 @@ class TaskBoard:
                 return "duplicate"
             ticket.state = "done"
             ticket.outcome = outcome
+            ticket.submitted = digest
             self._cond.notify_all()
             return "ok"
 
@@ -238,13 +241,12 @@ class TaskBoard:
                     raise _Aborted()
                 self._reclaim_locked()
                 if all(self._tickets[tid].state == "done" for tid in task_ids):
-                    outcomes = [self._tickets[tid].outcome for tid in task_ids]
                     # The round is complete; forget its tickets so late
                     # duplicate submissions report unknown_task, and memory
                     # stays bounded by one round's cohort.
-                    for tid in task_ids:
-                        del self._tickets[tid]
-                    return outcomes
+                    done = [self._tickets.pop(tid) for tid in task_ids]
+                    self.digests.update((t.task.client_index, t.submitted) for t in done)
+                    return [ticket.outcome for ticket in done]
                 # Wake periodically so expired leases are reclaimed even
                 # when no submit arrives to notify us.
                 self._cond.wait(timeout=min(1.0, self.lease_s / 4))
@@ -684,11 +686,14 @@ class FederationServer:
                 client_id, _, variable = rest.partition(".")
                 variables[int(client_id)][variable] = value
         counters = {int(row[0]): row for row in checkpoint["client_counters"]}
-        for client in sim.clients:
+        for index, client in enumerate(sim.clients):
             client_id = int(client.client_id)
             client.variables = variables[client_id]
             client.rounds_participated = int(counters[client_id][1])
             client.local_work_done = int(counters[client_id][2])
+            if client.variables:  # a worker may hold them from the first server
+                self.board.digests[index] = protocol.vars_digest(client.variables)
+                self.metrics.counter("serve.vars_digests").inc()
 
         for round_index in range(sim.state.rounds_run):
             selected = sim.sampler.sample(
@@ -774,7 +779,8 @@ class FederationServer:
         task_id, outcome, payload_bytes = protocol.decode_submit(
             header, blobs, self.codec
         )
-        leased = self.board.client_of(task_id).task.client
+        ticket = self.board.client_of(task_id)
+        leased = ticket.task.client
         if outcome.client.client_id != leased.client_id:
             raise ProtocolError(
                 f"submit for task {task_id!r} names client "
@@ -801,12 +807,22 @@ class FederationServer:
                 f"submitted variables {shapes} must be finite and shaped like "
                 f"client {leased.client_id}'s own"
             )
-        status = self.board.resolve(task_id, outcome)
+        # Hashed once per accepted submit, outside the board lock: the merge
+        # writes these bytes into the client's row, so the digest names the
+        # row.  A task already done is not hashed (resolve decides, locked).
+        digest = None
+        if submitted and ticket.state != "done":
+            digest = protocol.vars_digest(submitted)
+            self.metrics.counter("serve.vars_digests").inc()
+        status = self.board.resolve(task_id, outcome, digest)
+        reply = {"status": status, "task_id": task_id}
         if status == "ok":
             self.metrics.counter(f"serve.payload_bytes.{self.codec.name}").inc(
                 payload_bytes
             )
-        return {"status": status, "task_id": task_id}
+            if digest is not None:
+                reply["vars"] = digest
+        return reply
 
     def status_snapshot(self) -> dict:
         sim = self.simulation

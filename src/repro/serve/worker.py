@@ -14,11 +14,13 @@ in-process simulation would have.
 Between tasks a worker keeps what it would otherwise be sent again, all
 read-only: the model — θ and the server state — of the last full task frame
 it decoded, and, per client, the variables of its last submit the server
-accepted (wᵢ, yᵢ for FedADMM).  It names their digests in every task
-request; the server leaves out of the frame what the worker holds of the
-task, and prefers to lease it the tasks whose variables it holds
-(:mod:`repro.serve.protocol`).  The server compares digests of its own
-state, so a stale entry only costs a resend.
+accepted (wᵢ, yᵢ for FedADMM), filed under the digest the server's reply
+names — the worker hashes θ once per full frame and never its variables.
+It names their digests in every task request; the server leaves out of
+the frame what the worker holds of the task, and prefers to lease it the
+tasks whose variables it holds (:mod:`repro.serve.protocol`).  The server
+compares those digests with the ones it keeps of its own rows, so a stale
+entry only costs a resend.
 
 Workers are plain functions so tests can spawn them with
 ``multiprocessing.Process(target=run_worker, ...)`` and the CLI can run
@@ -227,7 +229,7 @@ def run_worker(
                 time.sleep(max(0.0, delay_fn(task)))
             frame = env.execute(task_id, task)
             try:
-                status, _, _ = client.post("/v1/submit", frame)
+                status, _, reply = client.post("/v1/submit", frame)
             except (http.client.HTTPException, OSError):
                 status = None
             if status != 200:
@@ -240,8 +242,10 @@ def run_worker(
                 continue
             failures = 0
             completed += 1
-            if task.client.variables:  # a stateless algorithm holds nothing
-                held_vars[task.client_index] = protocol.submitted_vars(frame)
+            # No digest (a duplicate, a stateless algorithm): nothing to hold.
+            digest = json.loads(reply).get("vars")
+            if digest is not None:
+                held_vars[task.client_index] = protocol.submitted_vars(frame, digest)
         return completed
     finally:
         client.close()

@@ -1,0 +1,203 @@
+"""The server is the only hasher of client variables.
+
+A worker holds the variables of its accepted submits so the server can name
+them instead of sending them again.  The name is a sha256 the server takes
+once per accepted submit, where it decodes the submit, and returns in the
+200 reply; the worker files the submitted blobs under it and never hashes.
+
+* **Content, not trust, still decides** — for FedADMM, FedPD and SCAFFOLD
+  submits of random shapes and values (−0.0 included), the digest in the
+  reply is the :func:`~repro.serve.protocol.vars_digest` of the row the
+  round's merge writes, and it is the entry the board copies onto the
+  client's next ticket.
+* **A duplicate names nothing** — its reply carries no digest and the
+  worker's held map does not change.
+* **One hash per accepted submit** — over a whole served run, never on a
+  worker and never while the board leases.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.serve import protocol
+from repro.serve.server import FederationServer, TaskBoard
+from repro.serve.worker import ServerClient, WorkerEnvironment, run_worker
+from repro.systems.executor import execute_task
+
+from test_serve_e2e import assert_bit_identical, reference_run
+
+ROUNDS = 3
+WORKERS = 2
+
+
+def _config(hidden: int = 32, **overrides):
+    return preset_config(
+        "serve", model_kwargs={"input_dim": 32, "hidden_dims": (hidden,)}, **overrides
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _environment(algorithm: str, hidden: int) -> WorkerEnvironment:
+    return WorkerEnvironment(_config(hidden), {"name": algorithm})
+
+
+def threaded_run(config, spec, rounds=ROUNDS, workers=WORKERS):
+    """A served run on in-process worker threads: (server, result)."""
+    server = FederationServer(config, spec, num_rounds=rounds)
+    server.start()
+    threads = [
+        threading.Thread(
+            target=run_worker, kwargs=dict(url=server.url, worker_id=f"t{index}"), daemon=True
+        )
+        for index in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        result = server.wait(timeout=120)
+    finally:
+        server.stop()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return server, result
+
+
+@given(
+    algorithm=st.sampled_from(["fedadmm", "fedpd", "scaffold"]),
+    hidden=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_the_reply_digest_names_the_row_the_merge_writes(algorithm, hidden, data):
+    """Content, not trust, still decides: the server names what the merge
+    writes, byte for byte, so a worker that files its submit under the
+    reply's digest holds exactly the row a later frame leaves out."""
+    env = _environment(algorithm, hidden)
+    server = FederationServer(_config(hidden), AlgorithmSpec(algorithm), num_rounds=1)
+    server.start()
+    accepted = {}
+    try:
+        deadline = time.monotonic() + 60
+        while not server.board.pending:  # the driver publishes the round
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        while server.board.pending:
+            header, blobs = protocol.unpack_frame(server.handle_task())
+            task_id, task = protocol.decode_task(header, blobs)
+            task.client.dataset = env.clients[task.client_index].dataset
+            outcome = execute_task(task, env.problems[task.client_index], env.algorithm)
+            drawn = {}
+            for key, value in outcome.client.variables.items():
+                drawn[key] = data.draw(
+                    arrays(np.float64, value.shape, elements=st.floats(-1e6, 1e6, width=64))
+                )
+                drawn[key].flat[0] = -0.0
+            outcome.client.variables = drawn
+            frame = protocol.encode_submit(task_id, outcome.message, outcome.client, env.codec)
+            reply = server.handle_submit(frame)
+            assert reply["status"] == "ok"
+            accepted[task.client_index] = (reply["vars"], drawn)
+        server.wait(timeout=60)
+    finally:
+        server.stop()
+
+    assert accepted
+    for index, (digest, drawn) in accepted.items():
+        row = server.simulation.clients[index].variables
+        assert {key: value.tobytes() for key, value in row.items()} == {
+            key: value.tobytes() for key, value in drawn.items()
+        }
+        assert digest == protocol.vars_digest(row)
+        assert server.board.digests[index] == digest
+    assert server.metrics.counter("serve.vars_digests").value == len(accepted)
+
+
+def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatch):
+    """Every submit is delivered twice and the worker sees the second reply:
+    a duplicate (or, once its round is over, an unknown task).  Neither
+    names a digest, so the worker never holds a client's variables and
+    every task it is leased carries them."""
+    post, encode_lease = ServerClient.post, protocol.encode_lease
+    leases, replies = [], []
+
+    def twice(client, path, body):
+        if path != "/v1/submit":
+            return post(client, path, body)
+        first, second = post(client, path, body), post(client, path, body)
+        replies.append((json.loads(first[2]), json.loads(second[2])))
+        return second
+
+    def recorded(held, held_vars):
+        leases.append(dict(held_vars))
+        return encode_lease(held, held_vars)
+
+    monkeypatch.setattr(ServerClient, "post", twice)
+    monkeypatch.setattr(protocol, "encode_lease", recorded)
+    config, spec = _config(), AlgorithmSpec("fedadmm")
+    server, networked = threaded_run(config, spec, workers=1)
+
+    assert_bit_identical(networked, reference_run(config, spec))
+    assert replies and all(first["status"] == "ok" and first["vars"] for first, _ in replies)
+    assert all("vars" not in second for _, second in replies)
+    assert {second.get("status", second.get("code")) for _, second in replies} <= {
+        "duplicate",
+        "unknown_task",
+    }
+    assert leases and not any(leases)
+    counters = server.metrics.snapshot()["counters"]
+    assert counters["serve.client_state_frames"] == len(replies)
+    assert counters["serve.vars_digests"] == len(replies)
+
+
+@pytest.mark.parametrize("workers", [WORKERS, 4])
+def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch, workers):
+    """On a short switch interval, and with four workers on two cores, a lost
+    or misplaced update of the board's digest map would leave an entry that
+    is not its row's digest."""
+    digest, calls, misplaced = protocol.vars_digest, [], []
+    forbidden = {TaskBoard.pull.__code__, run_worker.__code__}
+
+    def counted(variables):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in forbidden:
+                misplaced.append(frame.f_code.co_name)
+                raise AssertionError(f"vars_digest called inside {frame.f_code.co_name}")
+            frame = frame.f_back
+        calls.append(variables)
+        return digest(variables)
+
+    monkeypatch.setattr(protocol, "vars_digest", counted)
+    # Every client every round: a worker is leased clients it holds.
+    config, spec = _config(client_fraction=1.0), AlgorithmSpec("fedadmm")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        server, networked = threaded_run(config, spec, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert_bit_identical(networked, reference_run(config, spec))
+    counters = server.status_snapshot()["counters"]
+    assert not misplaced
+    assert server.board.duplicates == 0 and server.board.reclaimed == 0
+    assert not [name for name in counters if name.startswith("serve.errors.")]
+    assert len(calls) == counters["serve.requests.submit"] == counters["serve.vars_digests"]
+    clients = server.simulation.clients
+    assert server.board.digests == {
+        index: digest(client.variables) for index, client in enumerate(clients)
+    }
+    # Workers still hold what they were told: some task left its variables out.
+    assert counters["serve.client_state_frames"] < counters["serve.requests.submit"]

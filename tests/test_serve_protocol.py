@@ -453,16 +453,20 @@ def test_vars_digest_is_the_digest_of_the_frames_variable_fields_and_blobs():
     task, message = fixed_task_and_message()
     variables = task.client.variables
     digest = protocol.vars_digest(variables)
-    header, blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
-    fields = {"var_keys": header["var_keys"], "var_shapes": header["var_shapes"]}
-    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
-    for blob in blobs[-len(variables) :]:
-        hasher.update(blob)
-    assert digest == hasher.hexdigest()
 
-    submitted = protocol.submitted_vars(
-        protocol.encode_submit(TASK_ID, message, task.client, Float16Codec())
-    )
+    def frame_digest(frame):
+        header, blobs = protocol.unpack_frame(frame)
+        fields = {"var_keys": header["var_keys"], "var_shapes": header["var_shapes"]}
+        hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+        for blob in blobs[-len(variables) :]:
+            hasher.update(blob)
+        return hasher.hexdigest()
+
+    assert digest == frame_digest(protocol.encode_task(TASK_ID, task))
+    # The worker files an accepted submit's blobs under the server's digest.
+    frame = protocol.encode_submit(TASK_ID, message, task.client, Float16Codec())
+    assert digest == frame_digest(frame)
+    submitted = protocol.submitted_vars(frame, digest)
     assert submitted.digest == digest
     assert_same_arrays(submitted.variables, variables)
     assert not any(value.flags.writeable for value in submitted.variables.values())
@@ -875,6 +879,11 @@ def test_a_lease_naming_a_pending_clients_variables_leaves_them_out():
 
     config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec("fedadmm"), num_rounds=1)
+    # As if merges had written every row: the board knows each digest.
+    server.board.digests.update(
+        (index, protocol.vars_digest(client.variables))
+        for index, client in enumerate(server.simulation.clients)
+    )
     server.start()
     client = ServerClient(server.url)
 

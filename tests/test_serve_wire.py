@@ -220,23 +220,34 @@ def test_lease_expiring_under_a_parked_puller_is_handed_to_it():
     assert board.reclaimed == 1
 
 
-def test_pull_leases_the_task_whose_variables_the_puller_holds_first():
+def test_pull_leases_the_task_whose_variables_the_puller_holds_first(monkeypatch):
     board = TaskBoard(lease_s=FOREVER)
     tickets = [
         _ticket(f"r0-c{index}-{index}", index, {"w": np.full(3, float(index))})
         for index in range(4)
     ]
+    # Merges wrote the rows of clients 1 and 2: the board knows their digests.
+    board.digests.update(
+        {index: protocol.vars_digest({"w": np.full(3, float(index))}) for index in (1, 2)}
+    )
     board.publish(tickets)
-    held = {2: protocol.vars_digest({"w": np.full(3, 2.0)})}
+    assert [ticket.vars for ticket in tickets] == [None, board.digests[1], board.digests[2], None]
+    held = {2: board.digests[2]}
+    stale = {1: protocol.vars_digest({"w": np.zeros(3)}), 2: held[2]}
+    # Client 3's digest is right, but no merge wrote its row: the board
+    # does not know it, so naming it is a miss.
+    unknown = {3: protocol.vars_digest({"w": np.full(3, 3.0)})}
+
+    def never(variables):
+        raise AssertionError("leasing hashed client variables")
+
+    monkeypatch.setattr(protocol, "vars_digest", never)
     assert board.pull(held=held) is tickets[2]
     # Named with another digest (stale), or not pending: the head, at once.
-    stale = {1: protocol.vars_digest({"w": np.zeros(3)}), 2: held[2]}
     assert board.pull(held=stale) is tickets[0]
-    assert board.pull() is tickets[1]
-    assert board.pull(held=held) is tickets[3]
+    assert board.pull(held=unknown) is tickets[1]
+    assert board.pull() is tickets[3]
     assert board.pull(held=held) is None
-    # Only a named client's variables were hashed.
-    assert ["vars" in vars(ticket) for ticket in tickets] == [False, True, True, False]
 
 
 # --------------------------------------------------------------------------- #

@@ -22,29 +22,30 @@ The frame codecs are symmetric: ``encode_task``/``decode_task`` carry a
 The decoders are total: whatever the bytes, they return or raise
 :class:`~repro.exceptions.ProtocolError`.
 
-The model and the client's variables are content-addressed.
-:func:`model_digest` names a task's global parameters θ and server state,
-:func:`vars_digest` a client's persistent variables (wᵢ, yᵢ, ...).  A task
-frame carries each part or names it:
+Every float64 array a frame carries or names is one entry ``[name, shape,
+digest, carried]`` of the header's ``"arrays"`` list: ``params`` (θ), then
+``state.<key>`` (the server state), then ``var.<key>`` (the client's
+persistent variables, wᵢ and yᵢ for FedADMM), keys sorted.  ``digest`` is
+the array's :func:`blob_digest`, or ``null`` when nobody hashed it; the body
+carries, in entry order, exactly the arrays whose ``carried`` is true.  A
+task frame has this one form:
 
-- the **full frame** carries θ (``params_shape`` + one blob), the server
-  state (``state_keys``/``state_shapes`` + one blob each) and the client's
-  variables (``var_keys``/``var_shapes`` + one blob each) — every task frame
-  of protocol version 1 is one;
-- ``"model": digest`` in place of the θ and state fields and blobs makes the
-  **lean frame**; it decodes against a :class:`HeldModel` — the θ and state
-  of the last full frame the worker decoded;
-- ``"vars": digest`` in place of the variable fields and blobs names the
-  client's variables; it decodes against the worker's map of
-  :class:`HeldVars` by client index — the variables of the submits the
-  server accepted from it.  With ``"model"`` too the frame is header only.
+- the server names θ and the state by the digests it took of them, and a
+  client's variables by the digests of the submit whose variables the merge
+  wrote into the client's row (``null``: no accepted submit wrote it);
+- it carries an array unless the worker's lease listed the array's digest
+  as held (:func:`encode_lease`: ``{"held": [digest, ...]}``);
+- ``"drop"`` lists the held digests that name neither the current model nor
+  any client's current row, and never one the frame itself names.
 
-A frame naming a model or variables the worker does not hold is a
-:class:`~repro.exceptions.ProtocolError`.  A worker names what it holds in
-its ``/v1/task`` request body (``{"model": digest, "vars": {"<client_index>":
-digest, ...}}``, see :func:`encode_lease`); the server leaves out what the
-worker holds of the task it leases, so θ crosses the wire once per worker
-per model and a client's variables only when the worker lacks them.
+A worker keeps one read-only ``digest → array`` cache.
+:func:`decode_task` takes each entry from the body or from the cache and
+then applies the frame to the cache: it files the model arrays under their
+digests and deletes the dropped ones.  A submit frame lists its variables
+with the same entries (digest ``null``, all carried); the server's 200
+reply names each variable's digest (``"vars": {key: digest}``), and the
+worker files the submitted arrays under them (:func:`submitted_vars`).
+Only the server hashes.
 
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
@@ -57,7 +58,7 @@ import hashlib
 import json
 import math
 import struct
-from typing import Any, NamedTuple
+from typing import Any, Collection, Iterable
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from repro.systems.compression import Codec
 from repro.systems.executor import LocalUpdateOutcome, LocalUpdateTask
 
 #: Version carried in every frame and checked during the handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame magic: "repro federation protocol".
 MAGIC = b"RFP1"
@@ -243,11 +244,9 @@ def pack_array(array: np.ndarray) -> bytes:
     return _blob(array).tobytes()
 
 
-def unpack_array(data: bytes | memoryview, shape: Any, copy: bool = True) -> np.ndarray:
-    """Inverse of :func:`pack_array`; validates the byte count against shape.
-
-    With ``copy=False`` the result is a read-only view of ``data``.
-    """
+def unpack_array(data: bytes | memoryview, shape: Any) -> np.ndarray:
+    """Inverse of :func:`pack_array`: a view of ``data``, whose byte count
+    must fit ``shape`` (read-only for a frame's blobs)."""
     shape = _shape(shape)
     if len(data) != math.prod(shape) * 8:
         raise ProtocolError(
@@ -258,7 +257,7 @@ def unpack_array(data: bytes | memoryview, shape: Any, copy: bool = True) -> np.
         array = np.frombuffer(data, dtype="<f8").reshape(shape)
     except ValueError as exc:  # e.g. (0, huge, huge): empty but unaddressable
         raise ProtocolError(f"bad array shape {shape}: {exc}") from None
-    return array.copy() if copy else array
+    return array
 
 
 def _blob(array: np.ndarray) -> np.ndarray:
@@ -266,55 +265,101 @@ def _blob(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype="<f8")
 
 
-def _named(prefix: str, arrays: dict[str, np.ndarray]) -> tuple[dict, list[np.ndarray]]:
-    """Header fields + float64 blob arrays of a name → array dict, keys sorted."""
-    keys = sorted(arrays)
-    shapes = [list(np.shape(arrays[key])) for key in keys]
-    fields = {f"{prefix}_keys": keys, f"{prefix}_shapes": shapes}
-    return fields, [_blob(arrays[key]) for key in keys]
+def _named(prefix: str, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``prefix.key`` → array, keys sorted: the order of a frame's entries."""
+    return {f"{prefix}.{key}": arrays[key] for key in sorted(arrays)}
 
 
-def _unpack_named(
-    header: dict[str, Any], prefix: str, blobs: list[bytes | memoryview], copy: bool = True
-) -> dict[str, np.ndarray]:
-    """Inverse of :func:`_named` over the blobs that belong to it."""
-    keys = _field(header, f"{prefix}_keys", list)
-    shapes = _field(header, f"{prefix}_shapes", list)
-    if not (
-        len(keys) == len(shapes) == len(blobs)
-        and all(type(key) is str for key in keys)
-        and len(set(keys)) == len(keys)
-    ):
-        raise ProtocolError(
-            f"{prefix}_keys must be distinct strings, one per shape and blob: "
-            f"{len(keys)} keys, {len(shapes)} shapes, {len(blobs)} blobs"
-        )
-    return {
-        key: unpack_array(blob, shape, copy)
-        for key, shape, blob in zip(keys, shapes, blobs)
-    }
+def blob_digest(array: np.ndarray) -> str:
+    """The name of an array in a frame: sha256 of its shape, then its bytes.
 
-
-def _digest(fields: dict[str, Any], arrays: list[np.ndarray]) -> str:
-    """sha256 of the JSON of ``fields``, then each blob array's bytes.
-
-    The buffers are hashed in place: they are the bytes a frame's blobs
-    carry, without the copy ``pack_array`` makes.
+    The shape's JSON, then the float64 bytes a frame's blob carries, hashed
+    in place.  Only the server calls it.
     """
-    hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
-    for array in arrays:
-        hasher.update(array)
+    hasher = hashlib.sha256(json.dumps(list(np.shape(array))).encode("ascii"))
+    hasher.update(_blob(array))
     return hasher.hexdigest()
 
 
-def vars_digest(variables: dict[str, np.ndarray]) -> str:
-    """sha256 of what a held-vars frame leaves out: keys, shapes, bytes.
+def carries(digest: str | None, held: Collection[str]) -> bool:
+    """Whether a frame carries an array: nobody hashed it, or it is not held."""
+    return digest is None or digest not in held
 
-    The JSON of ``var_keys``/``var_shapes``, then each variable's float64
-    bytes in sorted key order — the fields and blobs :func:`encode_task`
-    writes for them, so both sides of the wire agree.
+
+def _pack_arrays(
+    arrays: dict[str, np.ndarray],
+    digests: dict[str, str | None],
+    held: Collection[str],
+) -> tuple[list[list], list[np.ndarray]]:
+    """The ``"arrays"`` entries of named arrays, and the blobs a body carries."""
+    entries, blobs = [], []
+    for name, array in arrays.items():
+        digest = digests.get(name)
+        carried = carries(digest, held)
+        entries.append([name, list(np.shape(array)), digest, carried])
+        if carried:
+            blobs.append(_blob(array))
+    return entries, blobs
+
+
+def _unpack_arrays(
+    header: dict[str, Any], blobs: list[bytes | memoryview], cache: dict[str, np.ndarray]
+) -> tuple[dict[str, np.ndarray], dict[str, str | None]]:
+    """Inverse of :func:`_pack_arrays`: ``(name → array, name → digest)``.
+
+    A carried entry is a read-only view of its blob; any other is
+    ``cache[digest]``, whose shape must be the entry's.
     """
-    return _digest(*_named("var", variables))
+    arrays: dict[str, np.ndarray] = {}
+    digests: dict[str, str | None] = {}
+    used = 0
+    for entry in _field(header, "arrays", list):
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ProtocolError(
+                f"array entry must be [name, shape, digest, carried], got {entry!r:.60}"
+            )
+        name, shape, digest, in_body = entry
+        if type(name) is not str or name in arrays:
+            raise ProtocolError(f"array names must be distinct strings, got {name!r:.40}")
+        if not (digest is None or type(digest) is str) or type(in_body) is not bool:
+            raise ProtocolError(
+                f"array {name!r:.40} needs a string or null digest and a boolean "
+                f"carried, got {digest!r:.40}, {in_body!r:.10}"
+            )
+        if in_body:
+            if used == len(blobs):
+                raise ProtocolError(f"frame carries no blob for array {name!r:.40}")
+            array = unpack_array(blobs[used], shape)
+            used += 1
+        else:
+            array = None if digest is None else cache.get(digest)
+            if array is None:
+                raise ProtocolError(
+                    f"array {name!r:.40} is named by digest {digest!r:.20}, "
+                    "which this worker does not hold"
+                )
+            if array.shape != _shape(shape):
+                raise ProtocolError(
+                    f"array {name!r:.40} declares shape {shape!r:.40}, its held "
+                    f"digest names shape {list(array.shape)}"
+                )
+        arrays[name] = array
+        digests[name] = digest
+    if used != len(blobs):
+        raise ProtocolError(f"frame carries {len(blobs)} blobs for {used} carried arrays")
+    return arrays, digests
+
+
+def _grouped(arrays: dict[str, np.ndarray], *kinds: str) -> dict[str, dict[str, np.ndarray]]:
+    """Arrays by kind, then key: ``params`` (key ``""``) or ``<kind>.<key>``."""
+    groups: dict[str, dict[str, np.ndarray]] = {kind: {} for kind in kinds}
+    for name, array in arrays.items():
+        kind, _, key = name.partition(".")
+        # ``params`` has no key; every other kind must have one.
+        if kind not in groups or not (name == "params" if kind == "params" else key):
+            raise ProtocolError(f"frame array {name!r:.40} is not one of {kinds}")
+        groups[kind][key] = array
+    return groups
 
 
 def _client(header: dict[str, Any], variables: dict[str, np.ndarray]) -> ClientState:
@@ -334,98 +379,54 @@ def _client(header: dict[str, Any], variables: dict[str, np.ndarray]) -> ClientS
 # ---------------------------------------------------------------------------
 
 
-class HeldModel(NamedTuple):
-    """The model a worker holds: what lean task frames leave out."""
-
-    digest: str
-    params: np.ndarray
-    state: dict[str, np.ndarray]
+def encode_lease(held: Iterable[str]) -> bytes:
+    """The ``/v1/task`` request body: the digests of the arrays a worker holds."""
+    return json.dumps({"held": sorted(held)}).encode("utf-8")
 
 
-class HeldVars(NamedTuple):
-    """One client's variables a worker holds: what held-vars frames leave out."""
+def decode_lease(body: bytes) -> set[str]:
+    """Inverse of :func:`encode_lease`: the held digests.
 
-    digest: str
-    #: Read-only views of the blobs of an accepted submit: no task writes them.
-    variables: dict[str, np.ndarray]
-
-
-def encode_lease(held: HeldModel | None, held_vars: dict[int, HeldVars]) -> bytes:
-    """The ``/v1/task`` request body: the model and client variables held."""
-    request: dict[str, Any] = {}
-    if held is not None:
-        request["model"] = held.digest
-    if held_vars:
-        request["vars"] = {str(index): entry.digest for index, entry in held_vars.items()}
-    return json.dumps(request).encode("utf-8")
-
-
-def decode_lease(body: bytes) -> tuple[str | None, dict[int, str]]:
-    """Inverse of :func:`encode_lease`: ``(model digest, {client_index: digest})``.
-
-    An empty body (a worker that holds nothing, or an older one) names nothing.
+    The body is exactly ``{}`` (or empty: a worker that holds nothing) or
+    ``{"held": [digest, ...]}``; anything else is refused.
     """
     request = json_object(body, "task request")
-    model = request.get("model")
-    if "model" in request and type(model) is not str:
-        raise ProtocolError(f"task request model must be a string, got {model!r:.40}")
-    named = request.get("vars", {})
-    if not isinstance(named, dict):
-        raise ProtocolError(f"task request vars must be an object, got {named!r:.40}")
-    held: dict[int, str] = {}
-    for key, digest in named.items():
-        if not (key.isascii() and key.isdigit()) or type(digest) is not str:
-            raise ProtocolError(
-                "task request vars must map client indices to digest strings, "
-                f"got {key!r:.20}: {digest!r:.40}"
-            )
-        held[int(key)] = digest
-    return model, held
+    held = request.get("held", [])
+    if set(request) - {"held"} or not (
+        isinstance(held, list) and all(type(digest) is str for digest in held)
+    ):
+        raise ProtocolError(
+            f'task request must be {{}} or {{"held": [digest, ...]}}, got {request!r:.60}'
+        )
+    return set(held)
 
 
-def _model(
-    global_params: np.ndarray, server_state: dict[str, np.ndarray]
-) -> tuple[dict, list[np.ndarray]]:
-    """The header fields and arrays a full task frame spends on the model."""
-    state_fields, state = _named("state", server_state)
-    fields = {"params_shape": list(np.shape(global_params)), **state_fields}
-    return fields, [_blob(global_params), *state]
-
-
-def model_digest(global_params: np.ndarray, server_state: dict[str, np.ndarray]) -> str:
-    """sha256 of exactly what the lean frame leaves out: shapes, keys, bytes.
-
-    θ's float64 bytes, then each server-state array's in sorted key order,
-    after the JSON of their shapes and keys — the same bytes
-    :func:`encode_task` writes, so both sides of the wire agree.
-    """
-    return _digest(*_model(global_params, server_state))
+def task_arrays(task: LocalUpdateTask) -> dict[str, np.ndarray]:
+    """Every array a task frame names, by entry name, in frame order."""
+    return {
+        "params": task.global_params,
+        **_named("state", task.server_state),
+        **_named("var", task.client.variables),
+    }
 
 
 def encode_task(
     task_id: str,
     task: LocalUpdateTask,
-    model: str | None = None,
-    variables: str | None = None,
+    digests: dict[str, str | None] | None = None,
+    held: Collection[str] = frozenset(),
+    drop: Iterable[str] = (),
 ) -> bytes:
     """Frame one :class:`~repro.systems.executor.LocalUpdateTask` for the wire.
 
-    The global parameters, server-state vectors, and the client's persistent
-    variables ship as raw float64 blobs; everything else rides in the header.
-    Isolated executors hand tasks integer seeds, which JSON carries exactly.
-    With ``model`` — the task's :func:`model_digest` — the frame is the
-    *lean* one: the digest stands in for θ and the server state.  With
-    ``variables`` — the client's :func:`vars_digest` — the digest stands in
-    for the client's variables.
+    ``digests`` names the task's arrays (entry name → :func:`blob_digest`;
+    a missing or ``None`` one is unnamed); the frame carries each array but
+    those whose digest is in ``held``, the lessee's lease.  ``drop`` lists
+    held digests the lessee may forget.  Everything else rides in the
+    header; isolated executors hand tasks integer seeds, which JSON carries
+    exactly.
     """
-    if variables is None:
-        var_fields, var_blobs = _named("var", task.client.variables)
-    else:
-        var_fields, var_blobs = {"vars": variables}, []
-    if model is None:
-        model_fields, model_blobs = _model(task.global_params, task.server_state)
-    else:
-        model_fields, model_blobs = {"model": model}, []
+    entries, blobs = _pack_arrays(task_arrays(task), digests or {}, held)
     config = task.config
     header = {
         "kind": "task",
@@ -439,58 +440,33 @@ def encode_task(
         "learning_rate": hex_float(config.learning_rate),
         "rounds_participated": int(task.client.rounds_participated),
         "local_work_done": int(task.client.local_work_done),
-        **model_fields,
-        **var_fields,
+        "arrays": entries,
+        "drop": sorted(drop),
     }
-    return pack_frame(header, [*model_blobs, *var_blobs])
+    return pack_frame(header, blobs)
 
 
 def decode_task(
     header: dict[str, Any],
     blobs: list[bytes | memoryview],
-    held: HeldModel | None = None,
-    held_vars: dict[int, HeldVars] | None = None,
+    cache: dict[str, np.ndarray] | None = None,
 ) -> tuple[str, LocalUpdateTask]:
-    """Parse a task frame back into ``(task_id, task)``.
+    """Parse a task frame back into ``(task_id, task)`` and apply it to ``cache``.
 
-    A lean frame takes θ and the server state from ``held`` (the state dict
-    is a fresh one over the held arrays); a frame naming the client's
-    variables takes them from ``held_vars[client_index]``.  The task's
-    client carries no dataset — the worker binds its own copy.
+    Each array comes from the body or from ``cache`` (digest → read-only
+    array) by its digest.  Once the frame has decoded, the model arrays —
+    θ and the server state — are filed in ``cache`` under their digests and
+    the digests the frame drops are deleted from it.  The task's client
+    carries no dataset — the worker binds its own copy.
     """
-    model = _field(header, "model", str, None)
-    if model is None:
-        split = 1 + len(_field(header, "state_keys", list))
-        if not blobs:
-            raise ProtocolError("task frame carries no parameter blob")
-        global_params = unpack_array(blobs[0], header.get("params_shape"))
-        server_state = _unpack_named(header, "state", blobs[1:split])
-    elif held is None or held.digest != model:
-        raise ProtocolError(
-            f"lean task frame names model {model[:16]!r}, this worker holds "
-            f"{None if held is None else held.digest[:16]!r}"
-        )
-    else:
-        split = 0
-        global_params, server_state = held.params, dict(held.state)
-    client_index = _field(header, "client_index", int)
-    digest = _field(header, "vars", str, None)
-    if digest is None:
-        variables = _unpack_named(header, "var", blobs[split:], copy=False)
-    else:
-        entry = None if held_vars is None else held_vars.get(client_index)
-        if entry is None or entry.digest != digest:
-            raise ProtocolError(
-                f"task frame names client {client_index}'s variables "
-                f"{digest[:16]!r}, this worker holds "
-                f"{None if entry is None else entry.digest[:16]!r}"
-            )
-        if len(blobs) != split:
-            raise ProtocolError(
-                f"task frame names its variables but carries {len(blobs) - split} "
-                "variable blobs"
-            )
-        variables = entry.variables
+    cache = {} if cache is None else cache
+    arrays, digests = _unpack_arrays(header, blobs, cache)
+    groups = _grouped(arrays, "params", "state", "var")
+    if "" not in groups["params"]:
+        raise ProtocolError("task frame names no params array")
+    drop = _field(header, "drop", list)
+    if not all(type(digest) is str for digest in drop) or set(drop) & set(digests.values()):
+        raise ProtocolError(f"drop must list digests the frame does not name: {drop!r:.60}")
     try:
         config = LocalTrainingConfig(
             epochs=_field(header, "epochs", int),
@@ -500,15 +476,23 @@ def decode_task(
     except ConfigurationError as exc:
         raise ProtocolError(f"task frame: {exc}") from None
     task = LocalUpdateTask(
-        client_index=client_index,
-        client=_client(header, variables),
-        global_params=global_params,
-        server_state=server_state,
+        client_index=_field(header, "client_index", int),
+        client=_client(header, groups["var"]),
+        global_params=arrays["params"],
+        server_state=groups["state"],
         config=config,
         round_index=_field(header, "round_index", int),
         rng=_field(header, "seed", int),
     )
-    return _field(header, "task_id", str), task
+    task_id = _field(header, "task_id", str)
+    cache.update(
+        (digest, arrays[name])
+        for name, digest in digests.items()
+        if digest is not None and not name.startswith("var.")
+    )
+    for digest in drop:
+        cache.pop(digest, None)
+    return task_id, task
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +508,12 @@ def encode_submit(
     The payload vectors are *encoded* with ``codec`` here on the worker, so
     the HTTP body carries the compressed representation — the server decodes
     and re-derives the wire costs through its own transport, keeping the
-    ledger identical to simulation.
+    ledger identical to simulation.  The variables follow the payload as
+    ``var.<key>`` entries, unnamed and carried.
     """
     payload_keys = sorted(message.payload)
     arrays = [np.asarray(message.payload[key]) for key in payload_keys]
-    var_fields, var_blobs = _named("var", client.variables)
+    entries, var_blobs = _pack_arrays(_named("var", client.variables), {}, ())
     header = {
         "kind": "submit",
         "task_id": task_id,
@@ -541,7 +526,7 @@ def encode_submit(
             {"key": key, "shape": list(array.shape)}
             for key, array in zip(payload_keys, arrays)
         ],
-        **var_fields,
+        "arrays": entries,
         "rounds_participated": int(client.rounds_participated),
         "local_work_done": int(client.local_work_done),
     }
@@ -549,19 +534,26 @@ def encode_submit(
     return pack_frame(header, blobs + var_blobs)
 
 
-def submitted_vars(frame: bytes, digest: str) -> HeldVars:
-    """The client variables of an accepted submit frame, as a worker holds them.
+def _submitted_variables(
+    header: dict[str, Any], blobs: list[bytes | memoryview]
+) -> dict[str, np.ndarray]:
+    """A submit frame's variables by key: views of the blobs after the payload."""
+    arrays, _ = _unpack_arrays(header, blobs[len(_field(header, "payload", list)) :], {})
+    return _grouped(arrays, "var")["var"]
 
-    Read-only views of the frame's own variable blobs, filed under
-    ``digest`` — the :func:`vars_digest` the server took of them when it
-    accepted the submit, so the worker never hashes.  The views keep the
-    frame alive rather than copy out of it — one long-lived buffer per held
-    client, which fragments the heap less than a copy per blob (measured in
-    peak RSS).
+
+def submitted_vars(frame: bytes, digests: dict[str, str]) -> dict[str, np.ndarray]:
+    """An accepted submit frame's variables, as a worker files them in its cache.
+
+    ``digests`` is the server's reply (``key → digest`` of each variable, the
+    :func:`blob_digest` the server took when it accepted the submit), so the
+    worker never hashes.  The arrays are read-only views of the frame's own
+    blobs: they keep the frame alive rather than copy out of it — one
+    long-lived buffer per held client, which fragments the heap less than a
+    copy per blob (measured in peak RSS).
     """
-    header, blobs = unpack_frame(frame)
-    variables = _unpack_named(header, "var", blobs[len(header["payload"]) :], copy=False)
-    return HeldVars(digest, variables)
+    variables = _submitted_variables(*unpack_frame(frame))
+    return {digest: variables[key] for key, digest in digests.items()}
 
 
 def decode_submit(
@@ -596,9 +588,7 @@ def decode_submit(
             f"submit frame carries {len(blobs)} blobs for {len(descriptors)} "
             "payload vectors with distinct keys"
         )
-    client = _client(
-        header, _unpack_named(header, "var", blobs[len(descriptors) :], copy=False)
-    )
+    client = _client(header, _submitted_variables(header, blobs))
     message = ClientMessage(
         client_id=client.client_id,
         payload=payload,

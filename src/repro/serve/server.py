@@ -20,25 +20,28 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 
 - ``POST /v1/handshake`` — JSON in/out; refuses version mismatches (426)
   and returns the experiment config workers must rebuild.
-- ``POST /v1/task`` — optional JSON ``{"model": digest, "vars":
-  {"<client_index>": digest, ...}}`` in, naming the model and the client
-  variables the worker holds; one task frame out, leaving out whichever of
-  the task's model and client variables are the ones named (see
-  :mod:`repro.serve.protocol`).  The board leases the worker a task whose
-  variables it holds when one is pending.  On an empty board the request
-  is *parked* (a long poll, at most :data:`LEASE_WAIT_S`) until a task is
-  published; JSON ``{"task": null, "done": ...}`` means the wait elapsed or
-  the run ended.
+- ``POST /v1/task`` — JSON ``{}`` or ``{"held": [digest, ...]}`` in,
+  listing the arrays the worker holds; one task frame out, carrying the
+  task's arrays but the held ones and dropping the held digests that are
+  no longer current (see :mod:`repro.serve.protocol`).  The board leases
+  the worker a task whose client variables it holds when one is pending.
+  On an empty board the request is *parked* (a long poll, at most
+  :data:`LEASE_WAIT_S`) until a task is published; JSON ``{"task": null,
+  "done": ...}`` means the wait elapsed or the run ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok", "vars":
-  digest}`` out, ``vars`` the :func:`~repro.serve.protocol.vars_digest` of
-  the accepted client variables (absent when the algorithm keeps none).
+  {key: digest}}`` out, the :func:`~repro.serve.protocol.blob_digest` of
+  each accepted client variable (absent when the algorithm keeps none).
   Duplicate submissions of a finished task are idempotent
-  (``{"status": "duplicate"}``, no digest), malformed ones map onto
+  (``{"status": "duplicate"}``, no digests), malformed ones map onto
   400/404/413/426; an exception that is not a :class:`ProtocolError` is
   answered 500.
 - ``GET /v1/status`` — JSON progress snapshot.
 - ``POST /v1/shutdown`` — JSON; asks the driver to stop after the current
   round.
+
+Only the server hashes: θ and the server state once per executor call,
+each client's variables once per accepted submit (and once per restored
+client on resume).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Collection, Iterable
 
 import numpy as np
 
@@ -113,16 +116,17 @@ class _Ticket:
 
     task_id: str
     task: LocalUpdateTask  #: as leased: what a submission is checked against
-    model: str  #: the digest of the task's θ and server state
-    vars: str | None = None  #: the client's variables' digest, if the board knows it
+    #: Entry name → digest of the task's arrays: the model's, and the
+    #: client's row's as the board knows it (``None``: no submit wrote it).
+    digests: dict[str, str | None] = dataclasses.field(default_factory=dict)
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
-    submitted: str | None = None  #: the digest of the accepted submit's variables
 
-    def held_by(self, held: dict[int, str]) -> bool:
-        """Whether ``held`` names this client's variables (a string compare)."""
-        return self.vars is not None and held.get(self.task.client_index) == self.vars
+    def held_by(self, held: Collection[str]) -> bool:
+        """Whether ``held`` names every variable of the client's written row."""
+        row = [digest for name, digest in self.digests.items() if name.startswith("var.")]
+        return bool(row) and all(digest is not None and digest in held for digest in row)
 
 
 class TaskBoard:
@@ -139,10 +143,11 @@ class TaskBoard:
     elsewhere yields the identical update; :meth:`resolve` keeps the first
     result and reports ``"duplicate"`` for any re-submission.
 
-    ``digests`` names each client's row (by index) by its ``vars_digest``:
-    :meth:`wait` takes in the digests of the submits whose variables the
-    round's merge writes into the rows next, and :meth:`publish` copies them
-    onto the tickets, so leasing compares strings and never hashes.
+    ``digests`` names each client's row (by index) by the digests of its
+    variables (by key): :meth:`resolve` files an accepted submit's, whose
+    variables the round's merge writes into the row next, and :meth:`publish`
+    copies them onto the tickets, so leasing compares strings and never
+    hashes.
     """
 
     def __init__(self, lease_s: float = 30.0):
@@ -157,7 +162,7 @@ class TaskBoard:
         self._closed = False
         self.reclaimed = 0
         self.duplicates = 0
-        self.digests: dict[int, str | None] = {}
+        self.digests: dict[int, dict[str, str]] = {}
 
     def next_task_id(self, round_index: int, client_index: int) -> str:
         with self._cond:
@@ -167,19 +172,22 @@ class TaskBoard:
     def publish(self, tickets: list[_Ticket]) -> None:
         with self._cond:
             for ticket in tickets:
-                ticket.vars = self.digests.get(ticket.task.client_index)
+                row = self.digests.get(ticket.task.client_index, {})
+                ticket.digests.update(
+                    (f"var.{key}", row.get(key)) for key in ticket.task.client.variables
+                )
                 self._tickets[ticket.task_id] = ticket
                 self._queue.append(ticket.task_id)
             self._cond.notify_all()
 
     def pull(
-        self, wait: float = 0.0, held: dict[int, str] | None = None
+        self, wait: float = 0.0, held: Collection[str] = frozenset()
     ) -> _Ticket | None:
         """Lease a pending task, reclaiming expired leases first.
 
-        The first pending task whose client variables ``held`` names (client
-        index → digest) is leased before the head of the queue; with none,
-        the head is.  No task is reserved, so no puller waits while any task
+        The first pending task whose client variables ``held`` (digests)
+        all names is leased before the head of the queue; with none, the
+        head is.  No task is reserved, so no puller waits while any task
         is pending.  On an empty board the caller is parked for up to
         ``wait`` seconds; ``None`` means the wait elapsed or the board was
         closed.
@@ -193,7 +201,7 @@ class TaskBoard:
                 pending = [t for t in queued if t is not None and t.state == "pending"]
                 if pending:
                     ticket = next(
-                        (t for t in pending if held and t.held_by(held)), pending[0]
+                        (t for t in pending if t.held_by(held)), pending[0]
                     )
                     self._queue = deque(t.task_id for t in pending if t is not ticket)
                     ticket.state = "leased"
@@ -207,6 +215,19 @@ class TaskBoard:
                 # parked is reclaimed and handed to us.
                 self._cond.wait(timeout=min(remaining, self.lease_s / 4))
 
+    def stale(self, held: Iterable[str]) -> list[str]:
+        """The digests in ``held`` that name neither a pending task's model
+        nor any client's row: what a worker may forget."""
+        with self._cond:
+            live = {digest for row in self.digests.values() for digest in row.values()}
+            live.update(
+                digest
+                for ticket in self._tickets.values()
+                if ticket.state != "done"
+                for digest in ticket.digests.values()
+            )
+        return sorted(set(held) - live)
+
     def client_of(self, task_id: str) -> _Ticket:
         with self._cond:
             ticket = self._tickets.get(task_id)
@@ -216,8 +237,10 @@ class TaskBoard:
                 )
             return ticket
 
-    def resolve(self, task_id: str, outcome: LocalUpdateOutcome, digest: str | None = None) -> str:
-        """Record a task's first outcome (and its variables' ``digest``)."""
+    def resolve(
+        self, task_id: str, outcome: LocalUpdateOutcome, digests: dict | None = None
+    ) -> str:
+        """Record a task's first outcome; ``digests`` (by key) name its variables."""
         with self._cond:
             ticket = self._tickets.get(task_id)
             if ticket is None:
@@ -229,7 +252,8 @@ class TaskBoard:
                 return "duplicate"
             ticket.state = "done"
             ticket.outcome = outcome
-            ticket.submitted = digest
+            if digests is not None:
+                self.digests[ticket.task.client_index] = digests
             self._cond.notify_all()
             return "ok"
 
@@ -244,9 +268,7 @@ class TaskBoard:
                     # The round is complete; forget its tickets so late
                     # duplicate submissions report unknown_task, and memory
                     # stays bounded by one round's cohort.
-                    done = [self._tickets.pop(tid) for tid in task_ids]
-                    self.digests.update((t.task.client_index, t.submitted) for t in done)
-                    return [ticket.outcome for ticket in done]
+                    return [self._tickets.pop(tid).outcome for tid in task_ids]
                 # Wake periodically so expired leases are reclaimed even
                 # when no submit arrives to notify us.
                 self._cond.wait(timeout=min(1.0, self.lease_s / 4))
@@ -294,17 +316,19 @@ class RemoteExecutor(ClientExecutor):
         self.board = board
 
     def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
-        digests: dict[tuple[int, int], str] = {}
+        models: dict[tuple[int, int], dict[str, str]] = {}
         tickets = []
         for task in tasks:
             # The tasks of one call share their θ and state objects.
             shared = (id(task.global_params), id(task.server_state))
-            if shared not in digests:
-                digests[shared] = protocol.model_digest(
-                    task.global_params, task.server_state
-                )
+            if shared not in models:
+                models[shared] = {
+                    name: protocol.blob_digest(array)
+                    for name, array in protocol.task_arrays(task).items()
+                    if not name.startswith("var.")
+                }
             task_id = self.board.next_task_id(task.round_index, task.client_index)
-            tickets.append(_Ticket(task_id=task_id, task=task, model=digests[shared]))
+            tickets.append(_Ticket(task_id, task, dict(models[shared])))
         # All at once: a worker woken by a first ticket would take it before
         # the task whose variables it holds is on the board.
         self.board.publish(tickets)
@@ -692,7 +716,10 @@ class FederationServer:
             client.rounds_participated = int(counters[client_id][1])
             client.local_work_done = int(counters[client_id][2])
             if client.variables:  # a worker may hold them from the first server
-                self.board.digests[index] = protocol.vars_digest(client.variables)
+                self.board.digests[index] = {
+                    key: protocol.blob_digest(value)
+                    for key, value in client.variables.items()
+                }
                 self.metrics.counter("serve.vars_digests").inc()
 
         for round_index in range(sim.state.rounds_run):
@@ -733,15 +760,15 @@ class FederationServer:
         }
 
     def handle_task(self, body: bytes = b"") -> bytes | None:
-        """Lease a task; ``body`` may name the model and variables the worker holds.
+        """Lease a task; ``body`` lists the digests of the arrays the worker holds.
 
-        The reply is encoded here, leaving out what the worker holds: θ and
-        the server state when they are the named model (so they cross at
-        most once per worker per model), the client's variables when they
-        are the named ones.  A bad body is refused before the request is
-        parked.
+        The reply is encoded here: it carries the task's arrays but the held
+        ones — so θ crosses at most once per worker per model, a client's
+        variables only when the worker lacks them — and drops the held
+        digests that are no longer current.  A bad body is refused before
+        the request is parked.
         """
-        model, held = protocol.decode_lease(body)
+        held = protocol.decode_lease(body)
         asked = time.perf_counter()
         ticket = self.board.pull(wait=LEASE_WAIT_S, held=held)
         self.metrics.histogram(
@@ -751,21 +778,18 @@ class FederationServer:
         if ticket is None:
             self.metrics.counter("serve.empty_task_replies").inc()
             return None
-        has_model = model == ticket.model
-        has_vars = ticket.held_by(held)
+        digests = ticket.digests
+        # Never drop what the frame leaves out, even once the digest is stale.
+        drop = self.board.stale(held.difference(digests.values()))
         # On a handler thread, and safe: the round (``_drive``) sits in
         # board.wait until this leased ticket is done, so the task's arrays
         # hold still (unless a first lessee already resolved it after a
         # reclaim — then this reply can only earn a discarded duplicate).
-        frame = protocol.encode_task(
-            ticket.task_id,
-            ticket.task,
-            model=ticket.model if has_model else None,
-            variables=ticket.vars if has_vars else None,
-        )
-        if not has_model:
+        frame = protocol.encode_task(ticket.task_id, ticket.task, digests, held, drop)
+        carried = [name for name, digest in digests.items() if protocol.carries(digest, held)]
+        if "params" in carried:
             self.metrics.counter("serve.model_frames").inc()
-        if not has_vars and ticket.task.client.variables:
+        if any(name.startswith("var.") for name in carried):
             self.metrics.counter("serve.client_state_frames").inc()
         self.metrics.counter("serve.download_payload_bytes").inc(len(frame))
         return frame
@@ -808,20 +832,20 @@ class FederationServer:
                 f"client {leased.client_id}'s own"
             )
         # Hashed once per accepted submit, outside the board lock: the merge
-        # writes these bytes into the client's row, so the digest names the
+        # writes these bytes into the client's row, so the digests name the
         # row.  A task already done is not hashed (resolve decides, locked).
-        digest = None
+        digests = None
         if submitted and ticket.state != "done":
-            digest = protocol.vars_digest(submitted)
+            digests = {key: protocol.blob_digest(value) for key, value in submitted.items()}
             self.metrics.counter("serve.vars_digests").inc()
-        status = self.board.resolve(task_id, outcome, digest)
+        status = self.board.resolve(task_id, outcome, digests)
         reply = {"status": status, "task_id": task_id}
         if status == "ok":
             self.metrics.counter(f"serve.payload_bytes.{self.codec.name}").inc(
                 payload_bytes
             )
-            if digest is not None:
-                reply["vars"] = digest
+            if digests is not None:
+                reply["vars"] = digests
         return reply
 
     def status_snapshot(self) -> dict:

@@ -11,16 +11,16 @@ and push the submit frame.  Tasks carry integer seeds, so any worker (or a
 re-pull after this worker dies mid-task) computes the identical update the
 in-process simulation would have.
 
-Between tasks a worker keeps what it would otherwise be sent again, all
-read-only: the model — θ and the server state — of the last full task frame
-it decoded, and, per client, the variables of its last submit the server
-accepted (wᵢ, yᵢ for FedADMM), filed under the digest the server's reply
-names — the worker hashes θ once per full frame and never its variables.
-It names their digests in every task request; the server leaves out of
-the frame what the worker holds of the task, and prefers to lease it the
-tasks whose variables it holds (:mod:`repro.serve.protocol`).  The server
-compares those digests with the ones it keeps of its own rows, so a stale
-entry only costs a resend.
+Between tasks a worker keeps what it would otherwise be sent again in one
+read-only ``digest → array`` cache: the model — θ and the server state — of
+its task frames, filed under the digests the frames name, and the variables
+of its submits the server accepted (wᵢ, yᵢ for FedADMM), filed under the
+digests the server's replies name.  The worker never hashes.  It lists the
+cache's digests in every task request; the server leaves out of the frame
+what the worker holds of the task, prefers to lease it the tasks whose
+variables it holds, and tells it which held digests to drop
+(:mod:`repro.serve.protocol`), so the cache holds the current model and at
+most one set of variables per client.
 
 Workers are plain functions so tests can spawn them with
 ``multiprocessing.Process(target=run_worker, ...)`` and the CLI can run
@@ -156,18 +156,6 @@ def handshake(client: ServerClient, worker_id: str | None = None) -> dict[str, A
     return json.loads(data.decode("utf-8"))
 
 
-def hold(task: LocalUpdateTask) -> protocol.HeldModel:
-    """Keep a full frame's model for the lean frames that follow it.
-
-    The arrays become read-only: an algorithm that wrote into θ would
-    otherwise corrupt every later task of the same model.
-    """
-    for array in (task.global_params, *task.server_state.values()):
-        array.flags.writeable = False
-    digest = protocol.model_digest(task.global_params, task.server_state)
-    return protocol.HeldModel(digest, task.global_params, dict(task.server_state))
-
-
 def run_worker(
     url: str,
     max_tasks: int | None = None,
@@ -198,14 +186,15 @@ def run_worker(
         env = WorkerEnvironment(
             ExperimentConfig.from_record(info["config"]), info["algorithm"]
         )
-        held: protocol.HeldModel | None = None
-        held_vars: dict[int, protocol.HeldVars] = {}
+        # Read-only views of frames: an algorithm that wrote into a held θ
+        # would otherwise corrupt every later task of the same model.
+        cache: dict[str, np.ndarray] = {}
         completed = 0
         failures = 0
         while max_tasks is None or completed < max_tasks:
             if stop_check is not None and stop_check():
                 break
-            lease = protocol.encode_lease(held, held_vars)
+            lease = protocol.encode_lease(cache)
             try:
                 status, content_type, data = client.post("/v1/task", lease)
             except (http.client.HTTPException, OSError):
@@ -220,11 +209,7 @@ def run_worker(
                     break
                 continue
             header, blobs = protocol.unpack_frame(data)
-            task_id, task = protocol.decode_task(
-                header, blobs, held=held, held_vars=held_vars
-            )
-            if header.get("model") is None:  # a full frame: hold its model
-                held = hold(task)
+            task_id, task = protocol.decode_task(header, blobs, cache)
             if delay_fn is not None:
                 time.sleep(max(0.0, delay_fn(task)))
             frame = env.execute(task_id, task)
@@ -242,10 +227,10 @@ def run_worker(
                 continue
             failures = 0
             completed += 1
-            # No digest (a duplicate, a stateless algorithm): nothing to hold.
-            digest = json.loads(reply).get("vars")
-            if digest is not None:
-                held_vars[task.client_index] = protocol.submitted_vars(frame, digest)
+            # No digests (a duplicate, a stateless algorithm): nothing to hold.
+            digests = json.loads(reply).get("vars")
+            if digests:
+                cache.update(protocol.submitted_vars(frame, digests))
         return completed
     finally:
         client.close()

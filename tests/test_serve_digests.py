@@ -1,19 +1,25 @@
-"""The server is the only hasher of client variables.
+"""The server is the only hasher, and a worker's cache stays bounded.
 
-A worker holds the variables of its accepted submits so the server can name
-them instead of sending them again.  The name is a sha256 the server takes
-once per accepted submit, where it decodes the submit, and returns in the
-200 reply; the worker files the submitted blobs under it and never hashes.
+A worker holds the model and the variables of its accepted submits so the
+server can name them instead of sending them again.  The names are sha256
+digests the server takes — of θ and the server state once per executor
+call, of a client's variables once per accepted submit, where it decodes
+the submit, returned in the 200 reply; the worker files arrays under them
+and never hashes.
 
 * **Content, not trust, still decides** — for FedADMM, FedPD and SCAFFOLD
-  submits of random shapes and values (−0.0 included), the digest in the
-  reply is the :func:`~repro.serve.protocol.vars_digest` of the row the
-  round's merge writes, and it is the entry the board copies onto the
+  submits of random shapes and values (−0.0 included), the digests in the
+  reply are the :func:`~repro.serve.protocol.blob_digest` of each array of
+  the row the round's merge writes, and the entry the board copies onto the
   client's next ticket.
 * **A duplicate names nothing** — its reply carries no digest and the
-  worker's held map does not change.
-* **One hash per accepted submit** — over a whole served run, never on a
-  worker and never while the board leases.
+  worker never holds the client's variables.
+* **One hash per array per accepted submit, θ once per round** — over a
+  whole served run, never on a worker, in ``decode_task`` or while the
+  board leases.
+* **The cache is bounded** — after each task frame a worker applies, its
+  cache holds only the current model's arrays and at most one set of
+  variables per client.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.serve import protocol
-from repro.serve.server import FederationServer, TaskBoard
+from repro.serve.server import FederationServer, RemoteExecutor, TaskBoard
 from repro.serve.worker import ServerClient, WorkerEnvironment, run_worker
 from repro.systems.executor import execute_task
 
@@ -119,7 +125,7 @@ def test_the_reply_digest_names_the_row_the_merge_writes(algorithm, hidden, data
         assert {key: value.tobytes() for key, value in row.items()} == {
             key: value.tobytes() for key, value in drawn.items()
         }
-        assert digest == protocol.vars_digest(row)
+        assert digest == {key: protocol.blob_digest(value) for key, value in row.items()}
         assert server.board.digests[index] == digest
     assert server.metrics.counter("serve.vars_digests").value == len(accepted)
 
@@ -127,8 +133,8 @@ def test_the_reply_digest_names_the_row_the_merge_writes(algorithm, hidden, data
 def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatch):
     """Every submit is delivered twice and the worker sees the second reply:
     a duplicate (or, once its round is over, an unknown task).  Neither
-    names a digest, so the worker never holds a client's variables and
-    every task it is leased carries them."""
+    names a digest, so the worker never holds a client's variables (only
+    the model) and every task it is leased carries them."""
     post, encode_lease = ServerClient.post, protocol.encode_lease
     leases, replies = [], []
 
@@ -139,9 +145,9 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
         replies.append((json.loads(first[2]), json.loads(second[2])))
         return second
 
-    def recorded(held, held_vars):
-        leases.append(dict(held_vars))
-        return encode_lease(held, held_vars)
+    def recorded(held):
+        leases.append(set(held))
+        return encode_lease(held)
 
     monkeypatch.setattr(ServerClient, "post", twice)
     monkeypatch.setattr(protocol, "encode_lease", recorded)
@@ -155,7 +161,9 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
         "duplicate",
         "unknown_task",
     }
-    assert leases and not any(leases)
+    named = {digest for first, _ in replies for digest in first["vars"].values()}
+    assert leases and not any(held & named for held in leases)
+    assert max(len(held) for held in leases) == 1  # θ: FedADMM keeps no server state
     counters = server.metrics.snapshot()["counters"]
     assert counters["serve.client_state_frames"] == len(replies)
     assert counters["serve.vars_digests"] == len(replies)
@@ -165,21 +173,25 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
 def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch, workers):
     """On a short switch interval, and with four workers on two cores, a lost
     or misplaced update of the board's digest map would leave an entry that
-    is not its row's digest."""
-    digest, calls, misplaced = protocol.vars_digest, [], []
-    forbidden = {TaskBoard.pull.__code__, run_worker.__code__}
+    is not its row's digest.  θ is hashed once per round, by the server."""
+    digest, calls, misplaced = protocol.blob_digest, [], []
+    forbidden = {TaskBoard.pull.__code__, run_worker.__code__, protocol.decode_task.__code__}
+    hashers = {
+        FederationServer.handle_submit.__code__: "submit",
+        RemoteExecutor._run_batch.__code__: "model",
+    }
 
-    def counted(variables):
+    def counted(array):
         frame = sys._getframe(1)
-        while frame is not None:
+        while frame is not None and frame.f_code not in hashers:
             if frame.f_code in forbidden:
                 misplaced.append(frame.f_code.co_name)
-                raise AssertionError(f"vars_digest called inside {frame.f_code.co_name}")
+                raise AssertionError(f"blob_digest called inside {frame.f_code.co_name}")
             frame = frame.f_back
-        calls.append(variables)
-        return digest(variables)
+        calls.append(None if frame is None else hashers[frame.f_code])
+        return digest(array)
 
-    monkeypatch.setattr(protocol, "vars_digest", counted)
+    monkeypatch.setattr(protocol, "blob_digest", counted)
     # Every client every round: a worker is leased clients it holds.
     config, spec = _config(client_fraction=1.0), AlgorithmSpec("fedadmm")
     interval = sys.getswitchinterval()
@@ -194,10 +206,56 @@ def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch
     assert not misplaced
     assert server.board.duplicates == 0 and server.board.reclaimed == 0
     assert not [name for name in counters if name.startswith("serve.errors.")]
-    assert len(calls) == counters["serve.requests.submit"] == counters["serve.vars_digests"]
+    submits = counters["serve.requests.submit"]
+    assert submits == counters["serve.vars_digests"]
+    # w and y once per accepted submit, θ once per round, nothing else.
+    assert sorted(calls, key=str) == ["model"] * ROUNDS + ["submit"] * int(2 * submits)
     clients = server.simulation.clients
     assert server.board.digests == {
-        index: digest(client.variables) for index, client in enumerate(clients)
+        index: {key: digest(value) for key, value in client.variables.items()}
+        for index, client in enumerate(clients)
     }
     # Workers still hold what they were told: some task left its variables out.
+    assert counters["serve.client_state_frames"] < submits
+
+
+def test_a_workers_cache_holds_the_current_model_and_one_row_per_client(monkeypatch):
+    """After each task frame a worker applies, every digest in its cache
+    names an array of the frame's model or of one accepted submit's
+    variables — and at most one submit's per client."""
+    decode, submitted = protocol.decode_task, protocol.submitted_vars
+    lock = threading.Lock()
+    last_client: dict[int, int] = {}  # worker thread → client of its last task
+    filed_by: dict[str, tuple[int, int]] = {}  # digest → (client, filing)
+    strays, doubled, dropped = [], [], []
+
+    def applied(header, blobs, cache):
+        task_id, task = decode(header, blobs, cache)
+        model = {digest for name, _, digest, _ in header["arrays"] if not name.startswith("var.")}
+        with lock:
+            last_client[threading.get_ident()] = task.client_index
+            strays.extend(set(cache) - model - set(filed_by))
+            rows = [client for client, _ in {filed_by[d] for d in cache if d in filed_by}]
+            doubled.extend(client for client in set(rows) if rows.count(client) > 1)
+            dropped.extend(header["drop"])
+        return task_id, task
+
+    def filed(frame, digests):
+        arrays = submitted(frame, digests)
+        with lock:
+            filing = (last_client[threading.get_ident()], len(filed_by))
+            filed_by.update((digest, filing) for digest in arrays)
+        return arrays
+
+    monkeypatch.setattr(protocol, "decode_task", applied)
+    monkeypatch.setattr(protocol, "submitted_vars", filed)
+    config, spec = _config(), AlgorithmSpec("fedadmm")
+    server, networked = threaded_run(config, spec, rounds=4)
+
+    assert_bit_identical(networked, reference_run(config, spec, rounds=4))
+    assert not strays and not doubled
+    counters = server.status_snapshot()["counters"]
+    # The bound was exercised: old models and stale rows were dropped, and
+    # some variables were held when their client came round again.
+    assert dropped
     assert counters["serve.client_state_frames"] < counters["serve.requests.submit"]

@@ -7,13 +7,15 @@ Four concerns, each pinned independently of the networked e2e suite:
   whole frames through ``pack_frame`` / ``unpack_frame``, asserting the
   binary wire form reproduces the in-memory representation exactly
   (bit-exact floats, identical support, identical signs).
-* **Format** — the sha256 of one fixed task frame and one fixed submit frame
-  per codec, recorded on the commit before codecs owned their bytes
-  (``fd19288``): a refactor of the packing code must not move a byte.  The
-  additive task forms — the model held (lean), the model and the client's
-  variables held (header only) — are pinned as recorded when introduced.
+* **Format** — the sha256 of the fixture's task frame (nothing named, every
+  array named, every array held plus a drop) and of its submit frame per
+  codec, recorded from the protocol-2 encoder when it was written: a
+  refactor of the packing code must not move a byte.
+* **One task-frame form** — for FedAvg, FedADMM and SCAFFOLD tasks and any
+  subset of their arrays in the worker's cache, ``decode_task`` gives back
+  the encoded task bit for bit and applies the frame to the cache.
 * **Rejection** — the decoders are *total*: over arbitrary bytes and over
-  field-mutated valid frames, ``unpack_frame``, ``decode_task``,
+  field- and entry-mutated valid frames, ``unpack_frame``, ``decode_task``,
   ``decode_submit`` and every ``Codec.unpack`` return or raise
   :class:`~repro.exceptions.ProtocolError`, nothing else; forged payload
   bytes (bad top-k support, out-of-range QSGD levels, non-finite scales)
@@ -33,6 +35,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays as numpy_arrays
 
 from repro.algorithms.base import LocalTrainingConfig
 from repro.exceptions import ProtocolError
@@ -205,7 +208,7 @@ def test_error_code_to_http_status_table():
 
 
 # --------------------------------------------------------------------------- #
-# Format pins: the frames are byte-for-byte what fd19288 emitted
+# Format pins: the frames are byte-for-byte what the protocol-2 encoder emitted
 # --------------------------------------------------------------------------- #
 
 TASK_ID = "r4-c3-9"
@@ -248,70 +251,61 @@ def submit_frame(codec):
     )
 
 
-#: sha256 of the frames `encode_task` / `encode_submit` produced at fd19288
-#: (through `pack_vector`, before codecs packed themselves) for the fixture
-#: above.  PROTOCOL_VERSION is still 1: these never change without a bump.
+#: sha256 of the frames `encode_task` / `encode_submit` produced for the
+#: fixture above when protocol 2 was written (its one task-frame form, the
+#: submit's variables as entries).  Never change these without a
+#: PROTOCOL_VERSION bump.
 FRAME_PINS = {
-    "task": "df2422e97f8e9bea6703f8586a5e4fa3f8681da800a7c54329647d8327c12fbd",
-    "raw": "fb90aa38fa0c40202cba4550df92ced74347f2d95077328b01c69973414f5f95",
-    "identity": "a522c087bb0ebab8d5c8a3abbd77d98273555a61e4c71662ef5148060a2a07c9",
-    "float16": "235520393c232c8129b7cb84eba021177e3e9b4fcb5ca0969b83cb33caae5a12",
-    "topk": "a51d164a5e15f8830332a3941715cb81cffd20e53099a8de4cbcb172ee694218",
-    "qsgd": "c870cf89af240814707dc7b1e863e6784ec621105c8572736545a4e942dad658",
-    "signsgd": "c13f088c11dec14fade387e2dd1344d41ca8e0b9d9c23f03fc7ab557a2b2e8f0",
-    "topk-k2": "4c8b2d27d9a918d12df10d4e2c758060997ecff02b2e0e81720424ffbe46f345",
-    "qsgd-5": "d9cda6022de4429eef2b39b38118d50cb2aaf801ae9b7db2d0418dc11dcda1ed",
-    # Recorded when the lean frame was introduced (θ and state left out).
-    "task-lean": "ad33ca903ca903658d10c35a3d3c332b249cef441c5c5663a7e28de4791254bc",
-    # Recorded when frames could name the client's variables (header only).
-    "task-held": "f2434bdf62b0a36a80abd2b406022a272f58a286872d11e919cced131a26eaca",
+    "task": "de3b65af59098978e46aa1a46cd3df02d933c7f24b49373671388b428ac10e98",
+    "task-named": "04f5c34abc36b5c5d429f9ac3f8fd9d78836f18d87b4307d1c3eb7a7ac3c0908",
+    "task-held": "23600c44f3cd9760325649da9e60aee4152cc463aa74a10b2afdad5365f52ced",
+    "raw": "38337478cc27e168eb1b26c01bb33979f793b68299b2bd66d9c1829b82904b91",
+    "identity": "bb5dfe5fe6e1474e78c376cf211198358276d6db9d1896915b39cfa698615e2c",
+    "float16": "a6bee8efb3ee72c13604426cf798b9d6d7cad5321165abcfed3a496dcfb074fd",
+    "topk": "37d29d3440af4e337a210aaa1cb430275c3b7410db029932dac51c0e661196d1",
+    "qsgd": "ffbf0b34a5a4450e237a743932facae80ede193994bae6d5b63d66fc0e7e6110",
+    "signsgd": "803bdb6c7aedb9ee4e5579700ba89439ee8a41f8c54f52915f2a534ab020bd1f",
+    "topk-k2": "f1f0c38038cbeaaf07b1981c9d010b70a1845add9cab6318564274ac4e685cbe",
+    "qsgd-5": "e9b6c7e5819218d12cced66a77f2d840a241eceb5e2fa5434859860bee969734",
 }
 
-
-def held_model(task):
-    """What a worker holds after decoding the fixture's full frame."""
-    digest = protocol.model_digest(task.global_params, task.server_state)
-    return protocol.HeldModel(digest, task.global_params, task.server_state)
+STALE = "0" * 64
 
 
-def lean_frame(task):
-    return protocol.encode_task(TASK_ID, task, model=held_model(task).digest)
+def named(task):
+    """Every array of ``task`` named by its digest, as the server names them."""
+    return {name: protocol.blob_digest(a) for name, a in protocol.task_arrays(task).items()}
 
 
-def held_vars(task):
-    """What a worker holds of the fixture's client after its accepted submit."""
-    variables = task.client.variables
-    return {task.client_index: protocol.HeldVars(protocol.vars_digest(variables), variables)}
+def task_frame(task, form):
+    """The fixture's task frame: nothing named, every array named, or every
+    array named and held (header only) with one stale digest dropped."""
+    if form == "task":
+        return protocol.encode_task(TASK_ID, task)
+    digests = named(task)
+    if form == "task-named":
+        return protocol.encode_task(TASK_ID, task, digests)
+    return protocol.encode_task(TASK_ID, task, digests, set(digests.values()), [STALE])
 
 
-def held_frame(task):
-    """The fixture's task with both the model and the variables held."""
-    return protocol.encode_task(
-        TASK_ID,
-        task,
-        model=held_model(task).digest,
-        variables=held_vars(task)[task.client_index].digest,
-    )
+def cache_of(task):
+    """A worker cache holding every array of ``task``, read-only, and a stale one."""
+    cache = {STALE: np.zeros(1)}
+    for name, array in protocol.task_arrays(task).items():
+        cache[protocol.blob_digest(array)] = np.array(array)
+    for array in cache.values():
+        array.flags.writeable = False
+    return cache
 
 
-def test_protocol_version_is_still_one():
-    assert protocol.PROTOCOL_VERSION == 1
+def test_protocol_version_is_two():
+    assert protocol.PROTOCOL_VERSION == 2
 
 
-def test_task_frame_bytes_are_pinned():
+@pytest.mark.parametrize("form", ["task", "task-named", "task-held"])
+def test_task_frame_bytes_are_pinned(form):
     task, _ = fixed_task_and_message()
-    frame = protocol.encode_task(TASK_ID, task)
-    assert hashlib.sha256(frame).hexdigest() == FRAME_PINS["task"]
-
-
-def test_lean_task_frame_bytes_are_pinned():
-    task, _ = fixed_task_and_message()
-    assert hashlib.sha256(lean_frame(task)).hexdigest() == FRAME_PINS["task-lean"]
-
-
-def test_held_task_frame_bytes_are_pinned():
-    task, _ = fixed_task_and_message()
-    assert hashlib.sha256(held_frame(task)).hexdigest() == FRAME_PINS["task-held"]
+    assert hashlib.sha256(task_frame(task, form)).hexdigest() == FRAME_PINS[form]
 
 
 @pytest.mark.parametrize(
@@ -356,146 +350,137 @@ def test_decode_task_returns_the_task_that_was_encoded():
     assert_same_arrays(client.variables, task.client.variables)
 
 
-def test_lean_frame_is_the_full_frame_without_the_model():
-    task, _ = fixed_task_and_message()
-    full_header, full_blobs = protocol.unpack_frame(protocol.encode_task(TASK_ID, task))
-    header, blobs = protocol.unpack_frame(lean_frame(task))
-    held = held_model(task)
-    dropped = {"params_shape", "state_keys", "state_shapes"}
-    assert header == {
-        **{k: v for k, v in full_header.items() if k not in dropped},
-        "model": held.digest,
-    }
-    assert blobs == full_blobs[2:]  # θ and the one state vector left out
-    task_id, decoded = protocol.decode_task(header, blobs, held=held)
-    assert task_id == TASK_ID
-    assert decoded.global_params is held.params
-    assert decoded.server_state == held.state
-    assert decoded.server_state is not held.state
-    assert_same_arrays(decoded.client.variables, task.client.variables)
-    # A full frame needs no held model, and ignores one.
-    _, full = protocol.decode_task(full_header, full_blobs, held=held)
-    assert full.global_params.tobytes() == task.global_params.tobytes()
-
-
-def test_lean_frame_of_a_model_the_worker_does_not_hold_is_refused():
-    task, _ = fixed_task_and_message()
-    header, blobs = protocol.unpack_frame(lean_frame(task))
-    held = held_model(task)
-    with pytest.raises(ProtocolError, match="holds None"):
-        protocol.decode_task(header, blobs)
-    with pytest.raises(ProtocolError, match="lean task frame"):
-        protocol.decode_task(header, blobs, held=held._replace(digest="0" * 64))
-
-
-def test_held_frame_is_the_lean_frame_without_the_variables():
-    task, _ = fixed_task_and_message()
-    lean_header, lean_blobs = protocol.unpack_frame(lean_frame(task))
-    header, blobs = protocol.unpack_frame(held_frame(task))
-    held = held_vars(task)
-    digest = held[task.client_index].digest
-    dropped = {"var_keys", "var_shapes"}
-    assert header == {
-        **{k: v for k, v in lean_header.items() if k not in dropped},
-        "vars": digest,
-    }
-    assert blobs == []  # header only: the worker holds everything else
-    task_id, decoded = protocol.decode_task(
-        header, blobs, held=held_model(task), held_vars=held
+def assert_same_task(decoded, task):
+    """Every field of ``task``, every array bit for bit (shape included)."""
+    assert decoded.config == task.config
+    assert (decoded.client_index, decoded.round_index, decoded.rng) == (
+        task.client_index,
+        task.round_index,
+        task.rng,
     )
-    assert task_id == TASK_ID
-    assert_same_arrays(decoded.client.variables, task.client.variables)
-    # The client copies the held arrays into its own store: a task that
-    # writes its variables cannot change what the digest names.
-    for key, value in decoded.client.variables.items():
-        assert not np.shares_memory(value, held[task.client_index].variables[key])
-    # The variables are named independently of the model.
-    full_vars = protocol.encode_task(TASK_ID, task, variables=digest)
-    _, decoded = protocol.decode_task(*protocol.unpack_frame(full_vars), held_vars=held)
+    assert decoded.global_params.shape == task.global_params.shape
     assert decoded.global_params.tobytes() == task.global_params.tobytes()
-    assert_same_arrays(decoded.client.variables, task.client.variables)
+    assert_same_arrays(decoded.server_state, task.server_state)
+    client, original = decoded.client, task.client
+    assert (client.client_id, client.rounds_participated, client.local_work_done) == (
+        original.client_id,
+        original.rounds_participated,
+        original.local_work_done,
+    )
+    assert_same_arrays(client.variables, original.variables)
 
 
-@pytest.mark.parametrize(
-    "held, match",
-    [
-        (None, "holds None"),  # no held map at all
-        ({}, "holds None"),
-        ({3: "another"}, "holds 'another'"),  # an unknown digest
-        ({4: "own"}, "holds None"),  # the digest is held for another client
-    ],
-    ids=["no-map", "empty-map", "unknown-digest", "other-client"],
-)
-def test_a_held_vars_frame_the_worker_cannot_match_is_refused(held, match):
+#: (server-state keys, client-variable keys) of each algorithm's tasks.
+ALGORITHM_ARRAYS = {
+    "fedavg": ((), ()),
+    "fedadmm": ((), ("w", "y")),
+    "scaffold": (("control",), ("control",)),
+}
+
+
+@st.composite
+def algorithm_tasks(draw):
+    """A task shaped like one of FedAvg's, FedADMM's or SCAFFOLD's."""
+    state_keys, var_keys = ALGORITHM_ARRAYS[draw(st.sampled_from(sorted(ALGORITHM_ARRAYS)))]
+    dim = draw(st.integers(min_value=0, max_value=6))
+    # Any double: -0.0, infinities and NaN payloads must come back as sent.
+    vector = numpy_arrays(np.float64, dim, elements=st.floats(width=64))
+    return LocalUpdateTask(
+        client_index=draw(st.integers(min_value=0, max_value=99)),
+        client=ClientState(
+            client_id=draw(st.integers(min_value=0, max_value=99)),
+            dataset=None,
+            variables={key: draw(vector) for key in var_keys},
+            rounds_participated=draw(st.integers(min_value=0, max_value=9)),
+            local_work_done=draw(st.integers(min_value=0, max_value=99)),
+        ),
+        global_params=draw(vector),
+        server_state={key: draw(vector) for key in state_keys},
+        config=LocalTrainingConfig(
+            epochs=draw(st.integers(min_value=1, max_value=5)),
+            batch_size=draw(st.none() | st.integers(min_value=1, max_value=64)),
+            learning_rate=draw(st.floats(min_value=1e-4, max_value=1.0)),
+        ),
+        round_index=draw(st.integers(min_value=0, max_value=99)),
+        rng=draw(st.integers(min_value=0, max_value=2**63 - 1)),
+    )
+
+
+@given(task=algorithm_tasks(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, data):
+    """The one task-frame form.  The server names each array (a client row
+    no submit wrote is unnamed); whichever subset of them the worker
+    holds, the frame carries exactly the rest and decodes to the task.
+    The cache then holds the model arrays under their digests and nothing
+    the frame dropped."""
+    arrays = protocol.task_arrays(task)
+    digests = named(task)
+    if data.draw(st.booleans(), label="unwritten row"):
+        digests.update((name, None) for name in arrays if name.startswith("var."))
+    names = [name for name in arrays if digests[name] is not None]
+    held_names = data.draw(st.sets(st.sampled_from(names)) if names else st.just(set()))
+    cache = {digests[name]: np.array(arrays[name]) for name in held_names}
+    stale = [STALE] if data.draw(st.booleans(), label="stale entry") else []
+    cache.update((digest, np.zeros(1)) for digest in stale)
+    for array in cache.values():
+        array.flags.writeable = False
+    before = dict(cache)
+
+    frame = protocol.encode_task(TASK_ID, task, digests, set(cache), stale)
+    header, blobs = protocol.unpack_frame(frame)
+    task_id, decoded = protocol.decode_task(header, blobs, cache)
+
+    assert task_id == TASK_ID
+    assert_same_task(decoded, task)
+    carried = [name for name in arrays if protocol.carries(digests[name], before)]
+    assert [entry[0] for entry in header["arrays"] if entry[3]] == carried
+    assert [len(blob) for blob in blobs] == [8 * arrays[name].size for name in carried]
+    assert header["drop"] == stale
+    model = {"params": decoded.global_params}
+    model.update((f"state.{key}", value) for key, value in decoded.server_state.items())
+    for name, value in model.items():
+        assert not value.flags.writeable  # no task may write into a held model
+        if name not in carried:
+            assert value is before[digests[name]]
+    # The client copies its variables into its own store: a task that writes
+    # them cannot change what a held digest names.
+    for value in decoded.client.variables.values():
+        assert not any(np.shares_memory(value, held) for held in before.values())
+    assert set(cache) == (set(before) - set(stale)) | {digests[name] for name in model}
+
+
+def test_blob_digest_names_shape_and_bytes():
     task, _ = fixed_task_and_message()
-    header, blobs = protocol.unpack_frame(held_frame(task))
-    own = held_vars(task)[task.client_index]
-    if held:
-        held = {
-            index: own if digest == "own" else own._replace(digest=digest)
-            for index, digest in held.items()
-        }
-    with pytest.raises(ProtocolError, match=match):
-        protocol.decode_task(header, blobs, held=held_model(task), held_vars=held)
+    w = task.client.variables["w"]
+    digest = protocol.blob_digest(w)
+    assert digest == protocol.blob_digest(w.copy()) == protocol.blob_digest(list(w))
+    nudged = w.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    signed = np.zeros(3)
+    signed[0] = -0.0
+    for one, other in (
+        (digest, protocol.blob_digest(nudged)),
+        (digest, protocol.blob_digest(w.reshape(1, -1))),
+        (digest, protocol.blob_digest(w[:-1])),
+        (protocol.blob_digest(np.zeros(3)), protocol.blob_digest(signed)),
+    ):
+        assert one != other
 
 
-def test_a_held_vars_frame_carrying_variable_blobs_is_refused():
-    task, _ = fixed_task_and_message()
-    header, _ = protocol.unpack_frame(held_frame(task))
-    with pytest.raises(ProtocolError, match="carries 1 variable blobs"):
-        protocol.decode_task(
-            header, [b"\x00" * 8], held=held_model(task), held_vars=held_vars(task)
-        )
-
-
-def test_vars_digest_is_the_digest_of_the_frames_variable_fields_and_blobs():
-    """Server (arrays) and worker (the blobs it sent) name the same bytes."""
+def test_submitted_vars_files_the_frames_own_variables_under_the_replys_digests():
+    """The worker files an accepted submit's variables under the server's
+    digests — read-only views of the frame it sent, never hashed."""
     task, message = fixed_task_and_message()
     variables = task.client.variables
-    digest = protocol.vars_digest(variables)
-
-    def frame_digest(frame):
-        header, blobs = protocol.unpack_frame(frame)
-        fields = {"var_keys": header["var_keys"], "var_shapes": header["var_shapes"]}
-        hasher = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
-        for blob in blobs[-len(variables) :]:
-            hasher.update(blob)
-        return hasher.hexdigest()
-
-    assert digest == frame_digest(protocol.encode_task(TASK_ID, task))
-    # The worker files an accepted submit's blobs under the server's digest.
     frame = protocol.encode_submit(TASK_ID, message, task.client, Float16Codec())
-    assert digest == frame_digest(frame)
-    submitted = protocol.submitted_vars(frame, digest)
-    assert submitted.digest == digest
-    assert_same_arrays(submitted.variables, variables)
-    assert not any(value.flags.writeable for value in submitted.variables.values())
-
-    nudged = variables["w"].copy()
-    nudged[0] = np.nextafter(nudged[0], np.inf)
-    for other in (
-        protocol.vars_digest({**variables, "w": nudged}),
-        protocol.vars_digest({**variables, "w": variables["w"].reshape(1, -1)}),
-        protocol.vars_digest({"v": variables["w"], "y": variables["y"]}),
-        protocol.vars_digest({"w": variables["w"]}),
-    ):
-        assert other != digest
-
-
-def test_model_digest_names_shapes_keys_and_bytes():
-    task, _ = fixed_task_and_message()
-    params, state = task.global_params, task.server_state
-    digest = protocol.model_digest(params, state)
-    assert digest == protocol.model_digest(params.copy(), {"control": state["control"]})
-    nudged = params.copy()
-    nudged[0] = np.nextafter(nudged[0], np.inf)
-    for other in (
-        protocol.model_digest(nudged, state),
-        protocol.model_digest(params.reshape(1, -1), state),
-        protocol.model_digest(params, {"c": state["control"]}),
-        protocol.model_digest(params, {}),
-    ):
-        assert other != digest
+    reply = {key: protocol.blob_digest(value) for key, value in variables.items()}
+    filed = protocol.submitted_vars(frame, reply)
+    assert sorted(filed) == sorted(reply.values())
+    for key, digest in reply.items():
+        assert filed[digest].tobytes() == variables[key].tobytes()
+        assert filed[digest].shape == variables[key].shape
+        assert not filed[digest].flags.writeable
 
 
 @every_codec
@@ -610,20 +595,19 @@ json_values = st.recursive(
 )
 
 
-HELD = held_model(fixed_task_and_message()[0])
-HELD_VARS = held_vars(fixed_task_and_message()[0])
+CACHE = cache_of(fixed_task_and_message()[0])
 
 
 def decode_whatever(header, blobs, codec):
     """Every decoder over one frame; anything but ProtocolError escapes.
 
-    A task frame is also decoded against the fixture's held model and
-    variables, so a lean or held frame is tried with its own and, mutated,
-    with another.
+    A task frame is also decoded against a cache holding every array of the
+    fixture (a copy: decoding applies the frame to it), so a frame that
+    names them is tried with its own and, mutated, with another.
     """
     for decode in (
         lambda: protocol.decode_task(header, blobs),
-        lambda: protocol.decode_task(header, blobs, held=HELD, held_vars=HELD_VARS),
+        lambda: protocol.decode_task(header, blobs, dict(CACHE)),
         lambda: protocol.decode_submit(header, blobs, codec),
     ):
         try:
@@ -653,12 +637,19 @@ def test_arbitrary_headers_only_raise_protocol_error(header, blobs):
     decode_whatever(restored, restored_blobs, IdentityCodec())
 
 
-def valid_frames():
+def valid_task_frames():
+    """The pinned forms, and the one a worker holding only the model gets."""
     task, _ = fixed_task_and_message()
-    frames = [(Float16Codec(), protocol.encode_task(TASK_ID, task))]
-    frames += [(Float16Codec(), lean_frame(task)), (Float16Codec(), held_frame(task))]
-    frames += [(codec, submit_frame(codec)) for codec in all_codecs()]
-    return [(codec, *protocol.unpack_frame(frame)) for codec, frame in frames]
+    digests = named(task)
+    model = {digests["params"], digests["state.control"]}
+    frames = [task_frame(task, form) for form in ("task", "task-named", "task-held")]
+    frames.append(protocol.encode_task(TASK_ID, task, digests, model, [STALE]))
+    return [(Float16Codec(), *protocol.unpack_frame(frame)) for frame in frames]
+
+
+def valid_frames():
+    submits = [(codec, *protocol.unpack_frame(submit_frame(codec))) for codec in all_codecs()]
+    return valid_task_frames() + submits
 
 
 @given(
@@ -681,6 +672,100 @@ def test_field_mutated_frames_only_raise_protocol_error(frame, field, value, nes
         mutated[key] = value
     restored, _ = protocol.unpack_frame(protocol.pack_frame(mutated, blobs))
     decode_whatever(restored, blobs, codec)
+
+
+@given(
+    frame=st.sampled_from(valid_task_frames() + valid_frames()[-3:]),
+    entry=st.integers(min_value=0, max_value=8),
+    position=st.integers(min_value=0, max_value=5),
+    value=json_values,
+)
+@settings(max_examples=400, deadline=None)
+def test_entry_mutated_frames_only_raise_protocol_error(frame, entry, position, value):
+    """One part of one array entry (name, shape, digest, carried) replaced
+    by arbitrary JSON; position 4 removes the entry, 5 replaces the first
+    dropped digest (of a task frame)."""
+    codec, header, blobs = frame
+    entries = [list(item) for item in header["arrays"]]
+    mutated = dict(header, arrays=entries)
+    if position == 5 and "drop" in header:
+        mutated["drop"] = [value, *header["drop"][1:]]
+    elif position == 4:
+        del entries[entry % len(entries)]
+    else:
+        entries[entry % len(entries)][position % 4] = value
+    restored, _ = protocol.unpack_frame(protocol.pack_frame(mutated, blobs))
+    decode_whatever(restored, blobs, codec)
+
+
+def _entry_forgery(header, blobs, forgery):
+    """The fixture's task frame (model held, variables carried), forged."""
+    entries = [list(item) for item in header["arrays"]]
+    header, blobs = dict(header, arrays=entries), list(blobs)
+    params, _, w, y = entries
+    if forgery == "unknown-digest":
+        params[2] = "f" * 64
+    elif forgery == "carried-without-blob":
+        del blobs[-1]
+    elif forgery == "stray-blob":
+        blobs.append(protocol.pack_array(np.ones(2)))
+    elif forgery == "wrong-byte-count":
+        blobs[0] = blobs[0][:-8]
+    elif forgery == "wrong-shape-for-byte-count":
+        w[1] = [36]
+    elif forgery == "non-string-digest":
+        params[2] = 41
+    elif forgery == "held-without-digest":
+        params[2] = None
+    elif forgery == "carried-not-a-boolean":
+        w[3] = 1
+    elif forgery == "held-shape-differs":
+        params[1] = [1, 37]
+    elif forgery == "not-an-entry":
+        entries[0] = {"name": "params"}
+    elif forgery == "duplicate-name":
+        y[0] = "var.w"
+    elif forgery == "unknown-name":
+        w[0] = "weights"
+    elif forgery == "no-params":
+        params[0] = "state.params"
+    elif forgery == "drop-names-a-frame-digest":
+        header["drop"] = [w[2]]
+    elif forgery == "drop-not-strings":
+        header["drop"] = [7]
+    return header, blobs
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    [
+        "unknown-digest",
+        "carried-without-blob",
+        "stray-blob",
+        "wrong-byte-count",
+        "wrong-shape-for-byte-count",
+        "non-string-digest",
+        "held-without-digest",
+        "carried-not-a-boolean",
+        "held-shape-differs",
+        "not-an-entry",
+        "duplicate-name",
+        "unknown-name",
+        "no-params",
+        "drop-names-a-frame-digest",
+        "drop-not-strings",
+    ],
+)
+def test_each_bad_entry_or_drop_is_a_protocol_error(forgery):
+    """The decoder refuses each forged entry or drop list, and leaves the
+    cache as it was; the honest frame decodes against the same cache."""
+    _, header, blobs = valid_task_frames()[-1]
+    cache = dict(CACHE)
+    with pytest.raises(ProtocolError):
+        protocol.decode_task(*_entry_forgery(header, blobs, forgery), cache)
+    assert cache == CACHE
+    protocol.decode_task(header, blobs, cache)
+    assert STALE not in cache
 
 
 @given(
@@ -719,14 +804,13 @@ def test_codec_unpack_only_raises_protocol_error(codec, dim, data):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("params_shape", "37"),
-        ("params_shape", [-37]),
-        ("params_shape", [3.5]),
-        ("params_shape", [2**62, 2**62]),
-        ("state_keys", "control"),
-        ("state_shapes", [[37], [37]]),
-        ("var_keys", ["w", "y", "z"]),  # zip() used to drop the third silently
-        ("var_keys", ["w", "w"]),
+        ("arrays", "params"),
+        ("arrays", None),
+        ("arrays", [["params", [-37], None, True]]),
+        ("arrays", [["params", [3.5], None, True]]),
+        ("arrays", [["params", [2**62, 2**62], None, True]]),
+        ("drop", "abc"),
+        ("drop", None),
         ("client_id", "3"),
         ("client_index", -1),
         ("seed", 1.5),
@@ -735,8 +819,6 @@ def test_codec_unpack_only_raises_protocol_error(codec, dim, data):
         ("learning_rate", 0.05),
         ("learning_rate", "0x1p99999"),
         ("task_id", 9),
-        ("model", 41),
-        ("vars", 41),
     ],
 )
 def test_decode_task_turns_every_bad_field_into_a_protocol_error(field, value):
@@ -798,12 +880,18 @@ def test_server_accepts_current_version_handshake(live_server, live_client):
         ("/v1/task", b"1"),
         ("/v1/task", b'"x"'),
         ("/v1/task", b"\xff"),
-        ("/v1/task", b'{"model": 5}'),
-        ("/v1/task", b'{"model": null}'),
-        ("/v1/task", b'{"model": ["abc"]}'),
-        ("/v1/task", b'{"vars": ["abc"]}'),
-        ("/v1/task", b'{"vars": {"3": 5}}'),
-        ("/v1/task", b'{"vars": {"c3": "abc"}}'),
+        ("/v1/task", b'{"held": "abc"}'),
+        ("/v1/task", b'{"held": null}'),
+        ("/v1/task", b'{"held": {"abc": 1}}'),
+        ("/v1/task", b'{"held": [5]}'),
+        ("/v1/task", b'{"held": [null]}'),
+        ("/v1/task", b'{"held": [], "model": "abc"}'),
+        # Protocol 1's lease bodies.
+        ("/v1/task", b'{"model": "abc"}'),
+        ("/v1/task", b'{"vars": {"3": "abc"}}'),
+        # Protocol 1 read this index with int(): past Python's digit limit
+        # that raised ValueError, answered 500 with a traceback.
+        ("/v1/task", b'{"vars": {"' + b"7" * 5000 + b'": "x"}}'),
     ],
 )
 def test_a_body_that_is_not_a_json_object_is_answered_400(
@@ -811,8 +899,8 @@ def test_a_body_that_is_not_a_json_object_is_answered_400(
 ):
     """Regression: JSON that is not an object (``[1]``, ``1``, ``"x"``) made
     the handshake call ``.get`` on it — a 500 and a traceback.  The lease
-    body is read by the same helper: its model must be a string, its vars
-    an object from client indices to digest strings.  None is parked."""
+    body is read by the same helper and must be exactly ``{}`` or
+    ``{"held": [digest, ...]}``.  None is parked."""
     def parked():
         waits = live_server.metrics.snapshot()["histograms"]
         return waits.get("serve.lease_wait_seconds", {}).get("count", 0)
@@ -826,41 +914,46 @@ def test_a_body_that_is_not_a_json_object_is_answered_400(
     assert parked() == parked_before
 
 
-def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
-    """Empty body and a stale model: the v1 frame, byte for byte.  The
-    model of the task: the frame without θ and state."""
+def test_a_lease_listing_the_tasks_model_gets_a_frame_without_it():
+    """Nothing held: every array is carried, named.  The worker files θ and
+    the state; listing them, its next frame carries only the client's
+    variables.  A held digest that is current nowhere is dropped."""
     from repro.serve.server import FederationServer
-    from repro.serve.worker import ServerClient, hold
+    from repro.serve.worker import ServerClient
 
     config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec("scaffold"), num_rounds=1)
     server.start()
     client = ServerClient(server.url)
 
-    def lease(body):
-        status, content_type, data = client.post("/v1/task", body)
+    def lease(held):
+        status, content_type, data = client.post("/v1/task", protocol.encode_lease(held))
         assert status == 200 and content_type == "application/octet-stream"
         header, blobs = protocol.unpack_frame(data)
         return data, header, blobs, server.board.client_of(header["task_id"])
 
     try:
-        data, header, blobs, ticket = lease(b"")
-        assert data == protocol.encode_task(ticket.task_id, ticket.task)
-        _, task = protocol.decode_task(header, blobs)
-        held = hold(task)
-        assert held.digest == ticket.model and sorted(held.state) == ["control"]
+        cache = {}
+        data, header, blobs, ticket = lease(cache)
+        assert data == protocol.encode_task(ticket.task_id, ticket.task, ticket.digests)
+        _, task = protocol.decode_task(header, blobs, cache)
+        model = {ticket.digests["params"], ticket.digests["state.control"]}
+        assert set(cache) == model
         with pytest.raises(ValueError, match="read-only"):
             task.global_params[0] = 0.0
 
-        lean, header, blobs, ticket = lease(json.dumps({"model": held.digest}).encode())
+        lean, header, blobs, ticket = lease(cache)
         assert lean == protocol.encode_task(
-            ticket.task_id, ticket.task, model=held.digest
+            ticket.task_id, ticket.task, ticket.digests, model
         )
-        _, task = protocol.decode_task(header, blobs, held=held)
-        assert task.global_params is held.params
+        assert [entry[0] for entry in header["arrays"] if entry[3]] == ["var.control"]
+        _, task = protocol.decode_task(header, blobs, cache)
+        assert task.global_params is cache[ticket.digests["params"]]
 
-        stale, _, _, ticket = lease(json.dumps({"model": "0" * 64}).encode())
-        assert stale == protocol.encode_task(ticket.task_id, ticket.task)
+        stale, header, _, ticket = lease({STALE})
+        assert stale == protocol.encode_task(
+            ticket.task_id, ticket.task, ticket.digests, {STALE}, [STALE]
+        )
 
         counters = server.metrics.snapshot()["counters"]
         assert counters["serve.model_frames"] == 2
@@ -871,9 +964,9 @@ def test_a_lease_naming_the_tasks_model_gets_the_lean_frame():
         server.stop()
 
 
-def test_a_lease_naming_a_pending_clients_variables_leaves_them_out():
-    """The board leases the named client first; its frame names the
-    variables instead of carrying them.  A stale digest changes nothing."""
+def test_a_lease_listing_a_pending_clients_variables_leaves_them_out():
+    """The board leases first the task whose client's row the worker holds;
+    its frame carries nothing.  A stale digest changes nothing but the drop."""
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient
 
@@ -881,37 +974,40 @@ def test_a_lease_naming_a_pending_clients_variables_leaves_them_out():
     server = FederationServer(config, AlgorithmSpec("fedadmm"), num_rounds=1)
     # As if merges had written every row: the board knows each digest.
     server.board.digests.update(
-        (index, protocol.vars_digest(client.variables))
+        (index, {key: protocol.blob_digest(value) for key, value in client.variables.items()})
         for index, client in enumerate(server.simulation.clients)
     )
     server.start()
     client = ServerClient(server.url)
 
-    def lease(request):
-        status, content_type, data = client.post("/v1/task", json.dumps(request).encode())
+    def lease(held):
+        status, content_type, data = client.post("/v1/task", protocol.encode_lease(held))
         assert status == 200 and content_type == "application/octet-stream"
-        header, _ = protocol.unpack_frame(data)
-        return data, server.board.client_of(header["task_id"])
+        header, blobs = protocol.unpack_frame(data)
+        return data, header, blobs, server.board.client_of(header["task_id"])
 
     try:
-        first, ticket = lease({})
-        assert first == protocol.encode_task(ticket.task_id, ticket.task)
-        model = ticket.model
+        first, _, _, ticket = lease(())
+        assert first == protocol.encode_task(ticket.task_id, ticket.task, ticket.digests)
+        model = {ticket.digests["params"]}
         pending = [t for t in server.board._tickets.values() if t.state == "pending"]
         assert len(pending) == 2
-        last = pending[-1].task
-        digest = protocol.vars_digest(server.simulation.clients[last.client_index].variables)
+        last = pending[-1]
+        row = set(server.board.digests[last.task.client_index].values())
 
-        stale, ticket = lease({"model": model, "vars": {str(last.client_index): "0" * 64}})
-        assert ticket.task is pending[0].task  # the head: nothing named is pending
-        assert stale == protocol.encode_task(ticket.task_id, ticket.task, model=model)
-
-        held, ticket = lease({"model": model, "vars": {str(last.client_index): digest}})
-        assert ticket.task is last
-        assert held == protocol.encode_task(
-            ticket.task_id, ticket.task, model=model, variables=digest
+        stale, header, _, ticket = lease(model | {STALE})
+        assert ticket is pending[0]  # the head: nothing held is pending
+        assert header["drop"] == [STALE]
+        assert stale == protocol.encode_task(
+            ticket.task_id, ticket.task, ticket.digests, model | {STALE}, [STALE]
         )
-        assert protocol.unpack_frame(held)[1] == []  # header only
+
+        held, header, blobs, ticket = lease(model | row)
+        assert ticket is last
+        assert held == protocol.encode_task(
+            ticket.task_id, ticket.task, ticket.digests, model | row
+        )
+        assert blobs == [] and header["drop"] == []  # header only
 
         counters = server.metrics.snapshot()["counters"]
         assert counters["serve.model_frames"] == 1
@@ -938,8 +1034,7 @@ def test_server_maps_unknown_task_to_404(live_client):
             "train_loss": protocol.hex_float(0.0),
             "codec": "float16",
             "payload": [],
-            "var_keys": [],
-            "var_shapes": [],
+            "arrays": [],
         }
     )
     status, _, _ = live_client.post("/v1/submit", frame)
@@ -1044,20 +1139,19 @@ def test_duplicate_delta_submission_is_idempotent():
 def _forge_variables(header, blobs, forgery):
     """A submit frame whose persistent variables were tampered with."""
     first_var = len(header["payload"])  # payload blobs come first
-    header, blobs = dict(header), list(blobs)
+    entries = [list(entry) for entry in header["arrays"]]
+    header, blobs = dict(header, arrays=entries), list(blobs)
     if forgery == "renamed":
-        header["var_keys"] = ["v", *header["var_keys"][1:]]
+        entries[0][0] = "var.v"
     elif forgery == "extra":
-        header["var_keys"] = [*header["var_keys"], "z"]
-        header["var_shapes"] = [*header["var_shapes"], [2]]
+        entries.append(["var.z", [2], None, True])
         blobs.append(protocol.pack_array(np.ones(2)))
     elif forgery == "missing":
-        header["var_keys"] = header["var_keys"][:-1]
-        header["var_shapes"] = header["var_shapes"][:-1]
+        del entries[-1]
         del blobs[-1]
     elif forgery == "reshaped":
-        (dim,) = header["var_shapes"][0]
-        header["var_shapes"] = [[dim - 1], *header["var_shapes"][1:]]
+        (dim,) = entries[0][1]
+        entries[0][1] = [dim - 1]
         blobs[first_var] = blobs[first_var][:-8]
     elif forgery == "non-finite":
         blobs[first_var] = struct.pack("<d", float("nan")) + blobs[first_var][8:]
@@ -1099,10 +1193,11 @@ def test_submitted_variables_must_match_the_leased_clients_own(
     [
         ("client_id", "zero"),
         ("num_samples", None),
-        ("var_keys", "w"),
-        ("var_keys", ["w", "y", "z"]),
-        ("var_shapes", [[-1], [3]]),
-        ("var_shapes", [[2.5], [3]]),
+        ("arrays", "var.w"),
+        ("arrays", [["var.w", [-1], None, True], ["var.y", [3], None, True]]),
+        ("arrays", [["var.w", [2.5], None, True], ["var.y", [3], None, True]]),
+        ("arrays", [["params", [3], None, True], ["var.y", [3], None, True]]),
+        ("arrays", [["var.w", [3], "f" * 64, False], ["var.y", [3], None, True]]),
         ("payload", [{"key": "delta", "shape": [-4]}]),
         ("payload", [{"key": "delta", "shape": "4"}]),
         ("payload", [{"key": ["delta"], "shape": [4]}]),

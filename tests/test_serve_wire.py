@@ -11,11 +11,12 @@ that fails if it comes back, and none of them measures a latency:
   while it waits; over a whole served run only the final ``done`` replies
   are empty (the count that fails if sleep-polling returns);
 * **θ once per worker per round, client state only on a miss** — a worker
-  names the model and the client variables it holds in its lease, so only
-  its first task of a round carries θ, and a client's variables cross only
-  when the lessee lacks them; the board leases a worker the tasks whose
-  variables it holds first (the counts of such replies are pinned, and with
-  one worker the download bytes exactly);
+  lists the digests of the arrays it holds in its lease, so only its first
+  task of a round carries θ, and a client's variables cross only when the
+  lessee lacks them; the board leases a worker the tasks whose variables
+  it holds first and names the held digests nothing needs any more (the
+  counts of such replies are pinned, and with one worker the download
+  bytes exactly);
 * **a stopped server is freed by reference counting** — no ``gc.collect()``;
 * **the checkpoint is binary** — the result JSON of a served run carries no
   per-client number list, and a sidecar from another round is refused.
@@ -100,7 +101,7 @@ def test_replies_are_one_write_on_a_nodelay_connection(monkeypatch):
     server.start()
     client = ServerClient(server.url)
     try:
-        handshake = json.dumps({"protocol_version": 1}).encode()
+        handshake = json.dumps({"protocol_version": protocol.PROTOCOL_VERSION}).encode()
         replies = [
             client.post("/v1/handshake", handshake),  # JSON body
             client.post("/v1/task", b""),  # binary task frame
@@ -148,7 +149,7 @@ def _ticket(task_id="r0-c0-1", client_index=0, variables=None):
         round_index=0,
         rng=0,
     )
-    return _Ticket(task_id=task_id, task=task, model="")
+    return _Ticket(task_id=task_id, task=task)
 
 
 def _parked_puller(board, wait=FOREVER):
@@ -226,28 +227,55 @@ def test_pull_leases_the_task_whose_variables_the_puller_holds_first(monkeypatch
         _ticket(f"r0-c{index}-{index}", index, {"w": np.full(3, float(index))})
         for index in range(4)
     ]
+    rows = {index: {"w": protocol.blob_digest(np.full(3, float(index)))} for index in range(4)}
     # Merges wrote the rows of clients 1 and 2: the board knows their digests.
-    board.digests.update(
-        {index: protocol.vars_digest({"w": np.full(3, float(index))}) for index in (1, 2)}
-    )
+    board.digests.update({index: rows[index] for index in (1, 2)})
     board.publish(tickets)
-    assert [ticket.vars for ticket in tickets] == [None, board.digests[1], board.digests[2], None]
-    held = {2: board.digests[2]}
-    stale = {1: protocol.vars_digest({"w": np.zeros(3)}), 2: held[2]}
+    assert [ticket.digests["var.w"] for ticket in tickets] == [
+        None,
+        rows[1]["w"],
+        rows[2]["w"],
+        None,
+    ]
+    held = {rows[2]["w"]}
+    stale = {protocol.blob_digest(np.zeros(3))}
     # Client 3's digest is right, but no merge wrote its row: the board
-    # does not know it, so naming it is a miss.
-    unknown = {3: protocol.vars_digest({"w": np.full(3, 3.0)})}
+    # does not know it, so holding it is a miss.
+    unknown = {rows[3]["w"]}
 
-    def never(variables):
-        raise AssertionError("leasing hashed client variables")
+    def never(array):
+        raise AssertionError("leasing hashed an array")
 
-    monkeypatch.setattr(protocol, "vars_digest", never)
+    monkeypatch.setattr(protocol, "blob_digest", never)
     assert board.pull(held=held) is tickets[2]
-    # Named with another digest (stale), or not pending: the head, at once.
+    # Held with another digest (stale), or not pending: the head, at once.
     assert board.pull(held=stale) is tickets[0]
     assert board.pull(held=unknown) is tickets[1]
     assert board.pull() is tickets[3]
     assert board.pull(held=held) is None
+
+
+def test_stale_digests_name_no_pending_model_and_no_row():
+    """What a worker may forget: neither the model of a task still to be
+    done nor any client's row — the row an accepted submit's variables
+    replace included, before its round ends."""
+    board = TaskBoard(lease_s=FOREVER)
+    tickets = [_ticket(f"r0-c{index}-{index}", index, {"w": np.zeros(3)}) for index in (0, 1)]
+    for ticket in tickets:
+        ticket.digests["params"] = "model-1"
+    board.digests.update({0: {"w": "row-0"}, 1: {"w": "row-1"}})
+    board.publish(tickets)
+    held = {"model-0", "model-1", "row-0", "row-1", "row-0-next", "unknown"}
+    assert board.stale(held) == ["model-0", "row-0-next", "unknown"]
+
+    board.pull()
+    assert board.resolve("r0-c0-0", None, {"w": "row-0-next"}) == "ok"
+    assert board.digests[0] == {"w": "row-0-next"}
+    assert board.stale(held) == ["model-0", "row-0", "unknown"]
+    board.pull()
+    board.resolve("r0-c1-1", None, {"w": "row-1-next"})
+    # Every task is done: its model is no longer current.
+    assert board.stale(held) == ["model-0", "model-1", "row-0", "row-1", "unknown"]
 
 
 # --------------------------------------------------------------------------- #
@@ -312,8 +340,15 @@ def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
     encode = protocol.encode_task
     replies = []
 
-    def recorded(task_id, task, model=None, variables=None):
-        frame = encode(task_id, task, model=model, variables=variables)
+    def recorded(task_id, task, digests=None, held=frozenset(), drop=()):
+        frame = encode(task_id, task, digests, held, drop)
+        carried = [
+            name
+            for name in protocol.task_arrays(task)
+            if protocol.carries((digests or {}).get(name), held)
+        ]
+        model = "params" in carried
+        variables = any(name.startswith("var.") for name in carried)
         replies.append((task.round_index, task.client_index, model, variables, len(frame)))
         return frame
 
@@ -324,8 +359,8 @@ def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
     assert len(replies) == counters["serve.requests.submit"] > 0
     served, rounds = set(), set()
     for round_index, client_index, model, variables, _ in replies:
-        assert (model is None) == (round_index not in rounds)
-        assert (variables is None) == (client_index not in served)
+        assert model == (round_index not in rounds)
+        assert variables == (client_index not in served)
         rounds.add(round_index)
         served.add(client_index)
     assert counters["serve.model_frames"] == ROUNDS

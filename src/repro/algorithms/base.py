@@ -208,6 +208,10 @@ class FederatedAlgorithm:
     ) -> None:
         """Lazily create the client's persistent variables (no-op by default)."""
 
+    def rng_streams(self) -> dict[str, np.random.Generator]:
+        """Generators drawn from across rounds, by label, for the checkpoint."""
+        return {}
+
     # ------------------------------------------------------------------ #
     # The two halves of a round
     # ------------------------------------------------------------------ #

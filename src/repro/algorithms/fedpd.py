@@ -50,6 +50,10 @@ class FedPD(FederatedAlgorithm):
         self.communication_probability = communication_probability
         self._comm_rng = as_rng(0)
 
+    def rng_streams(self) -> dict[str, np.random.Generator]:
+        # The server's communication coin, so a restored run flips it on.
+        return {"fedpd-communication": self._comm_rng}
+
     def init_client_state(
         self, client: ClientState, initial_params: np.ndarray
     ) -> None:

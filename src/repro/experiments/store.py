@@ -13,8 +13,9 @@ On disk a store is one directory::
 
     <root>/runs.jsonl        append-only JSON-lines status transitions
     <root>/results/<key>.json  one atomically-written result payload per run
-    <root>/results/<key>.npz   optional binary sidecar of named arrays (the
-                               serve layer's per-round checkpoint)
+    <root>/results/<key>.npz   optional binary sidecar of named arrays (a
+                               simulation checkpoint the serve layer
+                               writes every round)
 
 The index is an append-only log: each line records one
 :class:`RunStatus` transition (``pending`` → ``running`` → ``done`` /

@@ -73,6 +73,10 @@ class ClientStateStore:
             )
         return array
 
+    def names(self) -> tuple[str, ...]:
+        """The variable names written so far, in first-write order."""
+        return tuple(self._arrays)
+
     def row(self, key: str, row: int) -> np.ndarray:
         """The live ``(*shape)`` view of one row."""
         return self._arrays[key][row]

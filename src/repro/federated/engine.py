@@ -1,20 +1,15 @@
 """The federated server runtime: state + pipeline + execution plan.
 
-:class:`FederatedSimulation` is the composition root of the federated
-runtime.  It no longer hard-codes a round loop; instead it wires together
-three explicit pieces and delegates:
-
-* a :class:`~repro.federated.state.ServerState` holding every mutable
-  server-side quantity (global parameters, model version, round counter,
-  evaluation bookkeeping),
-* a :class:`~repro.federated.rounds.ClientWorkPipeline` owning the
-  client-side mechanics shared by every execution mode (seeding, local
-  updates through the configured executor, codec/network/fault
-  application, ledger and timing accounting), and
-* an :class:`~repro.federated.plans.ExecutionPlan` strategy deciding who
-  trains when and when the server aggregates — lock-step synchronous by
-  default, with semi-synchronous and fully asynchronous plans available
-  (:mod:`repro.federated.plans`).
+:class:`FederatedSimulation` is the composition root.  It wires together a
+:class:`~repro.federated.state.ServerState` (every mutable server-side
+quantity), a :class:`~repro.federated.rounds.ClientWorkPipeline` (the
+client-side mechanics every plan shares: seeding, local updates through
+the executor, codec/network/fault application, accounting) and an
+:class:`~repro.federated.plans.ExecutionPlan` (who trains when, and when
+the server aggregates: lock-step by default, semi-synchronous or
+asynchronous on request), and delegates each round to the plan.  It also
+owns the run's checkpoint (:meth:`FederatedSimulation.checkpoint`,
+:meth:`FederatedSimulation.restore`).
 
 Every systems component is optional; with none configured the default
 synchronous plan is bit-identical to the idealised round loop of the seed
@@ -23,6 +18,7 @@ reproduction (pinned by ``tests/test_regression_sync_golden.py``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,12 +27,12 @@ import numpy as np
 from repro.algorithms.base import FederatedAlgorithm
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
-from repro.federated.client import ClientState, ClientStateStore
+from repro.federated.client import ClientState, ClientStateStore, scatter
 from repro.federated.evaluation import Evaluation, evaluate_model
 from repro.federated.heterogeneity import FixedEpochs, LocalWorkPolicy
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.messages import CommunicationLedger
-from repro.federated.plans import ExecutionPlan, HierarchicalPlan
+from repro.federated.plans import BufferedPlan, ExecutionPlan, HierarchicalPlan
 from repro.federated.rounds import ClientWorkPipeline
 from repro.federated.sampler import ClientSampler, UniformFractionSampler
 from repro.federated.state import ServerState
@@ -44,7 +40,7 @@ from repro.nn.losses import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.utils.rng import RngFactory
+from repro.utils.rng import RngFactory, load_state_words, state_words
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package import cycle
     from repro.systems.adversaries import AdversaryModel
@@ -138,8 +134,8 @@ class FederatedSimulation:
             )
 
         self._rng_factory = RngFactory(seed)
-        self._sampling_rng = self._rng_factory.make("client-sampling")
-        self._work_rng = self._rng_factory.make("local-work")
+        self._sampling_rng = self._rng_factory.stream("client-sampling")
+        self._work_rng = self._rng_factory.stream("local-work")
 
         self.pipeline = ClientWorkPipeline(
             algorithm=algorithm,
@@ -304,6 +300,104 @@ class FederatedSimulation:
         finally:
             self.pipeline.close()
         return self.result(target_accuracy)
+
+    # ------------------------------------------------------------------ #
+    # Checkpoint / restore
+    # ------------------------------------------------------------------ #
+    def rng_streams(self) -> dict[str, np.random.Generator]:
+        """Every generator the run draws from after construction, by label."""
+        return {**self._rng_factory.streams, **self.algorithm.rng_streams()}
+
+    def _client_list(self) -> list[ClientState]:
+        if not isinstance(self.clients, list):
+            raise ConfigurationError("a checkpoint needs a client list, not a lazy population")
+        return self.clients
+
+    def checkpoint(self) -> dict[str, np.ndarray]:
+        """Everything a continued run needs beyond :meth:`result`, as arrays.
+
+        θ, algorithm state and counters; per client variable one stacked
+        ``(N, *shape)`` array from the arena plus the mask of the rows some
+        client has set (unset rows are zero); the exact state of every
+        stream in :meth:`rng_streams`, by label.  Only :meth:`restore`
+        reads the names; ``np.load`` needs no pickling for any array.
+        """
+        clients, state, streams = self._client_list(), self.state, self.rng_streams()
+        arrays = {
+            "rounds_run": np.asarray(state.rounds_run),
+            "model_version": np.asarray(state.model_version),
+            "last_aggregation_time": np.asarray(float(state.last_aggregation_time)),
+            "params": np.array(state.params, dtype=np.float64),
+            "client_counters": np.array(
+                [(c.client_id, c.rounds_participated, c.local_work_done) for c in clients],
+                dtype=np.int64,
+            ),
+            "rng_labels": np.array(list(streams), dtype=str),
+            "rng_states": np.array(
+                [state_words(generator) for generator in streams.values()], dtype=np.uint64
+            ).reshape(-1, 6),
+        }
+        for key, value in state.algorithm_state.items():
+            arrays[f"state.{key}"] = np.array(value, dtype=np.float64)
+        store = clients[0].store
+        for key in store.names():
+            arrays[f"has.{key}"] = has = np.array([client.has(key) for client in clients])
+            arrays[f"var.{key}"] = store.take(key, range(store.rows))
+            arrays[f"var.{key}"][~has] = 0.0
+        return arrays
+
+    def restore(self, checkpoint: dict[str, np.ndarray], result: SimulationResult) -> None:
+        """Continue from a :meth:`checkpoint` and the :meth:`result` taken with it.
+
+        Call on a freshly built simulation of the same configuration.  It
+        draws nothing, so the next round is the one the checkpointed run
+        would have run next, bit for bit.
+        """
+        if isinstance(self.plan, BufferedPlan):
+            raise ConfigurationError(
+                f"cannot restore a run under the {self.plan.name!r} plan: its "
+                "scheduler holds in-flight updates a checkpoint does not carry"
+            )
+        if "rng_states" not in checkpoint:
+            raise ConfigurationError(
+                "checkpoint is in the per-client 'client.<id>.<key>' format of "
+                "earlier releases, which is no longer read; start the run over"
+            )
+        rounds_run = int(checkpoint["rounds_run"])
+        if rounds_run != result.rounds_run:
+            # A store replaces the sidecar just before the result; a crash
+            # in between leaves a pair from two different rounds.
+            raise ConfigurationError(
+                f"checkpoint is from round {rounds_run} but the result from "
+                f"round {result.rounds_run}; drop the pair and start over"
+            )
+        clients, streams = self._client_list(), self.rng_streams()
+        counters, labels = checkpoint["client_counters"], list(checkpoint["rng_labels"])
+        if sorted(labels) != sorted(streams) or len(counters) != len(clients):
+            raise ConfigurationError(
+                f"checkpoint of {len(counters)} clients and streams {sorted(labels)} "
+                f"does not fit this run of {len(clients)} and {sorted(streams)}"
+            )
+        state = self.state
+        state.params = np.array(checkpoint["params"], dtype=np.float64)
+        state.model_version = int(checkpoint["model_version"])
+        state.rounds_run = rounds_run
+        state.last_aggregation_time = float(checkpoint["last_aggregation_time"])
+        state.algorithm_state = {}
+        self.history.records[:] = result.history.records
+        self.ledger = copy.deepcopy(result.ledger)
+        for client, (_, participated, work_done) in zip(clients, counters):
+            client.rounds_participated, client.local_work_done = int(participated), int(work_done)
+            client.variables = {}
+        for name, value in checkpoint.items():
+            kind, _, key = name.partition(".")
+            if kind == "state":
+                state.algorithm_state[key] = np.array(value, dtype=np.float64)
+            elif kind == "var" and checkpoint[f"has.{key}"].any():
+                has = checkpoint[f"has.{key}"]
+                scatter([c for c, set_ in zip(clients, has) if set_], key, value[has])
+        for label, words in zip(labels, checkpoint["rng_states"]):
+            load_state_words(streams[str(label)], words)
 
     def result(self, target_accuracy: float | None = None) -> SimulationResult:
         """The :class:`SimulationResult` of the rounds completed so far.

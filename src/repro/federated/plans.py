@@ -139,11 +139,11 @@ class HierarchicalPlan(ExecutionPlan):
 
     One shard *is* the paper's flat round — every selected client reports
     to the single server (or is dropped) before it aggregates — and runs
-    under the name ``"sync"`` on the engine's own RNG streams, with no
-    shard spans or shard metadata.  With more shards each draws from its
-    own streams (labelled via
-    :func:`~repro.federated.sharding.shard_label`) and the plan reports as
-    ``"hierarchical"``.
+    under the name ``"sync"``, with no shard spans or shard metadata.  Each
+    shard draws from its own streams, labelled via
+    :func:`~repro.federated.sharding.shard_label` — for one shard the flat
+    ``client-sampling`` and ``local-work`` streams themselves — and with
+    more shards the plan reports as ``"hierarchical"``.
     """
 
     name = "hierarchical"
@@ -166,8 +166,7 @@ class HierarchicalPlan(ExecutionPlan):
         )
         self.shards: list[Shard] = []
         self._shard_samplers: list[ShardSampler] = []
-        self._sampling_rngs: list = []
-        self._work_rngs: list = []
+        self._streams: list = []  # per shard: (client-sampling, local-work)
 
     def bind(self, engine: FederatedSimulation) -> None:
         num_clients = len(engine.clients)
@@ -181,25 +180,13 @@ class HierarchicalPlan(ExecutionPlan):
         self._shard_samplers = [
             ShardSampler(base, shard) for base, shard in zip(bases, self.shards)
         ]
-        if self.num_shards == 1:
-            # The engine's own generators, not equal-seeded copies: the
-            # serve layer's resume fast-forwards exactly these objects.
-            self._sampling_rngs = [engine._sampling_rng]
-            self._work_rngs = [engine._work_rng]
-        else:
-            factory = engine._rng_factory
-            self._sampling_rngs = [
-                factory.make(
-                    shard_label("client-sampling", shard.index, self.num_shards)
-                )
-                for shard in self.shards
-            ]
-            self._work_rngs = [
-                factory.make(
-                    shard_label("local-work", shard.index, self.num_shards)
-                )
-                for shard in self.shards
-            ]
+        self._streams = [
+            tuple(
+                engine._rng_factory.stream(shard_label(base, shard.index, self.num_shards))
+                for base in ("client-sampling", "local-work")
+            )
+            for shard in self.shards
+        ]
 
     def _run_shard(
         self,
@@ -280,9 +267,8 @@ class HierarchicalPlan(ExecutionPlan):
             state.params, state.algorithm_state, num_clients, round_index
         )
         totals = _RoundTotals()
-        for shard, sampler, sampling_rng, work_rng in zip(
-            self.shards, self._shard_samplers, self._sampling_rngs,
-            self._work_rngs,
+        for shard, sampler, (sampling_rng, work_rng) in zip(
+            self.shards, self._shard_samplers, self._streams
         ):
             span = (
                 engine.tracer.span("shard", shard=shard.index, clients=shard.size)
@@ -696,7 +682,7 @@ class AsyncPlan(BufferedPlan):
             )
         self.buffer_size = int(buffer_size)
         self.max_concurrency = int(min(max_concurrency, num_clients))
-        self._dispatch_rng = engine._rng_factory.make("async-dispatch")
+        self._dispatch_rng = engine._rng_factory.stream("async-dispatch")
 
     @staticmethod
     def _default_buffer_size(engine: FederatedSimulation, num_clients: int) -> int:

@@ -102,9 +102,9 @@ class ClientWorkPipeline:
         self.metrics = metrics if metrics is not None else obs.metrics
 
         self._rng_factory = rng_factory
-        self.training_rng = rng_factory.make("local-training")
-        self.fault_rng = rng_factory.make("faults")
-        self.transport_rng = rng_factory.make("transport")
+        self.training_rng = rng_factory.stream("local-training")
+        self.fault_rng = rng_factory.stream("faults")
+        self.transport_rng = rng_factory.stream("transport")
         self._upload_thread: ThreadPoolExecutor | None = None
 
         self.profiles: list[ClientSystemProfile] | None = None

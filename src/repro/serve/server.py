@@ -451,10 +451,10 @@ class FederationServer:
     for a :class:`RemoteExecutor` — then drives ``plan.run_round`` in a
     background thread while HTTP handler threads feed the
     :class:`TaskBoard`.  With ``store_dir`` set, every completed round is
-    checkpointed to an :class:`ExperimentStore`; a restarted server with
-    ``resume=True`` reloads the checkpoint and fast-forwards its RNG
-    streams so the continued run is byte-for-byte the run an uninterrupted
-    server would have produced (synchronous plan only).
+    checkpointed to an :class:`ExperimentStore`
+    (:meth:`FederatedSimulation.checkpoint`); a restarted server with
+    ``resume=True`` restores it, RNG streams included, so the continued run
+    is byte-for-byte the run an uninterrupted server would have produced.
     """
 
     def __init__(
@@ -605,7 +605,7 @@ class FederationServer:
                     self.store.save_result(
                         self.run_spec,
                         sim.result(),
-                        arrays=self._checkpoint_arrays(),
+                        arrays=sim.checkpoint(),
                     )
             self.result = sim.result()
         except _Aborted:
@@ -624,117 +624,25 @@ class FederationServer:
             # ``done: true`` at once instead of after the wait bound.
             self.board.close()
 
-    def _checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """What a restarted server needs beyond the stored result.
-
-        Algorithm state, per-client variables and counters, as arrays: the
-        store writes them to a binary sidecar, exact and without boxing
-        every scalar.  ``rounds_run`` ties the sidecar to its result.
-        """
-        sim = self.simulation
-        arrays = {
-            "rounds_run": np.asarray(int(sim.state.rounds_run)),
-            "model_version": np.asarray(int(sim.state.model_version)),
-            "last_aggregation_time": np.asarray(
-                float(sim.state.last_aggregation_time)
-            ),
-            "client_counters": np.array(
-                [
-                    (c.client_id, c.rounds_participated, c.local_work_done)
-                    for c in sim.clients
-                ],
-                dtype=np.int64,
-            ),
-        }
-        for key, value in sim.state.algorithm_state.items():
-            arrays[f"state.{key}"] = np.asarray(value, dtype=np.float64)
-        for client in sim.clients:
-            for key, value in client.variables.items():
-                arrays[f"client.{int(client.client_id)}.{key}"] = np.asarray(
-                    value, dtype=np.float64
-                )
-        return arrays
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint restore
-    # ------------------------------------------------------------------ #
-    def _restore_from_store(self) -> bool:
-        """Reload the last checkpoint and fast-forward the RNG streams.
-
-        Restores parameters, algorithm state, history, ledger, and client
-        variables, then *replays the driver-side randomness* of every
-        completed round (sampling, local-work draws, fault/system draws)
-        so the generators sit exactly where the uninterrupted run would
-        have left them.  Only the lock-step synchronous plan is replayable
-        this way.  The transport stream needs no replay: serve-side
-        compression is pure accounting (:class:`WireAccountingTransport`)
-        and never draws from it.
-        """
-        if self.config.mode != "sync" or self.config.plan != "flat":
-            raise ConfigurationError(
-                "serve resume supports the flat synchronous plan only; "
-                f"got mode={self.config.mode!r} plan={self.config.plan!r}"
-            )
+    def _restore_from_store(self) -> None:
+        """Restore the stored result and checkpoint, if any; then hash each
+        restored client's variables once (a worker may hold them)."""
         key = self.store.key_for(self.run_spec)
         if not self.store.has_result(key):
-            return False
-        saved = self.store.load_result(key)
+            return
         checkpoint = self.store.load_arrays(key)
         if checkpoint is None:
             raise ConfigurationError("stored result carries no serve checkpoint")
-        if int(checkpoint["rounds_run"]) != saved.rounds_run:
-            # The sidecar is replaced just before the result; a crash in
-            # between leaves a pair from two different rounds.
-            raise ConfigurationError(
-                f"serve checkpoint is from round {int(checkpoint['rounds_run'])} "
-                f"but the stored result from round {saved.rounds_run}; "
-                "drop the run from the store and start over"
-            )
         sim = self.simulation
-        sim.state.params = np.asarray(saved.final_params, dtype=np.float64)
-        sim.state.model_version = int(checkpoint["model_version"])
-        sim.state.rounds_run = int(saved.rounds_run)
-        sim.state.last_aggregation_time = float(checkpoint["last_aggregation_time"])
-        sim.history.records[:] = list(saved.history.records)
-        for field_ in dataclasses.fields(sim.ledger):
-            setattr(sim.ledger, field_.name, getattr(saved.ledger, field_.name))
-        sim.state.algorithm_state = {}
-        variables: dict[int, dict[str, np.ndarray]] = {
-            int(client.client_id): {} for client in sim.clients
-        }
-        for name, value in checkpoint.items():
-            kind, _, rest = name.partition(".")
-            if kind == "state":
-                sim.state.algorithm_state[rest] = value
-            elif kind == "client":
-                client_id, _, variable = rest.partition(".")
-                variables[int(client_id)][variable] = value
-        counters = {int(row[0]): row for row in checkpoint["client_counters"]}
+        sim.restore(checkpoint, self.store.load_result(key))
         for index, client in enumerate(sim.clients):
-            client_id = int(client.client_id)
-            client.variables = variables[client_id]
-            client.rounds_participated = int(counters[client_id][1])
-            client.local_work_done = int(counters[client_id][2])
-            if client.variables:  # a worker may hold them from the first server
+            if client.variables:
                 self.board.digests[index] = {
                     key: protocol.blob_digest(value)
                     for key, value in client.variables.items()
                 }
                 self.metrics.counter("serve.vars_digests").inc()
-
-        for round_index in range(sim.state.rounds_run):
-            selected = sim.sampler.sample(
-                round_index, len(sim.clients), sim._sampling_rng
-            )
-            epochs_by_client = {
-                int(client_id): sim.local_work.epochs(
-                    int(client_id), round_index, sim._work_rng
-                )
-                for client_id in selected
-            }
-            sim.pipeline.simulate_systems(round_index, selected, epochs_by_client)
         self.resumed_from_round = sim.state.rounds_run
-        return True
 
     # ------------------------------------------------------------------ #
     # Request handling (called from HTTP handler threads)

@@ -52,6 +52,8 @@ class RngFactory:
 
     def __init__(self, seed: int | None = 0):
         self._seed = seed
+        #: The long-lived generators handed out by :meth:`stream`, by label.
+        self.streams: dict[str, np.random.Generator] = {}
 
     @property
     def seed(self) -> int | None:
@@ -64,6 +66,18 @@ class RngFactory:
         entropy.extend(ord(ch) for ch in label)
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
+    def stream(self, label: str) -> np.random.Generator:
+        """The one long-lived generator for ``label``, made on first ask.
+
+        Every caller naming the same label shares it, so a label names one
+        position in one sequence — what a checkpoint saves and restores
+        (:attr:`streams`).  Use :meth:`make` for a throwaway generator.
+        """
+        generator = self.streams.get(label)
+        if generator is None:
+            generator = self.streams[label] = self.make(label)
+        return generator
+
     def make_many(self, label: str, count: int) -> list[np.random.Generator]:
         """Return ``count`` independent generators for the stream ``label``."""
         entropy = [self._seed if self._seed is not None else 0]
@@ -75,6 +89,30 @@ class RngFactory:
         """Derive a sub-factory, useful for per-run seeding in sweeps."""
         derived = int(self.make(label).integers(0, 2**31 - 1))
         return RngFactory(seed=derived)
+
+
+def state_words(generator: np.random.Generator) -> np.ndarray:
+    """A PCG64 generator's state as six uint64 words, exact without pickling.
+
+    The 128-bit ``state`` and ``inc`` are each split high word first.
+    """
+    state = generator.bit_generator.state
+    inner = state["state"]
+    return np.array(
+        [*divmod(inner["state"], 1 << 64), *divmod(inner["inc"], 1 << 64),
+         state["has_uint32"], state["uinteger"]],
+        dtype=np.uint64,
+    )
+
+
+def load_state_words(generator: np.random.Generator, words: np.ndarray) -> None:
+    """Put ``generator`` back at the state :func:`state_words` saved."""
+    high, low, inc_high, inc_low, has_uint32, uinteger = (int(w) for w in words)
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": high << 64 | low, "inc": inc_high << 64 | inc_low},
+        "has_uint32": has_uint32, "uinteger": uinteger,
+    }
 
 
 def permutation_chunks(

@@ -415,13 +415,19 @@ def test_result_json_holds_no_per_client_number_lists(finished_run):
     # The only model-sized list in the file is final_params itself.
     assert list(number_lists(payload)) == [payload["final_params"]]
 
+    # Client variables are one stacked (N, *shape) array per name, row i
+    # for client i, beside the mask of the rows some client has set.
     arrays = server.store.load_arrays(key)
     assert int(arrays["rounds_run"]) == ROUNDS
-    for client in server.simulation.clients:
+    clients = server.simulation.clients
+    for name in ("w", "y"):
+        stacked, has = arrays[f"var.{name}"], arrays[f"has.{name}"]
+        assert stacked.dtype == np.float64
+        assert stacked.shape == (len(clients), model_dim)
+        assert has.tolist() == [client.has(name) for client in clients]
+    for row, client in enumerate(clients):
         for name, value in client.variables.items():
-            stored = arrays[f"client.{client.client_id}.{name}"]
-            assert stored.dtype == np.float64
-            assert stored.tobytes() == np.asarray(value).tobytes()
+            assert arrays[f"var.{name}"][row].tobytes() == np.asarray(value).tobytes()
 
 
 def test_checkpoint_from_another_round_is_refused(finished_run, tmp_path):

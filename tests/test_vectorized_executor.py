@@ -782,15 +782,11 @@ class TestMergeAndDeal:
                 mode_kwargs={"faults": FaultInjector(dropout_rate=0.2)},
             )
             result = simulation.run(5, target_accuracy=None)
-            streams = [
-                generator.bit_generator.state
-                for generator in (
-                    simulation.pipeline.training_rng,
-                    simulation.pipeline.fault_rng,
-                    simulation._sampling_rng,
-                    simulation._work_rng,
-                )
-            ]
+            # Every stream the run draws from, the plan's own included.
+            streams = {
+                label: generator.bit_generator.state
+                for label, generator in simulation.rng_streams().items()
+            }
             work = [(c.rounds_participated, c.local_work_done)
                     for c in simulation.clients]
             return result, streams, work

@@ -2,7 +2,7 @@
 
 Runs FedADMM and FedAvg through the systems layer of :mod:`repro.systems`:
 top-k-compressed uploads, 20% mid-round client dropout, a heavy-tailed
-(log-normal) network model, and a process-pool executor for the local
+(log-normal) network model, and a thread-pool executor for the local
 updates.  Prints, per algorithm, the final accuracy, raw vs on-the-wire
 upload volume, simulated wall-clock time, and how many client participations
 were lost to faults.
@@ -56,7 +56,7 @@ def run_algorithm(name: str, **kwargs):
         transport=Transport(build_codec("topk", fraction=0.25)),
         network=build_network("lognormal"),
         faults=FaultInjector(dropout_rate=0.2),
-        executor=build_executor("process", max_workers=4),
+        executor=build_executor("thread", max_workers=4),
     )
     return simulation.run(NUM_ROUNDS)
 

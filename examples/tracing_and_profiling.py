@@ -1,18 +1,18 @@
 """Tracing, metrics, and profiling a federated run end to end.
 
 Runs the same asynchronous FedADMM simulation twice — client work on the
-in-process serial executor, then on a process pool — with the full
+calling thread's serial executor, then on a thread pool — with the full
 observability stack attached (tracer + metrics registry), and
 shows that the recorded span tree is identical in shape either way:
-worker processes return picklable span records that the pipeline adopts
+worker threads return plain span records that the pipeline adopts
 back under the correct ``round`` span, so the trace reconciles with the
 training history no matter where the work physically ran.
 
 Writes ``traces/async-serial.trace.json`` and
-``traces/async-process.trace.json`` (Chrome ``trace_event`` JSON — open
+``traces/async-thread.trace.json`` (Chrome ``trace_event`` JSON — open
 them in chrome://tracing or https://ui.perfetto.dev), prints each run's
 span-tree summary, the metrics snapshot, and the hot-spot table folded
-from the process-executor run's spans.
+from the thread-executor run's spans.
 
 This is the library-level face of the CLI's ``--trace`` / ``--metrics``
 flags and of ``repro profile <study>``.
@@ -113,31 +113,31 @@ def describe(label: str, result, tracer: Tracer) -> dict[str, int]:
 
 def main() -> None:
     serial_result, serial_tracer, _ = traced_run("serial")
-    process_result, process_tracer, metrics = traced_run("process")
+    thread_result, thread_tracer, metrics = traced_run("thread")
 
     serial_counts = describe("serial executor", serial_result, serial_tracer)
-    process_counts = describe("process executor", process_result, process_tracer)
+    thread_counts = describe("thread executor", thread_result, thread_tracer)
 
-    assert serial_counts == process_counts, (
+    assert serial_counts == thread_counts, (
         "the span tree must not depend on where the client work ran"
     )
     print(
-        "\nSpan trees are identical across executors: worker processes "
-        "return picklable\nspan records that Tracer.adopt re-parents "
+        "\nSpan trees are identical across executors: worker threads "
+        "return plain\nspan records that Tracer.adopt re-parents "
         "under the round that dispatched them."
     )
 
     OUT_DIR.mkdir(exist_ok=True)
     for name, tracer in (
-        ("async-serial", serial_tracer), ("async-process", process_tracer)
+        ("async-serial", serial_tracer), ("async-thread", thread_tracer)
     ):
         path = tracer.write_chrome_trace(OUT_DIR / f"{name}.trace.json")
         print(f"wrote {path} ({len(tracer.records)} spans)")
 
-    print("\n=== metrics (process-executor run) ===")
+    print("\n=== metrics (thread-executor run) ===")
     print(metrics.render_text())
-    print("\n=== hot spots (process-executor run) ===")
-    print(hotspot_table(process_tracer.records, top=8))
+    print("\n=== hot spots (thread-executor run) ===")
+    print(hotspot_table(thread_tracer.records, top=8))
 
 
 if __name__ == "__main__":

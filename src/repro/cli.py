@@ -62,6 +62,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _shared_flags() -> argparse.ArgumentParser:
     """The flag groups every study subcommand inherits."""
     common = argparse.ArgumentParser(add_help=False)
@@ -108,8 +116,8 @@ def _shared_flags() -> argparse.ArgumentParser:
                               "(median, trimmed_mean, norm_clip); unknown "
                               "names fail fast with exit code 2")
     systems.add_argument("--executor", default=None, choices=sorted(EXECUTOR_REGISTRY),
-                         help="how local updates run: serial, thread/process "
-                              "pool, or vectorized (stacked-NumPy cohorts)")
+                         help="how local updates run: serial, thread pool, "
+                              "or vectorized (stacked-NumPy cohorts)")
     plan = common.add_argument_group(
         "execution plan (see repro.federated.plans)")
     plan.add_argument("--mode", default=None,
@@ -307,7 +315,7 @@ def _add_serve_parsers(subparsers) -> None:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (default: an ephemeral free port)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=non_negative_int, default=2,
                        help="worker processes to spawn locally; 0 means "
                             "workers attach externally via `repro worker`")
     serve.add_argument("--lease-s", type=float, default=30.0,

@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ConfigurationError("buffer_size must be positive")
         if self.max_concurrency is not None and self.max_concurrency <= 0:
             raise ConfigurationError("max_concurrency must be positive")
+        if self.max_workers is not None and self.max_workers <= 0:
+            raise ConfigurationError("max_workers must be positive")
         if self.staleness_exponent < 0:
             raise ConfigurationError("staleness_exponent must be non-negative")
         if self.plan not in ("flat", "hierarchical"):

@@ -32,7 +32,7 @@ from repro.federated.engine import SimulationResult
 #: default to supporting all of them; a test pins these against the live
 #: ``PLAN_REGISTRY`` / ``EXECUTOR_REGISTRY`` so the registry cannot drift.
 ALL_MODES = ("sync", "semisync", "async")
-ALL_EXECUTORS = ("serial", "thread", "process", "vectorized")
+ALL_EXECUTORS = ("serial", "thread", "vectorized")
 
 #: Every adversarial client behaviour the runtime ships (pinned against the
 #: live ``ADVERSARY_REGISTRY`` by a test, like the modes/executors above).

@@ -18,9 +18,6 @@ Contract (``docs/architecture.md``, "Client state"):
   a list population is adopted into one shared store when a simulation is
   built (:meth:`ClientStateStore.adopt`); a lazy population's clients keep
   their own, so its memory grows with the clients it touches.
-* A pickled or copied handle carries only its own rows and arrives on a
-  private one-row store; :meth:`ClientState.variables`' setter copies rows
-  back.
 """
 
 from __future__ import annotations
@@ -126,19 +123,6 @@ class ClientState:
             f"variables={list(self._keys)}, "
             f"rounds_participated={self.rounds_participated})"
         )
-
-    def __getstate__(self) -> dict:
-        # Only this client's rows travel, never the store they live in.
-        return {
-            "client_id": self.client_id,
-            "dataset": self.dataset,
-            "variables": self.variables,
-            "rounds_participated": self.rounds_participated,
-            "local_work_done": self.local_work_done,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)
 
     @property
     def num_samples(self) -> int:

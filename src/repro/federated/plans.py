@@ -408,7 +408,7 @@ class BufferedPlan(ExecutionPlan):
                     epochs=epochs,
                     round_index=round_index,
                     # Always per-task integer seeds: buffered histories are
-                    # identical across serial/thread/process executors.
+                    # identical across serial/thread executors.
                     rng=pipeline.seed_from_label(
                         self.seed_label.format(
                             round=round_index,

@@ -146,12 +146,11 @@ class ClientWorkPipeline:
             # problems are built per touched client, so a million-client
             # simulation never materialises a million-element list.
             self.problems = LazyProblems(model, loss, clients)
-        # Ship the immutable per-client problems to the executor once; for
-        # process pools this is what reaches the workers at creation, so the
-        # per-round task payloads stay small.  Priming runs under this
-        # pipeline's resolved sinks so executors that consult get_obs() —
-        # the vectorized executor reads its metrics registry and tracer
-        # there — see the same sinks regardless of injection route.
+        # Ship the immutable per-client problems to the executor once, so
+        # the per-round tasks carry only round-varying state.  Priming runs
+        # under this pipeline's resolved sinks so executors that consult
+        # get_obs() — the vectorized executor reads its metrics registry and
+        # tracer there — see the same sinks regardless of injection route.
         with observe(tracer=self.tracer, metrics=self.metrics):
             self.executor.prime(self.problems, self.algorithm)
 
@@ -275,8 +274,8 @@ class ClientWorkPipeline:
     ) -> list[LocalUpdateOutcome] | None:
         """Run the algorithm's local update for each work item.
 
-        Worker-process copies of client state are folded back into the
-        population, and adversarial uploads corrupted, one outcome at a
+        Served workers' decoded copies of client state are folded back into
+        the population, and adversarial uploads corrupted, one outcome at a
         time as the executor hands them over, so callers only see the
         messages.  Without ``on_outcome`` the outcomes are returned in task
         order; with it each is handed on in that order instead (the serial
@@ -339,15 +338,15 @@ class ClientWorkPipeline:
             if tasks:
                 self.metrics.counter("tasks_executed").inc(len(tasks))
         if spans:
-            # Executors return picklable span records (possibly produced in
-            # worker threads/processes); adopting re-parents the orphan
+            # Executors return plain span records (possibly produced in
+            # worker threads or served workers); adopting re-parents the orphan
             # client_task roots under the caller's open round span and gives
             # every record a place in this tracer's FIFO order.
             self.tracer.adopt(spans)
         return outcomes if on_outcome is None else None
 
     def merge_client(self, client_index: int, updated: ClientState) -> None:
-        """Copy a worker-process copy's rows back into the original client's."""
+        """Copy a decoded client copy's rows back into the original client's."""
         original = self.clients[client_index]
         if updated is original:
             return

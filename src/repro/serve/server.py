@@ -13,8 +13,8 @@ Determinism: :class:`RemoteExecutor` is *isolated* in the executor-seam
 sense — every task carries an integer seed derived from a stable label —
 so which worker computes an update, and in what order updates arrive, can
 never change the result.  Networked histories are bit-identical to any
-isolated in-process run (``executor="thread"``/``"process"``) of the same
-config and seed.
+isolated in-process run (``executor="thread"``) of the same config and
+seed.
 
 Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 

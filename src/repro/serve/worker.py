@@ -109,7 +109,7 @@ class WorkerEnvironment:
         _, self.clients, _ = prepare_environment(config)
         model, loss = build_model_template(config)
         # One shared model template, mutated serially per task — the same
-        # discipline as a ProcessPool worker running its tasks in order.
+        # discipline as the serial executor running its tasks in order.
         self.problems = [
             LocalProblem(model=model, loss=loss, dataset=client.dataset)
             for client in self.clients

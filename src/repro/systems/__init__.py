@@ -16,8 +16,8 @@ about:
   deadlines that knock stragglers out of aggregation (honest failures),
 * :mod:`repro.systems.adversaries` — byzantine/poisoning client
   behaviours and robust aggregation defenses (dishonest participation),
-* :mod:`repro.systems.executor` — serial, thread-pool, process-pool, and
-  vectorized (stacked-NumPy cohort) execution of the selected clients'
+* :mod:`repro.systems.executor` — serial, thread-pool, and vectorized
+  (stacked-NumPy cohort) execution of the selected clients'
   local updates.
 
 Every component is optional: a :class:`~repro.federated.engine.FederatedSimulation`
@@ -51,7 +51,6 @@ from repro.systems.executor import (
     ClientExecutor,
     LocalUpdateOutcome,
     LocalUpdateTask,
-    ProcessPoolClientExecutor,
     SerialExecutor,
     ThreadPoolClientExecutor,
     VectorizedExecutor,
@@ -98,7 +97,6 @@ __all__ = [
     "ClientExecutor",
     "SerialExecutor",
     "ThreadPoolClientExecutor",
-    "ProcessPoolClientExecutor",
     "VectorizedExecutor",
     "EXECUTOR_REGISTRY",
     "build_executor",

@@ -22,7 +22,7 @@ Corruption happens at the :class:`~repro.federated.rounds.ClientWorkPipeline`
 seam on the coordinator thread, with one RNG stream per ``(client, round)``
 derived from the simulation's :class:`~repro.utils.rng.RngFactory`
 (``adversary/round-R/client-C``), so a corrupted run is bit-identical
-across the serial, thread, process, and vectorized executors and across
+across the serial, thread, and vectorized executors and across
 ``max_workers`` settings.
 
 Defenses decorate the algorithm's accumulator (:class:`DefendedAlgorithm`,

@@ -30,18 +30,11 @@ task finishes, the others once the batch is done.
   is scheduled.  RNG streams are consumed in task order,
   matching the serial executor draw for draw; histories agree with serial
   within ``atol=1e-8`` (stacked matmuls reduce in a different order).
-* :class:`ProcessPoolClientExecutor` — tasks run in worker processes,
-  sidestepping the GIL for compute-bound local training.  The primed
-  problems and algorithm are shipped to each worker once at pool creation
-  (per-task traffic is only the global parameters, server state, config,
-  and an integer seed — not the datasets and model templates, which would
-  otherwise dominate serialization cost).  Client state mutated in the
-  worker is carried back in the outcome and merged by the engine.
-
 Isolated executors (``isolated = True``) receive an integer seed per task
 instead of a shared generator, so their results are deterministic under a
-fixed engine seed *regardless of scheduling order* — thread and process
-runs of the same task list produce identical models.
+fixed engine seed *regardless of scheduling order* — the thread executor
+and the served executor (:class:`repro.serve.server.RemoteExecutor`)
+produce identical models from the same task list.
 
 An executor instance belongs to one simulation at a time: priming replaces
 any previously primed state.
@@ -51,11 +44,10 @@ from __future__ import annotations
 
 import collections
 import copy
-import dataclasses
 import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -74,11 +66,10 @@ class LocalUpdateTask:
     """One client's local update, relative to the executor's primed state.
 
     ``client_index`` selects the primed :class:`LocalProblem`; everything
-    else is the round-varying state.  Kept slim on purpose: for process
-    pools this is the entire per-task wire payload.  ``trace`` asks the
-    executing side — possibly a worker thread or process — to record
-    picklable span records describing the task; the pipeline adopts them
-    into the engine's tracer on join.
+    else is the round-varying state.  ``trace`` asks the executing side —
+    possibly a worker thread or a served worker — to record plain span
+    records describing the task; the pipeline adopts them into the engine's
+    tracer on join.
     """
 
     client_index: int
@@ -95,7 +86,7 @@ class LocalUpdateTask:
 class LocalUpdateOutcome:
     """A finished local update: the upload plus the (possibly copied) client.
 
-    When the task ran in another process, ``client`` is a pickled copy whose
+    When the task ran on a served worker, ``client`` is a decoded copy whose
     mutated rows the engine copies back into its store; in-process
     executors return the original object and the merge is a no-op.
     ``spans`` carries the task's trace records (empty unless the task asked
@@ -115,12 +106,10 @@ OnOutcome = Callable[[LocalUpdateTask, LocalUpdateOutcome], None]
 def _task_spans(
     task: LocalUpdateTask,
     wall_start: float,
-    task_duration_s: float,
-    sgd_wall_start: float,
-    sgd_duration_s: float,
+    duration_s: float,
     **extra_attrs: Any,
 ) -> tuple[SpanRecord, SpanRecord]:
-    """A ``client_task`` root span plus its ``local_sgd`` child.
+    """A ``client_task`` root span plus its ``local_sgd`` child, same window.
 
     ``local_sgd`` carries the task's ``epochs`` and mini-batch ``steps``,
     so a trace yields time per SGD step whatever executor ran the task.
@@ -135,7 +124,7 @@ def _task_spans(
             name="client_task",
             span_id=task_id,
             start_s=wall_start,
-            duration_s=task_duration_s,
+            duration_s=duration_s,
             pid=pid,
             tid=tid,
             attrs=attrs,
@@ -144,8 +133,8 @@ def _task_spans(
             name="local_sgd",
             span_id=new_span_id(),
             parent_id=task_id,
-            start_s=sgd_wall_start,
-            duration_s=sgd_duration_s,
+            start_s=wall_start,
+            duration_s=duration_s,
             pid=pid,
             tid=tid,
             attrs={
@@ -160,22 +149,11 @@ def _task_spans(
 
 
 def execute_task(
-    task: LocalUpdateTask,
-    problem: LocalProblem,
-    algorithm: Any,
-    isolate: bool = False,
+    task: LocalUpdateTask, problem: LocalProblem, algorithm: Any
 ) -> LocalUpdateOutcome:
-    """Run one local update; with ``isolate`` the model template is copied."""
+    """Run one local update on ``problem``."""
     wall_start = time.time()
     perf_start = time.perf_counter()
-    if isolate:
-        problem = LocalProblem(
-            model=copy.deepcopy(problem.model),
-            loss=problem.loss,
-            dataset=problem.dataset,
-        )
-    sgd_wall_start = time.time()
-    sgd_perf_start = time.perf_counter()
     message = algorithm.local_update(
         problem,
         task.client,
@@ -187,42 +165,8 @@ def execute_task(
     )
     if not task.trace:
         return LocalUpdateOutcome(message=message, client=task.client)
-    sgd_duration = time.perf_counter() - sgd_perf_start
-    spans = _task_spans(
-        task,
-        wall_start,
-        time.perf_counter() - perf_start,
-        sgd_wall_start,
-        sgd_duration,
-    )
+    spans = _task_spans(task, wall_start, time.perf_counter() - perf_start)
     return LocalUpdateOutcome(message=message, client=task.client, spans=spans)
-
-
-# Worker-process globals, set once per worker by _init_worker so that the
-# problems (datasets + model templates) and algorithm cross the process
-# boundary exactly once per pool instead of once per task.
-_WORKER_PROBLEMS: list[LocalProblem] | None = None
-_WORKER_ALGORITHM: Any = None
-
-
-def _init_worker(problems: list[LocalProblem], algorithm: Any) -> None:
-    global _WORKER_PROBLEMS, _WORKER_ALGORITHM
-    _WORKER_PROBLEMS = problems
-    _WORKER_ALGORITHM = algorithm
-
-
-def _execute_in_worker(task: LocalUpdateTask) -> LocalUpdateOutcome:
-    """Module-level entry point so process pools can pickle the call."""
-    problem = _WORKER_PROBLEMS[task.client_index]
-    if task.client.dataset is None:
-        # The parent stripped the dataset from the IPC payload; the worker
-        # already holds the identical data inside its primed problem.
-        task.client.dataset = problem.dataset
-    # No isolation needed: the primed problems are private to this process
-    # and each worker runs its tasks serially, exactly like SerialExecutor.
-    outcome = execute_task(task, problem, _WORKER_ALGORITHM)
-    outcome.client.dataset = None  # don't ship the dataset back either
-    return outcome
 
 
 class ClientExecutor:
@@ -663,8 +607,6 @@ class VectorizedExecutor(ClientExecutor):
                         task,
                         cohort_wall,
                         cohort_duration,
-                        cohort_wall,
-                        cohort_duration,
                         cohort=len(positions),
                         batched=True,
                     )
@@ -685,8 +627,8 @@ class VectorizedExecutor(ClientExecutor):
             self._dispatch_pool = None
 
 
-class _PoolExecutor(ClientExecutor):
-    """Shared lazy-pool plumbing for thread and process executors."""
+class ThreadPoolClientExecutor(ClientExecutor):
+    """Run tasks concurrently in threads (NumPy releases the GIL in kernels)."""
 
     isolated = True
 
@@ -696,20 +638,29 @@ class _PoolExecutor(ClientExecutor):
                 f"max_workers must be positive, got {max_workers}"
             )
         self.max_workers = max_workers
-        self._pool: Executor | None = None
+        self._pool: ThreadPoolExecutor | None = None
 
     def prime(self, problems: list[LocalProblem], algorithm: Any) -> None:
         self.close()  # a new simulation's state must reach fresh workers
         super().prime(problems, algorithm)
 
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
+    def _run_task(self, task: LocalUpdateTask) -> LocalUpdateOutcome:
+        # Each task trains its own copy of the model template: layers
+        # mutate their parameter buffers in place, so threads sharing one
+        # template would race.
+        problem = self._problems[task.client_index]
+        private = LocalProblem(
+            model=copy.deepcopy(problem.model),
+            loss=problem.loss,
+            dataset=problem.dataset,
+        )
+        return execute_task(task, private, self._algorithm)
 
     def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._pool is None:
-            self._pool = self._make_pool()
-        return list(self._pool.map(self._submit_fn, tasks))
+            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+        return list(self._pool.map(self._run_task, tasks))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -723,48 +674,9 @@ class _PoolExecutor(ClientExecutor):
             pass
 
 
-class ThreadPoolClientExecutor(_PoolExecutor):
-    """Run tasks concurrently in threads (NumPy releases the GIL in kernels)."""
-
-    def _submit_fn(self, task: LocalUpdateTask) -> LocalUpdateOutcome:
-        return execute_task(
-            task, self._problems[task.client_index], self._algorithm, isolate=True
-        )
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self.max_workers)
-
-
-class ProcessPoolClientExecutor(_PoolExecutor):
-    """Run tasks in worker processes primed once with the per-client problems."""
-
-    # Bound at class level so the pool pickles only a module-level reference.
-    _submit_fn = staticmethod(_execute_in_worker)
-
-    def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
-        # The worker already holds every client's dataset (primed at pool
-        # creation); strip it from the per-task payload so round IPC scales
-        # with the model dimension, not the local dataset size.  A copied
-        # client is a one-row handle of its own: only its rows travel.
-        slim = []
-        for task in tasks:
-            client = copy.copy(task.client)
-            client.dataset = None
-            slim.append(dataclasses.replace(task, client=client))
-        return super()._run_batch(slim)
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_init_worker,
-            initargs=(self._problems, self._algorithm),
-        )
-
-
 EXECUTOR_REGISTRY: dict[str, type[ClientExecutor]] = {
     "serial": SerialExecutor,
     "thread": ThreadPoolClientExecutor,
-    "process": ProcessPoolClientExecutor,
     "vectorized": VectorizedExecutor,
 }
 
@@ -773,7 +685,8 @@ def build_executor(name: str, max_workers: int | None = None) -> ClientExecutor:
     """Instantiate a client executor by registry name.
 
     ``max_workers`` bounds the worker pool of every concurrent executor
-    (threads, processes, and the vectorized executor's cohort dispatch).
+    (the thread executor's pool and the vectorized executor's cohort
+    dispatch).
     """
     try:
         executor_cls = EXECUTOR_REGISTRY[name]

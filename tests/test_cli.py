@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main, run_experiment
+from repro.cli import EXPERIMENTS, _build_parser, main, run_experiment
 from repro.experiments.studies import STUDIES
 
 
@@ -305,6 +305,25 @@ class TestCliOrchestration:
         assert main(self.TABLE4 + ["--jobs", "0"]) == 2
         assert "jobs must be positive" in capsys.readouterr().err
 
+    def test_process_executor_is_gone(self, capsys):
+        # Thread and process pools gave bit-identical runs; threads stay.
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.TABLE4 + ["--executor", "process"])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and "invalid choice: 'process'" in errors[0]
+
+    def test_systems_refuses_the_process_executor(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["systems", "--executor", "process"])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and "invalid choice: 'process'" in errors[0]
+
     def test_backend_flag_is_gone(self, capsys):
         # The stacked kernels are NumPy; there is no array backend to pick.
         with pytest.raises(SystemExit) as exit_info:
@@ -470,6 +489,19 @@ class TestCliServe:
         assert main(["worker", "ftp://nope"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_serve_workers_is_refused(self, capsys):
+        # range(-1) spawns no worker, so the server used to wait forever;
+        # parsing alone must refuse it (and starts no server if it does not).
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser().parse_args(["serve", "--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "--workers: must be at least 0, got -1" in capsys.readouterr().err
+
+    def test_zero_serve_workers_still_parses(self):
+        # 0 is the documented "workers attach externally" setting.
+        args = _build_parser().parse_args(["serve", "--workers", "0"])
+        assert args.workers == 0
 
 
 class TestCliRobustness:

@@ -2,15 +2,15 @@
 
 Contracts pinned here (stated once in ``docs/architecture.md``, "Client
 state"): under any sequence of new handles, adoption, ``set``, ``get``,
-``gather`` and ``scatter`` the stores behave as a dict of copies; a handle
-pickles as its own rows only; a lazy population holds one row per touched
-client; no upload aliases the store; and ``get`` is a *live* row.
+``gather`` and ``scatter`` the stores behave as a dict of copies; a run
+whose outcomes carry client copies merges their rows back bit for bit; a
+lazy population holds one row per touched client; no upload aliases the
+store; and ``get`` is a *live* row.
 """
 
 from __future__ import annotations
 
-import copy
-import pickle
+import dataclasses
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_model
-from repro.algorithms import build_algorithm
+from repro.algorithms import ALGORITHM_REGISTRY, build_algorithm
 from repro.exceptions import ConfigurationError
 from repro.federated.client import (
     ClientState,
@@ -35,11 +35,7 @@ from repro.federated.population import ClientPopulation
 from repro.federated.rounds import ClientWork
 from repro.federated.sampler import UniformFractionSampler
 from repro.systems import executor as executor_module
-from repro.systems.executor import (
-    ProcessPoolClientExecutor,
-    SerialExecutor,
-    build_executor,
-)
+from repro.systems.executor import SerialExecutor, build_executor
 
 DIM = 3
 KEYS = ("w", "y")
@@ -147,29 +143,38 @@ def test_racing_parts_lose_no_row():
 
 
 # --------------------------------------------------------------------------- #
-# Handles travel as their own rows
+# Copied clients merge back
 # --------------------------------------------------------------------------- #
-def test_a_pickled_handle_carries_its_own_rows_only():
-    dim, count = 64, 500
-    clients = [
-        ClientState(i, None, {"w": np.full(dim, float(i)), "y": np.full(dim, -1.0 * i)})
-        for i in range(count)
-    ]
-    store = ClientStateStore.adopt(clients)
-    blob = pickle.dumps(clients[7])
-    assert len(blob) < 3 * 2 * dim * 8  # two rows and a header; the store is 500
-    for arrived in (pickle.loads(blob), copy.copy(clients[7])):
-        assert arrived.store is not store and arrived.store.rows == 1
-        assert list(arrived.variables) == ["w", "y"]
-        assert np.array_equal(arrived.get("w"), clients[7].get("w"))
-        arrived.set("w", np.zeros(dim))
-        assert clients[7].get("w")[0] == 7.0
-
-
 class IsolatedSerial(SerialExecutor):
-    """The serial loop seeded per task, as the pool executors are."""
+    """The serial loop seeded per task, as the thread and served executors are."""
 
     isolated = True
+
+
+class CopiedClientSerial(IsolatedSerial):
+    """Each task trains a fresh copy of its client, as a served worker does.
+
+    The outcomes carry the copies — the shape ``protocol.decode_submit``
+    returns — so the engine must merge their rows back into its store.
+    """
+
+    def run_tasks(self, tasks, on_outcome=None):
+        copies = [
+            dataclasses.replace(
+                task,
+                client=ClientState(
+                    client_id=task.client.client_id,
+                    dataset=task.client.dataset,
+                    variables={
+                        key: row.copy() for key, row in task.client.variables.items()
+                    },
+                    rounds_participated=task.client.rounds_participated,
+                    local_work_done=task.client.local_work_done,
+                ),
+            )
+            for task in tasks
+        ]
+        return super().run_tasks(copies, on_outcome)
 
 
 def _run(algorithm, executor, blobs_split, iid_partition):
@@ -191,18 +196,21 @@ def _run(algorithm, executor, blobs_split, iid_partition):
         client.client_id: {key: row.tobytes() for key, row in client.variables.items()}
         for client in clients
     }
-    return result.history.records, result.final_params.tobytes(), rows
+    # Stateless algorithms keep no rows; their counters must merge back too.
+    counters = {
+        client.client_id: (client.rounds_participated, client.local_work_done)
+        for client in clients
+    }
+    return result.history.records, result.final_params.tobytes(), rows, counters
 
 
-@pytest.mark.parametrize("algorithm", ["fedadmm", "scaffold"])
-def test_process_pool_run_is_bit_identical_to_serial(
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_REGISTRY))
+def test_copied_client_run_is_bit_identical_to_serial(
     algorithm, blobs_split, iid_partition
 ):
     serial = _run(algorithm, IsolatedSerial(), blobs_split, iid_partition)
-    pooled = _run(
-        algorithm, ProcessPoolClientExecutor(max_workers=2), blobs_split, iid_partition
-    )
-    assert pooled == serial
+    copied = _run(algorithm, CopiedClientSerial(), blobs_split, iid_partition)
+    assert copied == serial
 
 
 # --------------------------------------------------------------------------- #

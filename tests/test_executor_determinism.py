@@ -1,17 +1,16 @@
 """Executor determinism: the run history must not depend on where tasks run.
 
-Two guarantees, both regressions waiting to happen in per-task seeding
-code:
+**Asynchronous engine** — every dispatch receives an integer seed derived
+from ``(engine seed, dispatch index, client id)``, so the serial and
+thread-pool executors must produce *identical* ``TrainingHistory`` objects
+for a fixed engine seed.
 
-* **Asynchronous engine** — every dispatch receives an integer seed
-  derived from ``(engine seed, dispatch index, client id)``, so serial,
-  thread-pool, and process-pool executors must produce *identical*
-  ``TrainingHistory`` objects for a fixed engine seed.
-* **Synchronous engine** — the isolated executors (thread and process)
-  share the same per-(round, client) seeding scheme and must match each
-  other exactly.  (The serial executor intentionally differs there: it
-  consumes the engine's sequential training RNG, the seed behaviour the
-  golden regression test pins.)
+**Synchronous engine** — the isolated thread executor seeds every
+(round, client) task on its own, so its history must not depend on the
+pool size.  (The serial executor intentionally differs there: it consumes
+the engine's sequential training RNG, the seed behaviour the golden
+regression test pins; ``tests/test_regression_sync_golden.py`` pins both
+histories.)
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_single
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "thread")
 
 
 def history_fingerprint(result):
@@ -50,20 +49,6 @@ def tiny_async_cfg(executor: str):
     )
 
 
-def tiny_sync_cfg(executor: str):
-    return preset_config(
-        "systems", "blobs", non_iid=True, seed=4, codec=None, dropout=0.0,
-        executor=executor,
-    ).with_overrides(
-        num_clients=8,
-        n_train=320,
-        n_test=120,
-        num_rounds=3,
-        max_workers=2,
-        network=None,
-    )
-
-
 @pytest.mark.slow
 def test_async_history_identical_across_all_executors():
     spec = AlgorithmSpec("fedadmm", {"rho": 0.3})
@@ -73,22 +58,34 @@ def test_async_history_identical_across_all_executors():
         )
         for executor in EXECUTORS
     }
-    for executor in ("thread", "process"):
-        assert fingerprints[executor] == fingerprints["serial"], (
-            f"async run under --executor {executor} diverged from serial"
-        )
+    assert fingerprints["thread"] == fingerprints["serial"], (
+        "async run under --executor thread diverged from serial"
+    )
 
 
-@pytest.mark.slow
-def test_sync_history_identical_across_isolated_executors():
+def tiny_sync_cfg(max_workers: int):
+    return preset_config(
+        "systems", "blobs", non_iid=True, seed=4, codec=None, dropout=0.0,
+        executor="thread",
+    ).with_overrides(
+        num_clients=8,
+        n_train=320,
+        n_test=120,
+        num_rounds=3,
+        max_workers=max_workers,
+        network=None,
+    )
+
+
+def test_sync_history_identical_across_thread_worker_counts():
     spec = AlgorithmSpec("fedavg", {})
-    thread = history_fingerprint(
-        run_single(tiny_sync_cfg("thread"), spec, stop_at_target=False)
+    one, three = (
+        history_fingerprint(
+            run_single(tiny_sync_cfg(workers), spec, stop_at_target=False)
+        )
+        for workers in (1, 3)
     )
-    process = history_fingerprint(
-        run_single(tiny_sync_cfg("process"), spec, stop_at_target=False)
-    )
-    assert thread == process
+    assert one == three
 
 
 def test_async_task_seeds_are_unique_and_stable(iid_clients, blobs_split):

@@ -114,6 +114,14 @@ class TestConfigs:
         with pytest.raises(ConfigurationError):
             TINY.with_overrides(client_fraction=0.0)
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "vectorized"])
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_non_positive_max_workers_is_refused(self, executor, max_workers):
+        # Used to run a round under the serial executor, which ignores it.
+        with pytest.raises(ConfigurationError, match="max_workers must be positive"):
+            preset_config("serve", executor=executor, max_workers=max_workers)
+        assert TINY.with_overrides(executor=executor, max_workers=1).max_workers == 1
+
     def test_flat_plan_with_shards_is_refused(self):
         # Used to be accepted and silently run unsharded.
         with pytest.raises(ConfigurationError, match='plan="hierarchical"'):

@@ -5,7 +5,7 @@ The lock-step plan's correctness claim has two tiers:
 * **one shard** is the flat round: it must reproduce, bit for bit, the
   values pinned from the dedicated flat plan before the two round loops
   became one (``FLAT_GOLDENS`` in ``test_regression_sync_golden.py``) —
-  across serial, thread, and process executors;
+  across the serial and thread executors;
 * an **N-shard** run with shard-preserving sampling selects the same
   global cohorts but associates the aggregation sum differently
   (per-shard partials merged at the root), so it must match flat within
@@ -46,7 +46,7 @@ from test_regression_sync_golden import (
     run_flat_recipe,
 )
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "thread")
 
 
 def make_sim(clients, test_dataset, *, algorithm="fedadmm", plan=None,
@@ -84,8 +84,8 @@ class TestSingleShardBitIdentity:
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("algorithm", sorted(FLAT_CASES))
     def test_matches_flat_sync_plan(self, executor, algorithm):
-        # Isolated executors (thread, process) seed every task on its own
-        # and share one pinned history; serial has the other.
+        # The isolated thread executor seeds every task on its own and has
+        # one pinned history; serial has the other.
         pinned = "serial" if executor == "serial" else "thread"
         sharded = run_flat_recipe(
             algorithm, executor, plan=HierarchicalPlan(num_shards=1)

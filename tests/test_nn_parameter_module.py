@@ -145,9 +145,9 @@ class TestFlatBackedStorage:
     @pytest.mark.parametrize("name", sorted(ZOO))
     @pytest.mark.parametrize("homed_first", [False, True])
     def test_aliasing_survives_deepcopy_and_pickle(self, name, homed_first):
-        # The thread executor deep-copies the template per task and the
-        # process executor pickles it into workers; a copy whose parameters
-        # no longer alias its flat buffer trains nothing.
+        # The thread executor deep-copies the template per task, and a
+        # pickled model must load as well; a copy whose parameters no
+        # longer alias its flat buffer trains nothing.
         model, features, num_classes = _zoo(name)
         if homed_first:
             model.get_flat_params()

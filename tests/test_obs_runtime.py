@@ -81,7 +81,7 @@ def reconcile(tracer, result, expected_tasks=None):
 
 
 class TestSpanReconciliation:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "vectorized"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "vectorized"])
     def test_sync_plan_span_tree_counts(self, executor, iid_clients, blobs_split):
         tracer, metrics = Tracer(), MetricsRegistry()
         sim = make_sim(

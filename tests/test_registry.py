@@ -468,7 +468,7 @@ class TestSupportedModesAndExecutors:
 
         _print_listing()
         out = capsys.readouterr().out
-        assert "executors: serial|thread|process|vectorized" in out
+        assert "executors: serial|thread|vectorized" in out
         assert "closed form (no training" in out
 
     def test_cli_fails_fast_with_clear_error(self, capsys):

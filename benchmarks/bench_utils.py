@@ -1,11 +1,14 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures at
-``"bench"`` scale (see ``repro.experiments.configs``) and prints the
-regenerated rows/series so they can be compared against the paper values
-recorded in EXPERIMENTS.md.  pytest-benchmark measures the wall-clock cost of
-the regeneration; ``run_once`` keeps each experiment to a single measured
-iteration since a federated sweep is far too expensive to repeat many times.
+The suite measures speed (kernels, executors, the sweep orchestrator, the
+serve layer, million-client scale) and the multi-seed claims (async
+staleness, systems heterogeneity, robustness); each benchmark writes a
+``BENCH_<name>.json`` summary that the baseline gate below compares.  The
+paper's tables and figures are not here: their claims are the cases of
+``tests/test_paper_claims.py``, and ``repro <study>`` prints any of them.
+pytest-benchmark measures the wall-clock cost; ``run_once`` keeps each
+experiment to a single measured iteration since a federated sweep is far
+too expensive to repeat many times.
 """
 
 from __future__ import annotations
@@ -30,10 +33,6 @@ BASELINES_DIR = Path(__file__).resolve().parent / "baselines"
 
 #: Default relative regression tolerated by :func:`compare_to_baseline`.
 DEFAULT_TOLERANCE = 0.20
-
-#: Reduced round budget used by the benchmark presets (the library default is
-#: 40; benchmarks trim it so the full suite finishes in a few minutes).
-BENCH_ROUNDS = 25
 
 
 def run_once(benchmark, func: Callable[[], Any]) -> Any:

@@ -6,8 +6,9 @@ Each table and figure of the paper's Section V maps to
   (:data:`PRESETS`, read by :func:`preset_config`),
 * a registered :class:`Study` record in :mod:`repro.experiments.studies`
   (the :data:`STUDIES` registry), and
-* a benchmark under ``benchmarks/`` that runs the study's sweep
-  (``STUDIES.sweep``) and prints the regenerated rows/series.
+* a case of ``tests/test_paper_claims.py`` that runs the study's sweep
+  (``STUDIES.sweep``) at bench scale and checks the claims it supports;
+  ``repro <study>`` prints the regenerated rows/series.
 
 :mod:`repro.experiments.runner` holds the reusable core
 (``build_simulation``, ``run_single``, ``run_comparison``); the CLI
@@ -19,7 +20,7 @@ content-addressed store so sweeps are resumable (``--jobs``,
 ``--resume``, ``--store-dir``).
 
 Presets come in two scales: ``"bench"`` (laptop-CPU friendly, used by the
-benchmark suite) and ``"paper"`` (the paper's population sizes and sample
+claims test) and ``"paper"`` (the paper's population sizes and sample
 counts, for users with more time/hardware).
 """
 

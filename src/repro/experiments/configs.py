@@ -10,7 +10,8 @@ row per table/figure), all read by :func:`preset_config`.
 
 Absolute round counts at ``"bench"`` scale differ from the paper (smaller
 models, synthetic data); the *orderings and ratios* between algorithms are
-what the reproduction checks, as recorded in EXPERIMENTS.md.
+what the reproduction checks: the cases of ``tests/test_paper_claims.py``
+state them, and ``repro <study>`` prints the regenerated rows.
 """
 
 from __future__ import annotations
@@ -362,8 +363,9 @@ def preset_config(
     """The configuration of one :data:`PRESETS` row at one scale.
 
     ``scale`` selects between ``"bench"`` (small synthetic datasets, tens
-    of clients, MLPs; what ``benchmarks/`` runs) and ``"paper"`` (the
-    paper's populations, sample counts and CNNs; expect long runtimes).
+    of clients, MLPs; what ``tests/test_paper_claims.py`` runs) and
+    ``"paper"`` (the paper's populations, sample counts and CNNs; expect
+    long runtimes).
     ``dataset`` / ``non_iid`` / ``num_clients`` default to the row's own
     (the paper's setting for that artefact); ``overrides`` are
     :class:`ExperimentConfig` fields applied last.

@@ -2,7 +2,8 @@
 
 The paper's figures are accuracy curves; without a plotting dependency the
 reproduction exposes the same information as ``(round, accuracy)`` series
-plus a text rendering, which the benchmarks print and EXPERIMENTS.md records.
+plus a text rendering, which ``repro <study>`` prints (the claims those
+series support are the cases of ``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

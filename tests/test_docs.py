@@ -133,6 +133,28 @@ class TestSiteIntegrity:
                 assert hasattr(target, name), f"architecture.md names `{reference}`"
                 target = getattr(target, name)
 
+    def test_prose_names_only_repo_paths_that_exist(self):
+        # A back-ticked repo path outside fenced code must exist, so a
+        # deleted file cannot outlive its code in the docs (the link
+        # checker skips inline code).  ``benchmarks/results/`` is the
+        # git-ignored directory the benchmarks write their summaries to.
+        token = re.compile(r"^(?:src|tests|bench|benchmarks|examples|docs)/")
+        named = set()
+        for page in [REPO_ROOT / "README.md", *DOCS_DIR.rglob("*.md")]:
+            text = page.read_text(encoding="utf-8")
+            prose = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+            for code in re.findall(r"`([^`\n]+)`", prose):
+                named.update(
+                    (page.name, word.split("::")[0].rstrip(".,;:)"))
+                    for word in code.split()
+                    if token.match(word)
+                )
+        assert len(named) > 20, "no back-ticked repo paths found"
+        for page, path in sorted(named):
+            if path.startswith("benchmarks/results/"):
+                continue
+            assert list(REPO_ROOT.glob(path)), f"{page} names missing `{path}`"
+
     def test_api_pages_cover_the_advertised_layers(self):
         pages = {page.stem for page in (DOCS_DIR / "api").glob("*.md")}
         assert {"algorithms", "federated", "systems", "experiments"} <= pages

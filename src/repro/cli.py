@@ -222,62 +222,36 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="list: only these statuses; "
                            "clean: drop these statuses "
                            "(default: pending/running/failed)")
-    _add_contributions_parser(subparsers)
+    _add_contributions_parser(subparsers, shared)
     _add_serve_parsers(subparsers)
     return parser
 
 
-def _add_contributions_parser(subparsers) -> None:
+def _add_contributions_parser(subparsers, shared) -> None:
     """The `contributions` subcommand (client data valuation)."""
     from repro.algorithms import ALGORITHM_REGISTRY
 
     contributions = subparsers.add_parser(
-        "contributions",
+        "contributions", parents=[shared],
         help="score each client's contribution (leave-one-out / Shapley)",
         description="Value every client's participation by re-running the "
                     "federation on client coalitions: leave-one-out "
                     "deltas or truncated Monte-Carlo Shapley scores. "
-                    "Coalition utilities are cached as stored run "
-                    "histories under --store-dir, so repeat invocations "
-                    "reuse every run already paid for "
+                    "Each coalition is an ordinary run: --jobs runs them "
+                    "in parallel and --resume reuses every one already in "
+                    "the --store-dir store "
                     "(see docs/tutorials/robustness.md).",
     )
-    contributions.add_argument("--method", default="loo",
-                               choices=["loo", "shapley"])
-    contributions.add_argument("--dataset", default="blobs",
-                               choices=["mnist", "fmnist", "cifar10", "blobs"])
-    contributions.add_argument("--iid", action="store_true",
-                               help="use the IID partition "
-                                    "(default: non-IID shards)")
-    contributions.add_argument("--clients", type=int, default=8,
-                               help="population size to value (each "
-                                    "coalition is a full run; keep small)")
-    contributions.add_argument("--rounds", type=int, default=5,
-                               help="rounds per coalition run")
     contributions.add_argument("--algorithm", default="fedavg",
                                choices=sorted(ALGORITHM_REGISTRY))
-    contributions.add_argument("--rho", type=float, default=0.3,
-                               help="FedADMM proximal coefficient")
-    contributions.add_argument("--seed", type=int, default=0)
-    contributions.add_argument("--adversary", default=None,
-                               help="inject adversarial clients first "
-                                    "(they should score near zero)")
-    contributions.add_argument("--adversary-fraction", type=float,
-                               default=0.2, dest="adversary_fraction")
-    contributions.add_argument("--defense", default=None,
-                               help="robust aggregation defense for the "
-                                    "coalition runs")
+    contributions.add_argument("--method", default="loo",
+                               choices=["loo", "shapley"])
     contributions.add_argument("--permutations", type=int, default=10,
                                help="Shapley: sampled permutations")
     contributions.add_argument("--tolerance", type=float, default=0.01,
                                help="Shapley: truncate a permutation walk "
                                     "once the prefix utility is this close "
                                     "to the full-coalition utility")
-    contributions.add_argument("--store-dir", default=None,
-                               help="cache coalition utilities here "
-                                    "(default: in-memory only)")
-    contributions.add_argument("--output", default=None,
-                               help="optional path to save the report JSON")
 
 
 def _add_serve_parsers(subparsers) -> None:
@@ -619,43 +593,30 @@ def handle_loadtest(args: Any) -> int:
 # --------------------------------------------------------------------------- #
 # The `contributions` subcommand (client data valuation)
 # --------------------------------------------------------------------------- #
-def handle_contributions(args: Any) -> int:
+def run_contributions(args: Any) -> dict:
     """Implement ``repro contributions``: leave-one-out / Shapley valuation."""
-    from pathlib import Path
-
     from repro.experiments.configs import AlgorithmSpec, preset_config
-    from repro.experiments.contributions import UtilityCache, compute_contributions
+    from repro.experiments.contributions import compute_contributions
 
+    request = StudyRequest.from_args(args)
     config = preset_config(
-        "robustness",
-        dataset=args.dataset,
-        non_iid=not args.iid,
-        seed=args.seed,
-        adversary=args.adversary,
-        adversary_fraction=args.adversary_fraction if args.adversary else 0.0,
-        defense=args.defense,
-        name=f"contributions-{args.dataset}-{'iid' if args.iid else 'noniid'}",
-        num_clients=args.clients,
-        num_rounds=args.rounds,
+        "contributions", request.dataset, request.non_iid, request.scale,
+        request.seed, num_clients=request.clients,
+        **({} if request.rounds is None else {"num_rounds": request.rounds}),
+        **request.overrides,
     )
-    kwargs = {"rho": args.rho} if args.algorithm == "fedadmm" else {}
+    kwargs = {"rho": request.rho} if args.algorithm == "fedadmm" else {}
     spec = AlgorithmSpec(args.algorithm, kwargs)
-    cache = UtilityCache(
-        Path(args.store_dir) / "contributions"
-        / f"{config.name}-{spec.label()}-n{config.num_clients}"
-          f"-r{config.num_rounds}-s{config.seed}.json"
-        if args.store_dir is not None
-        else None
-    )
     report = compute_contributions(
         config, spec,
         method=args.method,
         permutations=args.permutations,
         tolerance=args.tolerance,
-        cache=cache,
+        orchestrator=build_orchestrator(args),
     )
     print(f"{args.method} contribution scores for {config.name} / "
-          f"{spec.label()} ({args.clients} clients, {args.rounds} rounds)")
+          f"{spec.label()} ({config.num_clients} clients, "
+          f"{config.num_rounds} rounds)")
     print(f"utility(all clients) = {report.utility_full:.4f}   "
           f"utility(no clients) = {report.utility_empty:.4f}")
     rows = [
@@ -663,15 +624,12 @@ def handle_contributions(args: Any) -> int:
         for client, score in report.ranked()
     ]
     print(format_table(rows))
-    reuse = f", {report.runs_reused} reused from cache" if report.runs_reused else ""
+    reuse = f", {report.runs_reused} reused" if report.runs_reused else ""
     print(f"{report.runs_executed} coalition run(s) executed{reuse}")
     if args.method == "shapley":
         print(f"permutations: {report.permutations} "
               f"(truncated walks: {report.metadata['truncated_walks']})")
-    if args.output:
-        path = save_json(report.to_payload(), args.output)
-        print(f"Saved contribution report to {path}")
-    return 0
+    return report.to_payload()
 
 
 def _support_summary(study) -> str:
@@ -703,7 +661,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": handle_serve,
         "worker": handle_worker,
         "loadtest": handle_loadtest,
-        "contributions": handle_contributions,
     }.get(args.experiment)
     if handler is not None:
         try:
@@ -722,7 +679,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRegistry() if getattr(args, "metrics_path", None) else None
     try:
         with observe(tracer=tracer, metrics=metrics):
-            result = run_experiment(study_name, args)
+            result = (
+                run_contributions(args) if study_name == "contributions"
+                else run_experiment(study_name, args)
+            )
     except ReproError as exc:
         # One clear line instead of a traceback: exit 2 for unsupported
         # flag combinations (e.g. `--mode sync` on the async study), 1 for

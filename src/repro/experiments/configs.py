@@ -96,6 +96,9 @@ class ExperimentConfig:
     adversary: str | None = None
     adversary_fraction: float = 0.0
     defense: str | None = None
+    # Client valuation (see repro.experiments.contributions): train on only
+    # these clients of the num_clients partition, renumbered 0..|S|-1.
+    coalition: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("sync", "semisync", "async"):
@@ -179,6 +182,16 @@ class ExperimentConfig:
                         "cohort's updates against each other; they cannot "
                         f"be combined with mode={self.mode!r}"
                     )
+        if self.coalition is not None and (
+            not self.coalition
+            or list(self.coalition) != sorted(set(self.coalition))
+            or self.coalition[0] < 0
+            or self.coalition[-1] >= self.num_clients
+        ):
+            raise ConfigurationError(
+                "coalition must list distinct client ids in increasing order "
+                f"from range({self.num_clients}), got {self.coalition!r}"
+            )
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ExperimentConfig":
@@ -189,6 +202,8 @@ class ExperimentConfig:
         # kernels (only ever NumPy); both are simply dropped.
         record.pop("async_mode", None)
         record.pop("backend", None)
+        if record.get("coalition") is not None:
+            record["coalition"] = tuple(record["coalition"])
         return cls(**record)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -330,6 +345,13 @@ PRESETS: dict[str, Preset] = {
     "robustness": Preset(
         "robustness-{dataset}-{dist}", "blobs", (30, 100),
         fields={"client_fraction": 0.4, "adversary": "sign_flip",
+                "adversary_fraction": 0.2},
+    ),
+    # Client valuation: every coalition is a full run, so a small population
+    # and few rounds; --adversary alone corrupts a fifth of the clients.
+    "contributions": Preset(
+        "contributions-{dataset}-{dist}", "blobs", (8, 8),
+        fields={"client_fraction": 0.4, "num_rounds": 5,
                 "adversary_fraction": 0.2},
     ),
     # The repro.serve scenario: a population a couple of worker processes

@@ -70,7 +70,12 @@ _VARIABLE_WORK_ALGORITHMS = {"fedadmm", "fedprox", "fedpd"}
 def prepare_environment(
     config: ExperimentConfig,
 ) -> tuple[TrainTestSplit, list[ClientState], PartitionStats]:
-    """Load the dataset, partition it, and build client states."""
+    """Load the dataset, partition it, and build client states.
+
+    With a ``config.coalition`` only the listed clients of the
+    ``num_clients`` partition are kept, renumbered ``0..|S|-1``; the
+    partition statistics still describe the whole population.
+    """
     split = load_dataset(
         config.dataset,
         n_train=config.n_train,
@@ -80,6 +85,16 @@ def prepare_environment(
     partitioner = build_partitioner(config.partition, **config.partition_kwargs)
     partition = partitioner.partition(split.train, config.num_clients, rng=config.seed)
     clients = build_clients(split.train, partition)
+    if config.coalition is not None:
+        if config.coalition[-1] >= len(clients):
+            raise ConfigurationError(
+                f"coalition {config.coalition} names a client the partition "
+                f"left without data; only {len(clients)} clients hold samples"
+            )
+        clients = [
+            ClientState(client_id=new_id, dataset=clients[index].dataset)
+            for new_id, index in enumerate(config.coalition)
+        ]
     stats = compute_partition_stats(partition, split.train)
     return split, clients, stats
 
@@ -128,6 +143,8 @@ def build_simulation(
         # the inner algorithm's own reduction sums it; local training is
         # untouched.
         algorithm = DefendedAlgorithm(algorithm, build_defense(config.defense))
+    if config.coalition is not None and clients is not None and not isinstance(clients, list):
+        raise ConfigurationError("a coalition needs a client list, not a lazy population")
     if clients is None or split is None:
         split, clients, _ = prepare_environment(config)
 

@@ -256,6 +256,10 @@ class ExperimentStore:
         # Likewise the stacked kernels' array backend field: only NumPy ever
         # ran, so it hashes as the ``None`` default it always held.
         config["backend"] = None
+        # A config that values no coalition hashes as it did before the
+        # field existed, so every stored full-population run keeps its key.
+        if spec.config.coalition is None:
+            del config["coalition"]
         content = {
             "config": config,
             "algorithm": {

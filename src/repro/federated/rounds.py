@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.algorithms.base import FederatedAlgorithm, LocalTrainingConfig
+from repro.exceptions import SimulationError
 from repro.federated.client import ClientState
 from repro.federated.evaluation import Evaluation
 from repro.federated.history import RoundRecord
@@ -527,9 +528,15 @@ def finalise_round(
     semi-sync, and async), and appends it to the history.  The caller has
     already advanced ``engine.state.rounds_run`` / ``model_version`` and
     run the evaluation cadence, because evaluation must see the
-    post-aggregation parameters.
+    post-aggregation parameters.  A non-finite θ ends the run here: every
+    later round would train on NaN.
     """
     state = engine.state
+    if not np.isfinite(state.params).all():
+        raise SimulationError(
+            f"round {state.rounds_run}: {engine.algorithm.name} produced a "
+            "non-finite global model; the run diverged"
+        )
     record = RoundRecord(
         round_index=state.rounds_run,
         test_accuracy=None if evaluation is None else evaluation.accuracy,

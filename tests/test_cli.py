@@ -542,30 +542,36 @@ class TestCliRobustness:
 
     def test_contributions_loo_smoke(self, tmp_path, capsys):
         output = tmp_path / "contrib.json"
-        code = main(
-            [
-                "contributions",
-                "--clients", "4",
-                "--rounds", "2",
-                "--method", "loo",
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(output),
-            ]
-        )
-        assert code == 0
+        argv = [
+            "contributions",
+            "--clients", "4",
+            "--rounds", "2",
+            "--non-iid",
+            "--method", "loo",
+            "--store-dir", str(tmp_path / "store"),
+            "--resume",
+        ]
+        assert main(argv + ["--output", str(output)]) == 0
         out = capsys.readouterr().out
         assert "contribution scores" in out
+        assert "6 coalition run(s) executed" in out
         payload = json.loads(output.read_text())
         assert payload["method"] == "loo"
         assert len(payload["scores"]) == 4
-        # Second invocation reuses every cached coalition run.
-        assert main(
-            [
-                "contributions",
-                "--clients", "4",
-                "--rounds", "2",
-                "--method", "loo",
-                "--store-dir", str(tmp_path / "store"),
-            ]
-        ) == 0
-        assert "0 coalition run(s) executed" in capsys.readouterr().out
+        # A second resumed invocation loads every coalition from the store.
+        assert main(argv) == 0
+        assert "0 coalition run(s) executed, 6 reused" in capsys.readouterr().out
+        # The coalitions are ordinary store runs.
+        assert main(["runs", "list", "--store-dir", str(tmp_path / "store")]) == 0
+        assert "5 run(s) listed" in capsys.readouterr().out
+
+    def test_contributions_jobs_do_not_change_the_report(self, tmp_path, capsys):
+        payloads = []
+        for jobs in ("1", "2"):
+            output = tmp_path / f"jobs{jobs}.json"
+            assert main([
+                "contributions", "--clients", "4", "--rounds", "2", "--non-iid",
+                "--jobs", jobs, "--output", str(output),
+            ]) == 0
+            payloads.append(output.read_bytes())
+        assert payloads[0] == payloads[1]

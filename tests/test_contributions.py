@@ -1,19 +1,17 @@
-"""Client contribution valuation: subset utilities, LOO, Shapley, caching."""
+"""Client contribution valuation: coalition specs, LOO, Shapley, store reuse."""
 
 from __future__ import annotations
 
-import json
-
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
-from repro.experiments.contributions import (
-    ContributionValuer,
-    UtilityCache,
-    compute_contributions,
-    subset_key,
-)
+from repro.experiments.contributions import compute_contributions
+from repro.experiments.orchestrator import RunSpec, SweepOrchestrator
+from repro.experiments.runner import build_simulation, prepare_environment
+from repro.experiments.store import ExperimentStore
+from repro.federated.population import ClientPopulation
 
 SPEC = AlgorithmSpec("fedavg", {})
 
@@ -32,57 +30,41 @@ def tiny_cfg(num_clients=4, num_rounds=2, seed=0):
     )
 
 
-class TestSubsetKey:
-    def test_sorted_deduplicated(self):
-        assert subset_key([3, 1, 2, 1]) == "1,2,3"
-        assert subset_key([]) == "-"
+class TestCoalitionConfig:
+    @pytest.mark.parametrize("coalition", [(99,), (-1, 0), (1, 1), (2, 0), ()])
+    def test_malformed_coalitions_are_refused_in_one_line(self, coalition):
+        with pytest.raises(ConfigurationError, match="coalition must list") as error:
+            tiny_cfg().with_overrides(coalition=coalition)
+        assert len(str(error.value).splitlines()) == 1
 
+    def test_coalition_keeps_the_listed_clients_renumbered(self):
+        _, everyone, _ = prepare_environment(tiny_cfg())
+        _, kept, stats = prepare_environment(tiny_cfg().with_overrides(coalition=(1, 3)))
+        assert [client.client_id for client in kept] == [0, 1]
+        for client, index in zip(kept, (1, 3)):
+            assert client.dataset.name == everyone[index].dataset.name
+            np.testing.assert_array_equal(client.dataset.labels, everyone[index].dataset.labels)
+        assert stats.num_clients == 4  # the partition is the population's
 
-class TestUtilityCache:
-    def test_persists_and_reloads(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = UtilityCache(path)
-        cache.put("0,1", 0.5)
-        reloaded = UtilityCache(path)
-        assert reloaded.get("0,1") == 0.5
-        assert reloaded.hits == 1
-        assert json.loads(path.read_text()) == {"0,1": 0.5}
+    def test_coalition_with_a_lazy_population_is_refused(self):
+        config = tiny_cfg().with_overrides(coalition=(0, 1))
+        split, clients, _ = prepare_environment(tiny_cfg())
+        population = ClientPopulation(4, [client.dataset for client in clients])
+        with pytest.raises(ConfigurationError, match="lazy population") as error:
+            build_simulation(config, SPEC, clients=population, split=split)
+        assert len(str(error.value).splitlines()) == 1
 
-    def test_memory_only_without_path(self):
-        cache = UtilityCache()
-        assert cache.get("0") is None
-        cache.put("0", 0.1)
-        assert cache.get("0") == 0.1
-
-
-class TestValuer:
-    def test_utility_is_deterministic_and_cached(self):
-        valuer = ContributionValuer(tiny_cfg(), SPEC)
-        first = valuer.utility([0, 1])
-        second = valuer.utility([1, 0])
-        assert first == second
-        assert valuer.cache.hits == 1
-        assert valuer.cache.misses == 1
-
-    def test_empty_coalition_is_the_untrained_model(self):
-        valuer = ContributionValuer(tiny_cfg(), SPEC)
-        empty = valuer.utility([])
-        assert 0.0 <= empty <= 1.0
-        # Training on everyone must beat an untrained model on blobs.
-        assert valuer.utility(range(valuer.num_clients)) > empty
-
-    def test_out_of_range_subsets_fail(self):
-        valuer = ContributionValuer(tiny_cfg(), SPEC)
-        with pytest.raises(ConfigurationError, match="out of range"):
-            valuer.utility([99])
-
-    def test_coalition_runs_do_not_leak_state(self):
-        # Valuing must not mutate the shared client templates: two
-        # identical valuations see identical utilities.
-        valuer = ContributionValuer(tiny_cfg(), SPEC)
-        a = valuer.utility([0, 2])
-        fresh = ContributionValuer(tiny_cfg(), SPEC)
-        assert fresh.utility([0, 2]) == a
+    def test_store_key_names_the_coalition_only_when_set(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        keys = {
+            store.key_for(RunSpec("contributions", (), config, SPEC))
+            for config in (
+                tiny_cfg(),
+                tiny_cfg().with_overrides(coalition=(0, 1)),
+                tiny_cfg().with_overrides(coalition=(0, 2)),
+            )
+        }
+        assert len(keys) == 3
 
 
 class TestMethods:
@@ -93,16 +75,22 @@ class TestMethods:
         # n singleton-complement runs + full + empty
         assert report.runs_executed == 6
         assert report.runs_reused == 0
+        # Training on everyone must beat the untrained model on blobs.
+        assert 0.0 <= report.utility_empty < report.utility_full
 
-    def test_shapley_is_seed_deterministic(self):
-        a = compute_contributions(
-            tiny_cfg(), SPEC, method="shapley", permutations=2
-        )
-        b = compute_contributions(
-            tiny_cfg(), SPEC, method="shapley", permutations=2
-        )
+    def test_shapley_is_seed_deterministic_and_memoised(self):
+        def shapley():
+            return compute_contributions(
+                tiny_cfg(), SPEC, method="shapley", permutations=2, tolerance=0.0
+            )
+
+        a, b = shapley(), shapley()
         assert a.scores == b.scores
         assert a.permutations == 2
+        # Full + empty, then one lookup per prefix.  Each untruncated walk
+        # ends on the full coalition, a memo hit; every coalition runs once.
+        assert a.runs_executed + a.runs_reused == 2 + 2 * 4
+        assert a.runs_reused >= 2
 
     def test_shapley_efficiency_without_truncation(self):
         # With tolerance 0 no walk truncates, so each permutation's
@@ -115,14 +103,21 @@ class TestMethods:
             report.utility_full - report.utility_empty
         )
 
-    def test_cache_reuse_across_methods(self, tmp_path):
-        cache = UtilityCache(tmp_path / "utilities.json")
-        first = compute_contributions(tiny_cfg(), SPEC, method="loo", cache=cache)
+    def test_store_reuse_across_invocations_and_methods(self, tmp_path):
+        def resumed():
+            return SweepOrchestrator(store=ExperimentStore(tmp_path), resume=True)
+
+        first = compute_contributions(tiny_cfg(), SPEC, method="loo", orchestrator=resumed())
         assert first.runs_executed == 6
-        again = compute_contributions(tiny_cfg(), SPEC, method="loo", cache=cache)
-        assert again.runs_executed == 0
-        assert again.runs_reused == 6
-        assert again.scores == first.scores
+        again = compute_contributions(tiny_cfg(), SPEC, method="loo", orchestrator=resumed())
+        assert (again.runs_executed, again.runs_reused) == (0, 6)
+        assert again.to_payload()["scores"] == first.to_payload()["scores"]
+        shapley = compute_contributions(
+            tiny_cfg(), SPEC, method="shapley", permutations=2, orchestrator=resumed()
+        )
+        fresh = compute_contributions(tiny_cfg(), SPEC, method="shapley", permutations=2)
+        assert shapley.scores == fresh.scores
+        assert shapley.runs_executed < fresh.runs_executed
 
     def test_unknown_method_fails(self):
         with pytest.raises(ConfigurationError, match="unknown contribution"):

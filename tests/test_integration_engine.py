@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import build_algorithm
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.experiments.runner import run_single
 from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import FixedEpochs, UniformRandomEpochs
 from repro.federated.sampler import FixedScheduleSampler, UniformFractionSampler
@@ -169,6 +171,17 @@ class TestEngineBehaviour:
         sim = _simulation("fedavg", iid_clients, blobs_split.test)
         with pytest.raises(ConfigurationError):
             sim.run(0)
+
+    def test_diverged_run_stops_with_one_line(self):
+        # A huge step overflows the MLP by round 2; the run must stop there
+        # instead of carrying on at chance accuracy with a NaN model.
+        config = preset_config("table3", "blobs", True).with_overrides(learning_rate=1e6)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as error:
+            run_single(config, AlgorithmSpec("fedavg"))
+        message = str(error.value)
+        assert len(message.splitlines()) == 1
+        assert message.startswith("round ") and "fedavg" in message
+        assert "non-finite" in message
 
 
 class TestFedAdmmInvariants:

@@ -572,7 +572,7 @@ class TestContractSurface:
         from repro.experiments.configs import ExperimentConfig, preset_config
 
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        assert "async_mode" not in fields and len(fields) == 36
+        assert "async_mode" not in fields and len(fields) == 37
         # Configs served or stored before the field went are folded on load,
         # not by re-adding it.
         config = preset_config("serve")

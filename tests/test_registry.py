@@ -320,7 +320,8 @@ class TestCollapsedSurface:
     def test_experiment_config_fields_are_untouched(self):
         # _canonical(spec.config) feeds every store key.  PR 16 removed
         # ``async_mode`` and PR 20 ``backend`` (key_for re-emits both;
-        # spec_key_pin.json is the oracle).
+        # spec_key_pin.json is the oracle).  ``coalition`` came last, and
+        # key_for leaves it out while it is None.
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "name", "dataset", "n_train", "n_test", "model", "model_kwargs",
             "num_clients", "partition", "partition_kwargs", "client_fraction",
@@ -330,7 +331,7 @@ class TestCollapsedSurface:
             "max_workers", "mode", "buffer_size",
             "max_concurrency", "staleness", "staleness_exponent",
             "round_deadline_s", "plan", "num_shards", "adversary",
-            "adversary_fraction", "defense",
+            "adversary_fraction", "defense", "coalition",
         ]
 
 

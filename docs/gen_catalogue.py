@@ -40,13 +40,13 @@ and — when it expands into independent sweep points — in
 parallel/resumably via `--jobs`, `--resume`, and `--store-dir` (see the
 [large-sweeps tutorial](tutorials/large-sweeps.md)).
 
-Shared flags (`--dataset`, `--scale`, `--clients`, `--rounds`, `--rho`,
+Shared flags (`--dataset`, `--non-iid`, `--clients`, `--rounds`, `--rho`,
 `--seed`, the systems layer, the execution plan, and orchestration) are
 available on every study; the *extra flags* column lists each study's own
 knobs.  The *preset* column is the study's row of
 `repro.experiments.configs.PRESETS` (the paper's dataset for that
-artefact, used when `--dataset` is not given, and the bench/paper client
-populations); the *swept axis* column lists each axis with the values the
+artefact, used when `--dataset` is not given, and its client
+population); the *swept axis* column lists each axis with the values the
 default request sweeps; the *sweep points* column is the number of
 independent training runs those expand into (axes × algorithms).
 """
@@ -68,8 +68,7 @@ def _preset(study) -> str:
     if study.preset is None:
         return "—"
     row = PRESETS[study.preset]
-    bench, paper = row.clients
-    return f"`{study.preset}` ({row.dataset} · {bench}/{paper} clients)"
+    return f"`{study.preset}` ({row.dataset} · {row.clients} clients)"
 
 
 def _axes(study) -> str:
@@ -116,7 +115,7 @@ def generate() -> str:
     lines = [HEADER]
     lines.append(
         "| Study | Reproduces | Description "
-        "| Preset (dataset · bench/paper clients) | Swept axis (default values) "
+        "| Preset (dataset · clients) | Swept axis (default values) "
         "| Sweep points | Supports | Extra flags |"
     )
     lines.append("|---|---|---|---|---|---|---|---|")

@@ -21,7 +21,7 @@ Usage (after ``pip install -e .``)::
 
 Every study subcommand is generated from the declarative
 :data:`~repro.experiments.studies.STUDIES` registry: one subcommand per
-registered study, each carrying the shared flag groups (scale, systems
+registered study, each carrying the shared flag groups (data, systems
 layer, execution plan, orchestration) plus the study's own extra flags.
 Adding a study to the registry exposes it here with no CLI edits.  The
 extra ``runs`` subcommand inspects and maintains the persistent
@@ -32,6 +32,7 @@ extra ``runs`` subcommand inspects and maintains the persistent
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Any
@@ -79,14 +80,12 @@ def _shared_flags() -> argparse.ArgumentParser:
                              "(the paper's for that table/figure)")
     common.add_argument("--non-iid", action="store_true",
                         help="use the two-shards-per-client non-IID partition")
-    common.add_argument("--scale", default="bench", choices=["bench", "paper"],
-                        help="bench = laptop-friendly presets, paper = full scale")
     common.add_argument("--clients", type=int, default=None,
                         help="override the preset client population")
     common.add_argument("--rounds", type=int, default=None,
                         help="override the preset round budget")
     common.add_argument("--rho", type=float, default=0.3,
-                        help="FedADMM proximal coefficient (bench default 0.3)")
+                        help="FedADMM proximal coefficient (default 0.3)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output", default=None,
                         help="optional path to save the raw results as JSON")
@@ -595,16 +594,11 @@ def handle_loadtest(args: Any) -> int:
 # --------------------------------------------------------------------------- #
 def run_contributions(args: Any) -> dict:
     """Implement ``repro contributions``: leave-one-out / Shapley valuation."""
-    from repro.experiments.configs import AlgorithmSpec, preset_config
+    from repro.experiments.configs import AlgorithmSpec
     from repro.experiments.contributions import compute_contributions
 
     request = StudyRequest.from_args(args)
-    config = preset_config(
-        "contributions", request.dataset, request.non_iid, request.scale,
-        request.seed, num_clients=request.clients,
-        **({} if request.rounds is None else {"num_rounds": request.rounds}),
-        **request.overrides,
-    )
+    config = request.config("contributions")
     kwargs = {"rho": request.rho} if args.algorithm == "fedadmm" else {}
     spec = AlgorithmSpec(args.algorithm, kwargs)
     report = compute_contributions(
@@ -651,6 +645,19 @@ def _print_listing() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.cli``."""
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`repro runs list | head -1`).  The
+        # flush at interpreter exit would raise again, so stdout is pointed
+        # at the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list or args.experiment is None:

@@ -7,7 +7,7 @@ Each table and figure of the paper's Section V maps to
 * a registered :class:`Study` record in :mod:`repro.experiments.studies`
   (the :data:`STUDIES` registry), and
 * a case of ``tests/test_paper_claims.py`` that runs the study's sweep
-  (``STUDIES.sweep``) at bench scale and checks the claims it supports;
+  (``STUDIES.sweep``) and checks the claims it supports;
   ``repro <study>`` prints the regenerated rows/series.
 
 :mod:`repro.experiments.runner` holds the reusable core
@@ -19,9 +19,8 @@ serially or across a process pool, and
 content-addressed store so sweeps are resumable (``--jobs``,
 ``--resume``, ``--store-dir``).
 
-Presets come in two scales: ``"bench"`` (laptop-CPU friendly, used by the
-claims test) and ``"paper"`` (the paper's population sizes and sample
-counts, for users with more time/hardware).
+Every preset is sized for a laptop CPU: small synthetic datasets, tens of
+clients and MLP models.
 """
 
 from repro.experiments.configs import (

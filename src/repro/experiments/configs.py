@@ -1,17 +1,16 @@
 """Experiment configurations and the per-table/figure preset table.
 
 The paper's Section V is one protocol — hyperparameters fixed once — so
-the presets are data: :data:`SCALES` (``"bench"`` — small synthetic
-datasets, tens of clients, MLP models, the whole suite regenerates on a
-laptop CPU in minutes; ``"paper"`` — the paper's client populations
-(100–1000), sample counts and CNN architectures, expect long runtimes),
-:data:`DATASETS` (model and target per dataset) and :data:`PRESETS` (one
-row per table/figure), all read by :func:`preset_config`.
+the presets are data: :data:`DATASETS` (model and target per dataset) and
+:data:`PRESETS` (one row per table/figure), both read by
+:func:`preset_config`.  Every preset runs small synthetic datasets, tens of
+clients and MLP models, so the whole suite regenerates on a laptop CPU in
+minutes.
 
-Absolute round counts at ``"bench"`` scale differ from the paper (smaller
-models, synthetic data); the *orderings and ratios* between algorithms are
-what the reproduction checks: the cases of ``tests/test_paper_claims.py``
-state them, and ``repro <study>`` prints the regenerated rows.
+Absolute round counts differ from the paper (smaller models, synthetic
+data); the *orderings and ratios* between algorithms are what the
+reproduction checks: the cases of ``tests/test_paper_claims.py`` state
+them, and ``repro <study>`` prints the regenerated rows.
 """
 
 from __future__ import annotations
@@ -192,6 +191,11 @@ class ExperimentConfig:
                 "coalition must list distinct client ids in increasing order "
                 f"from range({self.num_clients}), got {self.coalition!r}"
             )
+        if self.coalition is not None and self.num_shards > len(self.coalition):
+            raise ConfigurationError(
+                f"num_shards {self.num_shards} exceeds the coalition of "
+                f"{len(self.coalition)} clients"
+            )
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ExperimentConfig":
@@ -230,65 +234,48 @@ def default_algorithms(
 
 
 # --------------------------------------------------------------------------- #
-# Scales and presets: the paper's one protocol as data
+# Presets: the paper's one protocol as data
 # --------------------------------------------------------------------------- #
-#: The two scales as :class:`ExperimentConfig` field values.  Everything the
-#: table does not name (10% cohorts, E=5, B=20, lr 0.1, ...) is the
-#: dataclass default: the paper fixes its hyperparameters once.
-SCALES: dict[str, dict[str, Any]] = {
-    "bench": {"n_train": 2000, "n_test": 600, "num_rounds": 40},
-    "paper": {"n_train": 60000, "n_test": 10000, "num_rounds": 100},
-}
+#: The fields every preset starts from.  Everything named nowhere in this
+#: section (10% cohorts, E=5, B=20, lr 0.1, ...) is the dataclass default:
+#: the paper fixes its hyperparameters once.
+_BASE: dict[str, Any] = {"n_train": 2000, "n_test": 600, "num_rounds": 40}
 
-#: Per-dataset fields at each scale.  Bench: small MLPs on flattened
-#: synthetic images, with targets that play the role of the paper's
-#: 97% / 80% / 45% — reachable by every algorithm within the round budget,
-#: but only after meaningful training.  Paper: the paper's CNNs and targets.
-DATASETS: dict[str, dict[str, dict[str, Any]]] = {
-    "bench": {
-        "mnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
-                  "target_accuracy": 0.85},
-        "fmnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
-                   "target_accuracy": 0.75},
-        "cifar10": {"model_kwargs": {"input_dim": 3072, "hidden_dims": (32,)},
-                    "target_accuracy": 0.65},
-        "blobs": {"model_kwargs": {"input_dim": 32, "hidden_dims": (32,)},
-                  "target_accuracy": 0.80},
-    },
-    "paper": {
-        "mnist": {"model": "cnn1", "target_accuracy": 0.97},
-        "fmnist": {"model": "cnn1", "target_accuracy": 0.80},
-        "cifar10": {"model": "cnn2", "n_train": 50000, "target_accuracy": 0.45},
-        "blobs": {"model_kwargs": {"input_dim": 32, "hidden_dims": (64,)},
-                  "n_train": 50000, "target_accuracy": 0.90},
-    },
+#: Per-dataset fields: small MLPs on flattened synthetic images, with
+#: targets that play the role of the paper's 97% / 80% / 45% — reachable
+#: by every algorithm within the round budget, but only after meaningful
+#: training.
+DATASETS: dict[str, dict[str, Any]] = {
+    "mnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
+              "target_accuracy": 0.85},
+    "fmnist": {"model_kwargs": {"input_dim": 784, "hidden_dims": (32,)},
+               "target_accuracy": 0.75},
+    "cifar10": {"model_kwargs": {"input_dim": 3072, "hidden_dims": (32,)},
+                "target_accuracy": 0.65},
+    "blobs": {"model_kwargs": {"input_dim": 32, "hidden_dims": (32,)},
+              "target_accuracy": 0.80},
 }
 
 
 @dataclass(frozen=True)
 class Preset:
-    """One row of :data:`PRESETS`: how an artefact instantiates the protocol.
-
-    Field values may be callables of ``(num_clients, non_iid)`` for the
-    few settings the paper derives from the population.
-    """
+    """One row of :data:`PRESETS`: how an artefact instantiates the protocol."""
 
     #: Config-name template over ``{dataset}``, ``{dist}`` and ``{clients}``.
     name: str
     #: The paper's dataset for this table/figure.
     dataset: str
-    #: Client population at (bench, paper) scale.
-    clients: tuple[int, int]
+    #: Client population.
+    clients: int
     #: The artefact's data distribution when the caller does not choose.
     non_iid: bool = True
-    #: :class:`ExperimentConfig` overrides at both scales ...
+    #: :class:`ExperimentConfig` overrides; a callable of ``num_clients``
+    #: derives its field from the population.
     fields: dict[str, Any] = field(default_factory=dict)
-    #: ... and at one scale only, keyed by scale name.
-    per_scale: dict[str, dict[str, Any]] = field(default_factory=dict)
 
 
-def _imbalanced_groups(num_clients: int, non_iid: bool) -> dict[str, int]:
-    # Two clients per volume group at both of the paper's scales (20 / 100).
+def _imbalanced_groups(num_clients: int) -> dict[str, int]:
+    # Two clients per volume group, as in the paper.
     if num_clients % 2:
         raise ConfigurationError(
             "the imbalanced-volume preset pairs clients into num_clients // 2 "
@@ -298,59 +285,47 @@ def _imbalanced_groups(num_clients: int, non_iid: bool) -> dict[str, int]:
 
 
 _STRAGGLERS = {"client_fraction": 0.2, "network": "lognormal"}
-_LONG_LOCAL_WORK = {"paper": {"local_epochs": 10, "batch_size": 50}}
 
 #: Table/figure → preset.  ``fig8``/``fig9`` reuse the ``fig6`` row.
 PRESETS: dict[str, Preset] = {
-    # Table III: 100 clients (MNIST) and 1,000 (all datasets) in the paper;
-    # the 1,000-client columns run E=20 with B=10 (non-IID) or full batch.
     "table3": Preset(
-        "table3-{dataset}-{clients}clients-{dist}", "mnist", (30, 100), non_iid=False,
-        per_scale={"paper": {
-            "local_epochs": lambda m, non_iid: 20 if m >= 1000 else 5,
-            "batch_size": lambda m, non_iid: (
-                20 if m < 1000 else 10 if non_iid else None
-            ),
-        }},
+        "table3-{dataset}-{clients}clients-{dist}", "mnist", 30, non_iid=False
     ),
     # Table IV / Fig. 7: the uniform 1..E draw is disabled so the realised
     # local epochs equal E exactly.
     "table4": Preset(
-        "table4-{dataset}-{dist}", "mnist", (30, 100), non_iid=False,
+        "table4-{dataset}-{dist}", "mnist", 30, non_iid=False,
         fields={"system_heterogeneity": False},
     ),
-    "table5": Preset("table5-{dataset}-{clients}clients", "fmnist", (40, 200)),
-    # Table VI / Fig. 10: group-indexed shard counts; E=10, B=50 in the paper.
+    "table5": Preset("table5-{dataset}-{clients}clients", "fmnist", 40),
+    # Table VI / Fig. 10: group-indexed shard counts.
     "table6": Preset(
-        "table6-{dataset}-imbalanced", "fmnist", (40, 200),
+        "table6-{dataset}-imbalanced", "fmnist", 40,
         fields={"partition": "imbalanced", "partition_kwargs": _imbalanced_groups},
-        per_scale=_LONG_LOCAL_WORK,
     ),
-    "fig3": Preset("fig3-{dataset}-30clients", "fmnist", (30, 30)),
-    # Fig. 5: m=200, E=10, B=50 in the paper.
-    "fig5": Preset("fig5-{dataset}-{dist}", "fmnist", (40, 200),
-                   per_scale=_LONG_LOCAL_WORK),
-    "fig6": Preset("fig6-{dataset}-{dist}", "mnist", (30, 100)),
+    "fig3": Preset("fig3-{dataset}-30clients", "fmnist", 30),
+    "fig5": Preset("fig5-{dataset}-{dist}", "fmnist", 40),
+    "fig6": Preset("fig6-{dataset}-{dist}", "mnist", 30),
     # Not tables from the paper but the regimes its robustness claims
     # target: a heavy-tailed log-normal network makes lock-step rounds
     # straggler-dominated (async/semisync), uploads are compressed and
     # clients drop mid-round (systems), a fifth of the population misbehaves
     # in a cohort large enough for an honest majority (robustness).
-    "async": Preset("async-{dataset}-{dist}", "blobs", (30, 100),
+    "async": Preset("async-{dataset}-{dist}", "blobs", 30,
                     fields={**_STRAGGLERS, "mode": "async"}),
-    "semisync": Preset("semisync-{dataset}-{dist}", "blobs", (30, 100),
+    "semisync": Preset("semisync-{dataset}-{dist}", "blobs", 30,
                        fields={**_STRAGGLERS, "mode": "semisync"}),
-    "systems": Preset("systems-{dataset}-{dist}", "blobs", (30, 100),
+    "systems": Preset("systems-{dataset}-{dist}", "blobs", 30,
                       fields={**_STRAGGLERS, "codec": "topk", "dropout": 0.2}),
     "robustness": Preset(
-        "robustness-{dataset}-{dist}", "blobs", (30, 100),
+        "robustness-{dataset}-{dist}", "blobs", 30,
         fields={"client_fraction": 0.4, "adversary": "sign_flip",
                 "adversary_fraction": 0.2},
     ),
     # Client valuation: every coalition is a full run, so a small population
     # and few rounds; --adversary alone corrupts a fifth of the clients.
     "contributions": Preset(
-        "contributions-{dataset}-{dist}", "blobs", (8, 8),
+        "contributions-{dataset}-{dist}", "blobs", 8,
         fields={"client_fraction": 0.4, "num_rounds": 5,
                 "adversary_fraction": 0.2},
     ),
@@ -358,10 +333,10 @@ PRESETS: dict[str, Preset] = {
     # serve at interactive speed; float16 because its packed bytes equal
     # the ledger's nominal wire bytes exactly.
     "serve": Preset(
-        "serve-{dataset}-{dist}", "blobs", (12, 100),
+        "serve-{dataset}-{dist}", "blobs", 12,
         fields={"client_fraction": 0.25, "local_epochs": 2, "num_rounds": 10,
-                "codec": "float16", "network": "lognormal"},
-        per_scale={"bench": {"n_train": 600, "n_test": 200}},
+                "codec": "float16", "network": "lognormal",
+                "n_train": 600, "n_test": 200},
     ),
 }
 
@@ -377,36 +352,29 @@ def preset_config(
     study: str,
     dataset: str | None = None,
     non_iid: bool | None = None,
-    scale: str = "bench",
+    *,
     seed: int = 0,
     num_clients: int | None = None,
     **overrides: Any,
 ) -> ExperimentConfig:
-    """The configuration of one :data:`PRESETS` row at one scale.
+    """The configuration of one :data:`PRESETS` row.
 
-    ``scale`` selects between ``"bench"`` (small synthetic datasets, tens
-    of clients, MLPs; what ``tests/test_paper_claims.py`` runs) and
-    ``"paper"`` (the paper's populations, sample counts and CNNs; expect
-    long runtimes).
     ``dataset`` / ``non_iid`` / ``num_clients`` default to the row's own
     (the paper's setting for that artefact); ``overrides`` are
     :class:`ExperimentConfig` fields applied last.
     """
     _choice("preset", study, PRESETS)
-    _choice("scale", scale, SCALES)
     row = PRESETS[study]
     dataset = row.dataset if dataset is None else dataset
-    _choice("dataset", dataset, DATASETS[scale])
+    _choice("dataset", dataset, DATASETS)
     non_iid = row.non_iid if non_iid is None else non_iid
-    if num_clients is None:
-        num_clients = row.clients[list(SCALES).index(scale)]
+    num_clients = row.clients if num_clients is None else num_clients
     fields = {
-        **SCALES[scale],
-        **DATASETS[scale][dataset],
+        **_BASE,
+        **DATASETS[dataset],
         "partition": "shard" if non_iid else "iid",
         "partition_kwargs": {"shards_per_client": 2} if non_iid else {},
         **row.fields,
-        **row.per_scale.get(scale, {}),
     }
     config = ExperimentConfig(
         name=row.name.format(
@@ -416,7 +384,7 @@ def preset_config(
         num_clients=num_clients,
         seed=seed,
         **{
-            key: value(num_clients, non_iid) if callable(value)
+            key: value(num_clients) if callable(value)
             else dict(value) if isinstance(value, dict) else value
             for key, value in fields.items()
         },

@@ -65,8 +65,16 @@ def compute_contributions(
         )
     if method == "shapley" and permutations < 1:
         raise ConfigurationError(f"permutations must be >= 1, got {permutations}")
-    orchestrator = orchestrator if orchestrator is not None else SweepOrchestrator()
     everyone = tuple(range(config.num_clients))
+    # The smallest coalition trained: n - 1 clients for leave-one-out, a
+    # Shapley walk's first one-client prefix.
+    smallest = len(everyone) - 1 if method == "loo" else 1
+    if config.num_shards > 1 and config.num_shards > smallest:
+        raise ConfigurationError(
+            f"num_shards {config.num_shards} exceeds the {smallest}-client "
+            f"coalitions {method} trains"
+        )
+    orchestrator = orchestrator if orchestrator is not None else SweepOrchestrator()
     memo: dict[tuple[int, ...], float] = {}
     counts = {"executed": 0, "reused": 0}
 

@@ -48,13 +48,3 @@ def final_accuracies(
         label: result.history.final_accuracy()
         for label, result in results_by_label.items()
     }
-
-
-def best_accuracies(
-    results_by_label: Mapping[str, SimulationResult],
-) -> dict[str, float]:
-    """Best test accuracy per labelled run."""
-    return {
-        label: result.history.best_accuracy()
-        for label, result in results_by_label.items()
-    }

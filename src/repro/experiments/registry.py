@@ -68,7 +68,6 @@ class StudyRequest:
     #: ``None`` selects the study's own preset dataset (the paper's).
     dataset: str | None = None
     non_iid: bool = False
-    scale: str = "bench"
     clients: int | None = None
     rounds: int | None = None
     rho: float = 0.3
@@ -98,7 +97,6 @@ class StudyRequest:
         return cls(
             dataset=getattr(args, "dataset", cls.dataset),
             non_iid=getattr(args, "non_iid", cls.non_iid),
-            scale=getattr(args, "scale", cls.scale),
             clients=getattr(args, "clients", None),
             rounds=getattr(args, "rounds", None),
             rho=getattr(args, "rho", cls.rho),
@@ -114,6 +112,19 @@ class StudyRequest:
     def option(self, name: str, default: Any = None) -> Any:
         """One of the study's extra-flag values, or ``default``."""
         return self.options.get(name, default)
+
+    def config(self, preset: str, fixed_distribution: bool = False) -> ExperimentConfig:
+        """``preset``'s row under this request's dataset, distribution (unless
+        the caller fixes it), seed, population, rounds and overrides."""
+        overrides = dict(self.overrides)
+        if self.rounds is not None:
+            overrides["num_rounds"] = self.rounds
+        if self.clients is not None:
+            overrides["num_clients"] = self.clients
+        return preset_config(
+            preset, self.dataset, None if fixed_distribution else self.non_iid,
+            seed=self.seed, **overrides,
+        )
 
 
 @dataclass(frozen=True)
@@ -264,19 +275,7 @@ class Study:
         """The study's preset config under the request's knobs, if it trains."""
         if self.preset is None:
             return None
-        overrides = dict(request.overrides)
-        if request.rounds is not None:
-            overrides["num_rounds"] = request.rounds
-        if request.clients is not None:
-            overrides["num_clients"] = request.clients
-        return preset_config(
-            self.preset,
-            request.dataset,
-            None if self.fixed_distribution else request.non_iid,
-            request.scale,
-            request.seed,
-            **overrides,
-        )
+        return request.config(self.preset, fixed_distribution=self.fixed_distribution)
 
 
 def filter_plan_compatible(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -33,16 +32,3 @@ def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zeros initialisation (biases)."""
     return np.zeros(shape, dtype=np.float64)
 
-
-def get_initializer(name: str):
-    """Look up an initialiser by name (``'he'``, ``'glorot'``, ``'zeros'``)."""
-    registry = {
-        "he": he_normal,
-        "glorot": glorot_uniform,
-        "zeros": lambda shape, *args, **kwargs: zeros(shape),
-    }
-    if name not in registry:
-        raise ConfigurationError(
-            f"unknown initializer {name!r}; available: {sorted(registry)}"
-        )
-    return registry[name]

@@ -1,9 +1,14 @@
 """Tests for the command-line interface (python -m repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import EXPERIMENTS, _build_parser, main, run_experiment
 from repro.experiments.studies import STUDIES
 
@@ -168,7 +173,6 @@ class TestCliRuns:
         class Args:
             dataset = "blobs"
             non_iid = False
-            scale = "bench"
             clients = 8
             rounds = 2
             rho = 0.3
@@ -330,6 +334,38 @@ class TestCliOrchestration:
             main(self.TABLE4 + ["--backend", "numpy"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["paper", "bench"])
+    def test_scale_flag_is_gone(self, value, capsys):
+        # Every preset has one size; the paper-sized runs diverged in round
+        # 1.  Both former values are refused, the old default included.
+        flag = "--scale"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", flag, value])
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and f"unrecognized arguments: {flag}" in errors[0]
+
+    def test_closed_stdout_pipe_exits_without_a_traceback(self, tmp_path):
+        # The read end is closed before the CLI starts, so its first write
+        # to stdout fails every time.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(repro.__file__).resolve().parents[1]
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "runs", "list",
+                 "--store-dir", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_end)
+        assert completed.returncode == 1
+        assert "Traceback" not in completed.stderr.decode()
+        assert "BrokenPipeError" not in completed.stderr.decode()
 
 
 class TestCliObservability:
@@ -564,6 +600,22 @@ class TestCliRobustness:
         # The coalitions are ordinary store runs.
         assert main(["runs", "list", "--store-dir", str(tmp_path / "store")]) == 0
         assert "5 run(s) listed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method, shards", [("loo", "4"), ("shapley", "2")])
+    def test_contributions_refuse_more_shards_than_the_smallest_coalition(
+        self, method, shards, tmp_path, capsys
+    ):
+        # Leave-one-out trains 3-client coalitions of 4, Shapley 1-client
+        # prefixes; both are refused before the full coalition runs.
+        store = tmp_path / "store"
+        assert main([
+            "contributions", "--clients", "4", "--shards", shards, "--rounds", "1",
+            "--non-iid", "--method", method, "--store-dir", str(store),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"num_shards {shards} exceeds" in err
+        assert not (store / "runs.jsonl").exists()
 
     def test_contributions_jobs_do_not_change_the_report(self, tmp_path, capsys):
         payloads = []

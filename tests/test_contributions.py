@@ -31,10 +31,15 @@ def tiny_cfg(num_clients=4, num_rounds=2, seed=0):
 
 
 class TestCoalitionConfig:
-    @pytest.mark.parametrize("coalition", [(99,), (-1, 0), (1, 1), (2, 0), ()])
-    def test_malformed_coalitions_are_refused_in_one_line(self, coalition):
-        with pytest.raises(ConfigurationError, match="coalition must list") as error:
-            tiny_cfg().with_overrides(coalition=coalition)
+    @pytest.mark.parametrize("overrides, match", [
+        *(({"coalition": coalition}, "coalition must list")
+          for coalition in [(99,), (-1, 0), (1, 1), (2, 0), ()]),
+        ({"coalition": (0, 1), "plan": "hierarchical", "num_shards": 3},
+         "num_shards 3 exceeds the coalition of 2 clients"),
+    ])
+    def test_malformed_coalitions_are_refused_in_one_line(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match) as error:
+            tiny_cfg().with_overrides(**overrides)
         assert len(str(error.value).splitlines()) == 1
 
     def test_coalition_keeps_the_listed_clients_renumbered(self):

@@ -51,22 +51,11 @@ TINY_NON_IID = TINY.with_overrides(
 class TestConfigs:
     def test_all_presets_construct_at_bench_scale(self):
         for name, row in PRESETS.items():
-            for scale in ("bench", "paper"):
-                preset = preset_config(name, scale=scale)
-                assert preset.dataset == row.dataset  # the paper's own
-                assert preset.num_clients in row.clients
-                assert 0 < preset.target_accuracy <= 1
+            preset = preset_config(name)
+            assert preset.dataset == row.dataset  # the paper's own
+            assert preset.num_clients == row.clients
+            assert 0 < preset.target_accuracy <= 1
         assert preset_config("table3", "cifar10", non_iid=True).partition == "shard"
-
-    def test_paper_scale_uses_paper_models_and_targets(self):
-        mnist = preset_config("table3", "mnist", scale="paper")
-        assert mnist.model == "cnn1"
-        assert mnist.target_accuracy == 0.97
-        assert (mnist.local_epochs, mnist.batch_size) == (5, 20)
-        cifar = preset_config("table3", "cifar10", scale="paper", num_clients=1000)
-        assert cifar.model == "cnn2"
-        assert (cifar.local_epochs, cifar.batch_size) == (20, None)
-        assert cifar.name == "table3-cifar10-1000clients-iid"
 
     def test_table6_uses_imbalanced_partition(self):
         config = preset_config("table6")
@@ -83,9 +72,7 @@ class TestConfigs:
     def test_table4_disables_system_heterogeneity(self):
         assert preset_config("table4").system_heterogeneity is False
 
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ConfigurationError, match="scale"):
-            preset_config("table3", scale="huge")
+    def test_unknown_preset_or_dataset_rejected(self):
         with pytest.raises(ConfigurationError, match="preset"):
             preset_config("table2")
         with pytest.raises(ConfigurationError, match="dataset"):

@@ -218,12 +218,11 @@ def pin_requests():
     for study in PIN_AXIS_VARIANTS:
         for dataset in ("mnist", "fmnist", "cifar10", "blobs"):
             for non_iid in (False, True):
-                for scale in ("bench", "paper"):
-                    yield (
-                        f"{study}|{dataset}|{'noniid' if non_iid else 'iid'}|{scale}",
-                        study,
-                        dict(dataset=dataset, non_iid=non_iid, scale=scale),
-                    )
+                yield (
+                    f"{study}|{dataset}|{'noniid' if non_iid else 'iid'}|bench",
+                    study,
+                    dict(dataset=dataset, non_iid=non_iid),
+                )
         # table6's --clients was a crash when the pin was recorded (fixed
         # since, which changes num_groups): it keeps the preset population.
         clients = None if study == "table6" else 8
@@ -240,10 +239,6 @@ def pin_requests():
                  overrides={"codec": "qsgd", "network": "lognormal",
                             "executor": "thread"}),
         )
-    yield ("table3|paper-1000-iid", "table3",
-           dict(dataset="cifar10", scale="paper", clients=1000))
-    yield ("table3|paper-1000-noniid", "table3",
-           dict(dataset="cifar10", scale="paper", clients=1000, non_iid=True))
     yield ("table3|async", "table3",
            dict(dataset="blobs", clients=10, overrides={"mode": "async"}))
     yield ("systems|semisync", "systems",
@@ -252,8 +247,6 @@ def pin_requests():
     yield ("fig3|hierarchical", "fig3",
            dict(dataset="blobs", clients=16,
                 overrides={"plan": "hierarchical", "num_shards": 4}))
-    yield ("table6|paper-clients", "table6",
-           dict(dataset="fmnist", scale="paper", clients=200, rounds=5))
     yield ("robustness|defended", "robustness",
            dict(dataset="blobs", overrides={"adversary": "scale",
                                             "adversary_fraction": 0.3,
@@ -284,8 +277,8 @@ class TestContentKeyPin:
         idents = [ident for ident, _, _ in pin_requests()]
         assert sorted(idents) == sorted(self.PIN)
         grid = [ident for ident in idents if ident.count("|") == 3]
-        assert len(grid) == 208
-        assert sum(self.PIN[ident]["specs"] for ident in grid) == 1008
+        assert len(grid) == 104
+        assert sum(self.PIN[ident]["specs"] for ident in grid) == 504
 
     def test_every_expansion_matches_the_pin(self, tmp_path):
         store = ExperimentStore(tmp_path, version="pin")
@@ -344,7 +337,6 @@ class TestStudyRequest:
         request = StudyRequest.from_args(Args())
         assert request.dataset == "blobs"
         assert request.rho == 0.7
-        assert request.scale == "bench"  # fell back to the default
         assert request.overrides == {}
 
     def test_from_args_collects_overrides_and_options(self):

@@ -28,6 +28,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.nn.batched import local_steps_per_epoch
 from repro.utils.rng import SeedLike, as_rng
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
     from repro.federated.client import ClientState
@@ -56,10 +57,7 @@ class LocalTrainingConfig:
             raise ConfigurationError(
                 f"batch_size must be positive or None, got {self.batch_size}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigurationError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
+        check_positive(self.learning_rate, "learning_rate")
 
 
 class UpdateAccumulator:
@@ -393,6 +391,7 @@ def run_local_sgd(
     config: LocalTrainingConfig,
     rng: SeedLike,
     extra_grad=None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Run ``config.epochs`` epochs of SGD on the local loss plus an optional term.
 
@@ -406,13 +405,18 @@ def run_local_sgd(
         callee may return the same scratch buffer every time.  ``params`` is
         the same array on every call — the model's live value vector, to be
         read and not kept.
+    out:
+        Where the trained parameters are written (it may be
+        ``start_params``, or the row ``start_params`` was loaded from);
+        without it they come back as a fresh array.
 
     Returns
     -------
     (final_params, mean_train_loss)
-        The locally trained parameters and the mean mini-batch loss observed
-        over all steps (the value of the *local data loss*, excluding the
-        extra term, which is what the paper plots).
+        The locally trained parameters (``out`` when given) and the mean
+        mini-batch loss observed over all steps (the value of the *local
+        data loss*, excluding the extra term, which is what the paper
+        plots).
     """
     # The iterate lives in the model's own value vector for the whole update:
     # one load here, one copy out below, none per step.
@@ -429,7 +433,10 @@ def run_local_sgd(
             grad *= config.learning_rate
             params -= grad
     mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return params.copy(), mean_loss
+    if out is None:
+        return params.copy(), mean_loss
+    np.copyto(out, params)
+    return out, mean_loss
 
 
 class OneClientCohort:
@@ -465,13 +472,19 @@ class OneClientCohort:
         extra_grad=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:func:`run_local_sgd` from ``start_params[0]``, as ``(1, dim)``
-        parameters and a ``(1,)`` loss; ``extra_grad`` sees ``(1, dim)``."""
+        parameters and a ``(1,)`` loss; ``extra_grad`` sees ``(1, dim)``.
+
+        A writable ``start_params`` is trained in place and returned; a
+        read-only one (a broadcast global model) is left as it is and the
+        parameters come back as a fresh array.
+        """
         if config.epochs != self.epochs[0]:
             raise ConfigurationError(
                 f"cohort of one was built for {self.epochs[0]} epochs, "
                 f"config asks for {config.epochs}"
             )
-        live = self.problem.bind(start_params[0])
+        row = start_params[0]
+        live = self.problem.bind(row)
         row_extra = None
         if extra_grad is not None:
             # Every step hands ``extra_grad`` the live vector, so its
@@ -481,8 +494,12 @@ class OneClientCohort:
             def row_extra(_: np.ndarray) -> np.ndarray:
                 return extra_grad(stacked)[0]
 
-        params, loss = run_local_sgd(self.problem, live, config, self.rng, row_extra)
-        return params[None, :], np.array([loss])
+        in_place = start_params.flags.writeable
+        params, loss = run_local_sgd(
+            self.problem, live, config, self.rng, row_extra,
+            out=row if in_place else None,
+        )
+        return (start_params if in_place else params[None, :]), np.array([loss])
 
     def full_loss_and_grad(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         loss, grad = self.problem.full_loss_and_grad(params)

@@ -106,21 +106,21 @@ class FedADMM(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        """Algorithm 1's ClientUpdate on the clients' stacked ``(w_i, y_i)``."""
+        """Algorithm 1's ClientUpdate on the clients' stacked ``(w_i, y_i)``
+        (a cohort of one updates its rows in place)."""
         rho = self.rho_schedule.value(round_index)
         for client in clients:
             self.init_client_state(client, global_params)
-        w_old = gather(clients, "w")
-        y_old = gather(clients, "y") if self.use_duals else np.zeros(w_old.shape)
+        w = gather(clients, "w")
+        y = gather(clients, "y") if self.use_duals else np.zeros(w.shape)
 
         result = admm_client_update(
-            cohort, w_old, y_old, global_params, rho, config,
-            warm_start=self.warm_start,
+            cohort, w, y, global_params, rho, config, warm_start=self.warm_start,
         )
 
-        scatter(clients, "w", result.w_new)
+        scatter(clients, "w", w)
         if self.use_duals:
-            scatter(clients, "y", result.y_new)
+            scatter(clients, "y", y)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, result.train_loss,
             {"delta": result.delta},

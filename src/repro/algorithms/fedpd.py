@@ -27,6 +27,7 @@ from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState, gather, scatter
 from repro.federated.messages import ClientMessage
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_positive
 
 
 class FedPD(FederatedAlgorithm):
@@ -39,8 +40,7 @@ class FedPD(FederatedAlgorithm):
     supports_async = False
 
     def __init__(self, rho: float = 0.01, communication_probability: float = 1.0):
-        if rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {rho}")
+        check_positive(rho, "rho")
         if not 0 < communication_probability <= 1:
             raise ConfigurationError(
                 f"communication_probability must lie in (0, 1], "
@@ -75,19 +75,13 @@ class FedPD(FederatedAlgorithm):
         new augmented model rather than its change."""
         for client in clients:
             self.init_client_state(client, global_params)
-        result = admm_client_update(
-            cohort,
-            gather(clients, "w"),
-            gather(clients, "y"),
-            global_params,
-            self.rho,
-            config,
-        )
-        scatter(clients, "w", result.w_new)
-        scatter(clients, "y", result.y_new)
+        w, y = gather(clients, "w"), gather(clients, "y")
+        result = admm_client_update(cohort, w, y, global_params, self.rho, config)
+        scatter(clients, "w", w)
+        scatter(clients, "y", y)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, result.train_loss,
-            {"augmented_model": augmented_model(result.w_new, result.y_new, self.rho)},
+            {"augmented_model": augmented_model(w, y, self.rho)},
         )
 
     def server_step(self, sums: UpdateAccumulator) -> np.ndarray:

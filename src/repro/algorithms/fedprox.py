@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.algorithms.base import LocalTrainingConfig
 from repro.algorithms.fedavg import FedAvg
-from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.messages import ClientMessage
+from repro.utils.validation import check_non_negative
 
 
 class FedProx(FedAvg):
@@ -29,9 +29,7 @@ class FedProx(FedAvg):
 
     def __init__(self, rho: float = 0.1, weighting: str = "uniform"):
         super().__init__(weighting)
-        if rho < 0:
-            raise ConfigurationError(f"rho must be non-negative, got {rho}")
-        self.rho = rho
+        self.rho = check_non_negative(rho, "rho")
 
     def batched_local_update(
         self,

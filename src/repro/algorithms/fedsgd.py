@@ -15,9 +15,9 @@ from repro.algorithms.base import (
     LocalTrainingConfig,
     UpdateAccumulator,
 )
-from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState
 from repro.federated.messages import ClientMessage
+from repro.utils.validation import check_positive
 
 
 class FedSGD(FederatedAlgorithm):
@@ -29,11 +29,9 @@ class FedSGD(FederatedAlgorithm):
     shuffles_minibatches = False
 
     def __init__(self, server_learning_rate: float = 0.1):
-        if server_learning_rate <= 0:
-            raise ConfigurationError(
-                f"server_learning_rate must be positive, got {server_learning_rate}"
-            )
-        self.server_learning_rate = server_learning_rate
+        self.server_learning_rate = check_positive(
+            server_learning_rate, "server_learning_rate"
+        )
 
     def batched_local_update(
         self,

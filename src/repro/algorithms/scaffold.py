@@ -18,9 +18,9 @@ from repro.algorithms.base import (
     LocalTrainingConfig,
     UpdateAccumulator,
 )
-from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState, gather, scatter
 from repro.federated.messages import ClientMessage
+from repro.utils.validation import check_positive
 
 
 class Scaffold(FederatedAlgorithm):
@@ -34,11 +34,7 @@ class Scaffold(FederatedAlgorithm):
     supports_async = False
 
     def __init__(self, server_step_size: float = 1.0):
-        if server_step_size <= 0:
-            raise ConfigurationError(
-                f"server_step_size must be positive, got {server_step_size}"
-            )
-        self.server_step_size = server_step_size
+        self.server_step_size = check_positive(server_step_size, "server_step_size")
 
     # ------------------------------------------------------------------ #
     # State
@@ -95,6 +91,8 @@ class Scaffold(FederatedAlgorithm):
 
         delta_params = params - global_params[None, :]
         delta_controls = new_controls - client_controls
+        # On a cohort of one ``client_controls`` is the live row, which this
+        # scatter overwrites: every read of it comes before.
         scatter(clients, "control", new_controls)
         return self.build_cohort_messages(
             clients, cohort, cohort.epochs, losses,

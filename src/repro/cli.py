@@ -32,6 +32,7 @@ extra ``runs`` subcommand inspects and maintains the persistent
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -71,6 +72,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a finite float (``nan`` and ``inf`` parse as floats)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _shared_flags() -> argparse.ArgumentParser:
     """The flag groups every study subcommand inherits."""
     common = argparse.ArgumentParser(add_help=False)
@@ -84,7 +93,7 @@ def _shared_flags() -> argparse.ArgumentParser:
                         help="override the preset client population")
     common.add_argument("--rounds", type=int, default=None,
                         help="override the preset round budget")
-    common.add_argument("--rho", type=float, default=0.3,
+    common.add_argument("--rho", type=finite_float, default=0.3,
                         help="FedADMM proximal coefficient (default 0.3)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--output", default=None,
@@ -260,7 +269,7 @@ def _add_serve_parsers(subparsers) -> None:
     def add_scenario_flags(sub):
         sub.add_argument("--algorithm", default="fedavg",
                          choices=sorted(ALGORITHM_REGISTRY))
-        sub.add_argument("--rho", type=float, default=0.3,
+        sub.add_argument("--rho", type=finite_float, default=0.3,
                          help="FedADMM proximal coefficient")
         sub.add_argument("--dataset", default="blobs",
                          choices=["mnist", "fmnist", "cifar10", "blobs"])

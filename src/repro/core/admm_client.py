@@ -18,38 +18,39 @@ import numpy as np
 
 from repro.algorithms.base import LocalTrainingConfig
 from repro.core.augmented_lagrangian import AugmentedLagrangian
-from repro.core.dual import augmented_model, dual_update
-from repro.exceptions import ConfigurationError
+from repro.core.dual import augmented_model
+from repro.utils.validation import check_positive
 
 
 @dataclass
 class AdmmClientResult:
-    """Output of one ClientUpdate sweep: ``(C, dim)`` stacks, ``(C,)`` losses."""
+    """Output of one ClientUpdate sweep: the ``(C, dim)`` uploads ``Δ`` and
+    the ``(C,)`` train losses (the new states are in the arrays passed in)."""
 
-    w_new: np.ndarray
-    y_new: np.ndarray
     delta: np.ndarray
     train_loss: np.ndarray
 
 
 def admm_client_update(
     cohort,
-    w_old: np.ndarray,
-    y_old: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
     theta: np.ndarray,
     rho: float,
     config: LocalTrainingConfig,
     warm_start: bool = True,
 ) -> AdmmClientResult:
-    """Run Algorithm 1's ClientUpdate for a cohort and return the new states
-    plus every ``Δ_i``.
+    """Run Algorithm 1's ClientUpdate for a cohort, in place, and return
+    every ``Δ_i``.
 
     ``cohort`` is the clients' data behind the cohort interface of
     :meth:`repro.algorithms.base.FederatedAlgorithm.batched_local_update`
-    (one client or a stack); ``w_old`` / ``y_old`` are the cohort's
-    ``(C, dim)`` primal / dual stacks.  The update owns them: their memory
-    becomes the returned ``y_new`` and ``delta``, so pass stacks nobody
-    else reads (:func:`repro.federated.client.gather` returns fresh ones).
+    (one client or a stack); ``w`` / ``y`` are the cohort's writable
+    ``(C, dim)`` float64 primal / dual arrays, and the update writes the
+    new ``(w_i, y_i)`` into them: :func:`repro.federated.client.gather`
+    hands a cohort of one its live rows, so the client's state is trained
+    where it lives.  ``Δ`` is a fresh array that shares memory with
+    neither.  If training raises, ``w`` and ``y`` may be half-written.
 
     Parameters
     ----------
@@ -58,27 +59,29 @@ def admm_client_update(
         SGD from the stored local model ``w_i``; ``False`` ("initialisation
         II") restarts from the downloaded global model θ.
     """
-    if rho <= 0:
-        raise ConfigurationError(f"FedADMM requires rho > 0, got {rho}")
+    check_positive(rho, "FedADMM's rho")
     lagrangian = AugmentedLagrangian(rho)
-    w_old = np.asarray(w_old, dtype=np.float64)
-    y_old = np.asarray(y_old, dtype=np.float64)
-    start = w_old if warm_start else np.broadcast_to(theta, w_old.shape)
-
-    scratch = np.empty(w_old.shape, dtype=np.float64)
+    # Eq. (4)'s old augmented model u_old = w + y/ρ, formed before training
+    # overwrites w, in the buffer that becomes Δ.
+    delta = augmented_model(w, y, rho)
+    if not warm_start:
+        w[...] = theta
+    scratch = np.empty(w.shape, dtype=np.float64)
 
     def extra_grad(params: np.ndarray) -> np.ndarray:
         # ``params`` is the prefix of clients still training this epoch.
         active = params.shape[0]
         return lagrangian.penalty_gradient(
-            params, y_old[:active], theta, out=scratch[:active]
+            params, y[:active], theta, out=scratch[:active]
         )
 
-    w_new, train_loss = cohort.run_sgd(start, config, extra_grad)
-    # Eq. (4) as update_message computes it, with every one of our stacks
-    # that has just died reused as the next output: no allocation here.
-    u_old = augmented_model(w_old, y_old, rho, out=scratch)
-    y_new = dual_update(y_old, w_new, theta, rho, out=w_old)
-    delta = augmented_model(w_new, y_new, rho, out=y_old)
-    delta -= u_old
-    return AdmmClientResult(w_new=w_new, y_new=y_new, delta=delta, train_loss=train_loss)
+    _, train_loss = cohort.run_sgd(w, config, extra_grad)
+    # y ← y + ρ(w − θ), dual_update's operations in its order; its ``out``
+    # may not alias ``y``, so ρ(w − θ) goes through the scratch first.
+    step = np.subtract(w, theta, out=scratch, dtype=np.float64)
+    step *= rho
+    np.add(y, step, out=y)
+    # Δ = u_new − u_old.
+    u_new = augmented_model(w, y, rho, out=scratch)
+    np.subtract(u_new, delta, out=delta)
+    return AdmmClientResult(delta=delta, train_loss=train_loss)

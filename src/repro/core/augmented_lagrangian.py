@@ -14,15 +14,14 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.federated.local_problem import LocalProblem
+from repro.utils.validation import check_non_negative
 
 
 class AugmentedLagrangian:
     """Evaluates the augmented Lagrangian terms added on top of ``f_i``."""
 
     def __init__(self, rho: float):
-        if rho < 0:
-            raise ConfigurationError(f"rho must be non-negative, got {rho}")
-        self.rho = rho
+        self.rho = check_non_negative(rho, "rho")
 
     # ------------------------------------------------------------------ #
     # Penalty terms (everything except f_i)

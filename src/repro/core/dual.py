@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 def dual_update(
@@ -30,8 +31,7 @@ def dual_update(
 
     Written into ``out`` when given (it must not alias ``y``).
     """
-    if rho <= 0:
-        raise ConfigurationError(f"rho must be positive for a dual update, got {rho}")
+    check_positive(rho, "rho")
     y_new = np.subtract(w, theta, out=out, dtype=np.float64)
     y_new *= rho
     return np.add(y, y_new, out=y_new)
@@ -44,8 +44,7 @@ def augmented_model(
 
     Written into ``out`` when given (it may alias neither input).
     """
-    if rho <= 0:
-        raise ConfigurationError(f"rho must be positive, got {rho}")
+    check_positive(rho, "rho")
     u = np.divide(y, rho, out=out)
     return np.add(w, u, out=u)
 

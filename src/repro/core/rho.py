@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 class RhoSchedule:
@@ -31,9 +32,7 @@ class ConstantRho(RhoSchedule):
     """A fixed ρ (the paper fixes ρ = 0.01 for FedADMM everywhere)."""
 
     def __init__(self, rho: float = 0.01):
-        if rho <= 0:
-            raise ConfigurationError(f"rho must be positive, got {rho}")
-        self.rho = rho
+        self.rho = check_positive(rho, "rho")
 
     def value(self, round_index: int) -> float:
         return self.rho
@@ -50,8 +49,8 @@ class PiecewiseRho(RhoSchedule):
             raise ConfigurationError(
                 "values must have exactly one more element than boundaries"
             )
-        if any(v <= 0 for v in values):
-            raise ConfigurationError("every rho value must be positive")
+        for value in values:
+            check_positive(value, "every rho value")
         if list(boundaries) != sorted(boundaries):
             raise ConfigurationError("boundaries must be sorted ascending")
         self.values = list(values)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 class ServerStepSize:
@@ -32,9 +33,7 @@ class ConstantStepSize(ServerStepSize):
     """A fixed η (the paper's nominal setting is η = 1.0)."""
 
     def __init__(self, eta: float = 1.0):
-        if eta <= 0:
-            raise ConfigurationError(f"eta must be positive, got {eta}")
-        self.eta = eta
+        self.eta = check_positive(eta, "eta")
 
     def value(self, round_index: int, num_selected: int, num_clients: int) -> float:
         return self.eta
@@ -69,8 +68,8 @@ class PiecewiseStepSize(ServerStepSize):
             raise ConfigurationError(
                 "values must have exactly one more element than boundaries"
             )
-        if any(v <= 0 for v in values):
-            raise ConfigurationError("every eta value must be positive")
+        for value in values:
+            check_positive(value, "every eta value")
         if list(boundaries) != sorted(boundaries):
             raise ConfigurationError("boundaries must be sorted ascending")
         self.values = list(values)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.exceptions import ConfigurationError
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,7 @@ class ExperimentConfig:
             raise ConfigurationError("client_fraction must lie in (0, 1]")
         if self.local_epochs <= 0:
             raise ConfigurationError("local_epochs must be positive")
+        check_positive(self.learning_rate, "learning_rate")
         if self.num_rounds <= 0:
             raise ConfigurationError("num_rounds must be positive")
         if not 0 < self.target_accuracy <= 1:

@@ -4,15 +4,22 @@ A :class:`ClientState` owns a client's local dataset and a *row* of a
 :class:`ClientStateStore`, in which the algorithm keeps that client's
 persistent variables (for FedADMM the primal/dual pair ``(w_i, y_i)``; for
 SCAFFOLD the control variate ``c_i``).  The store holds one float64
-``(rows, *shape)`` array per variable name, so a cohort reads its rows with
-one :func:`gather` and writes them back with one :func:`scatter` instead of
-stacking and copying per client.
+``(rows, *shape)`` array per variable name.  A cohort of one reads its row
+in place: :func:`gather` hands it the live ``(1, *shape)`` view and the
+update writes its new state straight into it, so :func:`scatter` has
+nothing left to do.  A stack reads a private copy of its rows with one
+``np.take`` and writes them back with one indexed assignment.
 
 Contract (``docs/architecture.md``, "Client state"):
 
-* :meth:`ClientState.get` returns the *live* row: the next ``set`` or
-  ``scatter`` on that client overwrites it, so a caller that keeps a vector
-  across a round must ``.copy()`` it.
+* :meth:`ClientState.get` returns the *live* row: the next ``set``,
+  ``scatter`` or one-client update on that client overwrites it, so a
+  caller that keeps a vector across a round must ``.copy()`` it.
+* Rows are disjoint across a round's tasks and parts, so thread,
+  vectorized and served parts may write them concurrently.  A task that
+  raises may leave its rows half-written; nothing reads live rows after a
+  failed task (the run stops, and a served reclaim restarts from the
+  server's frame).
 * A store is sized once and never grows, so no row a round's parts read
   or write is ever reallocated.  A new handle has a private one-row store;
   a list population is adopted into one shared store when a simulation is
@@ -77,6 +84,10 @@ class ClientStateStore:
     def row(self, key: str, row: int) -> np.ndarray:
         """The live ``(*shape)`` view of one row."""
         return self._arrays[key][row]
+
+    def row_stack(self, key: str, row: int) -> np.ndarray:
+        """The live ``(1, *shape)`` view of one row: a cohort of one."""
+        return self._arrays[key][row : row + 1]
 
     def write(self, key: str, row: int, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=np.float64)
@@ -181,14 +192,34 @@ def _row_by_row(clients: Sequence[ClientState]) -> bool:
     return any(client.store is not store for client in clients)
 
 
-def gather(clients: Sequence[ClientState], key: str) -> np.ndarray:
-    """The clients' ``key`` rows as a fresh ``(C, *shape)`` stack.
+def _is_live_row(client: ClientState, key: str, stack: np.ndarray) -> bool:
+    """Whether ``stack`` is ``client``'s live ``(1, *shape)`` row of ``key``."""
+    if key not in client._keys:
+        return False
+    live = client.store.row_stack(key, client.row)
+    # Only a view of the store can overlap a row, and the one view handed
+    # out is the row itself.  Comparing addresses through
+    # ``__array_interface__`` instead makes NumPy keep a ~1 MB buffer, which
+    # raised a serial run's peak RSS by 18 MiB.
+    return (
+        stack.shape == live.shape
+        and stack.strides == live.strides
+        and np.shares_memory(stack, live)
+    )
 
-    One ``np.take`` for a cohort on one store.
+
+def gather(clients: Sequence[ClientState], key: str) -> np.ndarray:
+    """The clients' ``key`` rows as a ``(C, *shape)`` array.
+
+    A one-client cohort gets the live ``(1, *shape)`` view of its row, to
+    update in place; a stack gets a private copy (one ``np.take`` for a
+    cohort on one store), to write back with :func:`scatter`.
     """
     for client in clients:
         if key not in client._keys:
             raise client._missing(key)
+    if len(clients) == 1:
+        return clients[0].store.row_stack(key, clients[0].row)
     if _row_by_row(clients):
         return np.array([client.get(key) for client in clients])
     return clients[0].store.take(key, [client.row for client in clients])
@@ -197,13 +228,16 @@ def gather(clients: Sequence[ClientState], key: str) -> np.ndarray:
 def scatter(clients: Sequence[ClientState], key: str, stack: np.ndarray) -> None:
     """Write row ``i`` of ``stack`` as client ``i``'s ``key``.
 
-    One indexed assignment for a cohort on one store.
+    One indexed assignment for a cohort on one store, and nothing at all
+    for the live row :func:`gather` handed a cohort of one.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if len(stack) != len(clients):
         raise ConfigurationError(
             f"scatter of {len(stack)} rows onto {len(clients)} clients"
         )
+    if len(clients) == 1 and _is_live_row(clients[0], key, stack):
+        return
     if _row_by_row(clients):
         for client, value in zip(clients, stack):
             client.set(key, value)

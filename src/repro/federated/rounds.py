@@ -505,6 +505,22 @@ class UploadStage:
                 self.accumulator.accumulate(message)
 
 
+def _first_non_finite(model: Module, params: np.ndarray) -> str:
+    """Which of ``model``'s parameters holds the first non-finite entry of
+    its flat vector ``params``."""
+    index = int(np.flatnonzero(~np.isfinite(params))[0])
+    parameters = model.parameters()
+    end = 0
+    for position, parameter in enumerate(parameters, start=1):
+        end += parameter.size
+        if index < end:
+            break
+    return (
+        f"first non-finite value in parameter {position} of {len(parameters)} "
+        f"({parameter.name}, shape {parameter.shape})"
+    )
+
+
 def finalise_round(
     engine,
     *,
@@ -535,7 +551,8 @@ def finalise_round(
     if not np.isfinite(state.params).all():
         raise SimulationError(
             f"round {state.rounds_run}: {engine.algorithm.name} produced a "
-            "non-finite global model; the run diverged"
+            "non-finite global model; the run diverged; "
+            + _first_non_finite(engine.model, state.params)
         )
     record = RoundRecord(
         round_index=state.rounds_run,

@@ -421,8 +421,20 @@ class BatchedCohort:
     def run_sgd(
         self, start_params: np.ndarray, config, extra_grad: ExtraGrad | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`batched_run_local_sgd` on this cohort."""
-        return batched_run_local_sgd(self, start_params, config, extra_grad)
+        """:func:`batched_run_local_sgd` on this cohort.
+
+        A writable C-contiguous float64 ``start_params`` is trained in place
+        and returned; any other (a broadcast global model) is copied once.
+        """
+        in_place = (
+            start_params.flags.writeable
+            and start_params.flags.c_contiguous
+            and start_params.dtype == np.float64
+        )
+        return batched_run_local_sgd(
+            self, start_params, config, extra_grad,
+            out=start_params if in_place else None,
+        )
 
 
 def _epoch_batches(
@@ -465,6 +477,7 @@ def batched_run_local_sgd(
     start_params: np.ndarray,
     config,
     extra_grad: ExtraGrad | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked counterpart of :func:`repro.algorithms.base.run_local_sgd`.
 
@@ -478,13 +491,23 @@ def batched_run_local_sgd(
     as in the serial kernel it is only read, and only before the next
     call, so the callee may return the same scratch buffer every time.
 
-    Returns the trained ``(C, dim)`` parameters and each client's mean
-    mini-batch loss ``(C,)`` — the unweighted mean over that client's own
-    batches, exactly like the serial kernel.
+    ``out`` is a C-contiguous float64 ``(C, dim)`` array to train in (it
+    may be ``start_params`` itself); without it the iterate is a fresh copy
+    of ``start_params``.
+
+    Returns the trained ``(C, dim)`` parameters (``out`` when given) and
+    each client's mean mini-batch loss ``(C,)`` — the unweighted mean over
+    that client's own batches, exactly like the serial kernel.
     """
-    # order="C": a broadcast start (every client from the global model) would
-    # otherwise copy client-axis-fastest, and no prefix of that is contiguous.
-    params = np.array(start_params, dtype=np.float64, order="C")
+    if out is None:
+        # order="C": a broadcast start (every client from the global model)
+        # would otherwise copy client-axis-fastest, and no prefix of that is
+        # contiguous.
+        params = np.array(start_params, dtype=np.float64, order="C")
+    else:
+        if out is not start_params:
+            np.copyto(out, start_params)
+        params = out
     loss_sum = np.zeros(cohort.num_clients, dtype=np.float64)
     learning_rate = config.learning_rate
     for epoch in range(int(cohort.epochs.max(initial=0))):

@@ -7,22 +7,28 @@ rather than deep inside a training loop.
 
 from __future__ import annotations
 
+import math
 from typing import Sized
 
 from repro.exceptions import ConfigurationError, ShapeError
 
 
 def check_positive(value: float, name: str) -> float:
-    """Ensure ``value > 0``; return it for chaining."""
-    if not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    """Ensure ``value`` is finite and ``> 0``; return it for chaining.
+
+    ``x <= 0`` is false for NaN, so a bare comparison would let it through.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
     return value
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Ensure ``value >= 0``; return it for chaining."""
-    if value < 0:
-        raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
+    """Ensure ``value`` is finite and ``>= 0``; return it for chaining."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(
+            f"{name} must be non-negative and finite, got {value!r}"
+        )
     return value
 
 

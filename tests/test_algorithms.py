@@ -170,13 +170,13 @@ class TestLocalStepCost:
         config = LocalTrainingConfig(epochs=25, batch_size=4, learning_rate=0.01)
         growth = []
 
-        def measured(problem, start, config, rng, extra_grad):
+        def measured(problem, start, config, rng, extra_grad, out=None):
             tracemalloc.start()
             try:
                 before, _ = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 result = run_local_sgd(
-                    problem, start, config, rng=rng, extra_grad=extra_grad
+                    problem, start, config, rng=rng, extra_grad=extra_grad, out=out
                 )
                 growth.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
@@ -184,15 +184,17 @@ class TestLocalStepCost:
             return result
 
         def update():
-            return admm_client_update(
+            # The update trains ``w`` in place: it is the new local model.
+            w = theta[None].copy()
+            admm_client_update(
                 OneClientCohort(problem, config.epochs, rng=0),
-                theta[None].copy(), np.zeros((1, theta.size)), theta, 0.3, config,
+                w, np.zeros((1, theta.size)), theta, 0.3, config,
             )
+            return w
 
         expected = update()  # warm-up: the model moves into flat storage once
         monkeypatch.setattr(algorithms_base, "run_local_sgd", measured)
-        result = update()
-        assert np.array_equal(result.w_new, expected.w_new)
+        assert np.array_equal(update(), expected)
         # 50 steps live in the iterate plus one gradient or matmul product
         # at a time: measured 2.1 model-sized arrays, where the allocating
         # step `params -= lr * (grad + y + rho * (w - theta))` peaked at 4.1.

@@ -319,6 +319,18 @@ class TestCliOrchestration:
         ]
         assert len(errors) == 1 and "invalid choice: 'process'" in errors[0]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rho_refused_at_parse_time(self, value, capsys):
+        # ``x <= 0`` is false for NaN: without the parse-time check a NaN ρ
+        # trained every sweep point and failed one at the end.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table3", "--dataset", "blobs", "--rounds", "1", f"--rho={value}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--rho: must be finite" in errors[0]
+        assert captured.out == ""
+
     def test_systems_refuses_the_process_executor(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["systems", "--executor", "process"])

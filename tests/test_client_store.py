@@ -87,7 +87,11 @@ def test_store_behaves_as_a_dict_of_copies(data):
             else:
                 stack = gather(chosen, key)
                 assert np.array_equal(stack, [reference[i][key] for i in subset])
-                stack += 1.0  # a fresh stack: writing it touches no row
+                if len(chosen) == 1:
+                    # A cohort of one reads its live row, to update in place.
+                    assert np.shares_memory(stack, chosen[0].get(key))
+                else:
+                    stack += 1.0  # a private stack: writing it touches no row
         else:
             with pytest.raises(ConfigurationError, match=repr(key)):
                 if op == "get":

@@ -143,27 +143,30 @@ class TestAdmmClientUpdate:
         w_old = theta.copy()
         y_old = np.zeros_like(theta)
         rho = 0.5
+        # The update writes the new state into the arrays it is given.
+        w_new, y_new = w_old[None].copy(), y_old[None].copy()
         result = admm_client_update(
-            _cohort(local_problem, training_config), w_old[None].copy(),
-            y_old[None].copy(), theta, rho, training_config,
+            _cohort(local_problem, training_config), w_new, y_new, theta, rho,
+            training_config,
         )
-        assert np.allclose(result.y_new[0], y_old + rho * (result.w_new[0] - theta))
-        expected_delta = (result.w_new[0] + result.y_new[0] / rho) - (w_old + y_old / rho)
+        assert np.allclose(y_new[0], y_old + rho * (w_new[0] - theta))
+        expected_delta = (w_new[0] + y_new[0] / rho) - (w_old + y_old / rho)
         assert np.allclose(result.delta[0], expected_delta)
         assert np.isfinite(result.train_loss[0])
 
     def test_training_reduces_local_loss(self, local_problem, training_config):
         theta = local_problem.model.get_flat_params()
         config = LocalTrainingConfig(epochs=5, batch_size=16, learning_rate=0.2)
-        result = admm_client_update(
+        w = theta[None].copy()
+        admm_client_update(
             _cohort(local_problem, config),
-            theta[None].copy(),
+            w,
             np.zeros((1, theta.size)),
             theta,
             rho=0.1,
             config=config,
         )
-        assert local_problem.full_loss(result.w_new[0]) < local_problem.full_loss(theta)
+        assert local_problem.full_loss(w[0]) < local_problem.full_loss(theta)
 
     def test_warm_start_vs_restart_differ_for_stale_local_model(
         self, local_problem, training_config
@@ -171,16 +174,17 @@ class TestAdmmClientUpdate:
         theta = local_problem.model.get_flat_params()
         stale_w = (theta + 1.0)[None]  # pretend the client trained long ago
         y = np.zeros((1, theta.size))
-        # The update owns the stacks it is given: each call gets copies.
-        warm = admm_client_update(
-            _cohort(local_problem, training_config), stale_w.copy(), y.copy(),
+        # The update trains the arrays it is given: each call gets copies.
+        warm, restart = stale_w.copy(), stale_w.copy()
+        admm_client_update(
+            _cohort(local_problem, training_config), warm, y.copy(),
             theta, 0.5, training_config, warm_start=True,
         )
-        restart = admm_client_update(
-            _cohort(local_problem, training_config), stale_w.copy(), y.copy(),
+        admm_client_update(
+            _cohort(local_problem, training_config), restart, y.copy(),
             theta, 0.5, training_config, warm_start=False,
         )
-        assert not np.allclose(warm.w_new, restart.w_new)
+        assert not np.allclose(warm, restart)
 
     def test_invalid_rho_rejected(self, local_problem, training_config):
         theta = local_problem.model.get_flat_params()

@@ -1,5 +1,8 @@
 """Integration tests: the full simulation engine across all algorithms."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import run_single
 from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import FixedEpochs, UniformRandomEpochs
+from repro.federated.rounds import finalise_round
 from repro.federated.sampler import FixedScheduleSampler, UniformFractionSampler
 from repro.nn.losses import CrossEntropyLoss
 from tests.conftest import NUM_CLASSES, make_model
@@ -182,6 +186,37 @@ class TestEngineBehaviour:
         assert len(message.splitlines()) == 1
         assert message.startswith("round ") and "fedavg" in message
         assert "non-finite" in message
+        assert re.search(
+            r"first non-finite value in parameter \d+ of 4 \(linear\.\w+, shape \(", message
+        )
+
+    @pytest.mark.parametrize("position", [1, 3, 4])
+    def test_divergence_names_the_first_non_finite_parameter(self, position):
+        model = make_model()
+        parameters = model.parameters()
+        params = model.get_flat_params()
+        end = sum(parameter.size for parameter in parameters[:position])
+        params[end - 1] = np.nan  # the last entry of parameter `position`
+        if position < len(parameters):
+            params[end] = np.inf  # a later one is not the first
+        engine = SimpleNamespace(
+            state=SimpleNamespace(params=params, rounds_run=3),
+            algorithm=SimpleNamespace(name="fedadmm"),
+            model=model,
+        )
+        with pytest.raises(SimulationError) as error:
+            finalise_round(
+                engine, evaluation=None, train_losses=[], num_selected=0,
+                uploads=0, downloads=0, upload_wire_bytes=0,
+                download_wire_bytes=0, epochs_used=[], simulated_seconds=0.0,
+                dropped=[],
+            )
+        parameter = parameters[position - 1]
+        assert str(error.value) == (
+            "round 3: fedadmm produced a non-finite global model; the run "
+            f"diverged; first non-finite value in parameter {position} of "
+            f"{len(parameters)} ({parameter.name}, shape {parameter.shape})"
+        )
 
 
 class TestFedAdmmInvariants:

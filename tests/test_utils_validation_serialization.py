@@ -2,11 +2,20 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro.algorithms import build_algorithm
+from repro.algorithms.base import LocalTrainingConfig
+from repro.core.admm_client import admm_client_update
+from repro.core.augmented_lagrangian import AugmentedLagrangian
+from repro.core.dual import augmented_model, dual_update
+from repro.core.rho import PiecewiseRho
+from repro.core.stepsize import PiecewiseStepSize
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.experiments.configs import ExperimentConfig
 from repro.utils.serialization import (
     dumps_strict,
     load_json,
@@ -54,6 +63,59 @@ class TestValidation:
         check_same_length([1, 2], (3, 4), "a", "b")
         with pytest.raises(ShapeError):
             check_same_length([1], [1, 2], "a", "b")
+
+
+def _piecewise(cls):
+    return lambda value: cls([1.0, value], [2])
+
+
+#: Every ρ / η / learning-rate guard, each handed one bad value.
+NON_FINITE_GUARDS = {
+    "check_positive": lambda value: check_positive(value, "x"),
+    "check_non_negative": lambda value: check_non_negative(value, "x"),
+    "fedadmm.rho": lambda value: build_algorithm("fedadmm", rho=value),
+    "fedadmm.server_step_size": lambda value: build_algorithm(
+        "fedadmm", server_step_size=value
+    ),
+    "fedprox.rho": lambda value: build_algorithm("fedprox", rho=value),
+    "fedpd.rho": lambda value: build_algorithm("fedpd", rho=value),
+    "scaffold.server_step_size": lambda value: build_algorithm(
+        "scaffold", server_step_size=value
+    ),
+    "fedsgd.server_learning_rate": lambda value: build_algorithm(
+        "fedsgd", server_learning_rate=value
+    ),
+    "PiecewiseRho": _piecewise(PiecewiseRho),
+    "PiecewiseStepSize": _piecewise(PiecewiseStepSize),
+    "AugmentedLagrangian": AugmentedLagrangian,
+    "admm_client_update.rho": lambda value: admm_client_update(
+        None, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(2), value, None
+    ),
+    "dual_update.rho": lambda value: dual_update(
+        np.zeros(2), np.zeros(2), np.zeros(2), value
+    ),
+    "augmented_model.rho": lambda value: augmented_model(
+        np.zeros(2), np.zeros(2), value
+    ),
+    "LocalTrainingConfig.learning_rate": lambda value: LocalTrainingConfig(
+        epochs=1, batch_size=None, learning_rate=value
+    ),
+    "ExperimentConfig.learning_rate": lambda value: ExperimentConfig(
+        name="x", learning_rate=value
+    ),
+}
+
+
+class TestNonFiniteHyperparameters:
+    # ``x <= 0`` is false for NaN: every guard must refuse it, and infinities.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("guard", sorted(NON_FINITE_GUARDS))
+    def test_refused(self, guard, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            NON_FINITE_GUARDS[guard](value)
+
+    def test_fedprox_keeps_rho_zero(self):
+        assert build_algorithm("fedprox", rho=0.0).rho == 0.0
 
 
 @dataclasses.dataclass

@@ -80,6 +80,30 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def port_number(text: str) -> int:
+    """argparse type: a TCP port, 0 (any free one) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 0..65535, got {value}")
+    return value
+
+
 def _shared_flags() -> argparse.ArgumentParser:
     """The flag groups every study subcommand inherits."""
     common = argparse.ArgumentParser(add_help=False)
@@ -295,12 +319,12 @@ def _add_serve_parsers(subparsers) -> None:
     )
     add_scenario_flags(serve)
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=port_number, default=0,
                        help="listen port (default: an ephemeral free port)")
     serve.add_argument("--workers", type=non_negative_int, default=2,
                        help="worker processes to spawn locally; 0 means "
                             "workers attach externally via `repro worker`")
-    serve.add_argument("--lease-s", type=float, default=30.0,
+    serve.add_argument("--lease-s", type=positive_float, default=30.0,
                        help="task lease; a silent worker's task is "
                             "reclaimed after this many seconds")
     serve.add_argument("--store-dir", default=None,
@@ -315,7 +339,7 @@ def _add_serve_parsers(subparsers) -> None:
     )
     worker.add_argument("url", help="server URL, e.g. http://127.0.0.1:8765")
     worker.add_argument("--max-tasks", type=int, default=None)
-    worker.add_argument("--poll-interval", type=float, default=0.05,
+    worker.add_argument("--poll-interval", type=non_negative_float, default=0.05,
                         help="seconds to back off after a connection error "
                              "(task requests block server-side; there is no "
                              "idle polling)")
@@ -567,12 +591,16 @@ def handle_worker(args: Any) -> int:
     """Implement ``repro worker``: attach to a running server."""
     from repro.serve.worker import run_worker
 
-    completed = run_worker(
-        args.url,
-        max_tasks=args.max_tasks,
-        poll_interval=args.poll_interval,
-        worker_id=args.worker_id,
-    )
+    try:
+        completed = run_worker(
+            args.url,
+            max_tasks=args.max_tasks,
+            poll_interval=args.poll_interval,
+            worker_id=args.worker_id,
+        )
+    except OSError as exc:  # e.g. nothing listens at the URL (refused)
+        print(f"error: worker for {args.url} stopped: {exc}", file=sys.stderr)
+        return 1
     print(f"completed {completed} task(s)")
     return 0
 

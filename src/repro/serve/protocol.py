@@ -27,25 +27,14 @@ digest, carried]`` of the header's ``"arrays"`` list: ``params`` (θ), then
 ``state.<key>`` (the server state), then ``var.<key>`` (the client's
 persistent variables, wᵢ and yᵢ for FedADMM), keys sorted.  ``digest`` is
 the array's :func:`blob_digest`, or ``null`` when nobody hashed it; the body
-carries, in entry order, exactly the arrays whose ``carried`` is true.  A
-task frame has this one form:
-
-- the server names θ and the state by the digests it took of them, and a
-  client's variables by the digests of the submit whose variables the merge
-  wrote into the client's row (``null``: no accepted submit wrote it);
-- it carries an array unless the worker's lease listed the array's digest
-  as held (:func:`encode_lease`: ``{"held": [digest, ...]}``);
-- ``"drop"`` lists the held digests that name neither the current model nor
-  any client's current row, and never one the frame itself names.
-
-A worker keeps one read-only ``digest → array`` cache.
-:func:`decode_task` takes each entry from the body or from the cache and
-then applies the frame to the cache: it files the model arrays under their
-digests and deletes the dropped ones.  A submit frame lists its variables
-with the same entries (digest ``null``, all carried); the server's 200
-reply names each variable's digest (``"vars": {key: digest}``), and the
-worker files the submitted arrays under them (:func:`submitted_vars`).
-Only the server hashes.
+carries, in entry order, exactly the arrays whose ``carried`` is true, and
+``"drop"`` lists held digests the worker may forget.  A worker keeps one
+read-only ``digest → array`` cache: :func:`decode_task` takes each entry
+from the body or from the cache, then files every named array under its
+digest and deletes the dropped ones; :func:`submitted_vars` files an
+accepted submit's variables under the digests of the server's reply.  Who
+names what, and when a frame leaves an array out, is the wire contract of
+``docs/api/serve.md`` ("Task frames and the worker's cache").
 
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
@@ -454,10 +443,11 @@ def decode_task(
     """Parse a task frame back into ``(task_id, task)`` and apply it to ``cache``.
 
     Each array comes from the body or from ``cache`` (digest → read-only
-    array) by its digest.  Once the frame has decoded, the model arrays —
-    θ and the server state — are filed in ``cache`` under their digests and
-    the digests the frame drops are deleted from it.  The task's client
-    carries no dataset — the worker binds its own copy.
+    array) by its digest.  Once the frame has decoded, every array it names
+    — θ, the server state and the client's variables — is filed in
+    ``cache`` under its digest and the digests the frame drops are deleted
+    from it.  The task's client carries no dataset — the worker binds its
+    own copy.
     """
     cache = {} if cache is None else cache
     arrays, digests = _unpack_arrays(header, blobs, cache)
@@ -486,9 +476,7 @@ def decode_task(
     )
     task_id = _field(header, "task_id", str)
     cache.update(
-        (digest, arrays[name])
-        for name, digest in digests.items()
-        if digest is not None and not name.startswith("var.")
+        (digest, arrays[name]) for name, digest in digests.items() if digest is not None
     )
     for digest in drop:
         cache.pop(digest, None)

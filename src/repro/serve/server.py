@@ -39,9 +39,9 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 - ``POST /v1/shutdown`` — JSON; asks the driver to stop after the current
   round.
 
-Only the server hashes: θ and the server state once per executor call,
-each client's variables once per accepted submit (and once per restored
-client on resume).
+Only the server hashes; what it hashes, and what a worker keeps, is the
+wire contract of ``docs/api/serve.md`` ("Task frames and the worker's
+cache").
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.serve import protocol
 from repro.systems.compression import IdentityCodec, build_codec
 from repro.systems.executor import ClientExecutor, LocalUpdateOutcome, LocalUpdateTask
 from repro.systems.transport import Transport
+from repro.utils.validation import check_positive
 
 
 #: Longest a ``/v1/task`` request is parked on an empty board before it is
@@ -117,16 +118,17 @@ class _Ticket:
     task_id: str
     task: LocalUpdateTask  #: as leased: what a submission is checked against
     #: Entry name → digest of the task's arrays: the model's, and the
-    #: client's row's as the board knows it (``None``: no submit wrote it).
+    #: client's row's as the board knows it (``None`` only for a row the
+    #: board was never told, which a server's naming pass rules out).
     digests: dict[str, str | None] = dataclasses.field(default_factory=dict)
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
 
     def held_by(self, held: Collection[str]) -> bool:
-        """Whether ``held`` names every variable of the client's written row."""
+        """Whether ``held`` names every variable of the client's row."""
         row = [digest for name, digest in self.digests.items() if name.startswith("var.")]
-        return bool(row) and all(digest is not None and digest in held for digest in row)
+        return bool(row) and all(digest in held for digest in row)
 
 
 class TaskBoard:
@@ -144,16 +146,16 @@ class TaskBoard:
     result and reports ``"duplicate"`` for any re-submission.
 
     ``digests`` names each client's row (by index) by the digests of its
-    variables (by key): :meth:`resolve` files an accepted submit's, whose
-    variables the round's merge writes into the row next, and :meth:`publish`
-    copies them onto the tickets, so leasing compares strings and never
-    hashes.
+    variables (by key): the server's naming pass fills it for every row,
+    :meth:`resolve` files an accepted submit's, whose variables the round's
+    merge writes into the row next, and :meth:`publish` copies them onto
+    the tickets, so leasing compares strings and never hashes.
     """
 
     def __init__(self, lease_s: float = 30.0):
-        if lease_s <= 0:
-            raise ConfigurationError(f"lease_s must be positive, got {lease_s}")
-        self.lease_s = float(lease_s)
+        # NaN or inf would never expire: a dead worker's task would never
+        # be reclaimed.
+        self.lease_s = float(check_positive(lease_s, "lease_s"))
         self._cond = threading.Condition()
         self._tickets: dict[str, _Ticket] = {}
         self._queue: deque[str] = deque()
@@ -522,6 +524,7 @@ class FederationServer:
             if self.store is None:
                 raise ConfigurationError("resume=True needs a store_dir")
             self._restore_from_store()
+        self._name_rows()
 
         self._host = host
         self._port = port
@@ -625,8 +628,7 @@ class FederationServer:
             self.board.close()
 
     def _restore_from_store(self) -> None:
-        """Restore the stored result and checkpoint, if any; then hash each
-        restored client's variables once (a worker may hold them)."""
+        """Restore the stored result and checkpoint, if any."""
         key = self.store.key_for(self.run_spec)
         if not self.store.has_result(key):
             return
@@ -635,14 +637,19 @@ class FederationServer:
             raise ConfigurationError("stored result carries no serve checkpoint")
         sim = self.simulation
         sim.restore(checkpoint, self.store.load_result(key))
-        for index, client in enumerate(sim.clients):
+        self.resumed_from_round = sim.state.rounds_run
+
+    def _name_rows(self) -> None:
+        """Hash every client's row once, fresh or restored: a worker may
+        already hold it (an untrained row is θ⁰ and zeros, a restored one
+        what an earlier server accepted)."""
+        for index, client in enumerate(self.simulation.clients):
             if client.variables:
                 self.board.digests[index] = {
                     key: protocol.blob_digest(value)
                     for key, value in client.variables.items()
                 }
                 self.metrics.counter("serve.vars_digests").inc()
-        self.resumed_from_round = sim.state.rounds_run
 
     # ------------------------------------------------------------------ #
     # Request handling (called from HTTP handler threads)

@@ -12,15 +12,13 @@ re-pull after this worker dies mid-task) computes the identical update the
 in-process simulation would have.
 
 Between tasks a worker keeps what it would otherwise be sent again in one
-read-only ``digest → array`` cache: the model — θ and the server state — of
-its task frames, filed under the digests the frames name, and the variables
-of its submits the server accepted (wᵢ, yᵢ for FedADMM), filed under the
-digests the server's replies name.  The worker never hashes.  It lists the
-cache's digests in every task request; the server leaves out of the frame
-what the worker holds of the task, prefers to lease it the tasks whose
-variables it holds, and tells it which held digests to drop
-(:mod:`repro.serve.protocol`), so the cache holds the current model and at
-most one set of variables per client.
+read-only ``digest → array`` cache: every array its task frames name, and
+the variables of its submits the server accepted (wᵢ, yᵢ for FedADMM),
+each under the digest the server gave it.  The worker never hashes.  It
+lists the cache's digests in every task request; the server leaves out of
+the frame what the worker holds of the task and tells it which held
+digests to drop (the wire contract: ``docs/api/serve.md``, "Task frames
+and the worker's cache").
 
 Workers are plain functions so tests can spawn them with
 ``multiprocessing.Process(target=run_worker, ...)`` and the CLI can run
@@ -45,6 +43,7 @@ from repro.federated.local_problem import LocalProblem
 from repro.serve import protocol
 from repro.systems.compression import build_codec
 from repro.systems.executor import LocalUpdateTask, execute_task
+from repro.utils.validation import check_non_negative
 
 
 class ServerClient:
@@ -52,10 +51,14 @@ class ServerClient:
 
     def __init__(self, url: str, timeout: float = 60.0):
         parts = urlsplit(url)
-        if parts.scheme != "http" or parts.hostname is None:
+        try:
+            port = parts.port or 80  # a port that is no number, or above 65535, raises
+        except ValueError:
+            port = None
+        if parts.scheme != "http" or parts.hostname is None or port is None:
             raise ProtocolError(f"worker needs an http:// server URL, got {url!r}")
         self.host = parts.hostname
-        self.port = parts.port or 80
+        self.port = port
         self.timeout = timeout
         self._conn: http.client.HTTPConnection | None = None
 
@@ -180,6 +183,7 @@ def run_worker(
     connection error: ``/v1/task`` blocks server-side until a task is
     pending, so an empty reply means "the wait elapsed, ask again".
     """
+    check_non_negative(poll_interval, "poll_interval")
     client = ServerClient(url)
     try:
         info = handshake(client, worker_id=worker_id)

@@ -538,6 +538,50 @@ class TestCliServe:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-5"],
+            ["serve", "--rounds", "1", "--workers", "1", "--lease-s", "nan"],
+            ["serve", "--lease-s", "inf"],
+            ["serve", "--lease-s", "0"],
+            ["worker", "http://127.0.0.1:1", "--poll-interval", "nan"],
+            ["worker", "http://127.0.0.1:1", "--poll-interval", "-1"],
+        ],
+        ids=["port-70000", "port-neg", "lease-nan", "lease-inf", "lease-zero",
+             "poll-nan", "poll-neg"],
+    )
+    def test_bad_addresses_and_waits_are_refused_at_parse_time(self, argv, capsys):
+        # A port past 65535 died in bind() with an OverflowError traceback;
+        # a NaN or infinite lease was accepted and would never expire.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {argv[-2]}:" in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:99999", "http://127.0.0.1:abc"])
+    def test_a_worker_url_with_a_bad_port_is_refused(self, url, capsys):
+        # urlsplit's port raised a ValueError traceback.
+        assert main(["worker", url]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and url in err
+        assert "Traceback" not in err
+
+    def test_a_worker_with_no_server_to_reach_exits_with_one_line(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on once closed
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        assert main(["worker", url]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and url in err
+        assert "Traceback" not in err
+
     def test_negative_serve_workers_is_refused(self, capsys):
         # range(-1) spawns no worker, so the server used to wait forever;
         # parsing alone must refuse it (and starts no server if it does not).

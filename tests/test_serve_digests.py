@@ -1,25 +1,27 @@
 """The server is the only hasher, and a worker's cache stays bounded.
 
-A worker holds the model and the variables of its accepted submits so the
-server can name them instead of sending them again.  The names are sha256
-digests the server takes — of θ and the server state once per executor
-call, of a client's variables once per accepted submit, where it decodes
-the submit, returned in the 200 reply; the worker files arrays under them
-and never hashes.
+A worker holds every array its frames named and the variables of its
+accepted submits so the server can name them instead of sending them
+again.  The names are sha256 digests the server takes — of θ and the
+server state once per executor call, of every client's row once when the
+server is built, of a client's variables once per accepted submit, where
+it decodes the submit, returned in the 200 reply; the worker files arrays
+under them and never hashes.
 
 * **Content, not trust, still decides** — for FedADMM, FedPD and SCAFFOLD
   submits of random shapes and values (−0.0 included), the digests in the
   reply are the :func:`~repro.serve.protocol.blob_digest` of each array of
   the row the round's merge writes, and the entry the board copies onto the
-  client's next ticket.
-* **A duplicate names nothing** — its reply carries no digest and the
-  worker never holds the client's variables.
-* **One hash per array per accepted submit, θ once per round** — over a
-  whole served run, never on a worker, in ``decode_task`` or while the
-  board leases.
+  client's next ticket; every row no submit wrote is named by its own
+  bytes.
+* **A duplicate names nothing** — its reply carries no digest, so the
+  worker holds only what frames named, and a row it trained crosses again.
+* **One hash per array per row at construction and per accepted submit, θ
+  once per round** — over a whole served run, never on a worker, in
+  ``decode_task`` or while the board leases.
 * **The cache is bounded** — after each task frame a worker applies, its
-  cache holds only the current model's arrays and at most one set of
-  variables per client.
+  cache holds only the current model's arrays, the initial row every
+  untrained client shares and at most one written row per client.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.experiments.configs import AlgorithmSpec, preset_config
+from repro.experiments.runner import build_simulation
 from repro.serve import protocol
 from repro.serve.server import FederationServer, RemoteExecutor, TaskBoard
 from repro.serve.worker import ServerClient, WorkerEnvironment, run_worker
@@ -120,23 +123,31 @@ def test_the_reply_digest_names_the_row_the_merge_writes(algorithm, hidden, data
         server.stop()
 
     assert accepted
+    clients = server.simulation.clients
     for index, (digest, drawn) in accepted.items():
-        row = server.simulation.clients[index].variables
+        row = clients[index].variables
         assert {key: value.tobytes() for key, value in row.items()} == {
             key: value.tobytes() for key, value in drawn.items()
         }
         assert digest == {key: protocol.blob_digest(value) for key, value in row.items()}
         assert server.board.digests[index] == digest
-    assert server.metrics.counter("serve.vars_digests").value == len(accepted)
+    # Every row no submit wrote is named by the naming pass, by its own bytes.
+    assert server.board.digests == {
+        index: {key: protocol.blob_digest(value) for key, value in client.variables.items()}
+        for index, client in enumerate(clients)
+    }
+    assert server.metrics.counter("serve.vars_digests").value == len(clients) + len(accepted)
 
 
 def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatch):
     """Every submit is delivered twice and the worker sees the second reply:
     a duplicate (or, once its round is over, an unknown task).  Neither
-    names a digest, so the worker never holds a client's variables (only
-    the model) and every task it is leased carries them."""
-    post, encode_lease = ServerClient.post, protocol.encode_lease
-    leases, replies = [], []
+    names a digest, so the worker holds only what its frames named — θ,
+    the initial row, rows it was sent — and each task of a client it
+    trained carries the row again; of the initial rows only the first
+    frame's crosses."""
+    post, encode_lease, decode = ServerClient.post, protocol.encode_lease, protocol.decode_task
+    leases, replies, frames = [], [], []
 
     def twice(client, path, body):
         if path != "/v1/submit":
@@ -149,8 +160,14 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
         leases.append(set(held))
         return encode_lease(held)
 
+    def applied(header, blobs, cache):
+        task_id, task = decode(header, blobs, cache)
+        frames.append((task.client_index, {digest for _, _, digest, _ in header["arrays"]}))
+        return task_id, task
+
     monkeypatch.setattr(ServerClient, "post", twice)
     monkeypatch.setattr(protocol, "encode_lease", recorded)
+    monkeypatch.setattr(protocol, "decode_task", applied)
     config, spec = _config(), AlgorithmSpec("fedadmm")
     server, networked = threaded_run(config, spec, workers=1)
 
@@ -161,23 +178,33 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
         "duplicate",
         "unknown_task",
     }
-    named = {digest for first, _ in replies for digest in first["vars"].values()}
-    assert leases and not any(held & named for held in leases)
-    assert max(len(held) for held in leases) == 1  # θ: FedADMM keeps no server state
+    # One worker: lease k precedes frame k, and the last lease gets "done".
+    # Each lease holds only digests the frames before it named.
+    assert len(leases) == len(frames) + 1 == len(replies) + 1
+    named = set()
+    for held, (_, names) in zip(leases, frames + [(None, set())]):
+        assert held <= named
+        named |= names
     counters = server.metrics.snapshot()["counters"]
-    assert counters["serve.client_state_frames"] == len(replies)
-    assert counters["serve.vars_digests"] == len(replies)
+    # The first frame carries the initial row (w = θ⁰, y = 0), held from
+    # then on for every untrained client; every later task of a trained
+    # client carries its row, which the worker never held.
+    served = {client_index for client_index, _ in frames}
+    assert counters["serve.client_state_frames"] == 1 + len(replies) - len(served)
+    assert counters["serve.vars_digests"] == len(server.simulation.clients) + len(replies)
 
 
 @pytest.mark.parametrize("workers", [WORKERS, 4])
 def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch, workers):
     """On a short switch interval, and with four workers on two cores, a lost
     or misplaced update of the board's digest map would leave an entry that
-    is not its row's digest.  θ is hashed once per round, by the server."""
+    is not its row's digest.  θ is hashed once per round and each row once
+    when the server is built, by the server."""
     digest, calls, misplaced = protocol.blob_digest, [], []
     forbidden = {TaskBoard.pull.__code__, run_worker.__code__, protocol.decode_task.__code__}
     hashers = {
         FederationServer.handle_submit.__code__: "submit",
+        FederationServer._name_rows.__code__: "row",
         RemoteExecutor._run_batch.__code__: "model",
     }
 
@@ -207,10 +234,13 @@ def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch
     assert server.board.duplicates == 0 and server.board.reclaimed == 0
     assert not [name for name in counters if name.startswith("serve.errors.")]
     submits = counters["serve.requests.submit"]
-    assert submits == counters["serve.vars_digests"]
-    # w and y once per accepted submit, θ once per round, nothing else.
-    assert sorted(calls, key=str) == ["model"] * ROUNDS + ["submit"] * int(2 * submits)
     clients = server.simulation.clients
+    assert submits + len(clients) == counters["serve.vars_digests"]
+    # w and y once per row at construction and once per accepted submit, θ
+    # once per round, nothing else.
+    assert sorted(calls, key=str) == (
+        ["model"] * ROUNDS + ["row"] * (2 * len(clients)) + ["submit"] * int(2 * submits)
+    )
     assert server.board.digests == {
         index: {key: digest(value) for key, value in client.variables.items()}
         for index, client in enumerate(clients)
@@ -221,21 +251,31 @@ def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch
 
 def test_a_workers_cache_holds_the_current_model_and_one_row_per_client(monkeypatch):
     """After each task frame a worker applies, every digest in its cache
-    names an array of the frame's model or of one accepted submit's
-    variables — and at most one submit's per client."""
+    names an array of the frame's model, of the initial row every untrained
+    client shares (w = θ⁰, y = 0), or of one written row — one a frame
+    named or an accepted submit's variables — and at most one written row
+    per client."""
     decode, submitted = protocol.decode_task, protocol.submitted_vars
+    config, spec = _config(), AlgorithmSpec("fedadmm")
+    initial = frozenset(
+        protocol.blob_digest(value)
+        for value in build_simulation(config, spec).clients[0].variables.values()
+    )
     lock = threading.Lock()
     last_client: dict[int, int] = {}  # worker thread → client of its last task
-    filed_by: dict[str, tuple[int, int]] = {}  # digest → (client, filing)
+    owner: dict[str, tuple[int, frozenset]] = {}  # digest → (client, its row's digests)
     strays, doubled, dropped = [], [], []
 
     def applied(header, blobs, cache):
         task_id, task = decode(header, blobs, cache)
         model = {digest for name, _, digest, _ in header["arrays"] if not name.startswith("var.")}
+        row = frozenset(d for name, _, d, _ in header["arrays"] if name.startswith("var."))
         with lock:
             last_client[threading.get_ident()] = task.client_index
-            strays.extend(set(cache) - model - set(filed_by))
-            rows = [client for client, _ in {filed_by[d] for d in cache if d in filed_by}]
+            if row != initial:
+                owner.update((digest, (task.client_index, row)) for digest in row)
+            strays.extend(set(cache) - model - initial - set(owner))
+            rows = [client for client, _ in {owner[d] for d in cache if d in owner}]
             doubled.extend(client for client in set(rows) if rows.count(client) > 1)
             dropped.extend(header["drop"])
         return task_id, task
@@ -243,13 +283,12 @@ def test_a_workers_cache_holds_the_current_model_and_one_row_per_client(monkeypa
     def filed(frame, digests):
         arrays = submitted(frame, digests)
         with lock:
-            filing = (last_client[threading.get_ident()], len(filed_by))
-            filed_by.update((digest, filing) for digest in arrays)
+            row = (last_client[threading.get_ident()], frozenset(arrays))
+            owner.update((digest, row) for digest in arrays)
         return arrays
 
     monkeypatch.setattr(protocol, "decode_task", applied)
     monkeypatch.setattr(protocol, "submitted_vars", filed)
-    config, spec = _config(), AlgorithmSpec("fedadmm")
     server, networked = threaded_run(config, spec, rounds=4)
 
     assert_bit_identical(networked, reference_run(config, spec, rounds=4))

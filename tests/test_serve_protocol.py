@@ -409,11 +409,11 @@ def algorithm_tasks(draw):
 @given(task=algorithm_tasks(), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, data):
-    """The one task-frame form.  The server names each array (a client row
-    no submit wrote is unnamed); whichever subset of them the worker
-    holds, the frame carries exactly the rest and decodes to the task.
-    The cache then holds the model arrays under their digests and nothing
-    the frame dropped."""
+    """The one task-frame form.  The server names each array (the protocol
+    still reads an unnamed row, which a server no longer sends); whichever
+    subset of them the worker holds, the frame carries exactly the rest and
+    decodes to the task.  The cache then holds every named array under its
+    digest, read-only, and nothing the frame dropped."""
     arrays = protocol.task_arrays(task)
     digests = named(task)
     if data.draw(st.booleans(), label="unwritten row"):
@@ -444,10 +444,16 @@ def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, 
         if name not in carried:
             assert value is before[digests[name]]
     # The client copies its variables into its own store: a task that writes
-    # them cannot change what a held digest names.
+    # them cannot change what a held (or newly filed) digest names.
     for value in decoded.client.variables.values():
-        assert not any(np.shares_memory(value, held) for held in before.values())
-    assert set(cache) == (set(before) - set(stale)) | {digests[name] for name in model}
+        assert not any(np.shares_memory(value, held) for held in cache.values())
+    filed = {digest for digest in digests.values() if digest is not None}
+    assert set(cache) == (set(before) - set(stale)) | filed
+    for name, array in arrays.items():
+        if digests[name] is not None:
+            held = cache[digests[name]]
+            assert not held.flags.writeable
+            assert held.shape == array.shape and held.tobytes() == array.tobytes()
 
 
 def test_blob_digest_names_shape_and_bytes():
@@ -915,9 +921,11 @@ def test_a_body_that_is_not_a_json_object_is_answered_400(
 
 
 def test_a_lease_listing_the_tasks_model_gets_a_frame_without_it():
-    """Nothing held: every array is carried, named.  The worker files θ and
-    the state; listing them, its next frame carries only the client's
-    variables.  A held digest that is current nowhere is dropped."""
+    """Nothing held: every array is carried, named.  The worker files θ, the
+    state and the client's row; SCAFFOLD's initial client control and
+    server control are both zeros, one digest, so listing what it holds,
+    its next frame carries nothing.  A held digest that is current nowhere
+    is dropped."""
     from repro.serve.server import FederationServer
     from repro.serve.worker import ServerClient
 
@@ -938,6 +946,7 @@ def test_a_lease_listing_the_tasks_model_gets_a_frame_without_it():
         assert data == protocol.encode_task(ticket.task_id, ticket.task, ticket.digests)
         _, task = protocol.decode_task(header, blobs, cache)
         model = {ticket.digests["params"], ticket.digests["state.control"]}
+        assert ticket.digests["var.control"] == ticket.digests["state.control"]
         assert set(cache) == model
         with pytest.raises(ValueError, match="read-only"):
             task.global_params[0] = 0.0
@@ -946,7 +955,7 @@ def test_a_lease_listing_the_tasks_model_gets_a_frame_without_it():
         assert lean == protocol.encode_task(
             ticket.task_id, ticket.task, ticket.digests, model
         )
-        assert [entry[0] for entry in header["arrays"] if entry[3]] == ["var.control"]
+        assert blobs == []  # header only
         _, task = protocol.decode_task(header, blobs, cache)
         assert task.global_params is cache[ticket.digests["params"]]
 
@@ -972,11 +981,11 @@ def test_a_lease_listing_a_pending_clients_variables_leaves_them_out():
 
     config = preset_config("serve").with_overrides(num_rounds=1)
     server = FederationServer(config, AlgorithmSpec("fedadmm"), num_rounds=1)
-    # As if merges had written every row: the board knows each digest.
-    server.board.digests.update(
-        (index, {key: protocol.blob_digest(value) for key, value in client.variables.items()})
+    # The naming pass: the board knows each row's digest before any merge.
+    assert server.board.digests == {
+        index: {key: protocol.blob_digest(value) for key, value in client.variables.items()}
         for index, client in enumerate(server.simulation.clients)
-    )
+    }
     server.start()
     client = ServerClient(server.url)
 

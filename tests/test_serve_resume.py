@@ -6,11 +6,14 @@ restores its :class:`ExperimentStore` sidecar through
 in-process simulation would have produced — for the hierarchical plan too,
 and for FedPD, whose communication coin is a stream of its own.  A sidecar
 in the old per-client format and a buffered plan are refused, each with
-one line.
+one line.  A fresh server and a resumed one name every client's row
+through the same pass.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
 import threading
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.experiments.runner import build_simulation
+from repro.serve import protocol
 from repro.serve.server import FederationServer
 from repro.serve.worker import run_worker
 
@@ -110,3 +114,45 @@ def test_resume_under_a_buffered_plan_is_refused(tmp_path):
     with pytest.raises(ConfigurationError, match="'semisync' plan") as caught:
         FederationServer(config, spec, num_rounds=2, store_dir=store_dir, resume=True)
     assert "\n" not in str(caught.value)
+
+
+def test_a_fresh_and_a_resumed_server_name_rows_through_one_pass(tmp_path, monkeypatch):
+    """Building a server hashes each client's variables once, in
+    ``_name_rows``: the initial rows of a fresh server, the checkpoint's
+    rows of a resumed one.  Restoring hashes nothing of its own."""
+    config, spec = preset_config("serve"), AlgorithmSpec("fedadmm")
+    store_dir = str(tmp_path / "store")
+    _store_one_round(config, spec, store_dir)
+    digest, callers = protocol.blob_digest, []
+    methods = {
+        member.__code__: name
+        for name, member in vars(FederationServer).items()
+        if inspect.isfunction(member)
+    }
+
+    def counted(array):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in methods:
+            frame = frame.f_back
+        callers.append(None if frame is None else methods[frame.f_code])
+        return digest(array)
+
+    monkeypatch.setattr(protocol, "blob_digest", counted)
+    named = {}
+    for resume in (False, True):
+        callers.clear()
+        server = FederationServer(
+            config, spec, num_rounds=2, store_dir=store_dir, resume=resume
+        )
+        clients = server.simulation.clients
+        assert server.resumed_from_round == int(resume)
+        assert callers == ["_name_rows"] * (2 * len(clients))
+        assert server.metrics.counter("serve.vars_digests").value == len(clients)
+        named[resume] = server.board.digests
+        assert named[resume] == {
+            index: {key: digest(value) for key, value in client.variables.items()}
+            for index, client in enumerate(clients)
+        }
+    # Round 1 wrote some rows and left the others at θ⁰ and zeros.
+    written = [index for index in named[False] if named[False][index] != named[True][index]]
+    assert 0 < len(written) < len(named[False])

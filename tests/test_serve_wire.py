@@ -13,10 +13,11 @@ that fails if it comes back, and none of them measures a latency:
 * **θ once per worker per round, client state only on a miss** — a worker
   lists the digests of the arrays it holds in its lease, so only its first
   task of a round carries θ, and a client's variables cross only when the
-  lessee lacks them; the board leases a worker the tasks whose variables
-  it holds first and names the held digests nothing needs any more (the
-  counts of such replies are pinned, and with one worker the download
-  bytes exactly);
+  lessee lacks them (with one worker: once a run, the initial row every
+  untrained client shares); the board leases a worker the tasks whose
+  variables it holds first and names the held digests nothing needs any
+  more (the counts of such replies are pinned, and with one worker the
+  download bytes exactly);
 * **a stopped server is freed by reference counting** — no ``gc.collect()``;
 * **the checkpoint is binary** — the result JSON of a served run carries no
   per-client number list, and a sidecar from another round is refused.
@@ -42,10 +43,10 @@ from repro.experiments.configs import AlgorithmSpec, preset_config
 from repro.federated.client import ClientState
 from repro.serve import protocol, server as serve_server
 from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
-from repro.serve.worker import ServerClient
+from repro.serve.worker import ServerClient, run_worker
 from repro.systems.executor import LocalUpdateTask
 
-from test_serve_e2e import serve_run
+from test_serve_e2e import assert_bit_identical, reference_run, serve_run
 
 ROUNDS = 3
 WORKERS = 2
@@ -170,6 +171,19 @@ def _released(thread, pulled):
     return pulled[0]
 
 
+@pytest.mark.parametrize("lease_s", [float("nan"), float("inf"), 0.0, -1.0])
+def test_a_lease_that_would_never_expire_or_is_already_over_is_refused(lease_s):
+    # ``lease_s <= 0`` is false for NaN, and an infinite lease is never
+    # reclaimed: a dead worker's task would stall its round forever.
+    with pytest.raises(ConfigurationError, match="lease_s must be positive and finite"):
+        TaskBoard(lease_s=lease_s)
+
+
+def test_a_worker_refuses_a_negative_poll_interval_before_it_connects():
+    with pytest.raises(ConfigurationError, match="poll_interval must be non-negative"):
+        run_worker("http://127.0.0.1:1", poll_interval=-0.5)
+
+
 def test_pull_returns_at_once_when_a_ticket_is_pending():
     board = TaskBoard(lease_s=FOREVER)
     board.publish([_ticket()])
@@ -278,6 +292,24 @@ def test_stale_digests_name_no_pending_model_and_no_row():
     assert board.stale(held) == ["model-0", "model-1", "row-0", "row-1", "unknown"]
 
 
+def test_the_shared_initial_row_stays_live_until_every_client_is_trained():
+    """Untrained clients share one row (w = θ⁰, y = 0), so one pair of
+    digests names all of them: a worker may forget it only once the last
+    untrained client's submit is accepted."""
+    board = TaskBoard(lease_s=FOREVER)
+    row = {"w": np.zeros(3), "y": np.zeros(3)}
+    tickets = [_ticket(f"r0-c{index}-{index}", index, row) for index in (0, 1)]
+    board.digests.update({index: {"w": "theta-0", "y": "zeros"} for index in (0, 1)})
+    board.publish(tickets)
+    held = {"theta-0", "zeros"}
+    board.pull()
+    board.resolve("r0-c0-0", None, {"w": "w-0", "y": "y-0"})
+    assert board.stale(held) == []
+    board.pull()
+    board.resolve("r0-c1-1", None, {"w": "w-1", "y": "y-1"})
+    assert board.stale(held) == ["theta-0", "zeros"]
+
+
 # --------------------------------------------------------------------------- #
 # (c) A whole served run: no idle polling, waits visible, checkpoint binary
 # --------------------------------------------------------------------------- #
@@ -326,17 +358,11 @@ def test_the_model_crosses_the_wire_once_per_worker_per_round(finished_run):
     )
 
 
-def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
-    monkeypatch,
-):
-    """With one worker the download is a function of the seed alone.
-
-    The worker holds the variables of every client it served, so each
-    client's (w, y) crosses once, at its first task, and each round's θ
-    once, at the round's first task.  Every reply is recorded as the
-    server encodes it: its form follows that rule and the bytes counter is
-    their exact sum.
-    """
+def _client_state_crosses_once(monkeypatch, algorithm):
+    """One served run on one worker process, bit-identical to the thread
+    executor, every task reply recorded as the server encodes it: the first
+    reply alone carries client state, the first of each round alone θ, and
+    the bytes counter is the replies' exact sum."""
     encode = protocol.encode_task
     replies = []
 
@@ -349,23 +375,44 @@ def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
         ]
         model = "params" in carried
         variables = any(name.startswith("var.") for name in carried)
-        replies.append((task.round_index, task.client_index, model, variables, len(frame)))
+        replies.append((task.round_index, model, variables, len(frame)))
         return frame
 
     monkeypatch.setattr(protocol, "encode_task", recorded)
-    server = served_run(num_workers=1)
+    config, spec = preset_config("serve"), AlgorithmSpec(algorithm)
+    server, result = serve_run(config, spec, num_workers=1)
+    assert_bit_identical(result, reference_run(config, spec))
     counters = server.status_snapshot()["counters"]
 
     assert len(replies) == counters["serve.requests.submit"] > 0
-    served, rounds = set(), set()
-    for round_index, client_index, model, variables, _ in replies:
+    rounds = set()
+    for index, (round_index, model, variables, _) in enumerate(replies):
         assert model == (round_index not in rounds)
-        assert variables == (client_index not in served)
+        assert variables == (index == 0)
         rounds.add(round_index)
-        served.add(client_index)
     assert counters["serve.model_frames"] == ROUNDS
-    assert counters["serve.client_state_frames"] == len(served)
+    assert counters["serve.client_state_frames"] == 1
     assert counters["serve.download_payload_bytes"] == sum(r[-1] for r in replies)
+
+
+def test_one_worker_is_sent_each_client_state_once_and_the_bytes_are_pinned(
+    monkeypatch,
+):
+    """With one worker the download is a function of the seed alone.
+
+    The server names every client's row from the start, so the first task's
+    frame hands the worker the initial row (w = θ⁰, y = 0) every untrained
+    client shares, and each row the worker trains it holds from its own
+    submit: client state crosses once a run, and each round's θ once.
+    """
+    _client_state_crosses_once(monkeypatch, "fedadmm")
+
+
+@pytest.mark.parametrize("algorithm", ["fedpd", "scaffold"])
+def test_one_worker_is_sent_client_state_once_per_run(monkeypatch, algorithm):
+    """FedPD keeps FedADMM's (w, y), SCAFFOLD a control variate that starts
+    at zero like its server control: the same rule holds."""
+    _client_state_crosses_once(monkeypatch, algorithm)
 
 
 def test_status_reports_the_waits(finished_run):

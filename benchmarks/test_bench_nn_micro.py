@@ -1,8 +1,8 @@
 """Micro-benchmarks of the NN substrate.
 
 These are true repeated-measurement benchmarks (unlike the experiment
-regenerations): forward+backward throughput of the paper's CNN1 on one
-mini-batch, the small-MLP step used by the bench presets, the flat
+regenerations): forward+backward throughput of the small-MLP step used
+by the bench presets, the flat
 parameter packing that every federated round relies on, and the
 cohort-amortisation ratio of each layer on a stack (one cohort-C call
 vs C cohort-1 calls of the same layer), written to
@@ -18,7 +18,7 @@ from repro.experiments.tables import format_table
 from repro.nn.batched import build_batched_model
 from repro.nn.layers import Conv2D, Linear, Sequential
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import CNN1, MLP
+from repro.nn.models import MLP
 
 
 def _step(model, loss, x, y):
@@ -27,17 +27,6 @@ def _step(model, loss, x, y):
     _, grad = loss.value_and_grad(predictions, y)
     model.backward(grad)
     return model.get_flat_grad()
-
-
-def test_micro_cnn1_forward_backward(benchmark):
-    model = CNN1(rng=0)
-    loss = CrossEntropyLoss()
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(8, 784))
-    y = rng.integers(0, 10, size=8)
-    grad = benchmark(lambda: _step(model, loss, x, y))
-    emit_summary("nn_micro_cnn1", {"num_params": int(grad.size)}, benchmark)
-    assert grad.shape == (1_663_370,)
 
 
 def test_micro_mlp_forward_backward(benchmark):

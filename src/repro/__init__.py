@@ -45,7 +45,7 @@ from repro.partition import (
     DirichletPartitioner,
     build_partitioner,
 )
-from repro.nn import build_model, MLP, CNN1, CNN2, LogisticRegression
+from repro.nn import build_model, MLP
 from repro.systems import (
     FaultInjector,
     Transport,
@@ -82,9 +82,6 @@ __all__ = [
     "build_partitioner",
     "build_model",
     "MLP",
-    "CNN1",
-    "CNN2",
-    "LogisticRegression",
     "Transport",
     "FaultInjector",
     "build_codec",

@@ -11,7 +11,6 @@ from repro.algorithms.fedprox import FedProx
 from repro.algorithms.scaffold import Scaffold
 from repro.algorithms.fedadmm import FedADMM
 from repro.algorithms.fedpd import FedPD
-from repro.algorithms.feddropoutavg import FedDropoutAvg
 
 __all__ = [
     "FederatedAlgorithm",
@@ -23,7 +22,6 @@ __all__ = [
     "Scaffold",
     "FedADMM",
     "FedPD",
-    "FedDropoutAvg",
     "ALGORITHM_REGISTRY",
     "build_algorithm",
 ]
@@ -35,7 +33,6 @@ ALGORITHM_REGISTRY: dict[str, type[FederatedAlgorithm]] = {
     "scaffold": Scaffold,
     "fedadmm": FedADMM,
     "fedpd": FedPD,
-    "feddropoutavg": FedDropoutAvg,
 }
 
 

@@ -164,19 +164,6 @@ class FederatedAlgorithm:
     #: as a constructor argument; every other method is uniform).
     weighting = "uniform"
 
-    @property
-    def supports_batched(self) -> bool:
-        """Whether the :class:`~repro.systems.executor.VectorizedExecutor`
-        may run a same-shape cohort of this algorithm's clients stacked.
-
-        Derived, not declared: true exactly when :meth:`local_update` is the
-        base class's cohort-of-one, i.e. the algorithm's ClientUpdate is its
-        :meth:`batched_local_update`.  An algorithm that overrides
-        :meth:`local_update` is per-client only and runs task by task under
-        every executor.
-        """
-        return type(self).local_update is FederatedAlgorithm.local_update
-
     @classmethod
     def supports_plan(cls, plan_name: str) -> bool:
         """Whether the named execution plan may drive this algorithm.
@@ -224,12 +211,7 @@ class FederatedAlgorithm:
         rng: SeedLike = None,
     ) -> ClientMessage:
         """One selected client's update: :meth:`batched_local_update` on a
-        cohort of one.
-
-        Override this instead only for a method that cannot be written over
-        a client axis (FedDropoutAvg's mask draw follows SGD on the task's
-        RNG stream, so it cannot be pre-drawn for a stack).
-        """
+        cohort of one, for the per-client executors."""
         cohort = OneClientCohort(problem, config.epochs, rng)
         return self.batched_local_update(
             cohort, [client], global_params, server_state, config, round_index

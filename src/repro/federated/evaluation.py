@@ -29,21 +29,17 @@ def evaluate_model(
 ) -> Evaluation:
     """Evaluate flat parameters ``params`` of ``model`` on ``dataset``."""
     model.set_flat_params(params)
-    model.eval()
     correct = 0
     total_loss = 0.0
     total = 0
-    try:
-        for features, labels in iterate_minibatches(
-            dataset.features, dataset.labels, batch_size, shuffle=False
-        ):
-            predictions = model.forward(features)
-            value = loss.value(predictions, labels)
-            total_loss += value * labels.shape[0]
-            correct += int((predictions.argmax(axis=1) == labels).sum())
-            total += labels.shape[0]
-    finally:
-        model.train()
+    for features, labels in iterate_minibatches(
+        dataset.features, dataset.labels, batch_size, shuffle=False
+    ):
+        predictions = model.forward(features)
+        value = loss.value(predictions, labels)
+        total_loss += value * labels.shape[0]
+        correct += int((predictions.argmax(axis=1) == labels).sum())
+        total += labels.shape[0]
     if total == 0:
         return Evaluation(accuracy=float("nan"), loss=float("nan"), num_samples=0)
     return Evaluation(

@@ -4,8 +4,8 @@ The paper trains CNNs with PyTorch; this environment has no PyTorch, so the
 package provides the minimal-but-complete pieces federated optimisation
 needs: composable layers with explicit forward/backward passes, losses,
 initialisers, flat parameter packing (every federated
-algorithm in :mod:`repro.algorithms` operates on flat vectors), the paper's
-two CNN architectures, and numerical gradient checking used by the tests.
+algorithm in :mod:`repro.algorithms` operates on flat vectors), a small
+model zoo, and numerical gradient checking used by the tests.
 """
 
 from repro.nn.parameter import Parameter
@@ -17,15 +17,11 @@ from repro.nn.layers import (
     ReLU,
     Tanh,
     Flatten,
-    Dropout,
     Sequential,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss, Loss
 from repro.nn.models import (
-    CNN1,
-    CNN2,
     MLP,
-    LogisticRegression,
     build_model,
     MODEL_REGISTRY,
 )
@@ -50,15 +46,11 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Flatten",
-    "Dropout",
     "Sequential",
     "CrossEntropyLoss",
     "MSELoss",
     "Loss",
-    "CNN1",
-    "CNN2",
     "MLP",
-    "LogisticRegression",
     "build_model",
     "MODEL_REGISTRY",
     "numerical_gradient",

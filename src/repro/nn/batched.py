@@ -40,13 +40,7 @@ the mean train loss in its last bit (``np.mean`` of a list reduces
 pairwise, the stacked loop keeps a running sum).  Clients of one cohort
 may run different numbers of local epochs: the cohort is ordered by
 descending epochs and each epoch runs on the contiguous prefix of
-still-active clients.  The one documented exception to serial parity is
-:class:`~repro.nn.layers.Dropout`: a stack-bound copy draws its masks from
-a dedicated per-model stream (pre-seeded per cohort, drawn with a leading
-client axis so every client gets its own mask), not from the serial
-layers' private generators, so dropout-bearing models reproduce
-deterministically under the vectorized executor but match serial only in
-distribution.
+still-active clients.
 
 Nothing here knows about clients, algorithms, or executors: the module
 consumes arrays and a training config.
@@ -64,7 +58,6 @@ import numpy as np
 from repro.exceptions import ShapeError
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -84,7 +77,7 @@ ExtraGrad = Callable[[np.ndarray], np.ndarray]
 
 #: What runs stacked.  Exact types: a subclass may override ``forward`` or
 #: ``value_and_grad`` with semantics that do not carry a client axis.
-STACKABLE_LAYERS = (Linear, Conv2D, MaxPool2D, _ImageReshape, ReLU, Tanh, Flatten, Dropout)
+STACKABLE_LAYERS = (Linear, Conv2D, MaxPool2D, _ImageReshape, ReLU, Tanh, Flatten)
 STACKABLE_LOSSES = (CrossEntropyLoss, MSELoss)
 
 
@@ -111,14 +104,12 @@ class _Workspace:
 # --------------------------------------------------------------------------- #
 # The stack-bound model
 # --------------------------------------------------------------------------- #
-def _stack_copy(layer: Module, position: int) -> Module:
+def _stack_copy(layer: Module) -> Module:
     """A private copy of ``layer`` for a stack: configuration only.
 
     Cached activations stay behind and every :class:`Parameter` is a new
     object (bound to a stack before it is read), so the copy shares no
-    array with the per-client template or with another copy.  A dropout
-    copy gets a stream of its own; executors reseed it per cohort
-    (:meth:`BatchedModel.reseed_dropout`).
+    array with the per-client template or with another copy.
     """
     twin = copy.copy(layer)
     for name, value in vars(layer).items():
@@ -128,8 +119,6 @@ def _stack_copy(layer: Module, position: int) -> Module:
             param = copy.copy(value)
             param.stacked = True
             setattr(twin, name, param)
-    if type(twin) is Dropout:
-        twin._rng = np.random.default_rng(position)
     twin._client_axes = 1
     return twin
 
@@ -154,9 +143,7 @@ class BatchedModel:
     def __init__(self, template: list[Module], loss: Loss) -> None:
         self._template = template
         #: Private stack-bound copies of the template's leaf layers, in order.
-        self.layers = [
-            _stack_copy(layer, position) for position, layer in enumerate(template)
-        ]
+        self.layers = [_stack_copy(layer) for layer in template]
         self.loss = loss  # stateless, so shared with the template
         #: Optional :class:`repro.obs.Tracer`: when set, every layer's
         #: forward/backward (and the loss) is recorded as a ``kernel.*``
@@ -184,31 +171,6 @@ class BatchedModel:
         caches activations on the instance (``_input``/``_mask``/...).
         """
         return BatchedModel(self._template, self.loss)
-
-    @property
-    def has_dropout(self) -> bool:
-        """Whether any layer draws stochastic masks during training."""
-        return any(type(layer) is Dropout for layer in self.layers)
-
-    def reseed_dropout(self, seed: int) -> None:
-        """Reset every dropout layer's mask stream deterministically.
-
-        Executors call this once per cohort before training, with a seed
-        pre-drawn in task order, so dropout-bearing cohorts reproduce
-        regardless of which worker thread (or pooled model clone) runs them.
-        """
-        for index, layer in enumerate(self.layers):
-            if type(layer) is Dropout:
-                layer._rng = np.random.default_rng([seed, index])
-
-    def train(self, training: bool = True) -> "BatchedModel":
-        """Toggle training mode (dropout active) on every layer."""
-        for layer in self.layers:
-            layer.training = training
-        return self
-
-    def eval(self) -> "BatchedModel":
-        return self.train(False)
 
     def _bind(self, params: np.ndarray) -> None:
         """Point every parameter at its columns of ``params`` and of the
@@ -329,7 +291,7 @@ def build_batched_model(model: Module, loss: Loss) -> BatchedModel | None:
     """Bind a model template's layers to a stack: a :class:`BatchedModel`.
 
     Covers the full model zoo — Linear/activation stacks, the im2col
-    convolution + pooling blocks of the paper's CNNs, and dropout.
+    convolution + pooling blocks of ``SmallCNN``.
     Returns ``None`` when a layer or the loss is not one of
     :data:`STACKABLE_LAYERS` / :data:`STACKABLE_LOSSES` (custom layers,
     subclassed losses) — the caller then falls back to per-client execution.

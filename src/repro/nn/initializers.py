@@ -1,8 +1,8 @@
 """Weight initialisation schemes.
 
-The paper uses random initialisation for the global model; we expose the
-standard choices (He / Glorot / uniform) behind a small functional API so
-model constructors stay readable and deterministic given a generator.
+The paper uses random initialisation for the global model; He-normal
+weights and zero biases sit behind a small functional API so model
+constructors stay readable and deterministic given a generator.
 """
 
 from __future__ import annotations
@@ -17,15 +17,6 @@ def he_normal(shape: tuple[int, ...], fan_in: int, rng: SeedLike = None) -> np.n
     rng = as_rng(rng)
     std = np.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape)
-
-
-def glorot_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: SeedLike = None
-) -> np.ndarray:
-    """Glorot (Xavier) uniform initialisation."""
-    rng = as_rng(rng)
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.functional import col2im, conv_output_size, im2col
-from repro.nn.initializers import glorot_uniform, he_normal, zeros
+from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.utils.rng import SeedLike, as_rng
@@ -34,33 +34,17 @@ class Linear(Module):
     in_features, out_features:
         Input/output dimensionality.
     rng:
-        Seed or generator for weight initialisation.
-    init:
-        ``'he'`` (default, pairs with ReLU) or ``'glorot'``.
+        Seed or generator for the He-normal weight initialisation.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: SeedLike = None,
-        init: str = "he",
-    ):
+    def __init__(self, in_features: int, out_features: int, rng: SeedLike = None):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ConfigurationError(
                 f"Linear dimensions must be positive, got "
                 f"({in_features}, {out_features})"
             )
-        rng = as_rng(rng)
-        if init == "he":
-            weight = he_normal((in_features, out_features), in_features, rng)
-        elif init == "glorot":
-            weight = glorot_uniform(
-                (in_features, out_features), in_features, out_features, rng
-            )
-        else:
-            raise ConfigurationError(f"unknown init {init!r}")
+        weight = he_normal((in_features, out_features), in_features, rng)
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(weight, name="linear.weight")
@@ -304,31 +288,6 @@ class Flatten(Module):
         if self._input_shape is None:
             raise ShapeError("backward called before forward on Flatten")
         return grad_output.reshape(self._input_shape)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in evaluation mode."""
-
-    def __init__(self, rate: float = 0.5, rng: SeedLike = None):
-        super().__init__()
-        if not 0 <= rate < 1:
-            raise ConfigurationError(f"dropout rate must lie in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = as_rng(rng)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
 
 
 class Sequential(Module):

@@ -1,14 +1,11 @@
 """Model zoo.
 
-``CNN1`` and ``CNN2`` replicate the paper's two architectures (Table II):
-two 5x5 convolutional layers each followed by 2x2 max pooling, then a fully
-connected module.  ``CNN1`` takes a flattened 784-dimensional MNIST/FMNIST
-image and has exactly 1,663,370 parameters; ``CNN2`` takes a flattened
-3,072-dimensional CIFAR-10 image and has exactly 1,105,098 parameters.
-
-The lighter ``MLP`` and ``LogisticRegression`` models are used by the
-scaled-down benchmark presets and the fast test suite, where the federated
-*dynamics* (not the vision accuracy) are what matters.
+``MLP`` is the model every preset, study and benchmark trains: the
+federated *dynamics* (not the vision accuracy) are what the reproduction
+measures.  ``SmallCNN`` keeps the paper's CNN topology (two 5x5
+convolutional layers each followed by 2x2 max pooling, then a fully
+connected module; Table II) at narrow widths, and pins the stacked conv
+kernels.
 """
 
 from __future__ import annotations
@@ -55,54 +52,6 @@ class _ImageReshape(Module):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return grad_output.reshape(grad_output.shape[:-3] + (-1,))
-
-
-class CNN1(Sequential):
-    """The paper's MNIST/FMNIST CNN (1,663,370 parameters).
-
-    Architecture: conv(1->32, 5x5, pad 2) -> 2x2 maxpool -> conv(32->64, 5x5,
-    pad 2) -> 2x2 maxpool -> fc(3136->512) -> ReLU -> fc(512->10).
-    """
-
-    def __init__(self, rng: SeedLike = None, num_classes: int = 10):
-        rng = as_rng(rng)
-        super().__init__(
-            _ImageReshape(1, 28, 28),
-            Conv2D(1, 32, kernel_size=5, padding=2, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(32, 64, kernel_size=5, padding=2, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Linear(7 * 7 * 64, 512, rng=rng),
-            ReLU(),
-            Linear(512, num_classes, rng=rng),
-        )
-
-
-class CNN2(Sequential):
-    """The paper's CIFAR-10 CNN (1,105,098 parameters).
-
-    Architecture: conv(3->32, 5x5, pad 2) -> 2x2 maxpool -> conv(32->64, 5x5,
-    pad 2) -> 2x2 maxpool -> fc(4096->256) -> ReLU -> fc(256->10).
-    """
-
-    def __init__(self, rng: SeedLike = None, num_classes: int = 10):
-        rng = as_rng(rng)
-        super().__init__(
-            _ImageReshape(3, 32, 32),
-            Conv2D(3, 32, kernel_size=5, padding=2, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            Conv2D(32, 64, kernel_size=5, padding=2, rng=rng),
-            ReLU(),
-            MaxPool2D(2),
-            Flatten(),
-            Linear(8 * 8 * 64, 256, rng=rng),
-            ReLU(),
-            Linear(256, num_classes, rng=rng),
-        )
 
 
 class SmallCNN(Sequential):
@@ -160,21 +109,11 @@ class MLP(Sequential):
         super().__init__(*layers)
 
 
-class LogisticRegression(Sequential):
-    """Multinomial logistic regression (a single linear layer)."""
-
-    def __init__(self, input_dim: int, num_classes: int = 10, rng: SeedLike = None):
-        super().__init__(Linear(input_dim, num_classes, rng=as_rng(rng), init="glorot"))
-
-
 ModelBuilder = Callable[..., Module]
 
 MODEL_REGISTRY: dict[str, ModelBuilder] = {
-    "cnn1": CNN1,
-    "cnn2": CNN2,
     "small_cnn": SmallCNN,
     "mlp": MLP,
-    "logistic": LogisticRegression,
 }
 
 

@@ -62,9 +62,6 @@ class Module:
     #: A fact about the storage, set by whoever binds it — not an option.
     _client_axes: int = 0
 
-    def __init__(self) -> None:
-        self.training = True
-
     # ------------------------------------------------------------------ #
     # Forward / backward interface
     # ------------------------------------------------------------------ #
@@ -86,23 +83,6 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-    # ------------------------------------------------------------------ #
-    # Train / eval mode
-    # ------------------------------------------------------------------ #
-    def train(self) -> "Module":
-        """Switch this module and every child into training mode."""
-        self.training = True
-        for child in self.children():
-            child.train()
-        return self
-
-    def eval(self) -> "Module":
-        """Switch this module and every child into evaluation mode."""
-        self.training = False
-        for child in self.children():
-            child.eval()
-        return self
 
     # ------------------------------------------------------------------ #
     # Parameter traversal

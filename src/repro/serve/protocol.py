@@ -270,6 +270,18 @@ def blob_digest(array: np.ndarray) -> str:
     return hasher.hexdigest()
 
 
+def same_blob(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether two arrays have one :func:`blob_digest`: same shape, same bytes.
+
+    The bytes are compared as integers, not as floats: ``==`` equates −0.0
+    with 0.0 and never matches NaN.
+    """
+    first, second = _blob(first), _blob(second)
+    return first.shape == second.shape and np.array_equal(
+        first.view(np.int64), second.view(np.int64)
+    )
+
+
 def carries(digest: str | None, held: Collection[str]) -> bool:
     """Whether a frame carries an array: nobody hashed it, or it is not held."""
     return digest is None or digest not in held

@@ -640,14 +640,18 @@ class FederationServer:
         self.resumed_from_round = sim.state.rounds_run
 
     def _name_rows(self) -> None:
-        """Hash every client's row once, fresh or restored: a worker may
-        already hold it (an untrained row is θ⁰ and zeros, a restored one
-        what an earlier server accepted)."""
+        """Name every client's row, fresh or restored: a worker may already
+        hold it (an untrained row is θ⁰ and zeros, a restored one what an
+        earlier server accepted).  A key whose bytes equal the previous
+        row's takes that row's digest, so a fresh server hashes one row."""
+        named: dict[str, tuple[np.ndarray, str]] = {}  # key -> last hashed array, digest
         for index, client in enumerate(self.simulation.clients):
             if client.variables:
+                for key, value in client.variables.items():
+                    if key not in named or not protocol.same_blob(named[key][0], value):
+                        named[key] = (value, protocol.blob_digest(value))
                 self.board.digests[index] = {
-                    key: protocol.blob_digest(value)
-                    for key, value in client.variables.items()
+                    key: named[key][1] for key in client.variables
                 }
                 self.metrics.counter("serve.vars_digests").inc()
 

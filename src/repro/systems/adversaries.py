@@ -51,11 +51,6 @@ _DIRECTION_KEYS = frozenset({"delta", "gradient", "delta_params", "delta_control
 #: Payload vectors that are whole models (corrupted as theta + f(v - theta)).
 _MODEL_KEYS = frozenset({"params", "augmented_model"})
 
-#: Payload vectors that are never corrupted (FedDropoutAvg's binary mask —
-#: flipping a mask is not a gradient attack, and the mask must stay
-#: consistent with the masked parameters it annotates).
-_PROTECTED_KEYS = frozenset({"mask"})
-
 
 # --------------------------------------------------------------------------- #
 # Behaviours
@@ -239,9 +234,7 @@ class AdversaryModel:
 
         payload: dict[str, np.ndarray] = {}
         for key, vector in message.payload.items():
-            if key in _PROTECTED_KEYS:
-                payload[key] = vector
-            elif key in _MODEL_KEYS:
+            if key in _MODEL_KEYS:
                 direction = vector - global_params
                 payload[key] = global_params + self.behaviour.corrupt_direction(
                     direction, rng
@@ -254,10 +247,6 @@ class AdversaryModel:
                     f"key {key!r} is a direction or a model; extend "
                     f"repro.systems.adversaries with its semantics"
                 )
-        if "mask" in payload and "params" in payload:
-            # FedDropoutAvg ships masked parameters; re-masking keeps the
-            # corrupted upload consistent with its (uncorrupted) mask.
-            payload["params"] = payload["params"] * payload["mask"]
         return ClientMessage(
             client_id=message.client_id,
             payload=payload,
@@ -386,8 +375,6 @@ def screen_cohort(
         dict(message.payload) for message in messages
     ]
     for key in sorted(messages[0].payload):
-        if key in _PROTECTED_KEYS:
-            continue
         stacked = np.stack(
             [np.asarray(message.payload[key], dtype=np.float64)
              for message in messages]

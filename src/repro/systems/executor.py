@@ -22,14 +22,12 @@ task finishes, the others once the batch is done.
   that dominates the serial hot path; a round with fewer cohorts than
   workers deals each cohort evenly across them.  Every algorithm's
   ClientUpdate is written over a client axis, so all of them run stacked
-  on models with batched kernels.  Nothing opts in or out by flag:
-  ``supports_batched`` is derived (false iff the class overrides
-  ``local_update`` — a per-client-only method), and such a method or an
-  unbatchable model falls back to the serial per-task loop, so a
-  vectorized run never changes *which* computation happens — only how it
-  is scheduled.  RNG streams are consumed in task order,
-  matching the serial executor draw for draw; histories agree with serial
-  within ``atol=1e-8`` (stacked matmuls reduce in a different order).
+  on models with batched kernels; an unbatchable model falls back to the
+  serial per-task loop, so a vectorized run never changes *which*
+  computation happens — only how it is scheduled.  RNG streams are
+  consumed in task order, matching the serial executor draw for draw;
+  histories agree with serial within ``atol=1e-8`` (stacked matmuls
+  reduce in a different order).
 Isolated executors (``isolated = True``) receive an integer seed per task
 instead of a shared generator, so their results are deterministic under a
 fixed engine seed *regardless of scheduling order* — the thread executor
@@ -281,10 +279,7 @@ class VectorizedExecutor(ClientExecutor):
     order, client-state mutations are disjoint across parts, and outcomes
     are reassembled in task order afterwards, so results are bit-identical
     for every ``max_workers`` and thread schedule — the ``atol=1e-8``
-    golden-parity contract against serial is unchanged.  Models with
-    dropout are grouped the same way but never dealt: their mask stream is
-    drawn per stacked forward, so splitting a stack would make history
-    depend on the worker count.
+    golden-parity contract against serial is unchanged.
 
     Each concurrent part executes on its own :class:`BatchedModel` clone
     drawn from a lock-protected pool that persists across rounds, so the
@@ -300,7 +295,6 @@ class VectorizedExecutor(ClientExecutor):
             )
         self.max_workers = max_workers
         self._batched_model = None
-        self._fallback_reason: str | None = None
         self._model_pool: list[Any] = []
         self._pool_lock = threading.Lock()
         self._dispatch_pool: ThreadPoolExecutor | None = None
@@ -318,16 +312,11 @@ class VectorizedExecutor(ClientExecutor):
         self._batched_model = None
         self._model_pool = []
         self._data_cache = {}
-        if not getattr(algorithm, "supports_batched", False):
-            self._fallback_reason = "algorithm_opt_out"
-            return
-        self._fallback_reason = "unbatchable_model"
         template = problems[0]
         if any(problem.dataset.features.ndim != 2 for problem in problems):
             return  # stacked kernels take flat (n, d) features only
         self._batched_model = build_batched_model(template.model, template.loss)
         if self._batched_model is not None:
-            self._fallback_reason = None
             # Seed the reusable execution-context pool with the compiled
             # template itself; concurrent cohorts clone on demand and the
             # clones (with their warmed workspaces) live for the run.
@@ -342,8 +331,7 @@ class VectorizedExecutor(ClientExecutor):
     @property
     def fallback_reason(self) -> str | None:
         """Why primed tasks fall back to the serial loop (``None`` if none)."""
-        self._require_primed()
-        return self._fallback_reason
+        return None if self.vectorizes else "unbatchable_model"
 
     def _acquire_model(self):
         with self._pool_lock:
@@ -417,7 +405,6 @@ class VectorizedExecutor(ClientExecutor):
         rows: np.ndarray,
         features: np.ndarray,
         labels: np.ndarray,
-        dropout_seed: int | None,
         tasks: list[LocalUpdateTask],
         epoch_orders: list[np.ndarray | None],
     ) -> tuple[list[ClientMessage], float, float, list[SpanRecord]]:
@@ -425,8 +412,8 @@ class VectorizedExecutor(ClientExecutor):
 
         ``positions`` are the part's tasks in descending-epoch order and
         ``rows`` their rows in the group's cached ``features``/``labels``
-        stacks.  Everything stochastic (epoch shuffles, the dropout seed)
-        was drawn before dispatch; client-state mutations are confined to
+        stacks.  Everything stochastic (the epoch shuffles) was drawn
+        before dispatch; client-state mutations are confined to
         this part's clients; ``server_state``, the cached stacks and the
         algorithm are read-only here — so parts may run on any thread in
         any order.  A traced part records one span per kernel call on a
@@ -441,8 +428,6 @@ class VectorizedExecutor(ClientExecutor):
         model = self._acquire_model()
         model.tracer = Tracer() if part_tasks[0].trace else None
         try:
-            if dropout_seed is not None:
-                model.reseed_dropout(dropout_seed)
             cohort = BatchedCohort(
                 model=model, features=features, labels=labels, epochs=epochs
             )
@@ -477,11 +462,10 @@ class VectorizedExecutor(ClientExecutor):
     def _run_batch(self, tasks: list[LocalUpdateTask]) -> list[LocalUpdateOutcome]:
         self._require_primed()
         if self._batched_model is None:
-            # Per-client-only algorithm or unbatchable model: the serial loop,
-            # bit for bit.  The labelled counter and span say *why*, so
-            # unexpected serial fallbacks are diagnosable from `repro
-            # profile` / the metrics snapshot.
-            reason = self._fallback_reason or "unbatchable_model"
+            # Unbatchable model: the serial loop, bit for bit.  The labelled
+            # counter and span say *why*, so unexpected serial fallbacks are
+            # diagnosable from `repro profile` / the metrics snapshot.
+            reason = self.fallback_reason
             if self._metrics is not None and tasks:
                 self._metrics.counter(f"executor.fallback.{reason}").inc(
                     len(tasks)
@@ -509,18 +493,8 @@ class VectorizedExecutor(ClientExecutor):
             groups.setdefault(key, []).append(position)
 
         workers = self.max_workers or os.cpu_count() or 1
-        has_dropout = self._batched_model.has_dropout
         parts = []
         for (num_samples, width, batch_size, *_), positions in groups.items():
-            # Dropout mask seeds, when the model needs them, are drawn here
-            # — before any dispatch, in deterministic group order, from the
-            # group's first task — so results do not depend on which thread
-            # runs which part.
-            dropout_seed = None
-            if has_dropout:
-                dropout_seed = int(
-                    as_rng(tasks[positions[0]].rng).integers(np.iinfo(np.int64).max)
-                )
             # Descending epochs (stable: ties keep task order) makes the
             # clients still training at any epoch a prefix of the stack.
             positions.sort(key=lambda position: -tasks[position].config.epochs)
@@ -531,27 +505,17 @@ class VectorizedExecutor(ClientExecutor):
             # enough parts to occupy every worker, as far as the floor on
             # a part's stacked step allows.  Dealing after the sort gives
             # every part the same epoch profile, hence the same load.
-            # Dropout draws one mask stream per stacked forward, so a
-            # dealt dropout model would depend on the worker count.
-            count = 1
-            if not has_dropout:
-                step_rows = min(batch_size or num_samples, num_samples)
-                count = max(
-                    1,
-                    min(
-                        -(-workers // len(groups)),
-                        len(positions) * step_rows * width // MIN_PART_ELEMENTS,
-                    ),
-                )
+            step_rows = min(batch_size or num_samples, num_samples)
+            count = max(
+                1,
+                min(
+                    -(-workers // len(groups)),
+                    len(positions) * step_rows * width // MIN_PART_ELEMENTS,
+                ),
+            )
             for offset in range(count):
                 parts.append(
-                    (
-                        positions[offset::count],
-                        rows[offset::count],
-                        features,
-                        labels,
-                        dropout_seed,
-                    )
+                    (positions[offset::count], rows[offset::count], features, labels)
                 )
 
         # The calling thread works too: it and up to ``workers - 1`` pool

@@ -10,7 +10,7 @@ from repro.datasets.synthetic import make_blobs
 from repro.federated.client import build_clients
 from repro.federated.local_problem import LocalProblem
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.models import MLP, LogisticRegression
+from repro.nn.models import MLP
 from repro.partition.iid import IidPartitioner
 from repro.partition.shard import ShardPartitioner
 
@@ -65,13 +65,6 @@ def make_model(seed: int = 0) -> MLP:
         hidden_dims=(16,),
         num_classes=NUM_CLASSES,
         rng=np.random.default_rng(seed),
-    )
-
-
-def make_linear_model(seed: int = 0) -> LogisticRegression:
-    """A logistic-regression model matched to the blobs fixture."""
-    return LogisticRegression(
-        input_dim=FEATURE_DIM, num_classes=NUM_CLASSES, rng=np.random.default_rng(seed)
     )
 
 

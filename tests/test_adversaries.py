@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ALGORITHM_REGISTRY, build_algorithm
-from repro.algorithms.feddropoutavg import FedDropoutAvg
 from repro.datasets.base import Dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import AlgorithmSpec, preset_config
@@ -147,24 +146,34 @@ class TestAdversaryModel:
         out = model.corrupt_message(message, theta, rng())
         np.testing.assert_array_equal(out.payload["params"], [9.0, 11.0])
 
-    def test_mask_is_protected_and_params_remasked(self):
-        model = AdversaryModel(ScaleAdversary(factor=2.0), 0.5)
-        theta = np.zeros(3)
-        mask = np.array([1.0, 0.0, 1.0])
-        message = self._message(
-            {"params": np.array([1.0, 0.0, 2.0]), "mask": mask}
-        )
-        out = model.corrupt_message(message, theta, rng())
-        np.testing.assert_array_equal(out.payload["mask"], mask)
-        # doubled, then re-masked so masked coordinates stay zero
-        np.testing.assert_array_equal(out.payload["params"], [2.0, 0.0, 4.0])
-
     def test_unknown_payload_keys_fail_loudly(self):
         model = AdversaryModel(SignFlipAdversary(), 0.5)
         with pytest.raises(ConfigurationError, match="mystery"):
             model.corrupt_message(
                 self._message({"mystery": np.zeros(2)}), np.zeros(2), rng()
             )
+
+    def test_a_mask_key_is_refused_like_any_unknown_key(self):
+        # No payload key is passed through uncorrupted: a masked upload
+        # would need a semantics of its own here first.
+        model = AdversaryModel(ScaleAdversary(factor=2.0), 0.5)
+        message = self._message(
+            {"params": np.array([1.0, 0.0, 2.0]), "mask": np.array([1.0, 0.0, 1.0])}
+        )
+        with pytest.raises(ConfigurationError, match="mask"):
+            model.corrupt_message(message, np.zeros(3), rng())
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+    def test_every_registered_algorithms_uploads_are_corrupted(self, name):
+        # Every key a shipped algorithm uploads has a known semantics, and
+        # corrupting it changes the run.
+        attacked = tiny_robustness_cfg(adversary="sign_flip").with_overrides(num_rounds=2)
+        clean = attacked.with_overrides(adversary=None, adversary_fraction=0.0)
+        spec = AlgorithmSpec(name)
+        clean, attacked = (
+            run_single(cfg, spec, stop_at_target=False) for cfg in (clean, attacked)
+        )
+        assert not np.array_equal(clean.final_params, attacked.final_params)
 
     def test_build_adversary_rejects_unknown_names(self):
         with pytest.raises(ConfigurationError, match="unknown adversary"):
@@ -272,6 +281,24 @@ class TestDefendedAlgorithm:
             assert (digest, accuracies) == DEFENDED_FLAT_PINS[algorithm, defense]
             # One shard is the flat plan: no shard keys either way.
             assert "num_shards" not in result.metadata
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+    def test_a_defended_algorithm_trains_batched(self, name):
+        # The wrapper routes ClientUpdate to the inner algorithm, so a
+        # defended run is stacked wherever the model is: every task of the
+        # run is counted batched, none as a fallback.
+        metrics = MetricsRegistry()
+        with observe(metrics=metrics):
+            result = run_single(
+                tiny_robustness_cfg(defense="median", executor="vectorized"),
+                AlgorithmSpec(name),
+                stop_at_target=False,
+            )
+        counters = metrics.snapshot()["counters"]
+        assert counters["executor.batched_tasks"] == sum(
+            record.num_selected for record in result.history.records
+        )
+        assert not [key for key in counters if key.startswith("executor.fallback.")]
 
     def test_median_neutralises_a_huge_outlier(self):
         # One boosted update must not move the defended aggregate: the
@@ -408,71 +435,3 @@ class TestConfigValidation:
     def test_defense_is_sync_only(self):
         with pytest.raises(ConfigurationError, match="sync"):
             preset_config("async", "blobs").with_overrides(defense="median")
-
-
-# --------------------------------------------------------------------------- #
-# FedDropoutAvg
-# --------------------------------------------------------------------------- #
-class TestFedDropoutAvg:
-    def test_registered(self):
-        assert "feddropoutavg" in ALGORITHM_REGISTRY
-        algorithm = build_algorithm("feddropoutavg", dropout_rate=0.5)
-        assert isinstance(algorithm, FedDropoutAvg)
-        assert not algorithm.supports_async
-        assert not algorithm.supports_batched
-        with pytest.raises(ConfigurationError):
-            build_algorithm("feddropoutavg", dropout_rate=1.0)
-
-    def _message(self, client_id, params, mask):
-        return ClientMessage(
-            client_id=client_id,
-            payload={
-                "params": np.asarray(params, dtype=np.float64),
-                "mask": np.asarray(mask, dtype=np.float64),
-            },
-            num_samples=10,
-            local_epochs=1,
-            train_loss=0.5,
-        )
-
-    def test_mask_aware_average_with_fallback(self):
-        algorithm = FedDropoutAvg()
-        theta = np.array([7.0, 7.0, 7.0])
-        messages = [
-            self._message(0, [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
-            self._message(1, [4.0, 6.0, 0.0], [1.0, 1.0, 0.0]),
-        ]
-        out = algorithm.aggregate(theta, {}, messages, num_clients=2, round_index=0)
-        # coord 0: (2+4)/2; coord 1: 6/1; coord 2: unreported -> theta
-        np.testing.assert_array_equal(out, [3.0, 6.0, 7.0])
-
-    def test_accumulator_merge_matches_batch(self):
-        algorithm = FedDropoutAvg()
-        theta = np.zeros(2)
-        messages = [
-            self._message(0, [1.0, 0.0], [1.0, 0.0]),
-            self._message(1, [0.0, 2.0], [0.0, 1.0]),
-            self._message(2, [3.0, 4.0], [1.0, 1.0]),
-        ]
-        left = algorithm.make_accumulator(theta, {}, 3, 0)
-        right = algorithm.make_accumulator(theta, {}, 3, 0)
-        left.accumulate(messages[0])
-        right.accumulate(messages[1])
-        right.accumulate(messages[2])
-        left.merge(right)
-        # coord 0: (1+3)/2 reporters; coord 1: (2+4)/2 reporters
-        np.testing.assert_array_equal(left.finalise(), [2.0, 3.0])
-        np.testing.assert_array_equal(
-            algorithm.aggregate(theta, {}, messages, 3, 0), [2.0, 3.0]
-        )
-        with pytest.raises(ConfigurationError):
-            algorithm.make_accumulator(theta, {}, 3, 0).finalise()
-
-    def test_end_to_end_training_learns(self):
-        cfg = tiny_robustness_cfg(adversary=None, adversary_fraction=0.0)
-        result = run_single(
-            cfg.with_overrides(num_rounds=6),
-            AlgorithmSpec("feddropoutavg", {"dropout_rate": 0.2}),
-            stop_at_target=False,
-        )
-        assert result.history.final_accuracy() > 0.5

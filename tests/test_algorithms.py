@@ -60,7 +60,6 @@ class TestRegistry:
             "scaffold",
             "fedadmm",
             "fedpd",
-            "feddropoutavg",
         }
 
     def test_build_algorithm(self):

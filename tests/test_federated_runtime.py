@@ -4,6 +4,7 @@ heterogeneity policies, messages, history, evaluation."""
 import numpy as np
 import pytest
 
+from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_blobs
 from repro.exceptions import ConfigurationError
 from repro.federated.client import ClientState, build_clients
@@ -334,8 +335,32 @@ class TestEvaluation:
         assert result.num_samples == len(blobs_split.test)
         assert result.loss > 0
 
-    def test_evaluate_model_restores_train_mode(self, blobs_split):
+    def test_evaluate_model_scores_the_params_it_is_given(self, blobs_split):
+        model, other = make_model(seed=0), make_model(seed=1)
+        params = other.get_flat_params()
+        result = evaluate_model(model, CrossEntropyLoss(), params, blobs_split.test)
+        logits = other.forward(blobs_split.test.features)
+        labels = blobs_split.test.labels
+        assert result.accuracy == float((logits.argmax(axis=1) == labels).mean())
+        assert result.loss == pytest.approx(CrossEntropyLoss().value(logits, labels))
+        assert np.array_equal(model.get_flat_params(), params)
+
+    @pytest.mark.parametrize("batch_size", [None, 1, 7])
+    def test_evaluation_does_not_depend_on_the_batch_size(self, blobs_split, batch_size):
         model = make_model()
-        model.train()
-        evaluate_model(model, CrossEntropyLoss(), model.get_flat_params(), blobs_split.test)
-        assert model.training
+        params = model.get_flat_params()
+        whole = evaluate_model(model, CrossEntropyLoss(), params, blobs_split.test)
+        batched = evaluate_model(
+            model, CrossEntropyLoss(), params, blobs_split.test, batch_size=batch_size
+        )
+        assert batched.accuracy == whole.accuracy
+        assert batched.num_samples == whole.num_samples
+        assert batched.loss == pytest.approx(whole.loss, rel=1e-12)
+
+    def test_an_empty_dataset_scores_nan(self, blobs_split):
+        model = make_model()
+        empty = Dataset(features=np.zeros((0, blobs_split.test.features.shape[1])),
+                        labels=np.zeros(0, dtype=np.int64))
+        result = evaluate_model(model, CrossEntropyLoss(), model.get_flat_params(), empty)
+        assert result.num_samples == 0
+        assert np.isnan(result.accuracy) and np.isnan(result.loss)

@@ -26,7 +26,7 @@ from repro.exceptions import ShapeError
 from repro.federated.client import ClientState
 from repro.federated.local_problem import LocalProblem
 from repro.nn.gradcheck import check_gradients
-from repro.nn.layers import Conv2D, Dropout, Linear, ReLU, Sequential
+from repro.nn.layers import Conv2D, Linear
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLP, SmallCNN
 from repro.utils.rng import as_rng
@@ -113,7 +113,7 @@ def oracle_run_local_sgd(problem, start_params, config, rng, extra_grad=None):
 
 
 # --------------------------------------------------------------------------- #
-# Problems: three model families, inputs that put -0.0 into gradients
+# Problems: two model families, inputs that put -0.0 into gradients
 # --------------------------------------------------------------------------- #
 NUM_CLASSES = 3
 
@@ -121,14 +121,6 @@ NUM_CLASSES = 3
 def _model(family: str, seed: int):
     if family == "mlp":
         return MLP(6, (5,), num_classes=NUM_CLASSES, rng=seed)
-    if family == "dropout_mlp":
-        rng = np.random.default_rng(seed)
-        return Sequential(
-            Linear(6, 5, rng=rng),
-            ReLU(),
-            Dropout(0.4, rng=seed + 1),
-            Linear(5, NUM_CLASSES, rng=rng),
-        )
     return SmallCNN(
         rng=seed, image_size=4, num_classes=NUM_CLASSES, conv_channels=(2, 3), hidden=4
     )
@@ -175,7 +167,7 @@ def _extra(start: np.ndarray):
 
 class TestInPlaceStepEqualsCopyingStep:
     @given(
-        family=st.sampled_from(["mlp", "dropout_mlp", "small_cnn"]),
+        family=st.sampled_from(["mlp", "small_cnn"]),
         inputs=st.sampled_from(["normal", "zeros", "negative", "sparse"]),
         dead_relu=st.booleans(),
         batch_size=st.sampled_from([None, 1, 4, 11, 64]),
@@ -192,8 +184,6 @@ class TestInPlaceStepEqualsCopyingStep:
         )
         results = []
         for run in (oracle_run_local_sgd, run_local_sgd):
-            # Two identically seeded problems, so each Dropout draws its own
-            # copy of one mask stream.
             problem = _problem(family, seed, inputs)
             start = _start(problem, seed, dead_relu)
             extra = _extra(start) if with_extra else None

@@ -37,7 +37,6 @@ from repro.nn.batched import (
 from repro.nn.functional import col2im, conv_output_size, im2col, log_softmax, softmax
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -46,7 +45,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.models import MLP, SmallCNN
+from repro.nn.models import MLP, SmallCNN, _ImageReshape
 from repro.obs import Tracer
 
 
@@ -625,15 +624,9 @@ LAYERS = {
     "conv_padded": (lambda: Conv2D(2, 3, 3, 1, 1, rng=1), (2, 5, 5), (3, 5, 5)),
     "conv_strided": (lambda: Conv2D(2, 3, 3, 2, 0, rng=1), (2, 6, 6), (3, 2, 2)),
     "maxpool": (lambda: MaxPool2D(2), (2, 4, 4), (2, 2, 2)),
-    "dropout": (lambda: Dropout(0.4), (6,), (6,)),
+    "maxpool_overlapping": (lambda: MaxPool2D(3, stride=1), (2, 4, 4), (2, 2, 2)),
+    "image_reshape": (lambda: _ImageReshape(2, 3, 3), (18,), (2, 3, 3)),
 }
-
-
-def mask_stream(seed, skipped):
-    """A dropout stream, ``skipped`` draws in: where a later client's mask starts."""
-    rng = np.random.default_rng(seed)
-    rng.random(skipped)
-    return rng
 
 
 class TestStackOfOneIsThePerClientStep:
@@ -667,11 +660,9 @@ class TestStackOfOneIsThePerClientStep:
         params = values(rng, (cohort, batched.dim))
         x = values(rng, (cohort, n) + in_shape)
         grad_output = values(rng, (cohort, n) + out_shape)
-        sample = n * int(np.prod(in_shape))  # mask draws a client
 
         def on_a_stack(rows, backward):
             """(output, input gradient, parameter gradients) for clients ``rows``."""
-            layer._rng = mask_stream(seed, rows.start * sample)
             batched._bind(params[rows])
             batched._param_grads.fill(np.nan)
             out = layer.forward(x[rows])
@@ -684,7 +675,6 @@ class TestStackOfOneIsThePerClientStep:
             # Row c does not depend on who else is in the stack ...
             same_bytes(one, [part[c : c + 1] for part in whole])
             # ... and a stack of one is the per-client call.
-            per_client._rng = mask_stream(seed, c * sample)
             per_client.set_flat_params(params[c])
             per_client.set_flat_grad(np.full(batched.dim, np.nan))
             out = per_client.forward(x[c])

@@ -27,7 +27,6 @@ from repro.nn.batched import (
 from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -36,7 +35,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.models import MLP, LogisticRegression, SmallCNN, _ImageReshape
+from repro.nn.models import MLP, SmallCNN, _ImageReshape
 from repro.nn.module import Module
 
 
@@ -76,6 +75,24 @@ class TestBatchedModelKernels:
 
         losses, grads = batched.loss_and_grad(params, features, labels)
         for c in range(cohort_size):
+            value, grad = serial_loss_and_grad(
+                model, loss, params[c], features[c], labels[c]
+            )
+            assert abs(losses[c] - value) < 1e-10
+            np.testing.assert_allclose(grads[c], grad, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("hidden_dims", [(), (5,), (5, 4)], ids=["0", "1", "2"])
+    def test_mlp_of_any_depth_matches_serial_per_client(self, hidden_dims):
+        rng = np.random.default_rng(4)
+        model = MLP(input_dim=6, hidden_dims=hidden_dims, num_classes=3, rng=rng)
+        loss = CrossEntropyLoss()
+        batched = build_batched_model(model, loss)
+        assert batched.dim == model.num_params
+        features = rng.normal(size=(3, 7, 6))
+        labels = rng.integers(0, 3, size=(3, 7))
+        params = rng.normal(size=(3, model.num_params))
+        losses, grads = batched.loss_and_grad(params, features, labels)
+        for c in range(3):
             value, grad = serial_loss_and_grad(
                 model, loss, params[c], features[c], labels[c]
             )
@@ -396,7 +413,7 @@ class TestCompilationRules:
         rng = np.random.default_rng(0)
         for model in (
             MLP(input_dim=4, hidden_dims=(3,), num_classes=2, rng=rng),
-            LogisticRegression(input_dim=4, num_classes=2, rng=rng),
+            MLP(input_dim=4, hidden_dims=(), num_classes=2, rng=rng),
             make_template(rng),
         ):
             assert build_batched_model(model, CrossEntropyLoss()) is not None
@@ -411,12 +428,6 @@ class TestCompilationRules:
         batched = build_batched_model(model, CrossEntropyLoss())
         assert batched is not None
         assert batched.dim == model.num_params
-
-    def test_dropout_model_compiles(self):
-        model = Sequential(Linear(4, 3), Dropout(0.5), Linear(3, 2))
-        batched = build_batched_model(model, CrossEntropyLoss())
-        assert batched is not None
-        assert batched.has_dropout
 
     def test_custom_layer_is_rejected(self):
         class Scaler(Module):
@@ -436,8 +447,8 @@ class TestCompilationRules:
         assert build_batched_model(model, TweakedLoss()) is None
 
     def test_mse_loss_is_supported(self):
-        model = LogisticRegression(input_dim=4, num_classes=2,
-                                   rng=np.random.default_rng(0))
+        model = MLP(input_dim=4, hidden_dims=(3,), num_classes=2,
+                    rng=np.random.default_rng(0))
         assert build_batched_model(model, MSELoss()) is not None
 
     def test_shape_errors_on_mismatched_input(self):
@@ -541,7 +552,6 @@ class TestStackBoundLayers:
             Tanh(),
             MaxPool2D(2),
             Flatten(),
-            Dropout(0.25, rng=3),
             Linear(8, 3, rng=rng),
         )
 
@@ -575,9 +585,6 @@ class TestStackBoundLayers:
         mine, others = self._arrays(batched.layers), self._arrays(clone.layers)
         for array in mine:  # ... and with activations cached on both
             assert not any(np.shares_memory(array, other) for other in theirs + others)
-        # Dropout streams are the copies' own, too.
-        streams = {id(m.layers[5]._rng) for m in (batched, clone)} | {id(template[5]._rng)}
-        assert len(streams) == 3
 
     def test_parameters_are_views_of_the_callers_rows_and_the_workspace(self):
         batched = build_batched_model(self._template(), CrossEntropyLoss())
@@ -586,7 +593,7 @@ class TestStackBoundLayers:
         _, grads = batched.loss_and_grad(
             params, rng.normal(size=(3, 5, 16)), rng.integers(0, 3, size=(3, 5))
         )
-        conv, linear = batched.layers[1], batched.layers[6]
+        conv, linear = batched.layers[1], batched.layers[5]
         assert conv.weight.value.shape == (3, 2, 1, 3, 3)
         assert linear.bias.grad.shape == (3, 3)
         for layer in (conv, linear):
@@ -605,7 +612,7 @@ class TestStackBoundLayers:
         batched.loss_and_grad(
             params, np.zeros((2, 5, 16)), np.zeros((2, 5), dtype=np.int64)
         )
-        linear = batched.layers[6]
+        linear = batched.layers[5]
         bound = linear.weight.value
         for access in (
             lambda: linear.num_params,
@@ -625,7 +632,7 @@ class TestStackBoundLayers:
             np.zeros((2, batched.dim)), np.zeros((2, 5, 16)),
             np.zeros((2, 5), dtype=np.int64),
         )
-        shapes = {0: (5, 16), 1: (5, 1, 4, 4), 3: (5, 2, 4, 4), 6: (5, 8)}
+        shapes = {0: (5, 16), 1: (5, 1, 4, 4), 3: (5, 2, 4, 4), 5: (5, 8)}
         for index, shape in shapes.items():
             with pytest.raises(ShapeError):  # a client axis on a per-client layer
                 template[index].forward(np.zeros((2,) + shape))
@@ -639,12 +646,21 @@ class TestStackBoundLayers:
                 np.zeros((2, 5, 3)), np.zeros((2, 5), dtype=np.int64)
             )
 
-    @pytest.mark.parametrize("kind", ["linear", "conv"])
+    @pytest.mark.parametrize("kind", ["linear", "conv", "pool"])
     def test_stacked_gradients_match_finite_differences(self, kind):
         # ``gradcheck`` had only ever seen one client.
         rng = np.random.default_rng(15)
         if kind == "linear":
             template = Sequential(Linear(5, 4, rng=rng), Tanh(), Linear(4, 3, rng=rng))
+        elif kind == "pool":
+            template = Sequential(
+                _ImageReshape(2, 4, 4),
+                Conv2D(2, 3, kernel_size=3, padding=1, rng=rng),
+                Tanh(),
+                MaxPool2D(2),
+                Flatten(),
+                Linear(3 * 2 * 2, 3, rng=rng),
+            )
         else:
             template = Sequential(
                 _ImageReshape(2, 4, 4),
@@ -732,63 +748,6 @@ class TestConvKernels:
         for c in range(2):
             value, grad = serial_loss_and_grad(
                 model, loss, params[c], features[c], targets[c]
-            )
-            assert abs(losses[c] - value) < 1e-10
-            np.testing.assert_allclose(grads[c], grad, atol=1e-10, rtol=0)
-
-
-class TestBatchedDropout:
-    def _template(self, rate=0.5):
-        rng = np.random.default_rng(7)
-        return Sequential(
-            Linear(6, 5, rng=rng), Dropout(rate), Linear(5, 3, rng=rng)
-        )
-
-    def test_reseeded_clones_are_deterministic(self):
-        batched = build_batched_model(self._template(), CrossEntropyLoss())
-        rng = np.random.default_rng(8)
-        features = rng.normal(size=(3, 9, 6))
-        labels = rng.integers(0, 3, size=(3, 9))
-        params = rng.normal(size=(3, batched.dim))
-
-        a, b = batched.clone(), batched.clone()
-        a.reseed_dropout(123)
-        b.reseed_dropout(123)
-        losses_a, grads_a = a.loss_and_grad(params, features, labels)
-        losses_b, grads_b = b.loss_and_grad(params, features, labels)
-        np.testing.assert_array_equal(losses_a, losses_b)
-        np.testing.assert_array_equal(grads_a, grads_b)
-
-        # A different seed draws different masks.
-        c = batched.clone()
-        c.reseed_dropout(124)
-        losses_c, _ = c.loss_and_grad(params, features, labels)
-        assert not np.array_equal(losses_a, losses_c)
-
-    def test_masks_differ_per_client(self):
-        batched = build_batched_model(self._template(), CrossEntropyLoss())
-        batched.reseed_dropout(0)
-        rng = np.random.default_rng(9)
-        # Identical params/features for every client: any per-client output
-        # difference can only come from per-client dropout masks.
-        features = np.broadcast_to(rng.normal(size=(1, 8, 6)), (4, 8, 6)).copy()
-        labels = np.broadcast_to(rng.integers(0, 3, size=(1, 8)), (4, 8)).copy()
-        params = np.broadcast_to(rng.normal(size=batched.dim), (4, batched.dim)).copy()
-        losses, _ = batched.loss_and_grad(params, features, labels)
-        assert len(np.unique(losses)) > 1
-
-    def test_eval_mode_matches_serial_model(self):
-        template = self._template()
-        batched = build_batched_model(template, CrossEntropyLoss()).eval()
-        template.eval()
-        rng = np.random.default_rng(10)
-        features = rng.normal(size=(2, 7, 6))
-        labels = rng.integers(0, 3, size=(2, 7))
-        params = rng.normal(size=(2, batched.dim))
-        losses, grads = batched.loss_and_grad(params, features, labels)
-        for c in range(2):
-            value, grad = serial_loss_and_grad(
-                template, CrossEntropyLoss(), params[c], features[c], labels[c]
             )
             assert abs(losses[c] - value) < 1e-10
             np.testing.assert_allclose(grads[c], grad, atol=1e-10, rtol=0)

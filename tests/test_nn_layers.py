@@ -7,7 +7,6 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.gradcheck import check_gradients
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -50,9 +49,16 @@ class TestLinear:
         with pytest.raises(ConfigurationError):
             Linear(0, 3)
 
-    def test_glorot_init_available(self):
-        layer = Linear(5, 3, rng=0, init="glorot")
-        assert layer.weight.shape == (5, 3)
+    def test_he_normal_weights_and_zero_bias(self):
+        layer = Linear(400, 50, rng=0)
+        assert np.all(layer.bias.value == 0)
+        std = layer.weight.value.std()
+        assert abs(std - np.sqrt(2.0 / 400)) < 0.05 * np.sqrt(2.0 / 400)
+
+    def test_seed_fixes_the_weights(self):
+        first, second = Linear(5, 3, rng=4), Linear(5, 3, rng=4)
+        assert np.array_equal(first.weight.value, second.weight.value)
+        assert not np.array_equal(first.weight.value, Linear(5, 3, rng=5).weight.value)
 
 
 class TestConv2D:
@@ -82,6 +88,13 @@ class TestConv2D:
         with pytest.raises(ShapeError):
             layer.forward(RNG.normal(size=(1, 1, 8, 8)))
 
+    @pytest.mark.parametrize(
+        "sizes", [(0, 2, 3, 1, 0), (1, 2, 3, 0, 0), (1, 2, 3, 1, -1)]
+    )
+    def test_invalid_config_rejected(self, sizes):
+        with pytest.raises(ConfigurationError):
+            Conv2D(*sizes)
+
 
 class TestMaxPool2D:
     def test_forward_values(self):
@@ -108,6 +121,18 @@ class TestMaxPool2D:
         y = RNG.integers(0, 2, size=3)
         _gradcheck(model, x, y)
 
+    def test_invalid_kernel_rejected(self):
+        with pytest.raises(ConfigurationError):
+            MaxPool2D(0)
+
+    def test_overlapping_windows_sum_their_gradients(self):
+        pool = MaxPool2D(2, stride=1)
+        x = np.zeros((1, 1, 3, 3))
+        x[0, 0, 1, 1] = 1.0  # the maximum of all four windows
+        assert np.array_equal(pool.forward(x), np.ones((1, 1, 2, 2)))
+        grad = pool.backward(np.ones((1, 1, 2, 2)))
+        assert grad[0, 0, 1, 1] == 4.0 and grad.sum() == 4.0
+
 
 class TestActivationsAndShape:
     def test_relu_masks_negative(self):
@@ -128,22 +153,20 @@ class TestActivationsAndShape:
         assert out.shape == (2, 48)
         assert flat.backward(out).shape == x.shape
 
-    def test_dropout_eval_is_identity(self):
-        drop = Dropout(0.5, rng=0)
-        drop.eval()
-        x = RNG.normal(size=(4, 5))
-        assert np.array_equal(drop.forward(x), x)
+    def test_tanh_backward_is_one_minus_the_square(self):
+        tanh = Tanh()
+        x = RNG.normal(size=(3, 4))
+        out = tanh.forward(x)
+        grad = RNG.normal(size=(3, 4))
+        assert np.array_equal(tanh.backward(grad), grad * (1.0 - out**2))
 
-    def test_dropout_training_scales(self):
-        drop = Dropout(0.5, rng=0)
-        x = np.ones((1000, 1))
-        out = drop.forward(x)
-        # Inverted dropout keeps the expectation approximately unchanged.
-        assert abs(out.mean() - 1.0) < 0.15
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ConfigurationError):
-            Dropout(1.0)
+    @pytest.mark.parametrize(
+        "layer", [ReLU, Tanh, Flatten, lambda: MaxPool2D(2)],
+        ids=["relu", "tanh", "flatten", "maxpool"],
+    )
+    def test_backward_before_forward_rejected(self, layer):
+        with pytest.raises(ShapeError):
+            layer().backward(np.ones((1, 1, 2, 2)))
 
 
 class TestSequential:

@@ -151,7 +151,7 @@ class TestSemiSyncValidation:
             )
 
     @pytest.mark.parametrize("plan_cls", [AsyncPlan, SemiSyncPlan])
-    @pytest.mark.parametrize("name", ["scaffold", "fedpd", "feddropoutavg"])
+    @pytest.mark.parametrize("name", ["scaffold", "fedpd"])
     def test_rejects_lockstep_algorithms(
         self, name, plan_cls, iid_clients, blobs_split
     ):

@@ -115,15 +115,6 @@ def ref_fedpd(algorithm, theta, control, messages):
     return _stack(messages, "augmented_model").mean(axis=0), control
 
 
-def ref_feddropoutavg(algorithm, theta, control, messages):
-    masked_total = _stack(messages, "params").sum(axis=0)
-    mask_total = _stack(messages, "mask").sum(axis=0)
-    out = np.array(theta, copy=True)
-    reported = mask_total > 0
-    out[reported] = masked_total[reported] / mask_total[reported]
-    return out, control
-
-
 @dataclass(frozen=True)
 class Rule:
     """One aggregation rule: how to build it, what it uploads, its reference."""
@@ -161,7 +152,6 @@ RULES = {
     "fedpd-silent": Rule(
         "fedpd", {"communication_probability": 0.5}, ("augmented_model",), ref_fedpd
     ),
-    "feddropoutavg": Rule("feddropoutavg", {}, ("params", "mask"), ref_feddropoutavg),
 }
 
 
@@ -529,24 +519,13 @@ class TestContractSurface:
 
         subclasses = set(shipped(FederatedAlgorithm))
         assert set(ALGORITHM_REGISTRY.values()) <= subclasses
-        # ``local_update`` is the base class's cohort-of-one; the one shipped
-        # per-client-only method writes its own instead.
-        assert {cls.__name__ for cls in subclasses if "local_update" in vars(cls)} == {
-            "FedDropoutAvg"
-        }
-        # Stacked execution is derived from that, never declared.
-        assert isinstance(vars(FederatedAlgorithm)["supports_batched"], property)
-        assert not [cls for cls in subclasses if "supports_batched" in vars(cls)]
-        for name, cls in ALGORITHM_REGISTRY.items():
-            assert cls().supports_batched == (name != "feddropoutavg")
-            assert ("batched_local_update" in vars(cls)) == cls().supports_batched
-
-    @pytest.mark.parametrize("name", ["fedadmm", "feddropoutavg"])
-    def test_defended_algorithm_batches_iff_its_inner_does(self, name):
-        inner = build_algorithm(name)
-        defended = DefendedAlgorithm(inner, build_defense("median"))
-        assert defended.supports_batched == inner.supports_batched
-        assert inner.supports_batched == (name == "fedadmm")
+        # ``local_update`` is the base class's cohort-of-one, never
+        # overridden: every algorithm's ClientUpdate is its
+        # ``batched_local_update``, and nothing declares whether it batches.
+        assert not [cls for cls in subclasses if "local_update" in vars(cls)]
+        for cls in ALGORITHM_REGISTRY.values():
+            assert "batched_local_update" in vars(cls)
+            assert not hasattr(cls, "supports_batched")
 
     # --- PR 16: the buffered half of the contract collapsed too ---------- #
     @pytest.mark.parametrize(

@@ -32,11 +32,9 @@ from repro.federated.plans import AsyncPlan, SemiSyncPlan
 from repro.federated.sampler import UniformFractionSampler
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
-    ReLU,
     Sequential,
     Tanh,
 )
@@ -539,16 +537,8 @@ FLAT_CASES = {
     "fedavg-samples": ("fedavg", {"weighting": "samples"}, None, None),
     "fedprox": ("fedprox", {"rho": 0.3}, None, None),
     "fedsgd": ("fedsgd", {}, None, None),
-    "feddropoutavg": ("feddropoutavg", {}, None, None),
     "fedadmm-median": ("fedadmm", {"rho": 0.3}, "median", "sign_flip"),
 }
-
-
-def dropout_mlp():
-    rng = np.random.default_rng(7)
-    return Sequential(
-        Linear(12, 16, rng=rng), ReLU(), Dropout(0.3), Linear(16, 4, rng=rng)
-    )
 
 
 def conv_model():
@@ -563,9 +553,9 @@ def conv_model():
     )
 
 
-# The stacked kernels the default MLP never reaches (dropout masks, im2col
-# convolution, pooling, tanh), pinned on the vectorized executor only.
-VECTORIZED_MODELS = {"dropout-mlp": dropout_mlp, "conv": conv_model}
+# The stacked kernels the default MLP never reaches (im2col convolution,
+# pooling, tanh), pinned on the vectorized executor only.
+VECTORIZED_MODELS = {"conv": conv_model}
 
 
 def run_flat_recipe(case, executor="serial", plan=None, model=None):
@@ -675,18 +665,6 @@ FLAT_GOLDENS = {
         [1.525800589408235, 0.4575468396678144, 0.9693635227821499],
         3312, 3312,
     ),
-    ("feddropoutavg", "serial"): (
-        "7ec87b8292f18b594022466d6723870641424d8790b11443e4a42aa521740ed4",
-        [0.8375, 0.9625, 1.0],
-        [0.47397049561356874, 0.07516396274201834, 0.10668153054785764],
-        6624, 3312,
-    ),
-    ("feddropoutavg", "thread"): (
-        "cfe49f1346d49bb7cb7656ed7c418bf28f6c39bc4b1e0b6c0d942420c21778fc",
-        [0.84375, 0.9625, 1.0],
-        [0.47193002298174236, 0.08569864414268911, 0.10196588798772906],
-        6624, 3312,
-    ),
     ("fedadmm-median", "serial"): (
         "56d97026c73ff40376305d3b239e82e436dd44f8fdfb5459f0445cb5cde48918",
         [0.4375, 0.425, 0.73125],
@@ -733,22 +711,10 @@ FLAT_GOLDENS = {
         [1.525800589408235, 0.4575468396678144, 0.9693635227821499],
         3312, 3312,
     ),
-    ("feddropoutavg", "vectorized"): (  # opts out of batching: serial's run
-        "7ec87b8292f18b594022466d6723870641424d8790b11443e4a42aa521740ed4",
-        [0.8375, 0.9625, 1.0],
-        [0.47397049561356874, 0.07516396274201834, 0.10668153054785764],
-        6624, 3312,
-    ),
     ("fedadmm-median", "vectorized"): (
         "56d97026c73ff40376305d3b239e82e436dd44f8fdfb5459f0445cb5cde48918",
         [0.4375, 0.425, 0.73125],
         [0.5092572231834789, 0.16437252483095827, 0.29875464069536745],
-        3312, 3312,
-    ),
-    ("fedadmm+dropout-mlp", "vectorized"): (
-        "94276c290dd15d3b8f2d0dc99de1a44c193c1ec81de7efcc7bd1f398fa7117ff",
-        [0.975, 0.95, 0.9875],
-        [0.6695298068773914, 0.2747123966505689, 0.4419831694882491],
         3312, 3312,
     ),
     ("fedadmm+conv", "vectorized"): (

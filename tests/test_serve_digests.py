@@ -198,8 +198,9 @@ def test_a_duplicate_names_no_digest_and_the_worker_holds_nothing_new(monkeypatc
 def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch, workers):
     """On a short switch interval, and with four workers on two cores, a lost
     or misplaced update of the board's digest map would leave an entry that
-    is not its row's digest.  θ is hashed once per round and each row once
-    when the server is built, by the server."""
+    is not its row's digest.  θ is hashed once per round and, when the
+    server is built, the one initial row every client shares once, by the
+    server."""
     digest, calls, misplaced = protocol.blob_digest, [], []
     forbidden = {TaskBoard.pull.__code__, run_worker.__code__, protocol.decode_task.__code__}
     hashers = {
@@ -236,10 +237,10 @@ def test_the_server_hashes_once_per_accepted_submit_and_nowhere_else(monkeypatch
     submits = counters["serve.requests.submit"]
     clients = server.simulation.clients
     assert submits + len(clients) == counters["serve.vars_digests"]
-    # w and y once per row at construction and once per accepted submit, θ
-    # once per round, nothing else.
+    # w and y of the shared initial row once at construction and once per
+    # accepted submit, θ once per round, nothing else.
     assert sorted(calls, key=str) == (
-        ["model"] * ROUNDS + ["row"] * (2 * len(clients)) + ["submit"] * int(2 * submits)
+        ["model"] * ROUNDS + ["row"] * 2 + ["submit"] * int(2 * submits)
     )
     assert server.board.digests == {
         index: {key: digest(value) for key, value in client.variables.items()}

@@ -457,21 +457,48 @@ def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, 
 
 
 def test_blob_digest_names_shape_and_bytes():
+    """``same_blob`` says two arrays share a digest without hashing them:
+    bytes, not values, so −0.0 is not 0.0 and NaN is NaN."""
     task, _ = fixed_task_and_message()
     w = task.client.variables["w"]
     digest = protocol.blob_digest(w)
     assert digest == protocol.blob_digest(w.copy()) == protocol.blob_digest(list(w))
+    assert protocol.same_blob(w, w.copy()) and protocol.same_blob(w, list(w))
+    nan = np.full(3, np.nan)
+    assert protocol.same_blob(nan, nan.copy())
     nudged = w.copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
     signed = np.zeros(3)
     signed[0] = -0.0
     for one, other in (
-        (digest, protocol.blob_digest(nudged)),
-        (digest, protocol.blob_digest(w.reshape(1, -1))),
-        (digest, protocol.blob_digest(w[:-1])),
-        (protocol.blob_digest(np.zeros(3)), protocol.blob_digest(signed)),
+        (w, nudged),
+        (w, w.reshape(1, -1)),
+        (w, w[:-1]),
+        (np.zeros(3), signed),
     ):
-        assert one != other
+        assert protocol.blob_digest(one) != protocol.blob_digest(other)
+        assert not protocol.same_blob(one, other)
+
+
+#: Floats whose bytes ``==`` misreads: signed zeros, NaN, infinities.
+TRICKY_FLOATS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 5e-324])
+
+
+@given(
+    first=st.lists(TRICKY_FLOATS, min_size=1, max_size=4),
+    second=st.lists(TRICKY_FLOATS, min_size=1, max_size=4),
+    column=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_same_blob_is_equal_digests(first, second, column):
+    """Whatever the floats, ``same_blob`` answers what hashing both would."""
+    one, other = np.array(first), np.array(second)
+    if column:
+        other = other.reshape(-1, 1)
+    assert protocol.same_blob(one, other) == (
+        protocol.blob_digest(one) == protocol.blob_digest(other)
+    )
+    assert protocol.same_blob(one, one.copy())
 
 
 def test_submitted_vars_files_the_frames_own_variables_under_the_replys_digests():

@@ -117,9 +117,11 @@ def test_resume_under_a_buffered_plan_is_refused(tmp_path):
 
 
 def test_a_fresh_and_a_resumed_server_name_rows_through_one_pass(tmp_path, monkeypatch):
-    """Building a server hashes each client's variables once, in
-    ``_name_rows``: the initial rows of a fresh server, the checkpoint's
-    rows of a resumed one.  Restoring hashes nothing of its own."""
+    """Building a server names each client's variables in ``_name_rows``
+    and hashes a row only where its bytes differ from the row before: the
+    one initial row a fresh server's clients share, each row the
+    checkpoint wrote on a resumed one.  Restoring hashes nothing of its
+    own."""
     config, spec = preset_config("serve"), AlgorithmSpec("fedadmm")
     store_dir = str(tmp_path / "store")
     _store_one_round(config, spec, store_dir)
@@ -138,7 +140,7 @@ def test_a_fresh_and_a_resumed_server_name_rows_through_one_pass(tmp_path, monke
         return digest(array)
 
     monkeypatch.setattr(protocol, "blob_digest", counted)
-    named = {}
+    named, hashed = {}, {}
     for resume in (False, True):
         callers.clear()
         server = FederationServer(
@@ -146,7 +148,8 @@ def test_a_fresh_and_a_resumed_server_name_rows_through_one_pass(tmp_path, monke
         )
         clients = server.simulation.clients
         assert server.resumed_from_round == int(resume)
-        assert callers == ["_name_rows"] * (2 * len(clients))
+        assert set(callers) == {"_name_rows"}
+        hashed[resume] = len(callers)
         assert server.metrics.counter("serve.vars_digests").value == len(clients)
         named[resume] = server.board.digests
         assert named[resume] == {
@@ -156,3 +159,9 @@ def test_a_fresh_and_a_resumed_server_name_rows_through_one_pass(tmp_path, monke
     # Round 1 wrote some rows and left the others at θ⁰ and zeros.
     written = [index for index in named[False] if named[False][index] != named[True][index]]
     assert 0 < len(written) < len(named[False])
+    # A fresh server hashes its one shared (w, y) row; a resumed one hashes
+    # every written row, each of which keeps a digest of its own.
+    assert hashed[False] == 2
+    assert hashed[True] >= 2 * len(written)
+    for key in ("w", "y"):
+        assert len({named[True][index][key] for index in written}) == len(written)

@@ -17,9 +17,10 @@ and ``repro.nn.batched``):
   results are bit-identical regardless of ``max_workers`` (a client's row
   does not depend on who shares its stack; every draw is made
   pre-dispatch; reassembly is in task order);
-* opt-out algorithms and genuinely unbatchable pieces (subclassed losses,
-  custom layers) fall back to the serial per-task loop bit for bit, with
-  the reason recorded in the labelled fallback counters.
+* every registered algorithm runs batched on the MLP (nothing opts out);
+  only genuinely unbatchable pieces (subclassed losses, custom layers)
+  fall back to the serial per-task loop bit for bit, with the reason
+  recorded in the labelled fallback counters.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.systems.executor as executor_module
-from repro.algorithms import FedAvg, build_algorithm
+from repro.algorithms import ALGORITHM_REGISTRY, FedAvg, build_algorithm
 from repro.algorithms.base import LocalTrainingConfig
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_blobs
@@ -40,7 +41,7 @@ from repro.federated.engine import FederatedSimulation
 from repro.federated.heterogeneity import UniformRandomEpochs
 from repro.federated.local_problem import LocalProblem
 from repro.federated.sampler import UniformFractionSampler
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
+from repro.nn.layers import Linear, Sequential, Tanh
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import MLP, SmallCNN
 from repro.obs import MetricsRegistry, observe
@@ -138,14 +139,6 @@ ALGO_KWARGS = {"fedprox": {"rho": 0.1}, "fedadmm": {"rho": 0.3},
                "fedpd": {"rho": 0.1}}
 
 
-class OptOutFedAvg(FedAvg):
-    """FedAvg made per-client-only the way any algorithm opts out of stacked
-    execution: by overriding ``local_update`` (same computation here)."""
-
-    def local_update(self, *args, **kwargs):
-        return super().local_update(*args, **kwargs)
-
-
 class TweakedCrossEntropy(CrossEntropyLoss):
     """A loss *subclass*: unbatchable by the exact-type compilation rule."""
 
@@ -209,52 +202,18 @@ class TestSerialEquivalence:
 
 
 class TestFallback:
-    def test_opt_out_algorithm_is_bit_identical_to_serial(self):
-        # An algorithm that opts out of batching must run the per-task
-        # serial loop, making the histories *exactly* equal.
-        sizes = [16] * 5
-        serial = run_simulation(OptOutFedAvg(), SerialExecutor(), sizes)
-        vectorized = run_simulation(OptOutFedAvg(), VectorizedExecutor(), sizes)
-        assert serial.history.records == vectorized.history.records
-        np.testing.assert_array_equal(
-            serial.final_params, vectorized.final_params
-        )
-
-    def test_opt_out_algorithm_reports_no_vectorization(self):
-        split, clients = make_ragged_clients([10, 10])
-        problems = [
-            LocalProblem(
-                model=MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
-                          rng=np.random.default_rng(0)),
-                loss=CrossEntropyLoss(),
-                dataset=client.dataset,
-            )
-            for client in clients
-        ]
-        executor = VectorizedExecutor()
-        executor.prime(problems, OptOutFedAvg())
-        assert not executor.vectorizes
-        assert executor.fallback_reason == "algorithm_opt_out"
-        executor.prime(problems, build_algorithm("fedavg"))
-        assert executor.vectorizes
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+    def test_every_registered_algorithm_runs_batched(self, name):
+        # Nothing opts out: on the MLP, priming leaves no fallback reason
+        # and every task of a run is counted batched, none as a fallback.
+        executor, metrics = VectorizedExecutor(), MetricsRegistry()
+        with observe(metrics=metrics):
+            run_simulation(name, executor, [16] * 4, rounds=2,
+                           algorithm_kwargs=ALGO_KWARGS.get(name))
         assert executor.fallback_reason is None
-
-    def test_formerly_opted_out_algorithms_now_vectorize(self):
-        split, clients = make_ragged_clients([10, 10])
-        problems = [
-            LocalProblem(
-                model=MLP(input_dim=12, hidden_dims=(8,), num_classes=4,
-                          rng=np.random.default_rng(0)),
-                loss=CrossEntropyLoss(),
-                dataset=client.dataset,
-            )
-            for client in clients
-        ]
-        executor = VectorizedExecutor()
-        for name in ("scaffold", "fedpd"):
-            executor.prime(problems, build_algorithm(name))
-            assert executor.vectorizes, name
-            assert executor.fallback_reason is None
+        counters = metrics.snapshot()["counters"]
+        assert counters["executor.batched_tasks"] == 2 * 4
+        assert not [key for key in counters if key.startswith("executor.fallback.")]
 
     def test_unbatchable_loss_falls_back_bit_identically(self):
         # A subclassed loss has no stacked counterpart (exact-type rule):
@@ -340,12 +299,16 @@ class TestFallback:
         metrics = MetricsRegistry()
         with observe(metrics=metrics):
             executor = VectorizedExecutor()
-            executor.prime(mlp_problems, OptOutFedAvg())
+            executor.prime(mlp_problems, build_algorithm("fedavg"))
             executor.run_tasks(tasks_for(mlp_problems))
             executor.prime(unbatchable_problems, build_algorithm("fedavg"))
             executor.run_tasks(tasks_for(unbatchable_problems))
         counters = metrics.snapshot()["counters"]
-        assert counters["executor.fallback.algorithm_opt_out"] == 2
+        assert executor.fallback_reason == "unbatchable_model"
+        assert counters["executor.batched_tasks"] == 2
+        assert [key for key in counters if key.startswith("executor.fallback.")] == [
+            "executor.fallback.unbatchable_model"
+        ]
         assert counters["executor.fallback.unbatchable_model"] == 2
 
     def test_batched_run_increments_no_fallback_counters(self):
@@ -572,13 +535,6 @@ class TestCohortMechanics:
         assert executor._data_cache.keys() == first.keys()
         for key, entry in executor._data_cache.items():
             assert entry[0] is first[key]
-
-
-def dropout_model():
-    rng = np.random.default_rng(5)
-    return Sequential(
-        Linear(12, 8, rng=rng), ReLU(), Dropout(0.3), Linear(8, 4, rng=rng)
-    )
 
 
 class TestMergeAndDeal:
@@ -871,16 +827,17 @@ class TestMergeAndDeal:
         assert raced.history.records == inline.history.records
         np.testing.assert_array_equal(raced.final_params, inline.final_params)
 
-    def test_dropout_model_is_merged_but_never_dealt(self):
-        # A dropout mask stream is drawn per stacked forward: dealing the
-        # stack would make history depend on the worker count, so dropout
-        # cohorts stay whole — and the history stays the same bytes.
+    def test_every_model_is_dealt_by_the_one_part_rule(self):
+        # No layer keeps a cohort whole: a Tanh stack's cohort is dealt
+        # into parts like the MLP's, and the history stays the same bytes.
         def run(workers):
+            rng = np.random.default_rng(5)
+            model = Sequential(Linear(12, 8, rng=rng), Tanh(), Linear(8, 4, rng=rng))
             metrics = MetricsRegistry()
             with observe(metrics=metrics):
                 result = run_simulation(
                     "fedadmm", VectorizedExecutor(max_workers=workers),
-                    [16] * 8, model=dropout_model(),
+                    [16] * 8, model=model,
                     local_work=UniformRandomEpochs(max_epochs=4),
                     algorithm_kwargs={"rho": 0.3},
                 )
@@ -890,8 +847,8 @@ class TestMergeAndDeal:
             (inline, inline_sizes), (two, two_sizes), (four, _) = (
                 run(1), run(2), run(4)
             )
-        assert two_sizes["min"] == two_sizes["max"] == 8  # one whole cohort
-        assert two_sizes["count"] == inline_sizes["count"] == inline.rounds_run
+        assert inline_sizes["max"] == 8  # inline, one whole cohort a round
+        assert two_sizes["max"] < 8
         for dealt in (two, four):
             assert dealt.history.records == inline.history.records
             np.testing.assert_array_equal(dealt.final_params, inline.final_params)

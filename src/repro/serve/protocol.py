@@ -27,14 +27,16 @@ digest, carried]`` of the header's ``"arrays"`` list: ``params`` (θ), then
 ``state.<key>`` (the server state), then ``var.<key>`` (the client's
 persistent variables, wᵢ and yᵢ for FedADMM), keys sorted.  ``digest`` is
 the array's :func:`blob_digest`, or ``null`` when nobody hashed it; the body
-carries, in entry order, exactly the arrays whose ``carried`` is true, and
-``"drop"`` lists held digests the worker may forget.  A worker keeps one
-read-only ``digest → array`` cache: :func:`decode_task` takes each entry
-from the body or from the cache, then files every named array under its
-digest and deletes the dropped ones; :func:`submitted_vars` files an
-accepted submit's variables under the digests of the server's reply.  Who
-names what, and when a frame leaves an array out, is the wire contract of
-``docs/api/serve.md`` ("Task frames and the worker's cache").
+carries, in entry order, exactly the arrays whose ``carried`` is true —
+each digest at its first entry only — and ``"drop"`` lists held digests
+the worker may forget.  A worker keeps one read-only ``digest → array``
+cache: :func:`decode_task` takes each entry from the body, from an earlier
+entry of the frame with its digest or from the cache, then files every
+named array under its digest and deletes the dropped ones;
+:func:`submitted_vars` files an accepted submit's variables under the
+digests of the server's reply.  Who names what, and when a frame leaves an
+array out, is the wire contract of ``docs/api/serve.md`` ("Task frames and
+the worker's cache").
 
 Floats that must survive the trip bit-exactly (train losses, learning rates)
 are transported as ``float.hex()`` strings: JSON reprs round-trip doubles,
@@ -292,14 +294,21 @@ def _pack_arrays(
     digests: dict[str, str | None],
     held: Collection[str],
 ) -> tuple[list[list], list[np.ndarray]]:
-    """The ``"arrays"`` entries of named arrays, and the blobs a body carries."""
+    """The ``"arrays"`` entries of named arrays, and the blobs a body carries.
+
+    A digest is carried at its first entry only: a later entry that shares
+    it (θ⁰ and an untrained wᵢ) is read from the earlier one.
+    """
     entries, blobs = [], []
+    named: set[str] = set()
     for name, array in arrays.items():
         digest = digests.get(name)
-        carried = carries(digest, held)
+        carried = carries(digest, held) and digest not in named
         entries.append([name, list(np.shape(array)), digest, carried])
         if carried:
             blobs.append(_blob(array))
+        if digest is not None:
+            named.add(digest)
     return entries, blobs
 
 
@@ -308,11 +317,13 @@ def _unpack_arrays(
 ) -> tuple[dict[str, np.ndarray], dict[str, str | None]]:
     """Inverse of :func:`_pack_arrays`: ``(name → array, name → digest)``.
 
-    A carried entry is a read-only view of its blob; any other is
-    ``cache[digest]``, whose shape must be the entry's.
+    A carried entry is a read-only view of its blob; any other is the array
+    an earlier entry of the frame named by its digest, else
+    ``cache[digest]``, and its shape must be the entry's.
     """
     arrays: dict[str, np.ndarray] = {}
     digests: dict[str, str | None] = {}
+    framed: dict[str, np.ndarray] = {}  # digest → array, from earlier entries
     used = 0
     for entry in _field(header, "arrays", list):
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -333,7 +344,7 @@ def _unpack_arrays(
             array = unpack_array(blobs[used], shape)
             used += 1
         else:
-            array = None if digest is None else cache.get(digest)
+            array = None if digest is None else framed.get(digest, cache.get(digest))
             if array is None:
                 raise ProtocolError(
                     f"array {name!r:.40} is named by digest {digest!r:.20}, "
@@ -346,6 +357,8 @@ def _unpack_arrays(
                 )
         arrays[name] = array
         digests[name] = digest
+        if digest is not None:
+            framed.setdefault(digest, array)
     if used != len(blobs):
         raise ProtocolError(f"frame carries {len(blobs)} blobs for {used} carried arrays")
     return arrays, digests
@@ -422,10 +435,10 @@ def encode_task(
 
     ``digests`` names the task's arrays (entry name → :func:`blob_digest`;
     a missing or ``None`` one is unnamed); the frame carries each array but
-    those whose digest is in ``held``, the lessee's lease.  ``drop`` lists
-    held digests the lessee may forget.  Everything else rides in the
-    header; isolated executors hand tasks integer seeds, which JSON carries
-    exactly.
+    those whose digest is in ``held``, the lessee's lease, or named by an
+    earlier entry.  ``drop`` lists held digests the lessee may forget.
+    Everything else rides in the header; isolated executors hand tasks
+    integer seeds, which JSON carries exactly.
     """
     entries, blobs = _pack_arrays(task_arrays(task), digests or {}, held)
     config = task.config

@@ -24,10 +24,13 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
   listing the arrays the worker holds; one task frame out, carrying the
   task's arrays but the held ones and dropping the held digests that are
   no longer current (see :mod:`repro.serve.protocol`).  The board leases
-  the worker a task whose client variables it holds when one is pending.
-  On an empty board the request is *parked* (a long poll, at most
-  :data:`LEASE_WAIT_S`) until a task is published; JSON ``{"task": null,
-  "done": ...}`` means the wait elapsed or the run ended.
+  the worker a task whose client variables it holds when one is pending,
+  and otherwise one whose trained row no live worker holds: a task whose
+  row a live worker holds waits for that worker (see :class:`TaskBoard`).
+  With nothing it may lease the request is *parked* (a long poll, at most
+  :data:`LEASE_WAIT_S`) until a task is published or a reservation
+  lapses; JSON ``{"task": null, "done": ...}`` means the wait elapsed or
+  the run ended.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok", "vars":
   {key: digest}}`` out, the :func:`~repro.serve.protocol.blob_digest` of
   each accepted client variable (absent when the algorithm keeps none).
@@ -78,6 +81,12 @@ from repro.utils.validation import check_positive
 LEASE_WAIT_S = 1.0
 #: Bucket bounds of ``serve.lease_wait_seconds``: sub-second, up to the bound.
 LEASE_WAIT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, LEASE_WAIT_S)
+#: How long a trained client's row stays reserved for its holder after the
+#: holder last confirmed it (see :class:`TaskBoard`): what a worker that
+#: leaves between tasks costs a round.  A live worker's next lease follows
+#: each reply within milliseconds, and a parked one confirms every
+#: ``RESERVE_S / 2``.
+RESERVE_S = 0.5
 
 
 class _Aborted(Exception):
@@ -124,6 +133,8 @@ class _Ticket:
     state: str = "pending"  # pending -> leased -> done
     lease_expires: float = 0.0
     outcome: LocalUpdateOutcome | None = None
+    #: Client indices of the filed rows the lease that took the task listed.
+    holds: frozenset[int] = frozenset()
 
     def held_by(self, held: Collection[str]) -> bool:
         """Whether ``held`` names every variable of the client's row."""
@@ -150,6 +161,21 @@ class TaskBoard:
     :meth:`resolve` files an accepted submit's, whose variables the round's
     merge writes into the row next, and :meth:`publish` copies them onto
     the tickets, so leasing compares strings and never hashes.
+
+    A row :meth:`resolve` filed is *reserved* for the worker that holds
+    it: its client's task waits for a puller that holds the row while the
+    holder is live, that is, while it confirmed the row within
+    :data:`RESERVE_S` (or ``lease_s``, when that is shorter) or is busy on
+    a task it leased with the row listed.  A lease that lists the row, the
+    submit of such a lease's task and the filing itself confirm it; a
+    worker that leaves (killed, stopped, restarted) stops confirming, and
+    its rows are free ``RESERVE_S`` after its last word — or once a leased
+    task's reclaim ends its lease.  The filing counts because the
+    submitter's next lease is the one that lists the row: without it, a
+    worker whose lease lands between the two would take the row.  A
+    submitter whose reply was lost never lists the row, and waits out the
+    filing's ``RESERVE_S``.  Rows only the naming pass named (the initial
+    row every untrained client shares, restored rows) are free to anyone.
     """
 
     def __init__(self, lease_s: float = 30.0):
@@ -165,6 +191,9 @@ class TaskBoard:
         self.reclaimed = 0
         self.duplicates = 0
         self.digests: dict[int, dict[str, str]] = {}
+        #: Client index → when the holder of the row :meth:`resolve` filed
+        #: last confirmed it: one entry per trained client.
+        self._rows: dict[int, float] = {}
 
     def next_task_id(self, round_index: int, client_index: int) -> str:
         with self._cond:
@@ -187,35 +216,56 @@ class TaskBoard:
     ) -> _Ticket | None:
         """Lease a pending task, reclaiming expired leases first.
 
-        The first pending task whose client variables ``held`` (digests)
-        all names is leased before the head of the queue; with none, the
-        head is.  No task is reserved, so no puller waits while any task
-        is pending.  On an empty board the caller is parked for up to
-        ``wait`` seconds; ``None`` means the wait elapsed or the board was
-        closed.
+        ``held`` (digests) is the puller's lease: it confirms the puller as
+        the holder of every filed row it names in full.  The first pending
+        task whose client variables ``held`` all names is leased; with
+        none, the first one that is not reserved for a live holder (see the
+        class docstring).  Otherwise — the board is empty, or every pending
+        task waits for its holder — the caller is parked for up to ``wait``
+        seconds, confirming its rows as it wakes; ``None`` means the wait
+        elapsed or the board was closed.
         """
         deadline = time.monotonic() + wait
+        hold = min(RESERVE_S, self.lease_s)
         with self._cond:
             while True:
                 self._reclaim_locked()
+                now = time.monotonic()
+                listed = frozenset(
+                    index
+                    for index in self._rows
+                    if all(digest in held for digest in self.digests[index].values())
+                )
+                self._rows.update(dict.fromkeys(listed, now))
+                busy = set().union(
+                    *(t.holds for t in self._tickets.values() if t.state == "leased")
+                )
                 # Entries resolved after a reclaim, or forgotten, drop out here.
                 queued = (self._tickets.get(task_id) for task_id in self._queue)
                 pending = [t for t in queued if t is not None and t.state == "pending"]
-                if pending:
-                    ticket = next(
-                        (t for t in pending if t.held_by(held)), pending[0]
-                    )
+                ticket = next((t for t in pending if t.held_by(held)), None) or next(
+                    (t for t in pending if not self._reserved(t, now - hold, busy)), None
+                )
+                if ticket is not None:
                     self._queue = deque(t.task_id for t in pending if t is not ticket)
                     ticket.state = "leased"
-                    ticket.lease_expires = time.monotonic() + self.lease_s
+                    ticket.lease_expires = now + self.lease_s
+                    ticket.holds = listed
                     return ticket
-                self._queue.clear()
-                remaining = deadline - time.monotonic()
+                self._queue = deque(t.task_id for t in pending)
+                remaining = deadline - now
                 if self._closed or remaining <= 0:
                     return None
-                # Wake periodically so a lease that expires while we are
-                # parked is reclaimed and handed to us.
-                self._cond.wait(timeout=min(remaining, self.lease_s / 4))
+                # Wake periodically so a lease or a reservation that expires
+                # while we are parked is handed to us, and a parked holder
+                # keeps confirming its rows.
+                self._cond.wait(timeout=min(remaining, self.lease_s / 4, hold / 2))
+
+    def _reserved(self, ticket: _Ticket, since: float, busy: set[int]) -> bool:
+        """Whether the ticket's row is filed and its holder confirmed it
+        after ``since`` or is busy on a task it leased with the row listed."""
+        index = ticket.task.client_index
+        return index in self._rows and (self._rows[index] > since or index in busy)
 
     def stale(self, held: Iterable[str]) -> list[str]:
         """The digests in ``held`` that name neither a pending task's model
@@ -254,8 +304,13 @@ class TaskBoard:
                 return "duplicate"
             ticket.state = "done"
             ticket.outcome = outcome
+            # The submitter is live: the rows its lease listed, and the one
+            # it wrote, stay its own until its next lease lists them.
+            now = time.monotonic()
+            self._rows.update(dict.fromkeys(ticket.holds, now))
             if digests is not None:
                 self.digests[ticket.task.client_index] = digests
+                self._rows[ticket.task.client_index] = now
             self._cond.notify_all()
             return "ok"
 
@@ -299,6 +354,7 @@ class TaskBoard:
         for ticket in self._tickets.values():
             if ticket.state == "leased" and ticket.lease_expires <= now:
                 ticket.state = "pending"
+                ticket.holds = frozenset()
                 self._queue.append(ticket.task_id)
                 self.reclaimed += 1
 

@@ -8,6 +8,11 @@ test runs each case once and checks, besides its claims, that the sweep
 gathered exactly the expected runs and that a study which does not stop at
 its target ran its whole budget.
 
+One case is not a figure: ``communication`` checks, on the serve preset
+with every client every round, the paper's "identical communication costs
+per round as FedAvg/Prox" — in ledger floats in-process, and in θ frames,
+upload bytes and client-state frames (once per worker a run) when served.
+
 Only what the bench scale supports is claimed.  At these sizes FedADMM is
 not the fewest-rounds method on every column (non-IID Table III: MNIST 8
 rounds vs FedAvg's 6), every IID Table III / Fig. 4 / Fig. 5 run reaches
@@ -25,9 +30,16 @@ import pytest
 
 from repro.core.rho import PiecewiseRho
 from repro.experiments.configs import AlgorithmSpec, preset_config
-from repro.experiments.runner import ComparisonResult, prepare_environment, run_comparison
+from repro.experiments.runner import (
+    ComparisonResult,
+    build_simulation,
+    prepare_environment,
+    run_comparison,
+)
 from repro.experiments.studies import STUDIES
 from repro.federated.engine import SimulationResult
+
+from test_serve_digests import joining, threaded_run
 
 ROUNDS = 25
 ADMM, PROX = "fedadmm(rho=0.3)", "fedprox(rho=0.1)"
@@ -44,6 +56,11 @@ SPECS = {
     ABLATION[3]: AlgorithmSpec("fedprox", {"rho": 0.3}),
 }
 NON_IID_MNIST = preset_config("fig6", "mnist", non_iid=True, num_rounds=ROUNDS)
+SERVE_ROUNDS = 5
+#: The serve preset, every client every round: from round 1 on each worker
+#: has tasks whose rows it holds, so no worker takes another's.
+SERVE = preset_config("serve", client_fraction=1.0, num_rounds=SERVE_ROUNDS)
+SERVED = ("1 worker", "2 workers")
 
 
 def _algorithms(*labels: str) -> list[AlgorithmSpec]:
@@ -86,6 +103,50 @@ def _upload_per_round(result: SimulationResult) -> int:
     return result.ledger.upload_floats // max(result.ledger.rounds, 1)
 
 
+@dataclass(frozen=True)
+class Served:
+    """The ``serve.*`` status counters of one served run."""
+
+    workers: int
+    counters: dict[str, float]
+
+    @property
+    def wire(self) -> tuple[float, float]:
+        """θ frames sent, and upload payload bytes received."""
+        uploads = [v for k, v in self.counters.items() if k.startswith("serve.payload_bytes.")]
+        return self.counters["serve.model_frames"], sum(uploads)
+
+
+def _communication() -> dict[str, dict[str, Any]]:
+    """FedADMM and FedAvg on one config and seed: in-process, and served."""
+    labels = (ADMM, "fedavg")
+    runs: dict[str, dict[str, Any]] = {
+        "in-process": {
+            label: build_simulation(SERVE, SPECS[label]).run(SERVE_ROUNDS, target_accuracy=None)
+            for label in labels
+        }
+    }
+    for workers, key in enumerate(SERVED, start=1):
+        runs[key] = {
+            label: Served(
+                workers,
+                threaded_run(
+                    SERVE, SPECS[label], SERVE_ROUNDS, workers, delay_fn=joining(workers)
+                )[0].status_snapshot()["counters"],
+            )
+            for label in labels
+        }
+    return runs
+
+
+def _same_floats_per_round(runs) -> bool:
+    admm, fedavg = (runs["in-process"][label].ledger for label in (ADMM, "fedavg"))
+    return all(
+        getattr(admm, name) // admm.rounds == getattr(fedavg, name) // fedavg.rounds
+        for name in ("upload_floats", "download_floats")
+    )
+
+
 def _more_work_needs_no_more_rounds(results: dict[int, SimulationResult]) -> bool:
     # A run that misses the target counts as one round over the budget.
     rounds = {e: r.rounds_to_target or ROUNDS + 1 for e, r in results.items()}
@@ -119,6 +180,21 @@ TABLE1 = (
 IMBALANCED = (
     "the partition's volume std exceeds 0.3x its mean (Table VI)",
     _imbalanced,
+)
+SAME_FLOATS = (
+    "in-process, FedADMM uploads and downloads as many floats per round as FedAvg",
+    _same_floats_per_round,
+)
+SAME_WIRE = (
+    "served, FedADMM is sent as many θ frames and uploads as many bytes as FedAvg",
+    lambda runs: all(runs[key][ADMM].wire == runs[key]["fedavg"].wire for key in SERVED),
+)
+STATE_ONCE = (
+    "served, FedADMM's client state crosses once per worker a run",
+    lambda runs: all(
+        runs[key][ADMM].counters["serve.client_state_frames"] == runs[key][ADMM].workers
+        for key in SERVED
+    ),
 )
 
 
@@ -175,6 +251,8 @@ CASES = [
     Case("ablation", lambda: run_comparison(
              NON_IID_MNIST, _algorithms(*ABLATION), stop_at_target=False),
          (ABLATION,), (LEARNS,), stops_at_target=False),
+    Case("communication", _communication, (("in-process", *SERVED), (ADMM, "fedavg")),
+         (SAME_FLOATS, SAME_WIRE, STATE_ONCE)),
 ]
 
 

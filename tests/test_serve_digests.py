@@ -61,13 +61,18 @@ def _environment(algorithm: str, hidden: int) -> WorkerEnvironment:
     return WorkerEnvironment(_config(hidden), {"name": algorithm})
 
 
-def threaded_run(config, spec, rounds=ROUNDS, workers=WORKERS):
-    """A served run on in-process worker threads: (server, result)."""
+def threaded_run(config, spec, rounds=ROUNDS, workers=WORKERS, **worker_kwargs):
+    """A served run on in-process worker threads: (server, result).
+
+    ``worker_kwargs`` go to every worker's :func:`run_worker`.
+    """
     server = FederationServer(config, spec, num_rounds=rounds)
     server.start()
     threads = [
         threading.Thread(
-            target=run_worker, kwargs=dict(url=server.url, worker_id=f"t{index}"), daemon=True
+            target=run_worker,
+            kwargs=dict(url=server.url, worker_id=f"t{index}", **worker_kwargs),
+            daemon=True,
         )
         for index in range(workers)
     ]
@@ -81,6 +86,20 @@ def threaded_run(config, spec, rounds=ROUNDS, workers=WORKERS):
             thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
     return server, result
+
+
+def joining(workers):
+    """A ``delay_fn`` that holds each worker thread's first task until every
+    one of ``workers`` has one, so all of them join the first round."""
+    joined, first = threading.Barrier(workers), threading.local()
+
+    def delay(task):
+        if not getattr(first, "done", False):
+            first.done = True
+            joined.wait(timeout=60)
+        return 0.0
+
+    return delay
 
 
 @given(

@@ -385,16 +385,22 @@ def algorithm_tasks(draw):
     dim = draw(st.integers(min_value=0, max_value=6))
     # Any double: -0.0, infinities and NaN payloads must come back as sent.
     vector = numpy_arrays(np.float64, dim, elements=st.floats(width=64))
+    params = draw(vector)
+    # An untrained FedADMM row starts at w = θ: params and var.w share bytes.
+    shared = draw(st.booleans(), label="var.w is params")
     return LocalUpdateTask(
         client_index=draw(st.integers(min_value=0, max_value=99)),
         client=ClientState(
             client_id=draw(st.integers(min_value=0, max_value=99)),
             dataset=None,
-            variables={key: draw(vector) for key in var_keys},
+            variables={
+                key: params.copy() if shared and key == "w" else draw(vector)
+                for key in var_keys
+            },
             rounds_participated=draw(st.integers(min_value=0, max_value=9)),
             local_work_done=draw(st.integers(min_value=0, max_value=99)),
         ),
-        global_params=draw(vector),
+        global_params=params,
         server_state={key: draw(vector) for key in state_keys},
         config=LocalTrainingConfig(
             epochs=draw(st.integers(min_value=1, max_value=5)),
@@ -411,7 +417,8 @@ def algorithm_tasks(draw):
 def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, data):
     """The one task-frame form.  The server names each array (the protocol
     still reads an unnamed row, which a server no longer sends); whichever
-    subset of them the worker holds, the frame carries exactly the rest and
+    subset of them the worker holds, the frame carries each digest it does
+    not hold exactly once, at its first entry, and every unnamed array, and
     decodes to the task.  The cache then holds every named array under its
     digest, read-only, and nothing the frame dropped."""
     arrays = protocol.task_arrays(task)
@@ -433,7 +440,13 @@ def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, 
 
     assert task_id == TASK_ID
     assert_same_task(decoded, task)
-    carried = [name for name in arrays if protocol.carries(digests[name], before)]
+    carried, first = [], {}  # first: digest → the first entry naming it
+    for name in arrays:
+        digest = digests[name]
+        if digest is None or (digest not in before and digest not in first):
+            carried.append(name)
+        if digest is not None:
+            first.setdefault(digest, name)
     assert [entry[0] for entry in header["arrays"] if entry[3]] == carried
     assert [len(blob) for blob in blobs] == [8 * arrays[name].size for name in carried]
     assert header["drop"] == stale
@@ -441,8 +454,10 @@ def test_a_task_decodes_bit_for_bit_whatever_subset_of_its_arrays_is_held(task, 
     model.update((f"state.{key}", value) for key, value in decoded.server_state.items())
     for name, value in model.items():
         assert not value.flags.writeable  # no task may write into a held model
-        if name not in carried:
+        if digests[name] in before:
             assert value is before[digests[name]]
+        elif name not in carried:  # read from the entry that carried its digest
+            assert value is model[first[digests[name]]]
     # The client copies its variables into its own store: a task that writes
     # them cannot change what a held (or newly filed) digest names.
     for value in decoded.client.variables.values():
@@ -754,6 +769,10 @@ def _entry_forgery(header, blobs, forgery):
         w[3] = 1
     elif forgery == "held-shape-differs":
         params[1] = [1, 37]
+    elif forgery == "framed-shape-differs":
+        # y named by w's digest, read from w's entry: shape (37,), not (37, 1).
+        y[2], y[3] = w[2], False
+        del blobs[-1]
     elif forgery == "not-an-entry":
         entries[0] = {"name": "params"}
     elif forgery == "duplicate-name":
@@ -781,6 +800,7 @@ def _entry_forgery(header, blobs, forgery):
         "held-without-digest",
         "carried-not-a-boolean",
         "held-shape-differs",
+        "framed-shape-differs",
         "not-an-entry",
         "duplicate-name",
         "unknown-name",

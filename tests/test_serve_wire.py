@@ -15,9 +15,11 @@ that fails if it comes back, and none of them measures a latency:
   task of a round carries θ, and a client's variables cross only when the
   lessee lacks them (with one worker: once a run, the initial row every
   untrained client shares); the board leases a worker the tasks whose
-  variables it holds first and names the held digests nothing needs any
-  more (the counts of such replies are pinned, and with one worker the
-  download bytes exactly);
+  variables it holds first, keeps a trained client's task for the live
+  worker that holds its row (so each worker is sent client state once a
+  run) and names the held digests nothing needs any more (the counts of
+  such replies are pinned, and with one worker the download bytes
+  exactly);
 * **a stopped server is freed by reference counting** — no ``gc.collect()``;
 * **the checkpoint is binary** — the result JSON of a served run carries no
   per-client number list, and a sidecar from another round is refused.
@@ -32,6 +34,7 @@ import gc
 import json
 import socket
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -46,6 +49,7 @@ from repro.serve.server import FederationServer, TaskBoard, _Aborted, _Ticket
 from repro.serve.worker import ServerClient, run_worker
 from repro.systems.executor import LocalUpdateTask
 
+from test_serve_digests import joining, threaded_run
 from test_serve_e2e import assert_bit_identical, reference_run, serve_run
 
 ROUNDS = 3
@@ -308,6 +312,174 @@ def test_the_shared_initial_row_stays_live_until_every_client_is_trained():
     board.pull()
     board.resolve("r0-c1-1", None, {"w": "w-1", "y": "y-1"})
     assert board.stale(held) == ["theta-0", "zeros"]
+
+
+# --------------------------------------------------------------------------- #
+# (b') Affinity: a trained row's task waits for the live worker that holds it
+# --------------------------------------------------------------------------- #
+def _filed(board, index, row, held=frozenset()):
+    """File ``row`` (key → digest) as client ``index``'s, as the accepted
+    submit of a finished round does; ``held`` is the lessee's lease."""
+    board.publish([_ticket(f"r0-c{index}-filed", index, {"w": np.zeros(3)})])
+    ticket = board.pull(held=held)
+    assert ticket.task_id == f"r0-c{index}-filed"
+    assert board.resolve(ticket.task_id, None, row) == "ok"
+    board.wait([ticket.task_id])
+
+
+@pytest.fixture
+def live_holders(monkeypatch):
+    """Holders that never lapse: every confirmed row stays reserved."""
+    monkeypatch.setattr(serve_server, "RESERVE_S", FOREVER)
+
+
+def test_a_row_a_lease_listed_is_not_leased_to_another_puller_which_parks(live_holders):
+    board = TaskBoard(lease_s=FOREVER)
+    _filed(board, 0, {"w": "w-0"})
+    assert board.pull(held={"w-0", "theta"}) is None  # the holder's lease lists it
+    reserved = _ticket("r1-c0-1", 0, {"w": np.ones(3)})
+    board.publish([reserved])
+    assert board.pull() is None and board.pull(held={"theta"}) is None
+    thread, pulled = _parked_puller(board)  # parks with a task pending
+    assert board.pending == 1
+    assert board.pull(held={"w-0"}) is reserved
+    # Publish and resolve wake the parked puller; it takes what it may.
+    board._cond.parked.clear()
+    assert board.resolve("r1-c0-1", None, {"w": "w-0-next"}) == "ok"
+    assert board._cond.parked.wait(SOON), "resolve did not wake the puller"
+    assert thread.is_alive()
+    free = _ticket("r1-c1-2", 1, {"w": np.ones(3)})
+    board.publish([free])
+    assert _released(thread, pulled) is free
+
+
+def test_a_holder_that_leaves_between_tasks_frees_its_rows_after_reserve_s():
+    """The default 30 s lease is not the clock: a holder that stops asking
+    frees its rows ``RESERVE_S`` after its last lease."""
+    board = TaskBoard()
+    _filed(board, 0, {"w": "w-0"})
+    assert board.pull(held={"w-0"}) is None  # then the holder goes silent
+    reserved = _ticket("r1-c0-1", 0, {"w": np.ones(3)})
+    board.publish([reserved])
+    asked = time.monotonic()
+    assert board.pull(wait=SOON) is reserved
+    assert time.monotonic() - asked < serve_server.RESERVE_S + 1.0
+    assert board.reclaimed == 0
+
+
+def test_a_busy_holder_keeps_its_rows_until_its_submit_and_reserve_s_after(monkeypatch):
+    monkeypatch.setattr(serve_server, "RESERVE_S", 0.2)
+    board = TaskBoard(lease_s=FOREVER)
+    _filed(board, 0, {"w": "w-0"})
+    board.publish([_ticket("r1-c1-1", 1, {"w": np.ones(3)})])
+    busy = board.pull(held={"w-0"})  # lists row 0 and takes client 1's task
+    reserved = _ticket("r1-c0-2", 0, {"w": np.ones(3)})
+    board.publish([reserved])
+    time.sleep(0.3)  # past RESERVE_S since the lease, but the task is out
+    assert board.pull() is None
+    assert board.resolve(busy.task_id, None, {"w": "w-1"}) == "ok"
+    assert board.pull() is None  # the submit confirmed row 0 again
+    assert board.pull(wait=SOON) is reserved
+
+
+def test_rows_only_the_naming_pass_named_are_free_and_a_filed_row_lapses(monkeypatch):
+    """The initial row the naming pass named reserves nothing though a lease
+    lists it.  A row an accepted submit wrote is reserved from its filing,
+    and a worker that lacks it (a submitter whose reply was lost) takes its
+    client's task once ``RESERVE_S`` passes with no lease listing it."""
+    monkeypatch.setattr(serve_server, "RESERVE_S", 0.2)
+    board = TaskBoard(lease_s=FOREVER)
+    board.digests[0] = {"w": "theta-0"}
+    _filed(board, 1, {"w": "w-1"})
+    assert board.pull(held={"theta-0"}) is None
+    tickets = [_ticket(f"r1-c{index}-{index}", index, {"w": np.ones(3)}) for index in (0, 1)]
+    board.publish(tickets)
+    assert board.pull() is tickets[0]
+    assert board.pull(wait=SOON) is tickets[1]
+
+
+def test_a_filed_row_waits_for_the_submitters_next_lease(live_holders):
+    """A round's last submit is filed while another worker is parked: that
+    client's next task waits for the submitter's lease, which lists the
+    row — not for the parked puller, nor for a lease that lands between."""
+    board = TaskBoard(lease_s=FOREVER)
+    board.publish([_ticket("r0-c0-0", 0, {"w": np.zeros(3)})])
+    submitted = board.pull()
+    thread, pulled = _parked_puller(board)
+    assert board.resolve(submitted.task_id, None, {"w": "w-0"}) == "ok"
+    board.wait([submitted.task_id])
+    board._cond.parked.clear()
+    following = _ticket("r1-c0-1", 0, {"w": np.ones(3)})
+    board.publish([following])
+    assert board._cond.parked.wait(SOON), "publish did not wake the puller"
+    assert thread.is_alive()  # it woke and left the task
+    assert board.pull() is None
+    assert board.pull(held={"w-0"}) is following
+    board.close()
+    assert _released(thread, pulled) is None
+
+
+def test_the_holder_record_keeps_one_entry_per_trained_client(live_holders):
+    board = TaskBoard(lease_s=FOREVER)
+    _filed(board, 0, {"w": "w-0"})
+    board.pull(held={"w-0"})
+    _filed(board, 0, {"w": "w-0-next"}, held={"w-0"})
+    _filed(board, 1, {"w": "w-1"})
+    assert sorted(board._rows) == [0, 1]
+    # A lease listing the row client 0 had before does not confirm its new one.
+    confirmed = board._rows[0]
+    board.pull(held={"w-0"})
+    assert board._rows[0] == confirmed
+
+
+def test_a_holder_that_stops_between_rounds_stalls_no_round_for_long():
+    """A worker stopped by ``max_tasks`` leaves while it holds rows a later
+    round samples; under the default 30 s lease the other worker takes
+    those tasks ``RESERVE_S`` after the leaver's last submit."""
+    config = preset_config("serve", client_fraction=0.5)
+    spec = AlgorithmSpec("fedadmm")
+    server = FederationServer(config, spec, num_rounds=ROUNDS + 1)
+    server.start()
+    delay = joining(WORKERS)
+    threads = [
+        threading.Thread(
+            target=run_worker,
+            kwargs=dict(url=server.url, max_tasks=tasks, delay_fn=delay),
+            daemon=True,
+        )
+        for tasks in (2, None)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        result = server.wait(timeout=120)
+    finally:
+        server.stop()
+    for thread in threads:
+        thread.join(timeout=SOON)
+    assert_bit_identical(result, reference_run(config, spec, rounds=ROUNDS + 1))
+    counters = server.status_snapshot()["counters"]
+    assert server.board.reclaimed == 0
+    # Rows the leaver trained crossed to the other worker.
+    assert counters["serve.client_state_frames"] > WORKERS
+    assert max(server.round_latencies) < serve_server.RESERVE_S + 2.0
+
+
+@pytest.mark.parametrize("workers", [WORKERS, 4])
+def test_each_worker_is_sent_client_state_once_a_run(workers):
+    """Each worker's first frame hands it the initial row every untrained
+    client shares; every later task of a client goes to the worker that
+    trained it, so no trained row crosses: one client-state frame per
+    worker, whatever the seed."""
+    # Half the clients a round: a worker often holds none of a round's rows.
+    config = preset_config("serve", client_fraction=0.5)
+    spec = AlgorithmSpec("fedadmm")
+    server, result = threaded_run(config, spec, workers=workers, delay_fn=joining(workers))
+    assert_bit_identical(result, reference_run(config, spec))
+    counters = server.status_snapshot()["counters"]
+    assert server.board.reclaimed == 0 and server.board.duplicates == 0
+    assert counters["serve.client_state_frames"] == workers
+    assert counters["serve.requests.submit"] == ROUNDS * server.config.num_clients // 2
 
 
 # --------------------------------------------------------------------------- #
